@@ -17,9 +17,11 @@
 //    "speedup_8w_vs_seq":...,"inspect_overhead_pct":...,"bit_identical":...}
 //
 // `--gate` (CI bench-smoke leg) re-runs both scenarios and fails unless
-// every parallel store is bit-identical to the sequential reference —
-// speedup is reported, never gated (inspection amortizes over re-execution
-// and CI machines vary), but correctness is absolute.
+// every parallel store is bit-identical to the sequential reference, and
+// unless inspection costs less than one sequential interpreted run
+// (inspect_overhead_pct < 100) on each scenario. Speedup is reported,
+// never gated (inspection amortizes over re-execution and CI machines
+// vary), but correctness is absolute.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -152,17 +154,23 @@ int run_scenario(const Scenario& sc, i64 n, int reps, bool gate) {
         identical ? "true" : "false");
   }
 
+  const double overhead_pct = t_seq > 0 ? t_inspect / t_seq * 100.0 : 0.0;
   std::printf(
       "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"summary\","
       "\"threads\":8,\"hw_threads\":%zu,\"n\":%lld,"
       "\"speedup_8w_vs_seq\":%.3f,\"inspect_overhead_pct\":%.2f,"
       "\"amortized_speedup_8w\":%.3f}\n",
       sc.name, hw_threads(), static_cast<long long>(n),
-      t_8w > 0 ? t_seq / t_8w : 0.0,
-      t_seq > 0 ? t_inspect / t_seq * 100.0 : 0.0,
+      t_8w > 0 ? t_seq / t_8w : 0.0, overhead_pct,
       t_inspect + t_8w > 0 ? t_seq / (t_inspect + t_8w) : 0.0);
 
-  (void)gate;
+  if (gate && overhead_pct >= 100.0) {
+    std::fprintf(stderr,
+                 "FAIL: %s inspection costs %.2f%% of a sequential run "
+                 "(gate: < 100%%)\n",
+                 sc.name, overhead_pct);
+    ++failures;
+  }
   return failures;
 }
 

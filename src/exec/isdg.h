@@ -80,7 +80,7 @@ class Isdg {
 Isdg build_isdg(const loopir::LoopNest& nest);
 
 /// Brute-force exact ISDG resolving indirect subscripts (A[B[i]]) against
-/// the index-array contents in `store` — the ground truth the hash
+/// the index-array contents in `store` — the ground truth the runtime
 /// inspector (src/inspect/) is validated against.
 Isdg build_isdg(const loopir::LoopNest& nest, const ArrayStore& store);
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "support/error.h"
 
@@ -18,44 +15,59 @@ i64 now_ns() {
       .count();
 }
 
-/// One body access, flattened for the per-iteration hot loop: global cell
-/// ids are base + row-major offset, with indirect slots resolved through a
-/// pointer at the index array's raw buffer (no string lookups, no Vec
-/// allocation per access).
+/// Slot states of the first-toucher table; any slot >= 0 holds the rank of
+/// the cell's first toucher.
+constexpr i64 kNeverWritten = -2;
+constexpr i64 kNoToucher = -1;
+
+/// One body access, flattened for the per-iteration hot loop: a tracked
+/// array's table ids are base + row-major offset, affine slots evaluate
+/// straight from an iteration row, and indirect slots read the index
+/// array's raw buffer (no string lookups, no Vec per access).
 struct FlatAccess {
   bool write = false;
+  /// The body writes this array, so its cells have slots in the table.
+  bool tracked = false;
   const loopir::ArrayDecl* decl = nullptr;
-  std::uint64_t base = 0;
+  i64 base = 0;
 
   struct Sub {
-    const loopir::AffineExpr* aff = nullptr;  ///< affine slot
-    const loopir::AffineExpr* pos = nullptr;  ///< indirect: index position
-    const exec::ArrayStore::Buffer* idx = nullptr;  ///< indirect: index buffer
-    i64 idx_lo = 0;                           ///< indirect: declared lo
+    const i64* coeffs = nullptr;  ///< the slot, or an indirect slot's position
+    i64 constant = 0;
+    const i64* idx = nullptr;     ///< indirect: index array's raw buffer
+    i64 idx_lo = 0, idx_hi = 0;   ///< indirect: positions the buffer covers
+    i64 lo = 0, hi = 0;           ///< declared range of this dimension
+    i64 extent = 0;               ///< hi - lo + 1
   };
   std::vector<Sub> subs;
 };
 
-std::uint64_t cell_id(const FlatAccess& a, const Vec& iter) {
+FlatAccess::Sub affine_sub(const loopir::AffineExpr& e, int depth) {
+  VDEP_REQUIRE(e.depth() == depth, "iteration vector depth mismatch");
+  FlatAccess::Sub s;
+  s.coeffs = e.coeffs().data();
+  s.constant = e.constant_term();
+  return s;
+}
+
+/// Table offset of the cell `a` touches at iteration row `iter`. Every
+/// slot is range-checked (indirect ones at the index position and at the
+/// value read), so a bad subscript throws before it can index anything.
+i64 cell_offset(const FlatAccess& a, const i64* iter, int depth) {
   i64 off = 0;
-  for (std::size_t d = 0; d < a.subs.size(); ++d) {
-    const FlatAccess::Sub& s = a.subs[d];
-    i64 v;
+  for (const FlatAccess::Sub& s : a.subs) {
+    i64 v = s.constant;
+    for (int k = 0; k < depth; ++k) v = checked::fma(v, s.coeffs[k], iter[k]);
     if (s.idx) {
-      i64 p = s.pos->eval(iter);
-      i64 slot = p - s.idx_lo;
-      VDEP_REQUIRE(slot >= 0 && slot < static_cast<i64>(s.idx->size()),
+      VDEP_REQUIRE(v >= s.idx_lo && v <= s.idx_hi,
                    "index-array position out of declared range");
-      v = (*s.idx)[static_cast<std::size_t>(slot)];
-    } else {
-      v = s.aff->eval(iter);
+      v = s.idx[v - s.idx_lo];
     }
-    auto [lo, hi] = a.decl->dims[d];
-    VDEP_REQUIRE(v >= lo && v <= hi,
+    VDEP_REQUIRE(v >= s.lo && v <= s.hi,
                  "array " + a.decl->name + " subscript out of declared range");
-    off = checked::add(checked::mul(off, hi - lo + 1), v - lo);
+    off = checked::add(checked::mul(off, s.extent), v - s.lo);
   }
-  return a.base + static_cast<std::uint64_t>(off);
+  return a.base + off;
 }
 
 i64 uf_find(std::vector<i64>& parent, i64 x) {
@@ -82,63 +94,84 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   const int depth = nest.depth();
 
   // Flatten the body's accesses once; `accesses` keeps the ArrayRefs the
-  // FlatAccess pointers borrow from alive for the whole inspection.
+  // FlatAccess pointers borrow from alive for the whole inspection. Only
+  // written arrays get table ids: a cell nothing writes carries no
+  // dependence, so read-only arrays are range-checked but never tracked.
   const std::vector<loopir::LoopNest::Access> accesses = nest.accesses();
-  std::vector<FlatAccess> flat;
-  flat.reserve(accesses.size());
-  std::uint64_t base = 0;
-  std::unordered_map<std::string, std::uint64_t> base_of;
-  for (const loopir::ArrayDecl& d : nest.arrays()) {
-    base_of[d.name] = base;
-    base += static_cast<std::uint64_t>(d.element_count());
-  }
-  for (const auto& a : accesses) {
-    FlatAccess fa;
-    fa.write = a.is_write;
-    fa.decl = &nest.array(a.ref.array);
-    fa.base = base_of.at(a.ref.array);
-    fa.subs.resize(a.ref.subscripts.size());
-    for (std::size_t k = 0; k < a.ref.subscripts.size(); ++k) {
-      if (k < a.ref.indirect.size() && a.ref.indirect[k].has_value()) {
-        const loopir::IndirectSubscript& ind = *a.ref.indirect[k];
-        fa.subs[k].pos = &ind.pos;
-        fa.subs[k].idx = &store.raw(ind.array);
-        fa.subs[k].idx_lo = nest.array(ind.array).dims.front().first;
+  std::vector<FlatAccess> flat(accesses.size());
+  for (std::size_t k = 0; k < accesses.size(); ++k) {
+    const loopir::ArrayRef& ref = accesses[k].ref;
+    FlatAccess& fa = flat[k];
+    fa.write = accesses[k].is_write;
+    fa.decl = &nest.array(ref.array);
+    for (std::size_t d = 0; d < ref.subscripts.size(); ++d) {
+      FlatAccess::Sub s;
+      if (d < ref.indirect.size() && ref.indirect[d].has_value()) {
+        const loopir::IndirectSubscript& ind = *ref.indirect[d];
+        const exec::ArrayStore::Buffer& buf = store.raw(ind.array);
+        s = affine_sub(ind.pos, depth);
+        s.idx = buf.data();
+        s.idx_lo = nest.array(ind.array).dims.front().first;
+        s.idx_hi = s.idx_lo + static_cast<i64>(buf.size()) - 1;
       } else {
-        fa.subs[k].aff = &a.ref.subscripts[k];
+        s = affine_sub(ref.subscripts[d], depth);
       }
+      s.lo = fa.decl->dims[d].first;
+      s.hi = fa.decl->dims[d].second;
+      s.extent = checked::add(checked::sub(s.hi, s.lo), 1);
+      fa.subs.push_back(s);
     }
-    flat.push_back(std::move(fa));
+  }
+  i64 table_size = 0;
+  for (FlatAccess& w : flat) {
+    if (!w.write || w.tracked) continue;
+    for (FlatAccess& fa : flat) {
+      if (fa.decl != w.decl) continue;
+      fa.tracked = true;
+      fa.base = table_size;
+    }
+    table_size = checked::add(table_size, w.decl->element_count());
   }
 
-  // Pass 1: materialize the iteration coordinates (the executor replays
-  // them later) and collect the set of written cells.
+  // The first-toucher table: one slot per cell of the written arrays.
+  std::vector<i64> table(static_cast<std::size_t>(table_size), kNeverWritten);
+
+  // Pass 1: materialize the iteration coordinates (pass 2 and the executor
+  // replay them) and mark every written cell.
   DynamicPartition part;
   part.depth_ = depth;
-  std::unordered_set<std::uint64_t> written;
+  i64 written_cells = 0;
   nest.for_each_iteration([&](const Vec& iter) {
     part.coords_.insert(part.coords_.end(), iter.begin(), iter.end());
-    for (const FlatAccess& fa : flat)
-      if (fa.write) written.insert(cell_id(fa, iter));
+    for (const FlatAccess& fa : flat) {
+      if (!fa.write) continue;
+      i64& slot =
+          table[static_cast<std::size_t>(cell_offset(fa, iter.data(), depth))];
+      if (slot == kNeverWritten) {
+        slot = kNoToucher;
+        ++written_cells;
+      }
+    }
   });
   const i64 n = depth > 0 ? static_cast<i64>(part.coords_.size()) / depth : 0;
 
   // Pass 2: union every toucher of a written cell with that cell's first
-  // toucher. Read-only cells induce no dependence and are skipped, so the
-  // map stays proportional to the written footprint.
+  // toucher. Union-by-smaller-root keeps each root at its component's
+  // lowest rank, i.e. its first member.
   std::vector<i64> parent(static_cast<std::size_t>(n));
   for (i64 k = 0; k < n; ++k) parent[static_cast<std::size_t>(k)] = k;
-  std::unordered_map<std::uint64_t, i64> first_toucher;
-  first_toucher.reserve(written.size());
-  Vec iter(static_cast<std::size_t>(depth), 0);
   for (i64 it = 0; it < n; ++it) {
-    part.coords_of(it, iter);
+    const i64* row = part.coords_.data() + it * depth;
     for (const FlatAccess& fa : flat) {
-      std::uint64_t cell = cell_id(fa, iter);
-      if (!written.count(cell)) continue;
-      auto [pos, fresh] = first_toucher.emplace(cell, it);
-      if (fresh) continue;
-      i64 a = uf_find(parent, pos->second);
+      const i64 cell = cell_offset(fa, row, depth);
+      if (!fa.tracked) continue;
+      i64& slot = table[static_cast<std::size_t>(cell)];
+      if (slot == kNeverWritten) continue;
+      if (slot == kNoToucher) {
+        slot = it;
+        continue;
+      }
+      i64 a = uf_find(parent, slot);
       i64 b = uf_find(parent, it);
       if (a != b) parent[static_cast<std::size_t>(std::max(a, b))] =
           std::min(a, b);
@@ -147,15 +180,13 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
 
   // Classes: one per component (singletons included), numbered by the
   // lexicographic rank of the first member so class order is deterministic.
-  part.class_of_.assign(static_cast<std::size_t>(n), -1);
-  std::vector<i64> root_class(static_cast<std::size_t>(n), -1);
+  // That first member is the root, so it is numbered before the rest.
+  part.class_of_.resize(static_cast<std::size_t>(n));
   i64 num_classes = 0;
   for (i64 it = 0; it < n; ++it) {
     i64 r = uf_find(parent, it);
-    if (root_class[static_cast<std::size_t>(r)] < 0)
-      root_class[static_cast<std::size_t>(r)] = num_classes++;
     part.class_of_[static_cast<std::size_t>(it)] =
-        root_class[static_cast<std::size_t>(r)];
+        r == it ? num_classes++ : part.class_of_[static_cast<std::size_t>(r)];
   }
 
   // CSR (counting sort by class; members stay in ascending rank order).
@@ -174,7 +205,7 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   InspectStats& st = part.stats_;
   st.iterations = n;
   st.classes = num_classes;
-  st.written_cells = static_cast<i64>(written.size());
+  st.written_cells = written_cells;
   for (i64 c = 0; c < num_classes; ++c) {
     i64 sz = part.class_size(c);
     st.max_component = std::max(st.max_component, sz);

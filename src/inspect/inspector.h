@@ -12,12 +12,16 @@
 // components share no written cell and can run concurrently; within a
 // component, original lexicographic order preserves every dependence.
 //
-// The builder is element-indexed and near-linear: one pass collects the set
-// of written cells, a second unions every toucher of a written cell with
-// that cell's first toucher (a hash map from cell id to representative).
-// Cost is O(accesses x alpha) with one hash probe per access — not the
-// O(n^2) all-pairs walk of the brute-force exec::build_isdg, which remains
-// the ground truth the inspector is tested against.
+// The builder is element-indexed and near-linear. It keeps one dense
+// first-toucher table: an i64 slot per element of every array the body
+// writes (read-only arrays carry no dependence and get no slots), so the
+// table is never larger than the store already holds for those arrays.
+// A slot is "never written", "written, no toucher yet", or the rank of the
+// cell's first toucher. Pass 1 marks the written cells; pass 2 unions every
+// toucher of a written cell with that cell's first toucher. Cost is
+// O(accesses x alpha) with one array load per access — not the O(n^2)
+// all-pairs walk of the brute-force exec::build_isdg, which remains the
+// ground truth the inspector is tested against.
 #pragma once
 
 #include "exec/array_store.h"

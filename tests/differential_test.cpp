@@ -209,7 +209,8 @@ LoopNest random_nest(Rng& rng) {
 /// Index arrays come in the three shapes that stress the inspector
 /// differently: a random permutation (all classes singleton chains),
 /// duplicate-heavy values in a small range (long conflict chains), and a
-/// monotone non-decreasing ramp (runs of adjacent conflicts).
+/// monotone non-decreasing ramp (runs of adjacent conflicts). A's lower
+/// bound is a random nonzero value in [-20, 20].
 struct IndirectCase {
   LoopNest nest;
   std::vector<i64> index_values;
@@ -239,10 +240,15 @@ IndirectCase random_indirect_nest(Rng& rng) {
     }
   }
 
+  // A nonzero lower bound on the target, with the index values shifted to
+  // match, so the inspector's per-array offsets must subtract it.
+  i64 a_lo = rng.uniform(1, 20) * (rng.uniform(0, 1) == 0 ? -1 : 1);
+  for (auto& v : vals) v += a_lo;
+
   int form = static_cast<int>(rng.uniform(0, 2));
   LoopNestBuilder b;
   b.loop("i", 0, n - 1);
-  b.array("A", {{0, a_hi}});
+  b.array("A", {{a_lo, a_lo + a_hi}});
   b.array("B", {{0, n - 1}});
   b.array("C", {{0, n - 1}});
   if (form == 2) b.array("D", {{0, n - 1}});
@@ -263,7 +269,8 @@ IndirectCase random_indirect_nest(Rng& rng) {
   const char* shapes[] = {"permutation", "duplicate-heavy", "monotone"};
   const char* forms[] = {"scatter-accumulate", "scatter", "gather"};
   return {b.build(), std::move(vals),
-          std::string(shapes[shape]) + "/" + forms[form]};
+          std::string(shapes[shape]) + "/" + forms[form] +
+              " A lo=" + std::to_string(a_lo)};
 }
 
 // ----------------------------------------------------------- differential

@@ -1,4 +1,4 @@
-// Inspector–executor tests: the element-indexed hash inspector
+// Inspector–executor tests: the dense first-toucher inspector
 // (src/inspect/) against the brute-force ISDG ground truth, the static
 // partitioner as a correctness oracle on the affine paper suite, and the
 // end-to-end API path for indirect subscripts (A[B[i]]).
@@ -104,7 +104,7 @@ LoopNest indirect_nest(i64 n, i64 a_hi) {
 
 TEST(Inspector, ComponentsMatchBruteForceIsdgAffine) {
   // Figure 2/3 structure (example 4.1), Figure 4/5 structure (example 4.2),
-  // plus a uniform and a fully serial nest. The hash inspector must produce
+  // plus a uniform and a fully serial nest. The inspector must produce
   // exactly the weak components of the brute-force all-pairs ISDG.
   std::vector<LoopNest> nests = {
       core::example41(6), core::example42(6), core::uniform_blocked(6),
@@ -121,19 +121,147 @@ TEST(Inspector, ComponentsMatchBruteForceIsdgAffine) {
   }
 }
 
+/// Distinct cells written by the space, counted by brute force (every
+/// write access at every iteration, indirect slots resolved in `store`).
+i64 brute_force_written_cells(const LoopNest& nest,
+                              const exec::ArrayStore& store) {
+  std::set<std::pair<std::string, Vec>> cells;
+  const std::vector<LoopNest::Access> accesses = nest.accesses();
+  nest.for_each_iteration([&](const Vec& iter) {
+    for (const LoopNest::Access& a : accesses)
+      if (a.is_write)
+        cells.emplace(a.ref.array, exec::element_coords(a.ref, iter, store));
+  });
+  return static_cast<i64>(cells.size());
+}
+
+/// An indirect nest plus the index-array contents it is inspected against.
+struct IndirectInput {
+  std::string name;
+  LoopNest nest;
+  std::map<std::string, std::vector<i64>> index;  ///< array -> values from lo
+};
+
+std::vector<IndirectInput> indirect_inputs() {
+  std::vector<IndirectInput> out;
+
+  // Duplicate-heavy 1-D scatter-accumulate.
+  {
+    std::vector<i64> b;
+    for (i64 i = 0; i < 24; ++i) b.push_back((i * 5 + 2) % 9);  // collisions
+    out.push_back({"scatter", indirect_nest(24, 40), {{"B", b}}});
+  }
+  // Negative and nonzero lower bounds on the loop, the target and the
+  // index array: table offsets must subtract each declared lo.
+  {
+    LoopNestBuilder b;
+    b.loop("i", -5, 18);
+    b.array("A", {{-7, 3}});
+    b.array("B", {{-4, 19}});
+    b.array("C", {{-5, 18}});
+    ArrayRef lhs;
+    lhs.array = "A";
+    lhs.subscripts = {b.cst(0)};
+    lhs.indirect = {IndirectSubscript{"B", b.idx(0) + b.cst(1)}};
+    b.assign(lhs, Expr::add(Expr::read(lhs),
+                            Expr::read(b.ref("C", {b.idx(0)}))));
+    std::vector<i64> vals;
+    for (i64 p = -4; p <= 19; ++p) vals.push_back(-7 + (p * 7 + 30) % 11);
+    out.push_back({"negative-lo", b.build(), {{"B", vals}}});
+  }
+  // Two written arrays with their own index arrays; the second statement
+  // reads the first one's cells, linking the two scatter patterns.
+  {
+    LoopNestBuilder b;
+    b.loop("i", 0, 19);
+    b.array("A", {{0, 6}});
+    b.array("D", {{2, 9}});
+    b.array("B", {{0, 19}});
+    b.array("E", {{0, 19}});
+    ArrayRef a;
+    a.array = "A";
+    a.subscripts = {b.cst(0)};
+    a.indirect = {IndirectSubscript{"B", b.idx(0)}};
+    ArrayRef d;
+    d.array = "D";
+    d.subscripts = {b.cst(0)};
+    d.indirect = {IndirectSubscript{"E", b.idx(0)}};
+    b.assign(a, Expr::add(Expr::read(a), Expr::constant(1)));
+    b.assign(d, Expr::add(Expr::read(a), Expr::read(d)));
+    std::vector<i64> bv, ev;
+    for (i64 i = 0; i < 20; ++i) {
+      bv.push_back((i * 3) % 7);
+      ev.push_back(2 + (i * 5 + 1) % 8);
+    }
+    out.push_back({"two-written", b.build(), {{"B", bv}, {"E", ev}}});
+  }
+  // 2-D written array whose first slot is indirect: M[B[i], j] is linked
+  // with M[B[i], 5 - j], so rows of M collide through B and columns pair
+  // up within each row.
+  {
+    LoopNestBuilder b;
+    b.loop("i", 0, 7);
+    b.loop("j", 1, 4);
+    b.array("M", {{-2, 3}, {1, 4}});
+    b.array("B", {{0, 7}});
+    b.array("C", {{0, 7}});
+    ArrayRef lhs;
+    lhs.array = "M";
+    lhs.subscripts = {b.cst(0), b.idx(1)};
+    lhs.indirect = {IndirectSubscript{"B", b.idx(0)}, std::nullopt};
+    ArrayRef rhs = lhs;
+    rhs.subscripts = {b.cst(0), b.cst(5) - b.idx(1)};
+    b.assign(lhs, Expr::add(Expr::read(rhs),
+                            Expr::read(b.ref("C", {b.idx(0)}))));
+    out.push_back(
+        {"2d-indirect-first", b.build(), {{"B", {3, -2, 0, 3, 1, -2, 2, 0}}}});
+  }
+  // A read-only gather source R touched both directly and through B: its
+  // cells carry no dependence, so only the scatter into A links iterations.
+  {
+    LoopNestBuilder b;
+    b.loop("i", 0, 15);
+    b.array("A", {{0, 5}});
+    b.array("R", {{0, 15}});
+    b.array("B", {{0, 15}});
+    ArrayRef a;
+    a.array = "A";
+    a.subscripts = {b.cst(0)};
+    a.indirect = {IndirectSubscript{"B", b.idx(0)}};
+    ArrayRef r = a;
+    r.array = "R";
+    b.assign(a, Expr::add(Expr::read(r),
+                          Expr::read(b.ref("R", {b.idx(0)}))));
+    std::vector<i64> vals;
+    for (i64 i = 0; i < 16; ++i) vals.push_back(i % 3 == 0 ? i / 3 : 5);
+    out.push_back({"read-only-array", b.build(), {{"B", vals}}});
+  }
+  return out;
+}
+
 TEST(Inspector, ComponentsMatchBruteForceIsdgIndirect) {
-  // Indirect nest with a duplicate-heavy index array: the store-resolving
-  // ISDG overload is the ground truth.
-  LoopNest nest = indirect_nest(24, 40);
-  exec::ArrayStore store(nest);
-  store.fill_pattern();
-  for (i64 i = 0; i < 24; ++i)
-    store.write("B", Vec{i}, (i * 5 + 2) % 9);  // many collisions
-  inspect::DynamicPartition part = inspect::inspect(nest, store);
-  exec::Isdg g = exec::build_isdg(nest, store);
-  EXPECT_EQ(inspector_components(part), isdg_components(g));
-  EXPECT_EQ(part.stats().chains, g.chain_count());
-  EXPECT_EQ(part.stats().dependent_iterations, g.dependent_node_count());
+  // Indirect nests over duplicate-heavy index arrays, negative bounds,
+  // several written arrays, 2-D targets and read-only arrays: the
+  // store-resolving ISDG overload is the ground truth.
+  for (const IndirectInput& in : indirect_inputs()) {
+    exec::ArrayStore store(in.nest);
+    store.fill_pattern();
+    for (const auto& [array, vals] : in.index) {
+      const i64 lo = in.nest.array(array).dims.front().first;
+      for (std::size_t k = 0; k < vals.size(); ++k)
+        store.write(array, Vec{lo + static_cast<i64>(k)}, vals[k]);
+    }
+    inspect::DynamicPartition part = inspect::inspect(in.nest, store);
+    exec::Isdg g = exec::build_isdg(in.nest, store);
+    EXPECT_EQ(inspector_components(part), isdg_components(g)) << in.name;
+    EXPECT_EQ(part.stats().chains, g.chain_count()) << in.name;
+    EXPECT_EQ(part.stats().dependent_iterations, g.dependent_node_count())
+        << in.name;
+    EXPECT_EQ(part.stats().written_cells,
+              brute_force_written_cells(in.nest, store))
+        << in.name;
+    EXPECT_GT(part.stats().chains, 0) << in.name << ": no dependence to find";
+  }
 }
 
 TEST(Inspector, EmptyAndDegenerateSpaces) {
@@ -197,13 +325,65 @@ TEST(Inspector, DuplicateIndexWritesSerializeIntoOneClass) {
   EXPECT_TRUE(store == ref);
 }
 
+TEST(Inspector, HostileIndexArraysFailTypedBeforeAnyWrite) {
+  // The first-toucher table is indexed by the computed cell id, so the
+  // inspector's range checks are all that keeps a hostile index array off
+  // memory outside it. Four cases: an index value outside the target's
+  // declared range and an index position outside the index array, each on
+  // a written scatter A[B[i]] and on a read-only gather D[i] = A[B[i]].
+  // Each must fail typed, with the store untouched (the sanitizer builds
+  // run this binary too).
+  constexpr i64 n = 16;
+  for (bool scatter : {true, false}) {
+    for (bool bad_position : {false, true}) {
+      const std::string label = std::string(scatter ? "scatter" : "gather") +
+                                (bad_position ? " / index position"
+                                              : " / index value");
+      LoopNestBuilder b;
+      b.loop("i", 0, n - 1);
+      b.array("A", {{0, 7}});
+      b.array("B", {{0, n - 1}});
+      b.array("D", {{0, n - 1}});
+      ArrayRef a;
+      a.array = "A";
+      a.subscripts = {b.cst(0)};
+      // B[i + 1] reads one past B's last position at the final iteration.
+      a.indirect = {IndirectSubscript{
+          "B", bad_position ? b.idx(0) + b.cst(1) : b.idx(0)}};
+      if (scatter)
+        b.assign(a, Expr::add(Expr::read(a), Expr::constant(1)));
+      else
+        b.assign(b.ref("D", {b.idx(0)}), Expr::read(a));
+      LoopNest nest = b.build();
+      Compiler compiler;
+      Expected<CompiledLoop> loop = compiler.compile(nest);
+      ASSERT_TRUE(loop) << label << ": " << loop.error().to_string();
+
+      exec::ArrayStore store(nest);
+      store.fill_pattern();
+      for (i64 i = 0; i < n; ++i) store.write("B", Vec{i}, i % 8);
+      // A value far past A's declared [0, 7], at the last iteration.
+      if (!bad_position) store.write("B", Vec{n - 1}, i64{1} << 20);
+      const exec::ArrayStore before = store;
+      for (std::size_t threads : {1u, 8u}) {
+        Expected<ExecReport> rep =
+            loop->execute(ExecPolicy{}.threads(threads), store);
+        ASSERT_FALSE(rep) << label << " ran at " << threads << " threads";
+        EXPECT_EQ(rep.error().kind, ErrorKind::kPrecondition)
+            << label << ": " << rep.error().to_string();
+        EXPECT_TRUE(store == before) << label << " wrote before failing";
+      }
+    }
+  }
+}
+
 // ------------------------------------------- Figure 2 statistics pinned
 
 TEST(Inspector, Figure2StatisticsAgreeAcrossRenderings) {
   // example 4.1 at n=10 — the Figure 2 space (21x21 box, variable
   // distances, even multiples of (1,-1)). These five numbers are the
   // figure's statistics; to_dot, to_ascii, dependent_node_count and the
-  // hash inspector must all report the same dependent-node population.
+  // inspector must all report the same dependent-node population.
   LoopNest nest = core::example41(10);
   exec::Isdg g = exec::build_isdg(nest);
   EXPECT_EQ(g.node_count(), 441);
@@ -229,7 +409,7 @@ TEST(Inspector, Figure2StatisticsAgreeAcrossRenderings) {
   EXPECT_EQ(solid, 232u);
   EXPECT_EQ(hollow, 441u - 232u);
 
-  // The hash inspector sees the same structure without building the graph.
+  // The inspector sees the same structure without building the graph.
   exec::ArrayStore store(nest);
   inspect::DynamicPartition part = inspect::inspect(nest, store);
   EXPECT_EQ(part.stats().iterations, 441);
