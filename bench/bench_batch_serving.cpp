@@ -5,8 +5,8 @@
 // runs the requests serially, each through a full CompiledLoop::execute()
 // (one fork/join per request, parallelism limited to what a single small
 // request exposes). The batch path hands all requests to execute_batch,
-// which seeds every request's descriptors into one shared work-stealing
-// scheduler (runtime/batch_executor.h): one fork/join per *batch* and the
+// which drives every request's descriptors as sources of one
+// work-stealing run (runtime/driver.h): one fork/join per *batch* and the
 // whole batch's parallelism keeping the workers fed.
 //
 // Output is one JSON object per line (scraped into BENCH_runtime.json):

@@ -3,10 +3,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "exec/compiled.h"
-#include "runtime/batch_executor.h"
+#include "runtime/stream_executor.h"
 #include "support/error.h"
 
 namespace vdep {
@@ -41,7 +42,7 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
           "(classes depend on index-array contents), which the shared batch "
           "scheduler cannot express; execute each request individually");
 
-    std::size_t threads =
+    const std::size_t threads =
         policy.threads() ? policy.threads() : (pool ? pool->size() : 0);
 
     // Per-request preparation: resolve the store (caller's or an internal
@@ -58,7 +59,9 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
     std::vector<std::unique_ptr<exec::ArrayStore>> owned_stores;
     std::vector<std::shared_ptr<const jit::NativeKernel>> kernels(
         requests.size());
-    std::vector<runtime::BatchSource> sources;
+    std::vector<exec::ArrayStore*> stores;
+    stores.reserve(requests.size());
+    std::vector<runtime::DriveSource> sources;
     sources.reserve(requests.size());
 
     for (std::size_t k = 0; k < requests.size(); ++k) {
@@ -98,9 +101,6 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
         so.grain = policy.grain();
         so.split_dims = policy.split_dims();
         so.force_interpreter = policy.interpreter_only();
-        so.trace = policy.trace();
-        so.metrics = policy.metrics();
-        so.pin_workers = policy.pin_workers();
         so.locality_splits = policy.locality_splits();
         group.executor = std::make_unique<runtime::StreamExecutor>(
             req.loop.nest(), req.loop.plan().transform, so);
@@ -127,12 +127,17 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
       }
 
       kernels[k] = group.native;
-      sources.push_back({group.executor.get(), store, group.native.get(),
-                         group.prototype.get()});
+      stores.push_back(store);
+      sources.push_back(group.executor->source(*store, group.native.get(),
+                                               group.prototype.get()));
     }
 
-    runtime::BatchStats bs =
-        runtime::run_batch(sources, threads, pool, policy.pin_workers());
+    // Every request's descriptors share one worker set: the same driver
+    // loop a single execute() runs, with one source per request.
+    runtime::DriveOptions d{
+        threads ? threads : std::max(1u, std::thread::hardware_concurrency()),
+        policy.trace(), policy.metrics(), policy.pin_workers()};
+    runtime::RuntimeStats bs = runtime::drive_descriptors(sources, d, pool);
     if (bs.error) {
       try {
         std::rethrow_exception(bs.error);
@@ -159,7 +164,7 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
       // This request's in-flight time: completion minus the wait behind
       // the rest of the batch.
       rep.exec_ns = s.done_ns > s.queue_ns ? s.done_ns - s.queue_ns : 0;
-      if (policy.digest()) rep.checksum = sources[k].store->checksum();
+      if (policy.digest()) rep.checksum = stores[k]->checksum();
       rep.jit = kernels[k] != nullptr;
     }
     return reports;

@@ -3,10 +3,11 @@
 // The serving scenario the plan cache and the JIT were built for: one
 // structure analyzed once, executed at thousands of bounds by many
 // concurrent requests. compile_all (api/compiler.h) amortizes the analysis
-// across a batch; execute_batch amortizes the *execution* — every request's
-// descriptors are seeded into one shared set of work-stealing deques
-// (runtime/batch_executor.h) so small requests interleave across workers
-// instead of running serially, each with a full fork/join of its own.
+// across a batch; execute_batch amortizes the *execution* — every request
+// is one source of a single descriptor-driver run (runtime/driver.h), so
+// small requests' descriptors interleave in one shared set of
+// work-stealing deques instead of running serially, each with a full
+// fork/join of its own.
 //
 //   vdep::Compiler compiler;
 //   auto loops = compiler.compile_all(nests);          // 1 analysis/structure

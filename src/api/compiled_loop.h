@@ -321,10 +321,10 @@ class CompiledLoop {
   /// different structure), allocates a pattern-filled store per request
   /// and runs all of them over ONE shared worker set: every request's
   /// descriptors interleave in the same work-stealing deques
-  /// (runtime/batch_executor.h), so the batch — not any single request —
-  /// feeds the workers, and the fork/join cost is paid once. Streaming
-  /// only. Reports are per request (iterations, steals, completion time,
-  /// checksum of the request's final store).
+  /// (runtime/driver.h, one source per request), so the batch — not any
+  /// single request — feeds the workers, and the fork/join cost is paid
+  /// once. Streaming only. Reports are per request (iterations, steals,
+  /// completion time, checksum of the request's final store).
   Expected<std::vector<ExecReport>> execute_batch(
       std::span<const loopir::LoopNest> bounds,
       const ExecPolicy& policy = {}) const;

@@ -1,10 +1,31 @@
 #include "exec/compiled.h"
 
+#include <cstdint>
+
 #include "poly/constraints.h"
 #include "poly/fourier_motzkin.h"
 #include "support/error.h"
 
 namespace vdep::exec {
+
+namespace {
+
+// Body arithmetic wraps in two's complement, the semantics native kernels
+// get from -fwrapv (jit/toolchain.cpp): computed in unsigned arithmetic,
+// where overflow is defined, so an overflowing nest has no signed-overflow
+// UB here either.
+using u64 = std::uint64_t;
+i64 wrap_add(i64 a, i64 b) {
+  return static_cast<i64>(static_cast<u64>(a) + static_cast<u64>(b));
+}
+i64 wrap_sub(i64 a, i64 b) {
+  return static_cast<i64>(static_cast<u64>(a) - static_cast<u64>(b));
+}
+i64 wrap_mul(i64 a, i64 b) {
+  return static_cast<i64>(static_cast<u64>(a) * static_cast<u64>(b));
+}
+
+}  // namespace
 
 CompiledKernel::CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store)
     : nest_(nest), store_(&store) {
@@ -125,15 +146,15 @@ void CompiledKernel::execute_iteration(const Vec& iter, Scratch& scratch) const 
           break;
         }
         case Op::kAdd:
-          sp[-2] = sp[-2] + sp[-1];
+          sp[-2] = wrap_add(sp[-2], sp[-1]);
           --sp;
           break;
         case Op::kSub:
-          sp[-2] = sp[-2] - sp[-1];
+          sp[-2] = wrap_sub(sp[-2], sp[-1]);
           --sp;
           break;
         case Op::kMul:
-          sp[-2] = sp[-2] * sp[-1];
+          sp[-2] = wrap_mul(sp[-2], sp[-1]);
           --sp;
           break;
       }

@@ -1,5 +1,6 @@
 #include "inspect/executor.h"
 
+#include <exception>
 #include <memory>
 #include <thread>
 
@@ -79,13 +80,12 @@ runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
     };
   };
 
-  runtime::DriveOptions d;
-  d.threads = threads_;
-  d.grain = grain_;
-  d.trace = opts_.trace;
-  d.metrics = opts_.metrics;
-  d.pin_workers = opts_.pin_workers;
-  return runtime::drive_descriptors(root(), d, factory, pool);
+  const runtime::DriveSource src{root(), grain_, {}, std::move(factory)};
+  runtime::RuntimeStats rs = runtime::drive_descriptors(
+      {&src, 1}, {threads_, opts_.trace, opts_.metrics, opts_.pin_workers},
+      pool);
+  if (rs.error) std::rethrow_exception(rs.error);
+  return rs;
 }
 
 runtime::RuntimeStats InspectorExecutor::run(exec::ArrayStore& store) const {

@@ -436,9 +436,9 @@ Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile_source(
   }
 
   // -fwrapv: suite kernels (e.g. uniform_wavefront) overflow i64 at large
-  // sizes. The postfix CompiledKernel computes with plain (two's-
-  // complement-wrapping in practice) C++ arithmetic, so the native kernel
-  // must wrap identically rather than let the C optimizer exploit the UB.
+  // sizes. The postfix CompiledKernel computes with explicitly two's-
+  // complement-wrapping arithmetic, so the native kernel must wrap
+  // identically rather than let the C optimizer exploit the UB.
   // (The tree-walking interpreter is stricter still — checked:: arithmetic
   // that *throws* on overflow — so kInterpreter errors where kCompiled and
   // kJit agree on wrapped values.)

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -27,6 +28,71 @@ i64 now_ns() {
       .count();
 }
 
+/// Per-source live-descriptor counter, padded so adjacent sources' hot
+/// counters never share a cache line.
+struct alignas(64) Pending {
+  std::atomic<i64> count{0};
+};
+
+std::vector<TaskDescriptor> seed_pieces(std::span<const DriveSource> sources,
+                                        std::size_t threads,
+                                        WorkerStats* seeder) {
+  // Split the roots into at least `threads` pieces before any worker
+  // starts, largest-first so the pieces stay balanced, then order them by
+  // (source, position) so deque k holds the k-th slice of a lone source's
+  // space — the slice a first-touch store placed near pinned worker k. The
+  // seeding splits are charged to worker 0's counters of the piece's
+  // source (each one still turns one descriptor into two, so
+  // tasks == splits + 1 holds per source).
+  std::vector<TaskDescriptor> pieces;
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    TaskDescriptor rt = sources[s].root;
+    rt.source = static_cast<i64>(s);
+    if (!rt.empty()) pieces.push_back(rt);
+  }
+  while (!pieces.empty() && pieces.size() < threads) {
+    std::size_t fattest = pieces.size();
+    i64 most = 0;
+    for (std::size_t k = 0; k < pieces.size(); ++k) {
+      const i64 grain =
+          sources[static_cast<std::size_t>(pieces[k].source)].grain;
+      if (pieces[k].cells() > most && can_split(pieces[k], grain)) {
+        fattest = k;
+        most = pieces[k].cells();
+      }
+    }
+    if (fattest == pieces.size()) break;
+    const DriveSource& src =
+        sources[static_cast<std::size_t>(pieces[fattest].source)];
+    int axis = 0;
+    WorkerStats& st = seeder[pieces[fattest].source];
+    pieces.push_back(split(pieces[fattest], src.grain, &axis, &src.prefs));
+    ++st.splits;
+    ++st.axis_splits[axis];
+  }
+  std::sort(pieces.begin(), pieces.end(),
+            [](const TaskDescriptor& a, const TaskDescriptor& b) {
+              if (a.source != b.source) return a.source < b.source;
+              for (int d = 0; d < a.ndims; ++d)
+                if (a.lo[d] != b.lo[d]) return a.lo[d] < b.lo[d];
+              return a.class_lo < b.class_lo;
+            });
+  return pieces;
+}
+
+/// Adds one (worker, source) counter block into a per-worker total.
+void accumulate(WorkerStats& into, const WorkerStats& b) {
+  into.tasks += b.tasks;
+  into.splits += b.splits;
+  into.steals += b.steals;
+  into.iterations += b.iterations;
+  into.busy_ns += b.busy_ns;
+  for (int axis = 0; axis <= TaskDescriptor::kMaxDims; ++axis)
+    into.axis_splits[axis] += b.axis_splits[axis];
+  for (int d = 0; d < kStealDistances; ++d)
+    into.steals_by_distance[d] += b.steals_by_distance[d];
+}
+
 }  // namespace
 
 namespace detail {
@@ -36,57 +102,53 @@ bool effective_pin(bool opt_in, std::size_t threads) {
          topo::pin_env_enabled();
 }
 
-std::vector<TaskDescriptor> preseed_pieces(const TaskDescriptor& root,
-                                           std::size_t threads, i64 grain,
-                                           const SplitPrefs& prefs,
-                                           WorkerStats& seeder) {
-  // Split the root into up to `threads` pieces before any worker starts,
-  // largest-first so the pieces stay balanced, then order them by position
-  // so deque k holds the k-th slice of the space — the slice a first-touch
-  // store placed near pinned worker k. The seeding splits are charged to
-  // worker 0's counters (each one still turns one descriptor into two, so
-  // tasks == splits + 1 holds run-wide).
-  std::vector<TaskDescriptor> pieces{root};
-  while (pieces.size() < threads) {
-    std::size_t fattest = pieces.size();
-    i64 most = 0;
-    for (std::size_t k = 0; k < pieces.size(); ++k) {
-      if (pieces[k].cells() > most && can_split(pieces[k], grain)) {
-        fattest = k;
-        most = pieces[k].cells();
-      }
-    }
-    if (fattest == pieces.size()) break;
-    int axis = 0;
-    pieces.push_back(split(pieces[fattest], grain, &axis, &prefs));
-    ++seeder.splits;
-    ++seeder.axis_splits[axis];
-  }
-  std::sort(pieces.begin(), pieces.end(),
-            [](const TaskDescriptor& a, const TaskDescriptor& b) {
-              for (int d = 0; d < a.ndims; ++d)
-                if (a.lo[d] != b.lo[d]) return a.lo[d] < b.lo[d];
-              return a.class_lo < b.class_lo;
-            });
-  return pieces;
-}
-
 }  // namespace detail
 
-RuntimeStats drive_descriptors(const TaskDescriptor& root,
-                               const DriveOptions& opts,
-                               const LeafFactory& leaf_factory,
-                               ThreadPool* pool) {
+RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
+                               const DriveOptions& opts, ThreadPool* pool) {
   const std::size_t threads = std::max<std::size_t>(opts.threads, 1);
-  const i64 grain = std::max<i64>(opts.grain, 1);
+  const std::size_t ns = sources.size();
   RuntimeStats out;
   out.workers.resize(threads);
-  if (root.empty()) return out;
+  out.sources.resize(ns);
+
+  // Per (worker, source) counters: single writer each, aggregated after
+  // the join. Idle time and failed sweeps belong to no source and go
+  // straight into out.workers.
+  std::vector<WorkerStats> blocks(threads * ns);
+  auto block = [&](int id, i64 s) -> WorkerStats& {
+    return blocks[static_cast<std::size_t>(id) * ns +
+                  static_cast<std::size_t>(s)];
+  };
+
+  // Seeded before any worker starts (thread creation / the pool's queue
+  // mutex publishes the pushes to every worker).
+  const std::vector<TaskDescriptor> pieces =
+      seed_pieces(sources, threads, blocks.data());
+  if (pieces.empty()) return out;
 
   std::vector<std::unique_ptr<WorkStealingDeque>> deques;
   deques.reserve(threads);
   for (std::size_t k = 0; k < threads; ++k)
     deques.push_back(std::make_unique<WorkStealingDeque>());
+
+  // Live descriptors (queued or executing) per source, plus the count of
+  // unfinished sources; a worker retires only descriptors it holds, so a
+  // source's count hitting zero is exactly "every descriptor of it ran".
+  std::vector<Pending> pending(ns);
+  for (std::size_t k = 0; k < pieces.size(); ++k) {
+    pending[static_cast<std::size_t>(pieces[k].source)].count.fetch_add(
+        1, std::memory_order_relaxed);
+    deques[k % threads]->push(pieces[k]);
+  }
+  i64 nonempty = 0;
+  for (const Pending& p : pending)
+    if (p.count.load(std::memory_order_relaxed) != 0) ++nonempty;
+  std::atomic<i64> live_sources{nonempty};
+  // Completion (last descriptor retired) and queue latency (first
+  // descriptor started) per source, relative to the run start.
+  std::vector<i64> done_ns(ns, 0);
+  std::vector<std::atomic<i64>> first_start(ns);
 
   // Topology: where each worker pins and whom it robs first. Computed even
   // when pinning is off — the distance-ordered sweep is deterministic
@@ -96,20 +158,9 @@ RuntimeStats drive_descriptors(const TaskDescriptor& root,
   const std::vector<int> assignment = topology.assign_workers(threads);
   const bool pin = detail::effective_pin(opts.pin_workers, threads);
 
-  // Tasks alive (queued or executing). Seeded before any worker starts
-  // (thread creation publishes the pushes to every worker): the root is
-  // pre-split into ~threads position-ordered pieces, one per deque, so
-  // pinned worker k begins on the slice of the space whose pages a
-  // first-touch store placed nearest to it instead of everyone queueing on
-  // worker 0's leftovers.
-  const std::vector<TaskDescriptor> pieces =
-      detail::preseed_pieces(root, threads, grain, opts.prefs, out.workers[0]);
-  std::atomic<i64> pending{static_cast<i64>(pieces.size())};
-  for (std::size_t k = 0; k < pieces.size(); ++k)
-    deques[k % threads]->push(pieces[k]);
-
   std::atomic<bool> abort{false};
   std::exception_ptr first_error;
+  i64 first_error_source = -1;
   std::mutex error_mutex;
 
   // Observability gates, sampled once per run: with the recorder/registry
@@ -132,6 +183,7 @@ RuntimeStats drive_descriptors(const TaskDescriptor& root,
                             "owner deque size sampled at split");
   }
 
+  const i64 t0 = now_ns();
   const int n = static_cast<int>(threads);
   auto worker_main = [&](int id) {
     // Pin for the run's duration; the guard restores the thread's previous
@@ -155,18 +207,28 @@ RuntimeStats drive_descriptors(const TaskDescriptor& root,
       return rng;
     };
 
-    WorkerStats& stats = out.workers[static_cast<std::size_t>(id)];
-    LeafFn leaf = leaf_factory(id, stats);
+    // This context's leaf runners, one per source, built on the first
+    // descriptor of that source it runs.
+    std::vector<LeafFn> leaves(ns);
+    WorkerStats& idle_stats = out.workers[static_cast<std::size_t>(id)];
 
     auto process = [&](TaskDescriptor task) {
-      i64 t0 = now_ns();
+      const std::size_t s = static_cast<std::size_t>(task.source);
+      const DriveSource& src = sources[s];
+      WorkerStats& stats = block(id, task.source);
+      const i64 t_start = now_ns();
+      if (first_start[s].load(std::memory_order_relaxed) == 0) {
+        i64 expect = 0;
+        first_start[s].compare_exchange_strong(
+            expect, std::max<i64>(1, t_start - t0), std::memory_order_relaxed);
+      }
       try {
         // Split depth-first: push the large high halves (stolen first),
         // keep refining the low half until it is a leaf, run it.
-        while (can_split(task, grain)) {
+        while (can_split(task, src.grain)) {
           int axis = 0;
-          TaskDescriptor high = split(task, grain, &axis, &opts.prefs);
-          pending.fetch_add(1, std::memory_order_relaxed);
+          TaskDescriptor high = split(task, src.grain, &axis, &src.prefs);
+          pending[s].count.fetch_add(1, std::memory_order_relaxed);
           deques[static_cast<std::size_t>(id)]->push(high);
           ++stats.splits;
           ++stats.axis_splits[axis];
@@ -187,20 +249,29 @@ RuntimeStats drive_descriptors(const TaskDescriptor& root,
             }
           }
         }
+        LeafFn& leaf = leaves[s];
+        if (!leaf) leaf = src.leaf_factory(id, stats);
         leaf(task);
         ++stats.tasks;
         if (metrics) leaf_cells->observe(task.cells());
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
+        if (!first_error) {
+          first_error = std::current_exception();
+          first_error_source = task.source;
+        }
         abort.store(true, std::memory_order_release);
       }
-      pending.fetch_sub(1, std::memory_order_acq_rel);
+      if (pending[s].count.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        // Unique last retirer of the source: stamp its completion.
+        done_ns[s] = now_ns() - t0;
+        live_sources.fetch_sub(1, std::memory_order_acq_rel);
+      }
       const i64 t1 = now_ns();
       if (tracing) {
         obs::TraceEvent ev;
-        ev.start_ns = t0;
-        ev.dur_ns = t1 - t0;
+        ev.start_ns = t_start;
+        ev.dur_ns = t1 - t_start;
         ev.kind = obs::EventKind::kLeafExec;
         ev.worker = id;
         ev.args[0] = task.cells();
@@ -211,7 +282,7 @@ RuntimeStats drive_descriptors(const TaskDescriptor& root,
         ev.args[5] = task.class_hi;
         obs::TraceRecorder::record(ev);
       }
-      stats.busy_ns += t1 - t0;
+      stats.busy_ns += t1 - t_start;
     };
 
     // One idle episode spans from the first failed pop to the steal (or
@@ -222,7 +293,7 @@ RuntimeStats drive_descriptors(const TaskDescriptor& root,
     auto close_idle = [&](obs::EventKind kind, i64 a0, i64 a1, i64 a2 = 0) {
       if (idle_t0 == 0) return;
       const i64 t1 = now_ns();
-      stats.idle_ns += t1 - idle_t0;
+      idle_stats.idle_ns += t1 - idle_t0;
       if (kind == obs::EventKind::kSteal && metrics)
         steal_lat->observe(t1 - idle_t0);
       if (tracing) {
@@ -247,7 +318,7 @@ RuntimeStats drive_descriptors(const TaskDescriptor& root,
         continue;
       }
       if (idle_t0 == 0) idle_t0 = now_ns();
-      if (pending.load(std::memory_order_acquire) == 0) {
+      if (live_sources.load(std::memory_order_acquire) == 0) {
         close_idle(obs::EventKind::kIdle, 0, 0);
         return;
       }
@@ -264,8 +335,11 @@ RuntimeStats drive_descriptors(const TaskDescriptor& root,
         for (std::size_t k = 0; k < ring.size() && !stolen; ++k) {
           const int victim = ring[(start + k) % ring.size()];
           if (deques[static_cast<std::size_t>(victim)]->steal(task)) {
-            ++stats.steals;
-            ++stats.steals_by_distance[d];
+            // Counted on the stolen descriptor's source block, so the
+            // per-request traffic mix stays visible.
+            WorkerStats& st = block(id, task.source);
+            ++st.steals;
+            ++st.steals_by_distance[d];
             victim_id = victim;
             victim_distance = d;
             stolen = true;
@@ -278,7 +352,7 @@ RuntimeStats drive_descriptors(const TaskDescriptor& root,
         process(task);
         idle_sweeps = 0;
       } else {
-        if (n > 1) ++stats.failed_steals;
+        if (n > 1) ++idle_stats.failed_steals;
         if (++idle_sweeps < 16) {
           std::this_thread::yield();
         } else {
@@ -287,7 +361,7 @@ RuntimeStats drive_descriptors(const TaskDescriptor& root,
           // but re-check termination first, or a worker backing off just as
           // the last descriptor retires eats a full backoff before exiting
           // (visible as tail idle_ns on small runs).
-          if (pending.load(std::memory_order_acquire) == 0) continue;
+          if (live_sources.load(std::memory_order_acquire) == 0) continue;
           std::this_thread::sleep_for(std::chrono::microseconds(
               std::min(50 * (idle_sweeps - 15), 1000)));
         }
@@ -295,11 +369,10 @@ RuntimeStats drive_descriptors(const TaskDescriptor& root,
     }
   };
 
-  i64 t0 = now_ns();
   if (pool) {
     // One chunk per worker context; pool threads plus the caller claim
     // them. A pool smaller than threads just runs some contexts after
-    // others finished (they see pending == 0 and return immediately).
+    // others finished (they see no live source and return immediately).
     pool->parallel_for(static_cast<i64>(threads),
                        [&](i64 id) { worker_main(static_cast<int>(id)); });
   } else {
@@ -311,7 +384,25 @@ RuntimeStats drive_descriptors(const TaskDescriptor& root,
   }
   out.wall_ns = now_ns() - t0;
 
-  if (first_error) std::rethrow_exception(first_error);
+  for (std::size_t id = 0; id < threads; ++id) {
+    for (std::size_t s = 0; s < ns; ++s) {
+      const WorkerStats& b = blocks[id * ns + s];
+      accumulate(out.workers[id], b);
+      SourceStats& agg = out.sources[s];
+      agg.iterations += b.iterations;
+      agg.tasks += b.tasks;
+      agg.splits += b.splits;
+      for (int axis = 1; axis < TaskDescriptor::kMaxDims; ++axis)
+        agg.inner_splits += b.axis_splits[axis];
+      agg.steals += b.steals;
+    }
+  }
+  for (std::size_t s = 0; s < ns; ++s) {
+    out.sources[s].done_ns = done_ns[s];
+    out.sources[s].queue_ns = first_start[s].load(std::memory_order_relaxed);
+  }
+  out.error = first_error;
+  out.error_source = first_error_source;
   if (metrics) publish_run_metrics(out.workers);
   return out;
 }

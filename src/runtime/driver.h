@@ -1,10 +1,20 @@
-// The work-stealing descriptor driver, extracted from StreamExecutor so
-// every executor that speaks TaskDescriptor — the streaming plan executor,
-// the batch scheduler's cousins, and the inspector executor — shares one
-// battle-tested loop: Chase-Lev deques, workers pinned to topology-assigned
-// cpus, depth-first splitting along the longest (or locality-preferred)
-// axis, distance-ordered steal sweeps with idle backoff, first-error abort,
-// and the tracing/metrics gates.
+// The work-stealing descriptor driver: the one scheduling loop every
+// executor that speaks TaskDescriptor shares — the streaming plan executor,
+// the inspector executor, and batch serving (many requests, one worker
+// set). Chase-Lev deques, workers pinned to topology-assigned cpus,
+// depth-first splitting along the longest (or locality-preferred) axis,
+// distance-ordered steal sweeps with idle backoff, first-error abort, and
+// the tracing/metrics gates.
+//
+// A run drives one or more *sources*. Each source is a root descriptor plus
+// how to split it and how to run its leaves; its descriptors carry the
+// source index in TaskDescriptor::source, so descriptors of different
+// sources interleave in the same deques and migrate between workers by the
+// normal stealing rules. Legality is per source: two descriptors of one
+// source are disjoint iteration boxes of that source's space (Lemma 1 x
+// Theorem 2), and descriptors of different sources touch different stores
+// entirely, so any interleaving is safe. A single-request run is the
+// one-source case.
 //
 // The driver owns *scheduling* only. What a leaf descriptor means (a boxed
 // DOALL prefix x class range to scan, a native-kernel range call, a run of
@@ -12,6 +22,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 
 #include "runtime/stats.h"
 #include "runtime/task.h"
@@ -19,18 +30,30 @@
 
 namespace vdep::runtime {
 
-/// Runs one leaf descriptor. Created per worker context by a factory so
-/// scan state (or kernel bindings) stay thread-private.
+/// Runs one leaf descriptor. Created per (worker context, source) by a
+/// factory so scan state (or kernel bindings) stay thread-private.
 using LeafFn = std::function<void(const TaskDescriptor&)>;
 /// Builds the LeafFn of one worker context; `stats` is that context's
-/// private counter block (iterations are counted by the leaf itself).
+/// private counter block for the source (iterations are counted by the
+/// leaf itself).
 using LeafFactory = std::function<LeafFn(int, WorkerStats&)>;
+
+/// One root of a run: the box to cover, how to split it, how to run leaves.
+struct DriveSource {
+  TaskDescriptor root;
+  /// Descriptor grain in cells: descriptors with more cells keep splitting.
+  i64 grain = 1;
+  /// Locality weights for the split-axis choice (task.h). All-zero (the
+  /// default) keeps the longest-axis policy.
+  SplitPrefs prefs;
+  /// Called lazily, the first time a worker context runs one of this
+  /// source's leaves. Must outlive the drive_descriptors call.
+  LeafFactory leaf_factory;
+};
 
 struct DriveOptions {
   /// Worker contexts (the caller is context 0 when no pool is given).
   std::size_t threads = 1;
-  /// Descriptor grain in cells: descriptors with more cells keep splitting.
-  i64 grain = 1;
   /// Allow this run to emit trace events when the global obs::TraceRecorder
   /// is enabled (leaf spans, split/steal/idle events).
   bool trace = true;
@@ -41,30 +64,33 @@ struct DriveOptions {
   /// exit). Also honors the VDEP_PIN=0 environment opt-out; no-op on hosts
   /// without sched_setaffinity.
   bool pin_workers = true;
-  /// Locality weights for the split-axis choice (task.h). All-zero (the
-  /// default) keeps the longest-axis policy.
-  SplitPrefs prefs;
 };
 
-/// Splits `root` recursively down to `opts.grain` cells across
+/// Splits every source's root recursively down to its grain across
 /// `opts.threads` work-stealing workers and runs every leaf through the
-/// factory's LeafFns. The root is pre-split into ~threads position-ordered
-/// pieces seeded one per deque, so pinned worker k starts on the k-th
-/// slice of the iteration space (the same slice a first-touch store placed
-/// on k's node); idle workers then steal nearest-first. With `pool` null,
-/// spawns threads - 1 helpers and uses the calling thread as worker 0;
-/// otherwise the pool's threads (plus the caller) claim the worker
-/// contexts. The first leaf exception aborts the run and is rethrown after
-/// all workers stop.
-RuntimeStats drive_descriptors(const TaskDescriptor& root,
+/// source's LeafFns.
+///
+/// Seeding: the nonempty roots, in source order, are split fattest-first
+/// until there are at least `threads` pieces (or nothing is splittable),
+/// sorted by (source, position) and dealt round-robin across the deques —
+/// so with one source pinned worker k starts on the k-th slice of the
+/// space (the slice a first-touch store placed on k's node), and with at
+/// least `threads` sources each deque starts on whole requests. Seeding
+/// splits are charged to worker 0's counters, so tasks == splits + 1 holds
+/// per source. Idle workers then steal nearest-first.
+///
+/// With `pool` null, spawns threads - 1 helpers and uses the calling thread
+/// as worker 0; otherwise the pool's threads (plus the caller) claim the
+/// worker contexts. The first leaf exception aborts the run: every worker
+/// stops, remaining descriptors are dropped, and the error plus its source
+/// index come back in RuntimeStats::error / error_source (not rethrown).
+RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
                                const DriveOptions& opts,
-                               const LeafFactory& leaf_factory,
                                ThreadPool* pool = nullptr);
 
 namespace detail {
 /// Whether a run should really pin: opted in, more than one worker, the
-/// host supports sched_setaffinity, and VDEP_PIN=0 is not set. Shared with
-/// the batch scheduler so both runs make the same call.
+/// host supports sched_setaffinity, and VDEP_PIN=0 is not set.
 bool effective_pin(bool opt_in, std::size_t threads);
 }  // namespace detail
 

@@ -6,6 +6,7 @@
 // parallelizer report.
 #pragma once
 
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -43,10 +44,32 @@ struct alignas(64) WorkerStats {
   i64 steals_by_distance[kStealDistances] = {};
 };
 
+/// Per-source completion counters of a run (one per DriveSource; a
+/// batch turns them into per-request ExecReports).
+struct SourceStats {
+  i64 iterations = 0;
+  i64 tasks = 0;   ///< leaf descriptors executed
+  i64 splits = 0;
+  i64 inner_splits = 0;  ///< splits along inner DOALL axes (task.h)
+  i64 steals = 0;  ///< stolen descriptors of this source
+  i64 done_ns = 0; ///< run start -> this source's last descriptor retired
+  /// Queue latency: run start -> first descriptor of this source starts
+  /// executing (how long the request waited behind the other sources).
+  i64 queue_ns = 0;
+};
+
 /// Aggregated run outcome.
 struct RuntimeStats {
+  /// Per worker context, summed over sources.
   std::vector<WorkerStats> workers;
+  /// Per source, summed over worker contexts.
+  std::vector<SourceStats> sources;
   i64 wall_ns = 0;  ///< makespan of the whole run (seed to last join)
+  /// First failure (a leaf threw): every worker stopped and the remaining
+  /// descriptors were dropped. Single-request callers rethrow it; a batch
+  /// attaches the request index from error_source.
+  std::exception_ptr error;
+  i64 error_source = -1;
 
   i64 total_tasks() const;
   i64 total_splits() const;

@@ -1,5 +1,6 @@
 #include "runtime/stream_executor.h"
 
+#include <exception>
 #include <optional>
 #include <thread>
 
@@ -205,19 +206,23 @@ void StreamExecutor::execute_leaf(const TaskDescriptor& task, Worker& w) const {
   scan_prefix(0, task, labels, w);
 }
 
-RuntimeStats StreamExecutor::drive(const LeafFactory& leaf_factory,
+RuntimeStats StreamExecutor::drive(const DriveSource& src,
                                    ThreadPool* pool) const {
   // The scheduling loop lives in runtime/driver.cpp (shared with the
-  // inspector executor); this executor only supplies the root box, the
-  // grain, and the plan-scanning leaves.
-  DriveOptions d;
-  d.threads = threads_;
-  d.grain = grain_;
-  d.trace = opts_.trace;
-  d.metrics = opts_.metrics;
-  d.pin_workers = opts_.pin_workers;
-  d.prefs = split_prefs_;
-  return drive_descriptors(root(), d, leaf_factory, pool);
+  // inspector executor and batches); this executor only supplies the root
+  // box, the grain, and the plan-scanning leaves.
+  RuntimeStats rs = drive_descriptors(
+      {&src, 1}, {threads_, opts_.trace, opts_.metrics, opts_.pin_workers},
+      pool);
+  if (rs.error) std::rethrow_exception(rs.error);
+  return rs;
+}
+
+DriveSource StreamExecutor::source(
+    exec::ArrayStore& store, const exec::RangeKernel* kernel,
+    const exec::CompiledKernel* scan_prototype) const {
+  return {root(), grain_, split_prefs_,
+          make_leaf_factory(store, kernel, scan_prototype)};
 }
 
 StreamExecutor::LeafFn StreamExecutor::make_scan_leaf(
@@ -233,16 +238,6 @@ StreamExecutor::LeafFn StreamExecutor::make_scan_leaf(
   Worker* wp = w.get();
   w->emit_j = [this, wp](const Vec&) { emit(*wp); };
   return [this, w](const TaskDescriptor& task) { execute_leaf(task, *w); };
-}
-
-RuntimeStats StreamExecutor::drive_scan(
-    const std::function<std::function<void(const Vec&)>(int)>& body_factory,
-    ThreadPool* pool) const {
-  return drive(
-      [&](int id, WorkerStats& stats) -> LeafFn {
-        return make_scan_leaf(id, stats, body_factory(id));
-      },
-      pool);
 }
 
 StreamExecutor::LeafFactory StreamExecutor::make_leaf_factory(
@@ -292,44 +287,33 @@ StreamExecutor::LeafFactory StreamExecutor::make_leaf_factory(
   };
 }
 
-RuntimeStats StreamExecutor::run_kernel_impl(exec::ArrayStore& store,
-                                             const exec::RangeKernel& kernel,
-                                             ThreadPool* pool) const {
-  return drive(make_leaf_factory(store, &kernel), pool);
-}
-
 RuntimeStats StreamExecutor::run(exec::ArrayStore& store,
                                  const exec::RangeKernel& kernel) const {
-  return run_kernel_impl(store, kernel, nullptr);
+  return drive(source(store, &kernel), nullptr);
 }
 
 RuntimeStats StreamExecutor::run(exec::ArrayStore& store,
                                  const exec::RangeKernel& kernel,
                                  ThreadPool& pool) const {
-  return run_kernel_impl(store, kernel, &pool);
-}
-
-RuntimeStats StreamExecutor::run_impl(exec::ArrayStore& store,
-                                      ThreadPool* pool) const {
-  return drive(make_leaf_factory(store), pool);
+  return drive(source(store, &kernel), &pool);
 }
 
 RuntimeStats StreamExecutor::run(exec::ArrayStore& store) const {
-  return run_impl(store, nullptr);
+  return drive(source(store), nullptr);
 }
 
 RuntimeStats StreamExecutor::run(exec::ArrayStore& store,
                                  ThreadPool& pool) const {
-  return run_impl(store, &pool);
+  return drive(source(store), &pool);
 }
 
 RuntimeStats StreamExecutor::run_trace(
     const std::function<void(int, const Vec&)>& sink) const {
-  return drive_scan(
-      [&sink](int id) -> std::function<void(const Vec&)> {
-        return [&sink, id](const Vec& it) { sink(id, it); };
-      },
-      nullptr);
+  LeafFactory factory = [this, &sink](int id, WorkerStats& stats) -> LeafFn {
+    return make_scan_leaf(id, stats,
+                          [&sink, id](const Vec& it) { sink(id, it); });
+  };
+  return drive({root(), grain_, split_prefs_, std::move(factory)}, nullptr);
 }
 
 }  // namespace vdep::runtime

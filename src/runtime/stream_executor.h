@@ -107,20 +107,19 @@ class StreamExecutor {
   RuntimeStats run_trace(
       const std::function<void(int, const Vec&)>& sink) const;
 
-  /// Batch support (runtime/batch_executor.h): the per-worker leaf runner
-  /// run()/run(kernel) use, detached from the driving loop so a multi-
-  /// source scheduler can execute this plan's descriptors next to other
-  /// plans'. With `kernel` null this is the scan path — a CompiledKernel
-  /// is built against `store` once (shared by every worker context this
-  /// factory produces), falling back to the exact interpreter when the
+  /// This plan over `store` as one source of a descriptor-driver run
+  /// (runtime/driver.h): root(), grain(), the locality prefs and the leaf
+  /// runner run()/run(kernel) use — so a batch can drive many plans'
+  /// descriptors over one worker set. With `kernel` null this is the scan
+  /// path — a CompiledKernel is built against `store` once (shared by
+  /// every worker context), falling back to the exact interpreter when the
   /// range proof rejects the nest; non-null, leaves are handed whole to
   /// `kernel`. `scan_prototype`, when set, skips the scan kernel's
   /// construction (and its range proof): the prototype — compiled once per
   /// (structure, bounds) group by the batch layer — is rebound onto
   /// `store` instead. `store`, `kernel` and `scan_prototype` must outlive
-  /// the returned factory and every LeafFn it produced; so must this
-  /// executor.
-  LeafFactory make_leaf_factory(
+  /// the run; so must this executor.
+  DriveSource source(
       exec::ArrayStore& store, const exec::RangeKernel* kernel = nullptr,
       const exec::CompiledKernel* scan_prototype = nullptr) const;
 
@@ -135,21 +134,15 @@ class StreamExecutor {
   i64 num_classes() const { return classes_; }
   std::size_t num_threads() const { return threads_; }
   const StreamOptions& options() const { return opts_; }
-  /// Locality weights of the boxed axes (all-zero unless locality_splits
-  /// found per-axis address strides to steer by). Shared with the batch
-  /// scheduler, which splits this executor's descriptors itself.
-  const SplitPrefs& split_prefs() const { return split_prefs_; }
 
  private:
   struct Worker;
-  RuntimeStats run_impl(exec::ArrayStore& store, ThreadPool* pool) const;
-  RuntimeStats run_kernel_impl(exec::ArrayStore& store,
-                               const exec::RangeKernel& kernel,
-                               ThreadPool* pool) const;
-  RuntimeStats drive(const LeafFactory& leaf_factory, ThreadPool* pool) const;
-  RuntimeStats drive_scan(
-      const std::function<std::function<void(const Vec&)>(int)>& body_factory,
-      ThreadPool* pool) const;
+  LeafFactory make_leaf_factory(
+      exec::ArrayStore& store, const exec::RangeKernel* kernel,
+      const exec::CompiledKernel* scan_prototype) const;
+  /// Drives `src` (one of this plan's) as the run's only source; leaf
+  /// errors rethrow.
+  RuntimeStats drive(const DriveSource& src, ThreadPool* pool) const;
   /// One scan-path worker context: Worker + recursive descriptor scan.
   LeafFn make_scan_leaf(int id, WorkerStats& stats,
                         std::function<void(const Vec&)> body) const;

@@ -443,6 +443,25 @@ TEST(ExecuteBatch, EmptyBatchIsEmptySuccess) {
       loop.execute_batch(std::span<const loopir::LoopNest>{}).value().empty());
 }
 
+// A leaf that throws mid-batch (exact arithmetic overflowing inside request
+// 2's descriptors) aborts every worker; the error must still name the
+// request it came from, at one worker and at several.
+TEST(ExecuteBatch, LeafOverflowSurfacesRequestIndex) {
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(core::uniform_wavefront(20)).value();
+  std::vector<loopir::LoopNest> bounds = {
+      core::uniform_wavefront(20), core::uniform_wavefront(20),
+      core::uniform_wavefront(60), core::uniform_wavefront(20)};
+  for (std::size_t threads : {1u, 4u}) {
+    Expected<std::vector<ExecReport>> r = loop.execute_batch(
+        bounds,
+        ExecPolicy{}.threads(threads).backend(ExecBackend::kInterpreter));
+    ASSERT_FALSE(r.has_value()) << "threads=" << threads;
+    EXPECT_EQ(r.error().kind, ErrorKind::kOverflow) << "threads=" << threads;
+    EXPECT_EQ(r.error().index, 2) << "threads=" << threads;
+  }
+}
+
 // N threads x M batches through one shared session and its pool: the
 // batch scheduler, the plan-cache memos and ThreadPool::parallel_for all
 // interleave. Runs under TSan in CI.

@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -300,6 +301,41 @@ TEST(Trace, PolicyToggleKeepsRunOutOfTrace) {
   EXPECT_EQ(runtime_events, 0);
 }
 
+/// Runs 6 pattern-filled stores of `loop` as one 4-thread batch.
+std::vector<ExecReport> batch_of_six(const CompiledLoop& loop,
+                                         ExecPolicy policy) {
+  std::vector<exec::ArrayStore> stores(6, exec::ArrayStore(loop.nest()));
+  std::vector<exec::ArrayStore*> ptrs;
+  for (exec::ArrayStore& s : stores) {
+    s.fill_pattern();
+    ptrs.push_back(&s);
+  }
+  Expected<std::vector<ExecReport>> reps = loop.execute_batch(
+      std::span<exec::ArrayStore* const>(ptrs), policy.threads(4));
+  EXPECT_TRUE(reps) << (reps ? "" : reps.error().to_string());
+  return reps ? *reps : std::vector<ExecReport>{};
+}
+
+TEST(Trace, PolicyToggleKeepsBatchOutOfTrace) {
+  ObsQuiet quiet;
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(core::example41(128)).value();
+  TraceRecorder::instance().enable();
+  TraceRecorder::instance().clear();
+
+  ASSERT_EQ(batch_of_six(loop, ExecPolicy{}.digest(false).trace(false))
+                .size(),
+            6u);
+  i64 runtime_events = 0;
+  TraceRecorder::instance().for_each_event(
+      [&](std::size_t, const TraceEvent& ev) {
+        if (ev.kind == EventKind::kLeafExec || ev.kind == EventKind::kSplit ||
+            ev.kind == EventKind::kSteal || ev.kind == EventKind::kIdle)
+          ++runtime_events;
+      });
+  EXPECT_EQ(runtime_events, 0);
+}
+
 // ----------------------------------------------------------------- metrics
 
 TEST(Metrics, ExpBucketsStrictlyAscend) {
@@ -393,6 +429,42 @@ TEST(Metrics, RunPublishesWorkerMetrics) {
   // The leaf-size histogram observed one sample per leaf.
   obs::Histogram& leaf = reg.histogram("vdep_leaf_cells", {});
   EXPECT_EQ(leaf.count(), rep.tasks);
+}
+
+TEST(Metrics, PolicyToggleKeepsBatchOutOfMetrics) {
+  ObsQuiet quiet;
+  MetricsRegistry& reg = MetricsRegistry::instance();
+  reg.enable();
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(core::example41(128)).value();
+  const i64 before = reg.counter("vdep_tasks_total").value();
+  ASSERT_EQ(batch_of_six(loop, ExecPolicy{}.digest(false).metrics(false))
+                .size(),
+            6u);
+  EXPECT_EQ(reg.counter("vdep_tasks_total").value(), before);
+  EXPECT_EQ(reg.histogram("vdep_leaf_cells", {}).count(), 0);
+}
+
+TEST(Metrics, BatchRecordsLeafAndQueueHistograms) {
+  ObsQuiet quiet;
+  MetricsRegistry& reg = MetricsRegistry::instance();
+  reg.enable();
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(core::example41(128)).value();
+  std::vector<ExecReport> reps =
+      batch_of_six(loop, ExecPolicy{}.digest(false));
+  ASSERT_EQ(reps.size(), 6u);
+  i64 tasks = 0, splits = 0;
+  for (const ExecReport& r : reps) {
+    tasks += r.tasks;
+    splits += r.tasks - 1;  // tasks == splits + 1 per request
+  }
+  // One leaf-size sample per executed leaf, as in a single run.
+  EXPECT_EQ(reg.histogram("vdep_leaf_cells", {}).count(), tasks);
+  EXPECT_EQ(reg.counter("vdep_tasks_total").value(), tasks);
+  // One queue-depth sample per worker split; 6 roots over 4 workers need
+  // no seeding splits, so that is every split.
+  EXPECT_EQ(reg.histogram("vdep_queue_depth", {}).count(), splits);
 }
 
 // ------------------------------------------------------------------ phases

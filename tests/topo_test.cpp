@@ -296,6 +296,47 @@ TEST(TopologyScheduling, PinnedAndUnpinnedRunsAreBitIdentical) {
       }
     }
   }
+
+  // The same three plans as one 3-source run (the batch shape): fewer
+  // roots than workers at 8 threads, so seeding splits the fattest roots;
+  // at 1 and 2 threads the roots are dealt whole.
+  std::vector<trans::TransformPlan> plans;
+  std::vector<exec::ArrayStore> refs;
+  for (Case& c : cases) {
+    plans.push_back(plan_for(c.nest));
+    refs.push_back(reference(c.nest));
+  }
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    for (bool pin : {false, true}) {
+      for (bool locality : {false, true}) {
+        runtime::StreamOptions so;
+        so.num_threads = threads;
+        so.locality_splits = locality;
+        std::vector<runtime::StreamExecutor> exs;
+        std::vector<exec::ArrayStore> stores;
+        for (std::size_t k = 0; k < std::size(cases); ++k) {
+          exs.emplace_back(cases[k].nest, plans[k], so);
+          stores.emplace_back(cases[k].nest);
+          stores.back().fill_pattern();
+        }
+        std::vector<runtime::DriveSource> sources;
+        for (std::size_t k = 0; k < exs.size(); ++k)
+          sources.push_back(exs[k].source(stores[k]));
+        runtime::RuntimeStats rs = runtime::drive_descriptors(
+            sources, {threads, true, true, pin});
+        ASSERT_FALSE(rs.error);
+        ASSERT_EQ(rs.sources.size(), exs.size());
+        for (std::size_t k = 0; k < exs.size(); ++k) {
+          EXPECT_TRUE(refs[k] == stores[k])
+              << cases[k].name << " in a 3-source run, threads=" << threads
+              << " pin=" << pin << " locality=" << locality;
+          EXPECT_EQ(rs.sources[k].tasks, rs.sources[k].splits + 1)
+              << cases[k].name << " threads=" << threads;
+        }
+        EXPECT_EQ(rs.total_tasks(), rs.total_splits() + 3);
+      }
+    }
+  }
 }
 
 TEST(TopologyScheduling, StealDistanceCountersSumToTotalSteals) {
