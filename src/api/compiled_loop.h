@@ -76,10 +76,12 @@ enum class ExecMode {
 
 /// What runs the loop bodies (streaming mode).
 enum class ExecBackend {
-  kCompiled,     ///< postfix exec::CompiledKernel, interpreter fallback
+  kCompiled,     ///< postfix exec::CompiledKernel, interpreter fallback;
+                 ///< int64 overflow fails kOverflow, as with kInterpreter
   kInterpreter,  ///< exact tree-walking interpreter, always
   kJit,          ///< dlopen-ed native kernel; falls back to kCompiled when
-                 ///< no toolchain is available or the plan is not JITable
+                 ///< no toolchain is available or the plan is not JITable.
+                 ///< The native kernel wraps on int64 overflow (-fwrapv)
   kInspector,    ///< runtime inspector–executor: dependence components are
                  ///< discovered at the given bounds/data (src/inspect/) and
                  ///< run as dynamic partition classes. The only backend for

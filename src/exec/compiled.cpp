@@ -1,6 +1,7 @@
 #include "exec/compiled.h"
 
-#include <cstdint>
+#include <algorithm>
+#include <string>
 
 #include "poly/constraints.h"
 #include "poly/fourier_motzkin.h"
@@ -10,29 +11,19 @@ namespace vdep::exec {
 
 namespace {
 
-// Body arithmetic wraps in two's complement, the semantics native kernels
-// get from -fwrapv (jit/toolchain.cpp): computed in unsigned arithmetic,
-// where overflow is defined, so an overflowing nest has no signed-overflow
-// UB here either.
-using u64 = std::uint64_t;
-i64 wrap_add(i64 a, i64 b) {
-  return static_cast<i64>(static_cast<u64>(a) + static_cast<u64>(b));
-}
-i64 wrap_sub(i64 a, i64 b) {
-  return static_cast<i64>(static_cast<u64>(a) - static_cast<u64>(b));
-}
-i64 wrap_mul(i64 a, i64 b) {
-  return static_cast<i64>(static_cast<u64>(a) * static_cast<u64>(b));
+// Body arithmetic throws like the interpreter's checked:: helpers (same
+// message). The throw is cold and out of line so the postfix switch stays
+// a flag test per operation.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_overflow(const char* op,
+                                                           i64 a, i64 b) {
+  throw OverflowError(std::string("int64 overflow in ") + op + "(" +
+                      std::to_string(a) + ", " + std::to_string(b) + ")");
 }
 
 }  // namespace
 
 CompiledKernel::CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store)
     : nest_(nest), store_(&store) {
-  if (nest.has_indirection())
-    throw UnsupportedError(
-        "CompiledKernel requires affine subscripts; indirect references run "
-        "through the interpreter");
   // Iteration box for the one-time subscript range proof.
   poly::ConstraintSystem cs = poly::ConstraintSystem::from_nest(nest);
   box_.clear();
@@ -52,6 +43,17 @@ CompiledKernel::CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store)
   scratch_ = make_scratch();
 }
 
+std::pair<i64, i64> CompiledKernel::hull(const loopir::AffineExpr& e) const {
+  i64 lo = e.constant_term(), hi = e.constant_term();
+  for (int k = 0; k < nest_.depth(); ++k) {
+    i64 c = e.coeff(k);
+    auto [bl, bh] = box_[static_cast<std::size_t>(k)];
+    lo = checked::add(lo, checked::mul(c, c >= 0 ? bl : bh));
+    hi = checked::add(hi, checked::mul(c, c >= 0 ? bh : bl));
+  }
+  return {lo, hi};
+}
+
 CompiledKernel::Access CompiledKernel::compile_access(
     const loopir::ArrayRef& ref) {
   const loopir::ArrayDecl& decl = nest_.array(ref.array);
@@ -63,26 +65,51 @@ CompiledKernel::Access CompiledKernel::compile_access(
   acc.coeffs.assign(static_cast<std::size_t>(nest_.depth()), 0);
   acc.c0 = 0;
   i64 stride = 1;
-  // Row-major: process dimensions right-to-left accumulating strides.
+  // Row-major: process dimensions right-to-left accumulating strides. Each
+  // slot's one-time range proof runs over the (rectangular hull of the)
+  // space.
   for (int d = decl.arity() - 1; d >= 0; --d) {
-    const loopir::AffineExpr& s = ref.subscripts[static_cast<std::size_t>(d)];
-    auto [lo, hi] = decl.dims[static_cast<std::size_t>(d)];
-    // One-time range proof over the (rectangular hull of the) space.
-    i64 smin = s.constant_term(), smax = s.constant_term();
-    for (int k = 0; k < nest_.depth(); ++k) {
-      i64 c = s.coeff(k);
-      auto [bl, bh] = box_[static_cast<std::size_t>(k)];
-      smin = checked::add(smin, checked::mul(c, c >= 0 ? bl : bh));
-      smax = checked::add(smax, checked::mul(c, c >= 0 ? bh : bl));
+    const auto ud = static_cast<std::size_t>(d);
+    auto [lo, hi] = decl.dims[ud];
+    if (ud < ref.indirect.size() && ref.indirect[ud].has_value()) {
+      const loopir::IndirectSubscript& ind = *ref.indirect[ud];
+      const ArrayStore::Buffer& buf = store_->raw(ind.array);
+      const i64 idx_lo = nest_.array(ind.array).dims.front().first;
+      auto [pmin, pmax] = hull(ind.pos);
+      VDEP_REQUIRE(pmin >= idx_lo &&
+                       checked::sub(pmax, idx_lo) < static_cast<i64>(buf.size()),
+                   "position into index array " + ind.array +
+                       " can leave its declared range; cannot compile");
+      // One branch-free scan of every value the hull can reach proves the
+      // slot.
+      bool in_range = true;
+      for (i64 p = pmin; p <= pmax; ++p) {
+        const i64 v = buf[static_cast<std::size_t>(p - idx_lo)];
+        in_range &= (v >= lo) & (v <= hi);
+      }
+      VDEP_REQUIRE(in_range, "index array " + ind.array +
+                                 " holds a value outside " + ref.array +
+                                 "'s declared range; cannot compile");
+      Indirect x;
+      x.idx = buf.data();
+      x.coeffs = ind.pos.coeffs();
+      x.c0 = checked::sub(ind.pos.constant_term(), idx_lo);
+      x.stride = stride;
+      acc.indirect.push_back(std::move(x));
+      acc.c0 = checked::sub(acc.c0, checked::mul(stride, lo));
+    } else {
+      const loopir::AffineExpr& s = ref.subscripts[ud];
+      auto [smin, smax] = hull(s);
+      VDEP_REQUIRE(smin >= lo && smax <= hi,
+                   "subscript of " + ref.array +
+                       " can leave the declared range; cannot compile");
+      for (int k = 0; k < nest_.depth(); ++k)
+        acc.coeffs[static_cast<std::size_t>(k)] =
+            checked::add(acc.coeffs[static_cast<std::size_t>(k)],
+                         checked::mul(stride, s.coeff(k)));
+      acc.c0 = checked::add(
+          acc.c0, checked::mul(stride, checked::sub(s.constant_term(), lo)));
     }
-    VDEP_REQUIRE(smin >= lo && smax <= hi,
-                 "subscript of " + ref.array +
-                     " can leave the declared range; cannot compile");
-    for (int k = 0; k < nest_.depth(); ++k)
-      acc.coeffs[static_cast<std::size_t>(k)] = checked::add(
-          acc.coeffs[static_cast<std::size_t>(k)], checked::mul(stride, s.coeff(k)));
-    acc.c0 = checked::add(acc.c0,
-                          checked::mul(stride, checked::sub(s.constant_term(), lo)));
     stride = checked::mul(stride, hi - lo + 1);
   }
   return acc;
@@ -102,7 +129,9 @@ void CompiledKernel::compile_expr(const loopir::Expr& e, Stmt& stmt, int depth) 
     case K::kRead: {
       int slot = static_cast<int>(reads_.size());
       reads_.push_back(compile_access(e.ref()));
-      stmt.program.push_back({Op::kRead, 0, slot});
+      stmt.program.push_back(
+          {reads_.back().indirect.empty() ? Op::kRead : Op::kReadIndirect, 0,
+           slot});
       stmt.max_stack = std::max(stmt.max_stack, depth + 1);
       return;
     }
@@ -125,11 +154,28 @@ void CompiledKernel::execute_iteration(const Vec& iter) {
   execute_iteration(iter, scratch_);
 }
 
+i64 CompiledKernel::affine_offset(const Access& a, const i64* it) {
+  i64 off = a.c0;
+  for (std::size_t k = 0; k < a.coeffs.size(); ++k) off += a.coeffs[k] * it[k];
+  return off;
+}
+
+i64 CompiledKernel::indirect_offset(const Access& a, const i64* it) {
+  i64 off = 0;
+  for (const Indirect& x : a.indirect) {
+    i64 pos = x.c0;
+    for (std::size_t k = 0; k < x.coeffs.size(); ++k) pos += x.coeffs[k] * it[k];
+    off += x.stride * x.idx[pos];
+  }
+  return off;
+}
+
 void CompiledKernel::execute_iteration(const Vec& iter, Scratch& scratch) const {
   const i64* it = iter.data();
   for (const Stmt& s : stmts_) {
     i64* sp = scratch.stack.data();
     for (const Instr& ins : s.program) {
+      i64 r = 0;
       switch (ins.op) {
         case Op::kPushConst:
           *sp++ = ins.value;
@@ -139,29 +185,36 @@ void CompiledKernel::execute_iteration(const Vec& iter, Scratch& scratch) const 
           break;
         case Op::kRead: {
           const Access& a = reads_[static_cast<std::size_t>(ins.index)];
-          i64 off = a.c0;
-          for (std::size_t k = 0; k < a.coeffs.size(); ++k)
-            off += a.coeffs[k] * it[k];
-          *sp++ = a.base[off];
+          *sp++ = a.base[affine_offset(a, it)];
+          break;
+        }
+        case Op::kReadIndirect: {
+          const Access& a = reads_[static_cast<std::size_t>(ins.index)];
+          *sp++ = a.base[affine_offset(a, it) + indirect_offset(a, it)];
           break;
         }
         case Op::kAdd:
-          sp[-2] = wrap_add(sp[-2], sp[-1]);
+          if (__builtin_add_overflow(sp[-2], sp[-1], &r))
+            throw_overflow("add", sp[-2], sp[-1]);
+          sp[-2] = r;
           --sp;
           break;
         case Op::kSub:
-          sp[-2] = wrap_sub(sp[-2], sp[-1]);
+          if (__builtin_sub_overflow(sp[-2], sp[-1], &r))
+            throw_overflow("sub", sp[-2], sp[-1]);
+          sp[-2] = r;
           --sp;
           break;
         case Op::kMul:
-          sp[-2] = wrap_mul(sp[-2], sp[-1]);
+          if (__builtin_mul_overflow(sp[-2], sp[-1], &r))
+            throw_overflow("mul", sp[-2], sp[-1]);
+          sp[-2] = r;
           --sp;
           break;
       }
     }
-    i64 off = s.lhs.c0;
-    for (std::size_t k = 0; k < s.lhs.coeffs.size(); ++k)
-      off += s.lhs.coeffs[k] * it[k];
+    i64 off = affine_offset(s.lhs, it);
+    if (!s.lhs.indirect.empty()) off += indirect_offset(s.lhs, it);
     s.lhs.base[off] = sp[-1];
   }
 }
@@ -171,6 +224,10 @@ void CompiledKernel::run_sequential() {
 }
 
 CompiledKernel CompiledKernel::rebind(ArrayStore& other) const {
+  if (nest_.has_indirection())
+    throw UnsupportedError(
+        "CompiledKernel::rebind: the range proof of an indirect kernel read "
+        "its store's index contents; build a kernel per store instead");
   CompiledKernel copy(*this);
   auto rebase = [&](Access& a) {
     const loopir::ArrayDecl& decl =

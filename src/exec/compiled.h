@@ -2,16 +2,27 @@
 // on every access; for benchmarking the *parallel structure* that overhead
 // drowns the signal. A CompiledKernel flattens each statement once:
 //
-//   * every array reference's flat buffer offset is itself an affine
-//     function of the iteration vector (row-major flattening of affine
-//     subscripts is affine), so a read/write becomes a dot product plus a
-//     raw-pointer access;
+//   * every array reference's flat buffer offset is an affine function of
+//     the iteration vector (row-major flattening of affine subscripts is
+//     affine), plus, per indirect slot (A[B[i]]), `stride * B[pos(iter)]`
+//     with `pos` affine — so a read/write becomes a dot product, one raw
+//     index-buffer load per indirect slot and a raw-pointer access;
 //   * the rhs expression tree becomes a postfix program over a small value
 //     stack.
 //
 // Subscript-in-bounds is established once per (kernel, nest) pair by
-// checking the affine offset's extremes over the iteration box, so the hot
-// path needs no per-access checks.
+// checking the affine offset's extremes over the iteration box. An indirect
+// slot is proven twice: the hull of its position over the box must lie
+// inside the index array, and one scan of the index array over that hull
+// must stay inside the target dimension's declared range. Index arrays are
+// read-only in the nest (LoopNest::validate), so the proof holds for the
+// whole run and the hot path needs no per-access checks — provided nothing
+// outside the nest rewrites an index array while a kernel built over it is
+// live.
+//
+// Body arithmetic has the interpreter's contract: add/sub/mul that leave
+// int64 throw OverflowError (checked, with the throw kept out of line), so
+// kInterpreter and kCompiled fail the same way on the same inputs.
 #pragma once
 
 #include "exec/runner.h"
@@ -22,7 +33,10 @@ class CompiledKernel {
  public:
   /// Compiles the body of `nest` against `store` (which must own every
   /// array). The store must stay alive and must not be resized while the
-  /// kernel is used; values may change freely.
+  /// kernel is used; data-array values may change freely, index-array
+  /// values must not (the range proof read them). Throws PreconditionError
+  /// when the proof fails, e.g. an index value in the scanned hull lies
+  /// outside its target's declared range.
   CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store);
 
   /// Private mutable state of one executing task (the value stack); the
@@ -33,7 +47,8 @@ class CompiledKernel {
   Scratch make_scratch() const { return Scratch{std::vector<i64>(stack_size_, 0)}; }
 
   /// Executes all statements at `iter` (no bounds checks on the hot path;
-  /// ranges were proven at compile time).
+  /// ranges were proven at compile time). Throws OverflowError when body
+  /// arithmetic leaves int64; the statement being evaluated is not stored.
   void execute_iteration(const Vec& iter, Scratch& scratch) const;
 
   /// Convenience single-threaded form with an internal scratch.
@@ -47,19 +62,34 @@ class CompiledKernel {
   /// compile one kernel and rebind it per request's store, skipping the
   /// per-construction range proof. `other` must own the same arrays at the
   /// same sizes as the construction store (shapes are re-checked, throwing
-  /// PreconditionError on mismatch); it must outlive the copy.
+  /// PreconditionError on mismatch); it must outlive the copy. Indirect
+  /// kernels throw UnsupportedError: their proof read the construction
+  /// store's index contents, which a shape check cannot vouch for.
   CompiledKernel rebind(ArrayStore& other) const;
 
   int statement_count() const { return static_cast<int>(stmts_.size()); }
 
  private:
+  /// One indirect slot: adds stride * idx[dot(coeffs, iter) + c0] to the
+  /// flat offset (c0 already subtracts the index array's lower bound).
+  struct Indirect {
+    const i64* idx = nullptr;  // index array buffer
+    Vec coeffs;
+    i64 c0 = 0;
+    i64 stride = 0;            // row-major stride of the target dimension
+  };
   struct Access {
     i64* base = nullptr;   // array buffer
-    Vec coeffs;            // flat offset = dot(coeffs, iter) + c0
+    Vec coeffs;            // flat offset = dot(coeffs, iter) + c0 + indirect
     i64 c0 = 0;
+    std::vector<Indirect> indirect;
     int array_ord = 0;     // index into nest_.arrays(), for rebind()
   };
-  enum class Op : unsigned char { kPushConst, kPushIndex, kRead, kAdd, kSub, kMul };
+  /// kRead is an affine-only read and kReadIndirect adds the indirect
+  /// slots, so the affine scan and batch paths never test for them.
+  enum class Op : unsigned char {
+    kPushConst, kPushIndex, kRead, kReadIndirect, kAdd, kSub, kMul
+  };
   struct Instr {
     Op op;
     i64 value = 0;   // kPushConst
@@ -73,6 +103,12 @@ class CompiledKernel {
 
   Access compile_access(const loopir::ArrayRef& ref);
   void compile_expr(const loopir::Expr& e, Stmt& stmt, int depth);
+  /// Flat buffer offset of `a` at iteration row `it` (unchecked: proven):
+  /// the affine part, and the indirect slots' part.
+  static i64 affine_offset(const Access& a, const i64* it);
+  static i64 indirect_offset(const Access& a, const i64* it);
+  /// [min, max] of affine `e` over the iteration box (checked).
+  std::pair<i64, i64> hull(const loopir::AffineExpr& e) const;
 
   const loopir::LoopNest& nest_;
   ArrayStore* store_ = nullptr;

@@ -38,12 +38,14 @@ runtime::TaskDescriptor InspectorExecutor::root() const {
 
 runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
                                                   ThreadPool* pool) const {
-  // One body shared by every worker: a CompiledKernel when the nest is
-  // affine and provable (per-worker Scratch keeps it const), otherwise the
-  // exact interpreter — which is also the only path that can resolve
-  // indirect subscripts.
+  // One body shared by every worker: a CompiledKernel (per-worker Scratch
+  // keeps it const) for affine and indirect nests alike. The exact
+  // interpreter runs only when forced or when the kernel's range proof
+  // refuses — e.g. an index value in the box hull that no iteration reaches
+  // but the proof cannot rule out. Both bodies throw OverflowError on the
+  // same inputs.
   std::shared_ptr<const exec::CompiledKernel> ck;
-  if (!opts_.force_interpreter && !nest_.has_indirection()) {
+  if (!opts_.force_interpreter) {
     try {
       ck = std::make_shared<exec::CompiledKernel>(nest_, store);
     } catch (const Error&) {

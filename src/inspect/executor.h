@@ -9,6 +9,12 @@
 // legal because distinct components share no written cell (any ordering of
 // classes gives a bit-identical store) and within a component every
 // dependence points lexicographically forward.
+//
+// Leaves run one shared exec::CompiledKernel body, whose indirect slots read
+// the index buffers directly (proven in range at construction). The exact
+// interpreter is the reference: it runs only under force_interpreter
+// (ExecBackend::kInterpreter) or when the kernel's proof refuses the nest.
+// Both bodies throw OverflowError on int64 overflow.
 #pragma once
 
 #include "inspect/inspector.h"
@@ -23,7 +29,8 @@ struct InspectorExecOptions {
   /// worker (runtime/task.h pick_grain).
   i64 grain = 0;
   i64 tasks_per_worker = 8;
-  /// Skip the compiled-kernel body even for affine nests (tests).
+  /// Run the exact interpreter instead of the compiled-kernel body
+  /// (ExecBackend::kInterpreter, tests).
   bool force_interpreter = false;
   /// Observability gates, same semantics as runtime::StreamOptions.
   bool trace = true;
@@ -40,9 +47,11 @@ class InspectorExecutor {
                     const DynamicPartition& partition,
                     InspectorExecOptions opts = {});
 
-  /// Runs every class over `store`. Affine nests execute through a shared
-  /// exec::CompiledKernel (per-worker scratch); indirect nests — or any
-  /// nest the kernel's range proof rejects — through the exact interpreter.
+  /// Runs every class over `store` through a shared exec::CompiledKernel
+  /// (per-worker scratch), indirect subscripts included; only a nest whose
+  /// range proof the kernel refuses (or force_interpreter) runs through the
+  /// exact interpreter. Either body throws OverflowError on int64 overflow.
+  /// The index arrays must keep the contents inspect() saw.
   runtime::RuntimeStats run(exec::ArrayStore& store) const;
   runtime::RuntimeStats run(exec::ArrayStore& store, ThreadPool& pool) const;
 

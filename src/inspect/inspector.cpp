@@ -20,11 +20,13 @@ i64 now_ns() {
 constexpr i64 kNeverWritten = -2;
 constexpr i64 kNoToucher = -1;
 
-/// One body access, flattened for the per-iteration hot loop: a tracked
-/// array's table ids are base + row-major offset, affine slots evaluate
-/// straight from an iteration row, and indirect slots read the index
-/// array's raw buffer (no string lookups, no Vec per access).
+/// One distinct body access, flattened for the per-iteration hot loop: a
+/// tracked array's table ids are base + row-major offset, affine slots
+/// evaluate straight from an iteration row, and indirect slots read the
+/// index array's raw buffer (no string lookups, no Vec per access).
 struct FlatAccess {
+  const loopir::ArrayRef* ref = nullptr;  ///< textual identity (dedup key)
+  /// Some occurrence of the reference is a write.
   bool write = false;
   /// The body writes this array, so its cells have slots in the table.
   bool tracked = false;
@@ -93,16 +95,25 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   const i64 t0 = now_ns();
   const int depth = nest.depth();
 
-  // Flatten the body's accesses once; `accesses` keeps the ArrayRefs the
-  // FlatAccess pointers borrow from alive for the whole inspection. Only
-  // written arrays get table ids: a cell nothing writes carries no
-  // dependence, so read-only arrays are range-checked but never tracked.
+  // Flatten the body's distinct accesses once (the read and the write of
+  // A[B[i]] become one entry whose write flag is set); `accesses` keeps the
+  // ArrayRefs the FlatAccess pointers borrow from alive for the whole
+  // inspection. Only written arrays get table ids: a cell nothing writes
+  // carries no dependence, so read-only arrays are range-checked but never
+  // tracked.
   const std::vector<loopir::LoopNest::Access> accesses = nest.accesses();
-  std::vector<FlatAccess> flat(accesses.size());
-  for (std::size_t k = 0; k < accesses.size(); ++k) {
-    const loopir::ArrayRef& ref = accesses[k].ref;
-    FlatAccess& fa = flat[k];
-    fa.write = accesses[k].is_write;
+  std::vector<FlatAccess> flat;
+  for (const loopir::LoopNest::Access& acc : accesses) {
+    const loopir::ArrayRef& ref = acc.ref;
+    auto same = std::find_if(flat.begin(), flat.end(),
+                             [&](const FlatAccess& fa) { return *fa.ref == ref; });
+    if (same != flat.end()) {
+      same->write |= acc.is_write;
+      continue;
+    }
+    FlatAccess& fa = flat.emplace_back();
+    fa.ref = &ref;
+    fa.write = acc.is_write;
     fa.decl = &nest.array(ref.array);
     for (std::size_t d = 0; d < ref.subscripts.size(); ++d) {
       FlatAccess::Sub s;
@@ -123,12 +134,14 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
     }
   }
   i64 table_size = 0;
+  std::size_t tracked = 0;
   for (FlatAccess& w : flat) {
     if (!w.write || w.tracked) continue;
     for (FlatAccess& fa : flat) {
       if (fa.decl != w.decl) continue;
       fa.tracked = true;
       fa.base = table_size;
+      ++tracked;
     }
     table_size = checked::add(table_size, w.decl->element_count());
   }
@@ -136,36 +149,44 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   // The first-toucher table: one slot per cell of the written arrays.
   std::vector<i64> table(static_cast<std::size_t>(table_size), kNeverWritten);
 
-  // Pass 1: materialize the iteration coordinates (pass 2 and the executor
-  // replay them) and mark every written cell.
+  // Pass 1: materialize the iteration coordinates (the executor replays
+  // them), range-check every access, record the cell of every tracked
+  // access (`tracked` per iteration, in rank order) and mark every written
+  // cell.
+  // The space is counted up front so the row and cell vectors are allocated
+  // once: a reallocation would touch fresh pages, and page faults are a
+  // large share of inspection time at scale.
   DynamicPartition part;
   part.depth_ = depth;
+  const i64 n = nest.iteration_count();
+  part.coords_.reserve(static_cast<std::size_t>(checked::mul(n, depth)));
+  std::vector<i64> cells;
+  cells.reserve(static_cast<std::size_t>(n) * tracked);
   i64 written_cells = 0;
   nest.for_each_iteration([&](const Vec& iter) {
     part.coords_.insert(part.coords_.end(), iter.begin(), iter.end());
     for (const FlatAccess& fa : flat) {
+      const i64 cell = cell_offset(fa, iter.data(), depth);
+      if (!fa.tracked) continue;
+      cells.push_back(cell);
       if (!fa.write) continue;
-      i64& slot =
-          table[static_cast<std::size_t>(cell_offset(fa, iter.data(), depth))];
+      i64& slot = table[static_cast<std::size_t>(cell)];
       if (slot == kNeverWritten) {
         slot = kNoToucher;
         ++written_cells;
       }
     }
   });
-  const i64 n = depth > 0 ? static_cast<i64>(part.coords_.size()) / depth : 0;
 
   // Pass 2: union every toucher of a written cell with that cell's first
-  // toucher. Union-by-smaller-root keeps each root at its component's
-  // lowest rank, i.e. its first member.
+  // toucher, reading the cells pass 1 resolved. Union-by-smaller-root keeps
+  // each root at its component's lowest rank, i.e. its first member.
   std::vector<i64> parent(static_cast<std::size_t>(n));
   for (i64 k = 0; k < n; ++k) parent[static_cast<std::size_t>(k)] = k;
+  const i64* cell = cells.data();
   for (i64 it = 0; it < n; ++it) {
-    const i64* row = part.coords_.data() + it * depth;
-    for (const FlatAccess& fa : flat) {
-      const i64 cell = cell_offset(fa, row, depth);
-      if (!fa.tracked) continue;
-      i64& slot = table[static_cast<std::size_t>(cell)];
+    for (std::size_t t = 0; t < tracked; ++t) {
+      i64& slot = table[static_cast<std::size_t>(*cell++)];
       if (slot == kNeverWritten) continue;
       if (slot == kNoToucher) {
         slot = it;
@@ -177,30 +198,39 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
           std::min(a, b);
     }
   }
+  // The members list reuses the dead cell vector's pages (n x tracked >= n)
+  // instead of faulting in fresh ones.
+  part.members_ = std::move(cells);
 
   // Classes: one per component (singletons included), numbered by the
   // lexicographic rank of the first member so class order is deterministic.
-  // That first member is the root, so it is numbered before the rest.
-  part.class_of_.resize(static_cast<std::size_t>(n));
+  // Every parent has a lower rank than its child and the root is the first
+  // member, so one in-order sweep turns the parent array into class ids in
+  // place: a root opens the next class, any other iteration takes its
+  // parent's already-assigned class.
   i64 num_classes = 0;
   for (i64 it = 0; it < n; ++it) {
-    i64 r = uf_find(parent, it);
-    part.class_of_[static_cast<std::size_t>(it)] =
-        r == it ? num_classes++ : part.class_of_[static_cast<std::size_t>(r)];
+    i64& p = parent[static_cast<std::size_t>(it)];
+    p = p == it ? num_classes++ : parent[static_cast<std::size_t>(p)];
   }
+  part.class_of_ = std::move(parent);
 
   // CSR (counting sort by class; members stay in ascending rank order).
+  // offsets_[c] serves as class c's fill cursor, which leaves it at the
+  // start of class c + 1; one shift restores the starts.
   part.offsets_.assign(static_cast<std::size_t>(num_classes) + 1, 0);
   for (i64 c : part.class_of_) ++part.offsets_[static_cast<std::size_t>(c) + 1];
   for (std::size_t k = 1; k < part.offsets_.size(); ++k)
     part.offsets_[k] += part.offsets_[k - 1];
   part.members_.resize(static_cast<std::size_t>(n));
-  std::vector<i64> cursor(part.offsets_.begin(), part.offsets_.end() - 1);
   for (i64 it = 0; it < n; ++it) {
-    i64 c = part.class_of_[static_cast<std::size_t>(it)];
-    part.members_[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(c)]++)] = it;
+    i64& cursor = part.offsets_[static_cast<std::size_t>(
+        part.class_of_[static_cast<std::size_t>(it)])];
+    part.members_[static_cast<std::size_t>(cursor++)] = it;
   }
+  std::copy_backward(part.offsets_.begin(), part.offsets_.end() - 1,
+                     part.offsets_.end());
+  part.offsets_.front() = 0;
 
   InspectStats& st = part.stats_;
   st.iterations = n;

@@ -17,11 +17,17 @@
 // writes (read-only arrays carry no dependence and get no slots), so the
 // table is never larger than the store already holds for those arrays.
 // A slot is "never written", "written, no toucher yet", or the rank of the
-// cell's first toucher. Pass 1 marks the written cells; pass 2 unions every
-// toucher of a written cell with that cell's first toucher. Cost is
-// O(accesses x alpha) with one array load per access — not the O(n^2)
-// all-pairs walk of the brute-force exec::build_isdg, which remains the
-// ground truth the inspector is tested against.
+// cell's first toucher. Textually identical references (the read and the
+// write of A[B[i]]) are resolved once. Pass 1 range-checks every access,
+// records the cell of each tracked (written-array) access in one flat
+// vector of n x distinct tracked accesses, and marks the written cells;
+// pass 2 reads only that vector and unions every toucher of a written cell
+// with that cell's first toucher. Memory beyond the store is the table,
+// that cell vector (whose pages the class members reuse), the coordinate
+// rows and the class arrays. Cost is O(accesses x alpha) with one table
+// load per access — not the O(n^2) all-pairs walk of the brute-force
+// exec::build_isdg, which remains the ground truth the inspector is tested
+// against.
 #pragma once
 
 #include "exec/array_store.h"

@@ -436,12 +436,10 @@ Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile_source(
   }
 
   // -fwrapv: suite kernels (e.g. uniform_wavefront) overflow i64 at large
-  // sizes. The postfix CompiledKernel computes with explicitly two's-
-  // complement-wrapping arithmetic, so the native kernel must wrap
-  // identically rather than let the C optimizer exploit the UB.
-  // (The tree-walking interpreter is stricter still — checked:: arithmetic
-  // that *throws* on overflow — so kInterpreter errors where kCompiled and
-  // kJit agree on wrapped values.)
+  // sizes, and the C optimizer must not exploit that UB, so the native
+  // kernel wraps in two's complement. It is the only wrapping backend: the
+  // interpreter and the postfix CompiledKernel both throw OverflowError
+  // (kOverflow) on the same inputs.
   std::string cmd = shell_quote(*cc_) + " " + meta.opt_flags +
                     " -fwrapv -fPIC -shared -x c " +
                     shell_quote(c_path.string()) + " -o " +

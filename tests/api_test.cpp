@@ -577,5 +577,59 @@ TEST(OverflowDiagnostic, WavefrontOverflowIsTypedNotSilent) {
   EXPECT_TRUE(small.check(ExecPolicy{}.threads(2))->verified);
 }
 
+// The compiled (postfix) backend keeps the same contract: its body
+// arithmetic throws instead of wrapping, whatever the worker count.
+TEST(OverflowDiagnostic, CompiledBackendOverflowIsTyped) {
+  Compiler compiler;
+  CompiledLoop big = compiler.compile(core::uniform_wavefront(60)).value();
+  for (std::size_t threads : {1u, 4u}) {
+    exec::ArrayStore store(big.nest());
+    store.fill_pattern();
+    Expected<ExecReport> r = big.execute(
+        ExecPolicy{}.threads(threads).backend(ExecBackend::kCompiled), store);
+    ASSERT_FALSE(r.has_value()) << "threads=" << threads;
+    EXPECT_EQ(r.error().kind, ErrorKind::kOverflow) << "threads=" << threads;
+  }
+}
+
+// Indirect nests run through the inspector with the compiled body unless
+// kInterpreter forces the tree walker; both must report the overflow.
+// A[B[i]] = A[B[i]] * C[i] with every C = 2^40 and four iterations per
+// cell leaves int64 on a cell's second multiply.
+TEST(OverflowDiagnostic, IndirectOverflowIsTypedOnEveryBackend) {
+  constexpr i64 n = 64;
+  LoopNestBuilder b;
+  b.loop("i", 0, n - 1);
+  b.array("A", {{0, n / 4 - 1}});
+  b.array("B", {{0, n - 1}});
+  b.array("C", {{0, n - 1}});
+  loopir::ArrayRef a;
+  a.array = "A";
+  a.subscripts = {b.cst(0)};
+  a.indirect = {loopir::IndirectSubscript{"B", b.idx(0)}};
+  b.assign(a, Expr::mul(Expr::read(a), b.read("C", {b.idx(0)})));
+  LoopNest nest = b.build();
+  exec::ArrayStore init(nest);
+  for (i64 i = 0; i < n; ++i) {
+    init.write("B", intlin::Vec{i}, i % (n / 4));
+    init.write("C", intlin::Vec{i}, i64{1} << 40);
+  }
+  for (i64 k = 0; k < n / 4; ++k) init.write("A", intlin::Vec{k}, 3);
+
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(nest).value();
+  for (ExecBackend backend : {ExecBackend::kCompiled, ExecBackend::kInterpreter}) {
+    for (std::size_t threads : {1u, 4u}) {
+      exec::ArrayStore store = init;
+      Expected<ExecReport> r =
+          loop.execute(ExecPolicy{}.threads(threads).backend(backend), store);
+      ASSERT_FALSE(r.has_value())
+          << "backend=" << static_cast<int>(backend) << " threads=" << threads;
+      EXPECT_EQ(r.error().kind, ErrorKind::kOverflow)
+          << "backend=" << static_cast<int>(backend) << " threads=" << threads;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vdep

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "codegen/rewrite.h"
+#include "core/suite.h"
 #include "dep/pdm.h"
 #include "exec/compiled.h"
 #include "exec/isdg.h"
@@ -11,6 +12,8 @@
 #include "loopir/builder.h"
 #include "support/rng.h"
 #include "trans/planner.h"
+
+#include "indirect_inputs.h"
 
 namespace vdep::exec {
 namespace {
@@ -306,6 +309,55 @@ TEST(Compiled, RejectsOutOfRangeSubscript) {
   LoopNest nest = b.build();
   ArrayStore s(nest);
   EXPECT_THROW(CompiledKernel(nest, s), PreconditionError);
+}
+
+TEST(Compiled, OverflowThrowsLikeTheInterpreter) {
+  // uniform_wavefront's values are binomial in n: at 60 they leave int64.
+  LoopNest nest = core::uniform_wavefront(60);
+  ArrayStore s(nest);
+  s.fill_pattern();
+  EXPECT_THROW(CompiledKernel(nest, s).run_sequential(), OverflowError);
+}
+
+TEST(Compiled, IndirectInputsMatchInterpreter) {
+  // The indirect inputs the inspector is checked on: duplicate-heavy
+  // scatter, negative lower bounds, two written arrays, a 2-D target with an
+  // indirect first slot and a read-only gather. The kernel must accept each
+  // (its index scan proves every slot) and reproduce the interpreter.
+  for (const test_inputs::IndirectInput& in : test_inputs::indirect_inputs()) {
+    ArrayStore ref = test_inputs::initial_store(in);
+    ArrayStore out = ref;
+    run_sequential(in.nest, ref);
+    CompiledKernel(in.nest, out).run_sequential();
+    EXPECT_EQ(ref, out) << in.name;
+  }
+}
+
+TEST(Compiled, RejectsIndexPositionOutsideIndexArray) {
+  // A[B[i + 1]] with i up to n-1 reads one past B's declared range.
+  constexpr i64 n = 8;
+  LoopNestBuilder b;
+  b.loop("i", 0, n - 1);
+  b.array("A", {{0, n - 1}});
+  b.array("B", {{0, n - 1}});
+  loopir::ArrayRef a;
+  a.array = "A";
+  a.subscripts = {b.cst(0)};
+  a.indirect = {loopir::IndirectSubscript{"B", b.idx(0) + b.cst(1)}};
+  b.assign(a, Expr::constant(1));
+  LoopNest nest = b.build();
+  ArrayStore s(nest);
+  EXPECT_THROW(CompiledKernel(nest, s), PreconditionError);
+}
+
+TEST(Compiled, RebindRefusesIndirectKernels) {
+  // rebind() skips the range proof, and an indirect kernel's proof read the
+  // construction store's index contents.
+  const test_inputs::IndirectInput in = test_inputs::indirect_inputs().front();
+  ArrayStore s = test_inputs::initial_store(in);
+  ArrayStore other = s;
+  const CompiledKernel kernel(in.nest, s);
+  EXPECT_THROW(kernel.rebind(other), UnsupportedError);
 }
 
 TEST(Compiled, ScheduleExecutionMatchesSequential) {

@@ -13,6 +13,7 @@
 #include "core/suite.h"
 #include "dep/pdm.h"
 #include "dsl/parser.h"
+#include "exec/compiled.h"
 #include "exec/interpreter.h"
 #include "exec/isdg.h"
 #include "exec/runner.h"
@@ -21,6 +22,8 @@
 #include "loopir/builder.h"
 #include "obs/trace.h"
 #include "trans/planner.h"
+
+#include "indirect_inputs.h"
 
 namespace vdep {
 namespace {
@@ -32,6 +35,10 @@ using loopir::Expr;
 using loopir::IndirectSubscript;
 using loopir::LoopNest;
 using loopir::LoopNestBuilder;
+using test_inputs::IndirectInput;
+using test_inputs::indirect_inputs;
+using test_inputs::indirect_nest;
+using test_inputs::initial_store;
 
 // ------------------------------------------------------------- helpers
 
@@ -82,24 +89,6 @@ std::set<std::vector<Vec>> inspector_components(
   return out;
 }
 
-/// A 1-D indirect nest `A[B[i]] = A[B[i]] + C[i]` over i in [0, n-1],
-/// with A sized [0, a_hi].
-LoopNest indirect_nest(i64 n, i64 a_hi) {
-  LoopNestBuilder b;
-  b.loop("i", 0, n - 1);
-  b.array("A", {{0, a_hi}});
-  b.array("B", {{0, n - 1}});
-  b.array("C", {{0, n - 1}});
-  ArrayRef lhs;
-  lhs.array = "A";
-  lhs.subscripts = {b.cst(0)};
-  lhs.indirect = {IndirectSubscript{"B", b.idx(0)}};
-  ArrayRef rhs_a = lhs;
-  b.assign(lhs, Expr::add(Expr::read(rhs_a),
-                          Expr::read(b.ref("C", {b.idx(0)}))));
-  return b.build();
-}
-
 // --------------------------------------- inspector vs brute-force ISDG
 
 TEST(Inspector, ComponentsMatchBruteForceIsdgAffine) {
@@ -135,122 +124,12 @@ i64 brute_force_written_cells(const LoopNest& nest,
   return static_cast<i64>(cells.size());
 }
 
-/// An indirect nest plus the index-array contents it is inspected against.
-struct IndirectInput {
-  std::string name;
-  LoopNest nest;
-  std::map<std::string, std::vector<i64>> index;  ///< array -> values from lo
-};
-
-std::vector<IndirectInput> indirect_inputs() {
-  std::vector<IndirectInput> out;
-
-  // Duplicate-heavy 1-D scatter-accumulate.
-  {
-    std::vector<i64> b;
-    for (i64 i = 0; i < 24; ++i) b.push_back((i * 5 + 2) % 9);  // collisions
-    out.push_back({"scatter", indirect_nest(24, 40), {{"B", b}}});
-  }
-  // Negative and nonzero lower bounds on the loop, the target and the
-  // index array: table offsets must subtract each declared lo.
-  {
-    LoopNestBuilder b;
-    b.loop("i", -5, 18);
-    b.array("A", {{-7, 3}});
-    b.array("B", {{-4, 19}});
-    b.array("C", {{-5, 18}});
-    ArrayRef lhs;
-    lhs.array = "A";
-    lhs.subscripts = {b.cst(0)};
-    lhs.indirect = {IndirectSubscript{"B", b.idx(0) + b.cst(1)}};
-    b.assign(lhs, Expr::add(Expr::read(lhs),
-                            Expr::read(b.ref("C", {b.idx(0)}))));
-    std::vector<i64> vals;
-    for (i64 p = -4; p <= 19; ++p) vals.push_back(-7 + (p * 7 + 30) % 11);
-    out.push_back({"negative-lo", b.build(), {{"B", vals}}});
-  }
-  // Two written arrays with their own index arrays; the second statement
-  // reads the first one's cells, linking the two scatter patterns.
-  {
-    LoopNestBuilder b;
-    b.loop("i", 0, 19);
-    b.array("A", {{0, 6}});
-    b.array("D", {{2, 9}});
-    b.array("B", {{0, 19}});
-    b.array("E", {{0, 19}});
-    ArrayRef a;
-    a.array = "A";
-    a.subscripts = {b.cst(0)};
-    a.indirect = {IndirectSubscript{"B", b.idx(0)}};
-    ArrayRef d;
-    d.array = "D";
-    d.subscripts = {b.cst(0)};
-    d.indirect = {IndirectSubscript{"E", b.idx(0)}};
-    b.assign(a, Expr::add(Expr::read(a), Expr::constant(1)));
-    b.assign(d, Expr::add(Expr::read(a), Expr::read(d)));
-    std::vector<i64> bv, ev;
-    for (i64 i = 0; i < 20; ++i) {
-      bv.push_back((i * 3) % 7);
-      ev.push_back(2 + (i * 5 + 1) % 8);
-    }
-    out.push_back({"two-written", b.build(), {{"B", bv}, {"E", ev}}});
-  }
-  // 2-D written array whose first slot is indirect: M[B[i], j] is linked
-  // with M[B[i], 5 - j], so rows of M collide through B and columns pair
-  // up within each row.
-  {
-    LoopNestBuilder b;
-    b.loop("i", 0, 7);
-    b.loop("j", 1, 4);
-    b.array("M", {{-2, 3}, {1, 4}});
-    b.array("B", {{0, 7}});
-    b.array("C", {{0, 7}});
-    ArrayRef lhs;
-    lhs.array = "M";
-    lhs.subscripts = {b.cst(0), b.idx(1)};
-    lhs.indirect = {IndirectSubscript{"B", b.idx(0)}, std::nullopt};
-    ArrayRef rhs = lhs;
-    rhs.subscripts = {b.cst(0), b.cst(5) - b.idx(1)};
-    b.assign(lhs, Expr::add(Expr::read(rhs),
-                            Expr::read(b.ref("C", {b.idx(0)}))));
-    out.push_back(
-        {"2d-indirect-first", b.build(), {{"B", {3, -2, 0, 3, 1, -2, 2, 0}}}});
-  }
-  // A read-only gather source R touched both directly and through B: its
-  // cells carry no dependence, so only the scatter into A links iterations.
-  {
-    LoopNestBuilder b;
-    b.loop("i", 0, 15);
-    b.array("A", {{0, 5}});
-    b.array("R", {{0, 15}});
-    b.array("B", {{0, 15}});
-    ArrayRef a;
-    a.array = "A";
-    a.subscripts = {b.cst(0)};
-    a.indirect = {IndirectSubscript{"B", b.idx(0)}};
-    ArrayRef r = a;
-    r.array = "R";
-    b.assign(a, Expr::add(Expr::read(r),
-                          Expr::read(b.ref("R", {b.idx(0)}))));
-    std::vector<i64> vals;
-    for (i64 i = 0; i < 16; ++i) vals.push_back(i % 3 == 0 ? i / 3 : 5);
-    out.push_back({"read-only-array", b.build(), {{"B", vals}}});
-  }
-  return out;
-}
-
 TEST(Inspector, ComponentsMatchBruteForceIsdgIndirect) {
   // Indirect nests over duplicate-heavy index arrays, negative bounds,
   // several written arrays, 2-D targets and read-only arrays: the
   // store-resolving ISDG overload is the ground truth.
   for (const IndirectInput& in : indirect_inputs()) {
-    exec::ArrayStore store(in.nest);
-    store.fill_pattern();
-    for (const auto& [array, vals] : in.index) {
-      const i64 lo = in.nest.array(array).dims.front().first;
-      for (std::size_t k = 0; k < vals.size(); ++k)
-        store.write(array, Vec{lo + static_cast<i64>(k)}, vals[k]);
-    }
+    exec::ArrayStore store = initial_store(in);
     inspect::DynamicPartition part = inspect::inspect(in.nest, store);
     exec::Isdg g = exec::build_isdg(in.nest, store);
     EXPECT_EQ(inspector_components(part), isdg_components(g)) << in.name;
@@ -261,6 +140,78 @@ TEST(Inspector, ComponentsMatchBruteForceIsdgIndirect) {
               brute_force_written_cells(in.nest, store))
         << in.name;
     EXPECT_GT(part.stats().chains, 0) << in.name << ": no dependence to find";
+  }
+}
+
+TEST(Inspector, CompiledBodyMatchesInterpreterBody) {
+  // The executor's compiled body (indirect slots read the index buffers
+  // directly) against the forced interpreter body and the sequential
+  // reference, on every indirect input at 1, 2 and 8 workers.
+  for (const IndirectInput& in : indirect_inputs()) {
+    const exec::ArrayStore init = initial_store(in);
+    exec::ArrayStore probe = init;
+    EXPECT_NO_THROW(exec::CompiledKernel(in.nest, probe)) << in.name;
+    inspect::DynamicPartition part = inspect::inspect(in.nest, init);
+    exec::ArrayStore ref = init;
+    exec::run_sequential(in.nest, ref);
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      exec::ArrayStore compiled = init, interpreted = init;
+      inspect::InspectorExecOptions io;
+      io.num_threads = threads;
+      inspect::InspectorExecutor(in.nest, part, io).run(compiled);
+      io.force_interpreter = true;
+      inspect::InspectorExecutor(in.nest, part, io).run(interpreted);
+      EXPECT_TRUE(compiled == interpreted) << in.name << " @" << threads;
+      EXPECT_TRUE(compiled == ref) << in.name << " @" << threads;
+    }
+  }
+}
+
+TEST(Inspector, KernelProofRefusalFallsBackToInterpreter) {
+  // i in [0, 1], j in [0, n-2-i] reaches index positions i + j in
+  // [0, n-2] only, but the kernel's box relaxation (i <= 1, j <= n-2)
+  // reaches n-1. B[n-1] holds a value far outside A, so the kernel's index
+  // scan refuses the nest while inspection, which resolves the actual
+  // iterations, accepts it. The executor falls back to the interpreter and
+  // must stay bit-identical to sequential execution.
+  constexpr i64 n = 12;
+  LoopNestBuilder b;
+  b.loop("i", 0, 1);
+  b.loop("j", loopir::Bound(AffineExpr::constant(2, 0)),
+         loopir::Bound(AffineExpr(Vec{-1, 0}, n - 2)));
+  b.array("A", {{0, 7}});
+  b.array("B", {{0, n - 1}});
+  b.array("C", {{0, 1}});
+  ArrayRef a;
+  a.array = "A";
+  a.subscripts = {b.cst(0)};
+  a.indirect = {IndirectSubscript{"B", b.idx(0) + b.idx(1)}};
+  b.assign(a, Expr::add(Expr::read(a), Expr::read(b.ref("C", {b.idx(0)}))));
+  LoopNest nest = b.build();
+
+  exec::ArrayStore init(nest);
+  init.fill_pattern();
+  for (i64 p = 0; p < n - 1; ++p) init.write("B", Vec{p}, p % 8);
+  init.write("B", Vec{n - 1}, i64{1} << 20);
+  exec::ArrayStore probe = init;
+  EXPECT_THROW(exec::CompiledKernel(nest, probe), PreconditionError);
+
+  inspect::DynamicPartition part = inspect::inspect(nest, init);
+  EXPECT_GT(part.stats().chains, 0);
+  exec::ArrayStore ref = init;
+  exec::run_sequential(nest, ref);
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(nest).value();
+  for (std::size_t threads : {1u, 8u}) {
+    exec::ArrayStore direct = init, api = init;
+    inspect::InspectorExecOptions io;
+    io.num_threads = threads;
+    inspect::InspectorExecutor(nest, part, io).run(direct);
+    EXPECT_TRUE(direct == ref) << "executor @" << threads;
+    Expected<ExecReport> rep = loop.execute(ExecPolicy{}.threads(threads), api);
+    ASSERT_TRUE(rep) << rep.error().to_string();
+    EXPECT_TRUE(rep->inspector);
+    EXPECT_TRUE(api == ref) << "api @" << threads;
   }
 }
 

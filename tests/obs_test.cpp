@@ -473,6 +473,10 @@ TEST(Phases, ExecReportBreakdownCoversWall) {
   ObsQuiet quiet;
   // Aggregated over the paper suite: the phase sum must account for the
   // wall time within 10% (the remainder is unattributed glue).
+  // uniform_wavefront's values outgrow int64 at n = 96, and the default
+  // kCompiled backend reports that as kOverflow (the interpreter's
+  // contract), so it is checked for the typed error and left out of the
+  // aggregate.
   i64 wall = 0, phases = 0;
   for (core::NamedNest& c : core::paper_suite(96)) {
     Compiler compiler;
@@ -482,6 +486,11 @@ TEST(Phases, ExecReportBreakdownCoversWall) {
     ExecPolicy policy;
     policy.threads(2).digest(false);
     Expected<ExecReport> r = loop.execute(policy, store);
+    if (c.name == "uniform_wavefront") {
+      ASSERT_FALSE(r) << c.name << " did not overflow";
+      EXPECT_EQ(r.error().kind, ErrorKind::kOverflow) << c.name;
+      continue;
+    }
     ASSERT_TRUE(r) << c.name;
     i64 sum = r->analyze_ns + r->codegen_ns + r->jit_compile_ns + r->exec_ns;
     EXPECT_GT(r->exec_ns, 0) << c.name;
