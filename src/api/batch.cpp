@@ -1,34 +1,15 @@
 #include "api/batch.h"
 
-#include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 
-#include "exec/compiled.h"
-#include "runtime/stream_executor.h"
+#include "api/executable.h"
 #include "support/error.h"
 
 namespace vdep {
 
-namespace {
-
-/// Shared per-(structure, bounds) state of a batch: requests of one group
-/// run the same transformed nest, so they share one StreamExecutor (one
-/// rewrite + Fourier–Motzkin) and one scan-path CompiledKernel prototype
-/// (one range proof), rebound per request store.
-struct Group {
-  std::unique_ptr<runtime::StreamExecutor> executor;
-  std::unique_ptr<const exec::CompiledKernel> prototype;
-  /// kJit: the group's native kernel, resolved once through the artifact
-  /// memo (same structure + bounds + options -> same .so) instead of
-  /// per request — the memo lookup renders the bounds key, which is
-  /// worth skipping 63 times out of 64.
-  std::shared_ptr<const jit::NativeKernel> native;
-};
-
-Expected<std::vector<ExecReport>> execute_batch_impl(
+Expected<std::vector<ExecReport>> detail::execute_batch_impl(
     std::span<const BatchRequest> requests, const ExecPolicy& policy,
     vdep::ThreadPool* pool) {
   try {
@@ -42,23 +23,17 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
           "(classes depend on index-array contents), which the shared batch "
           "scheduler cannot express; execute each request individually");
 
-    const std::size_t threads =
-        policy.threads() ? policy.threads() : (pool ? pool->size() : 0);
+    const std::size_t threads = worker_count(policy, pool);
 
     // Per-request preparation: resolve the store (caller's or an internal
-    // pattern fill), the group (shared executor + scan prototype) and —
-    // for the kJit backend — the native kernel out of the artifact memo,
-    // where same-bounds requests share one loaded .so. Jit failures
-    // degrade that request to the scan path, exactly like single
-    // execute().
-    std::map<std::string, Group> groups;
-    // Pointer fast path over the rendered key: handles copied from one
-    // CompiledLoop (the common serving shape) share the artifact and the
-    // nest object, so their group resolves without rendering the bounds.
-    std::map<std::pair<const void*, const void*>, Group*> by_identity;
+    // pattern fill) and bind it through the artifact's executable memo —
+    // the lookup single execute() makes — so requests at one key share one
+    // executor, one scan prototype (rebound per store) and, under kJit, one
+    // loaded .so, within this batch and across batches. Jit failures
+    // degrade that request to the scan path, exactly like single execute().
     std::vector<std::unique_ptr<exec::ArrayStore>> owned_stores;
-    std::vector<std::shared_ptr<const jit::NativeKernel>> kernels(
-        requests.size());
+    std::vector<BoundSource> bound;
+    bound.reserve(requests.size());
     std::vector<exec::ArrayStore*> stores;
     stores.reserve(requests.size());
     std::vector<runtime::DriveSource> sources;
@@ -83,61 +58,15 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
         owned_stores.back()->fill_pattern();
         store = owned_stores.back().get();
       }
-
-      std::pair<const void*, const void*> identity{&req.loop.fingerprint(),
-                                                   &req.loop.nest()};
-      auto [id_it, id_fresh] = by_identity.try_emplace(identity, nullptr);
-      if (id_fresh) {
-        std::string key = req.loop.fingerprint().key;
-        key += '\n';
-        key += bounds_render(req.loop.nest());
-        id_it->second = &groups.try_emplace(std::move(key)).first->second;
-      }
-      Group& group = *id_it->second;
-      bool fresh = group.executor == nullptr;
-      if (fresh) {
-        runtime::StreamOptions so;
-        so.num_threads = threads;
-        so.grain = policy.grain();
-        so.split_dims = policy.split_dims();
-        so.force_interpreter = policy.interpreter_only();
-        so.locality_splits = policy.locality_splits();
-        group.executor = std::make_unique<runtime::StreamExecutor>(
-            req.loop.nest(), req.loop.plan().transform, so);
-        if (policy.backend() == ExecBackend::kJit) {
-          // Jit failure (no toolchain, range proof, cc error) degrades the
-          // group to the scan path, exactly like single execute().
-          Expected<std::shared_ptr<const jit::NativeKernel>> nk =
-              req.loop.jit(policy.jit_options());
-          if (nk) group.native = *nk;
-        }
-        if (!group.native && !policy.interpreter_only()) {
-          try {
-            // Scan-path prototype, only when no native kernel runs the
-            // group's leaves. Compiled against the group's first store;
-            // every member — this one included — rebinds it onto its own
-            // buffers. Lifetime: the prototype holds a reference to this
-            // request's nest, which `requests` keeps alive past the run.
-            group.prototype = std::make_unique<const exec::CompiledKernel>(
-                req.loop.nest(), *store);
-          } catch (const Error&) {
-            // Range proof failed: the whole group scans interpreted.
-          }
-        }
-      }
-
-      kernels[k] = group.native;
+      bound.push_back(req.loop.bind(policy, threads, *store));
+      sources.push_back(std::move(bound.back().source));
       stores.push_back(store);
-      sources.push_back(group.executor->source(*store, group.native.get(),
-                                               group.prototype.get()));
     }
 
     // Every request's descriptors share one worker set: the same driver
     // loop a single execute() runs, with one source per request.
-    runtime::DriveOptions d{
-        threads ? threads : std::max(1u, std::thread::hardware_concurrency()),
-        policy.trace(), policy.metrics(), policy.pin_workers()};
-    runtime::RuntimeStats bs = runtime::drive_descriptors(sources, d, pool);
+    runtime::RuntimeStats bs = runtime::drive_descriptors(
+        sources, {threads, run_switches(policy)}, pool);
     if (bs.error) {
       try {
         std::rethrow_exception(bs.error);
@@ -165,7 +94,10 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
       // the rest of the batch.
       rep.exec_ns = s.done_ns > s.queue_ns ? s.done_ns - s.queue_ns : 0;
       if (policy.digest()) rep.checksum = stores[k]->checksum();
-      rep.jit = kernels[k] != nullptr;
+      if (const auto& native = bound[k].native) {
+        rep.jit = true;
+        rep.jit_partitioned = native->partitioned();
+      }
     }
     return reports;
   } catch (const Error& e) {
@@ -173,17 +105,15 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
   }
 }
 
-}  // namespace
-
 Expected<std::vector<ExecReport>> execute_batch(
     std::span<const BatchRequest> requests, const ExecPolicy& policy) {
-  return execute_batch_impl(requests, policy, nullptr);
+  return detail::execute_batch_impl(requests, policy, nullptr);
 }
 
 Expected<std::vector<ExecReport>> execute_batch(
     std::span<const BatchRequest> requests, const ExecPolicy& policy,
     vdep::ThreadPool& pool) {
-  return execute_batch_impl(requests, policy, &pool);
+  return detail::execute_batch_impl(requests, policy, &pool);
 }
 
 // ------------------------------------------- CompiledLoop batch members
@@ -224,7 +154,7 @@ std::vector<BatchRequest> store_requests(
 Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
     std::span<const loopir::LoopNest> bounds, const ExecPolicy& policy) const {
   return rebind_requests(*this, bounds).and_then([&](const auto& reqs) {
-    return execute_batch_impl(reqs, policy, nullptr);
+    return detail::execute_batch_impl(reqs, policy, nullptr);
   });
 }
 
@@ -232,19 +162,21 @@ Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
     std::span<const loopir::LoopNest> bounds, const ExecPolicy& policy,
     vdep::ThreadPool& pool) const {
   return rebind_requests(*this, bounds).and_then([&](const auto& reqs) {
-    return execute_batch_impl(reqs, policy, &pool);
+    return detail::execute_batch_impl(reqs, policy, &pool);
   });
 }
 
 Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
     std::span<exec::ArrayStore* const> stores, const ExecPolicy& policy) const {
-  return execute_batch_impl(store_requests(*this, stores), policy, nullptr);
+  return detail::execute_batch_impl(store_requests(*this, stores), policy,
+                                    nullptr);
 }
 
 Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
     std::span<exec::ArrayStore* const> stores, const ExecPolicy& policy,
     vdep::ThreadPool& pool) const {
-  return execute_batch_impl(store_requests(*this, stores), policy, &pool);
+  return detail::execute_batch_impl(store_requests(*this, stores), policy,
+                                    &pool);
 }
 
 }  // namespace vdep

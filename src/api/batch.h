@@ -7,7 +7,10 @@
 // is one source of a single descriptor-driver run (runtime/driver.h), so
 // small requests' descriptors interleave in one shared set of
 // work-stealing deques instead of running serially, each with a full
-// fork/join of its own.
+// fork/join of its own. Each request binds through its artifact's
+// per-bounds executable memo (PlanArtifact::executable), the lookup a
+// single execute() makes, so a warm request builds no executor and proves
+// no kernel, in this batch or any later one.
 //
 //   vdep::Compiler compiler;
 //   auto loops = compiler.compile_all(nests);          // 1 analysis/structure
@@ -37,12 +40,12 @@ struct BatchRequest {
 
 /// Executes every request over one shared worker set (policy.threads()
 /// contexts, 0 = hardware). Streaming only — policy.mode() must be
-/// kStreaming (kPrecondition otherwise); backends follow the policy, and
-/// with ExecBackend::kJit each request resolves its native kernel through
-/// the shared PlanArtifact memo, so same-structure same-bounds requests
-/// reuse one loaded .so across the whole batch. On a request failure the
-/// batch aborts and the error carries the request's index
-/// (ApiError::index).
+/// kStreaming (kPrecondition otherwise); backends follow the policy.
+/// Requests at one (structure, bounds, options) key share the memoized
+/// executor, scan-kernel prototype (rebound per store) and, with
+/// ExecBackend::kJit, one loaded .so. Indirect requests fail kUnsupported
+/// (run them through single execute()). On a request failure the batch
+/// aborts and the error carries the request's index (ApiError::index).
 Expected<std::vector<ExecReport>> execute_batch(
     std::span<const BatchRequest> requests, const ExecPolicy& policy = {});
 

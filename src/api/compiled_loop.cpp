@@ -1,10 +1,12 @@
 #include "api/compiled_loop.h"
 
 #include <chrono>
+#include <exception>
 #include <optional>
 #include <sstream>
 #include <thread>
 
+#include "api/executable.h"
 #include "codegen/rewrite.h"
 #include "exec/array_store.h"
 #include "exec/interpreter.h"
@@ -29,7 +31,7 @@ i64 elapsed_ns(std::chrono::steady_clock::time_point t0) {
 // (the structural fingerprint deliberately drops loop bounds and dims: the
 // analysis is bounds-independent — but emitted C and native kernels bake
 // both into flattening strides and static sizes, so their memos must
-// separate on them). Shared with the batch grouping (api/fingerprint.h).
+// separate on them). Shared by the executable memo (api/fingerprint.h).
 std::string bounds_key(const loopir::LoopNest& nest) {
   return bounds_render(nest);
 }
@@ -130,7 +132,71 @@ Expected<std::shared_ptr<const jit::NativeKernel>> PlanArtifact::jit_kernel(
   return jit_memo_.emplace(std::move(key), std::move(*kernel)).first->second;
 }
 
+std::shared_ptr<const detail::Executable> PlanArtifact::executable(
+    const loopir::LoopNest& nest, const ExecPolicy& policy,
+    std::size_t threads) const {
+  // Everything that shapes the executor, its scan prototype or its native
+  // kernel; the per-run switches stay out (each run passes its own).
+  std::string key = "t=";
+  key += std::to_string(threads);
+  key += ";g=";
+  key += std::to_string(policy.grain());
+  key += ";s=";
+  key += std::to_string(policy.split_dims());
+  key += ";l=";
+  key += policy.locality_splits() ? '1' : '0';
+  key += ";b=";
+  key += std::to_string(static_cast<int>(policy.backend()));
+  if (policy.backend() == ExecBackend::kJit) {
+    key += ';';
+    key += policy.jit_options().memo_key();
+  }
+  key += '\n';
+  key += bounds_key(nest);
+
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    if (auto it = exec_memo_.find(key); it != exec_memo_.end())
+      return it->second;
+  }
+
+  // Build outside the lock (rewrite + Fourier–Motzkin hull); a racing
+  // thread may build the same executor, emplace keeps the first.
+  std::shared_ptr<const detail::Executable> built;
+  {
+    obs::ScopedSpan span(obs::EventKind::kExecutorBuild, policy.trace(),
+                         obs::Phase::kAnalyze);
+    runtime::StreamOptions so;
+    so.num_threads = threads;
+    so.grain = policy.grain();
+    so.split_dims = policy.split_dims();
+    so.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
+    so.locality_splits = policy.locality_splits();
+    built = std::make_shared<const detail::Executable>(nest, plan_.transform,
+                                                       so);
+  }
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  return exec_memo_.emplace(std::move(key), std::move(built)).first->second;
+}
+
 // -------------------------------------------------------------- handle
+
+detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
+                                       std::size_t threads,
+                                       exec::ArrayStore& store) const {
+  detail::BoundSource b;
+  b.executable = art_->executable(*nest_, policy, threads);
+  // kJit leaves run the native kernel; a JIT failure (no toolchain, range
+  // proof, cc error) degrades to the scan path, which rebinds the entry's
+  // prototype onto this store.
+  if (policy.backend() == ExecBackend::kJit)
+    b.native = b.executable->native(*art_, policy.jit_options());
+  const exec::CompiledKernel* prototype = nullptr;
+  if (!b.native && policy.backend() != ExecBackend::kInterpreter)
+    prototype = b.executable->scan_prototype(store);
+  b.source = b.executable->executor().source(store, b.native.get(), prototype);
+  return b;
+}
 
 exec::RunStats CompiledLoop::measure() const {
   return exec::measure_schedule(*nest_, art_->plan().transform);
@@ -218,13 +284,10 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
             .observe(st.max_component);
       }
       inspect::InspectorExecOptions io;
-      io.num_threads =
-          policy.threads() ? policy.threads() : (pool ? pool->size() : 0);
+      io.num_threads = detail::worker_count(policy, pool);
       io.grain = policy.grain();
-      io.force_interpreter = policy.interpreter_only();
-      io.trace = policy.trace();
-      io.metrics = policy.metrics();
-      io.pin_workers = policy.pin_workers();
+      io.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
+      io.switches = detail::run_switches(policy);
       inspect::InspectorExecutor ex(*nest_, *part, io);
       runtime::RuntimeStats rs;
       {
@@ -243,42 +306,21 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
       rep.inspector_max_component = st.max_component;
       rep.inspector_dependent = st.dependent_iterations;
     } else if (policy.mode() == ExecMode::kStreaming) {
-      runtime::StreamOptions so;
-      so.num_threads =
-          policy.threads() ? policy.threads() : (pool ? pool->size() : 0);
-      so.grain = policy.grain();
-      so.split_dims = policy.split_dims();
-      so.force_interpreter = policy.interpreter_only();
-      so.trace = policy.trace();
-      so.metrics = policy.metrics();
-      so.pin_workers = policy.pin_workers();
-      so.locality_splits = policy.locality_splits();
-      std::optional<runtime::StreamExecutor> ex;
-      {
-        obs::ScopedSpan span(obs::EventKind::kExecutorBuild, policy.trace(),
-                             obs::Phase::kAnalyze);
-        ex.emplace(*nest_, art_->plan().transform, so);
-      }
-
-      // Jit backend: run descriptor leaves through the memoized native
-      // kernel; any jit failure (no toolchain, range proof, cc error)
-      // degrades to the compiled-scan path below.
-      std::shared_ptr<const jit::NativeKernel> native;
-      if (policy.backend() == ExecBackend::kJit) {
-        Expected<std::shared_ptr<const jit::NativeKernel>> k =
-            art_->jit_kernel(*nest_, policy.jit_options());
-        if (k) native = *k;
-      }
+      // The executor, its scan prototype and (kJit) the native kernel come
+      // from the artifact's executable memo; a warm request only binds
+      // them to this store.
+      const std::size_t threads = detail::worker_count(policy, pool);
+      const detail::BoundSource b = bind(policy, threads, store);
       runtime::RuntimeStats rs;
       {
         obs::PhaseTimer run_timer(obs::Phase::kExec);
-        if (native) {
-          rs = pool ? ex->run(store, *native, *pool) : ex->run(store, *native);
-          rep.jit = true;
-          rep.jit_partitioned = native->partitioned();
-        } else {
-          rs = pool ? ex->run(store, *pool) : ex->run(store);
-        }
+        rs = runtime::drive_descriptors(
+            {&b.source, 1}, {threads, detail::run_switches(policy)}, pool);
+      }
+      if (rs.error) std::rethrow_exception(rs.error);
+      if (b.native) {
+        rep.jit = true;
+        rep.jit_partitioned = b.native->partitioned();
       }
       rep.iterations = rs.total_iterations();
       rep.tasks = rs.total_tasks();

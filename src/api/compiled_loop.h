@@ -13,7 +13,10 @@
 // keyed by the structural fingerprint (api/fingerprint.h) and shared by
 // every handle whose nest has the same structure — compile once at n=10,
 // rebind with at() (or re-compile: it is a cache hit) and execute at
-// n=1000 without re-running Hermite/Smith/Fourier–Motzkin.
+// n=1000 without re-running Hermite/Smith/Fourier–Motzkin. The bounds-level
+// state of a run (executor, scan-kernel prototype, native kernel) is
+// memoized on the artifact too, per (bounds, execution options): a warm
+// execute() at bounds already run only binds it to the request's store.
 #pragma once
 
 #include <map>
@@ -104,11 +107,6 @@ class ExecPolicy {
   /// Whether ExecReport.checksum is computed (a full store scan per
   /// request — diagnostics; serving paths turn it off).
   ExecPolicy& digest(bool v) { digest_ = v; return *this; }
-  /// Deprecated spelling of backend(kInterpreter).
-  ExecPolicy& interpreter_only(bool v = true) {
-    backend_ = v ? ExecBackend::kInterpreter : ExecBackend::kCompiled;
-    return *this;
-  }
   /// Toolchain/flag options used when backend() == kJit.
   ExecPolicy& jit_options(jit::JitOptions o) { jit_ = std::move(o); return *this; }
   /// Allow this execution to emit events into the global obs::TraceRecorder
@@ -136,7 +134,6 @@ class ExecPolicy {
   i64 grain() const { return grain_; }              ///< 0 = automatic
   int split_dims() const { return split_dims_; }    ///< 0 = all
   ExecBackend backend() const { return backend_; }
-  bool interpreter_only() const { return backend_ == ExecBackend::kInterpreter; }
   const jit::JitOptions& jit_options() const { return jit_; }
   bool digest() const { return digest_; }
   bool trace() const { return trace_; }
@@ -194,8 +191,9 @@ struct ExecReport {
   i64 wall_ns = 0;
   /// Phase breakdown of wall_ns (obs::PhaseScope): executor construction
   /// (rewrite + hull + kernel build), C emission, cc + dlopen, and the
-  /// workers' run. Phases absent from a call are 0; the sum can fall short
-  /// of wall_ns by unattributed glue (store digest, dispatch).
+  /// workers' run. Phases absent from a call are 0 (analyze_ns on an
+  /// executable-memo hit, for one); the sum can fall short of wall_ns by
+  /// unattributed glue (store digest, memo lookup, dispatch).
   i64 analyze_ns = 0;
   i64 codegen_ns = 0;
   i64 jit_compile_ns = 0;
@@ -221,10 +219,24 @@ struct ExecReport {
   bool jit_partitioned = false;
 };
 
-/// The cached unit: fingerprint + the two structure-only stages, plus a
-/// per-(nest,options) memo of lazily emitted C. Immutable after
-/// construction except the internal codegen memo (mutex-guarded), so one
-/// instance is safely shared across threads and cache handles.
+struct BatchRequest;  // api/batch.h
+
+namespace detail {
+class Executable;    // api/executable.h
+struct BoundSource;  // api/executable.h
+/// The batch runner behind every execute_batch overload (api/batch.cpp).
+Expected<std::vector<ExecReport>> execute_batch_impl(
+    std::span<const BatchRequest> requests, const ExecPolicy& policy,
+    vdep::ThreadPool* pool);
+}  // namespace detail
+
+/// The cached unit: fingerprint + the two structure-only stages, plus three
+/// bounds-level memos — emitted C, loaded native kernels and executables —
+/// each keyed by the bounds rendering plus the options that shape its
+/// entry. Immutable after construction except those memos (one mutex), so
+/// one instance is safely shared across threads and cache handles. Memo
+/// entries live as long as the artifact: the plan-cache LRU evicts them
+/// with it.
 class PlanArtifact {
  public:
   PlanArtifact(Fingerprint fp, LoopAnalysis analysis, LoopPlan plan)
@@ -254,6 +266,20 @@ class PlanArtifact {
   Expected<std::shared_ptr<const jit::NativeKernel>> jit_kernel(
       const loopir::LoopNest& nest, const jit::JitOptions& opts) const;
 
+  /// The executable memo (api/executable.h): the StreamExecutor for `nest`
+  /// at `threads` workers under `policy`, plus its lazily built scan
+  /// prototype and (kJit) native kernel. Keyed by the bounds rendering,
+  /// `threads` (the grain depends on it), policy.grain(), split_dims(),
+  /// locality_splits() and backend() — plus jit_options() under kJit.
+  /// The per-run switches (trace, metrics, pin_workers) are not part of
+  /// the key: every run takes them from its own policy. Built on first
+  /// request (an executor-build span), shared by single execute() and
+  /// execute_batch(). Affine streaming runs only: indirect nests are
+  /// never memoized, since their proof covers index-array contents.
+  std::shared_ptr<const detail::Executable> executable(
+      const loopir::LoopNest& nest, const ExecPolicy& policy,
+      std::size_t threads) const;
+
  private:
   Fingerprint fp_;
   LoopAnalysis analysis_;
@@ -264,6 +290,8 @@ class PlanArtifact {
   mutable std::map<std::string, std::shared_ptr<const jit::NativeKernel>>
       jit_memo_;
   mutable std::map<std::string, ApiError> jit_fail_memo_;
+  mutable std::map<std::string, std::shared_ptr<const detail::Executable>>
+      exec_memo_;
 };
 
 // ----------------------------------------------------------------- handle
@@ -310,6 +338,10 @@ class CompiledLoop {
   Expected<CompiledLoop> at(const loopir::LoopNest& bounds) const;
 
   /// Runs the plan over `store` (which must have been built for nest()).
+  /// Affine streaming runs resolve their executor through the artifact's
+  /// executable memo (PlanArtifact::executable), shared with
+  /// execute_batch(); the policy's trace/metrics/pin_workers apply to this
+  /// run whatever run built the memo entry.
   Expected<ExecReport> execute(const ExecPolicy& policy,
                                exec::ArrayStore& store) const;
   /// Same, reusing a long-lived pool for the workers.
@@ -359,6 +391,13 @@ class CompiledLoop {
                                     vdep::ThreadPool* pool) const;
   Expected<ExecReport> check_impl(const ExecPolicy& policy,
                                   vdep::ThreadPool* pool) const;
+  /// This handle's memoized executable bound to `store` as one driver
+  /// source: the one lookup single execute() and execute_batch() share.
+  detail::BoundSource bind(const ExecPolicy& policy, std::size_t threads,
+                           exec::ArrayStore& store) const;
+  friend Expected<std::vector<ExecReport>> detail::execute_batch_impl(
+      std::span<const BatchRequest> requests, const ExecPolicy& policy,
+      vdep::ThreadPool* pool);
 
   std::shared_ptr<const PlanArtifact> art_;
   std::shared_ptr<const loopir::LoopNest> nest_;

@@ -1,0 +1,48 @@
+#include "api/executable.h"
+
+#include <algorithm>
+#include <thread>
+
+#include "obs/phase.h"
+#include "support/error.h"
+
+namespace vdep::detail {
+
+std::shared_ptr<const jit::NativeKernel> Executable::native(
+    const PlanArtifact& art, const jit::JitOptions& opts) const {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (native_) return native_;
+  }
+  // Outside the lock: a miss runs emit + cc + dlopen.
+  Expected<std::shared_ptr<const jit::NativeKernel>> k =
+      art.jit_kernel(executor_.nest(), opts);
+  if (!k) return nullptr;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!native_) native_ = std::move(*k);
+  return native_;
+}
+
+const exec::CompiledKernel* Executable::scan_prototype(
+    exec::ArrayStore& store) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!proved_) {
+    proved_ = true;
+    obs::PhaseTimer timer(obs::Phase::kAnalyze);
+    try {
+      prototype_ =
+          std::make_unique<const exec::CompiledKernel>(executor_.nest(), store);
+    } catch (const Error&) {
+      // Range proof refused: every request at this key scans interpreted.
+    }
+  }
+  return prototype_.get();
+}
+
+std::size_t worker_count(const ExecPolicy& policy, const ThreadPool* pool) {
+  if (policy.threads()) return policy.threads();
+  if (pool) return pool->size();
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+}  // namespace vdep::detail

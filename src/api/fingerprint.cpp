@@ -142,14 +142,14 @@ void render_expr(const loopir::Expr& e, std::string* key) {
 
 std::string bounds_render(const loopir::LoopNest& nest) {
   // Compact numeric rendering, not nest.to_string(): the render runs per
-  // request on the batch grouping path, and the source-like rendering
+  // request on the executable-memo path, and the source-like rendering
   // (ostringstream-based) costs more than executing a small request.
   //
   // The body IS part of this key. The structural fingerprint canonicalizes
   // only the access sequence (statements, arrays, subscripts) — body
   // constants and operators never enter the analysis, so `A[i]=A[i-1]+1`
   // and `A[i]=A[i-1]+2` deliberately share one PlanArtifact. Emitted C,
-  // native kernels and batch kernel-sharing groups bake the body in, so
+  // native kernels and memoized executables bake the body in, so
   // their keys must separate on it.
   std::string key;
   key.reserve(128);

@@ -41,8 +41,7 @@ Fingerprint structural_fingerprint(const loopir::LoopNest& nest);
 /// ignores: the loop bounds (nest.to_string() renders loops and body) plus
 /// the array shapes. fingerprint + bounds_render identifies a nest up to
 /// execution equivalence of emitted and native code — it keys the
-/// codegen/jit memos of PlanArtifact and the same-(structure, bounds)
-/// grouping of execute_batch.
+/// codegen, jit and executable memos of PlanArtifact.
 std::string bounds_render(const loopir::LoopNest& nest);
 
 }  // namespace vdep

@@ -23,7 +23,9 @@ namespace {
 }  // namespace
 
 CompiledKernel::CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store)
-    : nest_(nest), store_(&store) {
+    : nest_(nest) {
+  for (const loopir::ArrayDecl& decl : nest.arrays())
+    sizes_.push_back(store.raw(decl.name).size());
   // Iteration box for the one-time subscript range proof.
   poly::ConstraintSystem cs = poly::ConstraintSystem::from_nest(nest);
   box_.clear();
@@ -34,8 +36,8 @@ CompiledKernel::CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store)
   }
   for (const loopir::Assign& a : nest.body()) {
     Stmt s;
-    s.lhs = compile_access(a.lhs);
-    compile_expr(*a.rhs, s, 0);
+    s.lhs = compile_access(a.lhs, store);
+    compile_expr(*a.rhs, s, 0, store);
     stmts_.push_back(std::move(s));
   }
   for (const Stmt& s : stmts_)
@@ -55,10 +57,10 @@ std::pair<i64, i64> CompiledKernel::hull(const loopir::AffineExpr& e) const {
 }
 
 CompiledKernel::Access CompiledKernel::compile_access(
-    const loopir::ArrayRef& ref) {
+    const loopir::ArrayRef& ref, ArrayStore& store) {
   const loopir::ArrayDecl& decl = nest_.array(ref.array);
   Access acc;
-  acc.base = store_->raw_mutable(ref.array).data();
+  acc.base = store.raw_mutable(ref.array).data();
   for (std::size_t a = 0; a < nest_.arrays().size(); ++a)
     if (nest_.arrays()[a].name == ref.array)
       acc.array_ord = static_cast<int>(a);
@@ -73,7 +75,7 @@ CompiledKernel::Access CompiledKernel::compile_access(
     auto [lo, hi] = decl.dims[ud];
     if (ud < ref.indirect.size() && ref.indirect[ud].has_value()) {
       const loopir::IndirectSubscript& ind = *ref.indirect[ud];
-      const ArrayStore::Buffer& buf = store_->raw(ind.array);
+      const ArrayStore::Buffer& buf = store.raw(ind.array);
       const i64 idx_lo = nest_.array(ind.array).dims.front().first;
       auto [pmin, pmax] = hull(ind.pos);
       VDEP_REQUIRE(pmin >= idx_lo &&
@@ -115,7 +117,8 @@ CompiledKernel::Access CompiledKernel::compile_access(
   return acc;
 }
 
-void CompiledKernel::compile_expr(const loopir::Expr& e, Stmt& stmt, int depth) {
+void CompiledKernel::compile_expr(const loopir::Expr& e, Stmt& stmt, int depth,
+                                  ArrayStore& store) {
   using K = loopir::Expr::Kind;
   switch (e.kind()) {
     case K::kConst:
@@ -128,7 +131,7 @@ void CompiledKernel::compile_expr(const loopir::Expr& e, Stmt& stmt, int depth) 
       return;
     case K::kRead: {
       int slot = static_cast<int>(reads_.size());
-      reads_.push_back(compile_access(e.ref()));
+      reads_.push_back(compile_access(e.ref(), store));
       stmt.program.push_back(
           {reads_.back().indirect.empty() ? Op::kRead : Op::kReadIndirect, 0,
            slot});
@@ -138,8 +141,8 @@ void CompiledKernel::compile_expr(const loopir::Expr& e, Stmt& stmt, int depth) 
     case K::kAdd:
     case K::kSub:
     case K::kMul:
-      compile_expr(*e.lhs(), stmt, depth);
-      compile_expr(*e.rhs(), stmt, depth + 1);
+      compile_expr(*e.lhs(), stmt, depth, store);
+      compile_expr(*e.rhs(), stmt, depth + 1, store);
       stmt.program.push_back(
           {e.kind() == K::kAdd   ? Op::kAdd
            : e.kind() == K::kSub ? Op::kSub
@@ -233,16 +236,15 @@ CompiledKernel CompiledKernel::rebind(ArrayStore& other) const {
     const loopir::ArrayDecl& decl =
         nest_.arrays()[static_cast<std::size_t>(a.array_ord)];
     ArrayStore::Buffer& buf = other.raw_mutable(decl.name);
-    // The range proof ran against the construction store's sizes; it
-    // transfers only to identically sized buffers.
-    VDEP_REQUIRE(buf.size() == store_->raw(decl.name).size(),
+    // The range proof ran against the recorded sizes; it transfers only to
+    // identically sized buffers.
+    VDEP_REQUIRE(buf.size() == sizes_[static_cast<std::size_t>(a.array_ord)],
                  "CompiledKernel::rebind: store shape differs for array " +
                      decl.name);
     a.base = buf.data();
   };
   for (Stmt& s : copy.stmts_) rebase(s.lhs);
   for (Access& a : copy.reads_) rebase(a);
-  copy.store_ = &other;
   return copy;
 }
 

@@ -58,13 +58,16 @@ class CompiledKernel {
   void run_sequential();
 
   /// A copy of this kernel with every access re-based onto `other`'s
-  /// buffers — the batch serving path: N same-(structure, bounds) requests
+  /// buffers — the serving path: requests at one (structure, bounds)
   /// compile one kernel and rebind it per request's store, skipping the
   /// per-construction range proof. `other` must own the same arrays at the
-  /// same sizes as the construction store (shapes are re-checked, throwing
-  /// PreconditionError on mismatch); it must outlive the copy. Indirect
-  /// kernels throw UnsupportedError: their proof read the construction
-  /// store's index contents, which a shape check cannot vouch for.
+  /// sizes the proof ran against (checked against the sizes recorded at
+  /// construction, throwing PreconditionError on mismatch); it must outlive
+  /// the copy. Rebinding never touches the construction store, so a
+  /// prototype may outlive it — it just must not execute after it is gone.
+  /// Indirect kernels throw UnsupportedError: their proof read the
+  /// construction store's index contents, which a shape check cannot vouch
+  /// for.
   CompiledKernel rebind(ArrayStore& other) const;
 
   int statement_count() const { return static_cast<int>(stmts_.size()); }
@@ -101,8 +104,9 @@ class CompiledKernel {
     int max_stack = 0;
   };
 
-  Access compile_access(const loopir::ArrayRef& ref);
-  void compile_expr(const loopir::Expr& e, Stmt& stmt, int depth);
+  Access compile_access(const loopir::ArrayRef& ref, ArrayStore& store);
+  void compile_expr(const loopir::Expr& e, Stmt& stmt, int depth,
+                    ArrayStore& store);
   /// Flat buffer offset of `a` at iteration row `it` (unchecked: proven):
   /// the affine part, and the indirect slots' part.
   static i64 affine_offset(const Access& a, const i64* it);
@@ -111,7 +115,9 @@ class CompiledKernel {
   std::pair<i64, i64> hull(const loopir::AffineExpr& e) const;
 
   const loopir::LoopNest& nest_;
-  ArrayStore* store_ = nullptr;
+  /// Buffer size of every array (by nest_.arrays() ordinal) the range
+  /// proof ran against; rebind() accepts only stores of these sizes.
+  std::vector<std::size_t> sizes_;
   std::vector<std::pair<i64, i64>> box_;
   std::vector<Stmt> stmts_;
   std::vector<Access> reads_;

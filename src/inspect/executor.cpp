@@ -83,9 +83,8 @@ runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
   };
 
   const runtime::DriveSource src{root(), grain_, {}, std::move(factory)};
-  runtime::RuntimeStats rs = runtime::drive_descriptors(
-      {&src, 1}, {threads_, opts_.trace, opts_.metrics, opts_.pin_workers},
-      pool);
+  runtime::RuntimeStats rs =
+      runtime::drive_descriptors({&src, 1}, {threads_, opts_.switches}, pool);
   if (rs.error) std::rethrow_exception(rs.error);
   return rs;
 }

@@ -32,11 +32,8 @@ struct InspectorExecOptions {
   /// Run the exact interpreter instead of the compiled-kernel body
   /// (ExecBackend::kInterpreter, tests).
   bool force_interpreter = false;
-  /// Observability gates, same semantics as runtime::StreamOptions.
-  bool trace = true;
-  bool metrics = true;
-  /// Pin workers to topology-assigned cpus (runtime::StreamOptions).
-  bool pin_workers = true;
+  /// Tracing, metrics and worker pinning of this executor's runs.
+  runtime::RunSwitches switches;
 };
 
 class InspectorExecutor {

@@ -156,7 +156,7 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
   // the assignment the workers *would* have.
   const topo::Topology& topology = topo::Topology::system();
   const std::vector<int> assignment = topology.assign_workers(threads);
-  const bool pin = detail::effective_pin(opts.pin_workers, threads);
+  const bool pin = detail::effective_pin(opts.switches.pin_workers, threads);
 
   std::atomic<bool> abort{false};
   std::exception_ptr first_error;
@@ -166,8 +166,8 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
   // Observability gates, sampled once per run: with the recorder/registry
   // globally off (or the run opting out) the workers pay one hoisted bool
   // test per site, no clock reads beyond the two busy_ns already makes.
-  const bool tracing = opts.trace && obs::TraceRecorder::enabled();
-  const bool metrics = opts.metrics && obs::MetricsRegistry::enabled();
+  const bool tracing = opts.switches.trace && obs::TraceRecorder::enabled();
+  const bool metrics = opts.switches.metrics && obs::MetricsRegistry::enabled();
   obs::Histogram* steal_lat = nullptr;
   obs::Histogram* leaf_cells = nullptr;
   obs::Histogram* qdepth = nullptr;

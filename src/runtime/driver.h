@@ -51,19 +51,29 @@ struct DriveSource {
   LeafFactory leaf_factory;
 };
 
-struct DriveOptions {
-  /// Worker contexts (the caller is context 0 when no pool is given).
-  std::size_t threads = 1;
+/// A run's switches that change neither its schedule nor its results: the
+/// observability gates and worker pinning. They are chosen per run, never
+/// baked into an executor, so one executor (e.g. a memoized one) serves
+/// requests that differ in them.
+struct RunSwitches {
   /// Allow this run to emit trace events when the global obs::TraceRecorder
-  /// is enabled (leaf spans, split/steal/idle events).
+  /// is enabled (leaf spans, split/steal/idle events). Off, the run never
+  /// touches the recorder regardless of its state.
   bool trace = true;
-  /// Same gate for the global obs::MetricsRegistry.
+  /// Same gate for the global obs::MetricsRegistry (histograms during the
+  /// run + per-worker counters at the end).
   bool metrics = true;
   /// Pin each worker to the cpu topo::Topology::system().assign_workers
   /// hands it for the duration of the run (previous affinity restored at
   /// exit). Also honors the VDEP_PIN=0 environment opt-out; no-op on hosts
-  /// without sched_setaffinity.
+  /// without sched_setaffinity. Results are bit-identical either way.
   bool pin_workers = true;
+};
+
+struct DriveOptions {
+  /// Worker contexts (the caller is context 0 when no pool is given).
+  std::size_t threads = 1;
+  RunSwitches switches;
 };
 
 /// Splits every source's root recursively down to its grain across

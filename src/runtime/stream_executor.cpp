@@ -206,14 +206,12 @@ void StreamExecutor::execute_leaf(const TaskDescriptor& task, Worker& w) const {
   scan_prefix(0, task, labels, w);
 }
 
-RuntimeStats StreamExecutor::drive(const DriveSource& src,
-                                   ThreadPool* pool) const {
+RuntimeStats StreamExecutor::drive(const DriveSource& src, ThreadPool* pool,
+                                   RunSwitches sw) const {
   // The scheduling loop lives in runtime/driver.cpp (shared with the
   // inspector executor and batches); this executor only supplies the root
   // box, the grain, and the plan-scanning leaves.
-  RuntimeStats rs = drive_descriptors(
-      {&src, 1}, {threads_, opts_.trace, opts_.metrics, opts_.pin_workers},
-      pool);
+  RuntimeStats rs = drive_descriptors({&src, 1}, {threads_, sw}, pool);
   if (rs.error) std::rethrow_exception(rs.error);
   return rs;
 }
@@ -288,23 +286,25 @@ StreamExecutor::LeafFactory StreamExecutor::make_leaf_factory(
 }
 
 RuntimeStats StreamExecutor::run(exec::ArrayStore& store,
-                                 const exec::RangeKernel& kernel) const {
-  return drive(source(store, &kernel), nullptr);
+                                 RunSwitches sw) const {
+  return drive(source(store), nullptr, sw);
+}
+
+RuntimeStats StreamExecutor::run(exec::ArrayStore& store, ThreadPool& pool,
+                                 RunSwitches sw) const {
+  return drive(source(store), &pool, sw);
 }
 
 RuntimeStats StreamExecutor::run(exec::ArrayStore& store,
                                  const exec::RangeKernel& kernel,
-                                 ThreadPool& pool) const {
-  return drive(source(store, &kernel), &pool);
-}
-
-RuntimeStats StreamExecutor::run(exec::ArrayStore& store) const {
-  return drive(source(store), nullptr);
+                                 RunSwitches sw) const {
+  return drive(source(store, &kernel), nullptr, sw);
 }
 
 RuntimeStats StreamExecutor::run(exec::ArrayStore& store,
-                                 ThreadPool& pool) const {
-  return drive(source(store), &pool);
+                                 const exec::RangeKernel& kernel,
+                                 ThreadPool& pool, RunSwitches sw) const {
+  return drive(source(store, &kernel), &pool, sw);
 }
 
 RuntimeStats StreamExecutor::run_trace(
@@ -313,7 +313,8 @@ RuntimeStats StreamExecutor::run_trace(
     return make_scan_leaf(id, stats,
                           [&sink, id](const Vec& it) { sink(id, it); });
   };
-  return drive({root(), grain_, split_prefs_, std::move(factory)}, nullptr);
+  return drive({root(), grain_, split_prefs_, std::move(factory)}, nullptr,
+               {});
 }
 
 }  // namespace vdep::runtime

@@ -19,6 +19,12 @@
 // the exact interpreter. Both modes produce final stores bit-identical to
 // the sequential reference — legality is the same Lemma 1 x Theorem 2
 // argument as the materialized schedule, only the cover of the box changed.
+//
+// An executor depends on bounds and on the schedule-shaping StreamOptions
+// only, never on data or on the per-run RunSwitches (tracing, metrics,
+// pinning), so the API memoizes one per (artifact, bounds, options) and
+// reuses it across requests (api/executable.h); it is immutable after
+// construction and safe to run from several threads at once.
 #pragma once
 
 #include <functional>
@@ -52,22 +58,14 @@ struct StreamOptions {
   int split_dims = 0;
   /// Skip the compiled kernel and always interpret (tests / debugging).
   bool force_interpreter = false;
-  /// Pin each worker to its topology-assigned cpu for the run (previous
-  /// affinity restored afterwards); VDEP_PIN=0 overrides from outside.
-  /// Results are bit-identical either way — only placement changes.
-  bool pin_workers = true;
   /// Prefer splitting descriptors along the axis with the largest address
   /// stride (keeps each leaf's touched rows contiguous; task.h SplitPrefs),
   /// falling back to the longest axis when the plan gives no signal. Off:
   /// always longest-axis.
   bool locality_splits = true;
-  /// Allow this run to emit trace events when the global obs::TraceRecorder
-  /// is enabled (leaf spans, split/steal/idle events). Off, the run never
-  /// touches the recorder regardless of its state.
-  bool trace = true;
-  /// Same gate for the global obs::MetricsRegistry (histograms during the
-  /// run + per-worker counters at the end).
-  bool metrics = true;
+  // Tracing, metrics and worker pinning are not construction options: they
+  // are per-run RunSwitches (runtime/driver.h), so one executor serves
+  // runs that differ in them.
 };
 
 class StreamExecutor {
@@ -84,22 +82,24 @@ class StreamExecutor {
 
   /// Runs the whole plan over `store` and returns the worker counters.
   /// Spawns num_threads() - 1 helper threads; the caller is worker 0.
-  RuntimeStats run(exec::ArrayStore& store) const;
+  /// `sw` carries the run's tracing, metrics and pinning switches.
+  RuntimeStats run(exec::ArrayStore& store, RunSwitches sw = {}) const;
 
   /// Same, but the workers are `pool`'s threads (plus the caller) instead
   /// of freshly spawned ones — use when a long-lived pool already exists.
   /// num_threads() worker contexts are distributed over the pool.
-  RuntimeStats run(exec::ArrayStore& store, ThreadPool& pool) const;
+  RuntimeStats run(exec::ArrayStore& store, ThreadPool& pool,
+                   RunSwitches sw = {}) const;
 
   /// Native-kernel mode: descriptor leaves are handed whole to
   /// `kernel.execute_range` (typically a dlopen-ed jit::NativeKernel built
   /// from this executor's plan) instead of being scanned per iteration.
   /// Work stealing, splitting and stats are identical to run(); only leaf
   /// execution changes.
-  RuntimeStats run(exec::ArrayStore& store,
-                   const exec::RangeKernel& kernel) const;
   RuntimeStats run(exec::ArrayStore& store, const exec::RangeKernel& kernel,
-                   ThreadPool& pool) const;
+                   RunSwitches sw = {}) const;
+  RuntimeStats run(exec::ArrayStore& store, const exec::RangeKernel& kernel,
+                   ThreadPool& pool, RunSwitches sw = {}) const;
 
   /// Test/diagnostic mode: streams every *original* iteration in execution
   /// order to `sink(worker, iter)` instead of mutating a store. The sink
@@ -116,9 +116,11 @@ class StreamExecutor {
   /// range proof rejects the nest; non-null, leaves are handed whole to
   /// `kernel`. `scan_prototype`, when set, skips the scan kernel's
   /// construction (and its range proof): the prototype — compiled once per
-  /// (structure, bounds) group by the batch layer — is rebound onto
-  /// `store` instead. `store`, `kernel` and `scan_prototype` must outlive
-  /// the run; so must this executor.
+  /// (structure, bounds, options) by the API's executable memo and kept
+  /// there across requests — is rebound onto `store` instead. The
+  /// prototype's own construction store may be gone by then (rebind checks
+  /// shapes against the sizes the proof recorded). `store`, `kernel` and
+  /// `scan_prototype` must outlive the run; so must this executor.
   DriveSource source(
       exec::ArrayStore& store, const exec::RangeKernel* kernel = nullptr,
       const exec::CompiledKernel* scan_prototype = nullptr) const;
@@ -134,6 +136,8 @@ class StreamExecutor {
   i64 num_classes() const { return classes_; }
   std::size_t num_threads() const { return threads_; }
   const StreamOptions& options() const { return opts_; }
+  /// The executor's own copy of the original bounded nest.
+  const loopir::LoopNest& nest() const { return original_; }
 
  private:
   struct Worker;
@@ -142,7 +146,8 @@ class StreamExecutor {
       const exec::CompiledKernel* scan_prototype) const;
   /// Drives `src` (one of this plan's) as the run's only source; leaf
   /// errors rethrow.
-  RuntimeStats drive(const DriveSource& src, ThreadPool* pool) const;
+  RuntimeStats drive(const DriveSource& src, ThreadPool* pool,
+                     RunSwitches sw) const;
   /// One scan-path worker context: Worker + recursive descriptor scan.
   LeafFn make_scan_leaf(int id, WorkerStats& stats,
                         std::function<void(const Vec&)> body) const;

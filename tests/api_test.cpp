@@ -507,10 +507,167 @@ TEST(ExecuteBatchHammer, ConcurrentBatchesOnSharedSessionPool) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// ------------------------------------------------------- executable memo
+
+/// `nest`'s pattern-filled store with every element shifted by `salt`, so
+/// stores at one bounds differ in content.
+exec::ArrayStore salted_store(const LoopNest& nest, i64 salt) {
+  exec::ArrayStore s(nest);
+  s.fill_pattern();
+  for (const loopir::ArrayDecl& a : nest.arrays())
+    for (i64& v : s.raw_mutable(a.name)) v += salt;
+  return s;
+}
+
+// Warm requests at one key share one executor and one scan prototype,
+// rebound onto each request's own store: every result must stay
+// bit-identical to the sequential reference whatever the store holds,
+// through execute() and execute_batch() alike.
+TEST(ExecutableMemo, HitsAreBitIdenticalAcrossStoresAndPaths) {
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(example42(9)).value();
+  auto reference = [&](i64 salt) {
+    exec::ArrayStore ref = salted_store(loop.nest(), salt);
+    exec::run_sequential(loop.nest(), ref);
+    return ref;
+  };
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    const ExecPolicy policy = ExecPolicy{}.threads(threads);
+    for (i64 salt : {0, 7, -3}) {
+      exec::ArrayStore store = salted_store(loop.nest(), salt);
+      ASSERT_TRUE(loop.execute(policy, store));
+      EXPECT_TRUE(store == reference(salt))
+          << "execute threads=" << threads << " salt=" << salt;
+    }
+    std::vector<exec::ArrayStore> stores;
+    for (i64 salt : {1, 2, 3, 4})
+      stores.push_back(salted_store(loop.nest(), salt));
+    std::vector<exec::ArrayStore*> ptrs;
+    for (exec::ArrayStore& st : stores) ptrs.push_back(&st);
+    ASSERT_TRUE(loop.execute_batch(ptrs, policy));
+    for (std::size_t k = 0; k < stores.size(); ++k)
+      EXPECT_TRUE(stores[k] == reference(static_cast<i64>(k) + 1))
+          << "execute_batch threads=" << threads << " request " << k;
+  }
+}
+
+// The grain follows the worker count, so the count is part of the memo
+// key: the same bounds at 1 and 8 workers must split differently, and the
+// 1-worker entry must survive the 8-worker request.
+TEST(ExecutableMemo, WorkerCountIsPartOfTheKey) {
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(example41(64)).value();
+  auto tasks = [&](std::size_t threads) {
+    exec::ArrayStore store(loop.nest());
+    store.fill_pattern();
+    return loop.execute(ExecPolicy{}.threads(threads), store).value().tasks;
+  };
+  const i64 one = tasks(1);
+  const i64 eight = tasks(8);
+  EXPECT_NE(one, eight);
+  EXPECT_EQ(tasks(1), one);
+  EXPECT_EQ(tasks(8), eight);
+}
+
+// Indirect nests are never memoized (their proof covers index-array
+// contents): a handle that ran once on a benign index array must still
+// refuse a hostile one on its next run, typed and before any write.
+TEST(ExecutableMemo, IndirectHandleRechecksEveryRun) {
+  constexpr i64 n = 16;
+  LoopNestBuilder b;
+  b.loop("i", 0, n - 1);
+  b.array("A", {{0, 7}});
+  b.array("B", {{0, n - 1}});
+  loopir::ArrayRef a;
+  a.array = "A";
+  a.subscripts = {b.cst(0)};
+  a.indirect = {loopir::IndirectSubscript{"B", b.idx(0)}};
+  b.assign(a, Expr::add(Expr::read(a), Expr::constant(1)));
+  LoopNest nest = b.build();
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(nest).value();
+
+  for (std::size_t threads : {1u, 8u}) {
+    exec::ArrayStore store(nest);
+    store.fill_pattern();
+    for (i64 i = 0; i < n; ++i) store.write("B", intlin::Vec{i}, i % 8);
+    exec::ArrayStore ref = store;
+    exec::run_sequential(nest, ref);
+    ASSERT_TRUE(loop.execute(ExecPolicy{}.threads(threads), store));
+    EXPECT_TRUE(store == ref) << "threads=" << threads;
+
+    // A value far past A's declared [0, 7], at the last iteration.
+    store.write("B", intlin::Vec{n - 1}, i64{1} << 20);
+    const exec::ArrayStore before = store;
+    Expected<ExecReport> r = loop.execute(ExecPolicy{}.threads(threads), store);
+    ASSERT_FALSE(r) << "threads=" << threads;
+    EXPECT_EQ(r.error().kind, ErrorKind::kPrecondition) << "threads=" << threads;
+    EXPECT_TRUE(store == before) << "threads=" << threads;
+  }
+}
+
+// Single execute() and execute_batch() requests racing on one artifact:
+// concurrent first builds of one key, the lazily proved prototype and its
+// per-store rebinds. Runs under TSan in CI.
+TEST(ExecutableMemoHammer, ConcurrentExecuteAndBatchOnOneArtifact) {
+  constexpr int kThreads = 4;
+#ifdef VDEP_TSAN
+  constexpr int kRoundsPerThread = 3;
+#else
+  constexpr int kRoundsPerThread = 8;
+#endif
+  Compiler compiler(CompileOptions{}.pool_threads(3));
+  CompiledLoop loop = compiler.compile(example42(6)).value();
+
+  std::vector<loopir::LoopNest> bounds;
+  std::vector<i64> expected;
+  for (i64 n : {i64{6}, i64{8}, i64{10}}) {
+    bounds.push_back(example42(n));
+    exec::ArrayStore ref(bounds.back());
+    ref.fill_pattern();
+    exec::run_sequential(bounds.back(), ref);
+    expected.push_back(ref.checksum());
+  }
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Two worker counts, so two keys per bounds race as well.
+      const ExecPolicy policy = ExecPolicy{}.threads(t % 2 ? 3 : 2);
+      for (int i = 0; i < kRoundsPerThread; ++i) {
+        if ((t + i) % 2) {
+          Expected<std::vector<ExecReport>> r =
+              loop.execute_batch(bounds, policy, compiler.pool());
+          if (!r || r->size() != bounds.size()) {
+            ++failures;
+            continue;
+          }
+          for (std::size_t k = 0; k < bounds.size(); ++k)
+            if ((*r)[k].checksum != expected[k]) ++failures;
+        } else {
+          for (std::size_t k = 0; k < bounds.size(); ++k) {
+            CompiledLoop h = loop.at(bounds[k]).value();
+            exec::ArrayStore store(h.nest());
+            store.fill_pattern();
+            Expected<ExecReport> r =
+                i % 4 == 0 ? h.execute(policy, store, compiler.pool())
+                           : h.execute(policy, store);
+            if (!r || r->checksum != expected[k]) ++failures;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 // The structural fingerprint deliberately ignores body constants and
 // operators (the analysis is a function of the access sequence only), so
 // `A[i+1]=A[i]+1` and `A[i+1]=A[i]+2` share one PlanArtifact — but their
-// emitted C, native kernels and batch kernel-sharing groups must NOT be
+// emitted C, native kernels and memoized executables must NOT be
 // shared: the bounds-level memo key (bounds_render) carries the body.
 TEST(BoundsRender, SameFingerprintDifferentBodySeparatesMemosAndBatches) {
   loopir::LoopNest plus1 = [] {

@@ -3,6 +3,8 @@
 // paper's transformations.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "codegen/rewrite.h"
 #include "core/suite.h"
 #include "dep/pdm.h"
@@ -358,6 +360,28 @@ TEST(Compiled, RebindRefusesIndirectKernels) {
   ArrayStore other = s;
   const CompiledKernel kernel(in.nest, s);
   EXPECT_THROW(kernel.rebind(other), UnsupportedError);
+}
+
+TEST(Compiled, RebindOutlivesConstructionStore) {
+  // A memoized scan prototype outlives the store it was proven against:
+  // rebind() checks shapes against the sizes the proof recorded, never
+  // against the construction store (reading it here would be a
+  // use-after-free, which the sanitizer build catches).
+  LoopNest nest = example42(5);
+  auto first = std::make_unique<ArrayStore>(nest);
+  const CompiledKernel prototype(nest, *first);
+  first.reset();
+
+  ArrayStore ref(nest), s(nest);
+  ref.fill_pattern();
+  s.fill_pattern();
+  run_sequential(nest, ref);
+  prototype.rebind(s).run_sequential();
+  EXPECT_EQ(ref, s);
+
+  // A store of another shape is still refused.
+  ArrayStore other(example42(6));
+  EXPECT_THROW(prototype.rebind(other), PreconditionError);
 }
 
 TEST(Compiled, ScheduleExecutionMatchesSequential) {

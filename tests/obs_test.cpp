@@ -158,6 +158,28 @@ ExecReport run_traced(const CompiledLoop& loop, std::size_t threads) {
   return r ? *r : ExecReport{};
 }
 
+/// Runtime events (leaf spans, splits, steals, idle) in the recorder.
+i64 runtime_event_count() {
+  i64 n = 0;
+  TraceRecorder::instance().for_each_event(
+      [&](std::size_t, const TraceEvent& ev) {
+        if (ev.kind == EventKind::kLeafExec || ev.kind == EventKind::kSplit ||
+            ev.kind == EventKind::kSteal || ev.kind == EventKind::kIdle)
+          ++n;
+      });
+  return n;
+}
+
+/// Executor builds (executable-memo misses) in the recorder.
+i64 executor_build_count() {
+  i64 n = 0;
+  TraceRecorder::instance().for_each_event(
+      [&](std::size_t, const TraceEvent& ev) {
+        if (ev.kind == EventKind::kExecutorBuild) ++n;
+      });
+  return n;
+}
+
 // ------------------------------------------------------------------- trace
 
 TEST(Trace, DisabledRecorderStaysEmpty) {
@@ -291,14 +313,7 @@ TEST(Trace, PolicyToggleKeepsRunOutOfTrace) {
   policy.threads(4).digest(false).trace(false);
   ASSERT_TRUE(loop.execute(policy, store));
   // Recorder is live, but the run opted out: no runtime events.
-  i64 runtime_events = 0;
-  TraceRecorder::instance().for_each_event(
-      [&](std::size_t, const TraceEvent& ev) {
-        if (ev.kind == EventKind::kLeafExec || ev.kind == EventKind::kSplit ||
-            ev.kind == EventKind::kSteal || ev.kind == EventKind::kIdle)
-          ++runtime_events;
-      });
-  EXPECT_EQ(runtime_events, 0);
+  EXPECT_EQ(runtime_event_count(), 0);
 }
 
 /// Runs 6 pattern-filled stores of `loop` as one 4-thread batch.
@@ -326,14 +341,7 @@ TEST(Trace, PolicyToggleKeepsBatchOutOfTrace) {
   ASSERT_EQ(batch_of_six(loop, ExecPolicy{}.digest(false).trace(false))
                 .size(),
             6u);
-  i64 runtime_events = 0;
-  TraceRecorder::instance().for_each_event(
-      [&](std::size_t, const TraceEvent& ev) {
-        if (ev.kind == EventKind::kLeafExec || ev.kind == EventKind::kSplit ||
-            ev.kind == EventKind::kSteal || ev.kind == EventKind::kIdle)
-          ++runtime_events;
-      });
-  EXPECT_EQ(runtime_events, 0);
+  EXPECT_EQ(runtime_event_count(), 0);
 }
 
 // ----------------------------------------------------------------- metrics
@@ -465,6 +473,57 @@ TEST(Metrics, BatchRecordsLeafAndQueueHistograms) {
   // One queue-depth sample per worker split; 6 roots over 4 workers need
   // no seeding splits, so that is every split.
   EXPECT_EQ(reg.histogram("vdep_queue_depth", {}).count(), splits);
+}
+
+// --------------------------------------------------------- executable memo
+
+// The executable memo keeps what a run was built with, but tracing and
+// metrics are per-run switches: a memo hit under trace(false)/metrics(false)
+// must stay out of the recorder and the registry even though the entry was
+// built by a run that emitted into both. Single execute and batch.
+TEST(ExecutableMemo, HitHonoursTheCurrentPolicy) {
+  ObsQuiet quiet;
+  TraceRecorder& rec = TraceRecorder::instance();
+  MetricsRegistry& reg = MetricsRegistry::instance();
+  rec.enable();
+  reg.enable();
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(core::example41(128)).value();
+  ExecPolicy on;
+  on.threads(4).digest(false);
+  ExecPolicy off = on;
+  off.trace(false).metrics(false);
+  auto execute = [&](const CompiledLoop& l, const ExecPolicy& policy) {
+    exec::ArrayStore store(l.nest());
+    store.fill_pattern();
+    ASSERT_TRUE(l.execute(policy, store));
+  };
+
+  execute(loop, on);  // builds the entry, traced and counted
+  ASSERT_EQ(executor_build_count(), 1);
+  ASSERT_GT(runtime_event_count(), 0);
+  const i64 tasks = reg.counter("vdep_tasks_total").value();
+  ASSERT_GT(tasks, 0);
+  rec.clear();
+  execute(loop, off);
+  EXPECT_EQ(runtime_event_count(), 0);
+  EXPECT_EQ(reg.counter("vdep_tasks_total").value(), tasks);
+  // Switched back on, the warm run traces again and builds nothing.
+  execute(loop, on);
+  EXPECT_GT(runtime_event_count(), 0);
+  EXPECT_EQ(executor_build_count(), 0);
+
+  // The same through execute_batch, at bounds no run has used yet.
+  CompiledLoop other = loop.at(core::example41(96)).value();
+  rec.clear();
+  ASSERT_EQ(batch_of_six(other, on).size(), 6u);
+  ASSERT_EQ(executor_build_count(), 1);
+  ASSERT_GT(runtime_event_count(), 0);
+  const i64 batch_tasks = reg.counter("vdep_tasks_total").value();
+  rec.clear();
+  ASSERT_EQ(batch_of_six(other, off).size(), 6u);
+  EXPECT_EQ(runtime_event_count(), 0);
+  EXPECT_EQ(reg.counter("vdep_tasks_total").value(), batch_tasks);
 }
 
 // ------------------------------------------------------------------ phases

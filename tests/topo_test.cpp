@@ -281,12 +281,11 @@ TEST(TopologyScheduling, PinnedAndUnpinnedRunsAreBitIdentical) {
         for (bool locality : {false, true}) {
           runtime::StreamOptions so;
           so.num_threads = threads;
-          so.pin_workers = pin;
           so.locality_splits = locality;
           runtime::StreamExecutor ex(c.nest, plan, so);
           exec::ArrayStore store(c.nest);
           store.fill_pattern();
-          runtime::RuntimeStats rs = ex.run(store);
+          runtime::RuntimeStats rs = ex.run(store, runtime::RunSwitches{true, true, pin});
           EXPECT_TRUE(ref == store)
               << c.name << " threads=" << threads << " pin=" << pin
               << " locality=" << locality;
@@ -323,7 +322,7 @@ TEST(TopologyScheduling, PinnedAndUnpinnedRunsAreBitIdentical) {
         for (std::size_t k = 0; k < exs.size(); ++k)
           sources.push_back(exs[k].source(stores[k]));
         runtime::RuntimeStats rs = runtime::drive_descriptors(
-            sources, {threads, true, true, pin});
+            sources, {threads, {true, true, pin}});
         ASSERT_FALSE(rs.error);
         ASSERT_EQ(rs.sources.size(), exs.size());
         for (std::size_t k = 0; k < exs.size(); ++k) {
