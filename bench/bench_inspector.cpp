@@ -10,18 +10,31 @@
 // every class is a singleton and the space is fully parallel.
 //
 // Output is one JSON object per line (scraped into BENCH_runtime.json):
-//   {"bench":"inspector","name":"sparse_scatter","mode":"inspect","n":...,
+//   {"bench":"inspector","name":"sparse_scatter","mode":"sequential",...}
+//   {"bench":"inspector","name":...,"mode":"sequential_compiled",...}
+//   {"bench":"inspector","name":...,"mode":"inspect","threads":1,"n":...,
 //    "seconds":...,"classes":...,"chains":...,"max_component":...}
+//   {"bench":"inspector","name":...,"mode":"inspect","threads":8,...}
 //   {"bench":"inspector","name":...,"mode":"executor","threads":8,...}
 //   {"bench":"inspector","name":...,"mode":"summary","threads":8,
-//    "speedup_8w_vs_seq":...,"inspect_overhead_pct":...,"bit_identical":...}
+//    "speedup_8w_vs_seq":...,"inspect_overhead_pct":...,
+//    "amortized_speedup_8w":...,"amortized_speedup_vs_compiled_8w":...}
+//
+// "sequential" is the exact interpreter; "sequential_compiled" runs the
+// same nest through exec::CompiledKernel::run_sequential (kernel built and
+// proved off the clock), the baseline a caller who knows the nest is safe
+// to run in order would use. amortized_speedup_8w divides the interpreted
+// run by one single-worker inspection plus one 8-worker execution;
+// amortized_speedup_vs_compiled_8w divides the compiled run by what an
+// 8-worker request pays: an 8-worker inspection plus the 8-worker
+// execution. Both are informational.
 //
 // `--gate` (CI bench-smoke leg) re-runs both scenarios and fails unless
 // every parallel store is bit-identical to the sequential reference, and
-// unless inspection costs less than one sequential interpreted run
-// (inspect_overhead_pct < 100) on each scenario. Speedup is reported,
-// never gated (inspection amortizes over re-execution and CI machines
-// vary), but correctness is absolute.
+// unless a single-worker inspection costs less than one sequential
+// interpreted run (inspect_overhead_pct < 100) on each scenario. Speedup
+// is reported, never gated (inspection amortizes over re-execution and CI
+// machines vary), but correctness is absolute.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -30,6 +43,7 @@
 #include <string>
 #include <thread>
 
+#include "exec/compiled.h"
 #include "exec/interpreter.h"
 #include "inspect/executor.h"
 #include "inspect/inspector.h"
@@ -99,27 +113,59 @@ int run_scenario(const Scenario& sc, i64 n, int reps, bool gate) {
       sc.name, hw_threads(), static_cast<long long>(n), t_seq,
       t_seq > 0 ? static_cast<double>(n) / t_seq : 0.0);
 
-  // Inspection: timed separately (best-of), stats from the last run.
-  inspect::DynamicPartition part = inspect::inspect(nest, init);
-  double t_inspect = best_of(reps, [&] {
+  // The compiled sequential baseline (informational; must still agree).
+  int failures = 0;
+  exec::ArrayStore compiled = init;
+  double t_seq_compiled = best_of(reps, [&] {
+    compiled = init;
+    exec::CompiledKernel kernel(nest, compiled);
     auto t0 = std::chrono::steady_clock::now();
-    part = inspect::inspect(nest, init);
+    kernel.run_sequential();
     return seconds_since(t0);
   });
-  const inspect::InspectStats& st = part.stats();
+  const bool compiled_identical = compiled == ref;
+  if (!compiled_identical) {
+    std::fprintf(stderr,
+                 "FAIL: %s compiled sequential run diverged from the "
+                 "interpreter\n",
+                 sc.name);
+    ++failures;
+  }
   std::printf(
-      "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"inspect\","
-      "\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
-      "\"iterations_per_sec\":%.0f,\"classes\":%lld,\"chains\":%lld,"
-      "\"max_component\":%lld,\"dependent\":%lld,\"written_cells\":%lld}\n",
-      sc.name, hw_threads(), static_cast<long long>(n), t_inspect,
-      t_inspect > 0 ? static_cast<double>(n) / t_inspect : 0.0,
-      static_cast<long long>(st.classes), static_cast<long long>(st.chains),
-      static_cast<long long>(st.max_component),
-      static_cast<long long>(st.dependent_iterations),
-      static_cast<long long>(st.written_cells));
+      "{\"bench\":\"inspector\",\"name\":\"%s\","
+      "\"mode\":\"sequential_compiled\",\"threads\":1,\"hw_threads\":%zu,"
+      "\"n\":%lld,\"seconds\":%.6f,\"iters_per_sec\":%.0f,"
+      "\"bit_identical\":%s}\n",
+      sc.name, hw_threads(), static_cast<long long>(n), t_seq_compiled,
+      t_seq_compiled > 0 ? static_cast<double>(n) / t_seq_compiled : 0.0,
+      compiled_identical ? "true" : "false");
 
-  int failures = 0;
+  // Inspection on 1 and 8 pass-1 workers: timed separately (best-of),
+  // stats from the last run (identical at any worker count).
+  inspect::DynamicPartition part = inspect::inspect(nest, init);
+  auto time_inspect = [&](std::size_t threads) {
+    double t = best_of(reps, [&] {
+      auto t0 = std::chrono::steady_clock::now();
+      part = inspect::inspect(nest, init, threads);
+      return seconds_since(t0);
+    });
+    const inspect::InspectStats& st = part.stats();
+    std::printf(
+        "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"inspect\","
+        "\"threads\":%zu,\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
+        "\"iterations_per_sec\":%.0f,\"classes\":%lld,\"chains\":%lld,"
+        "\"max_component\":%lld,\"dependent\":%lld,\"written_cells\":%lld}\n",
+        sc.name, threads, hw_threads(), static_cast<long long>(n), t,
+        t > 0 ? static_cast<double>(n) / t : 0.0,
+        static_cast<long long>(st.classes), static_cast<long long>(st.chains),
+        static_cast<long long>(st.max_component),
+        static_cast<long long>(st.dependent_iterations),
+        static_cast<long long>(st.written_cells));
+    return t;
+  };
+  const double t_inspect = time_inspect(1);
+  const double t_inspect_8w = time_inspect(8);
+
   double t_8w = 0;
   for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     inspect::InspectorExecOptions io;
@@ -159,10 +205,12 @@ int run_scenario(const Scenario& sc, i64 n, int reps, bool gate) {
       "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"summary\","
       "\"threads\":8,\"hw_threads\":%zu,\"n\":%lld,"
       "\"speedup_8w_vs_seq\":%.3f,\"inspect_overhead_pct\":%.2f,"
-      "\"amortized_speedup_8w\":%.3f}\n",
+      "\"amortized_speedup_8w\":%.3f,"
+      "\"amortized_speedup_vs_compiled_8w\":%.3f}\n",
       sc.name, hw_threads(), static_cast<long long>(n),
       t_8w > 0 ? t_seq / t_8w : 0.0, overhead_pct,
-      t_inspect + t_8w > 0 ? t_seq / (t_inspect + t_8w) : 0.0);
+      t_inspect + t_8w > 0 ? t_seq / (t_inspect + t_8w) : 0.0,
+      t_inspect_8w + t_8w > 0 ? t_seq_compiled / (t_inspect_8w + t_8w) : 0.0);
 
   if (gate && overhead_pct >= 100.0) {
     std::fprintf(stderr,

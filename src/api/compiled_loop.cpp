@@ -256,11 +256,12 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
                 ? "materialized mode cannot run indirect subscripts; use "
                   "streaming (the inspector backend)"
                 : "ExecBackend::kInspector is a streaming backend");
+      const std::size_t threads = detail::worker_count(policy, pool);
       std::optional<inspect::DynamicPartition> part;
       {
         obs::ScopedSpan span(obs::EventKind::kInspect, policy.trace(),
                              obs::Phase::kInspect);
-        part.emplace(inspect::inspect(*nest_, store));
+        part.emplace(inspect::inspect(*nest_, store, threads, pool));
         if (span.tracing()) {
           const inspect::InspectStats& st = part->stats();
           span.set_arg(0, st.iterations);
@@ -284,7 +285,7 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
             .observe(st.max_component);
       }
       inspect::InspectorExecOptions io;
-      io.num_threads = detail::worker_count(policy, pool);
+      io.num_threads = threads;
       io.grain = policy.grain();
       io.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
       io.switches = detail::run_switches(policy);

@@ -173,8 +173,7 @@ i64 CompiledKernel::indirect_offset(const Access& a, const i64* it) {
   return off;
 }
 
-void CompiledKernel::execute_iteration(const Vec& iter, Scratch& scratch) const {
-  const i64* it = iter.data();
+void CompiledKernel::execute_row(const i64* it, Scratch& scratch) const {
   for (const Stmt& s : stmts_) {
     i64* sp = scratch.stack.data();
     for (const Instr& ins : s.program) {

@@ -46,10 +46,16 @@ class CompiledKernel {
   };
   Scratch make_scratch() const { return Scratch{std::vector<i64>(stack_size_, 0)}; }
 
-  /// Executes all statements at `iter` (no bounds checks on the hot path;
-  /// ranges were proven at compile time). Throws OverflowError when body
-  /// arithmetic leaves int64; the statement being evaluated is not stored.
-  void execute_iteration(const Vec& iter, Scratch& scratch) const;
+  /// Executes all statements at the iteration whose coordinates are
+  /// `row[0..depth)` (no bounds checks on the hot path; ranges were proven
+  /// at compile time). Throws OverflowError when body arithmetic leaves
+  /// int64; the statement being evaluated is not stored.
+  void execute_row(const i64* row, Scratch& scratch) const;
+
+  /// execute_row over an iteration vector.
+  void execute_iteration(const Vec& iter, Scratch& scratch) const {
+    execute_row(iter.data(), scratch);
+  }
 
   /// Convenience single-threaded form with an internal scratch.
   void execute_iteration(const Vec& iter);

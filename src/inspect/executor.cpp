@@ -1,5 +1,6 @@
 #include "inspect/executor.h"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <thread>
@@ -53,34 +54,42 @@ runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
     }
   }
 
-  runtime::LeafFactory factory = [&](int, runtime::WorkerStats& stats)
-      -> runtime::LeafFn {
-    std::function<void(const Vec&)> body;
-    if (ck) {
+  // A class range is a contiguous member range, so a leaf walks the
+  // partition's coordinate rows: the compiled body takes each row as is,
+  // the interpreter a copy in its Vec.
+  const DynamicPartition* part = part_;
+  runtime::LeafFactory factory;
+  if (ck) {
+    factory = [ck, part](int, runtime::WorkerStats& stats) -> runtime::LeafFn {
       auto scratch = std::make_shared<exec::CompiledKernel::Scratch>(
           ck->make_scratch());
-      body = [ck, scratch](const Vec& it) {
-        ck->execute_iteration(it, *scratch);
+      return [ck, scratch, part, ws = &stats](
+                 const runtime::TaskDescriptor& task) {
+        ws->iterations +=
+            part->offset(task.class_hi) - part->offset(task.class_lo);
+        part->for_each_row(task.class_lo, task.class_hi, [&](const i64* row) {
+          ck->execute_row(row, *scratch);
+        });
       };
-    } else {
-      const loopir::LoopNest* nest = &nest_;
-      exec::ArrayStore* st = &store;
-      body = [nest, st](const Vec& it) {
-        exec::execute_iteration(*nest, it, *st);
-      };
-    }
-    auto iter = std::make_shared<Vec>();
-    const DynamicPartition* part = part_;
-    runtime::WorkerStats* ws = &stats;
-    return [part, ws, iter, body = std::move(body)](
-               const runtime::TaskDescriptor& task) {
-      for (i64 c = task.class_lo; c < task.class_hi; ++c) {
-        ws->iterations += part->class_size(c);
-        part->for_each_class_iteration(c, *iter,
-                                       [&](const Vec& it) { body(it); });
-      }
     };
-  };
+  } else {
+    const loopir::LoopNest* nest = &nest_;
+    exec::ArrayStore* st = &store;
+    factory = [nest, st, part](int, runtime::WorkerStats& stats)
+        -> runtime::LeafFn {
+      auto iter =
+          std::make_shared<Vec>(static_cast<std::size_t>(part->depth()));
+      return [nest, st, part, iter, ws = &stats](
+                 const runtime::TaskDescriptor& task) {
+        ws->iterations +=
+            part->offset(task.class_hi) - part->offset(task.class_lo);
+        part->for_each_row(task.class_lo, task.class_hi, [&](const i64* row) {
+          std::copy(row, row + iter->size(), iter->begin());
+          exec::execute_iteration(*nest, *iter, *st);
+        });
+      };
+    };
+  }
 
   const runtime::DriveSource src{root(), grain_, {}, std::move(factory)};
   runtime::RuntimeStats rs =

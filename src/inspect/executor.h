@@ -11,7 +11,9 @@
 // dependence points lexicographically forward.
 //
 // Leaves run one shared exec::CompiledKernel body, whose indirect slots read
-// the index buffers directly (proven in range at construction). The exact
+// the index buffers directly (proven in range at construction). A leaf's
+// class range is a contiguous run of member slots, so the compiled leaf
+// hands each member's coordinate row straight to execute_row. The exact
 // interpreter is the reference: it runs only under force_interpreter
 // (ExecBackend::kInterpreter) or when the kernel's proof refuses the nest.
 // Both bodies throw OverflowError on int64 overflow.

@@ -1,8 +1,12 @@
 #include "inspect/inspector.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
+#include <numeric>
 
+#include "runtime/driver.h"
 #include "support/error.h"
 
 namespace vdep::inspect {
@@ -30,6 +34,9 @@ struct FlatAccess {
   bool write = false;
   /// The body writes this array, so its cells have slots in the table.
   bool tracked = false;
+  /// A write whose cells pass 1 marks: its array is also read through a
+  /// subscript that never writes.
+  bool mark = false;
   const loopir::ArrayDecl* decl = nullptr;
   i64 base = 0;
 
@@ -84,14 +91,9 @@ i64 uf_find(std::vector<i64>& parent, i64 x) {
 
 }  // namespace
 
-void DynamicPartition::coords_of(i64 it, Vec& out) const {
-  out.resize(static_cast<std::size_t>(depth_));
-  const i64* src = coords_.data() + it * depth_;
-  for (int d = 0; d < depth_; ++d) out[static_cast<std::size_t>(d)] = src[d];
-}
-
 DynamicPartition inspect(const loopir::LoopNest& nest,
-                         const exec::ArrayStore& store) {
+                         const exec::ArrayStore& store, std::size_t threads,
+                         ThreadPool* pool) {
   const i64 t0 = now_ns();
   const int depth = nest.depth();
 
@@ -133,56 +135,90 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
       fa.subs.push_back(s);
     }
   }
-  i64 table_size = 0;
+  // The first-toucher table: one slot per cell of the written arrays. When
+  // every access to an array writes, every cell of it pass 1 records is
+  // written, so its slots start "no toucher yet" and need no marks. Only
+  // an array also read through a non-writing subscript starts "never
+  // written" and has its written cells marked by pass 1.
+  std::vector<i64> table;
   std::size_t tracked = 0;
   for (FlatAccess& w : flat) {
     if (!w.write || w.tracked) continue;
+    const bool marked =
+        std::any_of(flat.begin(), flat.end(), [&](const FlatAccess& fa) {
+          return fa.decl == w.decl && !fa.write;
+        });
     for (FlatAccess& fa : flat) {
       if (fa.decl != w.decl) continue;
       fa.tracked = true;
-      fa.base = table_size;
+      fa.mark = marked && fa.write;
+      fa.base = static_cast<i64>(table.size());
       ++tracked;
     }
-    table_size = checked::add(table_size, w.decl->element_count());
+    table.resize(static_cast<std::size_t>(checked::add(
+                     static_cast<i64>(table.size()), w.decl->element_count())),
+                 marked ? kNeverWritten : kNoToucher);
   }
 
-  // The first-toucher table: one slot per cell of the written arrays.
-  std::vector<i64> table(static_cast<std::size_t>(table_size), kNeverWritten);
-
-  // Pass 1: materialize the iteration coordinates (the executor replays
-  // them), range-check every access, record the cell of every tracked
-  // access (`tracked` per iteration, in rank order) and mark every written
-  // cell.
-  // The space is counted up front so the row and cell vectors are allocated
-  // once: a reallocation would touch fresh pages, and page faults are a
-  // large share of inspection time at scale.
+  // The iteration coordinates, materialized once: pass 1 reads them and
+  // the executor replays them.
   DynamicPartition part;
   part.depth_ = depth;
   const i64 n = nest.iteration_count();
   part.coords_.reserve(static_cast<std::size_t>(checked::mul(n, depth)));
-  std::vector<i64> cells;
-  cells.reserve(static_cast<std::size_t>(n) * tracked);
-  i64 written_cells = 0;
   nest.for_each_iteration([&](const Vec& iter) {
     part.coords_.insert(part.coords_.end(), iter.begin(), iter.end());
-    for (const FlatAccess& fa : flat) {
-      const i64 cell = cell_offset(fa, iter.data(), depth);
-      if (!fa.tracked) continue;
-      cells.push_back(cell);
-      if (!fa.write) continue;
-      i64& slot = table[static_cast<std::size_t>(cell)];
-      if (slot == kNeverWritten) {
-        slot = kNoToucher;
-        ++written_cells;
-      }
-    }
   });
 
+  // Pass 1, one driver source over the rank range [0, n): range-check every
+  // access, record the cell of every tracked access (`tracked` per
+  // iteration, in rank order) and mark the cells of every marking write
+  // (see the table above). Leaves own
+  // disjoint rank slices of `cells`; marks race only with equal values.
+  // Pass 1 belongs to the inspect span, so its leaves are not traced,
+  // metered or pinned.
+  std::vector<i64> cells(static_cast<std::size_t>(n) * tracked);
+  {
+    const i64* rows = part.coords_.data();
+    i64* cell_rows = cells.data();
+    i64* marks = table.data();
+    runtime::LeafFactory factory = [&](int, runtime::WorkerStats& stats)
+        -> runtime::LeafFn {
+      return [&, ws = &stats](const runtime::TaskDescriptor& task) {
+        for (i64 it = task.class_lo; it < task.class_hi; ++it) {
+          const i64* row = rows + it * depth;
+          i64* out = cell_rows + it * static_cast<i64>(tracked);
+          for (const FlatAccess& fa : flat) {
+            const i64 cell = cell_offset(fa, row, depth);
+            if (!fa.tracked) continue;
+            *out++ = cell;
+            if (!fa.mark) continue;
+            std::atomic_ref<i64> mark(marks[cell]);
+            if (mark.load(std::memory_order_relaxed) == kNeverWritten)
+              mark.store(kNoToucher, std::memory_order_relaxed);
+          }
+        }
+        ws->iterations += task.class_extent();
+      };
+    };
+    runtime::TaskDescriptor ranks;
+    ranks.class_hi = n;
+    const runtime::DriveSource src{
+        ranks, runtime::pick_grain(std::max<i64>(n, 1), threads, 8), {},
+        std::move(factory)};
+    const runtime::RuntimeStats rs = runtime::drive_descriptors(
+        {&src, 1}, {threads, {false, false, false}}, pool);
+    if (rs.error) std::rethrow_exception(rs.error);
+  }
+
   // Pass 2: union every toucher of a written cell with that cell's first
-  // toucher, reading the cells pass 1 resolved. Union-by-smaller-root keeps
-  // each root at its component's lowest rank, i.e. its first member.
-  std::vector<i64> parent(static_cast<std::size_t>(n));
-  for (i64 k = 0; k < n; ++k) parent[static_cast<std::size_t>(k)] = k;
+  // toucher, reading the cells pass 1 resolved; the first toucher's claim
+  // counts the cell. Union-by-smaller-root keeps each root at its
+  // component's lowest rank, i.e. its first member. The union-find forest
+  // is allocated at the first union, so a conflict-free space never
+  // builds it.
+  std::vector<i64> parent;
+  i64 written_cells = 0;
   const i64* cell = cells.data();
   for (i64 it = 0; it < n; ++it) {
     for (std::size_t t = 0; t < tracked; ++t) {
@@ -190,7 +226,13 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
       if (slot == kNeverWritten) continue;
       if (slot == kNoToucher) {
         slot = it;
+        ++written_cells;
         continue;
+      }
+      if (slot == it) continue;  // this iteration touched the cell already
+      if (parent.empty()) {
+        parent.resize(static_cast<std::size_t>(n));
+        std::iota(parent.begin(), parent.end(), i64{0});
       }
       i64 a = uf_find(parent, slot);
       i64 b = uf_find(parent, it);
@@ -198,9 +240,22 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
           std::min(a, b);
     }
   }
+  InspectStats& st = part.stats_;
+  st.iterations = n;
+  st.written_cells = written_cells;
+  if (parent.empty()) {
+    // Conflict-free: every component is a singleton, so the partition is
+    // the identity and DynamicPartition answers from the rank alone.
+    st.classes = n;
+    st.max_component = n > 0 ? 1 : 0;
+    st.inspect_ns = now_ns() - t0;
+    return part;
+  }
+
   // The members list reuses the dead cell vector's pages (n x tracked >= n)
   // instead of faulting in fresh ones.
   part.members_ = std::move(cells);
+  part.members_.resize(static_cast<std::size_t>(n));
 
   // Classes: one per component (singletons included), numbered by the
   // lexicographic rank of the first member so class order is deterministic.
@@ -222,7 +277,6 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   for (i64 c : part.class_of_) ++part.offsets_[static_cast<std::size_t>(c) + 1];
   for (std::size_t k = 1; k < part.offsets_.size(); ++k)
     part.offsets_[k] += part.offsets_[k - 1];
-  part.members_.resize(static_cast<std::size_t>(n));
   for (i64 it = 0; it < n; ++it) {
     i64& cursor = part.offsets_[static_cast<std::size_t>(
         part.class_of_[static_cast<std::size_t>(it)])];
@@ -232,12 +286,9 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
                      part.offsets_.end());
   part.offsets_.front() = 0;
 
-  InspectStats& st = part.stats_;
-  st.iterations = n;
   st.classes = num_classes;
-  st.written_cells = written_cells;
-  for (i64 c = 0; c < num_classes; ++c) {
-    i64 sz = part.class_size(c);
+  for (std::size_t c = 0; c + 1 < part.offsets_.size(); ++c) {
+    const i64 sz = part.offsets_[c + 1] - part.offsets_[c];
     st.max_component = std::max(st.max_component, sz);
     if (sz >= 2) {
       ++st.chains;

@@ -18,19 +18,36 @@
 // table is never larger than the store already holds for those arrays.
 // A slot is "never written", "written, no toucher yet", or the rank of the
 // cell's first toucher. Textually identical references (the read and the
-// write of A[B[i]]) are resolved once. Pass 1 range-checks every access,
-// records the cell of each tracked (written-array) access in one flat
-// vector of n x distinct tracked accesses, and marks the written cells;
-// pass 2 reads only that vector and unions every toucher of a written cell
-// with that cell's first toucher. Memory beyond the store is the table,
-// that cell vector (whose pages the class members reuse), the coordinate
-// rows and the class arrays. Cost is O(accesses x alpha) with one table
-// load per access — not the O(n^2) all-pairs walk of the brute-force
-// exec::build_isdg, which remains the ground truth the inspector is tested
-// against.
+// write of A[B[i]]) are resolved once.
+//
+// After the iteration rows are materialized, pass 1 runs on the shared
+// work-stealing driver (runtime/driver.h) as one source whose class range
+// is the rank range [0, n): each leaf range-checks every access of its
+// ranks, stores the cell of each tracked (written-array) access into its
+// ranks' slice of one n x distinct-tracked-accesses buffer, and marks the
+// written cells (relaxed atomic stores of one shared value, so racing
+// marks agree). Marks are made only for an array that is also read through
+// a subscript that never writes; the slots of an array every access writes
+// start "written, no toucher yet". One worker runs the same leaves on the
+// caller. A bad subscript throws before pass 2, and the inspector never
+// writes the store. Pass 2 is serial: it reads only that buffer and unions
+// every toucher of a written cell with the cell's first toucher. When it
+// makes no union the space is conflict-free and the partition is the
+// identity (class c = iteration rank c): no class numbering, no CSR
+// arrays.
+//
+// Memory beyond the store is the table, that cell buffer (whose pages the
+// class members reuse), the coordinate rows and the class arrays. Cost is
+// O(accesses x alpha) with one table load per access — not the O(n^2)
+// all-pairs walk of the brute-force exec::build_isdg, which remains the
+// ground truth the inspector is tested against.
 #pragma once
 
 #include "exec/array_store.h"
+
+namespace vdep {
+class ThreadPool;
+}
 
 namespace vdep::inspect {
 
@@ -53,38 +70,53 @@ struct InspectStats {
 /// into dependence components ("classes"). Classes are numbered by the
 /// lexicographic rank of their first iteration; members of a class are
 /// stored in lexicographic order, so executing a class front-to-back
-/// replays the sequential order restricted to that class.
+/// replays the sequential order restricted to that class. The members of
+/// a class range [lo, hi) occupy the contiguous member slots
+/// [offset(lo), offset(hi)).
 class DynamicPartition {
  public:
   int depth() const { return depth_; }
-  i64 size() const { return static_cast<i64>(class_of_.size()); }
-  i64 num_classes() const { return static_cast<i64>(offsets_.size()) - 1; }
+  i64 size() const { return stats_.iterations; }
+  i64 num_classes() const { return stats_.classes; }
   const InspectStats& stats() const { return stats_; }
+  /// No two iterations share a written cell (stats().chains == 0): every
+  /// class is one iteration, class c is iteration rank c, and no class
+  /// arrays are stored.
+  bool identity() const { return stats_.chains == 0; }
 
   i64 class_size(i64 c) const { return offset(c + 1) - offset(c); }
   /// Class id of iteration rank `it` (lexicographic enumeration order).
-  i64 class_of(i64 it) const { return class_of_[static_cast<std::size_t>(it)]; }
-  /// Coordinates of iteration rank `it`, written into `out`.
-  void coords_of(i64 it, Vec& out) const;
+  i64 class_of(i64 it) const {
+    return identity() ? it : class_of_[static_cast<std::size_t>(it)];
+  }
+  /// First member slot of class `c`; offset(num_classes()) == size().
+  i64 offset(i64 c) const {
+    return identity() ? c : offsets_[static_cast<std::size_t>(c)];
+  }
 
-  /// Visits every iteration of class `c` in lexicographic order; `iter` is
-  /// a scratch vector reused across calls (resized to depth()).
+  /// Calls fn(row) for every iteration of classes [lo, hi), class by class
+  /// and each class in lexicographic order; `row` points at the iteration's
+  /// depth() coordinates.
   template <typename Fn>
-  void for_each_class_iteration(i64 c, Vec& iter, Fn&& fn) const {
-    for (i64 m = offset(c); m < offset(c + 1); ++m) {
-      coords_of(members_[static_cast<std::size_t>(m)], iter);
-      fn(static_cast<const Vec&>(iter));
+  void for_each_row(i64 lo, i64 hi, Fn&& fn) const {
+    const i64* rows = coords_.data();
+    const i64 m_lo = offset(lo), m_hi = offset(hi);
+    if (identity()) {
+      for (i64 m = m_lo; m < m_hi; ++m) fn(rows + m * depth_);
+      return;
     }
+    const i64* members = members_.data();
+    for (i64 m = m_lo; m < m_hi; ++m) fn(rows + members[m] * depth_);
   }
 
  private:
   friend DynamicPartition inspect(const loopir::LoopNest& nest,
-                                  const exec::ArrayStore& store);
-
-  i64 offset(i64 c) const { return offsets_[static_cast<std::size_t>(c)]; }
+                                  const exec::ArrayStore& store,
+                                  std::size_t threads, ThreadPool* pool);
 
   int depth_ = 0;
   std::vector<i64> coords_;    ///< flattened iteration coords, size N*depth
+  // The class arrays; empty for an identity partition.
   std::vector<i64> class_of_;  ///< iteration rank -> class id
   std::vector<i64> members_;   ///< iteration ranks grouped by class
   std::vector<i64> offsets_;   ///< CSR offsets into members_, size K+1
@@ -94,10 +126,14 @@ class DynamicPartition {
 /// Inspects `nest` at its current bounds against `store` (which must hold
 /// the index arrays for any indirect subscript; index arrays are read-only
 /// by LoopNest::validate, so the partition stays valid while the executor
-/// mutates data arrays). Throws PreconditionError when a subscript leaves
-/// its declared range — the same condition sequential execution would trip
-/// on, detected before any write happens.
+/// mutates data arrays). Pass 1 runs on `threads` worker contexts of the
+/// shared driver — on `pool` when given, else on the caller plus spawned
+/// helpers; 1 (the default) runs it on the caller alone. The result does
+/// not depend on `threads`. Throws PreconditionError when a subscript
+/// leaves its declared range — the same condition sequential execution
+/// would trip on, detected before any write happens.
 DynamicPartition inspect(const loopir::LoopNest& nest,
-                         const exec::ArrayStore& store);
+                         const exec::ArrayStore& store,
+                         std::size_t threads = 1, ThreadPool* pool = nullptr);
 
 }  // namespace vdep::inspect

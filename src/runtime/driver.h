@@ -1,7 +1,7 @@
 // The work-stealing descriptor driver: the one scheduling loop every
 // executor that speaks TaskDescriptor shares — the streaming plan executor,
-// the inspector executor, and batch serving (many requests, one worker
-// set). Chase-Lev deques, workers pinned to topology-assigned cpus,
+// the inspector's pass 1 and executor, and batch serving (many requests,
+// one worker set). Chase-Lev deques, workers pinned to topology-assigned cpus,
 // depth-first splitting along the longest (or locality-preferred) axis,
 // distance-ordered steal sweeps with idle backoff, first-error abort, and
 // the tracing/metrics gates.
@@ -18,7 +18,8 @@
 //
 // The driver owns *scheduling* only. What a leaf descriptor means (a boxed
 // DOALL prefix x class range to scan, a native-kernel range call, a run of
-// inspector classes) is the caller's business, encoded in the LeafFactory.
+// inspector classes, a rank range of inspector pass 1) is the caller's
+// business, encoded in the LeafFactory.
 #pragma once
 
 #include <functional>

@@ -321,6 +321,57 @@ TEST(Compiled, OverflowThrowsLikeTheInterpreter) {
   EXPECT_THROW(CompiledKernel(nest, s).run_sequential(), OverflowError);
 }
 
+TEST(Compiled, ExecuteRowMatchesExecuteIteration) {
+  // execute_iteration is a wrapper over execute_row: driven over the same
+  // iteration order, the row form and the vector form leave identical
+  // stores — on affine nests, on every indirect input, and on a nest whose
+  // body overflows, where both must throw at the same iteration.
+  struct Case {
+    std::string name;
+    LoopNest nest;
+    ArrayStore init;
+  };
+  std::vector<Case> cases;
+  for (LoopNest nest :
+       {example41(5), example42(5), core::uniform_wavefront(60)}) {
+    ArrayStore init(nest);
+    init.fill_pattern();
+    cases.push_back({nest.to_string(), nest, std::move(init)});
+  }
+  for (const test_inputs::IndirectInput& in : test_inputs::indirect_inputs())
+    cases.push_back({in.name, in.nest, test_inputs::initial_store(in)});
+  int overflowed = 0;
+  for (Case& c : cases) {
+    ArrayStore by_vec = c.init, by_row = c.init;
+    const CompiledKernel vec_kernel(c.nest, by_vec);
+    const CompiledKernel row_kernel(c.nest, by_row);
+    CompiledKernel::Scratch vec_scratch = vec_kernel.make_scratch();
+    CompiledKernel::Scratch row_scratch = row_kernel.make_scratch();
+    i64 rank = 0, vec_fail = -1, row_fail = -1;
+    c.nest.for_each_iteration([&](const Vec& it) {
+      if (vec_fail < 0) {
+        try {
+          vec_kernel.execute_iteration(it, vec_scratch);
+        } catch (const OverflowError&) {
+          vec_fail = rank;
+        }
+      }
+      if (row_fail < 0) {
+        try {
+          row_kernel.execute_row(it.data(), row_scratch);
+        } catch (const OverflowError&) {
+          row_fail = rank;
+        }
+      }
+      ++rank;
+    });
+    EXPECT_EQ(vec_fail, row_fail) << c.name;
+    EXPECT_EQ(by_vec, by_row) << c.name;
+    if (row_fail >= 0) ++overflowed;
+  }
+  EXPECT_EQ(overflowed, 1);  // uniform_wavefront(60) leaves int64
+}
+
 TEST(Compiled, IndirectInputsMatchInterpreter) {
   // The indirect inputs the inspector is checked on: duplicate-heavy
   // scatter, negative lower bounds, two written arrays, a 2-D target with an

@@ -141,6 +141,17 @@ inline std::vector<IndirectInput> indirect_inputs() {
   return out;
 }
 
+/// `A[B[i]] = A[B[i]] + C[i]` over i in [0, n-1] with B a permutation of
+/// A's cells: no two iterations share a cell, so the inspection is
+/// conflict-free. Kept out of indirect_inputs(), whose inputs all carry
+/// dependences.
+inline IndirectInput permutation_input(i64 n) {
+  std::vector<i64> b;
+  // 7 is coprime with every n that 7 does not divide.
+  for (i64 i = 0; i < n; ++i) b.push_back((i * 7 + 3) % n);
+  return {"permutation", indirect_nest(n, n - 1), {{"B", b}}};
+}
+
 /// The input's store: fill_pattern() data with its index contents loaded.
 inline exec::ArrayStore initial_store(const IndirectInput& in) {
   exec::ArrayStore store(in.nest);

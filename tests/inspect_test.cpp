@@ -73,20 +73,50 @@ std::set<std::vector<Vec>> isdg_components(const exec::Isdg& g) {
   return out;
 }
 
+/// Coordinates of every member of classes [lo, hi), in member-slot order.
+std::vector<Vec> member_rows(const inspect::DynamicPartition& part, i64 lo,
+                             i64 hi) {
+  std::vector<Vec> out;
+  part.for_each_row(lo, hi, [&](const i64* row) {
+    out.emplace_back(row, row + part.depth());
+  });
+  return out;
+}
+
 /// The inspector's partition in the same canonical form. Members of a class
 /// come out in lexicographic order already (the documented contract).
 std::set<std::vector<Vec>> inspector_components(
     const inspect::DynamicPartition& part) {
   std::set<std::vector<Vec>> out;
-  Vec iter;
-  for (i64 c = 0; c < part.num_classes(); ++c) {
-    std::vector<Vec> members;
-    part.for_each_class_iteration(c, iter, [&](const Vec& v) {
-      members.push_back(v);
-    });
-    out.insert(std::move(members));
-  }
+  for (i64 c = 0; c < part.num_classes(); ++c)
+    out.insert(member_rows(part, c, c + 1));
   return out;
+}
+
+/// Asserts that two inspections of one space agree on everything but
+/// their timing: class of every iteration, class sizes, member order and
+/// statistics.
+void expect_same_partition(const inspect::DynamicPartition& want,
+                           const inspect::DynamicPartition& got,
+                           const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  ASSERT_EQ(got.num_classes(), want.num_classes()) << label;
+  EXPECT_EQ(got.identity(), want.identity()) << label;
+  for (i64 it = 0; it < want.size(); ++it)
+    EXPECT_EQ(got.class_of(it), want.class_of(it)) << label << " rank " << it;
+  EXPECT_EQ(member_rows(got, 0, got.num_classes()),
+            member_rows(want, 0, want.num_classes()))
+      << label << " member order";
+  for (i64 c = 0; c < want.num_classes(); ++c)
+    EXPECT_EQ(got.class_size(c), want.class_size(c)) << label << " class " << c;
+  const inspect::InspectStats& w = want.stats();
+  const inspect::InspectStats& g = got.stats();
+  EXPECT_EQ(g.iterations, w.iterations) << label;
+  EXPECT_EQ(g.classes, w.classes) << label;
+  EXPECT_EQ(g.chains, w.chains) << label;
+  EXPECT_EQ(g.max_component, w.max_component) << label;
+  EXPECT_EQ(g.dependent_iterations, w.dependent_iterations) << label;
+  EXPECT_EQ(g.written_cells, w.written_cells) << label;
 }
 
 // --------------------------------------- inspector vs brute-force ISDG
@@ -279,50 +309,207 @@ TEST(Inspector, DuplicateIndexWritesSerializeIntoOneClass) {
 TEST(Inspector, HostileIndexArraysFailTypedBeforeAnyWrite) {
   // The first-toucher table is indexed by the computed cell id, so the
   // inspector's range checks are all that keeps a hostile index array off
-  // memory outside it. Four cases: an index value outside the target's
+  // memory outside it. The cases: an index value outside the target's
   // declared range and an index position outside the index array, each on
-  // a written scatter A[B[i]] and on a read-only gather D[i] = A[B[i]].
-  // Each must fail typed, with the store untouched (the sanitizer builds
-  // run this binary too).
-  constexpr i64 n = 16;
+  // a written scatter A[B[i]] and on a read-only gather D[i] = A[B[i]],
+  // with the first bad rank mid-range or at the last rank. n is large
+  // enough that parallel pass 1 splits, and each case runs on 1 and 8
+  // spawned workers and on a caller pool. Each must fail typed, with the
+  // store untouched (the sanitizer builds run this binary too).
+  constexpr i64 n = 4096;
+  ThreadPool pool(4);
   for (bool scatter : {true, false}) {
     for (bool bad_position : {false, true}) {
-      const std::string label = std::string(scatter ? "scatter" : "gather") +
-                                (bad_position ? " / index position"
-                                              : " / index value");
-      LoopNestBuilder b;
-      b.loop("i", 0, n - 1);
-      b.array("A", {{0, 7}});
-      b.array("B", {{0, n - 1}});
-      b.array("D", {{0, n - 1}});
-      ArrayRef a;
-      a.array = "A";
-      a.subscripts = {b.cst(0)};
-      // B[i + 1] reads one past B's last position at the final iteration.
-      a.indirect = {IndirectSubscript{
-          "B", bad_position ? b.idx(0) + b.cst(1) : b.idx(0)}};
-      if (scatter)
-        b.assign(a, Expr::add(Expr::read(a), Expr::constant(1)));
-      else
-        b.assign(b.ref("D", {b.idx(0)}), Expr::read(a));
-      LoopNest nest = b.build();
-      Compiler compiler;
-      Expected<CompiledLoop> loop = compiler.compile(nest);
-      ASSERT_TRUE(loop) << label << ": " << loop.error().to_string();
+      for (bool at_last : {false, true}) {
+        const std::string label =
+            std::string(scatter ? "scatter" : "gather") +
+            (bad_position ? " / index position" : " / index value") +
+            (at_last ? " / last rank" : " / mid-range");
+        LoopNestBuilder b;
+        b.loop("i", 0, n - 1);
+        b.array("A", {{0, 7}});
+        // A bad position reads past B's end: B[i + 1] does so at the last
+        // rank only; B[i] over a half-length B from rank n/2 on.
+        b.array("B", {{0, bad_position && !at_last ? n / 2 - 1 : n - 1}});
+        b.array("D", {{0, n - 1}});
+        ArrayRef a;
+        a.array = "A";
+        a.subscripts = {b.cst(0)};
+        a.indirect = {IndirectSubscript{
+            "B", bad_position && at_last ? b.idx(0) + b.cst(1) : b.idx(0)}};
+        if (scatter)
+          b.assign(a, Expr::add(Expr::read(a), Expr::constant(1)));
+        else
+          b.assign(b.ref("D", {b.idx(0)}), Expr::read(a));
+        LoopNest nest = b.build();
+        Compiler compiler;
+        Expected<CompiledLoop> loop = compiler.compile(nest);
+        ASSERT_TRUE(loop) << label << ": " << loop.error().to_string();
 
-      exec::ArrayStore store(nest);
-      store.fill_pattern();
-      for (i64 i = 0; i < n; ++i) store.write("B", Vec{i}, i % 8);
-      // A value far past A's declared [0, 7], at the last iteration.
-      if (!bad_position) store.write("B", Vec{n - 1}, i64{1} << 20);
-      const exec::ArrayStore before = store;
-      for (std::size_t threads : {1u, 8u}) {
-        Expected<ExecReport> rep =
-            loop->execute(ExecPolicy{}.threads(threads), store);
-        ASSERT_FALSE(rep) << label << " ran at " << threads << " threads";
-        EXPECT_EQ(rep.error().kind, ErrorKind::kPrecondition)
-            << label << ": " << rep.error().to_string();
-        EXPECT_TRUE(store == before) << label << " wrote before failing";
+        exec::ArrayStore store(nest);
+        store.fill_pattern();
+        const i64 b_len = nest.array("B").dims.front().second + 1;
+        for (i64 i = 0; i < b_len; ++i) store.write("B", Vec{i}, i % 8);
+        // A value far past A's declared [0, 7].
+        if (!bad_position)
+          store.write("B", Vec{at_last ? n - 1 : n / 2}, i64{1} << 20);
+        const exec::ArrayStore before = store;
+        for (std::size_t threads : {1u, 8u}) {
+          for (bool on_pool : {false, true}) {
+            const ExecPolicy policy = ExecPolicy{}.threads(threads);
+            Expected<ExecReport> rep = on_pool
+                                           ? loop->execute(policy, store, pool)
+                                           : loop->execute(policy, store);
+            const std::string where = label + " @" + std::to_string(threads) +
+                                      (on_pool ? " on the pool" : "");
+            ASSERT_FALSE(rep) << where << " ran";
+            EXPECT_EQ(rep.error().kind, ErrorKind::kPrecondition)
+                << where << ": " << rep.error().to_string();
+            EXPECT_TRUE(store == before) << where << " wrote before failing";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Inspector, ConflictFreeInspectionIsIdentity) {
+  // A space in which no two iterations share a written cell inspects to the
+  // identity partition (class c = iteration rank c, no class arrays): a
+  // permutation scatter, an affine DOALL nest forced to kInspector and an
+  // empty space. Each must agree with the brute-force ISDG and execute
+  // bit-identically to sequential order.
+  auto check = [](const std::string& label, const LoopNest& nest,
+                  const exec::ArrayStore& init) {
+    const inspect::DynamicPartition part = inspect::inspect(nest, init);
+    const i64 n = nest.iteration_count();
+    EXPECT_TRUE(part.identity()) << label;
+    EXPECT_EQ(part.size(), n) << label;
+    EXPECT_EQ(part.num_classes(), n) << label;
+    for (i64 it = 0; it < n; ++it) {
+      EXPECT_EQ(part.class_of(it), it) << label;
+      EXPECT_EQ(part.class_size(it), 1) << label;
+    }
+    // Member slot m holds iteration rank m: the rows come out in
+    // enumeration order.
+    std::vector<Vec> ranks;
+    nest.for_each_iteration([&](const Vec& v) { ranks.push_back(v); });
+    EXPECT_EQ(member_rows(part, 0, n), ranks) << label;
+    const inspect::InspectStats& st = part.stats();
+    EXPECT_EQ(st.classes, n) << label;
+    EXPECT_EQ(st.chains, 0) << label;
+    EXPECT_EQ(st.dependent_iterations, 0) << label;
+    EXPECT_EQ(st.max_component, std::min<i64>(n, 1)) << label;  // 0 if empty
+    EXPECT_EQ(inspector_components(part),
+              isdg_components(exec::build_isdg(nest, init)))
+        << label;
+    exec::ArrayStore ref = init;
+    exec::run_sequential(nest, ref);
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      for (bool interpret : {false, true}) {
+        exec::ArrayStore got = init;
+        inspect::InspectorExecOptions io;
+        io.num_threads = threads;
+        io.force_interpreter = interpret;
+        runtime::RuntimeStats rs =
+            inspect::InspectorExecutor(nest, part, io).run(got);
+        EXPECT_EQ(rs.total_iterations(), n) << label;
+        EXPECT_TRUE(got == ref) << label << " @" << threads
+                                << (interpret ? " interpreted" : "");
+      }
+    }
+  };
+
+  const IndirectInput perm = test_inputs::permutation_input(32);
+  check(perm.name, perm.nest, initial_store(perm));
+
+  // A[i, j] = A[i, j] + C[j]: every cell written by one iteration, C only
+  // read. The API's forced inspector backend must see the same identity.
+  LoopNestBuilder b;
+  b.loop("i", 0, 7).loop("j", 0, 5);
+  b.array("A", {{0, 7}, {0, 5}});
+  b.array("C", {{0, 5}});
+  b.assign(b.ref("A", {b.idx(0), b.idx(1)}),
+           Expr::add(b.read("A", {b.idx(0), b.idx(1)}),
+                     b.read("C", {b.idx(1)})));
+  const LoopNest doall = b.build();
+  exec::ArrayStore doall_init(doall);
+  doall_init.fill_pattern();
+  check("affine doall", doall, doall_init);
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(doall).value();
+  exec::ArrayStore doall_ref = doall_init;
+  exec::run_sequential(doall, doall_ref);
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    exec::ArrayStore got = doall_init;
+    Expected<ExecReport> rep = loop.execute(
+        ExecPolicy{}.backend(ExecBackend::kInspector).threads(threads), got);
+    ASSERT_TRUE(rep) << rep.error().to_string();
+    EXPECT_TRUE(rep->inspector);
+    EXPECT_EQ(rep->inspector_classes, 48);
+    EXPECT_EQ(rep->inspector_chains, 0);
+    EXPECT_EQ(rep->inspector_max_component, 1);
+    EXPECT_TRUE(got == doall_ref) << "api @" << threads;
+  }
+
+  LoopNestBuilder e;
+  e.loop("i", 0, -1);
+  e.array("A", {{0, 4}});
+  e.assign(e.ref("A", {e.idx(0)}), Expr::constant(1));
+  const LoopNest empty = e.build();
+  exec::ArrayStore empty_init(empty);
+  empty_init.fill_pattern();
+  check("empty", empty, empty_init);
+
+  // One shared cell breaks the identity: iteration 1 now scatters into
+  // iteration 0's cell, giving exactly one chain of two.
+  exec::ArrayStore shared = initial_store(perm);
+  shared.write("B", Vec{1}, shared.read("B", Vec{0}));
+  const inspect::DynamicPartition part = inspect::inspect(perm.nest, shared);
+  EXPECT_FALSE(part.identity());
+  EXPECT_EQ(part.stats().chains, 1);
+  EXPECT_EQ(part.stats().max_component, 2);
+  EXPECT_EQ(part.stats().dependent_iterations, 2);
+  EXPECT_EQ(part.num_classes(), 31);
+  EXPECT_EQ(part.class_of(0), part.class_of(1));
+  EXPECT_EQ(inspector_components(part),
+            isdg_components(exec::build_isdg(perm.nest, shared)));
+  exec::ArrayStore ref = shared;
+  exec::run_sequential(perm.nest, ref);
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    exec::ArrayStore got = shared;
+    inspect::InspectorExecOptions io;
+    io.num_threads = threads;
+    inspect::InspectorExecutor(perm.nest, part, io).run(got);
+    EXPECT_TRUE(got == ref) << "shared cell @" << threads;
+  }
+}
+
+TEST(Inspector, ParallelPassOneMatchesSerial) {
+  // Pass 1 on 1, 2 and 8 driver workers, spawned or on a caller pool, must
+  // give the single-worker partition exactly. The 4096-iteration inputs
+  // split pass 1 into many leaves (this binary runs under TSan in CI);
+  // example 4.1 has tracked reads, so its leaves also race on marks.
+  std::vector<IndirectInput> inputs = indirect_inputs();
+  inputs.push_back({"example_4_1", core::example41(12), {}});
+  inputs.push_back(test_inputs::permutation_input(32));
+  inputs.push_back(test_inputs::permutation_input(4096));
+  {
+    constexpr i64 n = 4096;
+    std::vector<i64> b;
+    for (i64 i = 0; i < n; ++i) b.push_back((i * 2654435761ll) % (n / 4));
+    inputs.push_back({"scatter-4096", indirect_nest(n, n / 4 - 1), {{"B", b}}});
+  }
+  ThreadPool pool(4);
+  for (const IndirectInput& in : inputs) {
+    const exec::ArrayStore store = initial_store(in);
+    const inspect::DynamicPartition serial = inspect::inspect(in.nest, store);
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const std::string label = in.name + " @" + std::to_string(threads) +
+                                  (p ? " on the pool" : "");
+        expect_same_partition(
+            serial, inspect::inspect(in.nest, store, threads, p), label);
       }
     }
   }
@@ -396,11 +583,8 @@ TEST(Inspector, OracleAgainstStaticPartitioner) {
         for (const Vec& v : sched.items[k])
           item_of[v] = static_cast<i64>(k);
       std::map<Vec, i64> cls_of;
-      Vec v;
-      for (i64 it = 0; it < part.size(); ++it) {
-        part.coords_of(it, v);
-        cls_of[v] = part.class_of(it);
-      }
+      for (i64 cls = 0; cls < part.num_classes(); ++cls)
+        for (const Vec& v : member_rows(part, cls, cls + 1)) cls_of[v] = cls;
       ASSERT_EQ(item_of.size(), cls_of.size()) << c.name << " n=" << n;
 
       std::set<Vec> dependent;

@@ -526,6 +526,56 @@ TEST(ExecutableMemo, HitHonoursTheCurrentPolicy) {
   EXPECT_EQ(reg.counter("vdep_tasks_total").value(), batch_tasks);
 }
 
+// --------------------------------------------------------------- inspector
+
+// A conflict-free inspection (identity partition) is a typed record: the
+// inspect span's chains arg (args[2]) is 0 exactly then, behind the same
+// per-run gates as the other inspector stats.
+TEST(Inspector, ConflictFreeInspectionIsRecorded) {
+  ObsQuiet quiet;
+  TraceRecorder& rec = TraceRecorder::instance();
+  MetricsRegistry& reg = MetricsRegistry::instance();
+  rec.enable();
+  reg.enable();
+  Compiler compiler;
+  CompiledLoop loop = compiler
+                          .compile("array A[0:63]\n"
+                                   "array B[0:63]\n"
+                                   "do i = 0, 63\n"
+                                   "  A[B[i]] = A[B[i]] + 7\n"
+                                   "enddo\n")
+                          .value();
+  // Scatters through B[i] = (7i + 3) mod `cells`: a permutation of A at
+  // 64 cells, four touchers per cell at 16. Returns the chains arg of the
+  // run's inspect span, -1 without one.
+  auto run = [&](i64 cells, const ExecPolicy& policy) {
+    rec.clear();
+    exec::ArrayStore store(loop.nest());
+    store.fill_pattern();
+    for (i64 i = 0; i <= 63; ++i)
+      store.write("B", intlin::Vec{i}, (i * 7 + 3) % cells);
+    EXPECT_TRUE(loop.execute(policy, store));
+    i64 chains = -1;
+    rec.for_each_event([&](std::size_t, const TraceEvent& ev) {
+      if (ev.kind == EventKind::kInspect) chains = ev.args[2];
+    });
+    return chains;
+  };
+  auto count = [&](const char* name) { return reg.counter(name).value(); };
+  ExecPolicy on;
+  on.threads(4).digest(false);
+  ExecPolicy off = on;
+  off.trace(false).metrics(false);
+
+  EXPECT_EQ(run(64, on), 0);
+  EXPECT_NE(rec.chrome_json().find("\"chains\":0"), std::string::npos);
+  EXPECT_EQ(count("vdep_inspector_runs_total"), 1);
+  EXPECT_EQ(run(16, on), 16);
+  EXPECT_EQ(count("vdep_inspector_runs_total"), 2);
+  EXPECT_EQ(run(64, off), -1);
+  EXPECT_EQ(count("vdep_inspector_runs_total"), 2);
+}
+
 // ------------------------------------------------------------------ phases
 
 TEST(Phases, ExecReportBreakdownCoversWall) {
