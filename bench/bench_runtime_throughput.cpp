@@ -17,6 +17,13 @@
 // single-axis splitter at 8 workers by >= 2x, with all stores bit-identical
 // to the sequential reference.
 //
+// The suite_scaling rows (informational, no gate) run every paper-suite
+// kernel at the large bounds of perfbench's large_kernels workload through
+// the public API (kJit when a C toolchain exists, else kCompiled) at 1 and
+// at hardware-count workers, median of 5 interleaved runs each, and report
+// speedup_hw_vs_1w: the kernels where parallelism still loses to one
+// worker show up below 1.
+//
 // Output is one JSON object per line (scrapeable into BENCH_*.json):
 //   {"bench":"runtime_throughput","name":...,"mode":"streaming","threads":2,
 //    "n":250,"iterations":251001,"seconds":...,"iters_per_sec":...,
@@ -26,9 +33,11 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <string>
 #include <thread>
 
+#include "api/vdep.h"
 #include "core/suite.h"
 #include "dep/pdm.h"
 #include "exec/compiled.h"
@@ -414,6 +423,76 @@ int run_trace_overhead(bool gate) {
   return failures;
 }
 
+// ------------------------------------------------------ suite scaling rows
+
+/// perfbench's large_kernels bounds per suite kernel (perfbench.cpp
+/// large_bound), so these rows time the same shapes per kernel.
+i64 large_bound(const std::string& name) {
+  static const std::map<std::string, i64> sizes = {
+      {"example_4_1", 150},         {"example_4_2", 400},
+      {"uniform_wavefront", 20},    {"uniform_blocked", 400},
+      {"zero_column", 400},         {"parity_independent", 400},
+      {"sequential_chain", 300000}, {"variable_3deep", 24},
+      {"triangular_uniform", 400},  {"matmul_reduction", 64},
+      {"skewed_extent", 200000},
+  };
+  return sizes.at(name);
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// One suite_scaling row per paper-suite kernel: 1 vs hw workers through
+/// CompiledLoop::execute on the session pool, 5 interleaved timed runs per
+/// worker count after one warm-up each (JIT build, executable memo, page
+/// faults), each on a fresh copy of the pattern-filled store.
+void run_suite_scaling() {
+  constexpr int kReps = 5;
+  const std::size_t hw = hw_threads();
+  Compiler compiler(CompileOptions{}.pool_threads(hw));
+  ThreadPool& pool = compiler.pool();
+  for (const core::NamedNest& named : core::paper_suite(1)) {
+    const i64 n = large_bound(named.name);
+    loopir::LoopNest nest;
+    for (core::NamedNest& c : core::paper_suite(n))
+      if (c.name == named.name) nest = std::move(c.nest);
+    CompiledLoop loop = compiler.compile(nest).value();
+    exec::ArrayStore init(nest);
+    init.fill_pattern();
+    ExecReport last;
+    auto time_run = [&](std::size_t threads) {
+      exec::ArrayStore store = init;
+      const ExecPolicy policy =
+          ExecPolicy{}.threads(threads).backend(ExecBackend::kJit).digest(false);
+      auto t0 = std::chrono::steady_clock::now();
+      last = loop.execute(policy, store, pool).value();
+      return seconds_since(t0) * 1e3;
+    };
+    time_run(1);
+    time_run(hw);
+    std::vector<double> one, many;
+    for (int k = 0; k < kReps; ++k) {
+      one.push_back(time_run(1));
+      many.push_back(time_run(hw));
+    }
+    const double ms_1w = median(one), ms_hw = median(many);
+    std::printf(
+        "{\"bench\":\"runtime_throughput\",\"name\":\"%s\","
+        "\"mode\":\"suite_scaling\",\"backend\":\"%s\",\"threads\":%zu,"
+        "\"hw_threads\":%zu,\"n\":%lld,\"iterations\":%lld,\"reps\":%d,"
+        "\"ms_1w\":%.4f,\"ms_hw\":%.4f,\"speedup_hw_vs_1w\":%.3f,"
+        "\"workers_used_hw\":%lld,\"tasks_hw\":%lld}\n",
+        named.name.c_str(), last.jit ? "jit" : "compiled", hw, hw,
+        static_cast<long long>(n),
+        static_cast<long long>(nest.iteration_count()), kReps, ms_1w, ms_hw,
+        ms_hw > 0 ? ms_1w / ms_hw : 0.0,
+        static_cast<long long>(last.workers_used),
+        static_cast<long long>(last.tasks));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -460,5 +539,6 @@ int main(int argc, char** argv) {
 
   run_skewed(/*gate=*/false);
   run_trace_overhead(/*gate=*/false);
+  run_suite_scaling();
   return 0;
 }

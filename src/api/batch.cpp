@@ -88,6 +88,7 @@ Expected<std::vector<ExecReport>> detail::execute_batch_impl(
       rep.tasks = s.tasks;
       rep.steals = s.steals;
       rep.inner_splits = s.inner_splits;
+      rep.workers_used = bs.workers_used;
       rep.wall_ns = s.done_ns;
       rep.queue_ns = s.queue_ns;
       // This request's in-flight time: completion minus the wait behind

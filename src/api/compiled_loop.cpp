@@ -301,6 +301,7 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
       rep.inner_splits = rs.total_inner_splits();
       rep.failed_steals = rs.total_failed_steals();
       rep.idle_ns = rs.total_idle_ns();
+      rep.workers_used = rs.workers_used;
       rep.inspector = true;
       rep.inspector_classes = st.classes;
       rep.inspector_chains = st.chains;
@@ -329,6 +330,7 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
       rep.inner_splits = rs.total_inner_splits();
       rep.failed_steals = rs.total_failed_steals();
       rep.idle_ns = rs.total_idle_ns();
+      rep.workers_used = rs.workers_used;
     } else {
       exec::RunStats rs;
       obs::PhaseTimer run_timer(obs::Phase::kExec);
@@ -421,6 +423,14 @@ std::string CompiledLoop::summary() const {
   os << "-- parallel structure --\n";
   os << p.doall_loops << " outer DOALL loop(s), " << p.partition_classes
      << " independent partition class(es)\n";
+  if (p.partition_classes > 1) {
+    os << "class range "
+       << (runtime::classes_share_lines(*nest_, p.transform)
+               ? "kept on one worker (classes write cells within a cache "
+                 "line of each other)"
+               : "may split across workers")
+       << "\n";
+  }
   os << "-- transformed nest --\n"
      << codegen::rewrite_nest(*nest_, p.transform).nest.to_string();
   return os.str();

@@ -188,6 +188,11 @@ struct ExecReport {
   i64 inner_splits = 0;  ///< descriptor splits along inner DOALL axes (streaming)
   i64 failed_steals = 0; ///< empty full steal sweeps (streaming)
   i64 idle_ns = 0;       ///< summed worker idle time (streaming)
+  /// Worker contexts the run started (streaming): the resolved thread
+  /// count, fewer when the plan seeded fewer unsplittable pieces, 1 when
+  /// the lone piece ran on the calling thread. A batch reports its shared
+  /// run's count on every request.
+  i64 workers_used = 0;
   i64 wall_ns = 0;
   /// Phase breakdown of wall_ns (obs::PhaseScope): executor construction
   /// (rewrite + hull + kernel build), C emission, cc + dlopen, and the

@@ -36,37 +36,45 @@ struct alignas(64) Pending {
 
 std::vector<TaskDescriptor> seed_pieces(std::span<const DriveSource> sources,
                                         std::size_t threads,
-                                        WorkerStats* seeder) {
+                                        WorkerStats* seeder,
+                                        bool* exhausted) {
   // Split the roots into at least `threads` pieces before any worker
   // starts, largest-first so the pieces stay balanced, then order them by
   // (source, position) so deque k holds the k-th slice of a lone source's
   // space — the slice a first-touch store placed near pinned worker k. The
   // seeding splits are charged to worker 0's counters of the piece's
   // source (each one still turns one descriptor into two, so
-  // tasks == splits + 1 holds per source).
+  // tasks == splits + 1 holds per source). `exhausted` reports that
+  // seeding stopped short of `threads` pieces because none could split.
   std::vector<TaskDescriptor> pieces;
   for (std::size_t s = 0; s < sources.size(); ++s) {
     TaskDescriptor rt = sources[s].root;
     rt.source = static_cast<i64>(s);
     if (!rt.empty()) pieces.push_back(rt);
   }
+  *exhausted = false;
   while (!pieces.empty() && pieces.size() < threads) {
     std::size_t fattest = pieces.size();
     i64 most = 0;
     for (std::size_t k = 0; k < pieces.size(); ++k) {
-      const i64 grain =
-          sources[static_cast<std::size_t>(pieces[k].source)].grain;
-      if (pieces[k].cells() > most && can_split(pieces[k], grain)) {
+      const DriveSource& src =
+          sources[static_cast<std::size_t>(pieces[k].source)];
+      if (pieces[k].cells() > most &&
+          can_split(pieces[k], src.grain, src.split_classes)) {
         fattest = k;
         most = pieces[k].cells();
       }
     }
-    if (fattest == pieces.size()) break;
+    if (fattest == pieces.size()) {
+      *exhausted = true;
+      break;
+    }
     const DriveSource& src =
         sources[static_cast<std::size_t>(pieces[fattest].source)];
     int axis = 0;
     WorkerStats& st = seeder[pieces[fattest].source];
-    pieces.push_back(split(pieces[fattest], src.grain, &axis, &src.prefs));
+    pieces.push_back(split(pieces[fattest], src.grain, &axis, &src.prefs,
+                           src.split_classes));
     ++st.splits;
     ++st.axis_splits[axis];
   }
@@ -123,13 +131,20 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
 
   // Seeded before any worker starts (thread creation / the pool's queue
   // mutex publishes the pushes to every worker).
+  bool exhausted = false;
   const std::vector<TaskDescriptor> pieces =
-      seed_pieces(sources, threads, blocks.data());
+      seed_pieces(sources, threads, blocks.data(), &exhausted);
   if (pieces.empty()) return out;
 
+  // With no splittable piece left no descriptor is ever created again, so
+  // contexts past pieces.size() could only idle: start just enough. One
+  // context runs on the caller alone — no pool hand-off, no pin.
+  const std::size_t contexts = exhausted ? pieces.size() : threads;
+  out.workers_used = static_cast<i64>(contexts);
+
   std::vector<std::unique_ptr<WorkStealingDeque>> deques;
-  deques.reserve(threads);
-  for (std::size_t k = 0; k < threads; ++k)
+  deques.reserve(contexts);
+  for (std::size_t k = 0; k < contexts; ++k)
     deques.push_back(std::make_unique<WorkStealingDeque>());
 
   // Live descriptors (queued or executing) per source, plus the count of
@@ -139,7 +154,7 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
   for (std::size_t k = 0; k < pieces.size(); ++k) {
     pending[static_cast<std::size_t>(pieces[k].source)].count.fetch_add(
         1, std::memory_order_relaxed);
-    deques[k % threads]->push(pieces[k]);
+    deques[k % contexts]->push(pieces[k]);
   }
   i64 nonempty = 0;
   for (const Pending& p : pending)
@@ -155,8 +170,8 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
   // either way, and the per-distance counters stay meaningful relative to
   // the assignment the workers *would* have.
   const topo::Topology& topology = topo::Topology::system();
-  const std::vector<int> assignment = topology.assign_workers(threads);
-  const bool pin = detail::effective_pin(opts.switches.pin_workers, threads);
+  const std::vector<int> assignment = topology.assign_workers(contexts);
+  const bool pin = detail::effective_pin(opts.switches.pin_workers, contexts);
 
   std::atomic<bool> abort{false};
   std::exception_ptr first_error;
@@ -184,7 +199,7 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
   }
 
   const i64 t0 = now_ns();
-  const int n = static_cast<int>(threads);
+  const int n = static_cast<int>(contexts);
   auto worker_main = [&](int id) {
     // Pin for the run's duration; the guard restores the thread's previous
     // mask (worker 0 is the caller, pool threads are long-lived).
@@ -225,9 +240,10 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
       try {
         // Split depth-first: push the large high halves (stolen first),
         // keep refining the low half until it is a leaf, run it.
-        while (can_split(task, src.grain)) {
+        while (can_split(task, src.grain, src.split_classes)) {
           int axis = 0;
-          TaskDescriptor high = split(task, src.grain, &axis, &src.prefs);
+          TaskDescriptor high =
+              split(task, src.grain, &axis, &src.prefs, src.split_classes);
           pending[s].count.fetch_add(1, std::memory_order_relaxed);
           deques[static_cast<std::size_t>(id)]->push(high);
           ++stats.splits;
@@ -369,15 +385,15 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
     }
   };
 
-  if (pool) {
+  if (pool && contexts > 1) {
     // One chunk per worker context; pool threads plus the caller claim
-    // them. A pool smaller than threads just runs some contexts after
-    // others finished (they see no live source and return immediately).
-    pool->parallel_for(static_cast<i64>(threads),
+    // them. A pool smaller than the context count just runs some contexts
+    // after others finished (they see no live source and return at once).
+    pool->parallel_for(static_cast<i64>(contexts),
                        [&](i64 id) { worker_main(static_cast<int>(id)); });
   } else {
     std::vector<std::thread> workers;
-    workers.reserve(threads - 1);
+    workers.reserve(contexts - 1);
     for (int k = 1; k < n; ++k) workers.emplace_back(worker_main, k);
     worker_main(0);  // the calling thread is worker 0
     for (std::thread& t : workers) t.join();

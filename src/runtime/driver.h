@@ -50,6 +50,10 @@ struct DriveSource {
   /// Called lazily, the first time a worker context runs one of this
   /// source's leaves. Must outlive the drive_descriptors call.
   LeafFactory leaf_factory;
+  /// Whether the class range is a split axis (task.h pick_split_axis).
+  /// False keeps every descriptor's classes together — a plan whose
+  /// classes write neighbouring cells (StreamExecutor::splits_classes).
+  bool split_classes = true;
 };
 
 /// A run's switches that change neither its schedule nor its results: the
@@ -90,8 +94,14 @@ struct DriveOptions {
 /// splits are charged to worker 0's counters, so tasks == splits + 1 holds
 /// per source. Idle workers then steal nearest-first.
 ///
-/// With `pool` null, spawns threads - 1 helpers and uses the calling thread
-/// as worker 0; otherwise the pool's threads (plus the caller) claim the
+/// When seeding runs out of splittable pieces first, no descriptor can
+/// ever be created again, so the run starts only pieces.size() worker
+/// contexts; a single context is the calling thread alone, with no pool
+/// hand-off and no pinning. RuntimeStats::workers_used records the count
+/// (RuntimeStats::workers keeps `threads` entries either way).
+///
+/// With `pool` null, spawns the helpers and uses the calling thread as
+/// worker 0; otherwise the pool's threads (plus the caller) claim the
 /// worker contexts. The first leaf exception aborts the run: every worker
 /// stops, remaining descriptors are dropped, and the error plus its source
 /// index come back in RuntimeStats::error / error_source (not rethrown).

@@ -80,6 +80,7 @@ std::string RuntimeStats::to_string() const {
   os << "total  " << total_tasks() << "  " << total_splits() << "  "
      << total_steals() << "  " << total_failed_steals() << "  "
      << total_iterations() << "  wall_ms " << wall_ns / 1000000.0 << "\n";
+  os << "workers used " << workers_used << " of " << workers.size() << "\n";
   os << "splits by axis: outer " << total_axis_splits(0) << ", inner "
      << total_inner_splits() << ", classes "
      << total_axis_splits(TaskDescriptor::kClassAxis) << "\n";

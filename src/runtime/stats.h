@@ -65,6 +65,10 @@ struct RuntimeStats {
   /// Per source, summed over worker contexts.
   std::vector<SourceStats> sources;
   i64 wall_ns = 0;  ///< makespan of the whole run (seed to last join)
+  /// Worker contexts the run started: `threads`, fewer when seeding found
+  /// fewer unsplittable pieces (1: the caller ran the lone piece), 0 for
+  /// an empty run.
+  i64 workers_used = 0;
   /// First failure (a leaf threw): every worker stopped and the remaining
   /// descriptors were dropped. Single-request callers rethrow it; a batch
   /// attaches the request index from error_source.

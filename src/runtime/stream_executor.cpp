@@ -7,6 +7,7 @@
 #include "analysis/interval.h"
 #include "exec/compiled.h"
 #include "exec/interpreter.h"
+#include "intlin/det.h"
 #include "runtime/driver.h"
 #include "support/error.h"
 
@@ -44,6 +45,7 @@ StreamExecutor::StreamExecutor(const loopir::LoopNest& original,
   int limit = opts_.split_dims > 0 ? opts_.split_dims : TaskDescriptor::kMaxDims;
   ndims_ = std::min(num_doall_, std::min(limit, TaskDescriptor::kMaxDims));
   if (opts_.locality_splits) compute_split_prefs();
+  split_classes_ = !classes_share_lines(original_, plan);
   threads_ = opts_.num_threads != 0
                  ? opts_.num_threads
                  : std::max(1u, std::thread::hardware_concurrency());
@@ -69,52 +71,122 @@ void StreamExecutor::compute_hull() {
   for (const analysis::Interval& h : env.hulls()) hull_.emplace_back(h.lo, h.hi);
 }
 
+namespace {
+
+/// Flat-offset step (elements) of affine `ref` per unit step of each
+/// transformed coordinate j_first .. j_{first+count-1}. One step along j_d
+/// moves the original iteration by row d of T^{-1} (i = j T^{-1}), each
+/// subscript vector by F * that row (subscripts = F i + f0), and the flat
+/// address by the row-major strides of the array.
+Vec flat_steps(const loopir::LoopNest& nest, const intlin::Mat& t_inverse,
+               const loopir::ArrayRef& ref, int first, int count) {
+  Vec steps(static_cast<std::size_t>(count), 0);
+  const loopir::ArrayDecl* decl = nullptr;
+  for (const loopir::ArrayDecl& a : nest.arrays())
+    if (a.name == ref.array) decl = &a;
+  if (!decl) return steps;
+  // Row-major element strides of the declared shape.
+  std::vector<i64> stride(static_cast<std::size_t>(decl->arity()), 1);
+  for (int s = decl->arity() - 2; s >= 0; --s)
+    stride[static_cast<std::size_t>(s)] = checked::mul(
+        stride[static_cast<std::size_t>(s + 1)],
+        decl->dims[static_cast<std::size_t>(s + 1)].second -
+            decl->dims[static_cast<std::size_t>(s + 1)].first + 1);
+  const intlin::Mat f = ref.linear_part();
+  for (int k = 0; k < count; ++k) {
+    const int d = first + k;
+    i64 delta = 0;
+    for (int s = 0; s < decl->arity(); ++s) {
+      i64 dsub = 0;
+      for (int c = 0; c < nest.depth(); ++c)
+        dsub = checked::add(dsub, checked::mul(f.at(s, c), t_inverse.at(d, c)));
+      delta = checked::add(
+          delta, checked::mul(stride[static_cast<std::size_t>(s)], dsub));
+    }
+    steps[static_cast<std::size_t>(k)] = delta;
+  }
+  return steps;
+}
+
+}  // namespace
+
 void StreamExecutor::compute_split_prefs() {
   // Locality weight of boxed axis d: total absolute address movement (in
   // elements, summed over the affine accesses) per unit step along
-  // transformed coordinate j_d. One step moves the original iteration by
-  // row d of T^{-1} (i = j T^{-1}), each subscript vector by F * that row
-  // (subscripts = F i + f0), and the flat address by the row-major strides
-  // of the array. Splitting the axis that moves addresses the most keeps
-  // each half's footprint contiguous; an axis no access depends on scores
-  // zero and ranks last among the DOALL axes.
+  // transformed coordinate j_d. Splitting the axis that moves addresses
+  // the most keeps each half's footprint contiguous; an axis no access
+  // depends on scores zero and ranks last among the DOALL axes.
   try {
-  for (const loopir::LoopNest::Access& acc : original_.accesses()) {
-    const loopir::ArrayRef& ref = acc.ref;
-    if (ref.has_indirection()) continue;
-    const loopir::ArrayDecl* decl = nullptr;
-    for (const loopir::ArrayDecl& a : original_.arrays())
-      if (a.name == ref.array) decl = &a;
-    if (!decl) continue;
-    // Row-major element strides of the declared shape.
-    std::vector<i64> stride(static_cast<std::size_t>(decl->arity()), 1);
-    for (int s = decl->arity() - 2; s >= 0; --s)
-      stride[static_cast<std::size_t>(s)] = checked::mul(
-          stride[static_cast<std::size_t>(s + 1)],
-          decl->dims[static_cast<std::size_t>(s + 1)].second -
-              decl->dims[static_cast<std::size_t>(s + 1)].first + 1);
-    const intlin::Mat f = ref.linear_part();
-    for (int d = 0; d < ndims_; ++d) {
-      i64 delta = 0;
-      for (int s = 0; s < decl->arity(); ++s) {
-        i64 dsub = 0;
-        for (int c = 0; c < depth_; ++c) {
-          const i64 tinv = identity_ ? (c == d ? 1 : 0) : tn_.t_inverse.at(d, c);
-          dsub = checked::add(dsub, checked::mul(f.at(s, c), tinv));
-        }
-        delta = checked::add(delta,
-                             checked::mul(stride[static_cast<std::size_t>(s)],
-                                          dsub));
-      }
-      split_prefs_.stride[d] =
-          checked::add(split_prefs_.stride[d], checked::abs(delta));
+    for (const loopir::LoopNest::Access& acc : original_.accesses()) {
+      if (acc.ref.has_indirection()) continue;
+      const Vec steps = flat_steps(original_, tn_.t_inverse, acc.ref, 0, ndims_);
+      for (int d = 0; d < ndims_; ++d)
+        split_prefs_.stride[d] = checked::add(
+            split_prefs_.stride[d],
+            checked::abs(steps[static_cast<std::size_t>(d)]));
     }
-  }
   } catch (const Error&) {
     // Pathological shapes can overflow the stride products; locality is a
     // heuristic, so fall back to the longest-axis policy rather than fail.
     split_prefs_ = SplitPrefs{};
   }
+}
+
+bool classes_share_lines(const loopir::LoopNest& nest,
+                         const trans::TransformPlan& plan) {
+  // Classes are the cosets of lattice(H) over the partition block. Two
+  // iterations whose block coordinates differ by delta (|delta_k| < h_kk,
+  // delta not in the lattice) belong to different classes, and a written
+  // reference with flat steps g puts their cells |g . delta| elements
+  // apart. Under one cache line for any such pair, splitting the class
+  // range only makes workers contend for lines, so the range stays whole.
+  // Boxes past kMaxLineProbes offsets, and overflowing products, keep the
+  // classes splittable: the rule is a heuristic, never a legality input.
+  constexpr i64 kLineCells = 64 / sizeof(i64);
+  constexpr i64 kMaxLineProbes = 4096;
+  if (!plan.partition || plan.partition->num_classes() <= 1) return false;
+  const trans::Partitioning& part = *plan.partition;
+  try {
+    const int k = part.dim();
+    const intlin::Mat& h = part.lattice_basis();
+    i64 probes = 1;
+    for (int c = 0; c < k; ++c) {
+      probes = checked::mul(probes, checked::fma(-1, 2, h.at(c, c)));
+      if (probes > kMaxLineProbes) return false;
+    }
+    const intlin::Mat t_inverse = intlin::unimodular_inverse(plan.t);
+    std::vector<Vec> steps;
+    for (const loopir::LoopNest::Access& acc : nest.accesses())
+      if (acc.is_write && !acc.ref.has_indirection())
+        steps.push_back(
+            flat_steps(nest, t_inverse, acc.ref, plan.num_doall, k));
+    Vec delta(static_cast<std::size_t>(k));
+    for (int c = 0; c < k; ++c)
+      delta[static_cast<std::size_t>(c)] = 1 - h.at(c, c);
+    for (i64 p = 0; p < probes; ++p) {
+      if (part.class_id(delta) != 0) {
+        for (const Vec& g : steps) {
+          i64 apart = 0;
+          for (int c = 0; c < k; ++c)
+            apart = checked::fma(apart, g[static_cast<std::size_t>(c)],
+                                 delta[static_cast<std::size_t>(c)]);
+          if (checked::abs(apart) < kLineCells) return true;
+        }
+      }
+      // Next offset in the box (odometer, innermost coordinate fastest).
+      for (int c = k - 1; c >= 0; --c) {
+        i64& v = delta[static_cast<std::size_t>(c)];
+        if (v < h.at(c, c) - 1) {
+          ++v;
+          break;
+        }
+        v = 1 - h.at(c, c);
+      }
+    }
+  } catch (const Error&) {
+    // Overflowing products: the classes stay splittable.
+  }
+  return false;
 }
 
 TaskDescriptor StreamExecutor::root() const {
@@ -220,7 +292,7 @@ DriveSource StreamExecutor::source(
     exec::ArrayStore& store, const exec::RangeKernel* kernel,
     const exec::CompiledKernel* scan_prototype) const {
   return {root(), grain_, split_prefs_,
-          make_leaf_factory(store, kernel, scan_prototype)};
+          make_leaf_factory(store, kernel, scan_prototype), split_classes_};
 }
 
 StreamExecutor::LeafFn StreamExecutor::make_scan_leaf(
@@ -313,8 +385,9 @@ RuntimeStats StreamExecutor::run_trace(
     return make_scan_leaf(id, stats,
                           [&sink, id](const Vec& it) { sink(id, it); });
   };
-  return drive({root(), grain_, split_prefs_, std::move(factory)}, nullptr,
-               {});
+  return drive(
+      {root(), grain_, split_prefs_, std::move(factory), split_classes_},
+      nullptr, {});
 }
 
 }  // namespace vdep::runtime

@@ -20,6 +20,13 @@
 // the sequential reference — legality is the same Lemma 1 x Theorem 2
 // argument as the materialized schedule, only the cover of the box changed.
 //
+// Classes are cosets of a lattice, so neighbouring iterations of different
+// classes can write neighbouring cells. When the plan's written references
+// put two classes within a cache line of each other, the class range stops
+// being a split axis (splits_classes()): class parallelism there is false
+// sharing. A plan with nothing else to split then seeds one piece, which
+// the driver runs on the caller.
+//
 // An executor depends on bounds and on the schedule-shaping StreamOptions
 // only, never on data or on the per-run RunSwitches (tracing, metrics,
 // pinning), so the API memoizes one per (artifact, bounds, options) and
@@ -67,6 +74,17 @@ struct StreamOptions {
   // are per-run RunSwitches (runtime/driver.h), so one executor serves
   // runs that differ in them.
 };
+
+/// Whether distinct partition classes of `plan` write cells of `nest` less
+/// than one cache line apart: for some written affine reference with flat
+/// step g per partition-block coordinate, some offset delta with
+/// |delta_k| < h_kk and delta outside lattice(H) has |g . delta| under
+/// 64 / sizeof(i64) cells. Plans whose offset box is too large to
+/// enumerate, and overflowing products, count as not sharing. A property
+/// of (nest, plan) only: StreamExecutor keeps the class range whole when
+/// it holds.
+bool classes_share_lines(const loopir::LoopNest& nest,
+                         const trans::TransformPlan& plan);
 
 class StreamExecutor {
  public:
@@ -130,6 +148,10 @@ class StreamExecutor {
   TaskDescriptor root() const;
   /// Whether the plan has any DOALL dimension to chunk along.
   bool has_outer() const { return num_doall_ > 0; }
+  /// Whether descriptors may split the class range: false when
+  /// classes_share_lines(nest, plan), since splitting those classes would
+  /// put workers on the same cache lines. DOALL axes split either way.
+  bool splits_classes() const { return split_classes_; }
   /// DOALL-prefix dimensions descriptors box and split (<= num_doall).
   int boxed_dims() const { return ndims_; }
   i64 grain() const { return grain_; }
@@ -171,6 +193,7 @@ class StreamExecutor {
   bool identity_ = true;  ///< T == I: transformed coords are original coords
   i64 grain_ = 1;
   SplitPrefs split_prefs_;
+  bool split_classes_ = true;
   /// Rectangular hull [min, max] of each DOALL-prefix dimension over the
   /// transformed space (interval arithmetic over the bounds, outermost-in).
   std::vector<std::pair<i64, i64>> hull_;

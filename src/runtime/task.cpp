@@ -85,8 +85,9 @@ std::optional<TaskDescriptor> TaskDescriptor::from_string(
 }
 
 int pick_split_axis(const TaskDescriptor& t, i64 grain,
-                    const SplitPrefs* prefs) {
+                    const SplitPrefs* prefs, bool split_classes) {
   if (t.cells() <= std::max<i64>(grain, 1)) return -1;
+  const i64 class_extent = split_classes ? t.class_extent() : 1;
   if (prefs != nullptr && prefs->any()) {
     // Locality policy: among non-degenerate DOALL axes, the largest
     // address stride wins (cutting there separates the halves' memory
@@ -107,7 +108,7 @@ int pick_split_axis(const TaskDescriptor& t, i64 grain,
       }
     }
     if (best >= 0) return best;
-    return t.class_extent() > 1 ? TaskDescriptor::kClassAxis : -1;
+    return class_extent > 1 ? TaskDescriptor::kClassAxis : -1;
   }
   // Longest axis wins; strict comparisons keep ties on the outermost
   // dimension and make the class range the last resort.
@@ -119,17 +120,17 @@ int pick_split_axis(const TaskDescriptor& t, i64 grain,
       best_extent = t.extent(d);
     }
   }
-  if (t.class_extent() > best_extent) best = TaskDescriptor::kClassAxis;
+  if (class_extent > best_extent) best = TaskDescriptor::kClassAxis;
   return best;
 }
 
-bool can_split(const TaskDescriptor& t, i64 grain) {
-  return pick_split_axis(t, grain) >= 0;
+bool can_split(const TaskDescriptor& t, i64 grain, bool split_classes) {
+  return pick_split_axis(t, grain, nullptr, split_classes) >= 0;
 }
 
 TaskDescriptor split(TaskDescriptor& t, i64 grain, int* axis_out,
-                     const SplitPrefs* prefs) {
-  int axis = pick_split_axis(t, grain, prefs);
+                     const SplitPrefs* prefs, bool split_classes) {
+  int axis = pick_split_axis(t, grain, prefs, split_classes);
   VDEP_CHECK(axis >= 0, "descriptor is not splittable");
   if (axis_out) *axis_out = axis;
   TaskDescriptor high = t;

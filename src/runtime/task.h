@@ -94,20 +94,27 @@ struct SplitPrefs {
 /// class range becomes the last resort. -1 when the descriptor is a leaf:
 /// at most max(grain, 1) cells, or every axis degenerate. The *splittable*
 /// set never depends on prefs, only the choice among splittable axes does.
+/// `split_classes` false takes the class range out of the splittable set:
+/// a source whose classes write cells that share cache lines keeps them in
+/// one descriptor (stream_executor.h). Like `grain` it belongs to the
+/// source, not to the locality weights.
 int pick_split_axis(const TaskDescriptor& t, i64 grain,
-                    const SplitPrefs* prefs = nullptr);
+                    const SplitPrefs* prefs = nullptr,
+                    bool split_classes = true);
 
 /// Whether split() may divide `t`: more than max(grain, 1) cells and some
-/// axis longer than 1. Degenerate axes are never split. Independent of any
-/// SplitPrefs by construction.
-bool can_split(const TaskDescriptor& t, i64 grain);
+/// axis longer than 1 (the class range only when `split_classes`).
+/// Degenerate axes are never split. Independent of any SplitPrefs by
+/// construction.
+bool can_split(const TaskDescriptor& t, i64 grain, bool split_classes = true);
 
 /// Divides `t` in two along pick_split_axis. `t` keeps the low half; the
-/// returned descriptor is the high half. Requires can_split(t, grain).
-/// `axis_out`, when non-null, receives the chosen axis id (per-axis split
-/// counters in stats.h).
+/// returned descriptor is the high half. Requires
+/// can_split(t, grain, split_classes). `axis_out`, when non-null, receives
+/// the chosen axis id (per-axis split counters in stats.h).
 TaskDescriptor split(TaskDescriptor& t, i64 grain, int* axis_out = nullptr,
-                     const SplitPrefs* prefs = nullptr);
+                     const SplitPrefs* prefs = nullptr,
+                     bool split_classes = true);
 
 /// Grain heuristic: aim for ~`tasks_per_worker` leaf descriptors per worker
 /// by total cells, never below 1.

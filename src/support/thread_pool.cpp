@@ -101,7 +101,10 @@ void ThreadPool::parallel_for(std::int64_t num_chunks,
       return batch->remaining.load(std::memory_order_acquire) == 0;
     });
   }
-  if (batch->first_error) std::rethrow_exception(batch->first_error);
+  // Take the error out of the batch: a helper that still holds the batch
+  // must not drop the last reference to the exception the caller handles.
+  std::exception_ptr error = std::move(batch->first_error);
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::global() {

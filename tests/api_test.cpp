@@ -569,6 +569,41 @@ TEST(ExecutableMemo, WorkerCountIsPartOfTheKey) {
   EXPECT_EQ(tasks(8), eight);
 }
 
+// example_4_2's four classes write cells a few elements apart, so its class
+// range never splits and the lone root piece runs on the calling thread; a
+// nest whose classes are whole rows apart still spreads them over workers.
+TEST(ExecReportWorkers, SharedLineClassesRunOnOneWorker) {
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(example42(16)).value();
+  for (ExecBackend b : {ExecBackend::kJit, ExecBackend::kCompiled}) {
+    ExecReport rep =
+        loop.check(ExecPolicy{}.threads(4).backend(b)).value();
+    EXPECT_TRUE(rep.verified);
+    EXPECT_EQ(rep.workers_used, 1) << "backend " << static_cast<int>(b);
+    EXPECT_EQ(rep.tasks, 1) << "backend " << static_cast<int>(b);
+    EXPECT_EQ(rep.steals, 0) << "backend " << static_cast<int>(b);
+  }
+  EXPECT_NE(loop.summary().find("class range kept on one worker"),
+            std::string::npos);
+
+  // A[i1, i2] = A[i1 - 2, i2] + A[i1, i2 - 1] + 1: the classes are row
+  // parity, 17 cells apart at n = 16.
+  LoopNestBuilder rb;
+  rb.loop("i1", 0, 16).loop("i2", 0, 16);
+  rb.array("A", {{-2, 16}, {-1, 16}});
+  rb.assign(rb.ref("A", {rb.idx(0), rb.idx(1)}),
+            Expr::add(Expr::add(rb.read("A", {rb.affine({1, 0}, -2), rb.idx(1)}),
+                                rb.read("A", {rb.idx(0), rb.affine({0, 1}, -1)})),
+                      Expr::constant(1)));
+  CompiledLoop rows = compiler.compile(rb.build()).value();
+  for (ExecBackend b : {ExecBackend::kJit, ExecBackend::kCompiled}) {
+    ExecReport rep = rows.check(ExecPolicy{}.threads(4).backend(b)).value();
+    EXPECT_TRUE(rep.verified);
+    EXPECT_GT(rep.workers_used, 1) << "backend " << static_cast<int>(b);
+  }
+  EXPECT_NE(rows.summary().find("class range may split"), std::string::npos);
+}
+
 // Indirect nests are never memoized (their proof covers index-array
 // contents): a handle that ran once on a benign index array must still
 // refuse a hostile one on its next run, typed and before any write.

@@ -13,11 +13,14 @@
 #include <vector>
 
 #include "api/vdep.h"
+#include "blocked_nests.h"
 #include "core/suite.h"
 #include "dep/pdm.h"
 #include "exec/interpreter.h"
+#include "loopir/builder.h"
 #include "runtime/stream_executor.h"
 #include "runtime/work_queue.h"
+#include "topo/affinity.h"
 #include "trans/planner.h"
 
 namespace vdep::runtime {
@@ -252,6 +255,24 @@ TEST(TaskSplit, SingleCellIsNotSplittable) {
   EXPECT_FALSE(can_split(task(0, 7, 2, 3), 8));
 }
 
+TEST(TaskSplit, SourceCanKeepTheClassRangeWhole) {
+  // No DOALL axis: the class range is the only axis, so forbidding it
+  // leaves nothing to split.
+  EXPECT_EQ(pick_split_axis(box({}, 0, 4), 1, nullptr, false), -1);
+  EXPECT_FALSE(can_split(box({}, 0, 4), 1, false));
+  EXPECT_TRUE(can_split(box({}, 0, 4), 1));
+  // A DOALL axis still splits, even where the class range is longer.
+  TaskDescriptor t = box({{0, 1}}, 0, 16);
+  EXPECT_EQ(pick_split_axis(t, 1), TaskDescriptor::kClassAxis);
+  while (can_split(t, 1, false)) {
+    int axis = -1;
+    split(t, 1, &axis, nullptr, false);
+    EXPECT_EQ(axis, 0);
+  }
+  EXPECT_EQ(t.class_extent(), 16);
+  EXPECT_EQ(t.extent(0), 1);
+}
+
 TEST(TaskDescriptorIo, ToStringRoundTripsAThreeAxisBox) {
   TaskDescriptor t = box({{-4, 17}, {0, 511}, {2, 2}}, 1, 5);
   std::optional<TaskDescriptor> back = TaskDescriptor::from_string(t.to_string());
@@ -433,6 +454,165 @@ TEST(Parallelizer, SplitDimsPolicyAndInnerSplitReporting) {
   EXPECT_EQ(nd.checksum, legacy.checksum);
 }
 
+// ---------------------------------------------------------------- driver
+
+/// One unsplittable source whose leaf records where it ran.
+struct Probe {
+  std::thread::id thread;
+  std::vector<int> mask;
+  std::atomic<int> leaves{0};
+};
+
+DriveSource probe_source(Probe& probe, bool throws = false) {
+  DriveSource src;
+  src.root = box({}, 0, 1);
+  src.leaf_factory = [&probe, throws](int, WorkerStats& stats) -> LeafFn {
+    return [&probe, &stats, throws](const TaskDescriptor&) {
+      probe.thread = std::this_thread::get_id();
+      probe.mask = topo::CpuSet::current().cpus();
+      ++probe.leaves;
+      ++stats.iterations;
+      if (throws) throw Error("leaf failed");
+    };
+  };
+  return src;
+}
+
+TEST(Driver, UnsplittableRootRunsOnCaller) {
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::vector<int> before = topo::CpuSet::current().cpus();
+    Probe probe;
+    const DriveSource src = probe_source(probe);
+    RuntimeStats rs = drive_descriptors({&src, 1}, {4, {}}, p);
+    EXPECT_FALSE(rs.error);
+    EXPECT_EQ(probe.leaves.load(), 1);
+    EXPECT_EQ(probe.thread, std::this_thread::get_id()) << "pool=" << !!p;
+    EXPECT_EQ(probe.mask, before) << "pool=" << !!p;
+    EXPECT_EQ(topo::CpuSet::current().cpus(), before);
+    EXPECT_EQ(rs.workers_used, 1);
+    EXPECT_EQ(rs.workers.size(), 4u);
+    EXPECT_EQ(rs.total_tasks(), 1);
+    EXPECT_EQ(rs.total_tasks(), rs.total_splits() + 1);
+    EXPECT_EQ(rs.total_steals(), 0);
+    EXPECT_EQ(rs.total_iterations(), 1);
+    ASSERT_EQ(rs.sources.size(), 1u);
+    EXPECT_EQ(rs.sources[0].tasks, 1);
+    EXPECT_GT(rs.sources[0].done_ns, 0);
+    EXPECT_GT(rs.sources[0].queue_ns, 0);
+
+    Probe failing;
+    const DriveSource bad = probe_source(failing, /*throws=*/true);
+    RuntimeStats err = drive_descriptors({&bad, 1}, {4, {}}, p);
+    ASSERT_TRUE(err.error) << "pool=" << !!p;
+    EXPECT_EQ(err.error_source, 0);
+    EXPECT_EQ(failing.thread, std::this_thread::get_id());
+    EXPECT_THROW(std::rethrow_exception(err.error), Error);
+  }
+}
+
+TEST(Driver, FewerPiecesThanWorkers) {
+  // Two unsplittable sources at four workers: two contexts, one piece each.
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    Probe a, b;
+    const DriveSource sources[] = {probe_source(a), probe_source(b)};
+    RuntimeStats rs = drive_descriptors(sources, {4, {}}, p);
+    EXPECT_FALSE(rs.error);
+    EXPECT_EQ(a.leaves.load(), 1);
+    EXPECT_EQ(b.leaves.load(), 1);
+    EXPECT_EQ(rs.workers_used, 2) << "pool=" << !!p;
+    EXPECT_EQ(rs.workers.size(), 4u);
+    ASSERT_EQ(rs.sources.size(), 2u);
+    for (const SourceStats& st : rs.sources) {
+      EXPECT_EQ(st.tasks, 1);
+      EXPECT_EQ(st.splits, 0);
+      EXPECT_EQ(st.iterations, 1);
+    }
+  }
+}
+
+TEST(Driver, SplittableRootUsesEveryWorker) {
+  loopir::LoopNest nest = core::skewed_extent(4096);
+  StreamOptions so;
+  so.num_threads = 4;
+  StreamExecutor ex(nest, plan_for(nest), so);
+  exec::ArrayStore store(nest);
+  store.fill_pattern();
+  EXPECT_EQ(ex.run(store).workers_used, 4);
+}
+
+// ------------------------------------------------------------ class rule
+
+using test_inputs::blocked;
+using test_inputs::row_parity;
+
+TEST(ClassRule, FlagsClassesThatShareCacheLines) {
+  struct Row {
+    const char* name;
+    loopir::LoopNest nest;
+    i64 classes;
+    bool splits_classes;
+  };
+  const Row rows[] = {
+      // A[i1 - 2 i2 + c]: classes interleave within a few cells.
+      {"example42", core::example42(16), 4, false},
+      // H = diag(2, 2): the class of (i1, i2 + 1) is one cell away.
+      {"uniform_blocked", core::uniform_blocked(16), 4, false},
+      // Row parity: distinct classes are whole rows (>= 17 cells) apart.
+      {"row_parity", row_parity(16), 2, true},
+      // H = diag(64, 64): 127^2 offsets, past the enumeration cap.
+      {"over_cap", blocked(200, 64, 64), 64 * 64, true},
+  };
+  for (const Row& r : rows) {
+    StreamOptions so;
+    so.num_threads = 4;
+    StreamExecutor ex(r.nest, plan_for(r.nest), so);
+    EXPECT_EQ(ex.num_classes(), r.classes) << r.name;
+    EXPECT_EQ(ex.splits_classes(), r.splits_classes) << r.name;
+    EXPECT_EQ(classes_share_lines(r.nest, plan_for(r.nest)),
+              !r.splits_classes)
+        << r.name;
+    exec::ArrayStore store(r.nest);
+    EXPECT_EQ(ex.source(store).split_classes, r.splits_classes) << r.name;
+  }
+}
+
+TEST(ClassRule, FlaggedPlansRunOnOneWorkerBitIdentically) {
+  for (const loopir::LoopNest& nest :
+       {core::example42(16), core::uniform_blocked(16)}) {
+    exec::ArrayStore ref(nest);
+    ref.fill_pattern();
+    exec::run_sequential(nest, ref);
+    StreamOptions so;
+    so.num_threads = 4;
+    StreamExecutor ex(nest, plan_for(nest), so);
+    exec::ArrayStore store(nest);
+    store.fill_pattern();
+    RuntimeStats rs = ex.run(store);
+    EXPECT_TRUE(store == ref);
+    EXPECT_EQ(rs.workers_used, 1);
+    EXPECT_EQ(rs.total_tasks(), 1);
+    EXPECT_EQ(rs.total_axis_splits(TaskDescriptor::kClassAxis), 0);
+  }
+}
+
+TEST(ClassRule, RowParityClassesStillSplitAtFourWorkers) {
+  loopir::LoopNest nest = row_parity(16);
+  exec::ArrayStore ref(nest);
+  ref.fill_pattern();
+  exec::run_sequential(nest, ref);
+  StreamOptions so;
+  so.num_threads = 4;
+  StreamExecutor ex(nest, plan_for(nest), so);
+  exec::ArrayStore store(nest);
+  store.fill_pattern();
+  RuntimeStats rs = ex.run(store);
+  EXPECT_TRUE(store == ref);
+  EXPECT_GT(rs.total_axis_splits(TaskDescriptor::kClassAxis), 0);
+  EXPECT_EQ(rs.workers_used, 2);
+}
+
 // ----------------------------------------------------------------- stats
 
 TEST(Stats, TasksEqualSplitsPlusOne) {
@@ -472,18 +652,27 @@ TEST(Stats, SingleThreadNeverSteals) {
 TEST(Stats, DescriptorCountIsIndependentOfIterationCount) {
   // The whole point: schedule state scales with descriptors, not with the
   // iteration space. Ten times the space must not mean ten times the tasks.
-  auto tasks_at = [](i64 n) {
-    loopir::LoopNest nest = core::example42(n);
+  auto run_at = [](const loopir::LoopNest& nest) {
     StreamOptions so;
     so.num_threads = 2;
     StreamExecutor ex(nest, plan_for(nest), so);
     exec::ArrayStore store(nest);
     store.fill_pattern();
-    return ex.run(store).total_tasks();
+    return ex.run(store);
   };
-  i64 small = tasks_at(10);
-  i64 big = tasks_at(100);
+  i64 small = run_at(core::example42(10)).total_tasks();
+  i64 big = run_at(core::example42(100)).total_tasks();
   EXPECT_LE(big, 4 * small + 64);  // bounded by splitting policy, not by n^2
+  // example42's classes share cache lines, so its range stays whole; the
+  // row-parity nest's classes do split, across both workers. (Its cells
+  // sum two predecessors, so n = 40 keeps them inside int64.)
+  const RuntimeStats parity_small = run_at(row_parity(10));
+  const RuntimeStats parity_big = run_at(row_parity(40));
+  for (const RuntimeStats* rs : {&parity_small, &parity_big}) {
+    EXPECT_GT(rs->total_axis_splits(TaskDescriptor::kClassAxis), 0);
+    EXPECT_EQ(rs->workers_used, 2);
+  }
+  EXPECT_LE(parity_big.total_tasks(), 4 * parity_small.total_tasks() + 64);
 }
 
 // ------------------------------------------------------------ staged API

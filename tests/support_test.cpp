@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "support/checked.h"
@@ -179,11 +180,19 @@ TEST(Rational, ToString) {
   EXPECT_EQ(Rational(4, 2).to_string(), "2");
 }
 
+// Chunk counts below, at and above the pool size (2, size(), size() + 3)
+// must run every chunk exactly once, like a large count.
 TEST(ThreadPool, RunsEveryChunkExactlyOnce) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(257, [&](std::int64_t c) { hits[static_cast<std::size_t>(c)]++; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (std::int64_t chunks : {2, 4, 7, 257}) {
+    for (int round = 0; round < 20; ++round) {
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(chunks));
+      pool.parallel_for(chunks, [&](std::int64_t c) {
+        hits[static_cast<std::size_t>(c)]++;
+      });
+      for (auto& h : hits) ASSERT_EQ(h.load(), 1) << "chunks=" << chunks;
+    }
+  }
 }
 
 TEST(ThreadPool, ZeroAndNegativeChunksAreNoops) {
@@ -195,12 +204,34 @@ TEST(ThreadPool, ZeroAndNegativeChunksAreNoops) {
 }
 
 TEST(ThreadPool, PropagatesFirstException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(8,
-                                 [&](std::int64_t c) {
-                                   if (c == 3) throw Error("boom");
-                                 }),
-               Error);
+  ThreadPool pool(4);
+  for (std::int64_t chunks : {2, 4, 7, 8}) {
+    // One throwing chunk: its error comes back and every chunk still ran.
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(chunks));
+    try {
+      pool.parallel_for(chunks, [&](std::int64_t c) {
+        hits[static_cast<std::size_t>(c)]++;
+        if (c == chunks / 2) throw Error("boom");
+      });
+      ADD_FAILURE() << "no exception, chunks=" << chunks;
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "boom");
+    }
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "chunks=" << chunks;
+    // Every chunk throwing: exactly one of their errors comes back.
+    try {
+      pool.parallel_for(chunks, [&](std::int64_t c) {
+        throw Error("chunk " + std::to_string(c));
+      });
+      ADD_FAILURE() << "no exception, chunks=" << chunks;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("chunk ", 0), 0u);
+    }
+    // The pool stays usable after a failed call.
+    std::atomic<std::int64_t> after{0};
+    pool.parallel_for(chunks, [&](std::int64_t) { after++; });
+    EXPECT_EQ(after.load(), chunks);
+  }
 }
 
 TEST(ThreadPool, SingleThreadPoolStillWorks) {

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "blocked_nests.h"
 #include "core/suite.h"
 #include "dep/pdm.h"
 #include "exec/array_store.h"
@@ -272,6 +273,10 @@ TEST(TopologyScheduling, PinnedAndUnpinnedRunsAreBitIdentical) {
       {"example42", core::example42(40)},
       {"skewed_extent", core::skewed_extent(4000)},
       {"matmul_reduction", core::matmul_reduction(12)},
+      // example42's classes share cache lines and stay on one worker; the
+      // row-parity classes are rows apart, so this case splits a class
+      // range across workers.
+      {"row_parity", test_inputs::row_parity(40)},
   };
   for (Case& c : cases) {
     trans::TransformPlan plan = plan_for(c.nest);
@@ -291,12 +296,15 @@ TEST(TopologyScheduling, PinnedAndUnpinnedRunsAreBitIdentical) {
               << " locality=" << locality;
           // The invariant tasks == splits + 1 must survive pre-seeding.
           EXPECT_EQ(rs.total_tasks(), rs.total_splits() + 1) << c.name;
+          if (std::string(c.name) == "row_parity" && threads > 1)
+            EXPECT_GT(rs.total_axis_splits(runtime::TaskDescriptor::kClassAxis), 0)
+                << "threads=" << threads;
         }
       }
     }
   }
 
-  // The same three plans as one 3-source run (the batch shape): fewer
+  // The same four plans as one 4-source run (the batch shape): fewer
   // roots than workers at 8 threads, so seeding splits the fattest roots;
   // at 1 and 2 threads the roots are dealt whole.
   std::vector<trans::TransformPlan> plans;
@@ -327,12 +335,13 @@ TEST(TopologyScheduling, PinnedAndUnpinnedRunsAreBitIdentical) {
         ASSERT_EQ(rs.sources.size(), exs.size());
         for (std::size_t k = 0; k < exs.size(); ++k) {
           EXPECT_TRUE(refs[k] == stores[k])
-              << cases[k].name << " in a 3-source run, threads=" << threads
+              << cases[k].name << " in a 4-source run, threads=" << threads
               << " pin=" << pin << " locality=" << locality;
           EXPECT_EQ(rs.sources[k].tasks, rs.sources[k].splits + 1)
               << cases[k].name << " threads=" << threads;
         }
-        EXPECT_EQ(rs.total_tasks(), rs.total_splits() + 3);
+        EXPECT_EQ(rs.total_tasks(),
+                  rs.total_splits() + static_cast<std::int64_t>(std::size(cases)));
       }
     }
   }
