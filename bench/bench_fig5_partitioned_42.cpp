@@ -11,6 +11,7 @@
 
 #include <iostream>
 
+#include "api/vdep.h"
 #include "core/suite.h"
 #include "dep/pdm.h"
 #include "exec/isdg.h"
@@ -90,12 +91,15 @@ BENCHMARK(BM_PartitionScan42)->Arg(10)->Arg(40)->Arg(80);
 
 void BM_ParallelRun42(benchmark::State& state) {
   loopir::LoopNest nest = core::example42(state.range(0));
-  trans::TransformPlan plan = trans::plan_transform(dep::compute_pdm(nest));
-  ThreadPool pool(static_cast<std::size_t>(state.range(1)));
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(nest).value();
+  const auto threads = static_cast<std::size_t>(state.range(1));
+  ThreadPool pool(threads);
+  const ExecPolicy policy = ExecPolicy{}.threads(threads);
   for (auto _ : state) {
     exec::ArrayStore store(nest);
     store.fill_pattern();
-    exec::run_parallel(nest, plan, store, pool);
+    (void)loop.execute(policy, store, pool).value();
     benchmark::DoNotOptimize(store.checksum());
   }
 }

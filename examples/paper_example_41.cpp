@@ -66,16 +66,16 @@ int main() {
   exec::VerifyResult v = exec::verify_schedule(nest, sched);
   std::cout << "trace verification: " << (v.ok ? "legal" : "ILLEGAL") << "\n";
 
-  // Execution proof.
+  // Execution proof: check() runs the plan on the pool and the original
+  // loop sequentially from the same initial store, and errors on any
+  // bitwise divergence.
   ThreadPool pool(4);
-  exec::ArrayStore ref(nest);
-  ref.fill_pattern();
-  exec::ArrayStore par = ref;
-  exec::run_sequential(nest, ref);
-  exec::run_parallel(nest, plan, par, pool);
-  std::cout << "parallel result "
-            << (ref == par ? "matches" : "DOES NOT match")
-            << " the sequential reference (checksum " << ref.checksum()
-            << ")\n";
-  return ref == par && v.ok ? 0 : 1;
+  Expected<ExecReport> checked = loop.check(ExecPolicy{}, pool);
+  if (checked)
+    std::cout << "parallel result matches the sequential reference "
+              << "(checksum " << checked->checksum << ")\n";
+  else
+    std::cout << "parallel result DOES NOT match the sequential reference: "
+              << checked.error().to_string() << "\n";
+  return checked && v.ok ? 0 : 1;
 }

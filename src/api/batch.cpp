@@ -13,10 +13,6 @@ Expected<std::vector<ExecReport>> detail::execute_batch_impl(
     std::span<const BatchRequest> requests, const ExecPolicy& policy,
     vdep::ThreadPool* pool) {
   try {
-    if (policy.mode() != ExecMode::kStreaming)
-      throw PreconditionError(
-          "execute_batch: only ExecMode::kStreaming is supported (the batch "
-          "scheduler is the streaming runtime)");
     if (policy.backend() == ExecBackend::kInspector)
       throw UnsupportedError(
           "execute_batch: the inspector backend partitions per store "

@@ -39,11 +39,10 @@ struct BatchRequest {
 };
 
 /// Executes every request over one shared worker set (policy.threads()
-/// contexts, 0 = hardware). Streaming only — policy.mode() must be
-/// kStreaming (kPrecondition otherwise); backends follow the policy.
-/// Requests at one (structure, bounds, options) key share the memoized
-/// executor, scan-kernel prototype (rebound per store) and, with
-/// ExecBackend::kJit, one loaded .so. Indirect requests fail kUnsupported
+/// contexts, 0 = hardware); backends follow the policy, except kInspector,
+/// which fails kUnsupported. Requests at one (structure, bounds, options)
+/// key share the memoized executor, scan-kernel prototype (rebound per
+/// store) and, with ExecBackend::kJit, one loaded .so. Indirect requests fail kUnsupported
 /// (run them through single execute()). On a request failure the batch
 /// aborts and the error carries the request's index (ApiError::index).
 Expected<std::vector<ExecReport>> execute_batch(

@@ -4,7 +4,6 @@
 #include <exception>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "api/executable.h"
 #include "codegen/rewrite.h"
@@ -141,10 +140,6 @@ std::shared_ptr<const detail::Executable> PlanArtifact::executable(
   key += std::to_string(threads);
   key += ";g=";
   key += std::to_string(policy.grain());
-  key += ";s=";
-  key += std::to_string(policy.split_dims());
-  key += ";l=";
-  key += policy.locality_splits() ? '1' : '0';
   key += ";b=";
   key += std::to_string(static_cast<int>(policy.backend()));
   if (policy.backend() == ExecBackend::kJit) {
@@ -169,9 +164,7 @@ std::shared_ptr<const detail::Executable> PlanArtifact::executable(
     runtime::StreamOptions so;
     so.num_threads = threads;
     so.grain = policy.grain();
-    so.split_dims = policy.split_dims();
     so.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
-    so.locality_splits = policy.locality_splits();
     built = std::make_shared<const detail::Executable>(nest, plan_.transform,
                                                        so);
   }
@@ -246,17 +239,11 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
     // Non-affine nests have no provable static plan: the inspector is the
     // only backend that can run them, whatever the policy says. Affine
     // nests take the inspector path only on explicit request.
-    const bool non_affine = !art_->analysis().affine;
-    const bool use_inspector =
-        non_affine || policy.backend() == ExecBackend::kInspector;
+    const bool use_inspector = !art_->analysis().affine ||
+                               policy.backend() == ExecBackend::kInspector;
+    const std::size_t threads = detail::worker_count(policy, pool);
+    runtime::RuntimeStats rs;
     if (use_inspector) {
-      if (policy.mode() != ExecMode::kStreaming)
-        throw UnsupportedError(
-            non_affine
-                ? "materialized mode cannot run indirect subscripts; use "
-                  "streaming (the inspector backend)"
-                : "ExecBackend::kInspector is a streaming backend");
-      const std::size_t threads = detail::worker_count(policy, pool);
       std::optional<inspect::DynamicPartition> part;
       {
         obs::ScopedSpan span(obs::EventKind::kInspect, policy.trace(),
@@ -290,30 +277,20 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
       io.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
       io.switches = detail::run_switches(policy);
       inspect::InspectorExecutor ex(*nest_, *part, io);
-      runtime::RuntimeStats rs;
       {
         obs::PhaseTimer run_timer(obs::Phase::kExec);
         rs = pool ? ex.run(store, *pool) : ex.run(store);
       }
-      rep.iterations = rs.total_iterations();
-      rep.tasks = rs.total_tasks();
-      rep.steals = rs.total_steals();
-      rep.inner_splits = rs.total_inner_splits();
-      rep.failed_steals = rs.total_failed_steals();
-      rep.idle_ns = rs.total_idle_ns();
-      rep.workers_used = rs.workers_used;
       rep.inspector = true;
       rep.inspector_classes = st.classes;
       rep.inspector_chains = st.chains;
       rep.inspector_max_component = st.max_component;
       rep.inspector_dependent = st.dependent_iterations;
-    } else if (policy.mode() == ExecMode::kStreaming) {
+    } else {
       // The executor, its scan prototype and (kJit) the native kernel come
       // from the artifact's executable memo; a warm request only binds
       // them to this store.
-      const std::size_t threads = detail::worker_count(policy, pool);
       const detail::BoundSource b = bind(policy, threads, store);
-      runtime::RuntimeStats rs;
       {
         obs::PhaseTimer run_timer(obs::Phase::kExec);
         rs = runtime::drive_descriptors(
@@ -324,28 +301,14 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
         rep.jit = true;
         rep.jit_partitioned = b.native->partitioned();
       }
-      rep.iterations = rs.total_iterations();
-      rep.tasks = rs.total_tasks();
-      rep.steals = rs.total_steals();
-      rep.inner_splits = rs.total_inner_splits();
-      rep.failed_steals = rs.total_failed_steals();
-      rep.idle_ns = rs.total_idle_ns();
-      rep.workers_used = rs.workers_used;
-    } else {
-      exec::RunStats rs;
-      obs::PhaseTimer run_timer(obs::Phase::kExec);
-      if (pool) {
-        rs = exec::run_parallel(*nest_, art_->plan().transform, store, *pool);
-      } else {
-        std::size_t threads = policy.threads()
-                                  ? policy.threads()
-                                  : std::max(1u, std::thread::hardware_concurrency());
-        vdep::ThreadPool local(threads);
-        rs = exec::run_parallel(*nest_, art_->plan().transform, store, local);
-      }
-      rep.iterations = rs.iterations;
-      rep.tasks = rs.work_items;
     }
+    rep.iterations = rs.total_iterations();
+    rep.tasks = rs.total_tasks();
+    rep.steals = rs.total_steals();
+    rep.inner_splits = rs.total_inner_splits();
+    rep.failed_steals = rs.total_failed_steals();
+    rep.idle_ns = rs.total_idle_ns();
+    rep.workers_used = rs.workers_used;
     rep.analyze_ns = phases.ns(obs::Phase::kAnalyze);
     rep.codegen_ns = phases.ns(obs::Phase::kCodegen);
     rep.jit_compile_ns = phases.ns(obs::Phase::kJitCompile);

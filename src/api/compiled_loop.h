@@ -6,7 +6,7 @@
 //   analysis()  PDM + rank (Section 2)            — structure-only, cached
 //   plan()      TransformPlan + legality cert     — structure-only, cached
 //   codegen()   emitted C, memoized per option    — lazy, bounds enter here
-//   execute()   streaming/materialized run        — bounds + data enter here
+//   execute()   streaming run (drive_descriptors) — bounds + data enter here
 //   check()     execute + bit-exact verification against sequential
 //
 // A handle = {shared PlanArtifact, concrete bounded nest}. The artifact is
@@ -33,6 +33,7 @@
 #include "exec/runner.h"
 #include "jit/toolchain.h"
 #include "support/expected.h"
+#include "support/thread_pool.h"
 #include "trans/planner.h"
 
 namespace vdep {
@@ -71,13 +72,7 @@ class CodegenOptions {
   std::string kernel_name_ = "kernel";
 };
 
-/// How execute()/check() run the plan.
-enum class ExecMode {
-  kStreaming,     ///< runtime::StreamExecutor, O(active descriptors) state
-  kMaterialized,  ///< exec::build_schedule + ThreadPool replay
-};
-
-/// What runs the loop bodies (streaming mode).
+/// What runs the loop bodies.
 enum class ExecBackend {
   kCompiled,     ///< postfix exec::CompiledKernel, interpreter fallback;
                  ///< int64 overflow fails kOverflow, as with kInterpreter
@@ -92,17 +87,14 @@ enum class ExecBackend {
                  ///< here automatically whatever the policy says
 };
 
-/// Builder-style execution policy (replaces core::Options::exec_mode and
-/// the ad-hoc StreamOptions plumbing at the API boundary).
+/// Builder-style execution policy of execute()/check()/execute_batch(): every
+/// run streams descriptors through the work-stealing scheduler
+/// (runtime::drive_descriptors); the policy picks the workers, the grain,
+/// the backend and the per-run switches.
 class ExecPolicy {
  public:
-  ExecPolicy& mode(ExecMode m) { mode_ = m; return *this; }
   ExecPolicy& threads(std::size_t t) { threads_ = t; return *this; }
   ExecPolicy& grain(i64 g) { grain_ = g; return *this; }
-  /// How many transformed DOALL-prefix dimensions descriptors may box and
-  /// split (runtime/task.h). 0 = all (default); 1 reproduces the legacy
-  /// outer-only splitter. Streaming mode only.
-  ExecPolicy& split_dims(int n) { split_dims_ = n; return *this; }
   ExecPolicy& backend(ExecBackend b) { backend_ = b; return *this; }
   /// Whether ExecReport.checksum is computed (a full store scan per
   /// request — diagnostics; serving paths turn it off).
@@ -118,9 +110,6 @@ class ExecPolicy {
   /// affinity restored afterwards). VDEP_PIN=0 overrides from outside.
   /// Results are bit-identical either way; only placement changes.
   ExecPolicy& pin_workers(bool v) { pin_workers_ = v; return *this; }
-  /// Prefer splitting descriptors along the largest-address-stride axis
-  /// (runtime/task.h SplitPrefs); off: always longest-axis.
-  ExecPolicy& locality_splits(bool v) { locality_splits_ = v; return *this; }
   /// Page placement of stores this policy's run allocates itself (check()'s
   /// parallel store, owned batch stores). Caller-provided stores keep
   /// whatever placement they were built with.
@@ -129,31 +118,25 @@ class ExecPolicy {
     return *this;
   }
 
-  ExecMode mode() const { return mode_; }
   std::size_t threads() const { return threads_; }  ///< 0 = hardware
   i64 grain() const { return grain_; }              ///< 0 = automatic
-  int split_dims() const { return split_dims_; }    ///< 0 = all
   ExecBackend backend() const { return backend_; }
   const jit::JitOptions& jit_options() const { return jit_; }
   bool digest() const { return digest_; }
   bool trace() const { return trace_; }
   bool metrics() const { return metrics_; }
   bool pin_workers() const { return pin_workers_; }
-  bool locality_splits() const { return locality_splits_; }
   exec::ArrayStore::Placement placement() const { return placement_; }
 
  private:
-  ExecMode mode_ = ExecMode::kStreaming;
   std::size_t threads_ = 0;
   i64 grain_ = 0;
-  int split_dims_ = 0;
   ExecBackend backend_ = ExecBackend::kCompiled;
   jit::JitOptions jit_;
   bool digest_ = true;
   bool trace_ = true;
   bool metrics_ = true;
   bool pin_workers_ = true;
-  bool locality_splits_ = true;
   exec::ArrayStore::Placement placement_ = exec::ArrayStore::Placement::kSerial;
 };
 
@@ -183,15 +166,15 @@ struct LoopPlan {
 /// Outcome of execute()/check().
 struct ExecReport {
   i64 iterations = 0;
-  i64 tasks = 0;   ///< work items (materialized) or leaf descriptors (streaming)
-  i64 steals = 0;  ///< streaming only
-  i64 inner_splits = 0;  ///< descriptor splits along inner DOALL axes (streaming)
-  i64 failed_steals = 0; ///< empty full steal sweeps (streaming)
-  i64 idle_ns = 0;       ///< summed worker idle time (streaming)
-  /// Worker contexts the run started (streaming): the resolved thread
-  /// count, fewer when the plan seeded fewer unsplittable pieces, 1 when
-  /// the lone piece ran on the calling thread. A batch reports its shared
-  /// run's count on every request.
+  i64 tasks = 0;         ///< leaf descriptors
+  i64 steals = 0;
+  i64 inner_splits = 0;  ///< descriptor splits along inner DOALL axes
+  i64 failed_steals = 0; ///< empty full steal sweeps
+  i64 idle_ns = 0;       ///< summed worker idle time
+  /// Worker contexts the run started: the resolved thread count, fewer
+  /// when the plan seeded fewer unsplittable pieces, 1 when the lone piece
+  /// ran on the calling thread. A batch reports its shared run's count on
+  /// every request.
   i64 workers_used = 0;
   i64 wall_ns = 0;
   /// Phase breakdown of wall_ns (obs::PhaseScope): executor construction
@@ -274,13 +257,13 @@ class PlanArtifact {
   /// The executable memo (api/executable.h): the StreamExecutor for `nest`
   /// at `threads` workers under `policy`, plus its lazily built scan
   /// prototype and (kJit) native kernel. Keyed by the bounds rendering,
-  /// `threads` (the grain depends on it), policy.grain(), split_dims(),
-  /// locality_splits() and backend() — plus jit_options() under kJit.
+  /// `threads` (the grain depends on it), policy.grain() and backend() —
+  /// plus jit_options() under kJit.
   /// The per-run switches (trace, metrics, pin_workers) are not part of
   /// the key: every run takes them from its own policy. Built on first
   /// request (an executor-build span), shared by single execute() and
-  /// execute_batch(). Affine streaming runs only: indirect nests are
-  /// never memoized, since their proof covers index-array contents.
+  /// execute_batch(). Affine nests only: indirect nests are never
+  /// memoized, since their proof covers index-array contents.
   std::shared_ptr<const detail::Executable> executable(
       const loopir::LoopNest& nest, const ExecPolicy& policy,
       std::size_t threads) const;
@@ -343,10 +326,10 @@ class CompiledLoop {
   Expected<CompiledLoop> at(const loopir::LoopNest& bounds) const;
 
   /// Runs the plan over `store` (which must have been built for nest()).
-  /// Affine streaming runs resolve their executor through the artifact's
-  /// executable memo (PlanArtifact::executable), shared with
-  /// execute_batch(); the policy's trace/metrics/pin_workers apply to this
-  /// run whatever run built the memo entry.
+  /// Affine nests resolve their executor through the artifact's executable
+  /// memo (PlanArtifact::executable), shared with execute_batch(); the
+  /// policy's trace/metrics/pin_workers apply to this run whatever run
+  /// built the memo entry.
   Expected<ExecReport> execute(const ExecPolicy& policy,
                                exec::ArrayStore& store) const;
   /// Same, reusing a long-lived pool for the workers.
@@ -362,8 +345,8 @@ class CompiledLoop {
   /// descriptors interleave in the same work-stealing deques
   /// (runtime/driver.h, one source per request), so the batch — not any
   /// single request — feeds the workers, and the fork/join cost is paid
-  /// once. Streaming only. Reports are per request (iterations, steals,
-  /// completion time, checksum of the request's final store).
+  /// once. Reports are per request (iterations, steals, completion time,
+  /// checksum of the request's final store).
   Expected<std::vector<ExecReport>> execute_batch(
       std::span<const loopir::LoopNest> bounds,
       const ExecPolicy& policy = {}) const;

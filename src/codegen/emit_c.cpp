@@ -635,7 +635,7 @@ std::string emit_c_partitioned_range_kernel(const LoopNest& original,
      << "  }  /* vdep:partitioned end */\n";
 
   // Generic path: callers boxing fewer dimensions than the plan's DOALL
-  // count (runtime split_dims policies) take the original clamped code.
+  // count (StreamOptions::split_dims) take the original clamped code.
   emit_clamped_path(os, nest, plan, names);
   os << "  return vdep_count;\n}\n";
   return os.str();

@@ -26,6 +26,7 @@
 #pragma once
 
 #include "exec/runner.h"
+#include "support/thread_pool.h"
 
 namespace vdep::exec {
 

@@ -126,24 +126,6 @@ RunStats measure_schedule(const loopir::LoopNest& original,
   return stats;
 }
 
-RunStats run_parallel(const loopir::LoopNest& original,
-                      const trans::TransformPlan& plan, ArrayStore& store,
-                      ThreadPool& pool) {
-  Schedule sched = build_schedule(original, plan);
-  RunStats stats{static_cast<i64>(sched.items.size()),
-                 sched.total_iterations(), sched.max_item_size()};
-  execute_schedule(original, sched, store, pool);
-  return stats;
-}
-
-void execute_schedule(const loopir::LoopNest& original, const Schedule& sched,
-                      ArrayStore& store, ThreadPool& pool) {
-  pool.parallel_for(static_cast<i64>(sched.items.size()), [&](i64 k) {
-    for (const Vec& i : sched.items[static_cast<std::size_t>(k)])
-      execute_iteration(original, i, store);
-  });
-}
-
 RunStats run_scheduled_serial(const loopir::LoopNest& original,
                               const trans::TransformPlan& plan,
                               ArrayStore& store) {

@@ -1,4 +1,4 @@
-// Parallel execution of a transformation plan.
+// Schedules of a transformation plan, materialized or counted.
 //
 // A plan's parallel structure is flattened into *work items*: one item per
 // (outer DOALL index combination) x (partition class). Items are mutually
@@ -7,20 +7,16 @@
 // lexicographic order, which Theorem 1 certified to preserve the dependent
 // order of the original loop.
 //
-// Items are executed on a ThreadPool; the final store must equal the
-// sequential reference execution bit for bit.
-//
-// This is the *materialized* path: build_schedule stores every iteration
-// vector of every item — O(total_iterations x depth) memory — which is
-// what exec::verify_schedule needs to inspect a schedule structurally.
-// For actually running large spaces prefer runtime::StreamExecutor
-// (runtime/stream_executor.h), which covers the same work-item rectangle
-// with O(active descriptors) state and work stealing.
+// build_schedule stores every iteration vector of every item — O(total
+// iterations x depth) memory — which is what exec::verify_schedule needs to
+// inspect a schedule structurally, and what the tests use as an oracle.
+// Plans run through runtime::StreamExecutor (runtime/stream_executor.h),
+// which covers the same work-item rectangle with O(active descriptors)
+// state and work stealing.
 #pragma once
 
 #include "codegen/rewrite.h"
 #include "exec/interpreter.h"
-#include "support/thread_pool.h"
 
 namespace vdep::exec {
 
@@ -52,17 +48,8 @@ struct RunStats {
 RunStats measure_schedule(const loopir::LoopNest& original,
                           const trans::TransformPlan& plan);
 
-/// Executes `plan` over the original nest semantics using `pool`.
-RunStats run_parallel(const loopir::LoopNest& original,
-                      const trans::TransformPlan& plan, ArrayStore& store,
-                      ThreadPool& pool);
-
-/// Executes a pre-built schedule (lets benchmarks time execution separately
-/// from schedule construction).
-void execute_schedule(const loopir::LoopNest& original, const Schedule& sched,
-                      ArrayStore& store, ThreadPool& pool);
-
-/// Same traversal order but serial (scheduling-order check without threads).
+/// Executes `plan` serially in schedule order (item by item), the
+/// scheduling-order check without threads.
 RunStats run_scheduled_serial(const loopir::LoopNest& original,
                               const trans::TransformPlan& plan,
                               ArrayStore& store);

@@ -24,8 +24,7 @@ InspectorExecutor::InspectorExecutor(const loopir::LoopNest& nest,
     grain_ = opts_.grain;
   } else {
     grain_ = runtime::pick_grain(std::max<i64>(part_->num_classes(), 1),
-                                 threads_,
-                                 std::max<i64>(opts_.tasks_per_worker, 1));
+                                 threads_);
   }
 }
 

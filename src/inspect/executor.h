@@ -27,10 +27,9 @@ namespace vdep::inspect {
 struct InspectorExecOptions {
   /// Worker count; 0 means hardware concurrency.
   std::size_t num_threads = 0;
-  /// Classes per leaf descriptor; 0 picks ~tasks_per_worker leaves per
-  /// worker (runtime/task.h pick_grain).
+  /// Classes per leaf descriptor; 0 picks it from the worker count
+  /// (runtime/task.h pick_grain).
   i64 grain = 0;
-  i64 tasks_per_worker = 8;
   /// Run the exact interpreter instead of the compiled-kernel body
   /// (ExecBackend::kInterpreter, tests).
   bool force_interpreter = false;

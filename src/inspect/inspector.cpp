@@ -204,7 +204,7 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
     runtime::TaskDescriptor ranks;
     ranks.class_hi = n;
     const runtime::DriveSource src{
-        ranks, runtime::pick_grain(std::max<i64>(n, 1), threads, 8), {},
+        ranks, runtime::pick_grain(std::max<i64>(n, 1), threads), {},
         std::move(factory)};
     const runtime::RuntimeStats rs = runtime::drive_descriptors(
         {&src, 1}, {threads, {false, false, false}}, pool);

@@ -2,8 +2,8 @@
 //
 // Every worker owns one WorkerStats and mutates it without synchronization;
 // the executor aggregates after joining, so readers only ever see quiescent
-// values. The aggregate view (RuntimeStats) is what benches and the
-// parallelizer report.
+// values. The aggregate view (RuntimeStats) is what benches and ExecReport
+// report.
 #pragma once
 
 #include <exception>

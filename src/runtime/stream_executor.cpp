@@ -44,7 +44,7 @@ StreamExecutor::StreamExecutor(const loopir::LoopNest& original,
   compute_hull();
   int limit = opts_.split_dims > 0 ? opts_.split_dims : TaskDescriptor::kMaxDims;
   ndims_ = std::min(num_doall_, std::min(limit, TaskDescriptor::kMaxDims));
-  if (opts_.locality_splits) compute_split_prefs();
+  compute_split_prefs();
   split_classes_ = !classes_share_lines(original_, plan);
   threads_ = opts_.num_threads != 0
                  ? opts_.num_threads
@@ -52,8 +52,7 @@ StreamExecutor::StreamExecutor(const loopir::LoopNest& original,
   if (opts_.grain > 0) {
     grain_ = opts_.grain;
   } else {
-    grain_ = pick_grain(std::max<i64>(root().cells(), 1), threads_,
-                        std::max<i64>(opts_.tasks_per_worker, 1));
+    grain_ = pick_grain(std::max<i64>(root().cells(), 1), threads_);
   }
 }
 

@@ -1,12 +1,11 @@
 // Streaming execution of a TransformPlan: work-stealing over descriptors,
 // iterations regenerated on the fly.
 //
-// The materialized path (exec::build_schedule + ThreadPool) first stores
-// every iteration vector of every work item — O(total iterations x depth)
-// memory and build time — then replays them through a single mutex queue.
-// The StreamExecutor never builds that list. The root TaskDescriptor covers
-// the whole (DOALL-prefix hull) x (partition class) iteration box; workers
-// split it recursively along its longest axis (task.h) into leaves held in
+// exec::build_schedule stores every iteration vector of every work item —
+// O(total iterations x depth) memory and build time; it survives as the
+// tests' oracle. The StreamExecutor never builds that list. The root
+// TaskDescriptor covers the whole (DOALL-prefix hull) x (partition class)
+// iteration box; workers split it recursively (task.h) into leaves held in
 // Chase-Lev deques (work_queue.h), and each leaf *scans* its iterations
 // directly from the Partitioning class recurrence (trans::Partitioning, the
 // paper's loop (3.2)) or the plain transformed bounds, each boxed DOALL
@@ -16,9 +15,13 @@
 //
 // Loop bodies run through a shared exec::CompiledKernel with one Scratch
 // per worker; nests the kernel's one-time range proof rejects fall back to
-// the exact interpreter. Both modes produce final stores bit-identical to
+// the exact interpreter. Both bodies produce final stores bit-identical to
 // the sequential reference — legality is the same Lemma 1 x Theorem 2
 // argument as the materialized schedule, only the cover of the box changed.
+//
+// Splits prefer the DOALL axis with the largest address stride (keeps each
+// leaf's touched rows contiguous; task.h SplitPrefs) and fall back to the
+// longest axis when the plan gives no signal.
 //
 // Classes are cosets of a lattice, so neighbouring iterations of different
 // classes can write neighbouring cells. When the plan's written references
@@ -54,22 +57,15 @@ using intlin::Vec;
 struct StreamOptions {
   /// Worker count; 0 means hardware concurrency.
   std::size_t num_threads = 0;
-  /// Descriptor grain in cells; 0 picks ~tasks_per_worker leaves per
-  /// worker (task.h pick_grain).
+  /// Descriptor grain in cells; 0 picks it from the worker count (task.h
+  /// pick_grain).
   i64 grain = 0;
-  /// Target leaf descriptors per worker for the automatic grain.
-  i64 tasks_per_worker = 8;
   /// How many DOALL-prefix dimensions descriptors box and split; 0 = all
-  /// (capped at TaskDescriptor::kMaxDims). 1 reproduces the legacy
-  /// outer-only splitter.
+  /// (capped at TaskDescriptor::kMaxDims). 1 is the outer-only splitter,
+  /// bench_runtime_throughput's single-axis baseline.
   int split_dims = 0;
   /// Skip the compiled kernel and always interpret (tests / debugging).
   bool force_interpreter = false;
-  /// Prefer splitting descriptors along the axis with the largest address
-  /// stride (keeps each leaf's touched rows contiguous; task.h SplitPrefs),
-  /// falling back to the longest axis when the plan gives no signal. Off:
-  /// always longest-axis.
-  bool locality_splits = true;
   // Tracing, metrics and worker pinning are not construction options: they
   // are per-run RunSwitches (runtime/driver.h), so one executor serves
   // runs that differ in them.

@@ -146,8 +146,10 @@ TaskDescriptor split(TaskDescriptor& t, i64 grain, int* axis_out,
   return high;
 }
 
-i64 pick_grain(i64 total_cells, std::size_t workers, i64 tasks_per_worker) {
-  i64 target = std::max<i64>(1, static_cast<i64>(workers) * tasks_per_worker);
+i64 pick_grain(i64 total_cells, std::size_t workers) {
+  // Enough leaves per worker for stealing to even out uneven classes.
+  constexpr i64 kTasksPerWorker = 8;
+  i64 target = std::max<i64>(1, static_cast<i64>(workers) * kTasksPerWorker);
   return std::max<i64>(1, total_cells / target);
 }
 

@@ -1,7 +1,7 @@
 // Work descriptors of the streaming runtime.
 //
-// The materialized path (exec::build_schedule) stores every iteration vector
-// of every work item. Here a work item is a *descriptor* of what to run, not
+// exec::build_schedule (the tests' oracle) stores every iteration vector of
+// every work item. Here a work item is a *descriptor* of what to run, not
 // the iterations themselves: an N-dimensional iteration box
 //
 //     [lo_0, hi_0] x ... x [lo_{d-1}, hi_{d-1}]  x  [class_lo, class_hi)
@@ -116,8 +116,8 @@ TaskDescriptor split(TaskDescriptor& t, i64 grain, int* axis_out = nullptr,
                      const SplitPrefs* prefs = nullptr,
                      bool split_classes = true);
 
-/// Grain heuristic: aim for ~`tasks_per_worker` leaf descriptors per worker
-/// by total cells, never below 1.
-i64 pick_grain(i64 total_cells, std::size_t workers, i64 tasks_per_worker);
+/// Grain heuristic: aim for ~8 leaf descriptors per worker by total cells,
+/// never below 1.
+i64 pick_grain(i64 total_cells, std::size_t workers);
 
 }  // namespace vdep::runtime

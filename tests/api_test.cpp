@@ -198,7 +198,7 @@ TEST(Compiler, PlanCompiledAtTenServesLargeBounds) {
     CompiledLoop big = small.at(example41(n)).value();
     EXPECT_EQ(&big.analysis(), &small.analysis());  // no re-analysis
     ExecReport r =
-        big.check(ExecPolicy{}.mode(ExecMode::kStreaming).threads(4)).value();
+        big.check(ExecPolicy{}.threads(4)).value();
     EXPECT_TRUE(r.verified) << "n=" << n;
     EXPECT_EQ(r.iterations, (2 * n + 1) * (2 * n + 1)) << "n=" << n;
   }
@@ -424,16 +424,6 @@ TEST(ExecuteBatch, WrongStructureBoundsSurfaceIndex) {
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().kind, ErrorKind::kPrecondition);
   EXPECT_EQ(r.error().index, 2);
-}
-
-TEST(ExecuteBatch, MaterializedModeRejected) {
-  Compiler compiler;
-  CompiledLoop loop = compiler.compile(example41(5)).value();
-  std::vector<loopir::LoopNest> bounds = {example41(5)};
-  Expected<std::vector<ExecReport>> r =
-      loop.execute_batch(bounds, ExecPolicy{}.mode(ExecMode::kMaterialized));
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().kind, ErrorKind::kPrecondition);
 }
 
 TEST(ExecuteBatch, EmptyBatchIsEmptySuccess) {

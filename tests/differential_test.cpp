@@ -41,6 +41,8 @@
 #include "loopir/builder.h"
 #include "support/rng.h"
 
+#include "blocked_nests.h"
+
 namespace vdep {
 namespace {
 
@@ -286,10 +288,19 @@ struct FuzzStats {
   std::vector<std::string> failures;
 };
 
+/// One successful execute() of a cross-check.
+struct CrossCheckRun {
+  ExecBackend backend;
+  std::size_t threads;
+  i64 workers_used;
+};
+
 /// Cross-checks one nest through every backend/thread combination against
-/// the sequential reference; divergences append to stats.failures.
+/// the sequential reference; divergences append to stats.failures. When
+/// `runs` is given, every successful execute() appends its record.
 void cross_check(const Compiler& compiler, const LoopNest& nest,
-                 const std::string& trace, FuzzStats& stats) {
+                 const std::string& trace, FuzzStats& stats,
+                 std::vector<CrossCheckRun>* runs = nullptr) {
   Expected<CompiledLoop> loop = compiler.compile(nest);
   if (!loop) {
     ++stats.skipped;
@@ -322,6 +333,7 @@ void cross_check(const Compiler& compiler, const LoopNest& nest,
       }
       if (backends[bk] == ExecBackend::kJit && threads == 1 && rep->jit)
         ++stats.jit_native;
+      if (runs) runs->push_back({backends[bk], threads, rep->workers_used});
       if (!(got == ref)) {
         stats.failures.push_back("backend " + std::string(names[bk]) +
                                  " at " + std::to_string(threads) +
@@ -447,8 +459,26 @@ TEST(Differential, PaperSuiteCrossCheck) {
                   stats);
     }
   }
+  // The suite's partitioned nests are small, or their classes share cache
+  // lines, so most of them run on the caller. Row-parity classes sit rows
+  // apart: their class range splits across workers under every static
+  // backend, so the class-split leaves are cross-checked too.
+  for (i64 n : {i64{16}, i64{40}}) {
+    std::vector<CrossCheckRun> runs;
+    cross_check(compiler, test_inputs::row_parity(n),
+                "row_parity at n=" + std::to_string(n) + ":\n", stats, &runs);
+    int multi_worker = 0;
+    for (const CrossCheckRun& r : runs) {
+      if (r.backend == ExecBackend::kInspector || r.threads == 1) continue;
+      EXPECT_GT(r.workers_used, 1)
+          << "row_parity at n=" << n << ", backend "
+          << static_cast<int>(r.backend) << ", threads=" << r.threads;
+      ++multi_worker;
+    }
+    EXPECT_EQ(multi_worker, 6) << "row_parity at n=" << n;
+  }
   for (const std::string& f : stats.failures) ADD_FAILURE() << f;
-  EXPECT_GE(stats.compiled, 18);
+  EXPECT_GE(stats.compiled, 20);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Tests for the execution substrate: interpreter, parallel runner, schedule
-// verifier and the ISDG builder — end-to-end semantics preservation of the
-// paper's transformations.
+// Tests for the execution substrate: interpreter, schedules and their
+// streaming execution, schedule verifier and the ISDG builder — end-to-end
+// semantics preservation of the paper's transformations.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +12,7 @@
 #include "exec/isdg.h"
 #include "exec/verify.h"
 #include "loopir/builder.h"
+#include "runtime/stream_executor.h"
 #include "support/rng.h"
 #include "trans/planner.h"
 
@@ -133,6 +134,16 @@ TEST(Runner, Example42FourClassItems) {
   EXPECT_EQ(sched.total_iterations(), nest.iteration_count());
 }
 
+/// Runs `plan` over `store` through the streaming runtime, one worker
+/// context per `pool` thread.
+runtime::RuntimeStats run_streaming(const LoopNest& nest,
+                                    const trans::TransformPlan& plan,
+                                    ArrayStore& store, ThreadPool& pool) {
+  runtime::StreamOptions so;
+  so.num_threads = pool.size();
+  return runtime::StreamExecutor(nest, plan, so).run(store, pool);
+}
+
 TEST(Runner, ParallelExecutionMatchesSequential41) {
   LoopNest nest = example41(6);
   ThreadPool pool(4);
@@ -140,9 +151,9 @@ TEST(Runner, ParallelExecutionMatchesSequential41) {
   ref.fill_pattern();
   ArrayStore par = ref;
   run_sequential(nest, ref);
-  RunStats stats = run_parallel(nest, plan_for(nest), par, pool);
+  runtime::RuntimeStats stats = run_streaming(nest, plan_for(nest), par, pool);
   EXPECT_EQ(ref, par);
-  EXPECT_EQ(stats.iterations, nest.iteration_count());
+  EXPECT_EQ(stats.total_iterations(), nest.iteration_count());
 }
 
 TEST(Runner, ParallelExecutionMatchesSequential42) {
@@ -152,9 +163,8 @@ TEST(Runner, ParallelExecutionMatchesSequential42) {
   ref.fill_pattern();
   ArrayStore par = ref;
   run_sequential(nest, ref);
-  RunStats stats = run_parallel(nest, plan_for(nest), par, pool);
+  run_streaming(nest, plan_for(nest), par, pool);
   EXPECT_EQ(ref, par);
-  EXPECT_EQ(stats.work_items, 4);
 }
 
 TEST(Runner, ScheduledSerialAlsoMatches) {
@@ -188,7 +198,7 @@ TEST(RunnerProperty, RandomLoopsPreserveSemantics) {
     ref.fill_pattern();
     ArrayStore par = ref;
     run_sequential(nest, ref);
-    run_parallel(nest, plan, par, pool);
+    run_streaming(nest, plan, par, pool);
     EXPECT_EQ(ref, par) << nest.to_string() << plan.to_string();
 
     Schedule sched = build_schedule(nest, plan);

@@ -686,14 +686,7 @@ TEST(Inspector, IndirectNestRejectedByPdmRunsViaInspector) {
   EXPECT_GT(rep->inspect_ns, 0);
   EXPECT_LE(rep->inspect_ns, rep->wall_ns);
 
-  // The materialized mode and the batch scheduler cannot run this nest.
-  ExecPolicy mat;
-  mat.mode(ExecMode::kMaterialized);
-  exec::ArrayStore m = init;
-  Expected<ExecReport> bad = loop->execute(mat, m);
-  ASSERT_FALSE(bad);
-  EXPECT_EQ(bad.error().kind, ErrorKind::kUnsupported);
-
+  // The batch scheduler cannot run this nest.
   std::vector<exec::ArrayStore*> stores = {&got};
   Expected<std::vector<ExecReport>> batch =
       loop->execute_batch(std::span<exec::ArrayStore* const>(stores),

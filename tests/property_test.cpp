@@ -22,6 +22,7 @@
 #include "exec/isdg.h"
 #include "exec/verify.h"
 #include "loopir/builder.h"
+#include "runtime/stream_executor.h"
 #include "support/rng.h"
 #include "trans/planner.h"
 
@@ -33,6 +34,15 @@ using intlin::Vec;
 using loopir::Expr;
 using loopir::LoopNest;
 using loopir::LoopNestBuilder;
+
+/// Runs `plan` over `store` through the streaming runtime, one worker
+/// context per `pool` thread.
+void run_streaming(const LoopNest& nest, const trans::TransformPlan& plan,
+                   exec::ArrayStore& store, ThreadPool& pool) {
+  runtime::StreamOptions so;
+  so.num_threads = pool.size();
+  runtime::StreamExecutor(nest, plan, so).run(store, pool);
+}
 
 // ------------------------------------------------ randomized 2-deep loops
 
@@ -97,7 +107,7 @@ TEST_P(PipelineProperty, ParallelMatchesSequential) {
   ref.fill_pattern();
   exec::ArrayStore par = ref;
   exec::run_sequential(nest, ref);
-  exec::run_parallel(nest, plan, par, pool);
+  run_streaming(nest, plan, par, pool);
   EXPECT_EQ(ref, par) << nest.to_string() << plan.to_string();
 }
 
@@ -260,7 +270,7 @@ TEST_P(Deep3Property, FullPipelinePreservesSemantics) {
   ref.fill_pattern();
   exec::ArrayStore par = ref;
   exec::run_sequential(nest, ref);
-  exec::run_parallel(nest, plan, par, pool);
+  run_streaming(nest, plan, par, pool);
   EXPECT_EQ(ref, par) << nest.to_string();
 }
 

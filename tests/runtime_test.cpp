@@ -438,7 +438,10 @@ TEST(Streaming, BoxedDimsIntersectDynamicBoundsOnTriangularSpaces) {
   EXPECT_EQ(rs.total_iterations(), nest.iteration_count());
 }
 
-TEST(Parallelizer, SplitDimsPolicyAndInnerSplitReporting) {
+TEST(StagedApi, InnerSplitReporting) {
+  // The single-axis contrast (zero inner splits, same store) is
+  // Streaming.SkewedNestSplitsInnerAxesBitIdentically' StreamOptions::split_dims
+  // half.
   vdep::Compiler compiler;
   vdep::CompiledLoop loop = compiler.compile(core::skewed_extent(520)).value();
 
@@ -446,12 +449,6 @@ TEST(Parallelizer, SplitDimsPolicyAndInnerSplitReporting) {
       loop.check(vdep::ExecPolicy{}.threads(8)).value();
   EXPECT_TRUE(nd.verified);
   EXPECT_GT(nd.inner_splits, 0);
-
-  vdep::ExecReport legacy =
-      loop.check(vdep::ExecPolicy{}.threads(8).split_dims(1)).value();
-  EXPECT_TRUE(legacy.verified);
-  EXPECT_EQ(legacy.inner_splits, 0);
-  EXPECT_EQ(nd.checksum, legacy.checksum);
 }
 
 // ---------------------------------------------------------------- driver
@@ -677,31 +674,15 @@ TEST(Stats, DescriptorCountIsIndependentOfIterationCount) {
 
 // ------------------------------------------------------------ staged API
 
-TEST(Parallelizer, StreamingModeChecksWholeSuite) {
+TEST(StagedApi, CheckRunsWholeSuiteOnPool) {
   vdep::Compiler compiler;
   ThreadPool pool(3);
   for (const core::NamedNest& c : core::paper_suite(5)) {
     vdep::CompiledLoop loop = compiler.compile(c.nest).value();
     // check() errors on any divergence from the sequential reference.
-    vdep::ExecReport r =
-        loop.check(vdep::ExecPolicy{}.mode(vdep::ExecMode::kStreaming), pool)
-            .value();
+    vdep::ExecReport r = loop.check(vdep::ExecPolicy{}, pool).value();
     EXPECT_TRUE(r.verified) << c.name;
     EXPECT_GT(r.tasks, 0) << c.name;
-  }
-}
-
-TEST(Parallelizer, MaterializedModeStillWorks) {
-  vdep::Compiler compiler;
-  ThreadPool pool(3);
-  for (const core::NamedNest& c : core::paper_suite(5)) {
-    vdep::CompiledLoop loop = compiler.compile(c.nest).value();
-    vdep::ExecReport r =
-        loop.check(vdep::ExecPolicy{}.mode(vdep::ExecMode::kMaterialized),
-                   pool)
-            .value();
-    EXPECT_TRUE(r.verified) << c.name;
-    EXPECT_EQ(r.steals, 0) << c.name;  // steal counters are streaming-only
   }
 }
 

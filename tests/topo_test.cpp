@@ -283,23 +283,19 @@ TEST(TopologyScheduling, PinnedAndUnpinnedRunsAreBitIdentical) {
     exec::ArrayStore ref = reference(c.nest);
     for (std::size_t threads : {1u, 2u, 8u}) {
       for (bool pin : {false, true}) {
-        for (bool locality : {false, true}) {
-          runtime::StreamOptions so;
-          so.num_threads = threads;
-          so.locality_splits = locality;
-          runtime::StreamExecutor ex(c.nest, plan, so);
-          exec::ArrayStore store(c.nest);
-          store.fill_pattern();
-          runtime::RuntimeStats rs = ex.run(store, runtime::RunSwitches{true, true, pin});
-          EXPECT_TRUE(ref == store)
-              << c.name << " threads=" << threads << " pin=" << pin
-              << " locality=" << locality;
-          // The invariant tasks == splits + 1 must survive pre-seeding.
-          EXPECT_EQ(rs.total_tasks(), rs.total_splits() + 1) << c.name;
-          if (std::string(c.name) == "row_parity" && threads > 1)
-            EXPECT_GT(rs.total_axis_splits(runtime::TaskDescriptor::kClassAxis), 0)
-                << "threads=" << threads;
-        }
+        runtime::StreamOptions so;
+        so.num_threads = threads;
+        runtime::StreamExecutor ex(c.nest, plan, so);
+        exec::ArrayStore store(c.nest);
+        store.fill_pattern();
+        runtime::RuntimeStats rs = ex.run(store, runtime::RunSwitches{true, true, pin});
+        EXPECT_TRUE(ref == store)
+            << c.name << " threads=" << threads << " pin=" << pin;
+        // The invariant tasks == splits + 1 must survive pre-seeding.
+        EXPECT_EQ(rs.total_tasks(), rs.total_splits() + 1) << c.name;
+        if (std::string(c.name) == "row_parity" && threads > 1)
+          EXPECT_GT(rs.total_axis_splits(runtime::TaskDescriptor::kClassAxis), 0)
+              << "threads=" << threads;
       }
     }
   }
@@ -315,34 +311,31 @@ TEST(TopologyScheduling, PinnedAndUnpinnedRunsAreBitIdentical) {
   }
   for (std::size_t threads : {1u, 2u, 8u}) {
     for (bool pin : {false, true}) {
-      for (bool locality : {false, true}) {
-        runtime::StreamOptions so;
-        so.num_threads = threads;
-        so.locality_splits = locality;
-        std::vector<runtime::StreamExecutor> exs;
-        std::vector<exec::ArrayStore> stores;
-        for (std::size_t k = 0; k < std::size(cases); ++k) {
-          exs.emplace_back(cases[k].nest, plans[k], so);
-          stores.emplace_back(cases[k].nest);
-          stores.back().fill_pattern();
-        }
-        std::vector<runtime::DriveSource> sources;
-        for (std::size_t k = 0; k < exs.size(); ++k)
-          sources.push_back(exs[k].source(stores[k]));
-        runtime::RuntimeStats rs = runtime::drive_descriptors(
-            sources, {threads, {true, true, pin}});
-        ASSERT_FALSE(rs.error);
-        ASSERT_EQ(rs.sources.size(), exs.size());
-        for (std::size_t k = 0; k < exs.size(); ++k) {
-          EXPECT_TRUE(refs[k] == stores[k])
-              << cases[k].name << " in a 4-source run, threads=" << threads
-              << " pin=" << pin << " locality=" << locality;
-          EXPECT_EQ(rs.sources[k].tasks, rs.sources[k].splits + 1)
-              << cases[k].name << " threads=" << threads;
-        }
-        EXPECT_EQ(rs.total_tasks(),
-                  rs.total_splits() + static_cast<std::int64_t>(std::size(cases)));
+      runtime::StreamOptions so;
+      so.num_threads = threads;
+      std::vector<runtime::StreamExecutor> exs;
+      std::vector<exec::ArrayStore> stores;
+      for (std::size_t k = 0; k < std::size(cases); ++k) {
+        exs.emplace_back(cases[k].nest, plans[k], so);
+        stores.emplace_back(cases[k].nest);
+        stores.back().fill_pattern();
       }
+      std::vector<runtime::DriveSource> sources;
+      for (std::size_t k = 0; k < exs.size(); ++k)
+        sources.push_back(exs[k].source(stores[k]));
+      runtime::RuntimeStats rs = runtime::drive_descriptors(
+          sources, {threads, {true, true, pin}});
+      ASSERT_FALSE(rs.error);
+      ASSERT_EQ(rs.sources.size(), exs.size());
+      for (std::size_t k = 0; k < exs.size(); ++k) {
+        EXPECT_TRUE(refs[k] == stores[k])
+            << cases[k].name << " in a 4-source run, threads=" << threads
+            << " pin=" << pin;
+        EXPECT_EQ(rs.sources[k].tasks, rs.sources[k].splits + 1)
+            << cases[k].name << " threads=" << threads;
+      }
+      EXPECT_EQ(rs.total_tasks(),
+                rs.total_splits() + static_cast<std::int64_t>(std::size(cases)));
     }
   }
 }
