@@ -16,6 +16,8 @@
 //    "seconds":...,"classes":...,"chains":...,"max_component":...}
 //   {"bench":"inspector","name":...,"mode":"inspect","threads":8,...}
 //   {"bench":"inspector","name":...,"mode":"executor","threads":8,...}
+//   {"bench":"inspector","name":...,"mode":"api_jit","threads":8,...,
+//    "jit":...,"bit_identical":...,"amortized_speedup_vs_compiled_8w":...}
 //   {"bench":"inspector","name":...,"mode":"summary","threads":8,
 //    "speedup_8w_vs_seq":...,"inspect_overhead_pct":...,
 //    "amortized_speedup_8w":...,"amortized_speedup_vs_compiled_8w":...}
@@ -27,10 +29,16 @@
 // run by one single-worker inspection plus one 8-worker execution;
 // amortized_speedup_vs_compiled_8w divides the compiled run by what an
 // 8-worker request pays: an 8-worker inspection plus the 8-worker
-// execution. Both are informational.
+// execution. Both are informational. The "api_jit" row is the whole
+// request as a caller issues it: CompiledLoop::execute under
+// ExecBackend::kJit at 8 workers, i.e. an 8-worker inspection plus native
+// row-kernel leaves (the row kernel's cc run and one warm-up request stay
+// off the clock); its amortized_speedup_vs_compiled_8w divides the compiled
+// run by that request.
 //
-// `--gate` (CI bench-smoke leg) re-runs both scenarios and fails unless
-// every parallel store is bit-identical to the sequential reference, and
+// `--gate` (CI bench-smoke and jit-smoke legs) re-runs both scenarios and
+// fails unless every parallel store is bit-identical to the sequential
+// reference, unless the api_jit row ran native (ExecReport::jit), and
 // unless a single-worker inspection costs less than one sequential
 // interpreted run (inspect_overhead_pct < 100) on each scenario. Speedup
 // is reported, never gated (inspection amortizes over re-execution and CI
@@ -43,6 +51,7 @@
 #include <string>
 #include <thread>
 
+#include "api/vdep.h"
 #include "exec/compiled.h"
 #include "exec/interpreter.h"
 #include "inspect/executor.h"
@@ -198,6 +207,54 @@ int run_scenario(const Scenario& sc, i64 n, int reps, bool gate) {
         static_cast<long long>(rs.total_tasks()),
         static_cast<long long>(rs.total_steals()),
         identical ? "true" : "false");
+  }
+
+  // The kJit request through the public API (see the header).
+  {
+    Compiler compiler;
+    CompiledLoop loop = compiler.compile(nest).value();
+    const ExecPolicy policy =
+        ExecPolicy{}.threads(8).backend(ExecBackend::kJit).digest(false);
+    exec::ArrayStore got = init;
+    bool native = true;
+    auto request = [&] {
+      Expected<ExecReport> rep = loop.execute(policy, got);
+      if (!rep)
+        std::fprintf(stderr, "FAIL: %s kJit request failed: %s\n", sc.name,
+                     rep.error().to_string().c_str());
+      native &= rep && rep->jit;
+    };
+    request();  // builds the row kernel
+    const double t_api = best_of(reps, [&] {
+      got = init;
+      auto t0 = std::chrono::steady_clock::now();
+      request();
+      return seconds_since(t0);
+    });
+    const bool identical = got == ref;
+    if (!identical) {
+      std::fprintf(stderr,
+                   "FAIL: %s kJit request at 8 workers diverged from "
+                   "sequential\n",
+                   sc.name);
+      ++failures;
+    }
+    if (gate && !native) {
+      std::fprintf(stderr,
+                   "FAIL: %s kJit request did not run native row-kernel "
+                   "leaves (no C toolchain, or the build failed)\n",
+                   sc.name);
+      ++failures;
+    }
+    std::printf(
+        "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"api_jit\","
+        "\"threads\":8,\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
+        "\"iters_per_sec\":%.0f,\"jit\":%s,\"bit_identical\":%s,"
+        "\"amortized_speedup_vs_compiled_8w\":%.3f}\n",
+        sc.name, hw_threads(), static_cast<long long>(n), t_api,
+        t_api > 0 ? static_cast<double>(n) / t_api : 0.0,
+        native ? "true" : "false", identical ? "true" : "false",
+        t_api > 0 ? t_seq_compiled / t_api : 0.0);
   }
 
   const double overhead_pct = t_seq > 0 ? t_inspect / t_seq * 100.0 : 0.0;

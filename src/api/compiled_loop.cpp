@@ -271,10 +271,23 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
                       "largest dependence component per inspection")
             .observe(st.max_component);
       }
+      // kJit runs the leaves through the nest's native row kernel, fetched
+      // only now: a hostile index array has already failed typed above,
+      // before any write and before any cc run. The row kernel's unchecked
+      // accesses are sound because that inspection checked every one of
+      // them on this store. No kernel (no toolchain, a cc failure, a
+      // memoized failure) leaves the CompiledKernel body.
+      std::shared_ptr<const jit::NativeKernel> native;
+      if (policy.backend() == ExecBackend::kJit) {
+        Expected<std::shared_ptr<const jit::NativeKernel>> k =
+            art_->jit_kernel(*nest_, policy.jit_options());
+        if (k) native = std::move(*k);
+      }
       inspect::InspectorExecOptions io;
       io.num_threads = threads;
       io.grain = policy.grain();
       io.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
+      io.native = native.get();
       io.switches = detail::run_switches(policy);
       inspect::InspectorExecutor ex(*nest_, *part, io);
       {
@@ -282,6 +295,7 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
         rs = pool ? ex.run(store, *pool) : ex.run(store);
       }
       rep.inspector = true;
+      rep.jit = native != nullptr;
       rep.inspector_classes = st.classes;
       rep.inspector_chains = st.chains;
       rep.inspector_max_component = st.max_component;

@@ -79,7 +79,9 @@ enum class ExecBackend {
   kInterpreter,  ///< exact tree-walking interpreter, always
   kJit,          ///< dlopen-ed native kernel; falls back to kCompiled when
                  ///< no toolchain is available or the plan is not JITable.
-                 ///< The native kernel wraps on int64 overflow (-fwrapv)
+                 ///< An affine nest's range kernel wraps on int64 overflow
+                 ///< (-fwrapv); an indirect nest's inspector leaves run its
+                 ///< row kernel, whose overflow fails kOverflow
   kInspector,    ///< runtime inspector–executor: dependence components are
                  ///< discovered at the given bounds/data (src/inspect/) and
                  ///< run as dynamic partition classes. The only backend for
@@ -247,7 +249,9 @@ class PlanArtifact {
   /// beside the codegen memo — a plan-cache hit at the same bounds reuses
   /// the already-loaded .so, and new bounds only re-run emission + cc,
   /// never the analysis. Errors (kUnsupported) when no toolchain exists
-  /// or the nest fails the subscript range proof. Deterministic failures
+  /// or an affine nest fails the subscript range proof (an indirect
+  /// nest's row kernel has no build-time proof: inspection precedes each
+  /// of its runs). Deterministic failures
   /// (proof, cc error) are memoized per key like successes; the
   /// no-toolchain answer is not, so an environment that gains a compiler
   /// starts JITting without a new session.
@@ -305,13 +309,15 @@ class CompiledLoop {
     return art_->codegen(*nest_, opts);
   }
 
-  /// Stage 5 — the JIT: a native range kernel for this handle's bounds,
+  /// Stage 5 — the JIT: a native range kernel for this handle's bounds —
+  /// or, for an indirect nest, the row kernel its inspector leaves run —
   /// lazy and memoized in the shared artifact (same .so for every handle
   /// at these bounds; recompiling the structure is a plan-cache hit, so
   /// the toolchain cost amortizes exactly like codegen). Errors
   /// (kUnsupported) when no C toolchain is on PATH / $VDEP_CC, the host
-  /// cannot dlopen, or the nest fails the subscript range proof —
-  /// execute() with ExecBackend::kJit degrades to the scan path instead.
+  /// cannot dlopen, or an affine nest fails the subscript range proof —
+  /// execute() with ExecBackend::kJit degrades to the scan path (the
+  /// CompiledKernel leaves, for an indirect nest) instead.
   Expected<std::shared_ptr<const jit::NativeKernel>> jit(
       const jit::JitOptions& opts = {}) const {
     return art_->jit_kernel(*nest_, opts);

@@ -1,5 +1,6 @@
 #include "codegen/emit_c.h"
 
+#include <limits>
 #include <sstream>
 
 #include "analysis/loop_partition.h"
@@ -44,12 +45,19 @@ std::string c_bound(const Bound& b, bool lower,
   return acc;
 }
 
+// An indirect slot (row kernels only) renders as a read of its index
+// array at the slot's position; the index array's macro subtracts its
+// lower bound.
 std::string c_ref(const ArrayRef& r, const std::vector<std::string>& names) {
   std::ostringstream os;
   os << r.array << "(";
   for (std::size_t k = 0; k < r.subscripts.size(); ++k) {
     if (k) os << ", ";
-    os << c_affine(r.subscripts[k], names);
+    if (k < r.indirect.size() && r.indirect[k].has_value())
+      os << r.indirect[k]->array << "(" << c_affine(r.indirect[k]->pos, names)
+         << ")";
+    else
+      os << c_affine(r.subscripts[k], names);
   }
   os << ")";
   return os.str();
@@ -354,6 +362,66 @@ void emit_clamped_path(std::ostringstream& os, const LoopNest& nest,
   }
 }
 
+// ---- JIT row kernel (indirect nests) ----------------------------------
+
+// An int64 literal that is valid C for every value (-2^63 has no literal).
+std::string c_i64(i64 v) {
+  if (v == std::numeric_limits<i64>::min())
+    return "(-9223372036854775807LL - 1)";
+  return "(" + std::to_string(v) + "LL)";
+}
+
+// Emits `e` as checked straight-line code: every add/sub/mul gets its own
+// temporary and an overflow test returning -1, so nothing after the failed
+// operation — in particular the statement's store — runs. Returns the C
+// expression holding e's value.
+std::string emit_checked_expr(std::ostringstream& os, const Expr& e,
+                              const std::vector<std::string>& names,
+                              const std::string& indent, int& temps) {
+  switch (e.kind()) {
+    case Expr::Kind::kConst:
+      return c_i64(e.value());
+    case Expr::Kind::kIndex:
+      return names[static_cast<std::size_t>(e.index())];
+    case Expr::Kind::kRead:
+      return c_ref(e.ref(), names);
+    case Expr::Kind::kAdd:
+    case Expr::Kind::kSub:
+    case Expr::Kind::kMul: {
+      const std::string a = emit_checked_expr(os, *e.lhs(), names, indent, temps);
+      const std::string b = emit_checked_expr(os, *e.rhs(), names, indent, temps);
+      const char* op = e.kind() == Expr::Kind::kAdd   ? "add"
+                       : e.kind() == Expr::Kind::kSub ? "sub"
+                                                      : "mul";
+      const std::string t = "vdep_v" + std::to_string(temps++);
+      os << indent << "int64_t " << t << ";\n"
+         << indent << "if (__builtin_" << op << "_overflow(" << a << ", " << b
+         << ", &" << t << ")) return -1;\n";
+      return t;
+    }
+  }
+  VDEP_CHECK(false, "unreachable expr kind");
+}
+
+// One pass over member slots [m_lo, m_hi); `row_of` is the C expression of
+// slot vdep_m's row index.
+void emit_row_loop(std::ostringstream& os, const LoopNest& nest,
+                   const std::vector<std::string>& names,
+                   const std::string& row_of) {
+  os << "    for (int64_t vdep_m = vdep_m_lo; vdep_m < vdep_m_hi; ++vdep_m) {\n"
+     << "      const int64_t* vdep_row = vdep_rows + (" << row_of
+     << ") * vdep_depth;\n";
+  for (int k = 0; k < nest.depth(); ++k)
+    os << "      const int64_t " << names[static_cast<std::size_t>(k)]
+       << " = vdep_row[" << k << "];\n";
+  int temps = 0;
+  for (const loopir::Assign& a : nest.body()) {
+    const std::string v = emit_checked_expr(os, *a.rhs, names, "      ", temps);
+    os << "      " << c_ref(a.lhs, names) << " = " << v << ";\n";
+  }
+  os << "    }\n";
+}
+
 }  // namespace
 
 std::string emit_c_original(const LoopNest& nest, const EmitOptions& opts) {
@@ -638,6 +706,32 @@ std::string emit_c_partitioned_range_kernel(const LoopNest& original,
   // count (StreamOptions::split_dims) take the original clamped code.
   emit_clamped_path(os, nest, plan, names);
   os << "  return vdep_count;\n}\n";
+  return os.str();
+}
+
+std::string emit_c_row_kernel(const LoopNest& nest,
+                              const std::string& entry_name) {
+  const std::vector<std::string> names = nest.index_names();
+  std::ostringstream os;
+  os << "/* Generated by vdep: JIT row kernel (" << nest.depth()
+     << "-deep indirect nest, " << nest.body().size()
+     << " statement(s); checked arithmetic). */\n"
+     << "#include <stdint.h>\n\n";
+  emit_jit_array_macros(os, nest);
+  os << "\nint64_t " << entry_name
+     << "(int64_t** vdep_arrays, const int64_t* vdep_rows,\n"
+     << "    const int64_t* vdep_members, int64_t vdep_depth, int64_t "
+        "vdep_m_lo,\n"
+     << "    int64_t vdep_m_hi) {\n";
+  for (std::size_t a = 0; a < nest.arrays().size(); ++a)
+    os << "  int64_t* restrict vdep_buf_" << a << " = vdep_arrays[" << a
+       << "];\n";
+  os << "  if (vdep_members) {\n";
+  emit_row_loop(os, nest, names, "vdep_members[vdep_m]");
+  os << "  } else {\n";
+  emit_row_loop(os, nest, names, "vdep_m");
+  os << "  }\n"
+     << "  return vdep_m_hi - vdep_m_lo;\n}\n";
   return os.str();
 }
 

@@ -7,6 +7,7 @@
 
 #include "exec/compiled.h"
 #include "exec/interpreter.h"
+#include "jit/native_kernel.h"
 #include "support/error.h"
 
 namespace vdep::inspect {
@@ -38,14 +39,19 @@ runtime::TaskDescriptor InspectorExecutor::root() const {
 
 runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
                                                   ThreadPool* pool) const {
-  // One body shared by every worker: a CompiledKernel (per-worker Scratch
-  // keeps it const) for affine and indirect nests alike. The exact
-  // interpreter runs only when forced or when the kernel's range proof
-  // refuses — e.g. an index value in the box hull that no iteration reaches
-  // but the proof cannot rule out. Both bodies throw OverflowError on the
-  // same inputs.
+  // The row kernel's accesses are unchecked: only the store inspect()
+  // range-checked may run them.
+  VDEP_REQUIRE(!opts_.native || part_->inspected(store),
+               "native inspector leaves need the store the partition was "
+               "inspected against");
+  // Without a native kernel, one body shared by every worker: a
+  // CompiledKernel (per-worker Scratch keeps it const) for affine and
+  // indirect nests alike. The exact interpreter runs only when forced or
+  // when the kernel's range proof refuses — e.g. an index value in the box
+  // hull that no iteration reaches but the proof cannot rule out. Every
+  // body throws OverflowError on the same inputs.
   std::shared_ptr<const exec::CompiledKernel> ck;
-  if (!opts_.force_interpreter) {
+  if (!opts_.native && !opts_.force_interpreter) {
     try {
       ck = std::make_shared<exec::CompiledKernel>(nest_, store);
     } catch (const Error&) {
@@ -53,12 +59,27 @@ runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
     }
   }
 
-  // A class range is a contiguous member range, so a leaf walks the
-  // partition's coordinate rows: the compiled body takes each row as is,
-  // the interpreter a copy in its Vec.
+  // A class range [lo, hi) is the contiguous member slots
+  // [offset(lo), offset(hi)): the native body takes them in one call, the
+  // compiled body walks their coordinate rows as they are, the
+  // interpreter copies each into its Vec.
   const DynamicPartition* part = part_;
+  exec::ArrayStore* st = &store;
   runtime::LeafFactory factory;
-  if (ck) {
+  if (opts_.native) {
+    const jit::NativeKernel* k = opts_.native;
+    factory = [k, st, part](int, runtime::WorkerStats& stats)
+        -> runtime::LeafFn {
+      return [k, st, part, ws = &stats](const runtime::TaskDescriptor& task) {
+        const i64 m_lo = part->offset(task.class_lo);
+        const i64 m_hi = part->offset(task.class_hi);
+        ws->iterations += m_hi - m_lo;
+        if (k->execute_rows(*st, part->rows(), part->members(), part->depth(),
+                            m_lo, m_hi) < 0)
+          throw OverflowError("int64 overflow in the native row kernel");
+      };
+    };
+  } else if (ck) {
     factory = [ck, part](int, runtime::WorkerStats& stats) -> runtime::LeafFn {
       auto scratch = std::make_shared<exec::CompiledKernel::Scratch>(
           ck->make_scratch());
@@ -73,7 +94,6 @@ runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
     };
   } else {
     const loopir::LoopNest* nest = &nest_;
-    exec::ArrayStore* st = &store;
     factory = [nest, st, part](int, runtime::WorkerStats& stats)
         -> runtime::LeafFn {
       auto iter =

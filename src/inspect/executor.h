@@ -10,17 +10,28 @@
 // classes gives a bit-identical store) and within a component every
 // dependence points lexicographically forward.
 //
-// Leaves run one shared exec::CompiledKernel body, whose indirect slots read
-// the index buffers directly (proven in range at construction). A leaf's
-// class range is a contiguous run of member slots, so the compiled leaf
-// hands each member's coordinate row straight to execute_row. The exact
-// interpreter is the reference: it runs only under force_interpreter
-// (ExecBackend::kInterpreter) or when the kernel's proof refuses the nest.
-// Both bodies throw OverflowError on int64 overflow.
+// A leaf's class range is a contiguous run of member slots, and each leaf
+// runs them through one of three bodies:
+//   * native (ExecBackend::kJit): the nest's jit row kernel takes the whole
+//     slot range in one call (NativeKernel::execute_rows). It indexes
+//     buffers unchecked, which is sound only because inspect() range-checked
+//     every access of every row against this very store before any write
+//     (and index arrays are read-only), so the executor runs it only on the
+//     store its partition was inspected against.
+//   * compiled (the default): one shared exec::CompiledKernel, whose
+//     indirect slots read the index buffers directly (proven in range at
+//     construction); each member's row goes straight to execute_row.
+//   * the exact interpreter, the reference: only under force_interpreter
+//     (ExecBackend::kInterpreter) or when the kernel's proof refuses.
+// All three throw OverflowError on int64 overflow of body arithmetic.
 #pragma once
 
 #include "inspect/inspector.h"
 #include "runtime/driver.h"
+
+namespace vdep::jit {
+class NativeKernel;
+}
 
 namespace vdep::inspect {
 
@@ -33,6 +44,10 @@ struct InspectorExecOptions {
   /// Run the exact interpreter instead of the compiled-kernel body
   /// (ExecBackend::kInterpreter, tests).
   bool force_interpreter = false;
+  /// ExecBackend::kJit: the nest's row kernel (NativeKernel::row_kernel()),
+  /// which then runs every leaf. The caller keeps it alive; run() accepts
+  /// it only for the store the partition was inspected against.
+  const jit::NativeKernel* native = nullptr;
   /// Tracing, metrics and worker pinning of this executor's runs.
   runtime::RunSwitches switches;
 };
@@ -45,11 +60,12 @@ class InspectorExecutor {
                     const DynamicPartition& partition,
                     InspectorExecOptions opts = {});
 
-  /// Runs every class over `store` through a shared exec::CompiledKernel
-  /// (per-worker scratch), indirect subscripts included; only a nest whose
-  /// range proof the kernel refuses (or force_interpreter) runs through the
-  /// exact interpreter. Either body throws OverflowError on int64 overflow.
-  /// The index arrays must keep the contents inspect() saw.
+  /// Runs every class over `store` through the native row kernel when one
+  /// is set, else through a shared exec::CompiledKernel (per-worker
+  /// scratch), indirect subscripts included; only a nest whose range proof
+  /// the kernel refuses (or force_interpreter) runs through the exact
+  /// interpreter. Every body throws OverflowError on int64 overflow. The
+  /// index arrays must keep the contents inspect() saw.
   runtime::RuntimeStats run(exec::ArrayStore& store) const;
   runtime::RuntimeStats run(exec::ArrayStore& store, ThreadPool& pool) const;
 

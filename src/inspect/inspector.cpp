@@ -161,14 +161,27 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   }
 
   // The iteration coordinates, materialized once: pass 1 reads them and
-  // the executor replays them.
+  // the executor replays them. One odometer pass over the outer levels
+  // counts (innermost extents in closed form), a second writes the rows
+  // straight into the buffer.
   DynamicPartition part;
   part.depth_ = depth;
-  const i64 n = nest.iteration_count();
-  part.coords_.reserve(static_cast<std::size_t>(checked::mul(n, depth)));
-  nest.for_each_iteration([&](const Vec& iter) {
-    part.coords_.insert(part.coords_.end(), iter.begin(), iter.end());
+  part.store_ = &store;
+  i64 n = 0;
+  nest.for_each_inner_range([&](const Vec&, i64 lo, i64 hi) {
+    if (hi >= lo) n = checked::add(n, checked::add(checked::sub(hi, lo), 1));
   });
+  part.coords_.resize(static_cast<std::size_t>(checked::mul(n, depth)));
+  {
+    i64* out = part.coords_.data();
+    const std::size_t outer = static_cast<std::size_t>(depth) - 1;
+    nest.for_each_inner_range([&](const Vec& iter, i64 lo, i64 hi) {
+      for (i64 v = lo; v <= hi; ++v) {
+        out = std::copy_n(iter.data(), outer, out);
+        *out++ = v;
+      }
+    });
+  }
 
   // Pass 1, one driver source over the rank range [0, n): range-check every
   // access, record the cell of every tracked access (`tracked` per

@@ -20,7 +20,9 @@
 // cell's first toucher. Textually identical references (the read and the
 // write of A[B[i]]) are resolved once.
 //
-// After the iteration rows are materialized, pass 1 runs on the shared
+// The iteration rows are built first, in one direct pass over the outer
+// levels (LoopNest::for_each_inner_range: innermost extents in closed
+// form, no per-point callback). Then pass 1 runs on the shared
 // work-stealing driver (runtime/driver.h) as one source whose class range
 // is the rank range [0, n): each leaf range-checks every access of its
 // ranks, stores the cell of each tracked (written-array) access into its
@@ -94,6 +96,19 @@ class DynamicPartition {
     return identity() ? c : offsets_[static_cast<std::size_t>(c)];
   }
 
+  /// The coordinate rows, depth() values per iteration in rank order.
+  const i64* rows() const { return coords_.data(); }
+  /// Iteration ranks grouped by class (member slot -> rank); null for an
+  /// identity partition, where member slot m is rank m.
+  const i64* members() const {
+    return identity() ? nullptr : members_.data();
+  }
+  /// Whether this partition was inspected against `store` (the object, not
+  /// an equal copy): the check the native executor leaves rely on.
+  bool inspected(const exec::ArrayStore& store) const {
+    return &store == store_;
+  }
+
   /// Calls fn(row) for every iteration of classes [lo, hi), class by class
   /// and each class in lexicographic order; `row` points at the iteration's
   /// depth() coordinates.
@@ -115,6 +130,7 @@ class DynamicPartition {
                                   std::size_t threads, ThreadPool* pool);
 
   int depth_ = 0;
+  const exec::ArrayStore* store_ = nullptr;  ///< the store inspect() read
   std::vector<i64> coords_;    ///< flattened iteration coords, size N*depth
   // The class arrays; empty for an identity partition.
   std::vector<i64> class_of_;  ///< iteration rank -> class id

@@ -1,18 +1,27 @@
-// A dlopen-ed native range kernel.
+// A dlopen-ed native kernel.
 //
-// NativeKernel wraps one shared object produced by jit::ToolchainCompiler
-// from the emit_c_range_kernel TU of a plan: the resolved entry point runs
-// a whole runtime::TaskDescriptor iteration box (N-dimensional DOALL-prefix
-// ranges x class range) with zero per-iteration dispatch, which is what the
-// streaming workers call through exec::RangeKernel. The object stays mapped
-// for the kernel's lifetime; the backing file is unlinked right after
-// dlopen (POSIX keeps the mapping alive) unless JitOptions::keep_artifacts.
+// NativeKernel wraps one shared object produced by jit::ToolchainCompiler.
+// For an affine nest it is the emit_c_range_kernel TU of a plan: the
+// resolved entry point runs a whole runtime::TaskDescriptor iteration box
+// (N-dimensional DOALL-prefix ranges x class range) with zero
+// per-iteration dispatch, which is what the streaming workers call through
+// exec::RangeKernel. For an indirect nest it is the emit_c_row_kernel TU:
+// the entry point runs a range of an inspector partition's member slots
+// (execute_rows), which is what the inspector's executor leaves call under
+// ExecBackend::kJit. Both entry points share one C type, so the dlsym, the
+// disk cache's metadata and the .so memo treat them alike. The object
+// stays mapped for the kernel's lifetime; the backing file is unlinked
+// right after dlopen (POSIX keeps the mapping alive) unless
+// JitOptions::keep_artifacts.
 //
-// Safety: the kernel indexes raw buffers without bounds checks, so a
+// Safety: both kernels index raw buffers without bounds checks. A range
 // kernel is only ever built after exec::prove_subscript_ranges certified
 // every subscript's extremes over the iteration box — the same one-time
-// proof exec::CompiledKernel performs. Nests that fail the proof never
-// reach the toolchain and fall back to the scan path.
+// proof exec::CompiledKernel performs; nests that fail the proof never
+// reach the toolchain and fall back to the scan path. A row kernel has no
+// build-time proof (its subscripts depend on index-array contents): it may
+// only run rows that inspect::inspect() range-checked against the same
+// store, which the inspector's executor enforces.
 #pragma once
 
 #include <string>
@@ -36,6 +45,19 @@ class NativeKernel final : public exec::RangeKernel {
   i64 execute_range(exec::ArrayStore& store,
                     const exec::IterBox& box) const override;
 
+  /// Runs member slots [m_lo, m_hi) of an inspector partition through a
+  /// row kernel (row_kernel() must hold): `rows` holds `depth` coordinates
+  /// per iteration rank, `members` maps slots to ranks (null: slot m is
+  /// rank m). Returns m_hi - m_lo, or -1 when body arithmetic overflowed
+  /// int64 (that statement is not stored). Every access of those rows must
+  /// have been range-checked against `store` (inspect::inspect()). Safe
+  /// concurrently for slot ranges whose iterations write disjoint cells.
+  i64 execute_rows(exec::ArrayStore& store, const i64* rows,
+                   const i64* members, i64 depth, i64 m_lo, i64 m_hi) const;
+
+  /// True for an indirect nest's row kernel (execute_rows), false for a
+  /// range kernel (execute_range).
+  bool row_kernel() const { return row_kernel_; }
   /// The emitted C of the loaded kernel (diagnostics / tests).
   const std::string& source() const { return source_; }
   /// Path of the .so; empty once unlinked (the default lifecycle).
@@ -54,19 +76,24 @@ class NativeKernel final : public exec::RangeKernel {
   using EntryFn = std::int64_t (*)(std::int64_t**, const std::int64_t*,
                                    const std::int64_t*, std::int64_t,
                                    std::int64_t, std::int64_t);
-  NativeKernel(void* handle, EntryFn fn, std::vector<std::string> arrays,
-               std::string source, std::string so_path, bool partitioned,
-               std::string verdict)
+  NativeKernel(void* handle, EntryFn fn, bool row_kernel,
+               std::vector<std::string> arrays, std::string source,
+               std::string so_path, bool partitioned, std::string verdict)
       : handle_(handle),
         fn_(fn),
+        row_kernel_(row_kernel),
         arrays_(std::move(arrays)),
         source_(std::move(source)),
         so_path_(std::move(so_path)),
         partitioned_(partitioned),
         verdict_(std::move(verdict)) {}
 
+  /// The store's buffers in declaration order (the entry's first argument).
+  std::vector<std::int64_t*> buffers(exec::ArrayStore& store) const;
+
   void* handle_ = nullptr;
   EntryFn fn_ = nullptr;
+  bool row_kernel_ = false;
   std::vector<std::string> arrays_;  ///< buffer bind order (declaration order)
   std::string source_;
   std::string so_path_;

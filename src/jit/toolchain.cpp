@@ -37,6 +37,9 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kEntryName = "vdep_range_kernel";
+/// The row kernel's entry symbol; a library whose entry has this name
+/// loads as a row kernel (NativeKernel::row_kernel()).
+constexpr const char* kRowEntryName = "vdep_row_kernel";
 
 /// True when `path` names an existing regular file this process may exec.
 bool is_executable(const fs::path& path) {
@@ -274,6 +277,90 @@ std::string cache_options_render(const JitOptions& o) {
   return r;
 }
 
+/// The range-kernel TU of an affine nest: the subscript range proof, then
+/// the verified steady-state partitioned kernel when JitOptions::partition
+/// allows and the verifier admits it, else the clamped kernel. Records the
+/// optimization flags and the partition verdict in `meta`.
+Expected<std::string> emit_range_kernel(const loopir::LoopNest& original,
+                                        const trans::TransformPlan& plan,
+                                        const JitOptions& opts,
+                                        CompileMeta& meta) {
+  // The emitted kernel indexes raw buffers unchecked; refuse nests whose
+  // subscripts the box proof cannot certify (they interpret instead).
+  std::string source;
+  try {
+    exec::prove_subscript_ranges(original);
+  } catch (const Error& e) {
+    return ApiError{ErrorKind::kUnsupported,
+                    std::string("jit: range proof failed: ") + e.what()};
+  }
+
+  // Steady-state partitioning: derive the partition, emit the split TU,
+  // and let the kernel verifier decide whether it may load. Any refusal
+  // — analysis overflow, a failed obligation, an injected fault — keeps
+  // the clamped kernel, never blocks compilation.
+  if (opts.partition && plan.num_doall > 0) {
+    try {
+      codegen::TransformedNest tn = codegen::rewrite_nest(original, plan);
+      std::optional<analysis::LoopPartition> part;
+      {
+        obs::ScopedSpan span(obs::EventKind::kPartitionAnalyze,
+                             /*layer_enabled=*/true, obs::Phase::kCodegen);
+        part = analysis::analyze_partition(tn.nest, plan.num_doall);
+        if (span.tracing() && part) {
+          span.set_arg(0, part->axis);
+          span.set_arg(1, static_cast<i64>(part->constraints.size()));
+        }
+      }
+      if (part) {
+        std::string psource = codegen::emit_c_partitioned_range_kernel(
+            original, plan, *part, kEntryName,
+            opts.inject_partition_fault);
+        analysis::VerifierReport rep;
+        {
+          obs::ScopedSpan span(obs::EventKind::kPartitionVerify,
+                               /*layer_enabled=*/true, obs::Phase::kCodegen);
+          rep = analysis::verify_partitioned_kernel(
+              original, tn.nest, plan.num_doall, *part, psource);
+          if (span.tracing()) {
+            span.set_arg(0, rep.ok ? 1 : 0);
+            span.set_arg(1, static_cast<i64>(rep.failures.size()));
+          }
+        }
+        if (rep.ok) {
+          source = std::move(psource);
+          meta.partitioned = true;
+          meta.partition_verdict = rep.summary();
+          meta.opt_flags = "-O3";
+          if (opts.native_arch) meta.opt_flags += " -march=native";
+        } else {
+          meta.partition_verdict = rep.summary();
+        }
+      } else {
+        meta.partition_verdict = "rejected: partition analysis refused";
+      }
+    } catch (const Error& e) {
+      meta.partition_verdict =
+          std::string("rejected: partition pipeline error: ") + e.what();
+    }
+    if (!meta.partitioned && obs::MetricsRegistry::enabled())
+      obs::MetricsRegistry::instance()
+          .counter("vdep_partition_fallbacks_total",
+                   "partitioned kernels refused (clamped fallback)")
+          .inc();
+  }
+
+  if (source.empty()) {
+    try {
+      source = codegen::emit_c_range_kernel(original, plan, kEntryName);
+    } catch (const Error& e) {
+      return ApiError{ErrorKind::kUnsupported,
+                      std::string("jit: emission failed: ") + e.what()};
+    }
+  }
+  return source;
+}
+
 }  // namespace
 
 Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile(
@@ -308,8 +395,9 @@ Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile(
                              dlsym(handle, hit->meta.entry.c_str()))
                        : nullptr;
       if (fn) {
+        const bool rows = hit->meta.entry == kRowEntryName;
         return std::shared_ptr<const NativeKernel>(new NativeKernel(
-            handle, fn, std::move(hit->meta.arrays),
+            handle, fn, rows, std::move(hit->meta.arrays),
             std::move(hit->meta.source),
             // Cache hits honour the keep_artifacts contract: default
             // lifecycle reports no on-disk path (the cache file is an
@@ -323,88 +411,33 @@ Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile(
     }
   }
 
-  // The emitted kernel indexes raw buffers unchecked; refuse nests whose
-  // subscripts the box proof cannot certify (they interpret instead).
   std::string source;
   CompileMeta meta;
   meta.cache_key = std::move(cache_key);
+  const char* entry = kEntryName;
   {
     obs::ScopedSpan emit_span(obs::EventKind::kCodegen, /*layer_enabled=*/true,
                               obs::Phase::kCodegen);
-    try {
-      exec::prove_subscript_ranges(original);
-    } catch (const Error& e) {
-      return ApiError{ErrorKind::kUnsupported,
-                      std::string("jit: range proof failed: ") + e.what()};
-    }
-
-    // Steady-state partitioning: derive the partition, emit the split TU,
-    // and let the kernel verifier decide whether it may load. Any refusal
-    // — analysis overflow, a failed obligation, an injected fault — keeps
-    // the clamped kernel, never blocks compilation.
-    if (opts_.partition && plan.num_doall > 0) {
+    if (original.has_indirection()) {
+      // An indirect nest's row kernel has no build-time range proof: its
+      // subscripts depend on index-array contents, and inspect::inspect()
+      // checks every access of every row before a row kernel may run them.
+      entry = kRowEntryName;
       try {
-        codegen::TransformedNest tn = codegen::rewrite_nest(original, plan);
-        std::optional<analysis::LoopPartition> part;
-        {
-          obs::ScopedSpan span(obs::EventKind::kPartitionAnalyze,
-                               /*layer_enabled=*/true, obs::Phase::kCodegen);
-          part = analysis::analyze_partition(tn.nest, plan.num_doall);
-          if (span.tracing() && part) {
-            span.set_arg(0, part->axis);
-            span.set_arg(1, static_cast<i64>(part->constraints.size()));
-          }
-        }
-        if (part) {
-          std::string psource = codegen::emit_c_partitioned_range_kernel(
-              original, plan, *part, kEntryName,
-              opts_.inject_partition_fault);
-          analysis::VerifierReport rep;
-          {
-            obs::ScopedSpan span(obs::EventKind::kPartitionVerify,
-                                 /*layer_enabled=*/true, obs::Phase::kCodegen);
-            rep = analysis::verify_partitioned_kernel(
-                original, tn.nest, plan.num_doall, *part, psource);
-            if (span.tracing()) {
-              span.set_arg(0, rep.ok ? 1 : 0);
-              span.set_arg(1, static_cast<i64>(rep.failures.size()));
-            }
-          }
-          if (rep.ok) {
-            source = std::move(psource);
-            meta.partitioned = true;
-            meta.partition_verdict = rep.summary();
-            meta.opt_flags = "-O3";
-            if (opts_.native_arch) meta.opt_flags += " -march=native";
-          } else {
-            meta.partition_verdict = rep.summary();
-          }
-        } else {
-          meta.partition_verdict = "rejected: partition analysis refused";
-        }
-      } catch (const Error& e) {
-        meta.partition_verdict =
-            std::string("rejected: partition pipeline error: ") + e.what();
-      }
-      if (!meta.partitioned && obs::MetricsRegistry::enabled())
-        obs::MetricsRegistry::instance()
-            .counter("vdep_partition_fallbacks_total",
-                     "partitioned kernels refused (clamped fallback)")
-            .inc();
-    }
-
-    if (source.empty()) {
-      try {
-        source = codegen::emit_c_range_kernel(original, plan, kEntryName);
+        source = codegen::emit_c_row_kernel(original, kRowEntryName);
       } catch (const Error& e) {
         return ApiError{ErrorKind::kUnsupported,
                         std::string("jit: emission failed: ") + e.what()};
       }
+    } else {
+      Expected<std::string> range = emit_range_kernel(original, plan, opts_, meta);
+      if (!range) return range.error();
+      source = std::move(*range);
     }
   }
   std::vector<std::string> order;
   for (const loopir::ArrayDecl& a : original.arrays()) order.push_back(a.name);
-  return compile_source(source, kEntryName, std::move(order), std::move(meta));
+  return compile_source(source, entry, std::move(order), std::move(meta));
 }
 
 Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile_source(
@@ -436,10 +469,11 @@ Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile_source(
   }
 
   // -fwrapv: suite kernels (e.g. uniform_wavefront) overflow i64 at large
-  // sizes, and the C optimizer must not exploit that UB, so the native
-  // kernel wraps in two's complement. It is the only wrapping backend: the
-  // interpreter and the postfix CompiledKernel both throw OverflowError
-  // (kOverflow) on the same inputs.
+  // sizes, and the C optimizer must not exploit that UB, so the affine
+  // range kernels wrap in two's complement. They are the only wrapping
+  // backend: the interpreter, the postfix CompiledKernel and the row
+  // kernels (checked arithmetic, -1 on overflow) all fail kOverflow on the
+  // same inputs.
   std::string cmd = shell_quote(*cc_) + " " + meta.opt_flags +
                     " -fwrapv -fPIC -shared -x c " +
                     shell_quote(c_path.string()) + " -o " +
@@ -526,7 +560,8 @@ Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile_source(
     fs::remove_all(work, ec);
   }
   return std::shared_ptr<const NativeKernel>(new NativeKernel(
-      handle, fn, std::move(array_order), c_source, kept_path,
+      handle, fn, entry_name == kRowEntryName, std::move(array_order),
+      c_source, kept_path,
       meta.partitioned, std::move(meta.partition_verdict)));
 #endif
 }

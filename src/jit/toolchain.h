@@ -1,7 +1,8 @@
 // JIT compilation through the system C toolchain.
 //
 // The pipeline per kernel: prove subscript ranges (exec/kernel.h), emit the
-// range-kernel TU (codegen/emit_c.h), write it to a private mkdtemp
+// range-kernel TU (codegen/emit_c.h) — or, for an indirect nest, emit the
+// row-kernel TU the inspector's leaves run — write it to a private mkdtemp
 // directory, invoke `cc -O2 -fPIC -shared`, dlopen the product and resolve
 // the entry point into a jit::NativeKernel. Everything is Expected-based:
 // a missing toolchain, a failed range proof or a compiler error all come
@@ -103,8 +104,12 @@ class ToolchainCompiler {
   bool available() const { return cc_.has_value(); }
   const std::optional<std::string>& compiler_path() const { return cc_; }
 
-  /// Full pipeline: range proof, emit, compile, load. The entry symbol is
-  /// private to the library (RTLD_LOCAL), so kernels never collide.
+  /// Full pipeline: emit, compile, load. An affine nest gets a range
+  /// kernel after the subscript range proof; an indirect nest
+  /// (has_indirection()) gets a row kernel, whose safety rests on the
+  /// inspection preceding each run instead (NativeKernel::execute_rows).
+  /// The entry symbol is private to the library (RTLD_LOCAL), so kernels
+  /// never collide.
   Expected<std::shared_ptr<const NativeKernel>> compile(
       const loopir::LoopNest& original,
       const trans::TransformPlan& plan) const;

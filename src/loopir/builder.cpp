@@ -55,7 +55,7 @@ AffineExpr LoopNestBuilder::affine(const Vec& coeffs, i64 c0) const {
 
 ArrayRef LoopNestBuilder::ref(const std::string& array,
                               std::vector<AffineExpr> subscripts) const {
-  return ArrayRef{array, std::move(subscripts)};
+  return ArrayRef{array, std::move(subscripts), {}};
 }
 
 ExprPtr LoopNestBuilder::read(const std::string& array,

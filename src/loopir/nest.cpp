@@ -152,25 +152,17 @@ void LoopNest::validate() const {
   }
 }
 
-void LoopNest::enumerate(int k, Vec& iter,
-                         const std::function<void(const Vec&)>& fn) const {
-  if (k == depth()) {
-    fn(iter);
+void LoopNest::for_each_iteration(const std::function<void(const Vec&)>& fn) const {
+  if (depth() == 0) {  // a default-constructed nest: the empty iteration
+    fn(Vec{});
     return;
   }
-  const Level& l = levels_[static_cast<std::size_t>(k)];
-  i64 lo = l.lower.eval_lower(iter);
-  i64 hi = l.upper.eval_upper(iter);
-  for (i64 v = lo; v <= hi; ++v) {
-    iter[static_cast<std::size_t>(k)] = v;
-    enumerate(k + 1, iter, fn);
-  }
-  iter[static_cast<std::size_t>(k)] = 0;
-}
-
-void LoopNest::for_each_iteration(const std::function<void(const Vec&)>& fn) const {
-  Vec iter(static_cast<std::size_t>(depth()), 0);
-  enumerate(0, iter, fn);
+  for_each_inner_range([&](Vec& iter, i64 lo, i64 hi) {
+    for (i64 v = lo; v <= hi; ++v) {
+      iter.back() = v;
+      fn(iter);
+    }
+  });
 }
 
 std::vector<Vec> LoopNest::iterations() const {
@@ -180,8 +172,11 @@ std::vector<Vec> LoopNest::iterations() const {
 }
 
 i64 LoopNest::iteration_count() const {
+  if (depth() == 0) return 1;  // the empty iteration (for_each_iteration)
   i64 n = 0;
-  for_each_iteration([&](const Vec&) { ++n; });
+  for_each_inner_range([&](const Vec&, i64 lo, i64 hi) {
+    if (hi >= lo) n = checked::add(n, checked::add(checked::sub(hi, lo), 1));
+  });
   return n;
 }
 

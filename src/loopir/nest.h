@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "loopir/expr.h"
+#include "support/checked.h"
 
 namespace vdep::loopir {
 
@@ -95,8 +96,56 @@ class LoopNest {
   void for_each_iteration(const std::function<void(const Vec&)>& fn) const;
   /// Materialized iteration list (tests / ISDG on small spaces).
   std::vector<Vec> iterations() const;
-  /// Number of points (enumerated; intended for bounded test spaces).
+  /// Number of points: the outer levels are enumerated, the innermost
+  /// level is counted in closed form (for_each_inner_range).
   i64 iteration_count() const;
+  /// Calls fn(iter, lo, hi) once per point of the outer depth() - 1
+  /// levels, in lexicographic order: `iter` (a depth()-long Vec) holds
+  /// that point's outer coordinates, and the innermost level runs over
+  /// [lo, hi] there — empty when hi < lo. fn may overwrite iter's
+  /// innermost entry (it is scratch) but no other. A depth-1 nest makes
+  /// one call. No per-point callback: callers that need the points walk
+  /// [lo, hi] themselves. Requires depth() >= 1.
+  template <typename Fn>
+  void for_each_inner_range(Fn&& fn) const {
+    const int inner = depth() - 1;
+    VDEP_REQUIRE(inner >= 0, "loop nest must have at least one level");
+    Vec iter(static_cast<std::size_t>(depth()), 0);
+    auto lower = [&](int k) {
+      return levels_[static_cast<std::size_t>(k)].lower.eval_lower(iter);
+    };
+    auto upper = [&](int k) {
+      return levels_[static_cast<std::size_t>(k)].upper.eval_upper(iter);
+    };
+    auto inner_range = [&] {
+      const i64 lo = lower(inner), hi = upper(inner);
+      fn(iter, lo, hi);
+    };
+    if (inner == 0) {
+      inner_range();
+      return;
+    }
+    // Odometer over the outer levels; outer_hi[k] is open level k's upper
+    // bound.
+    Vec outer_hi(static_cast<std::size_t>(inner));
+    auto open = [&](int k) {
+      iter[static_cast<std::size_t>(k)] = lower(k);
+      outer_hi[static_cast<std::size_t>(k)] = upper(k);
+    };
+    open(0);
+    for (int k = 0; k >= 0;) {
+      const auto uk = static_cast<std::size_t>(k);
+      if (iter[uk] > outer_hi[uk]) {
+        --k;
+        if (k >= 0) ++iter[static_cast<std::size_t>(k)];
+      } else if (k + 1 < inner) {
+        open(++k);
+      } else {
+        inner_range();
+        ++iter[uk];
+      }
+    }
+  }
   /// Whether `iter` lies inside all bounds.
   bool contains(const Vec& iter) const;
 
@@ -104,8 +153,6 @@ class LoopNest {
   std::string to_string() const;
 
  private:
-  void enumerate(int k, Vec& iter, const std::function<void(const Vec&)>& fn) const;
-
   std::vector<Level> levels_;
   std::vector<ArrayDecl> arrays_;
   std::vector<Assign> body_;

@@ -774,10 +774,11 @@ TEST(OverflowDiagnostic, CompiledBackendOverflowIsTyped) {
   }
 }
 
-// Indirect nests run through the inspector with the compiled body unless
-// kInterpreter forces the tree walker; both must report the overflow.
-// A[B[i]] = A[B[i]] * C[i] with every C = 2^40 and four iterations per
-// cell leaves int64 on a cell's second multiply.
+// Indirect nests run through the inspector with the compiled body, the
+// tree walker under kInterpreter, and the native row kernel under kJit;
+// all three must report the overflow. A[B[i]] = A[B[i]] * C[i] with every
+// C = 2^40 and four iterations per cell leaves int64 on a cell's second
+// multiply.
 TEST(OverflowDiagnostic, IndirectOverflowIsTypedOnEveryBackend) {
   constexpr i64 n = 64;
   LoopNestBuilder b;
@@ -800,7 +801,8 @@ TEST(OverflowDiagnostic, IndirectOverflowIsTypedOnEveryBackend) {
 
   Compiler compiler;
   CompiledLoop loop = compiler.compile(nest).value();
-  for (ExecBackend backend : {ExecBackend::kCompiled, ExecBackend::kInterpreter}) {
+  for (ExecBackend backend : {ExecBackend::kCompiled, ExecBackend::kInterpreter,
+                              ExecBackend::kJit}) {
     for (std::size_t threads : {1u, 4u}) {
       exec::ArrayStore store = init;
       Expected<ExecReport> r =
@@ -810,6 +812,13 @@ TEST(OverflowDiagnostic, IndirectOverflowIsTypedOnEveryBackend) {
       EXPECT_EQ(r.error().kind, ErrorKind::kOverflow)
           << "backend=" << static_cast<int>(backend) << " threads=" << threads;
     }
+  }
+  // The kJit overflow came from the native leaves: the row kernel exists
+  // (memoized by the runs above), so no run fell back to the postfix body.
+  if (jit::discover_toolchain()) {
+    Expected<std::shared_ptr<const jit::NativeKernel>> k = loop.jit();
+    ASSERT_TRUE(k) << k.error().to_string();
+    EXPECT_TRUE((*k)->row_kernel());
   }
 }
 

@@ -301,6 +301,110 @@ TEST(KernelDiskCache, FreshSessionServesKernelWithZeroCcInvocations) {
       << "warm-disk start still invoked cc";
 }
 
+/// indirect_nest(n) with B holding `value_of(i)`; fill_pattern() data.
+exec::ArrayStore indirect_store(const loopir::LoopNest& nest,
+                                i64 (*value_of)(i64)) {
+  exec::ArrayStore store(nest);
+  store.fill_pattern();
+  const i64 b_len = nest.array("B").dims.front().second + 1;
+  for (i64 i = 0; i < b_len; ++i)
+    store.write("B", intlin::Vec{i}, value_of(i));
+  return store;
+}
+
+// Indirect nests' row kernels take the same disk-cache path as range
+// kernels: a fresh session runs kJit natively with zero cc subprocesses.
+TEST(KernelDiskCache, FreshSessionServesRowKernelWithZeroCcInvocations) {
+  if (!have_toolchain()) GTEST_SKIP() << "no C toolchain";
+  TempDir dir("rowcache");
+  ScopedMetrics metrics;
+  loopir::LoopNest nest = indirect_nest(256);
+  jit::JitOptions jo;
+  jo.cache_dir = dir.path();
+  const exec::ArrayStore init =
+      indirect_store(nest, [](i64 i) { return i * 7 % 64; });
+  exec::ArrayStore ref = init;
+  exec::run_sequential(nest, ref);
+
+  auto run_session = [&] {
+    Compiler c(CompileOptions{}.disk_cache(dir.path()));
+    CompiledLoop loop = c.compile(nest).value();
+    exec::ArrayStore got = init;
+    auto rep = loop.execute(
+        ExecPolicy{}.threads(4).backend(ExecBackend::kJit).jit_options(jo),
+        got);
+    ASSERT_TRUE(rep.has_value()) << rep.error().to_string();
+    EXPECT_TRUE(rep->inspector);
+    EXPECT_TRUE(rep->jit);
+    EXPECT_TRUE(ref == got);
+  };
+  const i64 cold_before = counter_value("vdep_jit_builds_total");
+  run_session();
+  EXPECT_EQ(counter_value("vdep_jit_builds_total"), cold_before + 1)
+      << "the cold session did not build the row kernel";
+  const i64 warm_before = counter_value("vdep_jit_builds_total");
+  run_session();
+  EXPECT_EQ(counter_value("vdep_jit_builds_total"), warm_before)
+      << "warm-disk start still invoked cc";
+}
+
+// The row kernel indexes buffers unchecked, so inspection must stop a
+// hostile index array — an index value outside A, or a position outside B —
+// typed, before any write and before the kernel is even built: the first
+// kJit request of a cold structure must not start cc when it fails.
+TEST(KernelDiskCache, HostileIndexArrayUnderJitFailsTypedBeforeAnyCc) {
+  if (!have_toolchain()) GTEST_SKIP() << "no C toolchain";
+  constexpr i64 n = 4096;
+  ScopedMetrics metrics;
+  for (bool bad_position : {false, true}) {
+    TempDir dir("rowhostile");  // an empty cache: any kernel would need cc
+    jit::JitOptions jo;
+    jo.cache_dir = dir.path();
+    const ExecPolicy policy =
+        ExecPolicy{}.backend(ExecBackend::kJit).jit_options(jo);
+    // indirect_nest(n) with B cut to half the trip count for a position
+    // outside B.
+    loopir::LoopNest nest = indirect_nest(n);
+    if (bad_position) {
+      std::vector<loopir::ArrayDecl> arrays = nest.arrays();
+      for (loopir::ArrayDecl& a : arrays)
+        if (a.name == "B") a.dims = {{0, n / 2 - 1}};
+      nest = loopir::LoopNest(nest.levels(), arrays, nest.body());
+    }
+    Compiler compiler;
+    CompiledLoop loop = compiler.compile(nest).value();
+    exec::ArrayStore store =
+        indirect_store(nest, [](i64 i) { return i % 8; });
+    // A value far past A's declared [0, n].
+    if (!bad_position) store.write("B", intlin::Vec{n / 2}, i64{1} << 40);
+    const exec::ArrayStore before = store;
+    const i64 builds = counter_value("vdep_jit_builds_total");
+    for (std::size_t threads : {1u, 8u}) {
+      auto rep = loop.execute(ExecPolicy(policy).threads(threads), store);
+      const std::string where =
+          std::string(bad_position ? "position" : "value") + " @" +
+          std::to_string(threads);
+      ASSERT_FALSE(rep.has_value()) << where;
+      EXPECT_EQ(rep.error().kind, ErrorKind::kPrecondition) << where;
+      EXPECT_TRUE(store == before) << where << " wrote before failing";
+    }
+    EXPECT_EQ(counter_value("vdep_jit_builds_total"), builds)
+        << "a failed inspection started cc";
+    // Not vacuous: with the index array repaired, the same request builds
+    // the kernel and runs native.
+    if (!bad_position) {
+      store.write("B", intlin::Vec{n / 2}, 0);
+      exec::ArrayStore ref = store;
+      exec::run_sequential(nest, ref);
+      auto rep = loop.execute(ExecPolicy(policy).threads(8), store);
+      ASSERT_TRUE(rep.has_value()) << rep.error().to_string();
+      EXPECT_TRUE(rep->jit);
+      EXPECT_TRUE(store == ref);
+      EXPECT_EQ(counter_value("vdep_jit_builds_total"), builds + 1);
+    }
+  }
+}
+
 TEST(KernelDiskCache, VerifierVerdictSurvivesReload) {
   if (!have_toolchain()) GTEST_SKIP() << "no C toolchain";
   TempDir dir("kernverdict");

@@ -26,7 +26,9 @@
 //
 // Registered with ctest under fixed seeds (4 suites x 60 cases >= 200
 // compiled cases); `differential_test --fuzz N [seed]` runs N extra cases
-// standalone for CI soak jobs.
+// standalone for CI soak jobs. Indirect nests (A[B[i]]) have their own
+// generator and inputs: they run through the inspector with postfix and
+// native (kJit row-kernel) leaves at 1, 2 and 8 workers, pinned and not.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -38,10 +40,12 @@
 #include "api/vdep.h"
 #include "core/suite.h"
 #include "exec/interpreter.h"
+#include "jit/toolchain.h"
 #include "loopir/builder.h"
 #include "support/rng.h"
 
 #include "blocked_nests.h"
+#include "indirect_inputs.h"
 
 namespace vdep {
 namespace {
@@ -344,51 +348,76 @@ void cross_check(const Compiler& compiler, const LoopNest& nest,
   }
 }
 
-/// Indirect nests have exactly one parallel strategy — the runtime
-/// inspector — so the differential axis is inspector-vs-sequential across
-/// worker counts (every ExecPolicy backend routes to the inspector for a
-/// non-affine nest; kInspector is pinned explicitly for clarity).
-void indirect_cross_check(const Compiler& compiler, const IndirectCase& c,
+/// Indirect nests run only through the runtime inspector (every ExecPolicy
+/// backend routes there for a non-affine nest); the backend picks the leaf
+/// body: kInspector and kCompiled the postfix CompiledKernel, kJit the
+/// native row kernel. The differential axis is backend x worker count x
+/// pinning against the sequential reference, starting from `init`. A kJit
+/// run must be native whenever a toolchain is found.
+void indirect_cross_check(const Compiler& compiler, const LoopNest& nest,
+                          const exec::ArrayStore& init,
                           const std::string& trace, FuzzStats& stats) {
-  Expected<CompiledLoop> loop = compiler.compile(c.nest);
+  Expected<CompiledLoop> loop = compiler.compile(nest);
   if (!loop) {
     stats.failures.push_back("indirect compile failed: " +
                              loop.error().to_string() + "\n" + trace +
-                             c.nest.to_string());
+                             nest.to_string());
     return;
   }
   ++stats.compiled;
 
+  exec::ArrayStore ref = init;
+  exec::run_sequential(nest, ref);
+
+  static const bool toolchain = jit::discover_toolchain().has_value();
+  const ExecBackend backends[] = {ExecBackend::kInspector,
+                                  ExecBackend::kCompiled, ExecBackend::kJit};
+  const char* names[] = {"inspector", "compiled", "jit"};
+  for (int bk = 0; bk < 3; ++bk) {
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      for (bool pin : {true, false}) {
+        const std::string where = std::string(names[bk]) + " at " +
+                                  std::to_string(threads) + " thread(s), pin " +
+                                  (pin ? "on" : "off");
+        exec::ArrayStore got = init;
+        ExecPolicy policy;
+        policy.backend(backends[bk]).threads(threads).pin_workers(pin);
+        Expected<ExecReport> rep = loop->execute(policy, got);
+        if (!rep) {
+          stats.failures.push_back("indirect execute(" + where +
+                                   ") failed: " + rep.error().to_string() +
+                                   "\n" + trace + nest.to_string());
+          continue;
+        }
+        if (!rep->inspector)
+          stats.failures.push_back(
+              "indirect nest did not run via the inspector (" + where + ")\n" +
+              trace + nest.to_string());
+        if (rep->jit != (backends[bk] == ExecBackend::kJit && toolchain))
+          stats.failures.push_back("indirect " + where + " reported jit=" +
+                                   (rep->jit ? "true" : "false") + "\n" +
+                                   trace + nest.to_string());
+        if (rep->jit_partitioned)
+          stats.failures.push_back("indirect " + where +
+                                   " reported a partitioned kernel\n" + trace +
+                                   nest.to_string());
+        if (rep->jit && threads == 1) ++stats.jit_native;
+        if (!(got == ref))
+          stats.failures.push_back(where + " diverged from sequential\n" +
+                                   trace + nest.to_string());
+      }
+    }
+  }
+}
+
+void indirect_cross_check(const Compiler& compiler, const IndirectCase& c,
+                          const std::string& trace, FuzzStats& stats) {
   exec::ArrayStore init(c.nest);
   init.fill_pattern();
   for (std::size_t k = 0; k < c.index_values.size(); ++k)
     init.write("B", intlin::Vec{static_cast<i64>(k)}, c.index_values[k]);
-  exec::ArrayStore ref = init;
-  exec::run_sequential(c.nest, ref);
-
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    exec::ArrayStore got = init;
-    ExecPolicy policy;
-    policy.backend(ExecBackend::kInspector).threads(threads);
-    Expected<ExecReport> rep = loop->execute(policy, got);
-    if (!rep) {
-      stats.failures.push_back("indirect execute(threads=" +
-                               std::to_string(threads) +
-                               ") failed: " + rep.error().to_string() + "\n" +
-                               trace + c.nest.to_string());
-      continue;
-    }
-    if (!rep->inspector) {
-      stats.failures.push_back("indirect nest did not run via the inspector\n" +
-                               trace + c.nest.to_string());
-    }
-    if (!(got == ref)) {
-      stats.failures.push_back(
-          "inspector at " + std::to_string(threads) +
-          " thread(s) diverged from sequential (" + c.shape + ")\n" + trace +
-          c.nest.to_string());
-    }
-  }
+  indirect_cross_check(compiler, c.nest, init, trace + "(" + c.shape + ")\n",
+                       stats);
 }
 
 /// Runs `cases` random indirect nests from `seed`.
@@ -435,16 +464,32 @@ TEST(Differential, FuzzSeedC) { expect_clean(run_fuzz(0xC0FFEE, 60)); }
 TEST(Differential, FuzzSeedD) { expect_clean(run_fuzz(0xD00D, 60)); }
 
 // Indirect-subscript suites: every generated nest compiles (the non-affine
-// artifact path never rejects), so compiled == attempted.
-TEST(Differential, IndirectFuzzSeedE) {
-  FuzzStats s = run_indirect_fuzz(0xE44E, 50);
+// artifact path never rejects), so compiled == attempted, and every nest
+// ran native under kJit when a toolchain exists.
+void expect_indirect_clean(const FuzzStats& s, int cases) {
   for (const std::string& f : s.failures) ADD_FAILURE() << f;
-  EXPECT_EQ(s.compiled, 50);
+  EXPECT_EQ(s.compiled, cases);
+  if (jit::discover_toolchain())
+    EXPECT_EQ(s.jit_native, 2 * cases);  // once per pinning
+}
+TEST(Differential, IndirectFuzzSeedE) {
+  expect_indirect_clean(run_indirect_fuzz(0xE44E, 50), 50);
 }
 TEST(Differential, IndirectFuzzSeedF) {
-  FuzzStats s = run_indirect_fuzz(0xF00F, 50);
-  for (const std::string& f : s.failures) ADD_FAILURE() << f;
-  EXPECT_EQ(s.compiled, 50);
+  expect_indirect_clean(run_indirect_fuzz(0xF00F, 50), 50);
+}
+// The hand-written indirect inputs (negative bounds, two written arrays, a
+// 2-D target, a read-only gather source) plus the conflict-free
+// permutation, through the same backend x worker x pinning matrix.
+TEST(Differential, IndirectInputsCrossCheck) {
+  Compiler compiler;
+  FuzzStats stats;
+  std::vector<test_inputs::IndirectInput> inputs = test_inputs::indirect_inputs();
+  inputs.push_back(test_inputs::permutation_input(48));
+  for (const test_inputs::IndirectInput& in : inputs)
+    indirect_cross_check(compiler, in.nest, test_inputs::initial_store(in),
+                         in.name + ":\n", stats);
+  expect_indirect_clean(stats, static_cast<int>(inputs.size()));
 }
 
 // Pinned hard cases: the paper's own examples (variable distances with

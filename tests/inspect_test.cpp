@@ -19,6 +19,7 @@
 #include "exec/runner.h"
 #include "inspect/executor.h"
 #include "inspect/inspector.h"
+#include "jit/toolchain.h"
 #include "loopir/builder.h"
 #include "obs/trace.h"
 #include "trans/planner.h"
@@ -193,6 +194,40 @@ TEST(Inspector, CompiledBodyMatchesInterpreterBody) {
       inspect::InspectorExecutor(in.nest, part, io).run(interpreted);
       EXPECT_TRUE(compiled == interpreted) << in.name << " @" << threads;
       EXPECT_TRUE(compiled == ref) << in.name << " @" << threads;
+    }
+  }
+}
+
+TEST(Inspector, NativeLeavesRunOnlyOnTheInspectedStore) {
+  // The executor's native body (the JIT row kernel) on every indirect input
+  // and a conflict-free permutation, at 1, 2 and 8 workers, against the
+  // sequential reference. Its accesses are unchecked, so it must refuse a
+  // store other than the one the partition was inspected against — even
+  // an equal copy — before running anything.
+  if (!jit::discover_toolchain()) GTEST_SKIP() << "no C toolchain";
+  std::vector<IndirectInput> inputs = indirect_inputs();
+  inputs.push_back(test_inputs::permutation_input(64));
+  Compiler compiler;
+  for (const IndirectInput& in : inputs) {
+    Expected<std::shared_ptr<const jit::NativeKernel>> kernel =
+        compiler.compile(in.nest).value().jit();
+    ASSERT_TRUE(kernel) << in.name << ": " << kernel.error().to_string();
+    const exec::ArrayStore init = initial_store(in);
+    exec::ArrayStore ref = init;
+    exec::run_sequential(in.nest, ref);
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      exec::ArrayStore got = init;
+      const inspect::DynamicPartition part = inspect::inspect(in.nest, got);
+      inspect::InspectorExecOptions io;
+      io.num_threads = threads;
+      io.native = kernel->get();
+      const inspect::InspectorExecutor ex(in.nest, part, io);
+      exec::ArrayStore other = init;
+      EXPECT_THROW(ex.run(other), PreconditionError) << in.name;
+      EXPECT_TRUE(other == init) << in.name;
+      const runtime::RuntimeStats rs = ex.run(got);
+      EXPECT_EQ(rs.total_iterations(), part.size()) << in.name;
+      EXPECT_TRUE(got == ref) << in.name << " @" << threads;
     }
   }
 }

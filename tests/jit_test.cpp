@@ -1,7 +1,8 @@
 // Tests for the JIT backend: toolchain discovery, emitted-C round trips
 // (bit-identical stores vs the interpreter across the paper suite at
-// 1/2/8 threads), graceful no-toolchain fallback, and the per-bounds .so
-// memoization in the PlanArtifact.
+// 1/2/8 threads), indirect nests' native row kernels (bit-identity and
+// the missing-compiler fallback), graceful no-toolchain fallback, and the per-bounds .so memoization in
+// the PlanArtifact.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,6 +14,7 @@
 #include "exec/interpreter.h"
 #include "exec/kernel.h"
 #include "jit/toolchain.h"
+#include "loopir/builder.h"
 #include "runtime/stream_executor.h"
 #include "trans/planner.h"
 
@@ -291,6 +293,94 @@ TEST(JitFallback, RangeProofRejectionFallsBackNotCrashes) {
   ASSERT_TRUE(rep.has_value()) << rep.error().to_string();
   EXPECT_FALSE(rep->jit);
   EXPECT_TRUE(ref == got);
+}
+
+// ------------------------------------------------ indirect row kernels
+
+/// `A[B[i]] = A[B[i]] + C[i]` over i in [0, n-1], A sized [0, a_hi], B
+/// declared [0, b_hi].
+loopir::LoopNest scatter_nest(i64 n, i64 a_hi, i64 b_hi) {
+  loopir::LoopNestBuilder b;
+  b.loop("i", 0, n - 1);
+  b.array("A", {{0, a_hi}});
+  b.array("B", {{0, b_hi}});
+  b.array("C", {{0, n - 1}});
+  loopir::ArrayRef a;
+  a.array = "A";
+  a.subscripts = {b.cst(0)};
+  a.indirect = {loopir::IndirectSubscript{"B", b.idx(0)}};
+  b.assign(a, loopir::Expr::add(loopir::Expr::read(a),
+                                loopir::Expr::read(b.ref("C", {b.idx(0)}))));
+  return b.build();
+}
+
+/// The scatter's store: fill_pattern() data, B[i] = i * 5 % (a_hi + 1).
+exec::ArrayStore scatter_store(const loopir::LoopNest& nest, i64 a_hi) {
+  exec::ArrayStore store(nest);
+  store.fill_pattern();
+  const i64 b_len = nest.array("B").dims.front().second + 1;
+  for (i64 i = 0; i < b_len; ++i)
+    store.write("B", intlin::Vec{i}, i * 5 % (a_hi + 1));
+  return store;
+}
+
+TEST(JitRowKernel, IndirectNestRunsNativeLeaves) {
+  if (!have_toolchain()) GTEST_SKIP() << "no C toolchain";
+  constexpr i64 n = 1000, a_hi = 99;
+  loopir::LoopNest nest = scatter_nest(n, a_hi, n - 1);
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(nest).value();
+  auto k = loop.jit();
+  ASSERT_TRUE(k.has_value()) << k.error().to_string();
+  EXPECT_TRUE((*k)->row_kernel());
+  EXPECT_FALSE((*k)->partitioned());
+  EXPECT_NE((*k)->source().find("__builtin_add_overflow"), std::string::npos);
+
+  const exec::ArrayStore init = scatter_store(nest, a_hi);
+  exec::ArrayStore ref = init;
+  exec::run_sequential(nest, ref);
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    exec::ArrayStore got = init;
+    auto rep = loop.execute(
+        ExecPolicy{}.threads(threads).backend(ExecBackend::kJit), got);
+    ASSERT_TRUE(rep.has_value()) << rep.error().to_string();
+    EXPECT_TRUE(rep->inspector);
+    EXPECT_TRUE(rep->jit);
+    EXPECT_FALSE(rep->jit_partitioned);
+    EXPECT_EQ(rep->iterations, n);
+    EXPECT_TRUE(got == ref) << "threads=" << threads;
+  }
+  // The row kernel is memoized per bounds: a second handle at these
+  // bounds gets the same loaded kernel.
+  auto again = compiler.compile(nest).value().jit();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->get(), k->get());
+}
+
+TEST(JitFallback, MissingCompilerRunsIndirectNestOnCompiledLeaves) {
+  constexpr i64 n = 300, a_hi = 40;
+  loopir::LoopNest nest = scatter_nest(n, a_hi, n - 1);
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(nest).value();
+  jit::JitOptions jo;
+  jo.compiler = "/nonexistent/vdep-no-such-cc";
+  EXPECT_FALSE(loop.jit(jo).has_value());
+
+  const exec::ArrayStore init = scatter_store(nest, a_hi);
+  exec::ArrayStore ref = init;
+  exec::run_sequential(nest, ref);
+  for (std::size_t threads : {1u, 8u}) {
+    exec::ArrayStore got = init;
+    auto rep = loop.execute(ExecPolicy{}
+                                .threads(threads)
+                                .backend(ExecBackend::kJit)
+                                .jit_options(jo),
+                            got);
+    ASSERT_TRUE(rep.has_value()) << rep.error().to_string();
+    EXPECT_TRUE(rep->inspector);
+    EXPECT_FALSE(rep->jit);
+    EXPECT_TRUE(got == ref) << "threads=" << threads;
+  }
 }
 
 // ------------------------------------------------------- memoized  .so

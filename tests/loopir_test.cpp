@@ -236,5 +236,48 @@ TEST(LoopNestProperty, ContainsAgreesWithEnumeration) {
   }
 }
 
+// iteration_count() counts the innermost level in closed form and
+// for_each_inner_range() walks only the outer levels; both must agree with
+// full enumeration on wedge spaces whose inner ranges are often empty —
+// including whole outer slices with nothing inside — at depths 1-3.
+TEST(LoopNestProperty, ClosedFormInnerCountsAgreeWithEnumeration) {
+  Rng rng(29);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int depth = static_cast<int>(rng.uniform(1, 3));
+    LoopNestBuilder b;
+    for (int k = 0; k < depth; ++k) {
+      Bound lower = Bound::constant(depth, rng.uniform(-3, 2));
+      Bound upper = Bound::constant(depth, rng.uniform(-3, 4));
+      if (k > 0 && rng.chance(2, 3)) {
+        Vec coeffs(static_cast<std::size_t>(depth), 0);
+        coeffs[static_cast<std::size_t>(rng.uniform(0, k - 1))] =
+            rng.uniform(-2, 2);
+        AffineExpr e(std::move(coeffs), rng.uniform(-3, 3));
+        if (rng.chance(1, 2))
+          lower.add_term({e, 1});
+        else
+          upper.add_term({e, rng.uniform(1, 2)});
+      }
+      b.loop("i" + std::to_string(k + 1), std::move(lower), std::move(upper));
+    }
+    b.array("A", {{-10, 10}});
+    b.assign(b.ref("A", {b.cst(0)}), Expr::constant(0));
+    LoopNest nest = b.build();
+
+    const std::vector<Vec> iters = nest.iterations();
+    EXPECT_EQ(nest.iteration_count(), static_cast<i64>(iters.size()))
+        << nest.to_string();
+    std::vector<Vec> rows;
+    nest.for_each_inner_range([&](const Vec& iter, i64 lo, i64 hi) {
+      for (i64 v = lo; v <= hi; ++v) {
+        Vec row = iter;
+        row.back() = v;
+        rows.push_back(row);
+      }
+    });
+    EXPECT_EQ(rows, iters) << nest.to_string();
+  }
+}
+
 }  // namespace
 }  // namespace vdep::loopir
