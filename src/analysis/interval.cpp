@@ -57,7 +57,12 @@ Interval Interval::intersect(const Interval& o) const {
 
 std::string Interval::to_string() const {
   if (is_empty()) return "[]";
-  return "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  std::string s = "[";  // appended: GCC 12 flags operator+ with -Wrestrict
+  s += std::to_string(lo);
+  s += ", ";
+  s += std::to_string(hi);
+  s += ']';
+  return s;
 }
 
 IntervalEnv IntervalEnv::from_nest(const loopir::LoopNest& nest, int levels) {

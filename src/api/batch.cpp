@@ -1,32 +1,41 @@
 #include "api/batch.h"
 
+#include <exception>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "api/executable.h"
+#include "obs/phase.h"
 #include "support/error.h"
 
 namespace vdep {
 
-Expected<std::vector<ExecReport>> detail::execute_batch_impl(
+Expected<std::vector<ExecReport>> detail::run_requests(
     std::span<const BatchRequest> requests, const ExecPolicy& policy,
     vdep::ThreadPool* pool) {
+  auto request_error = [](const Error& e, std::size_t k) {
+    ApiError err = classify(e);
+    err.index = static_cast<int>(k);
+    return err;
+  };
   try {
-    if (policy.backend() == ExecBackend::kInspector)
-      throw UnsupportedError(
-          "execute_batch: the inspector backend partitions per store "
-          "(classes depend on index-array contents), which the shared batch "
-          "scheduler cannot express; execute each request individually");
+    // Two requests on one store would be two unsynchronized writers, and
+    // an inspected request's index arrays must stay as inspection saw them.
+    std::unordered_set<const exec::ArrayStore*> named;
+    for (std::size_t k = 0; k < requests.size(); ++k)
+      if (requests[k].store && !named.insert(requests[k].store).second)
+        return request_error(
+            PreconditionError("store already used by an earlier request"), k);
 
     const std::size_t threads = worker_count(policy, pool);
 
-    // Per-request preparation: resolve the store (caller's or an internal
-    // pattern fill) and bind it through the artifact's executable memo —
-    // the lookup single execute() makes — so requests at one key share one
-    // executor, one scan prototype (rebound per store) and, under kJit, one
-    // loaded .so, within this batch and across batches. Jit failures
-    // degrade that request to the scan path, exactly like single execute().
+    // Bind every request, in order, before any leaf runs: resolve its store
+    // (caller's or an internal pattern fill), then CompiledLoop::bind —
+    // affine requests at one key share the memoized executor, scan
+    // prototype and .so; inspected requests inspect their store, so a
+    // hostile index array fails here.
     std::vector<std::unique_ptr<exec::ArrayStore>> owned_stores;
     std::vector<BoundSource> bound;
     bound.reserve(requests.size());
@@ -34,19 +43,8 @@ Expected<std::vector<ExecReport>> detail::execute_batch_impl(
     stores.reserve(requests.size());
     std::vector<runtime::DriveSource> sources;
     sources.reserve(requests.size());
-
     for (std::size_t k = 0; k < requests.size(); ++k) {
       const BatchRequest& req = requests[k];
-
-      if (req.loop.nest().has_indirection()) {
-        ApiError err{ErrorKind::kUnsupported,
-                     "execute_batch: request " + std::to_string(k) +
-                         ": indirect subscripts need the runtime inspector "
-                         "(single execute with ExecBackend::kInspector)"};
-        err.index = static_cast<int>(k);
-        return err;
-      }
-
       exec::ArrayStore* store = req.store;
       if (!store) {
         owned_stores.push_back(std::make_unique<exec::ArrayStore>(
@@ -54,24 +52,28 @@ Expected<std::vector<ExecReport>> detail::execute_batch_impl(
         owned_stores.back()->fill_pattern();
         store = owned_stores.back().get();
       }
-      bound.push_back(req.loop.bind(policy, threads, *store));
+      try {
+        bound.push_back(req.loop.bind(policy, threads, *store, pool));
+      } catch (const Error& e) {
+        return request_error(e, k);
+      }
       sources.push_back(std::move(bound.back().source));
       stores.push_back(store);
     }
 
-    // Every request's descriptors share one worker set: the same driver
-    // loop a single execute() runs, with one source per request.
-    runtime::RuntimeStats bs = runtime::drive_descriptors(
-        sources, {threads, run_switches(policy)}, pool);
+    // One worker set for every request: one source each, whether Theorem-2
+    // classes or inspected components partition it.
+    runtime::RuntimeStats bs;
+    {
+      obs::PhaseTimer run_timer(obs::Phase::kExec);
+      bs = runtime::drive_descriptors(sources, {threads, run_switches(policy)},
+                                      pool);
+    }
     if (bs.error) {
       try {
         std::rethrow_exception(bs.error);
       } catch (const Error& e) {
-        ApiError err = detail::classify(e);
-        err.index = static_cast<int>(bs.error_source);
-        err.message = "execute_batch: request " +
-                      std::to_string(bs.error_source) + ": " + err.message;
-        return err;
+        return request_error(e, static_cast<std::size_t>(bs.error_source));
       }
       // Non-library exceptions (bad_alloc, ...) propagate to the caller.
     }
@@ -79,38 +81,65 @@ Expected<std::vector<ExecReport>> detail::execute_batch_impl(
     std::vector<ExecReport> reports(requests.size());
     for (std::size_t k = 0; k < requests.size(); ++k) {
       const runtime::SourceStats& s = bs.sources[k];
+      const BoundSource& b = bound[k];
       ExecReport& rep = reports[k];
       rep.iterations = s.iterations;
       rep.tasks = s.tasks;
       rep.steals = s.steals;
       rep.inner_splits = s.inner_splits;
+      rep.failed_steals = bs.total_failed_steals();
+      rep.idle_ns = bs.total_idle_ns();
       rep.workers_used = bs.workers_used;
       rep.wall_ns = s.done_ns;
       rep.queue_ns = s.queue_ns;
       // This request's in-flight time: completion minus the wait behind
       // the rest of the batch.
       rep.exec_ns = s.done_ns > s.queue_ns ? s.done_ns - s.queue_ns : 0;
-      if (policy.digest()) rep.checksum = stores[k]->checksum();
-      if (const auto& native = bound[k].native) {
-        rep.jit = true;
-        rep.jit_partitioned = native->partitioned();
+      if (b.partition) {
+        const inspect::InspectStats& st = b.partition->stats();
+        rep.inspector = true;
+        rep.inspect_ns = st.inspect_ns;
+        rep.inspector_classes = st.classes;
+        rep.inspector_chains = st.chains;
+        rep.inspector_max_component = st.max_component;
+        rep.inspector_dependent = st.dependent_iterations;
       }
+      rep.jit = b.native != nullptr;
+      rep.jit_partitioned = b.native && b.native->partitioned();
+      if (policy.digest()) rep.checksum = stores[k]->checksum();
     }
     return reports;
   } catch (const Error& e) {
-    return detail::classify(e);
+    return classify(e);
   }
 }
 
+namespace {
+
+/// execute_batch's errors name the failing request in the message too.
+Expected<std::vector<ExecReport>> execute_batch_impl(
+    std::span<const BatchRequest> requests, const ExecPolicy& policy,
+    vdep::ThreadPool* pool) {
+  Expected<std::vector<ExecReport>> reports =
+      detail::run_requests(requests, policy, pool);
+  if (reports || reports.error().index < 0) return reports;
+  ApiError err = reports.error();
+  err.message = "execute_batch: request " + std::to_string(err.index) + ": " +
+                err.message;
+  return err;
+}
+
+}  // namespace
+
 Expected<std::vector<ExecReport>> execute_batch(
     std::span<const BatchRequest> requests, const ExecPolicy& policy) {
-  return detail::execute_batch_impl(requests, policy, nullptr);
+  return execute_batch_impl(requests, policy, nullptr);
 }
 
 Expected<std::vector<ExecReport>> execute_batch(
     std::span<const BatchRequest> requests, const ExecPolicy& policy,
     vdep::ThreadPool& pool) {
-  return detail::execute_batch_impl(requests, policy, &pool);
+  return execute_batch_impl(requests, policy, &pool);
 }
 
 // ------------------------------------------- CompiledLoop batch members
@@ -151,7 +180,7 @@ std::vector<BatchRequest> store_requests(
 Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
     std::span<const loopir::LoopNest> bounds, const ExecPolicy& policy) const {
   return rebind_requests(*this, bounds).and_then([&](const auto& reqs) {
-    return detail::execute_batch_impl(reqs, policy, nullptr);
+    return execute_batch_impl(reqs, policy, nullptr);
   });
 }
 
@@ -159,20 +188,20 @@ Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
     std::span<const loopir::LoopNest> bounds, const ExecPolicy& policy,
     vdep::ThreadPool& pool) const {
   return rebind_requests(*this, bounds).and_then([&](const auto& reqs) {
-    return detail::execute_batch_impl(reqs, policy, &pool);
+    return execute_batch_impl(reqs, policy, &pool);
   });
 }
 
 Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
     std::span<exec::ArrayStore* const> stores, const ExecPolicy& policy) const {
-  return detail::execute_batch_impl(store_requests(*this, stores), policy,
+  return execute_batch_impl(store_requests(*this, stores), policy,
                                     nullptr);
 }
 
 Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
     std::span<exec::ArrayStore* const> stores, const ExecPolicy& policy,
     vdep::ThreadPool& pool) const {
-  return detail::execute_batch_impl(store_requests(*this, stores), policy,
+  return execute_batch_impl(store_requests(*this, stores), policy,
                                     &pool);
 }
 

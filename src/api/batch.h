@@ -7,10 +7,12 @@
 // is one source of a single descriptor-driver run (runtime/driver.h), so
 // small requests' descriptors interleave in one shared set of
 // work-stealing deques instead of running serially, each with a full
-// fork/join of its own. Each request binds through its artifact's
-// per-bounds executable memo (PlanArtifact::executable), the lookup a
-// single execute() makes, so a warm request builds no executor and proves
-// no kernel, in this batch or any later one.
+// fork/join of its own. This is the library's one request runner: a single
+// execute() is a batch of one. Every request binds before any runs — an
+// affine one through its artifact's per-bounds executable memo
+// (PlanArtifact::executable), so a warm request builds no executor and
+// proves no kernel; an inspected one (indirect nest, kInspector) by
+// inspecting its own store into a class-range source.
 //
 //   vdep::Compiler compiler;
 //   auto loops = compiler.compile_all(nests);          // 1 analysis/structure
@@ -39,12 +41,14 @@ struct BatchRequest {
 };
 
 /// Executes every request over one shared worker set (policy.threads()
-/// contexts, 0 = hardware); backends follow the policy, except kInspector,
-/// which fails kUnsupported. Requests at one (structure, bounds, options)
-/// key share the memoized executor, scan-kernel prototype (rebound per
-/// store) and, with ExecBackend::kJit, one loaded .so. Indirect requests fail kUnsupported
-/// (run them through single execute()). On a request failure the batch
-/// aborts and the error carries the request's index (ApiError::index).
+/// contexts, 0 = hardware); backends follow the policy, and indirect
+/// requests run through the inspector as in execute(). Requests at one
+/// (structure, bounds, options) key share the memoized executor,
+/// scan-kernel prototype (rebound per store) and, with ExecBackend::kJit,
+/// one loaded .so. On a request failure — a hostile index array fails at
+/// bind time, before any request runs — the batch aborts and the error
+/// carries the request's index (ApiError::index); so does kPrecondition
+/// when two requests name one store.
 Expected<std::vector<ExecReport>> execute_batch(
     std::span<const BatchRequest> requests, const ExecPolicy& policy = {});
 

@@ -1,10 +1,10 @@
 #include "api/compiled_loop.h"
 
 #include <chrono>
-#include <exception>
-#include <optional>
+#include <memory>
 #include <sstream>
 
+#include "api/batch.h"
 #include "api/executable.h"
 #include "codegen/rewrite.h"
 #include "exec/array_store.h"
@@ -24,15 +24,6 @@ i64 elapsed_ns(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-// Memo key part carrying everything bounds-level the fingerprint ignores
-// (the structural fingerprint deliberately drops loop bounds and dims: the
-// analysis is bounds-independent — but emitted C and native kernels bake
-// both into flattening strides and static sizes, so their memos must
-// separate on them). Shared by the executable memo (api/fingerprint.h).
-std::string bounds_key(const loopir::LoopNest& nest) {
-  return bounds_render(nest);
 }
 
 }  // namespace
@@ -62,7 +53,7 @@ const std::string& PlanArtifact::codegen(const loopir::LoopNest& nest,
   // share the emitted string.
   std::string key = opts.memo_key();
   key += '\n';
-  key += bounds_key(nest);
+  key += bounds_render(nest);
 
   {
     std::lock_guard<std::mutex> lock(memo_mu_);
@@ -96,7 +87,7 @@ Expected<std::shared_ptr<const jit::NativeKernel>> PlanArtifact::jit_kernel(
   // .so.
   std::string key = opts.memo_key();
   key += '\n';
-  key += bounds_key(nest);
+  key += bounds_render(nest);
 
   {
     std::lock_guard<std::mutex> lock(memo_mu_);
@@ -147,7 +138,7 @@ std::shared_ptr<const detail::Executable> PlanArtifact::executable(
     key += policy.jit_options().memo_key();
   }
   key += '\n';
-  key += bounds_key(nest);
+  key += bounds_render(nest);
 
   {
     std::lock_guard<std::mutex> lock(memo_mu_);
@@ -176,8 +167,64 @@ std::shared_ptr<const detail::Executable> PlanArtifact::executable(
 
 detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
                                        std::size_t threads,
-                                       exec::ArrayStore& store) const {
+                                       exec::ArrayStore& store,
+                                       vdep::ThreadPool* pool) const {
   detail::BoundSource b;
+  // Non-affine nests have no provable static plan: the inspector is the
+  // only backend that can run them, whatever the policy says. Affine
+  // nests take the inspector path only on explicit request.
+  if (!art_->analysis().affine ||
+      policy.backend() == ExecBackend::kInspector) {
+    {
+      obs::ScopedSpan span(obs::EventKind::kInspect, policy.trace(),
+                           obs::Phase::kInspect);
+      b.partition = std::make_unique<const inspect::DynamicPartition>(
+          inspect::inspect(*nest_, store, threads, pool));
+      if (span.tracing()) {
+        const inspect::InspectStats& st = b.partition->stats();
+        span.set_arg(0, st.iterations);
+        span.set_arg(1, st.classes);
+        span.set_arg(2, st.chains);
+        span.set_arg(3, st.max_component);
+        span.set_arg(4, st.dependent_iterations);
+        span.set_arg(5, st.written_cells);
+      }
+    }
+    if (policy.metrics() && obs::MetricsRegistry::enabled()) {
+      const inspect::InspectStats& st = b.partition->stats();
+      obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+      reg.counter("vdep_inspector_runs_total").inc();
+      reg.histogram("vdep_inspector_classes", obs::exp_buckets(1, 4.0, 16),
+                    "dynamic partition classes per inspection")
+          .observe(st.classes);
+      reg.histogram("vdep_inspector_component_size",
+                    obs::exp_buckets(1, 4.0, 16),
+                    "largest dependence component per inspection")
+          .observe(st.max_component);
+    }
+    // kJit runs the leaves through the nest's native row kernel, fetched
+    // only now: a hostile index array has already failed typed above,
+    // before any write and before any cc run. The row kernel's unchecked
+    // accesses are sound because that inspection checked every one of
+    // them on this store. No kernel (no toolchain, a cc failure, a
+    // memoized failure) leaves the CompiledKernel body.
+    if (policy.backend() == ExecBackend::kJit) {
+      Expected<std::shared_ptr<const jit::NativeKernel>> k =
+          art_->jit_kernel(*nest_, policy.jit_options());
+      if (k) b.native = std::move(*k);
+    }
+    // The executor build (its CompiledKernel body proves this store's
+    // index arrays) is executor construction, like an affine memo miss.
+    obs::PhaseTimer build_timer(obs::Phase::kAnalyze);
+    inspect::InspectorExecOptions io;
+    io.num_threads = threads;
+    io.grain = policy.grain();
+    io.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
+    b.inspector = std::make_unique<const inspect::InspectorExecutor>(
+        *nest_, *b.partition, io);
+    b.source = b.inspector->source(store, b.native.get());
+    return b;
+  }
   b.executable = art_->executable(*nest_, policy, threads);
   // kJit leaves run the native kernel; a JIT failure (no toolchain, range
   // proof, cc error) degrades to the scan path, which rebinds the entry's
@@ -229,109 +276,25 @@ Expected<ExecReport> CompiledLoop::check(const ExecPolicy& policy,
 Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
                                                 exec::ArrayStore& store,
                                                 vdep::ThreadPool* pool) const {
-  return try_invoke([&]() -> ExecReport {
-    ExecReport rep;
-    // Collects the phase breakdown from every instrumented site this call
-    // reaches (executor build, codegen, cc, the run itself) — including
-    // sites inside memoized artifacts, which correctly report ~0 on hits.
-    obs::PhaseScope phases;
-    auto t0 = std::chrono::steady_clock::now();
-    // Non-affine nests have no provable static plan: the inspector is the
-    // only backend that can run them, whatever the policy says. Affine
-    // nests take the inspector path only on explicit request.
-    const bool use_inspector = !art_->analysis().affine ||
-                               policy.backend() == ExecBackend::kInspector;
-    const std::size_t threads = detail::worker_count(policy, pool);
-    runtime::RuntimeStats rs;
-    if (use_inspector) {
-      std::optional<inspect::DynamicPartition> part;
-      {
-        obs::ScopedSpan span(obs::EventKind::kInspect, policy.trace(),
-                             obs::Phase::kInspect);
-        part.emplace(inspect::inspect(*nest_, store, threads, pool));
-        if (span.tracing()) {
-          const inspect::InspectStats& st = part->stats();
-          span.set_arg(0, st.iterations);
-          span.set_arg(1, st.classes);
-          span.set_arg(2, st.chains);
-          span.set_arg(3, st.max_component);
-          span.set_arg(4, st.dependent_iterations);
-          span.set_arg(5, st.written_cells);
-        }
-      }
-      const inspect::InspectStats& st = part->stats();
-      if (policy.metrics() && obs::MetricsRegistry::enabled()) {
-        obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
-        reg.counter("vdep_inspector_runs_total").inc();
-        reg.histogram("vdep_inspector_classes", obs::exp_buckets(1, 4.0, 16),
-                      "dynamic partition classes per inspection")
-            .observe(st.classes);
-        reg.histogram("vdep_inspector_component_size",
-                      obs::exp_buckets(1, 4.0, 16),
-                      "largest dependence component per inspection")
-            .observe(st.max_component);
-      }
-      // kJit runs the leaves through the nest's native row kernel, fetched
-      // only now: a hostile index array has already failed typed above,
-      // before any write and before any cc run. The row kernel's unchecked
-      // accesses are sound because that inspection checked every one of
-      // them on this store. No kernel (no toolchain, a cc failure, a
-      // memoized failure) leaves the CompiledKernel body.
-      std::shared_ptr<const jit::NativeKernel> native;
-      if (policy.backend() == ExecBackend::kJit) {
-        Expected<std::shared_ptr<const jit::NativeKernel>> k =
-            art_->jit_kernel(*nest_, policy.jit_options());
-        if (k) native = std::move(*k);
-      }
-      inspect::InspectorExecOptions io;
-      io.num_threads = threads;
-      io.grain = policy.grain();
-      io.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
-      io.native = native.get();
-      io.switches = detail::run_switches(policy);
-      inspect::InspectorExecutor ex(*nest_, *part, io);
-      {
-        obs::PhaseTimer run_timer(obs::Phase::kExec);
-        rs = pool ? ex.run(store, *pool) : ex.run(store);
-      }
-      rep.inspector = true;
-      rep.jit = native != nullptr;
-      rep.inspector_classes = st.classes;
-      rep.inspector_chains = st.chains;
-      rep.inspector_max_component = st.max_component;
-      rep.inspector_dependent = st.dependent_iterations;
-    } else {
-      // The executor, its scan prototype and (kJit) the native kernel come
-      // from the artifact's executable memo; a warm request only binds
-      // them to this store.
-      const detail::BoundSource b = bind(policy, threads, store);
-      {
-        obs::PhaseTimer run_timer(obs::Phase::kExec);
-        rs = runtime::drive_descriptors(
-            {&b.source, 1}, {threads, detail::run_switches(policy)}, pool);
-      }
-      if (rs.error) std::rethrow_exception(rs.error);
-      if (b.native) {
-        rep.jit = true;
-        rep.jit_partitioned = b.native->partitioned();
-      }
-    }
-    rep.iterations = rs.total_iterations();
-    rep.tasks = rs.total_tasks();
-    rep.steals = rs.total_steals();
-    rep.inner_splits = rs.total_inner_splits();
-    rep.failed_steals = rs.total_failed_steals();
-    rep.idle_ns = rs.total_idle_ns();
-    rep.workers_used = rs.workers_used;
-    rep.analyze_ns = phases.ns(obs::Phase::kAnalyze);
-    rep.codegen_ns = phases.ns(obs::Phase::kCodegen);
-    rep.jit_compile_ns = phases.ns(obs::Phase::kJitCompile);
-    rep.inspect_ns = phases.ns(obs::Phase::kInspect);
-    rep.exec_ns = phases.ns(obs::Phase::kExec);
-    rep.wall_ns = elapsed_ns(t0);
-    if (policy.digest()) rep.checksum = store.checksum();
-    return rep;
-  });
+  // Collects the phase breakdown from every instrumented site this call
+  // reaches (executor build, inspection, codegen, cc, the run itself) —
+  // including sites inside memoized artifacts, which correctly report ~0
+  // on hits.
+  obs::PhaseScope phases;
+  auto t0 = std::chrono::steady_clock::now();
+  const BatchRequest request{*this, &store};
+  Expected<std::vector<ExecReport>> reports =
+      detail::run_requests({&request, 1}, policy, pool);
+  // A single call has no request index to report.
+  if (!reports) return ApiError{reports.error().kind, reports.error().message};
+  ExecReport rep = reports->front();
+  rep.analyze_ns = phases.ns(obs::Phase::kAnalyze);
+  rep.codegen_ns = phases.ns(obs::Phase::kCodegen);
+  rep.jit_compile_ns = phases.ns(obs::Phase::kJitCompile);
+  rep.inspect_ns = phases.ns(obs::Phase::kInspect);
+  rep.exec_ns = phases.ns(obs::Phase::kExec);
+  rep.wall_ns = elapsed_ns(t0);
+  return rep;
 }
 
 Expected<ExecReport> CompiledLoop::check_impl(const ExecPolicy& policy,

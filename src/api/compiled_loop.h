@@ -6,7 +6,7 @@
 //   analysis()  PDM + rank (Section 2)            — structure-only, cached
 //   plan()      TransformPlan + legality cert     — structure-only, cached
 //   codegen()   emitted C, memoized per option    — lazy, bounds enter here
-//   execute()   streaming run (drive_descriptors) — bounds + data enter here
+//   execute()   a batch of one (api/batch.h)      — bounds + data enter here
 //   check()     execute + bit-exact verification against sequential
 //
 // A handle = {shared PlanArtifact, concrete bounded nest}. The artifact is
@@ -175,25 +175,28 @@ struct ExecReport {
   i64 idle_ns = 0;       ///< summed worker idle time
   /// Worker contexts the run started: the resolved thread count, fewer
   /// when the plan seeded fewer unsplittable pieces, 1 when the lone piece
-  /// ran on the calling thread. A batch reports its shared run's count on
-  /// every request.
+  /// ran on the calling thread. Run-level, like failed_steals and idle_ns:
+  /// a batch reports its shared run's value on every request.
   i64 workers_used = 0;
+  /// execute(): the call's wall time; a batch request: its completion time
+  /// (run start -> its last descriptor retired).
   i64 wall_ns = 0;
-  /// Phase breakdown of wall_ns (obs::PhaseScope): executor construction
-  /// (rewrite + hull + kernel build), C emission, cc + dlopen, and the
-  /// workers' run. Phases absent from a call are 0 (analyze_ns on an
-  /// executable-memo hit, for one); the sum can fall short of wall_ns by
-  /// unattributed glue (store digest, memo lookup, dispatch).
+  /// execute(): the phase breakdown of wall_ns (obs::PhaseScope) — executor
+  /// construction (rewrite + hull + kernel build), C emission, cc + dlopen,
+  /// and the workers' run. Phases absent from a call are 0 (analyze_ns on
+  /// an executable-memo hit, for one); the sum can fall short of wall_ns by
+  /// unattributed glue (store digest, memo lookup, dispatch). A batch
+  /// request reports exec_ns only: wall_ns minus queue_ns.
   i64 analyze_ns = 0;
   i64 codegen_ns = 0;
   i64 jit_compile_ns = 0;
   i64 exec_ns = 0;
-  /// Batch runs only: batch start -> this request's first descriptor
-  /// starts executing (time spent queued behind the rest of the batch).
+  /// Run start -> this request's first descriptor starts executing (time
+  /// queued behind the rest of a batch; seeding alone for execute()).
   i64 queue_ns = 0;
-  /// Inspector-backend runs only (ExecBackend::kInspector or the automatic
-  /// non-affine fallback): inspection wall time and the shape of the
-  /// discovered dynamic partition.
+  /// Inspected requests only (ExecBackend::kInspector or the automatic
+  /// non-affine fallback, single or batched): inspection wall time and the
+  /// shape of the discovered dynamic partition.
   i64 inspect_ns = 0;
   i64 inspector_classes = 0;        ///< partition classes (all components)
   i64 inspector_chains = 0;         ///< components with >= 2 iterations
@@ -214,8 +217,11 @@ struct BatchRequest;  // api/batch.h
 namespace detail {
 class Executable;    // api/executable.h
 struct BoundSource;  // api/executable.h
-/// The batch runner behind every execute_batch overload (api/batch.cpp).
-Expected<std::vector<ExecReport>> execute_batch_impl(
+/// The one request runner (api/batch.cpp), behind execute() and every
+/// execute_batch overload: binds every request, drives them all in one
+/// descriptor-driver run and fills one report per request. Errors carry
+/// the failing request's index and an unprefixed message.
+Expected<std::vector<ExecReport>> run_requests(
     std::span<const BatchRequest> requests, const ExecPolicy& policy,
     vdep::ThreadPool* pool);
 }  // namespace detail
@@ -266,8 +272,8 @@ class PlanArtifact {
   /// The per-run switches (trace, metrics, pin_workers) are not part of
   /// the key: every run takes them from its own policy. Built on first
   /// request (an executor-build span), shared by single execute() and
-  /// execute_batch(). Affine nests only: indirect nests are never
-  /// memoized, since their proof covers index-array contents.
+  /// execute_batch(). Affine requests only: inspected requests are never
+  /// memoized, since their partition and proof cover index-array contents.
   std::shared_ptr<const detail::Executable> executable(
       const loopir::LoopNest& nest, const ExecPolicy& policy,
       std::size_t threads) const;
@@ -331,11 +337,11 @@ class CompiledLoop {
   /// Errors (kPrecondition) when `bounds` has a different structure.
   Expected<CompiledLoop> at(const loopir::LoopNest& bounds) const;
 
-  /// Runs the plan over `store` (which must have been built for nest()).
-  /// Affine nests resolve their executor through the artifact's executable
-  /// memo (PlanArtifact::executable), shared with execute_batch(); the
-  /// policy's trace/metrics/pin_workers apply to this run whatever run
-  /// built the memo entry.
+  /// Runs the plan over `store` (which must have been built for nest()) as
+  /// a batch of one. Affine nests resolve their executor through the
+  /// artifact's executable memo (PlanArtifact::executable); the policy's
+  /// trace/metrics/pin_workers apply to this run whatever run built the
+  /// memo entry.
   Expected<ExecReport> execute(const ExecPolicy& policy,
                                exec::ArrayStore& store) const;
   /// Same, reusing a long-lived pool for the workers.
@@ -385,11 +391,13 @@ class CompiledLoop {
                                     vdep::ThreadPool* pool) const;
   Expected<ExecReport> check_impl(const ExecPolicy& policy,
                                   vdep::ThreadPool* pool) const;
-  /// This handle's memoized executable bound to `store` as one driver
-  /// source: the one lookup single execute() and execute_batch() share.
+  /// This request over `store` as one driver source: the memoized
+  /// executable, or (non-affine nest, kInspector) an inspection of `store`
+  /// and, under kJit, the row kernel fetched only once it succeeded.
   detail::BoundSource bind(const ExecPolicy& policy, std::size_t threads,
-                           exec::ArrayStore& store) const;
-  friend Expected<std::vector<ExecReport>> detail::execute_batch_impl(
+                           exec::ArrayStore& store,
+                           vdep::ThreadPool* pool) const;
+  friend Expected<std::vector<ExecReport>> detail::run_requests(
       std::span<const BatchRequest> requests, const ExecPolicy& policy,
       vdep::ThreadPool* pool);
 

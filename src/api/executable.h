@@ -9,9 +9,9 @@
 // count), the scan-path CompiledKernel prototype (its range proof depends
 // only on bounds and array shapes for affine nests) and, for kJit, the
 // loaded native kernel. A warm request therefore renders its key once and
-// binds: it builds no executor and proves no kernel. Indirect nests never
-// get here — their proof covers index-array contents, which change per
-// request.
+// binds: it builds no executor and proves no kernel. Inspected requests
+// never get here — their partition covers index-array contents, which
+// change per request.
 //
 // Internal to the API layer (api/compiled_loop.cpp, api/batch.cpp).
 #pragma once
@@ -21,6 +21,7 @@
 
 #include "api/compiled_loop.h"
 #include "exec/compiled.h"
+#include "inspect/executor.h"
 #include "runtime/stream_executor.h"
 
 namespace vdep::detail {
@@ -60,12 +61,15 @@ class Executable {
   mutable bool proved_ = false;  ///< the prototype's proof has run
 };
 
-/// One request bound to its memoized executable: the driver source over
-/// the request's store, plus what that source needs alive until the run
-/// ends.
+/// One request bound for a run (CompiledLoop::bind): the driver source
+/// over the request's store, plus what that source needs alive until the
+/// run ends — an affine request's executable, or an inspected request's
+/// partition and executor.
 struct BoundSource {
   std::shared_ptr<const Executable> executable;
-  /// Non-null when the source's leaves run the native kernel.
+  std::unique_ptr<const inspect::DynamicPartition> partition;
+  std::unique_ptr<const inspect::InspectorExecutor> inspector;
+  /// Non-null when the source's leaves run a native kernel.
   std::shared_ptr<const jit::NativeKernel> native;
   runtime::DriveSource source;
 };

@@ -87,10 +87,7 @@ Outcome phased_outcome(const LoopNest& nest, Outcome base, const Vec& pi) {
 }  // namespace
 
 Outcome run_serial(const LoopNest& nest) {
-  Outcome o;
-  o.method = "serial";
-  o.abstraction = "none";
-  o.codegen = "-";
+  Outcome o{.method = "serial", .abstraction = "none", .codegen = "-"};
   o.applicable = true;
   o.coarse_grain = true;
   o.steps = nest.iteration_count();
@@ -101,10 +98,9 @@ Outcome run_serial(const LoopNest& nest) {
 }
 
 Outcome run_uniform_unimodular(const LoopNest& nest) {
-  Outcome o;
-  o.method = "Banerjee90 unimodular";
-  o.abstraction = "uniform distance vectors";
-  o.codegen = "U";
+  Outcome o{.method = "Banerjee90 unimodular",
+            .abstraction = "uniform distance vectors",
+            .codegen = "U"};
   Pdm pdm = dep::compute_pdm(nest);
   auto dists = uniform_distances(pdm);
   if (!dists) {
@@ -132,10 +128,9 @@ Outcome run_uniform_unimodular(const LoopNest& nest) {
 }
 
 Outcome run_uniform_partitioning(const LoopNest& nest) {
-  Outcome o;
-  o.method = "D'Hollander92 partitioning";
-  o.abstraction = "uniform distance matrix";
-  o.codegen = "P";
+  Outcome o{.method = "D'Hollander92 partitioning",
+            .abstraction = "uniform distance matrix",
+            .codegen = "P"};
   Pdm pdm = dep::compute_pdm(nest);
   auto dists = uniform_distances(pdm);
   if (!dists) {
@@ -160,10 +155,9 @@ Outcome run_uniform_partitioning(const LoopNest& nest) {
 }
 
 Outcome run_direction_vector_method(const LoopNest& nest) {
-  Outcome o;
-  o.method = "Wolf-Lam direction vectors";
-  o.abstraction = "direction vectors";
-  o.codegen = "U";
+  Outcome o{.method = "Wolf-Lam direction vectors",
+            .abstraction = "direction vectors",
+            .codegen = "U"};
   std::vector<dep::DirectionVector> dvs = dep::nest_direction_vectors(nest);
   // Level-based analysis: a dependence is *carried* at the level of its
   // first '<'; loop k is DOALL iff no direction vector is carried at k
@@ -205,10 +199,9 @@ Outcome run_direction_vector_method(const LoopNest& nest) {
 }
 
 Outcome run_hyperplane_schedule(const LoopNest& nest) {
-  Outcome o;
-  o.method = "Shang96 BDV+schedule";
-  o.abstraction = "basic dependence vectors";
-  o.codegen = "S";
+  Outcome o{.method = "Shang96 BDV+schedule",
+            .abstraction = "basic dependence vectors",
+            .codegen = "S"};
   // Observed (exact, bounded) lex-positive distances; the linear schedule
   // must strictly separate each of them.
   exec::Isdg g = exec::build_isdg(nest);
@@ -232,10 +225,9 @@ Outcome run_hyperplane_schedule(const LoopNest& nest) {
 }
 
 Outcome run_pdm_method(const LoopNest& nest) {
-  Outcome o;
-  o.method = "PDM (this work)";
-  o.abstraction = "pseudo distance matrix";
-  o.codegen = "U+P";
+  Outcome o{.method = "PDM (this work)",
+            .abstraction = "pseudo distance matrix",
+            .codegen = "U+P"};
   Pdm pdm = dep::compute_pdm(nest);
   trans::TransformPlan plan = trans::plan_transform(pdm);
   Schedule sched = exec::build_schedule(nest, plan);

@@ -39,7 +39,9 @@ struct Outcome {
   /// intentionally reported as inapplicable).
   bool verified = false;
 
-  std::string note;
+  /// Free-form remark; default-initialized so designated initializers may
+  /// leave it out without -Wmissing-field-initializers.
+  std::string note{};
 };
 
 /// Sequential execution (the degenerate baseline every method must beat).

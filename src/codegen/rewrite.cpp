@@ -36,7 +36,8 @@ TransformedNest rewrite_nest(const loopir::LoopNest& original, const Mat& t,
   std::vector<loopir::Level> levels;
   for (int k = 0; k < n; ++k) {
     loopir::Level l;
-    l.name = "j" + std::to_string(k + 1);
+    l.name += 'j';  // appended: GCC 12 flags operator+ with -Wrestrict
+    l.name += std::to_string(k + 1);
     l.lower = nb.lower[static_cast<std::size_t>(k)];
     l.upper = nb.upper[static_cast<std::size_t>(k)];
     l.parallel = k < num_doall;

@@ -202,8 +202,10 @@ std::string Isdg::to_dot(std::size_t max_nodes) const {
   std::size_t shown = std::min(nodes_.size(), max_nodes);
   auto name = [](const Vec& v) {
     std::string s = "n";
-    for (i64 x : v) s += "_" + std::string(x < 0 ? "m" : "") +
-                         std::to_string(x < 0 ? -x : x);
+    for (i64 x : v) {  // appended: GCC 12 flags operator+ with -Wrestrict
+      s += x < 0 ? "_m" : "_";
+      s += std::to_string(x < 0 ? -x : x);
+    }
     return s;
   };
   // The figures distinguish solid (dependent) from hollow (independent)

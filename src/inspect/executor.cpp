@@ -1,7 +1,6 @@
 #include "inspect/executor.h"
 
 #include <algorithm>
-#include <exception>
 #include <memory>
 #include <thread>
 
@@ -37,11 +36,11 @@ runtime::TaskDescriptor InspectorExecutor::root() const {
   return rt;
 }
 
-runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
-                                                  ThreadPool* pool) const {
+runtime::DriveSource InspectorExecutor::source(
+    exec::ArrayStore& store, const jit::NativeKernel* native) const {
   // The row kernel's accesses are unchecked: only the store inspect()
   // range-checked may run them.
-  VDEP_REQUIRE(!opts_.native || part_->inspected(store),
+  VDEP_REQUIRE(!native || part_->inspected(store),
                "native inspector leaves need the store the partition was "
                "inspected against");
   // Without a native kernel, one body shared by every worker: a
@@ -51,7 +50,7 @@ runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
   // hull that no iteration reaches but the proof cannot rule out. Every
   // body throws OverflowError on the same inputs.
   std::shared_ptr<const exec::CompiledKernel> ck;
-  if (!opts_.native && !opts_.force_interpreter) {
+  if (!native && !opts_.force_interpreter) {
     try {
       ck = std::make_shared<exec::CompiledKernel>(nest_, store);
     } catch (const Error&) {
@@ -66,16 +65,16 @@ runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
   const DynamicPartition* part = part_;
   exec::ArrayStore* st = &store;
   runtime::LeafFactory factory;
-  if (opts_.native) {
-    const jit::NativeKernel* k = opts_.native;
-    factory = [k, st, part](int, runtime::WorkerStats& stats)
+  if (native) {
+    factory = [native, st, part](int, runtime::WorkerStats& stats)
         -> runtime::LeafFn {
-      return [k, st, part, ws = &stats](const runtime::TaskDescriptor& task) {
+      return [native, st, part, ws = &stats](
+                 const runtime::TaskDescriptor& task) {
         const i64 m_lo = part->offset(task.class_lo);
         const i64 m_hi = part->offset(task.class_hi);
         ws->iterations += m_hi - m_lo;
-        if (k->execute_rows(*st, part->rows(), part->members(), part->depth(),
-                            m_lo, m_hi) < 0)
+        if (native->execute_rows(*st, part->rows(), part->members(),
+                                 part->depth(), m_lo, m_hi) < 0)
           throw OverflowError("int64 overflow in the native row kernel");
       };
     };
@@ -109,21 +108,16 @@ runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
       };
     };
   }
-
-  const runtime::DriveSource src{root(), grain_, {}, std::move(factory)};
-  runtime::RuntimeStats rs =
-      runtime::drive_descriptors({&src, 1}, {threads_, opts_.switches}, pool);
-  if (rs.error) std::rethrow_exception(rs.error);
-  return rs;
+  return {root(), grain_, {}, std::move(factory)};
 }
 
 runtime::RuntimeStats InspectorExecutor::run(exec::ArrayStore& store) const {
-  return run_impl(store, nullptr);
+  return runtime::drive(source(store), {threads_, opts_.switches});
 }
 
 runtime::RuntimeStats InspectorExecutor::run(exec::ArrayStore& store,
                                              ThreadPool& pool) const {
-  return run_impl(store, &pool);
+  return runtime::drive(source(store), {threads_, opts_.switches}, &pool);
 }
 
 }  // namespace vdep::inspect

@@ -16,7 +16,7 @@
 //     slot range in one call (NativeKernel::execute_rows). It indexes
 //     buffers unchecked, which is sound only because inspect() range-checked
 //     every access of every row against this very store before any write
-//     (and index arrays are read-only), so the executor runs it only on the
+//     (and index arrays are read-only), so source() binds it only to the
 //     store its partition was inspected against.
 //   * compiled (the default): one shared exec::CompiledKernel, whose
 //     indirect slots read the index buffers directly (proven in range at
@@ -24,6 +24,8 @@
 //   * the exact interpreter, the reference: only under force_interpreter
 //     (ExecBackend::kInterpreter) or when the kernel's proof refuses.
 // All three throw OverflowError on int64 overflow of body arithmetic.
+// source() packages them as one DriveSource, like StreamExecutor::source,
+// so a batch drives inspected requests beside affine ones.
 #pragma once
 
 #include "inspect/inspector.h"
@@ -44,11 +46,7 @@ struct InspectorExecOptions {
   /// Run the exact interpreter instead of the compiled-kernel body
   /// (ExecBackend::kInterpreter, tests).
   bool force_interpreter = false;
-  /// ExecBackend::kJit: the nest's row kernel (NativeKernel::row_kernel()),
-  /// which then runs every leaf. The caller keeps it alive; run() accepts
-  /// it only for the store the partition was inspected against.
-  const jit::NativeKernel* native = nullptr;
-  /// Tracing, metrics and worker pinning of this executor's runs.
+  /// Tracing, metrics and worker pinning of run().
   runtime::RunSwitches switches;
 };
 
@@ -60,24 +58,23 @@ class InspectorExecutor {
                     const DynamicPartition& partition,
                     InspectorExecOptions opts = {});
 
-  /// Runs every class over `store` through the native row kernel when one
-  /// is set, else through a shared exec::CompiledKernel (per-worker
-  /// scratch), indirect subscripts included; only a nest whose range proof
-  /// the kernel refuses (or force_interpreter) runs through the exact
-  /// interpreter. Every body throws OverflowError on int64 overflow. The
-  /// index arrays must keep the contents inspect() saw.
+  /// runtime::drive(source(store)): leaf errors rethrow.
   runtime::RuntimeStats run(exec::ArrayStore& store) const;
   runtime::RuntimeStats run(exec::ArrayStore& store, ThreadPool& pool) const;
 
+  /// Every class over `store` as one driver source: root(), the grain and
+  /// the leaves — `native` (the nest's row kernel, ExecBackend::kJit) when
+  /// set, which throws PreconditionError unless `store` is the one the
+  /// partition was inspected against; else the compiled or interpreted
+  /// body above. The index arrays must keep the contents inspect() saw;
+  /// `store`, `native`, the partition and this executor outlive the run.
+  runtime::DriveSource source(exec::ArrayStore& store,
+                              const jit::NativeKernel* native = nullptr) const;
+
   /// The root descriptor: the full class range, no boxed dims.
   runtime::TaskDescriptor root() const;
-  i64 grain() const { return grain_; }
-  std::size_t num_threads() const { return threads_; }
 
  private:
-  runtime::RuntimeStats run_impl(exec::ArrayStore& store,
-                                 ThreadPool* pool) const;
-
   loopir::LoopNest nest_;
   const DynamicPartition* part_;
   InspectorExecOptions opts_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
 #include <numeric>
 
 #include "runtime/driver.h"
@@ -219,9 +218,7 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
     const runtime::DriveSource src{
         ranks, runtime::pick_grain(std::max<i64>(n, 1), threads), {},
         std::move(factory)};
-    const runtime::RuntimeStats rs = runtime::drive_descriptors(
-        {&src, 1}, {threads, {false, false, false}}, pool);
-    if (rs.error) std::rethrow_exception(rs.error);
+    runtime::drive(src, {threads, {false, false, false}}, pool);
   }
 
   // Pass 2: union every toucher of a written cell with that cell's first

@@ -423,4 +423,11 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
   return out;
 }
 
+RuntimeStats drive(const DriveSource& source, const DriveOptions& opts,
+                   ThreadPool* pool) {
+  RuntimeStats rs = drive_descriptors({&source, 1}, opts, pool);
+  if (rs.error) std::rethrow_exception(rs.error);
+  return rs;
+}
+
 }  // namespace vdep::runtime

@@ -109,6 +109,11 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
                                const DriveOptions& opts,
                                ThreadPool* pool = nullptr);
 
+/// drive_descriptors over `source` alone, rethrowing its first leaf error:
+/// the single-source run every executor's run() makes.
+RuntimeStats drive(const DriveSource& source, const DriveOptions& opts,
+                   ThreadPool* pool = nullptr);
+
 namespace detail {
 /// Whether a run should really pin: opted in, more than one worker, the
 /// host supports sched_setaffinity, and VDEP_PIN=0 is not set.

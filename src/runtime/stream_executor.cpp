@@ -1,6 +1,5 @@
 #include "runtime/stream_executor.h"
 
-#include <exception>
 #include <optional>
 #include <thread>
 
@@ -277,16 +276,6 @@ void StreamExecutor::execute_leaf(const TaskDescriptor& task, Worker& w) const {
   scan_prefix(0, task, labels, w);
 }
 
-RuntimeStats StreamExecutor::drive(const DriveSource& src, ThreadPool* pool,
-                                   RunSwitches sw) const {
-  // The scheduling loop lives in runtime/driver.cpp (shared with the
-  // inspector executor and batches); this executor only supplies the root
-  // box, the grain, and the plan-scanning leaves.
-  RuntimeStats rs = drive_descriptors({&src, 1}, {threads_, sw}, pool);
-  if (rs.error) std::rethrow_exception(rs.error);
-  return rs;
-}
-
 DriveSource StreamExecutor::source(
     exec::ArrayStore& store, const exec::RangeKernel* kernel,
     const exec::CompiledKernel* scan_prototype) const {
@@ -358,24 +347,24 @@ StreamExecutor::LeafFactory StreamExecutor::make_leaf_factory(
 
 RuntimeStats StreamExecutor::run(exec::ArrayStore& store,
                                  RunSwitches sw) const {
-  return drive(source(store), nullptr, sw);
+  return drive(source(store), {threads_, sw});
 }
 
 RuntimeStats StreamExecutor::run(exec::ArrayStore& store, ThreadPool& pool,
                                  RunSwitches sw) const {
-  return drive(source(store), &pool, sw);
+  return drive(source(store), {threads_, sw}, &pool);
 }
 
 RuntimeStats StreamExecutor::run(exec::ArrayStore& store,
                                  const exec::RangeKernel& kernel,
                                  RunSwitches sw) const {
-  return drive(source(store, &kernel), nullptr, sw);
+  return drive(source(store, &kernel), {threads_, sw});
 }
 
 RuntimeStats StreamExecutor::run(exec::ArrayStore& store,
                                  const exec::RangeKernel& kernel,
                                  ThreadPool& pool, RunSwitches sw) const {
-  return drive(source(store, &kernel), &pool, sw);
+  return drive(source(store, &kernel), {threads_, sw}, &pool);
 }
 
 RuntimeStats StreamExecutor::run_trace(
@@ -386,7 +375,7 @@ RuntimeStats StreamExecutor::run_trace(
   };
   return drive(
       {root(), grain_, split_prefs_, std::move(factory), split_classes_},
-      nullptr, {});
+      {threads_, {}});
 }
 
 }  // namespace vdep::runtime

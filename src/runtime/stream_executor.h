@@ -162,10 +162,6 @@ class StreamExecutor {
   LeafFactory make_leaf_factory(
       exec::ArrayStore& store, const exec::RangeKernel* kernel,
       const exec::CompiledKernel* scan_prototype) const;
-  /// Drives `src` (one of this plan's) as the run's only source; leaf
-  /// errors rethrow.
-  RuntimeStats drive(const DriveSource& src, ThreadPool* pool,
-                     RunSwitches sw) const;
   /// One scan-path worker context: Worker + recursive descriptor scan.
   LeafFn make_scan_leaf(int id, WorkerStats& stats,
                         std::function<void(const Vec&)> body) const;

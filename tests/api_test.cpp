@@ -13,7 +13,11 @@
 #include "api/vdep.h"
 #include "core/suite.h"
 #include "exec/interpreter.h"
+#include "jit/toolchain.h"
 #include "loopir/builder.h"
+#include "obs/metrics.h"
+
+#include "indirect_inputs.h"
 
 // Detect ThreadSanitizer so the heavyweight sizes scale down (the hammer
 // still runs at full thread count).
@@ -365,6 +369,47 @@ TEST(ExecuteBatch, MatchesIndividualExecution) {
     EXPECT_EQ(reports[k].checksum, single.checksum) << "request " << k;
     EXPECT_EQ(reports[k].iterations, single.iterations) << "request " << k;
   }
+
+  // At one worker every report field but the timings is deterministic, so
+  // a batched request must report exactly what it reports alone — an
+  // inspected (indirect) request beside affine ones included.
+  const test_inputs::IndirectInput in = test_inputs::indirect_inputs().front();
+  CompiledLoop indirect = compiler.compile(in.nest).value();
+  for (ExecBackend backend : {ExecBackend::kCompiled, ExecBackend::kJit}) {
+    const ExecPolicy one = ExecPolicy{}.threads(1).backend(backend);
+    std::vector<exec::ArrayStore> stores = {test_inputs::initial_store(in),
+                                            test_inputs::initial_store(in)};
+    std::vector<BatchRequest> requests = {{loop.at(bounds[1]).value(), nullptr},
+                                          {indirect, &stores[0]},
+                                          {loop.at(bounds[3]).value(), nullptr},
+                                          {indirect, &stores[1]}};
+    std::vector<ExecReport> batch = execute_batch(requests, one).value();
+    ASSERT_EQ(batch.size(), requests.size());
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+      exec::ArrayStore store = requests[k].store
+                                   ? test_inputs::initial_store(in)
+                                   : exec::ArrayStore(requests[k].loop.nest());
+      if (!requests[k].store) store.fill_pattern();
+      const ExecReport single = requests[k].loop.execute(one, store).value();
+      const ExecReport& got = batch[k];
+      const std::string where = "backend " +
+                                std::to_string(static_cast<int>(backend)) +
+                                " request " + std::to_string(k);
+      EXPECT_EQ(got.iterations, single.iterations) << where;
+      EXPECT_EQ(got.tasks, single.tasks) << where;
+      EXPECT_EQ(got.workers_used, single.workers_used) << where;
+      EXPECT_EQ(got.inspector, single.inspector) << where;
+      EXPECT_EQ(got.inspector_classes, single.inspector_classes) << where;
+      EXPECT_EQ(got.inspector_chains, single.inspector_chains) << where;
+      EXPECT_EQ(got.inspector_max_component, single.inspector_max_component)
+          << where;
+      EXPECT_EQ(got.inspector_dependent, single.inspector_dependent) << where;
+      EXPECT_EQ(got.jit, single.jit) << where;
+      EXPECT_EQ(got.jit_partitioned, single.jit_partitioned) << where;
+      EXPECT_EQ(got.checksum, single.checksum) << where;
+      EXPECT_EQ(got.inspector, requests[k].store != nullptr) << where;
+    }
+  }
 }
 
 TEST(ExecuteBatch, AllBackendsAgreeThroughTheBatchPath) {
@@ -380,7 +425,7 @@ TEST(ExecuteBatch, AllBackendsAgreeThroughTheBatchPath) {
   exec::run_sequential(loop.nest(), ref);
 
   for (ExecBackend b : {ExecBackend::kInterpreter, ExecBackend::kCompiled,
-                        ExecBackend::kJit}) {
+                        ExecBackend::kJit, ExecBackend::kInspector}) {
     std::vector<exec::ArrayStore> stores(4, init);
     std::vector<exec::ArrayStore*> ptrs;
     for (auto& s : stores) ptrs.push_back(&s);
@@ -424,6 +469,143 @@ TEST(ExecuteBatch, WrongStructureBoundsSurfaceIndex) {
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(r.error().kind, ErrorKind::kPrecondition);
   EXPECT_EQ(r.error().index, 2);
+}
+
+// Two requests naming one store would be two unsynchronized writers: the
+// batch refuses them typed, at the second request, before anything runs.
+TEST(ExecuteBatch, AliasedStoresFailTypedBeforeAnyRequestRuns) {
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(example42(7)).value();
+  exec::ArrayStore a(loop.nest());
+  a.fill_pattern();
+  exec::ArrayStore b = a;
+  const exec::ArrayStore init = a;
+  std::vector<exec::ArrayStore*> stores = {&a, &b, &a};
+  for (ExecBackend backend :
+       {ExecBackend::kInterpreter, ExecBackend::kCompiled, ExecBackend::kJit,
+        ExecBackend::kInspector}) {
+    Expected<std::vector<ExecReport>> r =
+        loop.execute_batch(stores, ExecPolicy{}.threads(2).backend(backend));
+    ASSERT_FALSE(r.has_value()) << static_cast<int>(backend);
+    EXPECT_EQ(r.error().kind, ErrorKind::kPrecondition);
+    EXPECT_EQ(r.error().index, 2);
+    EXPECT_TRUE(a == init && b == init) << static_cast<int>(backend);
+  }
+}
+
+i64 counter_value(const char* name) {
+  return obs::MetricsRegistry::instance().counter(name).value();
+}
+
+/// Enables metrics for the test body and restores the prior state.
+class ScopedMetrics {
+ public:
+  ScopedMetrics() : was_(obs::MetricsRegistry::enabled()) {
+    obs::MetricsRegistry::instance().enable();
+  }
+  ~ScopedMetrics() {
+    if (!was_) obs::MetricsRegistry::instance().disable();
+  }
+
+ private:
+  bool was_;
+};
+
+// A batch binds every request before any of them runs, so a hostile index
+// array fails the whole batch kPrecondition at its request's index: every
+// store unchanged (no request's leaves ran) and no cc started (the hostile
+// request's row kernel is fetched only after its inspection succeeds).
+// Repaired, the same batch runs bit-identically.
+TEST(ExecuteBatch, HostileIndexArrayFailsBeforeAnyRequestRuns) {
+  constexpr i64 n = 256;
+  ScopedMetrics metrics;
+  const test_inputs::IndirectInput benign =
+      test_inputs::indirect_inputs().front();
+  for (bool bad_position : {false, true}) {
+    // indirect_nest(n, n): its own bounds, so its row kernel has its own
+    // memo key. B holds a value far past A's declared [0, n], or is cut to
+    // half the trip count for a position outside B.
+    LoopNest hostile = test_inputs::indirect_nest(n, n);
+    if (bad_position) {
+      std::vector<loopir::ArrayDecl> arrays = hostile.arrays();
+      for (loopir::ArrayDecl& a : arrays)
+        if (a.name == "B") a.dims = {{0, n / 2 - 1}};
+      hostile = LoopNest(hostile.levels(), arrays, hostile.body());
+    }
+    exec::ArrayStore hostile_init(hostile);
+    hostile_init.fill_pattern();
+    const i64 b_len = hostile.array("B").dims.front().second + 1;
+    for (i64 i = 0; i < b_len; ++i)
+      hostile_init.write("B", intlin::Vec{i}, i % 8);
+    if (!bad_position) hostile_init.write("B", intlin::Vec{n / 2}, i64{1} << 40);
+
+    for (ExecBackend backend : {ExecBackend::kCompiled, ExecBackend::kJit}) {
+      for (std::size_t k : {1u, 3u}) {
+        Compiler compiler;  // fresh memos: the hostile kernel would need cc
+        jit::JitOptions jo;
+        jo.disk_cache = false;
+        // Slot k is hostile; the other indirect slot is benign.
+        std::vector<CompiledLoop> order = {
+            compiler.compile(example41(8)).value(),
+            compiler.compile(benign.nest).value(),
+            compiler.compile(example42(7)).value(),
+            compiler.compile(hostile).value()};
+        if (k == 1) std::swap(order[1], order[3]);
+        // Warm every benign kernel: only the hostile request's may need cc.
+        if (backend == ExecBackend::kJit)
+          for (std::size_t j = 0; j < order.size(); ++j)
+            if (j != k) (void)order[j].jit(jo);
+        std::vector<exec::ArrayStore> stores;
+        for (std::size_t j = 0; j < order.size(); ++j) {
+          if (j == k) {
+            stores.push_back(hostile_init);
+          } else if (order[j].analysis().affine) {
+            stores.emplace_back(order[j].nest());
+            stores.back().fill_pattern();
+          } else {
+            stores.push_back(test_inputs::initial_store(benign));
+          }
+        }
+        std::vector<BatchRequest> requests;
+        for (std::size_t j = 0; j < order.size(); ++j)
+          requests.push_back({order[j], &stores[j]});
+        const std::vector<exec::ArrayStore> before = stores;
+
+        for (std::size_t threads : {1u, 8u}) {
+          const std::string where =
+              std::string(bad_position ? "position" : "value") + " backend " +
+              std::to_string(static_cast<int>(backend)) + " k=" +
+              std::to_string(k) + " @" + std::to_string(threads);
+          const i64 builds = counter_value("vdep_jit_builds_total");
+          Expected<std::vector<ExecReport>> r = execute_batch(
+              requests,
+              ExecPolicy{}.threads(threads).backend(backend).jit_options(jo));
+          ASSERT_FALSE(r.has_value()) << where;
+          EXPECT_EQ(r.error().kind, ErrorKind::kPrecondition) << where;
+          EXPECT_EQ(r.error().index, static_cast<int>(k)) << where;
+          for (std::size_t j = 0; j < stores.size(); ++j)
+            EXPECT_TRUE(stores[j] == before[j])
+                << where << ": request " << j << " ran";
+          EXPECT_EQ(counter_value("vdep_jit_builds_total"), builds)
+              << where << ": a failed inspection started cc";
+        }
+
+        // Not vacuous: repaired, the same batch runs, bit-identical.
+        if (bad_position) continue;
+        stores[k].write("B", intlin::Vec{n / 2}, 0);
+        std::vector<exec::ArrayStore> refs = stores;
+        for (std::size_t j = 0; j < refs.size(); ++j)
+          exec::run_sequential(order[j].nest(), refs[j]);
+        Expected<std::vector<ExecReport>> r = execute_batch(
+            requests, ExecPolicy{}.threads(8).backend(backend).jit_options(jo));
+        ASSERT_TRUE(r.has_value()) << r.error().to_string();
+        for (std::size_t j = 0; j < stores.size(); ++j)
+          EXPECT_TRUE(stores[j] == refs[j]) << "repaired request " << j;
+        EXPECT_EQ((*r)[k].jit, backend == ExecBackend::kJit &&
+                                   jit::discover_toolchain().has_value());
+      }
+    }
+  }
 }
 
 TEST(ExecuteBatch, EmptyBatchIsEmptySuccess) {

@@ -201,9 +201,9 @@ TEST(Inspector, CompiledBodyMatchesInterpreterBody) {
 TEST(Inspector, NativeLeavesRunOnlyOnTheInspectedStore) {
   // The executor's native body (the JIT row kernel) on every indirect input
   // and a conflict-free permutation, at 1, 2 and 8 workers, against the
-  // sequential reference. Its accesses are unchecked, so it must refuse a
-  // store other than the one the partition was inspected against — even
-  // an equal copy — before running anything.
+  // sequential reference. Its accesses are unchecked, so source() must
+  // refuse to bind it to a store other than the one the partition was
+  // inspected against — even an equal copy — before running anything.
   if (!jit::discover_toolchain()) GTEST_SKIP() << "no C toolchain";
   std::vector<IndirectInput> inputs = indirect_inputs();
   inputs.push_back(test_inputs::permutation_input(64));
@@ -220,12 +220,15 @@ TEST(Inspector, NativeLeavesRunOnlyOnTheInspectedStore) {
       const inspect::DynamicPartition part = inspect::inspect(in.nest, got);
       inspect::InspectorExecOptions io;
       io.num_threads = threads;
-      io.native = kernel->get();
       const inspect::InspectorExecutor ex(in.nest, part, io);
       exec::ArrayStore other = init;
-      EXPECT_THROW(ex.run(other), PreconditionError) << in.name;
+      EXPECT_THROW((void)ex.source(other, kernel->get()), PreconditionError)
+          << in.name;
       EXPECT_TRUE(other == init) << in.name;
-      const runtime::RuntimeStats rs = ex.run(got);
+      const runtime::DriveSource src = ex.source(got, kernel->get());
+      const runtime::RuntimeStats rs =
+          runtime::drive_descriptors({&src, 1}, {threads, {}});
+      ASSERT_FALSE(rs.error) << in.name;
       EXPECT_EQ(rs.total_iterations(), part.size()) << in.name;
       EXPECT_TRUE(got == ref) << in.name << " @" << threads;
     }
@@ -721,13 +724,22 @@ TEST(Inspector, IndirectNestRejectedByPdmRunsViaInspector) {
   EXPECT_GT(rep->inspect_ns, 0);
   EXPECT_LE(rep->inspect_ns, rep->wall_ns);
 
-  // The batch scheduler cannot run this nest.
-  std::vector<exec::ArrayStore*> stores = {&got};
-  Expected<std::vector<ExecReport>> batch =
-      loop->execute_batch(std::span<exec::ArrayStore* const>(stores),
-                          ExecPolicy{});
-  ASSERT_FALSE(batch);
-  EXPECT_EQ(batch.error().kind, ErrorKind::kUnsupported);
+  // A batch runs it too: each request is inspected against its own store
+  // before the shared run, then runs as one source of it.
+  std::vector<exec::ArrayStore> copies(3, init);
+  std::vector<exec::ArrayStore*> stores;
+  for (exec::ArrayStore& s : copies) stores.push_back(&s);
+  Expected<std::vector<ExecReport>> batch = loop->execute_batch(
+      std::span<exec::ArrayStore* const>(stores), policy);
+  ASSERT_TRUE(batch) << batch.error().to_string();
+  ASSERT_EQ(batch->size(), copies.size());
+  for (std::size_t k = 0; k < copies.size(); ++k) {
+    EXPECT_TRUE(copies[k] == ref) << "request " << k;
+    EXPECT_TRUE((*batch)[k].inspector) << "request " << k;
+    EXPECT_EQ((*batch)[k].inspector_classes, 16) << "request " << k;
+    EXPECT_EQ((*batch)[k].iterations, 64) << "request " << k;
+    EXPECT_EQ((*batch)[k].checksum, ref.checksum()) << "request " << k;
+  }
 }
 
 TEST(Inspector, InspectSpanAndReportTiming) {
