@@ -18,6 +18,7 @@
 //   {"bench":"inspector","name":...,"mode":"executor","threads":8,...}
 //   {"bench":"inspector","name":...,"mode":"api_jit","threads":8,...,
 //    "jit":...,"bit_identical":...,"amortized_speedup_vs_compiled_8w":...}
+//   {"bench":"inspector","name":...,"mode":"api_jit_reused",...}
 //   {"bench":"inspector","name":...,"mode":"summary","threads":8,
 //    "speedup_8w_vs_seq":...,"inspect_overhead_pct":...,
 //    "amortized_speedup_8w":...,"amortized_speedup_vs_compiled_8w":...}
@@ -34,11 +35,17 @@
 // ExecBackend::kJit at 8 workers, i.e. an 8-worker inspection plus native
 // row-kernel leaves (the row kernel's cc run and one warm-up request stay
 // off the clock); its amortized_speedup_vs_compiled_8w divides the compiled
-// run by that request.
+// run by that request. Its repetitions alternate two index arrays (the
+// scenario's and its reverse), so each one inspects afresh instead of
+// reusing the memoized partition. "api_jit_reused" repeats one index
+// array, so each request proves the memoized partition for its store and
+// skips inspection; its own ratio keeps a cache hit from hiding a cold
+// regression in the row above.
 //
 // `--gate` (CI bench-smoke and jit-smoke legs) re-runs both scenarios and
 // fails unless every parallel store is bit-identical to the sequential
-// reference, unless the api_jit row ran native (ExecReport::jit), and
+// reference, unless the api_jit rows ran native (ExecReport::jit) and
+// inspected (api_jit) or reused (api_jit_reused) as intended, and
 // unless a single-worker inspection costs less than one sequential
 // interpreted run (inspect_overhead_pct < 100) on each scenario. Speedup
 // is reported, never gated (inspection amortizes over re-execution and CI
@@ -49,6 +56,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 #include <thread>
 
 #include "api/vdep.h"
@@ -209,33 +217,60 @@ int run_scenario(const Scenario& sc, i64 n, int reps, bool gate) {
         identical ? "true" : "false");
   }
 
-  // The kJit request through the public API (see the header).
+  // The kJit request through the public API (see the header): api_jit
+  // alternates two index arrays, so every timed request inspects afresh;
+  // api_jit_reused repeats one, so every timed request reuses the
+  // memoized partition.
   {
+    exec::ArrayStore init2 = init;
+    for (i64 i = 0; i < n; ++i)
+      init2.write("B", intlin::Vec{i}, sc.index(n - 1 - i));
+    exec::ArrayStore ref2 = init2;
+    exec::run_sequential(nest, ref2);
+
     Compiler compiler;
     CompiledLoop loop = compiler.compile(nest).value();
     const ExecPolicy policy =
         ExecPolicy{}.threads(8).backend(ExecBackend::kJit).digest(false);
     exec::ArrayStore got = init;
-    bool native = true;
-    auto request = [&] {
+    bool native = true, identical = true, reuse_as_expected = true;
+    // One request over `from`; `reused` is whether it must reuse the
+    // memoized partition (true) or must not (false).
+    auto request = [&](const exec::ArrayStore& from,
+                       const exec::ArrayStore& expect, bool reused) {
+      got = from;
+      auto t0 = std::chrono::steady_clock::now();
       Expected<ExecReport> rep = loop.execute(policy, got);
+      const double t = seconds_since(t0);
       if (!rep)
         std::fprintf(stderr, "FAIL: %s kJit request failed: %s\n", sc.name,
                      rep.error().to_string().c_str());
       native &= rep && rep->jit;
+      identical &= got == expect;
+      reuse_as_expected &=
+          rep && (rep->inspection == Inspection::kReused) == reused;
+      return t;
     };
-    request();  // builds the row kernel
+    request(init, ref, false);  // builds the row kernel
+    bool second = false;  // the index array of the last request
     const double t_api = best_of(reps, [&] {
-      got = init;
-      auto t0 = std::chrono::steady_clock::now();
-      request();
-      return seconds_since(t0);
+      second = !second;
+      return request(second ? init2 : init, second ? ref2 : ref, false);
     });
-    const bool identical = got == ref;
+    const double t_reused = best_of(reps, [&] {
+      return request(second ? init2 : init, second ? ref2 : ref, true);
+    });
     if (!identical) {
       std::fprintf(stderr,
                    "FAIL: %s kJit request at 8 workers diverged from "
                    "sequential\n",
+                   sc.name);
+      ++failures;
+    }
+    if (!reuse_as_expected) {
+      std::fprintf(stderr,
+                   "FAIL: %s api_jit reused a partition across index arrays, "
+                   "or api_jit_reused re-inspected an unchanged one\n",
                    sc.name);
       ++failures;
     }
@@ -246,15 +281,16 @@ int run_scenario(const Scenario& sc, i64 n, int reps, bool gate) {
                    sc.name);
       ++failures;
     }
-    std::printf(
-        "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"api_jit\","
-        "\"threads\":8,\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
-        "\"iters_per_sec\":%.0f,\"jit\":%s,\"bit_identical\":%s,"
-        "\"amortized_speedup_vs_compiled_8w\":%.3f}\n",
-        sc.name, hw_threads(), static_cast<long long>(n), t_api,
-        t_api > 0 ? static_cast<double>(n) / t_api : 0.0,
-        native ? "true" : "false", identical ? "true" : "false",
-        t_api > 0 ? t_seq_compiled / t_api : 0.0);
+    for (const auto& [mode, t] :
+         {std::pair{"api_jit", t_api}, std::pair{"api_jit_reused", t_reused}})
+      std::printf(
+          "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"%s\","
+          "\"threads\":8,\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
+          "\"iters_per_sec\":%.0f,\"jit\":%s,\"bit_identical\":%s,"
+          "\"amortized_speedup_vs_compiled_8w\":%.3f}\n",
+          sc.name, mode, hw_threads(), static_cast<long long>(n), t,
+          t > 0 ? static_cast<double>(n) / t : 0.0, native ? "true" : "false",
+          identical ? "true" : "false", t > 0 ? t_seq_compiled / t : 0.0);
   }
 
   const double overhead_pct = t_seq > 0 ? t_inspect / t_seq * 100.0 : 0.0;

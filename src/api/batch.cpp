@@ -34,8 +34,9 @@ Expected<std::vector<ExecReport>> detail::run_requests(
     // Bind every request, in order, before any leaf runs: resolve its store
     // (caller's or an internal pattern fill), then CompiledLoop::bind —
     // affine requests at one key share the memoized executor, scan
-    // prototype and .so; inspected requests inspect their store, so a
-    // hostile index array fails here.
+    // prototype and .so; inspected requests reuse the memoized partition
+    // when their index arrays equal its own and inspect their store
+    // otherwise, so a hostile index array fails here.
     std::vector<std::unique_ptr<exec::ArrayStore>> owned_stores;
     std::vector<BoundSource> bound;
     bound.reserve(requests.size());
@@ -95,10 +96,11 @@ Expected<std::vector<ExecReport>> detail::run_requests(
       // This request's in-flight time: completion minus the wait behind
       // the rest of the batch.
       rep.exec_ns = s.done_ns > s.queue_ns ? s.done_ns - s.queue_ns : 0;
-      if (b.partition) {
-        const inspect::InspectStats& st = b.partition->stats();
+      if (b.inspection != Inspection::kNone) {
+        const inspect::InspectStats& st = b.executable->partition().stats();
         rep.inspector = true;
-        rep.inspect_ns = st.inspect_ns;
+        rep.inspection = b.inspection;
+        rep.inspect_ns = b.inspect_ns;
         rep.inspector_classes = st.classes;
         rep.inspector_chains = st.chains;
         rep.inspector_max_component = st.max_component;

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "api/batch.h"
@@ -11,6 +12,7 @@
 #include "exec/interpreter.h"
 #include "inspect/executor.h"
 #include "obs/metrics.h"
+#include "obs/phase.h"
 #include "obs/trace.h"
 #include "runtime/stream_executor.h"
 #include "support/error.h"
@@ -29,6 +31,16 @@ i64 elapsed_ns(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 // ------------------------------------------------------------- options
+
+const char* inspection_name(Inspection i) {
+  switch (i) {
+    case Inspection::kNone: return "none";
+    case Inspection::kFresh: return "fresh";
+    case Inspection::kReused: return "reused";
+    case Inspection::kReinspected: return "reinspected";
+  }
+  VDEP_UNREACHABLE("inspection kind");
+}
 
 std::string CodegenOptions::memo_key() const {
   std::string key = target_ == CodegenTarget::kTransformed ? "trans" : "orig";
@@ -122,9 +134,9 @@ Expected<std::shared_ptr<const jit::NativeKernel>> PlanArtifact::jit_kernel(
   return jit_memo_.emplace(std::move(key), std::move(*kernel)).first->second;
 }
 
-std::shared_ptr<const detail::Executable> PlanArtifact::executable(
-    const loopir::LoopNest& nest, const ExecPolicy& policy,
-    std::size_t threads) const {
+std::string PlanArtifact::executable_key(const loopir::LoopNest& nest,
+                                         const ExecPolicy& policy,
+                                         std::size_t threads) {
   // Everything that shapes the executor, its scan prototype or its native
   // kernel; the per-run switches stay out (each run passes its own).
   std::string key = "t=";
@@ -139,12 +151,28 @@ std::shared_ptr<const detail::Executable> PlanArtifact::executable(
   }
   key += '\n';
   key += bounds_render(nest);
+  return key;
+}
 
-  {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    if (auto it = exec_memo_.find(key); it != exec_memo_.end())
-      return it->second;
-  }
+std::shared_ptr<const detail::Executable> PlanArtifact::find_executable(
+    const std::string& key) const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  auto it = exec_memo_.find(key);
+  return it != exec_memo_.end() ? it->second : nullptr;
+}
+
+void PlanArtifact::publish_executable(
+    std::string key, std::shared_ptr<const detail::Executable> entry) const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  exec_memo_[std::move(key)] = std::move(entry);
+}
+
+std::shared_ptr<const detail::Executable> PlanArtifact::executable(
+    const loopir::LoopNest& nest, const ExecPolicy& policy,
+    std::size_t threads) const {
+  std::string key = executable_key(nest, policy, threads);
+  if (std::shared_ptr<const detail::Executable> hit = find_executable(key))
+    return hit;
 
   // Build outside the lock (rewrite + Fourier–Motzkin hull); a racing
   // thread may build the same executor, emplace keeps the first.
@@ -175,54 +203,88 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
   // nests take the inspector path only on explicit request.
   if (!art_->analysis().affine ||
       policy.backend() == ExecBackend::kInspector) {
+    // The memoized partition holds for this store when prove() finds its
+    // index arrays equal, byte for byte, to the ones that inspection read:
+    // then this request runs no inspect() and builds no executor. Any
+    // other store is inspected here, and a hostile index array fails
+    // typed before any write, leaving the memo as it was.
+    const std::string key =
+        PlanArtifact::executable_key(*nest_, policy, threads);
+    std::shared_ptr<const detail::Executable> memo =
+        art_->find_executable(key);
+    std::optional<inspect::ProvenStore> proven;
+    std::optional<inspect::DynamicPartition> fresh;
     {
       obs::ScopedSpan span(obs::EventKind::kInspect, policy.trace(),
                            obs::Phase::kInspect);
-      b.partition = std::make_unique<const inspect::DynamicPartition>(
-          inspect::inspect(*nest_, store, threads, pool));
+      const i64 t0 = obs::now_ns();
+      if (memo) proven = memo->partition().prove(store);
+      if (proven) {
+        b.executable = std::move(memo);
+        b.inspection = Inspection::kReused;
+      } else {
+        b.inspection = memo ? Inspection::kReinspected : Inspection::kFresh;
+        fresh = inspect::inspect(*nest_, store, threads, pool);
+      }
+      b.inspect_ns = obs::now_ns() - t0;
       if (span.tracing()) {
-        const inspect::InspectStats& st = b.partition->stats();
+        const inspect::InspectStats& st =
+            fresh ? fresh->stats() : b.executable->partition().stats();
         span.set_arg(0, st.iterations);
         span.set_arg(1, st.classes);
         span.set_arg(2, st.chains);
         span.set_arg(3, st.max_component);
         span.set_arg(4, st.dependent_iterations);
         span.set_arg(5, st.written_cells);
+        span.set_arg(6, static_cast<i64>(b.inspection));
       }
     }
     if (policy.metrics() && obs::MetricsRegistry::enabled()) {
-      const inspect::InspectStats& st = b.partition->stats();
       obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
-      reg.counter("vdep_inspector_runs_total").inc();
-      reg.histogram("vdep_inspector_classes", obs::exp_buckets(1, 4.0, 16),
-                    "dynamic partition classes per inspection")
-          .observe(st.classes);
-      reg.histogram("vdep_inspector_component_size",
-                    obs::exp_buckets(1, 4.0, 16),
-                    "largest dependence component per inspection")
-          .observe(st.max_component);
+      reg.counter("vdep_inspector_runs_total",
+                  "inspected requests, by where their partition came from",
+                  {"inspection", inspection_name(b.inspection)})
+          .inc();
+      // The histograms count inspections, so a reused partition, observed
+      // when it was inspected, is not observed again.
+      if (fresh) {
+        const inspect::InspectStats& st = fresh->stats();
+        reg.histogram("vdep_inspector_classes", obs::exp_buckets(1, 4.0, 16),
+                      "dynamic partition classes per inspection")
+            .observe(st.classes);
+        reg.histogram("vdep_inspector_component_size",
+                      obs::exp_buckets(1, 4.0, 16),
+                      "largest dependence component per inspection")
+            .observe(st.max_component);
+      }
+    }
+    if (fresh) {
+      // The executor build (and, below, its CompiledKernel body's proof of
+      // this store's index arrays) is executor construction, like an
+      // affine memo miss. The new entry replaces the old one whole, so a
+      // request still running the old partition keeps it.
+      obs::PhaseTimer build_timer(obs::Phase::kAnalyze);
+      inspect::InspectorExecOptions io;
+      io.num_threads = threads;
+      io.grain = policy.grain();
+      io.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
+      b.executable = std::make_shared<const detail::Executable>(
+          *nest_, std::move(*fresh), io);
+      proven = b.executable->partition().prove(store);
+      VDEP_CHECK(proven, "a store differs from its own inspection");
+      art_->publish_executable(key, b.executable);
     }
     // kJit runs the leaves through the nest's native row kernel, fetched
     // only now: a hostile index array has already failed typed above,
     // before any write and before any cc run. The row kernel's unchecked
-    // accesses are sound because that inspection checked every one of
-    // them on this store. No kernel (no toolchain, a cc failure, a
-    // memoized failure) leaves the CompiledKernel body.
-    if (policy.backend() == ExecBackend::kJit) {
-      Expected<std::shared_ptr<const jit::NativeKernel>> k =
-          art_->jit_kernel(*nest_, policy.jit_options());
-      if (k) b.native = std::move(*k);
-    }
-    // The executor build (its CompiledKernel body proves this store's
-    // index arrays) is executor construction, like an affine memo miss.
+    // accesses are sound because an inspection checked every one of them
+    // against index arrays equal to this store's. No kernel (no
+    // toolchain, a cc failure, a memoized failure) leaves the
+    // CompiledKernel body.
+    if (policy.backend() == ExecBackend::kJit)
+      b.native = b.executable->native(*art_, policy.jit_options());
     obs::PhaseTimer build_timer(obs::Phase::kAnalyze);
-    inspect::InspectorExecOptions io;
-    io.num_threads = threads;
-    io.grain = policy.grain();
-    io.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
-    b.inspector = std::make_unique<const inspect::InspectorExecutor>(
-        *nest_, *b.partition, io);
-    b.source = b.inspector->source(store, b.native.get());
+    b.source = b.executable->inspector().source(*proven, b.native.get());
     return b;
   }
   b.executable = art_->executable(*nest_, policy, threads);

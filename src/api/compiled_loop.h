@@ -14,11 +14,14 @@
 // every handle whose nest has the same structure — compile once at n=10,
 // rebind with at() (or re-compile: it is a cache hit) and execute at
 // n=1000 without re-running Hermite/Smith/Fourier–Motzkin. The bounds-level
-// state of a run (executor, scan-kernel prototype, native kernel) is
-// memoized on the artifact too, per (bounds, execution options): a warm
-// execute() at bounds already run only binds it to the request's store.
+// state of a run (executor, scan-kernel prototype, native kernel — or an
+// indirect nest's last dynamic partition) is memoized on the artifact too,
+// per (bounds, execution options): a warm execute() at bounds already run
+// only binds it to the request's store, after comparing the store's index
+// arrays with the memoized partition's when the nest is inspected.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -165,6 +168,18 @@ struct LoopPlan {
   i64 partition_classes = 1;
 };
 
+/// Where an inspected request's dynamic partition came from
+/// (ExecReport::inspection).
+enum class Inspection : std::uint8_t {
+  kNone,         ///< not inspected: an affine nest on a static plan
+  kFresh,        ///< inspected; no earlier inspection at these bounds
+  kReused,       ///< the memoized partition: index arrays compared equal
+  kReinspected,  ///< inspected after a mismatch with the memoized one
+};
+
+/// "none", "fresh", "reused" or "reinspected" (metric labels).
+const char* inspection_name(Inspection i);
+
 /// Outcome of execute()/check().
 struct ExecReport {
   i64 iterations = 0;
@@ -195,8 +210,9 @@ struct ExecReport {
   /// queued behind the rest of a batch; seeding alone for execute()).
   i64 queue_ns = 0;
   /// Inspected requests only (ExecBackend::kInspector or the automatic
-  /// non-affine fallback, single or batched): inspection wall time and the
-  /// shape of the discovered dynamic partition.
+  /// non-affine fallback, single or batched): this request's time in the
+  /// inspect phase — the compare against the memoized partition, plus the
+  /// inspection when one ran — and the shape of the partition it ran.
   i64 inspect_ns = 0;
   i64 inspector_classes = 0;        ///< partition classes (all components)
   i64 inspector_chains = 0;         ///< components with >= 2 iterations
@@ -205,6 +221,8 @@ struct ExecReport {
   i64 checksum = 0;      ///< final store digest
   bool verified = false; ///< true when produced by check()
   bool inspector = false; ///< true when the inspector–executor ran the loop
+  /// Where the partition came from; kNone exactly when !inspector.
+  Inspection inspection = Inspection::kNone;
   bool jit = false;      ///< true when a native kernel ran the bodies
   /// True when the native kernel was the verified steady-state partitioned
   /// variant (analysis::KernelVerifier admitted it); false for the clamped
@@ -227,10 +245,11 @@ Expected<std::vector<ExecReport>> run_requests(
 }  // namespace detail
 
 /// The cached unit: fingerprint + the two structure-only stages, plus three
-/// bounds-level memos — emitted C, loaded native kernels and executables —
-/// each keyed by the bounds rendering plus the options that shape its
-/// entry. Immutable after construction except those memos (one mutex), so
-/// one instance is safely shared across threads and cache handles. Memo
+/// bounds-level memos — emitted C, loaded native kernels and executables
+/// (an inspected nest's last partition among them) — each keyed by the
+/// bounds rendering plus the options that shape its entry. Immutable after
+/// construction except those memos (one mutex), so one instance is safely
+/// shared across threads and cache handles. Memo
 /// entries live as long as the artifact: the plan-cache LRU evicts them
 /// with it.
 class PlanArtifact {
@@ -264,21 +283,36 @@ class PlanArtifact {
   Expected<std::shared_ptr<const jit::NativeKernel>> jit_kernel(
       const loopir::LoopNest& nest, const jit::JitOptions& opts) const;
 
-  /// The executable memo (api/executable.h): the StreamExecutor for `nest`
-  /// at `threads` workers under `policy`, plus its lazily built scan
-  /// prototype and (kJit) native kernel. Keyed by the bounds rendering,
-  /// `threads` (the grain depends on it), policy.grain() and backend() —
-  /// plus jit_options() under kJit.
-  /// The per-run switches (trace, metrics, pin_workers) are not part of
-  /// the key: every run takes them from its own policy. Built on first
-  /// request (an executor-build span), shared by single execute() and
-  /// execute_batch(). Affine requests only: inspected requests are never
-  /// memoized, since their partition and proof cover index-array contents.
+  /// The executable memo (api/executable.h), affine entries: the
+  /// StreamExecutor for `nest` at `threads` workers under `policy`, plus
+  /// its lazily built scan prototype and (kJit) native kernel. Built on
+  /// first request (an executor-build span), shared by single execute()
+  /// and execute_batch().
   std::shared_ptr<const detail::Executable> executable(
       const loopir::LoopNest& nest, const ExecPolicy& policy,
       std::size_t threads) const;
 
  private:
+  friend class CompiledLoop;
+
+  /// The executable memo's key: the bounds rendering, `threads` (the grain
+  /// depends on it), policy.grain() and backend() — plus jit_options()
+  /// under kJit. The per-run switches (trace, metrics, pin_workers) are
+  /// not part of it: every run takes them from its own policy.
+  static std::string executable_key(const loopir::LoopNest& nest,
+                                    const ExecPolicy& policy,
+                                    std::size_t threads);
+  /// The entry at `key`, or null. Inspected entries (CompiledLoop::bind)
+  /// are read here and replaced with publish_executable: each is the last
+  /// inspection that succeeded at its key, valid for any store whose
+  /// index arrays equal the ones it read.
+  std::shared_ptr<const detail::Executable> find_executable(
+      const std::string& key) const;
+  /// Makes `entry` the one at `key`, in place of any earlier one; requests
+  /// already holding the old entry keep it until they finish.
+  void publish_executable(
+      std::string key, std::shared_ptr<const detail::Executable> entry) const;
+
   Fingerprint fp_;
   LoopAnalysis analysis_;
   LoopPlan plan_;
@@ -392,8 +426,10 @@ class CompiledLoop {
   Expected<ExecReport> check_impl(const ExecPolicy& policy,
                                   vdep::ThreadPool* pool) const;
   /// This request over `store` as one driver source: the memoized
-  /// executable, or (non-affine nest, kInspector) an inspection of `store`
-  /// and, under kJit, the row kernel fetched only once it succeeded.
+  /// executable; or (non-affine nest, kInspector) the memoized partition
+  /// when it proves for `store`, else a new inspection of `store`
+  /// published in its place, and, under kJit, the row kernel, fetched only
+  /// once an inspection at these bounds succeeded.
   detail::BoundSource bind(const ExecPolicy& policy, std::size_t threads,
                            exec::ArrayStore& store,
                            vdep::ThreadPool* pool) const;

@@ -16,7 +16,7 @@ std::shared_ptr<const jit::NativeKernel> Executable::native(
   }
   // Outside the lock: a miss runs emit + cc + dlopen.
   Expected<std::shared_ptr<const jit::NativeKernel>> k =
-      art.jit_kernel(executor_.nest(), opts);
+      art.jit_kernel(nest(), opts);
   if (!k) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   if (!native_) native_ = std::move(*k);
@@ -31,7 +31,7 @@ const exec::CompiledKernel* Executable::scan_prototype(
     obs::PhaseTimer timer(obs::Phase::kAnalyze);
     try {
       prototype_ =
-          std::make_unique<const exec::CompiledKernel>(executor_.nest(), store);
+          std::make_unique<const exec::CompiledKernel>(stream_->nest(), store);
     } catch (const Error&) {
       // Range proof refused: every request at this key scans interpreted.
     }

@@ -1,23 +1,31 @@
 // The executable memo's entries: the bounds-level execution state of one
-// PlanArtifact at one (bounds, execution options) key, built once and
-// shared by every later single execute() and execute_batch() request at
-// that key (PlanArtifact::executable).
+// PlanArtifact at one (bounds, execution options) key, shared by every
+// later single execute() and execute_batch() request at that key
+// (PlanArtifact::executable).
 //
 // The structure-level stages (PDM, plan) are per artifact; everything that
-// depends on bounds but not on data lives here: the StreamExecutor (the
-// rewritten nest, the Fourier–Motzkin hull, the grain for the worker
-// count), the scan-path CompiledKernel prototype (its range proof depends
-// only on bounds and array shapes for affine nests) and, for kJit, the
-// loaded native kernel. A warm request therefore renders its key once and
-// binds: it builds no executor and proves no kernel. Inspected requests
-// never get here — their partition covers index-array contents, which
-// change per request.
+// depends on bounds lives here. An affine entry is built once and holds
+// what does not depend on data: the StreamExecutor (the rewritten nest,
+// the Fourier–Motzkin hull, the grain for the worker count), the scan-path
+// CompiledKernel prototype (its range proof depends only on bounds and
+// array shapes for affine nests) and, for kJit, the loaded native kernel.
+// A warm request therefore renders its key once and binds: it builds no
+// executor and proves no kernel.
+//
+// An inspected entry (indirect nest, or kInspector) holds the last
+// inspection at its key instead: the DynamicPartition (with its byte copy
+// of every index array it read), its InspectorExecutor and, for kJit, the
+// row kernel. A request whose store the partition proves for
+// (DynamicPartition::prove: index arrays equal byte for byte, every array
+// at its inspected size) reuses it without inspecting; any other request
+// inspects its store and publishes a new entry in place of the old one.
 //
 // Internal to the API layer (api/compiled_loop.cpp, api/batch.cpp).
 #pragma once
 
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "api/compiled_loop.h"
 #include "exec/compiled.h"
@@ -28,33 +36,56 @@ namespace vdep::detail {
 
 class Executable {
  public:
-  /// Builds the executor for `nest` (the executor keeps its own copy, which
-  /// the prototype and native kernel below are compiled from).
+  /// An affine entry: builds the executor for `nest` (the executor keeps
+  /// its own copy, which the prototype and native kernel below are
+  /// compiled from).
   Executable(const loopir::LoopNest& nest, const trans::TransformPlan& plan,
-             const runtime::StreamOptions& opts)
-      : executor_(nest, plan, opts) {}
+             const runtime::StreamOptions& opts) {
+    stream_.emplace(nest, plan, opts);
+  }
+
+  /// An inspected entry: `partition`, inspected on `nest` at this key's
+  /// bounds, and its executor.
+  Executable(const loopir::LoopNest& nest, inspect::DynamicPartition partition,
+             const inspect::InspectorExecOptions& opts) {
+    partition_.emplace(std::move(partition));
+    inspector_.emplace(nest, *partition_, opts);
+  }
 
   Executable(const Executable&) = delete;
   Executable& operator=(const Executable&) = delete;
 
-  const runtime::StreamExecutor& executor() const { return executor_; }
+  /// Affine entries only.
+  const runtime::StreamExecutor& executor() const { return *stream_; }
+  /// Inspected entries only.
+  const inspect::DynamicPartition& partition() const { return *partition_; }
+  const inspect::InspectorExecutor& inspector() const { return *inspector_; }
 
-  /// kJit: the native kernel, resolved through `art`'s .so memo on first
-  /// use and kept; null when the JIT is unavailable for this nest. A null
-  /// answer is not kept, so a host that gains a toolchain starts running
-  /// native (the .so memo already remembers deterministic failures).
+  /// kJit: the native kernel — an affine entry's range kernel, an
+  /// inspected entry's row kernel — resolved through `art`'s .so memo on
+  /// first use and kept; null when the JIT is unavailable for this nest. A
+  /// null answer is not kept, so a host that gains a toolchain starts
+  /// running native (the .so memo already remembers deterministic
+  /// failures).
   std::shared_ptr<const jit::NativeKernel> native(
       const PlanArtifact& art, const jit::JitOptions& opts) const;
 
-  /// The scan-path prototype, compiled against `store` the first time it
-  /// is asked for (the one range proof of this entry); later callers get
-  /// the same kernel and rebind it onto their own store. Null when the
-  /// proof refused the nest; StreamExecutor::source then tries the proof
-  /// against the request's own store and interprets when it refuses too.
+  /// The scan-path prototype of an affine entry, compiled against `store`
+  /// the first time it is asked for (the one range proof of this entry);
+  /// later callers get the same kernel and rebind it onto their own store.
+  /// Null when the proof refused the nest; StreamExecutor::source then
+  /// tries the proof against the request's own store and interprets when
+  /// it refuses too.
   const exec::CompiledKernel* scan_prototype(exec::ArrayStore& store) const;
 
  private:
-  runtime::StreamExecutor executor_;
+  const loopir::LoopNest& nest() const {
+    return stream_ ? stream_->nest() : inspector_->nest();
+  }
+
+  std::optional<runtime::StreamExecutor> stream_;
+  std::optional<inspect::DynamicPartition> partition_;
+  std::optional<inspect::InspectorExecutor> inspector_;
   mutable std::mutex mu_;  ///< guards the three lazily set fields below
   mutable std::shared_ptr<const jit::NativeKernel> native_;
   mutable std::unique_ptr<const exec::CompiledKernel> prototype_;
@@ -63,15 +94,17 @@ class Executable {
 
 /// One request bound for a run (CompiledLoop::bind): the driver source
 /// over the request's store, plus what that source needs alive until the
-/// run ends — an affine request's executable, or an inspected request's
-/// partition and executor.
+/// run ends — the memo entry it runs from, affine or inspected.
 struct BoundSource {
   std::shared_ptr<const Executable> executable;
-  std::unique_ptr<const inspect::DynamicPartition> partition;
-  std::unique_ptr<const inspect::InspectorExecutor> inspector;
   /// Non-null when the source's leaves run a native kernel.
   std::shared_ptr<const jit::NativeKernel> native;
   runtime::DriveSource source;
+  /// Where an inspected request's partition came from; kNone when affine.
+  Inspection inspection = Inspection::kNone;
+  /// This request's time in the inspect phase: the compare against the
+  /// memoized partition, plus the inspection when it ran one.
+  i64 inspect_ns = 0;
 };
 
 /// Worker contexts of a run under `policy`: policy.threads(), else the

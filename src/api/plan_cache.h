@@ -59,7 +59,6 @@ class PlanCache {
   void clear();
 
   std::size_t capacity() const { return per_shard_cap_ * shards_.size(); }
-  std::size_t shard_count() const { return shards_.size(); }
 
  private:
   using LruList = std::list<std::shared_ptr<const PlanArtifact>>;

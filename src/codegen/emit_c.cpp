@@ -78,7 +78,7 @@ std::string c_expr(const Expr& e, const std::vector<std::string>& names) {
     case Expr::Kind::kMul:
       return "(" + c_expr(*e.lhs(), names) + " * " + c_expr(*e.rhs(), names) + ")";
   }
-  VDEP_CHECK(false, "unreachable expr kind");
+  VDEP_UNREACHABLE("expr kind");
 }
 
 void emit_prelude(std::ostringstream& os) {
@@ -400,7 +400,7 @@ std::string emit_checked_expr(std::ostringstream& os, const Expr& e,
       return t;
     }
   }
-  VDEP_CHECK(false, "unreachable expr kind");
+  VDEP_UNREACHABLE("expr kind");
 }
 
 // One pass over member slots [m_lo, m_hi); `row_of` is the C expression of

@@ -150,7 +150,7 @@ void CompiledKernel::compile_expr(const loopir::Expr& e, Stmt& stmt, int depth,
            0, 0});
       return;
   }
-  VDEP_CHECK(false, "unreachable expr kind");
+  VDEP_UNREACHABLE("expr kind");
 }
 
 void CompiledKernel::execute_iteration(const Vec& iter) {

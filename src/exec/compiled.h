@@ -77,8 +77,6 @@ class CompiledKernel {
   /// for.
   CompiledKernel rebind(ArrayStore& other) const;
 
-  int statement_count() const { return static_cast<int>(stmts_.size()); }
-
  private:
   /// One indirect slot: adds stride * idx[dot(coeffs, iter) + c0] to the
   /// flat offset (c0 already subtracts the index array's lower bound).

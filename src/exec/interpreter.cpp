@@ -39,7 +39,7 @@ i64 eval_expr(const loopir::Expr& e, const Vec& iter, const ArrayStore& store) {
       return checked::mul(eval_expr(*e.lhs(), iter, store),
                           eval_expr(*e.rhs(), iter, store));
   }
-  VDEP_CHECK(false, "unreachable expr kind");
+  VDEP_UNREACHABLE("expr kind");
 }
 
 void execute_iteration(const loopir::LoopNest& nest, const Vec& iter,
@@ -53,11 +53,6 @@ void execute_iteration(const loopir::LoopNest& nest, const Vec& iter,
 void run_sequential(const loopir::LoopNest& nest, ArrayStore& store) {
   nest.for_each_iteration(
       [&](const Vec& iter) { execute_iteration(nest, iter, store); });
-}
-
-void run_sequential_order(const loopir::LoopNest& nest,
-                          const std::vector<Vec>& order, ArrayStore& store) {
-  for (const Vec& iter : order) execute_iteration(nest, iter, store);
 }
 
 }  // namespace vdep::exec

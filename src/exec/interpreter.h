@@ -25,11 +25,4 @@ void execute_iteration(const loopir::LoopNest& nest, const Vec& iter,
 /// Reference execution: full sequential lexicographic traversal.
 void run_sequential(const loopir::LoopNest& nest, ArrayStore& store);
 
-/// Executes the body of `body_nest` at original iteration obtained by
-/// mapping: used when the scanned space differs from the body's index
-/// space. (The rewritten nests of codegen already carry substituted bodies,
-/// so they run with plain execute_iteration.)
-void run_sequential_order(const loopir::LoopNest& nest,
-                          const std::vector<Vec>& order, ArrayStore& store);
-
 }  // namespace vdep::exec

@@ -37,12 +37,12 @@ runtime::TaskDescriptor InspectorExecutor::root() const {
 }
 
 runtime::DriveSource InspectorExecutor::source(
-    exec::ArrayStore& store, const jit::NativeKernel* native) const {
-  // The row kernel's accesses are unchecked: only the store inspect()
-  // range-checked may run them.
-  VDEP_REQUIRE(!native || part_->inspected(store),
-               "native inspector leaves need the store the partition was "
-               "inspected against");
+    const ProvenStore& proven, const jit::NativeKernel* native) const {
+  // The schedule, and the row kernel's unchecked accesses, hold only for
+  // index arrays equal to the ones this partition was inspected against.
+  VDEP_REQUIRE(&proven.partition() == part_,
+               "the store was proven for another partition");
+  exec::ArrayStore& store = proven.store();
   // Without a native kernel, one body shared by every worker: a
   // CompiledKernel (per-worker Scratch keeps it const) for affine and
   // indirect nests alike. The exact interpreter runs only when forced or
@@ -111,13 +111,27 @@ runtime::DriveSource InspectorExecutor::source(
   return {root(), grain_, {}, std::move(factory)};
 }
 
+namespace {
+
+ProvenStore prove_or_throw(const DynamicPartition& part,
+                           exec::ArrayStore& store) {
+  std::optional<ProvenStore> proven = part.prove(store);
+  VDEP_REQUIRE(proven, "the store's index arrays differ from the ones the "
+                       "partition was inspected against");
+  return *proven;
+}
+
+}  // namespace
+
 runtime::RuntimeStats InspectorExecutor::run(exec::ArrayStore& store) const {
-  return runtime::drive(source(store), {threads_, opts_.switches});
+  return runtime::drive(source(prove_or_throw(*part_, store)),
+                        {threads_, opts_.switches});
 }
 
 runtime::RuntimeStats InspectorExecutor::run(exec::ArrayStore& store,
                                              ThreadPool& pool) const {
-  return runtime::drive(source(store), {threads_, opts_.switches}, &pool);
+  return runtime::drive(source(prove_or_throw(*part_, store)),
+                        {threads_, opts_.switches}, &pool);
 }
 
 }  // namespace vdep::inspect

@@ -15,9 +15,8 @@
 //   * native (ExecBackend::kJit): the nest's jit row kernel takes the whole
 //     slot range in one call (NativeKernel::execute_rows). It indexes
 //     buffers unchecked, which is sound only because inspect() range-checked
-//     every access of every row against this very store before any write
-//     (and index arrays are read-only), so source() binds it only to the
-//     store its partition was inspected against.
+//     every access of every row against index arrays equal, byte for byte,
+//     to this store's (DynamicPartition::prove; index arrays are read-only).
 //   * compiled (the default): one shared exec::CompiledKernel, whose
 //     indirect slots read the index buffers directly (proven in range at
 //     construction); each member's row goes straight to execute_row.
@@ -25,7 +24,9 @@
 //     (ExecBackend::kInterpreter) or when the kernel's proof refuses.
 // All three throw OverflowError on int64 overflow of body arithmetic.
 // source() packages them as one DriveSource, like StreamExecutor::source,
-// so a batch drives inspected requests beside affine ones.
+// so a batch drives inspected requests beside affine ones. It takes the
+// store as a ProvenStore, whatever the body: a partition is a schedule
+// for the index contents it was inspected against, and for no other.
 #pragma once
 
 #include "inspect/inspector.h"
@@ -58,18 +59,23 @@ class InspectorExecutor {
                     const DynamicPartition& partition,
                     InspectorExecOptions opts = {});
 
-  /// runtime::drive(source(store)): leaf errors rethrow.
+  /// runtime::drive(source(*partition.prove(store))): throws
+  /// PreconditionError when the partition does not hold for `store`; leaf
+  /// errors rethrow.
   runtime::RuntimeStats run(exec::ArrayStore& store) const;
   runtime::RuntimeStats run(exec::ArrayStore& store, ThreadPool& pool) const;
 
-  /// Every class over `store` as one driver source: root(), the grain and
-  /// the leaves — `native` (the nest's row kernel, ExecBackend::kJit) when
-  /// set, which throws PreconditionError unless `store` is the one the
-  /// partition was inspected against; else the compiled or interpreted
-  /// body above. The index arrays must keep the contents inspect() saw;
-  /// `store`, `native`, the partition and this executor outlive the run.
-  runtime::DriveSource source(exec::ArrayStore& store,
+  /// Every class over the proven store as one driver source: root(), the
+  /// grain and the leaves — `native` (the nest's row kernel,
+  /// ExecBackend::kJit) when set, else the compiled or interpreted body
+  /// above. Throws PreconditionError when `proven` is another partition's
+  /// proof. The index arrays must keep the contents prove() compared;
+  /// the store, `native`, the partition and this executor outlive the run.
+  runtime::DriveSource source(const ProvenStore& proven,
                               const jit::NativeKernel* native = nullptr) const;
+
+  /// The nest this executor runs (its own copy).
+  const loopir::LoopNest& nest() const { return nest_; }
 
   /// The root descriptor: the full class range, no boxed dims.
   runtime::TaskDescriptor root() const;

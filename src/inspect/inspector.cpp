@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <numeric>
+#include <set>
 
 #include "runtime/driver.h"
 #include "support/error.h"
@@ -90,6 +92,18 @@ i64 uf_find(std::vector<i64>& parent, i64 x) {
 
 }  // namespace
 
+std::optional<ProvenStore> DynamicPartition::prove(
+    exec::ArrayStore& store) const {
+  for (const ArrayImage& img : arrays_) {
+    const exec::ArrayStore::Buffer& buf = store.raw(img.name);
+    if (buf.size() != img.size) return std::nullopt;
+    if (!img.index.empty() &&
+        std::memcmp(buf.data(), img.index.data(), img.size * sizeof(i64)) != 0)
+      return std::nullopt;
+  }
+  return ProvenStore(store, *this);
+}
+
 DynamicPartition inspect(const loopir::LoopNest& nest,
                          const exec::ArrayStore& store, std::size_t threads,
                          ThreadPool* pool) {
@@ -104,6 +118,7 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   // tracked.
   const std::vector<loopir::LoopNest::Access> accesses = nest.accesses();
   std::vector<FlatAccess> flat;
+  std::set<std::string> index_arrays;
   for (const loopir::LoopNest::Access& acc : accesses) {
     const loopir::ArrayRef& ref = acc.ref;
     auto same = std::find_if(flat.begin(), flat.end(),
@@ -121,6 +136,7 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
       if (d < ref.indirect.size() && ref.indirect[d].has_value()) {
         const loopir::IndirectSubscript& ind = *ref.indirect[d];
         const exec::ArrayStore::Buffer& buf = store.raw(ind.array);
+        index_arrays.insert(ind.array);
         s = affine_sub(ind.pos, depth);
         s.idx = buf.data();
         s.idx_lo = nest.array(ind.array).dims.front().first;
@@ -165,7 +181,15 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   // straight into the buffer.
   DynamicPartition part;
   part.depth_ = depth;
-  part.store_ = &store;
+  // What prove() compares later stores against: every array's size and
+  // the index arrays' contents, as this inspection reads them.
+  for (const loopir::ArrayDecl& decl : nest.arrays()) {
+    const exec::ArrayStore::Buffer& buf = store.raw(decl.name);
+    DynamicPartition::ArrayImage& img = part.arrays_.emplace_back();
+    img.name = decl.name;
+    img.size = buf.size();
+    if (index_arrays.count(decl.name)) img.index.assign(buf.begin(), buf.end());
+  }
   i64 n = 0;
   nest.for_each_inner_range([&](const Vec&, i64 lo, i64 hi) {
     if (hi >= lo) n = checked::add(n, checked::add(checked::sub(hi, lo), 1));

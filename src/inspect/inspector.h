@@ -39,11 +39,19 @@
 // arrays.
 //
 // Memory beyond the store is the table, that cell buffer (whose pages the
-// class members reuse), the coordinate rows and the class arrays. Cost is
+// class members reuse), the coordinate rows, the class arrays and a byte
+// copy of every index array. That copy is what lets a partition outlive
+// its store: DynamicPartition::prove accepts any store whose index arrays
+// equal it, so one inspection serves every later run over the same index
+// contents (the API's executable memo keeps it per bounds). Cost is
 // O(accesses x alpha) with one table load per access — not the O(n^2)
 // all-pairs walk of the brute-force exec::build_isdg, which remains the
 // ground truth the inspector is tested against.
 #pragma once
+
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "exec/array_store.h"
 
@@ -66,6 +74,27 @@ struct InspectStats {
   i64 dependent_iterations = 0;  ///< iterations in some >= 2 component
   i64 written_cells = 0;         ///< distinct cells written by the space
   i64 inspect_ns = 0;            ///< wall time spent inspecting
+};
+
+class DynamicPartition;
+
+/// A store that a DynamicPartition holds for: made only by
+/// DynamicPartition::prove, so whoever takes one (the executor's source)
+/// knows the compare ran and passed. It is evidence about the store's
+/// contents at that moment: use it at once, before anything can rewrite
+/// an index array.
+class ProvenStore {
+ public:
+  exec::ArrayStore& store() const { return *store_; }
+  const DynamicPartition& partition() const { return *part_; }
+
+ private:
+  friend class DynamicPartition;
+  ProvenStore(exec::ArrayStore& store, const DynamicPartition& part)
+      : store_(&store), part_(&part) {}
+
+  exec::ArrayStore* store_;
+  const DynamicPartition* part_;
 };
 
 /// The inspector's product: every iteration of the bounded space, grouped
@@ -103,11 +132,15 @@ class DynamicPartition {
   const i64* members() const {
     return identity() ? nullptr : members_.data();
   }
-  /// Whether this partition was inspected against `store` (the object, not
-  /// an equal copy): the check the native executor leaves rely on.
-  bool inspected(const exec::ArrayStore& store) const {
-    return &store == store_;
-  }
+  /// The equality proof: `store` as a ProvenStore when every index array
+  /// in it equals, byte for byte, the one inspect() read, and every array
+  /// has the size inspect() saw; nullopt otherwise. Then this partition,
+  /// and pass 1's range check of every access, hold for `store` as they
+  /// did for the inspected one — whichever object it is. No hash stands
+  /// in for the compare: the native row kernel indexes without checks, so
+  /// only exact equality carries the range check over. Throws
+  /// PreconditionError when `store` lacks one of the nest's arrays.
+  std::optional<ProvenStore> prove(exec::ArrayStore& store) const;
 
   /// Calls fn(row) for every iteration of classes [lo, hi), class by class
   /// and each class in lexicographic order; `row` points at the iteration's
@@ -129,8 +162,16 @@ class DynamicPartition {
                                   const exec::ArrayStore& store,
                                   std::size_t threads, ThreadPool* pool);
 
+  /// One array of the nest as inspect() saw it: its buffer size and, for
+  /// an index array, a byte copy of its contents (empty otherwise).
+  struct ArrayImage {
+    std::string name;
+    std::size_t size = 0;
+    std::vector<i64> index;
+  };
+
   int depth_ = 0;
-  const exec::ArrayStore* store_ = nullptr;  ///< the store inspect() read
+  std::vector<ArrayImage> arrays_;  ///< what prove() compares against
   std::vector<i64> coords_;    ///< flattened iteration coords, size N*depth
   // The class arrays; empty for an identity partition.
   std::vector<i64> class_of_;  ///< iteration rank -> class id
@@ -142,9 +183,10 @@ class DynamicPartition {
 /// Inspects `nest` at its current bounds against `store` (which must hold
 /// the index arrays for any indirect subscript; index arrays are read-only
 /// by LoopNest::validate, so the partition stays valid while the executor
-/// mutates data arrays). Pass 1 runs on `threads` worker contexts of the
-/// shared driver — on `pool` when given, else on the caller plus spawned
-/// helpers; 1 (the default) runs it on the caller alone. The result does
+/// mutates data arrays, and holds for any store prove() accepts). Pass 1
+/// runs on `threads` worker contexts of the shared driver — on `pool` when
+/// given, else on the caller plus spawned helpers; 1 (the default) runs it
+/// on the caller alone. The result does
 /// not depend on `threads`. Throws PreconditionError when a subscript
 /// leaves its declared range — the same condition sequential execution
 /// would trip on, detected before any write happens.

@@ -75,13 +75,6 @@ void Mat::push_row(const Vec& v) {
   ++rows_;
 }
 
-Mat Mat::transposed() const {
-  Mat t(cols_, rows_);
-  for (int r = 0; r < rows_; ++r)
-    for (int c = 0; c < cols_; ++c) t.at(c, r) = at(r, c);
-  return t;
-}
-
 Mat Mat::row_slice(int r0, int r1) const {
   VDEP_REQUIRE(0 <= r0 && r0 <= r1 && r1 <= rows_, "row_slice out of range");
   Mat m(r1 - r0, cols_);

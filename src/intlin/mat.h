@@ -39,7 +39,6 @@ class Mat {
   /// Appends a row (must match cols(); a fully empty matrix adopts the width).
   void push_row(const Vec& v);
 
-  Mat transposed() const;
   /// Rows [r0, r1) as a new matrix.
   Mat row_slice(int r0, int r1) const;
   /// Columns [c0, c1) as a new matrix.

@@ -154,7 +154,7 @@ ExprPtr Expr::substituted(const intlin::Mat& t) const {
     case Kind::kMul:
       return mul(lhs_->substituted(t), rhs_->substituted(t));
   }
-  VDEP_CHECK(false, "unreachable expression kind");
+  VDEP_UNREACHABLE("expression kind");
 }
 
 std::string Expr::to_string(const std::vector<std::string>& names) const {

@@ -88,15 +88,6 @@ bool LoopNest::has_indirection() const {
   return found;
 }
 
-bool LoopNest::is_index_array(const std::string& name) const {
-  bool found = false;
-  for_each_access([&](const ArrayRef& ref, int, bool) {
-    for (const auto& ind : ref.indirect)
-      if (ind.has_value() && ind->array == name) found = true;
-  });
-  return found;
-}
-
 void LoopNest::validate() const {
   VDEP_REQUIRE(!levels_.empty(), "loop nest must have at least one level");
   for (int k = 0; k < depth(); ++k) {

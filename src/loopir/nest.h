@@ -71,8 +71,6 @@ class LoopNest {
   /// True if any access in the body uses an indirect subscript (A[B[i]]).
   /// Such nests bypass the static PDM pipeline and run via the inspector.
   bool has_indirection() const;
-  /// True if `name` serves as an index array for some indirect subscript.
-  bool is_index_array(const std::string& name) const;
 
   /// Visits every access in the same order as accesses() — per statement
   /// the write, then its reads in pre-order — without materializing

@@ -48,13 +48,15 @@ void MetricsRegistry::reset() {
 }
 
 Counter& MetricsRegistry::counter(const std::string& name,
-                                  const std::string& help) {
+                                  const std::string& help,
+                                  const Label& label) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& e : counters_)
-    if (e->name == name) return e->c;
+    if (e->name == name && e->label == label) return e->c;
   counters_.push_back(std::make_unique<CounterEntry>());
   counters_.back()->name = name;
   counters_.back()->help = help;
+  counters_.back()->label = label;
   return counters_.back()->c;
 }
 
@@ -74,10 +76,25 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 std::string MetricsRegistry::prometheus_text() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
-  for (const auto& e : counters_) {
-    if (!e->help.empty()) os << "# HELP " << e->name << " " << e->help << "\n";
-    os << "# TYPE " << e->name << " counter\n";
-    os << e->name << " " << e->c.value() << "\n";
+  // A family's header comes once, before its first member; the members
+  // follow it whatever their registration order.
+  for (std::size_t k = 0; k < counters_.size(); ++k) {
+    const CounterEntry& first = *counters_[k];
+    bool seen = false;
+    for (std::size_t j = 0; j < k && !seen; ++j)
+      seen = counters_[j]->name == first.name;
+    if (seen) continue;
+    if (!first.help.empty())
+      os << "# HELP " << first.name << " " << first.help << "\n";
+    os << "# TYPE " << first.name << " counter\n";
+    for (std::size_t j = k; j < counters_.size(); ++j) {
+      const CounterEntry& e = *counters_[j];
+      if (e.name != first.name) continue;
+      os << e.name;
+      if (!e.label.key.empty())
+        os << "{" << e.label.key << "=\"" << e.label.value << "\"}";
+      os << " " << e.c.value() << "\n";
+    }
   }
   for (const auto& e : hists_) {
     if (!e->help.empty()) os << "# HELP " << e->name << " " << e->help << "\n";
@@ -101,8 +118,11 @@ std::string MetricsRegistry::json_lines() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
   for (const auto& e : counters_) {
-    os << "{\"metric\":\"" << e->name << "\",\"type\":\"counter\",\"value\":"
-       << e->c.value() << "}\n";
+    os << "{\"metric\":\"" << e->name << "\",\"type\":\"counter\",";
+    if (!e->label.key.empty())
+      os << "\"labels\":{\"" << e->label.key << "\":\"" << e->label.value
+         << "\"},";
+    os << "\"value\":" << e->c.value() << "}\n";
   }
   for (const auto& e : hists_) {
     const Histogram& h = *e->h;

@@ -69,6 +69,14 @@ class Histogram {
 /// convenience for latency/size histograms.
 std::vector<i64> exp_buckets(i64 first, double factor, int n);
 
+/// One label of a counter, e.g. {"inspection", "reused"}; an empty key
+/// means no label.
+struct Label {
+  std::string key;
+  std::string value;
+  bool operator==(const Label&) const = default;
+};
+
 class MetricsRegistry {
  public:
   static MetricsRegistry& instance();
@@ -78,19 +86,25 @@ class MetricsRegistry {
   /// Zeroes every registered metric (names/help stay registered).
   void reset();
 
-  /// Finds or registers a counter. The returned reference is stable for
-  /// the process lifetime. Name must match [a-zA-Z_:][a-zA-Z0-9_:]*.
-  Counter& counter(const std::string& name, const std::string& help = "");
+  /// Finds or registers a counter — one per (name, label): counters that
+  /// share a name and differ in label are one metric family. The returned
+  /// reference is stable for the process lifetime. Name and label key
+  /// must match [a-zA-Z_:][a-zA-Z0-9_:]*; the label value is free text
+  /// without quotes or backslashes.
+  Counter& counter(const std::string& name, const std::string& help = "",
+                   const Label& label = {});
   /// Finds or registers a histogram; `bounds` is used only on first
   /// registration.
   Histogram& histogram(const std::string& name, std::vector<i64> bounds,
                        const std::string& help = "");
 
-  /// Prometheus text exposition format (# HELP / # TYPE, cumulative
-  /// _bucket{le=...}, _sum, _count).
+  /// Prometheus text exposition format (# HELP / # TYPE once per family,
+  /// labelled counters as name{key="value"}, cumulative _bucket{le=...},
+  /// _sum, _count).
   std::string prometheus_text() const;
   /// One JSON object per line: {"metric":...,"type":...,"value":...} for
-  /// counters, buckets/sum/count arrays for histograms.
+  /// counters (plus "labels":{key:value} on a labelled one),
+  /// buckets/sum/count arrays for histograms.
   std::string json_lines() const;
 
  private:
@@ -98,6 +112,7 @@ class MetricsRegistry {
 
   struct CounterEntry {
     std::string name, help;
+    Label label;
     Counter c;
   };
   struct HistEntry {

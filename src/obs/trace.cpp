@@ -153,7 +153,8 @@ void append_args(std::ostringstream& os, const TraceEvent& ev) {
       os << "\"iterations\":" << ev.args[0] << ",\"classes\":" << ev.args[1]
          << ",\"chains\":" << ev.args[2] << ",\"max_component\":" << ev.args[3]
          << ",\"dependent\":" << ev.args[4]
-         << ",\"written_cells\":" << ev.args[5];
+         << ",\"written_cells\":" << ev.args[5]
+         << ",\"inspection\":" << ev.args[6];
       break;
     default:
       os << "\"a0\":" << ev.args[0];

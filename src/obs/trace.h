@@ -52,7 +52,9 @@ enum class EventKind : std::uint8_t {
                       ///< rejected, args[1] = failed obligation count
   kExecutorBuild,  ///< StreamExecutor construction (rewrite + hull)
   kInspect,        ///< runtime inspection span; args = {iterations, classes,
-                   ///< chains, max_component, dependent, written_cells}
+                   ///< chains, max_component, dependent, written_cells,
+                   ///< inspection} with inspection an api Inspection value
+                   ///< (1 fresh, 2 reused, 3 re-inspected after a mismatch)
   // Runtime events.
   kLeafExec,  ///< span; args = {cells, source, lo0, hi0, class_lo, class_hi}
   kSplit,     ///< instant; args = {axis, cells_kept, deque_size, source}
@@ -65,14 +67,18 @@ enum class EventKind : std::uint8_t {
 
 const char* event_kind_name(EventKind k);
 
+/// Payload slots of one trace record.
+inline constexpr int kTraceArgs = 7;
+
 /// One fixed-size trace record. 80 bytes; a 64Ki-event buffer is 5 MiB.
 struct TraceEvent {
   i64 start_ns = 0;
   i64 dur_ns = 0;      ///< 0 for instants
-  i64 args[6] = {};    ///< kind-specific payload (see EventKind)
+  i64 args[kTraceArgs] = {};  ///< kind-specific payload (see EventKind)
   std::int32_t worker = -1;  ///< worker id, or -1 for compile-side threads
   EventKind kind = EventKind::kParse;
 };
+static_assert(sizeof(TraceEvent) == 80);
 
 class TraceRecorder {
  public:
@@ -160,7 +166,7 @@ class ScopedSpan {
       ev.dur_ns = dur;
       ev.kind = kind_;
       ev.worker = worker_;
-      for (int k = 0; k < 6; ++k) ev.args[k] = args_[k];
+      for (int k = 0; k < kTraceArgs; ++k) ev.args[k] = args_[k];
       TraceRecorder::record(ev);
     }
   }
@@ -175,7 +181,7 @@ class ScopedSpan {
 
  private:
   i64 t0_ = 0;
-  i64 args_[6] = {};
+  i64 args_[kTraceArgs] = {};
   EventKind kind_;
   Phase phase_;
   std::int32_t worker_ = -1;

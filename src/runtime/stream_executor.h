@@ -142,8 +142,6 @@ class StreamExecutor {
   /// The root descriptor: the rectangular hull of every boxed DOALL-prefix
   /// dimension times the full class range.
   TaskDescriptor root() const;
-  /// Whether the plan has any DOALL dimension to chunk along.
-  bool has_outer() const { return num_doall_ > 0; }
   /// Whether descriptors may split the class range: false when
   /// classes_share_lines(nest, plan), since splitting those classes would
   /// put workers on the same cache lines. DOALL axes split either way.

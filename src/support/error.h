@@ -64,3 +64,9 @@ namespace detail {
     if (!(cond)) ::vdep::detail::throw_internal(#cond, __FILE__, __LINE__, \
                                                 (msg));                    \
   } while (0)
+
+/// A point control never reaches (past an exhaustive switch): throws
+/// InternalError unconditionally. The call is [[noreturn]], so a function
+/// that must return a value needs nothing after it.
+#define VDEP_UNREACHABLE(msg) \
+  ::vdep::detail::throw_internal("unreachable", __FILE__, __LINE__, (msg))

@@ -32,12 +32,4 @@ inline void append_field(std::string* out, std::string_view field) {
   out->append(field.data(), field.size());
 }
 
-/// Convenience: encode a sequence of fields into one canonical key.
-template <typename... Fields>
-std::string encode(const Fields&... fields) {
-  std::string out;
-  (append_field(&out, std::string_view(fields)), ...);
-  return out;
-}
-
 }  // namespace vdep::keyenc

@@ -60,8 +60,4 @@ class Rational {
 
 std::ostream& operator<<(std::ostream& os, const Rational& r);
 
-/// min/max helpers (std::min needs identical value categories).
-inline Rational rat_min(const Rational& a, const Rational& b) { return a < b ? a : b; }
-inline Rational rat_max(const Rational& a, const Rational& b) { return a < b ? b : a; }
-
 }  // namespace vdep

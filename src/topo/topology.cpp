@@ -59,15 +59,6 @@ bool parse_cpu_list(const std::string& text, std::vector<int>& out) {
 
 }  // namespace
 
-const char* Topology::distance_name(int d) {
-  switch (d) {
-    case kSameCpu: return "same_cpu";
-    case kSmtSibling: return "smt_sibling";
-    case kSameNode: return "same_node";
-    default: return "remote_node";
-  }
-}
-
 Topology::Topology(std::vector<CpuInfo> cpus) : cpus_(std::move(cpus)) {}
 
 Topology Topology::flat(int n) {

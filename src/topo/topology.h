@@ -47,8 +47,6 @@ class Topology {
   static constexpr int kRemoteNode = 3;  ///< different NUMA node
   static constexpr int kNumDistances = 4;
 
-  static const char* distance_name(int d);
-
   /// Parses a sysfs-layout directory: `root`/cpu/online (list format,
   /// holes allowed), `root`/cpu/cpu<N>/topology/{physical_package_id,
   /// core_id}, `root`/node/node<K>/cpulist. Missing node directories put

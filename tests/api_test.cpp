@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <span>
+#include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -864,6 +866,324 @@ TEST(ExecutableMemoHammer, ConcurrentExecuteAndBatchOnOneArtifact) {
             if (!r || r->checksum != expected[k]) ++failures;
           }
         }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+// ------------------------------------------------------- inspection memo
+
+/// An indirect nest routes to the inspector whatever the backend says;
+/// these are the three whose leaves differ (CompiledKernel, CompiledKernel,
+/// native row kernel).
+constexpr ExecBackend kInspectedBackends[] = {
+    ExecBackend::kInspector, ExecBackend::kCompiled, ExecBackend::kJit};
+
+std::vector<test_inputs::IndirectInput> memo_inputs() {
+  std::vector<test_inputs::IndirectInput> inputs =
+      test_inputs::indirect_inputs();
+  inputs.push_back(test_inputs::permutation_input(48));
+  return inputs;
+}
+
+std::string memo_case(const std::string& name, ExecBackend backend,
+                      std::size_t threads) {
+  return name + " backend " + std::to_string(static_cast<int>(backend)) +
+         " @" + std::to_string(threads);
+}
+
+exec::ArrayStore sequential_result(const LoopNest& nest,
+                                   const exec::ArrayStore& init) {
+  exec::ArrayStore ref = init;
+  exec::run_sequential(nest, ref);
+  return ref;
+}
+
+TEST(InspectionMemo, ReuseIsBitIdenticalToFreshInspection) {
+  // The second request at one key proves the memoized partition for its
+  // equal store (here a different object) and runs it without inspecting:
+  // the same store and the same report shape as the fresh first request.
+  for (const test_inputs::IndirectInput& in : memo_inputs()) {
+    const exec::ArrayStore init = test_inputs::initial_store(in);
+    const exec::ArrayStore ref = sequential_result(in.nest, init);
+    Compiler compiler;
+    CompiledLoop loop = compiler.compile(in.nest).value();
+    for (ExecBackend backend : kInspectedBackends) {
+      for (std::size_t threads : {1u, 2u, 8u}) {
+        const std::string where = memo_case(in.name, backend, threads);
+        const ExecPolicy policy =
+            ExecPolicy{}.threads(threads).backend(backend);
+        exec::ArrayStore first = init, second = init;
+        Expected<ExecReport> r1 = loop.execute(policy, first);
+        Expected<ExecReport> r2 = loop.execute(policy, second);
+        ASSERT_TRUE(r1 && r2) << where;
+        EXPECT_EQ(r1->inspection, Inspection::kFresh) << where;
+        EXPECT_EQ(r2->inspection, Inspection::kReused) << where;
+        EXPECT_TRUE(r2->inspector) << where;
+        EXPECT_TRUE(first == ref) << where;
+        EXPECT_TRUE(second == ref) << where;
+        EXPECT_EQ(r2->iterations, r1->iterations) << where;
+        EXPECT_EQ(r2->inspector_classes, r1->inspector_classes) << where;
+        EXPECT_EQ(r2->inspector_chains, r1->inspector_chains) << where;
+        EXPECT_EQ(r2->inspector_max_component, r1->inspector_max_component)
+            << where;
+        EXPECT_EQ(r2->inspector_dependent, r1->inspector_dependent) << where;
+        EXPECT_EQ(r2->jit, r1->jit) << where;
+        EXPECT_EQ(r2->checksum, r1->checksum) << where;
+      }
+    }
+  }
+}
+
+TEST(InspectionMemo, OneChangedIndexEntryReinspects) {
+  for (const test_inputs::IndirectInput& in : memo_inputs()) {
+    const exec::ArrayStore init = test_inputs::initial_store(in);
+    const exec::ArrayStore changed =
+        test_inputs::with_one_index_entry_changed(in, init);
+    ASSERT_FALSE(changed == init) << in.name;
+    const exec::ArrayStore ref = sequential_result(in.nest, init);
+    const exec::ArrayStore changed_ref = sequential_result(in.nest, changed);
+    Compiler compiler;
+    CompiledLoop loop = compiler.compile(in.nest).value();
+    for (ExecBackend backend : kInspectedBackends) {
+      for (std::size_t threads : {1u, 2u, 8u}) {
+        const std::string where = memo_case(in.name, backend, threads);
+        const ExecPolicy policy =
+            ExecPolicy{}.threads(threads).backend(backend);
+        // init (fresh), changed, init again (each a mismatch with the
+        // entry the one before published), then init once more (reused).
+        const std::pair<const exec::ArrayStore*, Inspection> steps[] = {
+            {&init, Inspection::kFresh},
+            {&changed, Inspection::kReinspected},
+            {&init, Inspection::kReinspected},
+            {&init, Inspection::kReused}};
+        for (const auto& [from, expect] : steps) {
+          exec::ArrayStore store = *from;
+          Expected<ExecReport> r = loop.execute(policy, store);
+          ASSERT_TRUE(r) << where << ": " << r.error().to_string();
+          EXPECT_EQ(r->inspection, expect) << where;
+          EXPECT_TRUE(store == (from == &init ? ref : changed_ref)) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(InspectionMemo, HostileEntryFailsBeforeAnyWriteAndAnyCc) {
+  // One index entry set far outside every target, on a fresh key and on a
+  // key whose memoized partition the benign store proves for: kPrecondition
+  // before any write and any cc run, and the memo stays as it was.
+  ScopedMetrics metrics;
+  jit::JitOptions jo;
+  jo.disk_cache = false;
+  for (const test_inputs::IndirectInput& in : memo_inputs()) {
+    const exec::ArrayStore init = test_inputs::initial_store(in);
+    const exec::ArrayStore ref = sequential_result(in.nest, init);
+    exec::ArrayStore hostile = init;
+    const auto& [array, vals] = *in.index.begin();
+    hostile.write(array, intlin::Vec{in.nest.array(array).dims.front().first},
+                  i64{1} << 40);
+    for (ExecBackend backend : kInspectedBackends) {
+      for (std::size_t threads : {1u, 2u, 8u}) {
+        const std::string where = memo_case(in.name, backend, threads);
+        Compiler compiler;  // fresh memos: the row kernel would need cc
+        CompiledLoop loop = compiler.compile(in.nest).value();
+        const ExecPolicy policy =
+            ExecPolicy{}.threads(threads).backend(backend).jit_options(jo);
+        auto refused = [&](const char* when) {
+          exec::ArrayStore store = hostile;
+          const i64 builds = counter_value("vdep_jit_builds_total");
+          Expected<ExecReport> r = loop.execute(policy, store);
+          ASSERT_FALSE(r) << where << " " << when;
+          EXPECT_EQ(r.error().kind, ErrorKind::kPrecondition) << where;
+          EXPECT_TRUE(store == hostile) << where << " " << when;
+          EXPECT_EQ(counter_value("vdep_jit_builds_total"), builds)
+              << where << " " << when << ": a failed inspection started cc";
+        };
+        auto benign = [&](Inspection expect) {
+          exec::ArrayStore store = init;
+          Expected<ExecReport> r = loop.execute(policy, store);
+          ASSERT_TRUE(r) << where << ": " << r.error().to_string();
+          EXPECT_EQ(r->inspection, expect) << where;
+          EXPECT_TRUE(store == ref) << where;
+        };
+        refused("first");
+        benign(Inspection::kFresh);  // the failure published nothing
+        refused("after a benign request");
+        benign(Inspection::kReused);  // nor replaced the benign entry
+      }
+    }
+  }
+}
+
+TEST(InspectionMemo, BatchOfTwoIndexContentsRunsBoth) {
+  // Two stores at one key with different B, in one batch: each request
+  // binds its own partition (the second re-inspects and replaces the
+  // first's entry while the first request still holds it).
+  for (const test_inputs::IndirectInput& in : memo_inputs()) {
+    const exec::ArrayStore init = test_inputs::initial_store(in);
+    const exec::ArrayStore changed =
+        test_inputs::with_one_index_entry_changed(in, init);
+    const exec::ArrayStore ref = sequential_result(in.nest, init);
+    const exec::ArrayStore changed_ref = sequential_result(in.nest, changed);
+    Compiler compiler;
+    CompiledLoop loop = compiler.compile(in.nest).value();
+    for (ExecBackend backend : kInspectedBackends) {
+      for (std::size_t threads : {1u, 2u, 8u}) {
+        const std::string where = memo_case(in.name, backend, threads);
+        const ExecPolicy policy =
+            ExecPolicy{}.threads(threads).backend(backend);
+        exec::ArrayStore a = init, b = changed;
+        exec::ArrayStore* stores[] = {&a, &b};
+        Expected<std::vector<ExecReport>> r = loop.execute_batch(
+            std::span<exec::ArrayStore* const>(stores), policy);
+        ASSERT_TRUE(r) << where << ": " << r.error().to_string();
+        EXPECT_EQ((*r)[0].inspection, Inspection::kFresh) << where;
+        EXPECT_EQ((*r)[1].inspection, Inspection::kReinspected) << where;
+        EXPECT_TRUE(a == ref) << where;
+        EXPECT_TRUE(b == changed_ref) << where;
+
+        // Two equal stores: the first replaces `changed`'s entry, the
+        // second proves for it.
+        exec::ArrayStore c = init, d = init;
+        exec::ArrayStore* same[] = {&c, &d};
+        r = loop.execute_batch(std::span<exec::ArrayStore* const>(same),
+                               policy);
+        ASSERT_TRUE(r) << where << ": " << r.error().to_string();
+        EXPECT_EQ((*r)[0].inspection, Inspection::kReinspected) << where;
+        EXPECT_EQ((*r)[1].inspection, Inspection::kReused) << where;
+        EXPECT_TRUE(c == ref) << where;
+        EXPECT_TRUE(d == ref) << where;
+      }
+    }
+  }
+}
+
+TEST(InspectionMemo, AffineNestUnderInspectorReusesFromSecondRequest) {
+  // An affine nest has no index arrays: under explicit kInspector its
+  // partition proves for every store of its shape.
+  for (const LoopNest& nest : {example41(12), example42(7)}) {
+    Compiler compiler;
+    CompiledLoop loop = compiler.compile(nest).value();
+    exec::ArrayStore init(nest);
+    init.fill_pattern();
+    const exec::ArrayStore ref = sequential_result(nest, init);
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      const ExecPolicy policy =
+          ExecPolicy{}.threads(threads).backend(ExecBackend::kInspector);
+      for (Inspection expect : {Inspection::kFresh, Inspection::kReused,
+                                Inspection::kReused}) {
+        exec::ArrayStore store = init;
+        Expected<ExecReport> r = loop.execute(policy, store);
+        ASSERT_TRUE(r) << r.error().to_string();
+        EXPECT_EQ(r->inspection, expect) << "@" << threads;
+        EXPECT_TRUE(store == ref) << "@" << threads;
+      }
+      exec::ArrayStore store = init;
+      Expected<ExecReport> r =
+          loop.execute(ExecPolicy{}.threads(threads), store);
+      ASSERT_TRUE(r) << r.error().to_string();
+      EXPECT_FALSE(r->inspector);
+      EXPECT_EQ(r->inspection, Inspection::kNone);
+    }
+  }
+}
+
+TEST(InspectionMemo, ReusedReportCarriesItsOwnCompareTime) {
+  // A reused request reports the time it spent proving the memoized
+  // partition, not the inspection that built it, in execute() and in a
+  // batch alike; the inspector histograms count inspections only.
+  ScopedMetrics metrics;
+  // A[B[i], j] over i < 64, j < 4096: the compare reads B's 64 entries,
+  // the inspection all 2^18 iterations, so the two times are orders of
+  // magnitude apart.
+  constexpr i64 rows = 64, cols = 4096;
+  LoopNestBuilder nb;
+  nb.loop("i", 0, rows - 1);
+  nb.loop("j", 0, cols - 1);
+  nb.array("A", {{0, 15}, {0, cols - 1}});
+  nb.array("B", {{0, rows - 1}});
+  loopir::ArrayRef ref;
+  ref.array = "A";
+  ref.subscripts = {nb.cst(0), nb.idx(1)};
+  ref.indirect = {loopir::IndirectSubscript{"B", nb.idx(0)}, std::nullopt};
+  nb.assign(ref, Expr::add(Expr::read(ref), Expr::constant(1)));
+  const LoopNest nest = nb.build();
+  exec::ArrayStore init(nest);
+  init.fill_pattern();
+  for (i64 i = 0; i < rows; ++i) init.write("B", intlin::Vec{i}, i % 16);
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(nest).value();
+  const ExecPolicy policy = ExecPolicy{}.threads(2);
+  obs::Histogram& classes = obs::MetricsRegistry::instance().histogram(
+      "vdep_inspector_classes", obs::exp_buckets(1, 4.0, 16));
+  obs::Counter& reused = obs::MetricsRegistry::instance().counter(
+      "vdep_inspector_runs_total", "", {"inspection", "reused"});
+
+  exec::ArrayStore fresh_store = init;
+  const i64 observed = classes.count();
+  Expected<ExecReport> fresh = loop.execute(policy, fresh_store);
+  ASSERT_TRUE(fresh) << fresh.error().to_string();
+  ASSERT_EQ(fresh->inspection, Inspection::kFresh);
+  EXPECT_EQ(classes.count(), observed + 1);
+  const i64 reused_before = reused.value();
+
+  exec::ArrayStore a = init, b = init;
+  Expected<ExecReport> single = loop.execute(policy, a);
+  exec::ArrayStore* one[] = {&b};
+  Expected<std::vector<ExecReport>> batch =
+      loop.execute_batch(std::span<exec::ArrayStore* const>(one), policy);
+  ASSERT_TRUE(single && batch);
+  for (const ExecReport& rep : {*single, batch->front()}) {
+    EXPECT_EQ(rep.inspection, Inspection::kReused);
+    EXPECT_GT(rep.inspect_ns, 0);
+    EXPECT_LT(rep.inspect_ns * 10, fresh->inspect_ns);
+  }
+  EXPECT_EQ(classes.count(), observed + 1);
+  EXPECT_EQ(reused.value(), reused_before + 2);
+  EXPECT_TRUE(a == fresh_store);
+  EXPECT_TRUE(b == fresh_store);
+}
+
+// Several threads run one CompiledLoop at one key while alternating
+// between two index-array contents, so the memoized partition is proved,
+// refused and replaced under them. Runs under TSan in CI.
+TEST(InspectionMemoHammer, ConcurrentExecuteAlternatingIndexContents) {
+  constexpr int kThreads = 4;
+#ifdef VDEP_TSAN
+  constexpr int kRoundsPerThread = 6;
+#else
+  constexpr int kRoundsPerThread = 24;
+#endif
+  constexpr i64 n = 512;
+  const LoopNest nest = test_inputs::indirect_nest(n, 127);
+  exec::ArrayStore inits[2] = {exec::ArrayStore(nest), exec::ArrayStore(nest)};
+  for (int k = 0; k < 2; ++k) {
+    inits[k].fill_pattern();
+    for (i64 i = 0; i < n; ++i)
+      inits[k].write("B", intlin::Vec{i},
+                     k == 0 ? (i * 5 + 2) % 128 : (i * 7 + 3) % 128);
+  }
+  const exec::ArrayStore refs[2] = {sequential_result(nest, inits[0]),
+                                    sequential_result(nest, inits[1])};
+
+  Compiler compiler(CompileOptions{}.pool_threads(3));
+  CompiledLoop loop = compiler.compile(nest).value();
+  const ExecPolicy policy = ExecPolicy{}.threads(2);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRoundsPerThread; ++i) {
+        const int k = (t + i / 2) % 2;  // two requests per content in a row
+        exec::ArrayStore store = inits[k];
+        Expected<ExecReport> r =
+            i % 3 == 0 ? loop.execute(policy, store, compiler.pool())
+                       : loop.execute(policy, store);
+        if (!r || !r->inspector || !(store == refs[k])) ++failures;
       }
     });
   }

@@ -2,6 +2,7 @@
 // suites: small nests plus the index-array contents they run against.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -162,6 +163,20 @@ inline exec::ArrayStore initial_store(const IndirectInput& in) {
       store.write(array, Vec{lo + static_cast<i64>(k)}, vals[k]);
   }
   return store;
+}
+
+/// `init` with one entry of the input's first index array changed to
+/// another value that array holds (so still in range): same shapes, one
+/// differing index entry. Equal to `init` only for a constant array.
+inline exec::ArrayStore with_one_index_entry_changed(
+    const IndirectInput& in, const exec::ArrayStore& init) {
+  const auto& [array, vals] = *in.index.begin();
+  const auto other = std::find_if(vals.begin(), vals.end(),
+                                  [&](i64 v) { return v != vals.front(); });
+  exec::ArrayStore changed = init;
+  if (other != vals.end())
+    changed.write(array, Vec{in.nest.array(array).dims.front().first}, *other);
+  return changed;
 }
 
 }  // namespace vdep::test_inputs

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -40,6 +41,7 @@ using test_inputs::IndirectInput;
 using test_inputs::indirect_inputs;
 using test_inputs::indirect_nest;
 using test_inputs::initial_store;
+using test_inputs::with_one_index_entry_changed;
 
 // ------------------------------------------------------------- helpers
 
@@ -201,9 +203,10 @@ TEST(Inspector, CompiledBodyMatchesInterpreterBody) {
 TEST(Inspector, NativeLeavesRunOnlyOnTheInspectedStore) {
   // The executor's native body (the JIT row kernel) on every indirect input
   // and a conflict-free permutation, at 1, 2 and 8 workers, against the
-  // sequential reference. Its accesses are unchecked, so source() must
-  // refuse to bind it to a store other than the one the partition was
-  // inspected against — even an equal copy — before running anything.
+  // sequential reference. Its accesses are unchecked, so it runs only on a
+  // store the partition proves for: the inspected store and an equal copy
+  // run native, bit-identically; a copy with one differing index entry is
+  // refused before anything runs, and so is another partition's proof.
   if (!jit::discover_toolchain()) GTEST_SKIP() << "no C toolchain";
   std::vector<IndirectInput> inputs = indirect_inputs();
   inputs.push_back(test_inputs::permutation_input(64));
@@ -215,24 +218,73 @@ TEST(Inspector, NativeLeavesRunOnlyOnTheInspectedStore) {
     const exec::ArrayStore init = initial_store(in);
     exec::ArrayStore ref = init;
     exec::run_sequential(in.nest, ref);
+    const exec::ArrayStore changed = with_one_index_entry_changed(in, init);
+    ASSERT_FALSE(changed == init) << in.name;
     for (std::size_t threads : {1u, 2u, 8u}) {
       exec::ArrayStore got = init;
       const inspect::DynamicPartition part = inspect::inspect(in.nest, got);
       inspect::InspectorExecOptions io;
       io.num_threads = threads;
       const inspect::InspectorExecutor ex(in.nest, part, io);
-      exec::ArrayStore other = init;
-      EXPECT_THROW((void)ex.source(other, kernel->get()), PreconditionError)
+
+      exec::ArrayStore differ = changed;
+      EXPECT_FALSE(part.prove(differ)) << in.name;
+      EXPECT_THROW(ex.run(differ), PreconditionError) << in.name;
+      EXPECT_TRUE(differ == changed) << in.name;
+      const inspect::DynamicPartition other_part =
+          inspect::inspect(in.nest, changed);
+      std::optional<inspect::ProvenStore> foreign = other_part.prove(differ);
+      ASSERT_TRUE(foreign) << in.name;
+      EXPECT_THROW((void)ex.source(*foreign, kernel->get()),
+                   PreconditionError)
           << in.name;
-      EXPECT_TRUE(other == init) << in.name;
-      const runtime::DriveSource src = ex.source(got, kernel->get());
-      const runtime::RuntimeStats rs =
-          runtime::drive_descriptors({&src, 1}, {threads, {}});
-      ASSERT_FALSE(rs.error) << in.name;
-      EXPECT_EQ(rs.total_iterations(), part.size()) << in.name;
-      EXPECT_TRUE(got == ref) << in.name << " @" << threads;
+      EXPECT_TRUE(differ == changed) << in.name;
+
+      exec::ArrayStore copy = init;
+      for (exec::ArrayStore* store : {&got, &copy}) {
+        std::optional<inspect::ProvenStore> proven = part.prove(*store);
+        ASSERT_TRUE(proven) << in.name;
+        const runtime::DriveSource src = ex.source(*proven, kernel->get());
+        const runtime::RuntimeStats rs =
+            runtime::drive_descriptors({&src, 1}, {threads, {}});
+        ASSERT_FALSE(rs.error) << in.name;
+        EXPECT_EQ(rs.total_iterations(), part.size()) << in.name;
+        EXPECT_TRUE(*store == ref)
+            << in.name << " @" << threads
+            << (store == &got ? " (inspected store)" : " (equal copy)");
+      }
     }
   }
+}
+
+TEST(Inspector, ProofComparesIndexContentsAndArraySizes) {
+  // prove() accepts exactly the stores whose index arrays equal the
+  // inspected ones byte for byte and whose arrays all have the inspected
+  // sizes: a changed data array is fine, a changed index entry or a
+  // differently sized array is not.
+  const IndirectInput in = indirect_inputs().front();
+  exec::ArrayStore init = initial_store(in);
+  const inspect::DynamicPartition part = inspect::inspect(in.nest, init);
+
+  exec::ArrayStore data_changed = init;
+  data_changed.write("A", Vec{0}, 12345);
+  data_changed.write("C", Vec{0}, -7);
+  EXPECT_TRUE(part.prove(data_changed));
+
+  exec::ArrayStore index_changed = with_one_index_entry_changed(in, init);
+  ASSERT_FALSE(index_changed == init);
+  EXPECT_FALSE(part.prove(index_changed));
+
+  // Same arrays and the same first B entries, one more iteration: every
+  // buffer but A's is one element longer.
+  const LoopNest longer = test_inputs::indirect_nest(
+      in.nest.iteration_count() + 1, in.nest.array("A").dims.front().second);
+  exec::ArrayStore longer_store(longer);
+  longer_store.fill_pattern();
+  const std::vector<i64>& b = in.index.at("B");
+  for (std::size_t k = 0; k < b.size(); ++k)
+    longer_store.write("B", Vec{static_cast<i64>(k)}, b[k]);
+  EXPECT_FALSE(part.prove(longer_store));
 }
 
 TEST(Inspector, KernelProofRefusalFallsBackToInterpreter) {

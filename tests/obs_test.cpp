@@ -423,6 +423,44 @@ TEST(Metrics, JsonLinesParse) {
   EXPECT_GE(parsed, 2u);
 }
 
+TEST(Metrics, LabelledCountersShareOneFamily) {
+  // One counter per (name, label); the exposition writes the family's
+  // HELP/TYPE once and every member under it, and JSON lines stay
+  // parseable with a "labels" object.
+  ObsQuiet quiet;
+  MetricsRegistry& reg = MetricsRegistry::instance();
+  reg.enable();
+  reg.counter("vdep_test_labelled_total", "by kind", {"kind", "a"}).inc(2);
+  reg.counter("vdep_test_other_total", "other").inc();
+  reg.counter("vdep_test_labelled_total", "by kind", {"kind", "b"}).inc(5);
+  EXPECT_EQ(reg.counter("vdep_test_labelled_total", "", {"kind", "a"}).value(),
+            2);
+  EXPECT_EQ(reg.counter("vdep_test_labelled_total").value(), 0);
+
+  const std::string text = reg.prometheus_text();
+  EXPECT_EQ(count_substr(text, "# TYPE vdep_test_labelled_total counter"),
+            1u);
+  const std::size_t a = text.find("vdep_test_labelled_total{kind=\"a\"} 2\n");
+  const std::size_t b = text.find("vdep_test_labelled_total{kind=\"b\"} 5\n");
+  const std::size_t other = text.find("# TYPE vdep_test_other_total");
+  ASSERT_NE(a, std::string::npos) << text;
+  ASSERT_NE(b, std::string::npos) << text;
+  EXPECT_LT(b, other) << "family members must follow one header";
+
+  const std::string lines = reg.json_lines();
+  EXPECT_NE(lines.find("\"labels\":{\"kind\":\"b\"},\"value\":5"),
+            std::string::npos)
+      << lines;
+  std::size_t pos = 0;
+  while (pos < lines.size()) {
+    std::size_t eol = lines.find('\n', pos);
+    if (eol == std::string::npos) eol = lines.size();
+    std::string line = lines.substr(pos, eol - pos);
+    pos = eol + 1;
+    if (!line.empty()) EXPECT_TRUE(JsonParser(line).parse()) << line;
+  }
+}
+
 TEST(Metrics, RunPublishesWorkerMetrics) {
   ObsQuiet quiet;
   MetricsRegistry& reg = MetricsRegistry::instance();
@@ -561,7 +599,16 @@ TEST(Inspector, ConflictFreeInspectionIsRecorded) {
     });
     return chains;
   };
-  auto count = [&](const char* name) { return reg.counter(name).value(); };
+  // vdep_inspector_runs_total is labelled by where the partition came
+  // from; `count` sums the family, `runs` reads one label.
+  auto runs = [&](const char* inspection) {
+    return reg.counter("vdep_inspector_runs_total", "",
+                       {"inspection", inspection})
+        .value();
+  };
+  auto count = [&] {
+    return runs("fresh") + runs("reused") + runs("reinspected");
+  };
   ExecPolicy on;
   on.threads(4).digest(false);
   ExecPolicy off = on;
@@ -569,11 +616,20 @@ TEST(Inspector, ConflictFreeInspectionIsRecorded) {
 
   EXPECT_EQ(run(64, on), 0);
   EXPECT_NE(rec.chrome_json().find("\"chains\":0"), std::string::npos);
-  EXPECT_EQ(count("vdep_inspector_runs_total"), 1);
-  EXPECT_EQ(run(16, on), 16);
-  EXPECT_EQ(count("vdep_inspector_runs_total"), 2);
+  EXPECT_NE(rec.chrome_json().find("\"inspection\":1"), std::string::npos);
+  EXPECT_EQ(count(), 1);
+  EXPECT_EQ(runs("fresh"), 1);
+  EXPECT_EQ(run(16, on), 16);  // other contents of B: inspected again
+  EXPECT_EQ(count(), 2);
+  EXPECT_EQ(runs("reinspected"), 1);
+  EXPECT_EQ(run(16, on), 16);  // the same contents: the memoized partition
+  EXPECT_EQ(count(), 3);
+  EXPECT_EQ(runs("reused"), 1);
+  EXPECT_NE(reg.prometheus_text().find(
+                "vdep_inspector_runs_total{inspection=\"reused\"} 1"),
+            std::string::npos);
   EXPECT_EQ(run(64, off), -1);
-  EXPECT_EQ(count("vdep_inspector_runs_total"), 2);
+  EXPECT_EQ(count(), 3);
 }
 
 // ------------------------------------------------------------------ phases
