@@ -19,6 +19,7 @@
 // configuration a server would run) shows >= 2.0x requests/sec over the
 // baseline, every request actually ran natively, and every per-request
 // final store is bit-identical to its loop-at-a-time twin.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -342,6 +343,69 @@ int main(int argc, char** argv) {
         (baseline.ok && batch.ok && baseline.checksums == batch.checksums)
             ? "true"
             : "false");
+  }
+
+  // ---------------------------------- scenario 4: the kCompiled body's
+  // cost per iteration on every suite kernel at its largest serving bound
+  // (40; 20 for uniform_wavefront, whose values leave int64 past ~28, and
+  // 12 for variable_3deep, whose array grows as (10n)^2 * n), one worker,
+  // digest off. Repetitions interleave the kernels round-robin; each row is
+  // the median of exec_ns / iterations over them, with the iterations the
+  // body ran as columns (ExecReport::column_iterations). Informational.
+  {
+    constexpr int kReps = 15;
+    struct Row {
+      std::string name;
+      i64 n = 0;
+      CompiledLoop loop;
+      exec::ArrayStore base;
+      std::vector<double> ns;
+      ExecReport last;
+      bool ok = true;
+    };
+    std::vector<Row> rows;
+    for (core::NamedNest& c : core::paper_suite(40)) {
+      const i64 cap = c.name == "uniform_wavefront" ? 20
+                      : c.name == "variable_3deep"  ? 12
+                                                    : 40;
+      loopir::LoopNest nest = cap == 40 ? std::move(c.nest)
+                              : c.name == "uniform_wavefront"
+                                  ? core::uniform_wavefront(cap)
+                                  : core::variable_3deep(cap);
+      CompiledLoop loop = compiler.compile(nest).value();
+      exec::ArrayStore base(loop.nest());
+      base.fill_pattern();
+      rows.push_back(
+          {c.name, cap, std::move(loop), std::move(base), {}, {}, true});
+    }
+    ExecPolicy cp;
+    cp.threads(1).backend(ExecBackend::kCompiled).digest(false);
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (Row& r : rows) {
+        exec::ArrayStore store = r.base;
+        Expected<ExecReport> rep_or = r.loop.execute(cp, store);
+        if (!rep_or || rep_or->iterations == 0) {
+          r.ok = false;
+          continue;
+        }
+        r.last = *rep_or;
+        r.ns.push_back(static_cast<double>(rep_or->exec_ns) /
+                       static_cast<double>(rep_or->iterations));
+      }
+    }
+    for (Row& r : rows) {
+      std::sort(r.ns.begin(), r.ns.end());
+      const double med = r.ns.empty() ? 0.0 : r.ns[r.ns.size() / 2];
+      std::printf(
+          "{\"bench\":\"batch_serving\",\"scenario\":\"compiled_ns_per_iter\","
+          "\"kernel\":\"%s\",\"threads\":1,\"hw_threads\":%zu,"
+          "\"n\":%lld,\"reps\":%d,\"iterations\":%lld,"
+          "\"column_iterations\":%lld,\"ns_per_iter_p50\":%.2f,\"ok\":%s}\n",
+          r.name.c_str(), hw_threads(), static_cast<long long>(r.n), kReps,
+          static_cast<long long>(r.last.iterations),
+          static_cast<long long>(r.last.column_iterations), med,
+          r.ok ? "true" : "false");
+    }
   }
 
   std::printf(

@@ -85,6 +85,7 @@ Expected<std::vector<ExecReport>> detail::run_requests(
       const BoundSource& b = bound[k];
       ExecReport& rep = reports[k];
       rep.iterations = s.iterations;
+      rep.column_iterations = s.column_iterations;
       rep.tasks = s.tasks;
       rep.steals = s.steals;
       rep.inner_splits = s.inner_splits;

@@ -143,7 +143,14 @@ std::string PlanArtifact::executable_key(const loopir::LoopNest& nest,
   key += std::to_string(threads);
   key += ";g=";
   key += std::to_string(policy.grain());
-  key += ";b=";
+  key += ';';
+  key += inspected_key(nest, policy);
+  return key;
+}
+
+std::string PlanArtifact::inspected_key(const loopir::LoopNest& nest,
+                                        const ExecPolicy& policy) {
+  std::string key = "b=";
   key += std::to_string(static_cast<int>(policy.backend()));
   if (policy.backend() == ExecBackend::kJit) {
     key += ';';
@@ -208,8 +215,7 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
     // then this request runs no inspect() and builds no executor. Any
     // other store is inspected here, and a hostile index array fails
     // typed before any write, leaving the memo as it was.
-    const std::string key =
-        PlanArtifact::executable_key(*nest_, policy, threads);
+    const std::string key = PlanArtifact::inspected_key(*nest_, policy);
     std::shared_ptr<const detail::Executable> memo =
         art_->find_executable(key);
     std::optional<inspect::ProvenStore> proven;
@@ -265,8 +271,6 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
       // request still running the old partition keeps it.
       obs::PhaseTimer build_timer(obs::Phase::kAnalyze);
       inspect::InspectorExecOptions io;
-      io.num_threads = threads;
-      io.grain = policy.grain();
       io.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
       b.executable = std::make_shared<const detail::Executable>(
           *nest_, std::move(*fresh), io);
@@ -284,7 +288,8 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
     if (policy.backend() == ExecBackend::kJit)
       b.native = b.executable->native(*art_, policy.jit_options());
     obs::PhaseTimer build_timer(obs::Phase::kAnalyze);
-    b.source = b.executable->inspector().source(*proven, b.native.get());
+    b.source = b.executable->inspector().source(*proven, b.native.get(),
+                                                threads, policy.grain());
     return b;
   }
   b.executable = art_->executable(*nest_, policy, threads);
@@ -433,8 +438,17 @@ std::string CompiledLoop::summary() const {
                : "may split across workers")
        << "\n";
   }
-  os << "-- transformed nest --\n"
-     << codegen::rewrite_nest(*nest_, p.transform).nest.to_string();
+  const codegen::TransformedNest tn =
+      codegen::rewrite_nest(*nest_, p.transform);
+  const int column = runtime::column_level(tn.nest, p.doall_loops);
+  if (column >= 0)
+    os << "column runs: compiled scans run DOALL level "
+       << tn.nest.level(column).name
+       << " as one independent column per deeper point "
+          "(ExecReport::column_iterations)\n";
+  else
+    os << "column runs: none (every compiled scan runs per point)\n";
+  os << "-- transformed nest --\n" << tn.nest.to_string();
   return os.str();
 }
 

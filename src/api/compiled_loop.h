@@ -183,6 +183,11 @@ const char* inspection_name(Inspection i);
 /// Outcome of execute()/check().
 struct ExecReport {
   i64 iterations = 0;
+  /// Of `iterations`, those the compiled postfix body ran column-wise: a
+  /// kCompiled scan (or kJit's scan fallback) over a plan with a column
+  /// level (runtime::column_level). 0 under kInterpreter, on native
+  /// leaves and on inspected requests.
+  i64 column_iterations = 0;
   i64 tasks = 0;         ///< leaf descriptors
   i64 steals = 0;
   i64 inner_splits = 0;  ///< descriptor splits along inner DOALL axes
@@ -295,13 +300,20 @@ class PlanArtifact {
  private:
   friend class CompiledLoop;
 
-  /// The executable memo's key: the bounds rendering, `threads` (the grain
-  /// depends on it), policy.grain() and backend() — plus jit_options()
-  /// under kJit. The per-run switches (trace, metrics, pin_workers) are
-  /// not part of it: every run takes them from its own policy.
+  /// The executable memo's key of an affine entry: `threads` (the grain
+  /// depends on it) and policy.grain(), then inspected_key(). The per-run
+  /// switches (trace, metrics, pin_workers) are not part of it: every run
+  /// takes them from its own policy.
   static std::string executable_key(const loopir::LoopNest& nest,
                                     const ExecPolicy& policy,
                                     std::size_t threads);
+  /// The key of an inspected entry: backend() — plus jit_options() under
+  /// kJit — and the bounds rendering. A partition depends on neither the
+  /// worker count nor the grain, so requests at any of them share one
+  /// entry; each takes its grain from its own policy
+  /// (InspectorExecutor::source).
+  static std::string inspected_key(const loopir::LoopNest& nest,
+                                   const ExecPolicy& policy);
   /// The entry at `key`, or null. Inspected entries (CompiledLoop::bind)
   /// are read here and replaced with publish_executable: each is the last
   /// inspection that succeeded at its key, valid for any store whose

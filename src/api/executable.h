@@ -15,10 +15,12 @@
 // An inspected entry (indirect nest, or kInspector) holds the last
 // inspection at its key instead: the DynamicPartition (with its byte copy
 // of every index array it read), its InspectorExecutor and, for kJit, the
-// row kernel. A request whose store the partition proves for
-// (DynamicPartition::prove: index arrays equal byte for byte, every array
-// at its inspected size) reuses it without inspecting; any other request
-// inspects its store and publishes a new entry in place of the old one.
+// row kernel. Its key leaves out the worker count and grain, which a
+// partition does not depend on (PlanArtifact::inspected_key). A request
+// whose store the partition proves for (DynamicPartition::prove: index
+// arrays equal byte for byte, every array at its inspected size) reuses it
+// without inspecting; any other request inspects its store and publishes a
+// new entry in place of the old one.
 //
 // Internal to the API layer (api/compiled_loop.cpp, api/batch.cpp).
 #pragma once

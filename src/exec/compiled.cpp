@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "poly/constraints.h"
 #include "poly/fourier_motzkin.h"
@@ -18,6 +19,46 @@ namespace {
                                                            i64 a, i64 b) {
   throw OverflowError(std::string("int64 overflow in ") + op + "(" +
                       std::to_string(a) + ", " + std::to_string(b) + ")");
+}
+
+struct CheckedAdd {
+  static constexpr const char* kName = "add";
+  static bool apply(i64 a, i64 b, i64* r) {
+    return __builtin_add_overflow(a, b, r);
+  }
+};
+struct CheckedSub {
+  static constexpr const char* kName = "sub";
+  static bool apply(i64 a, i64 b, i64* r) {
+    return __builtin_sub_overflow(a, b, r);
+  }
+};
+struct CheckedMul {
+  static constexpr const char* kName = "mul";
+  static bool apply(i64 a, i64 b, i64* r) {
+    return __builtin_mul_overflow(a, b, r);
+  }
+};
+
+/// r[e] = a[e] op b[e] over one chunk, checked. The result goes to a third
+/// column, so on overflow both operands of the first failing element are
+/// still there to name.
+template <class Op>
+void column_op(const i64* a, const i64* b, i64* r, i64 m) {
+  bool overflow = false;
+  for (i64 e = 0; e < m; ++e) overflow |= Op::apply(a[e], b[e], &r[e]);
+  if (overflow) [[unlikely]] {
+    for (i64 e = 0; e < m; ++e) {
+      i64 t = 0;
+      if (Op::apply(a[e], b[e], &t)) throw_overflow(Op::kName, a[e], b[e]);
+    }
+  }
+}
+
+i64 dot(const Vec& coeffs, const i64* x) {
+  i64 acc = 0;
+  for (std::size_t k = 0; k < coeffs.size(); ++k) acc += coeffs[k] * x[k];
+  return acc;
 }
 
 }  // namespace
@@ -40,8 +81,11 @@ CompiledKernel::CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store)
     compile_expr(*a.rhs, s, 0, store);
     stmts_.push_back(std::move(s));
   }
-  for (const Stmt& s : stmts_)
+  for (const Stmt& s : stmts_) {
     stack_size_ = std::max(stack_size_, static_cast<std::size_t>(s.max_stack));
+    column_slots_ =
+        std::max(column_slots_, static_cast<std::size_t>(s.max_stack) + 1);
+  }
   scratch_ = make_scratch();
 }
 
@@ -158,19 +202,27 @@ void CompiledKernel::execute_iteration(const Vec& iter) {
 }
 
 i64 CompiledKernel::affine_offset(const Access& a, const i64* it) {
-  i64 off = a.c0;
-  for (std::size_t k = 0; k < a.coeffs.size(); ++k) off += a.coeffs[k] * it[k];
-  return off;
+  return a.c0 + dot(a.coeffs, it);
 }
 
 i64 CompiledKernel::indirect_offset(const Access& a, const i64* it) {
   i64 off = 0;
-  for (const Indirect& x : a.indirect) {
-    i64 pos = x.c0;
-    for (std::size_t k = 0; k < x.coeffs.size(); ++k) pos += x.coeffs[k] * it[k];
-    off += x.stride * x.idx[pos];
-  }
+  for (const Indirect& x : a.indirect)
+    off += x.stride * x.idx[x.c0 + dot(x.coeffs, it)];
   return off;
+}
+
+void CompiledKernel::column_offsets(const Access& a, const i64* it0,
+                                    const i64* step, i64 e0, i64 m,
+                                    i64* out) {
+  const i64 d = dot(a.coeffs, step);
+  const i64 off0 = affine_offset(a, it0) + e0 * d;
+  for (i64 e = 0; e < m; ++e) out[e] = off0 + e * d;
+  for (const Indirect& x : a.indirect) {
+    const i64 dp = dot(x.coeffs, step);
+    const i64* idx = x.idx + (x.c0 + dot(x.coeffs, it0) + e0 * dp);
+    for (i64 e = 0; e < m; ++e) out[e] += x.stride * idx[e * dp];
+  }
 }
 
 void CompiledKernel::execute_row(const i64* it, Scratch& scratch) const {
@@ -218,6 +270,87 @@ void CompiledKernel::execute_row(const i64* it, Scratch& scratch) const {
     i64 off = affine_offset(s.lhs, it);
     if (!s.lhs.indirect.empty()) off += indirect_offset(s.lhs, it);
     s.lhs.base[off] = sp[-1];
+  }
+}
+
+void CompiledKernel::execute_column(const i64* it0, const i64* step, i64 n,
+                                    Scratch& scratch) const {
+  // Independence lets each op run over the whole chunk: no element reads
+  // what another element of the column writes, so only body order (a
+  // statement's store before the next statement's reads) must be kept.
+  // Stack slots point at chunk-long columns; a binary op writes the spare
+  // column and swaps it in, so no operand is overwritten. The last slot's
+  // column starts as the spare; programs never push that deep. A scratch
+  // gets its columns on its first column run.
+  if (scratch.slots.size() != column_slots_) {
+    scratch.columns.assign(
+        column_slots_ * static_cast<std::size_t>(kColumnChunk), 0);
+    scratch.slots.assign(column_slots_, nullptr);
+  }
+  i64** slot = scratch.slots.data();
+  for (std::size_t k = 0; k < column_slots_; ++k)
+    slot[k] =
+        scratch.columns.data() + k * static_cast<std::size_t>(kColumnChunk);
+  i64* spare = slot[column_slots_ - 1];
+  for (i64 e0 = 0; e0 < n; e0 += kColumnChunk) {
+    const i64 m = std::min(kColumnChunk, n - e0);
+    for (const Stmt& s : stmts_) {
+      i64** sp = slot;
+      for (const Instr& ins : s.program) {
+        switch (ins.op) {
+          case Op::kPushConst:
+            std::fill_n(*sp++, m, ins.value);
+            break;
+          case Op::kPushIndex: {
+            const i64 d = step[ins.index];
+            const i64 v0 = it0[ins.index] + e0 * d;
+            i64* out = *sp++;
+            for (i64 e = 0; e < m; ++e) out[e] = v0 + e * d;
+            break;
+          }
+          case Op::kRead: {
+            const Access& a = reads_[static_cast<std::size_t>(ins.index)];
+            const i64 d = dot(a.coeffs, step);
+            const i64* in = a.base + (affine_offset(a, it0) + e0 * d);
+            i64* out = *sp++;
+            for (i64 e = 0; e < m; ++e) out[e] = in[e * d];
+            break;
+          }
+          case Op::kReadIndirect: {
+            const Access& a = reads_[static_cast<std::size_t>(ins.index)];
+            i64* out = *sp++;
+            column_offsets(a, it0, step, e0, m, out);
+            for (i64 e = 0; e < m; ++e) out[e] = a.base[out[e]];
+            break;
+          }
+          case Op::kAdd:
+            column_op<CheckedAdd>(sp[-2], sp[-1], spare, m);
+            std::swap(sp[-2], spare);
+            --sp;
+            break;
+          case Op::kSub:
+            column_op<CheckedSub>(sp[-2], sp[-1], spare, m);
+            std::swap(sp[-2], spare);
+            --sp;
+            break;
+          case Op::kMul:
+            column_op<CheckedMul>(sp[-2], sp[-1], spare, m);
+            std::swap(sp[-2], spare);
+            --sp;
+            break;
+        }
+      }
+      const i64* value = sp[-1];
+      const Access& lhs = s.lhs;
+      if (lhs.indirect.empty()) {
+        const i64 d = dot(lhs.coeffs, step);
+        i64* out = lhs.base + (affine_offset(lhs, it0) + e0 * d);
+        for (i64 e = 0; e < m; ++e) out[e * d] = value[e];
+      } else {
+        column_offsets(lhs, it0, step, e0, m, spare);
+        for (i64 e = 0; e < m; ++e) lhs.base[spare[e]] = value[e];
+      }
+    }
   }
 }
 

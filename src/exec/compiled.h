@@ -10,6 +10,15 @@
 //   * the rhs expression tree becomes a postfix program over a small value
 //     stack.
 //
+// The program runs in one of two shapes. execute_row evaluates it at one
+// iteration (the inspector's rows, the per-point scan). execute_column
+// evaluates it over a column of mutually independent iterations
+// it0 + e * step — a DOALL level's values at one point of the deeper
+// levels (runtime/stream_executor.h) — one op at a time over fixed-size
+// chunks: every access is then a strided run (one dot product per chunk,
+// not per point), kPushIndex an affine sequence, and the value stack a set
+// of chunk-long columns in the worker's Scratch.
+//
 // Subscript-in-bounds is established once per (kernel, nest) pair by
 // checking the affine offset's extremes over the iteration box. An indirect
 // slot is proven twice: the hull of its position over the box must lie
@@ -22,7 +31,8 @@
 //
 // Body arithmetic has the interpreter's contract: add/sub/mul that leave
 // int64 throw OverflowError (checked, with the throw kept out of line), so
-// kInterpreter and kCompiled fail the same way on the same inputs.
+// kInterpreter and kCompiled fail the same way on the same inputs, with the
+// same message in either shape.
 #pragma once
 
 #include "exec/runner.h"
@@ -40,18 +50,40 @@ class CompiledKernel {
   /// outside its target's declared range.
   CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store);
 
-  /// Private mutable state of one executing task (the value stack); the
-  /// kernel itself stays const and shareable across threads.
+  /// Iterations per chunk of execute_column.
+  static constexpr i64 kColumnChunk = 128;
+
+  /// Private mutable state of one executing task — the value stack, and
+  /// execute_column's value columns (one kColumnChunk-long buffer per
+  /// stack slot plus a spare, allocated by the first column run) with the
+  /// slot table over them; the kernel itself stays const and shareable
+  /// across threads.
   struct Scratch {
     std::vector<i64> stack;
+    std::vector<i64> columns;
+    std::vector<i64*> slots;
   };
-  Scratch make_scratch() const { return Scratch{std::vector<i64>(stack_size_, 0)}; }
+  Scratch make_scratch() const {
+    return Scratch{std::vector<i64>(stack_size_, 0), {}, {}};
+  }
 
   /// Executes all statements at the iteration whose coordinates are
   /// `row[0..depth)` (no bounds checks on the hot path; ranges were proven
   /// at compile time). Throws OverflowError when body arithmetic leaves
   /// int64; the statement being evaluated is not stored.
   void execute_row(const i64* row, Scratch& scratch) const;
+
+  /// Executes the `n` iterations it0 + e * step, e in [0, n) — `it0` and
+  /// `step` are depth-long original-coordinate vectors — which must be
+  /// mutually independent (no dependence joins any two of them) and each
+  /// inside the nest. Runs kColumnChunk iterations at a time: statements
+  /// in body order, each one's program evaluated over the whole chunk and
+  /// stored once it completes, so a later statement reads an earlier one's
+  /// writes of the same iteration. Throws OverflowError naming the operands
+  /// of the first overflowing element; that statement's chunk is not
+  /// stored.
+  void execute_column(const i64* it0, const i64* step, i64 n,
+                      Scratch& scratch) const;
 
   /// execute_row over an iteration vector.
   void execute_iteration(const Vec& iter, Scratch& scratch) const {
@@ -116,6 +148,10 @@ class CompiledKernel {
   /// the affine part, and the indirect slots' part.
   static i64 affine_offset(const Access& a, const i64* it);
   static i64 indirect_offset(const Access& a, const i64* it);
+  /// execute_column: the flat offsets of `a` at it0 + e * step for e in
+  /// [e0, e0 + m), into `out`.
+  static void column_offsets(const Access& a, const i64* it0, const i64* step,
+                             i64 e0, i64 m, i64* out);
   /// [min, max] of affine `e` over the iteration box (checked).
   std::pair<i64, i64> hull(const loopir::AffineExpr& e) const;
 
@@ -127,6 +163,7 @@ class CompiledKernel {
   std::vector<Stmt> stmts_;
   std::vector<Access> reads_;
   std::size_t stack_size_ = 16;
+  std::size_t column_slots_ = 1;  ///< deepest program stack, plus a spare
   Scratch scratch_;  // for the single-threaded convenience path
 };
 

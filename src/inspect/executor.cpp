@@ -20,12 +20,13 @@ InspectorExecutor::InspectorExecutor(const loopir::LoopNest& nest,
   threads_ = opts_.num_threads != 0
                  ? opts_.num_threads
                  : std::max(1u, std::thread::hardware_concurrency());
-  if (opts_.grain > 0) {
-    grain_ = opts_.grain;
-  } else {
-    grain_ = runtime::pick_grain(std::max<i64>(part_->num_classes(), 1),
-                                 threads_);
-  }
+  grain_ = leaf_grain(threads_, opts_.grain);
+}
+
+i64 InspectorExecutor::leaf_grain(std::size_t threads, i64 grain) const {
+  return grain > 0 ? grain
+                   : runtime::pick_grain(std::max<i64>(part_->num_classes(), 1),
+                                         threads);
 }
 
 runtime::TaskDescriptor InspectorExecutor::root() const {
@@ -37,7 +38,8 @@ runtime::TaskDescriptor InspectorExecutor::root() const {
 }
 
 runtime::DriveSource InspectorExecutor::source(
-    const ProvenStore& proven, const jit::NativeKernel* native) const {
+    const ProvenStore& proven, const jit::NativeKernel* native,
+    std::size_t threads, i64 grain) const {
   // The schedule, and the row kernel's unchecked accesses, hold only for
   // index arrays equal to the ones this partition was inspected against.
   VDEP_REQUIRE(&proven.partition() == part_,
@@ -108,7 +110,8 @@ runtime::DriveSource InspectorExecutor::source(
       };
     };
   }
-  return {root(), grain_, {}, std::move(factory)};
+  return {root(), threads != 0 ? leaf_grain(threads, grain) : grain_, {},
+          std::move(factory)};
 }
 
 namespace {

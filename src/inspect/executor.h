@@ -68,11 +68,16 @@ class InspectorExecutor {
   /// Every class over the proven store as one driver source: root(), the
   /// grain and the leaves — `native` (the nest's row kernel,
   /// ExecBackend::kJit) when set, else the compiled or interpreted body
-  /// above. Throws PreconditionError when `proven` is another partition's
-  /// proof. The index arrays must keep the contents prove() compared;
-  /// the store, `native`, the partition and this executor outlive the run.
+  /// above. The grain is this executor's own unless `threads` is set: then
+  /// it is the grain of a request at `threads` workers and `grain` (0
+  /// picks it from the worker count), so one executor serves requests at
+  /// any worker count. Throws PreconditionError when `proven` is another
+  /// partition's proof. The index arrays must keep the contents prove()
+  /// compared; the store, `native`, the partition and this executor
+  /// outlive the run.
   runtime::DriveSource source(const ProvenStore& proven,
-                              const jit::NativeKernel* native = nullptr) const;
+                              const jit::NativeKernel* native = nullptr,
+                              std::size_t threads = 0, i64 grain = 0) const;
 
   /// The nest this executor runs (its own copy).
   const loopir::LoopNest& nest() const { return nest_; }
@@ -81,6 +86,9 @@ class InspectorExecutor {
   runtime::TaskDescriptor root() const;
 
  private:
+  /// `grain`, or the grain pick_grain gives the classes at `threads`.
+  i64 leaf_grain(std::size_t threads, i64 grain) const;
+
   loopir::LoopNest nest_;
   const DynamicPartition* part_;
   InspectorExecOptions opts_;

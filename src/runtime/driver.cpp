@@ -94,6 +94,7 @@ void accumulate(WorkerStats& into, const WorkerStats& b) {
   into.splits += b.splits;
   into.steals += b.steals;
   into.iterations += b.iterations;
+  into.column_iterations += b.column_iterations;
   into.busy_ns += b.busy_ns;
   for (int axis = 0; axis <= TaskDescriptor::kMaxDims; ++axis)
     into.axis_splits[axis] += b.axis_splits[axis];
@@ -406,6 +407,7 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
       accumulate(out.workers[id], b);
       SourceStats& agg = out.sources[s];
       agg.iterations += b.iterations;
+      agg.column_iterations += b.column_iterations;
       agg.tasks += b.tasks;
       agg.splits += b.splits;
       for (int axis = 1; axis < TaskDescriptor::kMaxDims; ++axis)

@@ -36,6 +36,12 @@ i64 RuntimeStats::total_iterations() const {
   return n;
 }
 
+i64 RuntimeStats::total_column_iterations() const {
+  i64 n = 0;
+  for (const WorkerStats& w : workers) n += w.column_iterations;
+  return n;
+}
+
 i64 RuntimeStats::total_axis_splits(int axis) const {
   i64 n = 0;
   for (const WorkerStats& w : workers) n += w.axis_splits[axis];
@@ -80,6 +86,8 @@ std::string RuntimeStats::to_string() const {
   os << "total  " << total_tasks() << "  " << total_splits() << "  "
      << total_steals() << "  " << total_failed_steals() << "  "
      << total_iterations() << "  wall_ms " << wall_ns / 1000000.0 << "\n";
+  os << "column iterations " << total_column_iterations() << " of "
+     << total_iterations() << "\n";
   os << "workers used " << workers_used << " of " << workers.size() << "\n";
   os << "splits by axis: outer " << total_axis_splits(0) << ", inner "
      << total_inner_splits() << ", classes "

@@ -30,6 +30,9 @@ struct alignas(64) WorkerStats {
   i64 splits = 0;      ///< descriptors divided and re-enqueued
   i64 steals = 0;      ///< successful steals from another worker's deque
   i64 iterations = 0;  ///< loop-body iterations executed
+  /// Of `iterations`, those a compiled scan ran column-wise
+  /// (CompiledKernel::execute_column).
+  i64 column_iterations = 0;
   i64 busy_ns = 0;     ///< wall time spent inside descriptor execution
   i64 idle_ns = 0;     ///< wall time spent with no runnable descriptor
   /// Full steal sweeps (every other deque probed) that came back empty.
@@ -48,6 +51,7 @@ struct alignas(64) WorkerStats {
 /// batch turns them into per-request ExecReports).
 struct SourceStats {
   i64 iterations = 0;
+  i64 column_iterations = 0;  ///< of `iterations`, run column-wise
   i64 tasks = 0;   ///< leaf descriptors executed
   i64 splits = 0;
   i64 inner_splits = 0;  ///< splits along inner DOALL axes (task.h)
@@ -81,6 +85,7 @@ struct RuntimeStats {
   /// Steals at one victim distance (0 = same cpu .. 3 = remote node).
   i64 total_steals_by_distance(int d) const;
   i64 total_iterations() const;
+  i64 total_column_iterations() const;
   /// Splits along one axis (0..kMaxDims-1 or TaskDescriptor::kClassAxis).
   i64 total_axis_splits(int axis) const;
   /// Splits along inner DOALL axes (axis >= 1, class axis excluded) — the

@@ -19,9 +19,29 @@ struct StreamExecutor::Worker {
   WorkerStats* stats = nullptr;
   Vec j;     ///< transformed iteration being scanned
   Vec orig;  ///< original iteration (map-back target when T != I)
+  /// The compiled body and its private scratch; null for `body`.
+  std::shared_ptr<const exec::CompiledKernel> kernel;
+  exec::CompiledKernel::Scratch scratch;
   std::function<void(const Vec&)> body;    ///< runs one original iteration
   std::function<void(const Vec&)> emit_j;  ///< scan callback over j
+  /// Column runs (kernel set, column level chosen): the column level's
+  /// value count at the point being scanned, its first value held in j.
+  i64 column_len = 0;
 };
+
+int column_level(const loopir::LoopNest& transformed, int num_doall) {
+  for (int l = num_doall - 1; l >= 0; --l) {
+    bool free = true;
+    for (int k = l + 1; k < transformed.depth(); ++k) {
+      const loopir::Level& level = transformed.level(k);
+      for (const loopir::Bound* b : {&level.lower, &level.upper})
+        for (const loopir::BoundTerm& t : b->terms())
+          free = free && t.num.coeff(l) == 0;
+    }
+    if (free) return l;
+  }
+  return -1;
+}
 
 StreamExecutor::StreamExecutor(const loopir::LoopNest& original,
                                const trans::TransformPlan& plan,
@@ -45,6 +65,8 @@ StreamExecutor::StreamExecutor(const loopir::LoopNest& original,
   ndims_ = std::min(num_doall_, std::min(limit, TaskDescriptor::kMaxDims));
   compute_split_prefs();
   split_classes_ = !classes_share_lines(original_, plan);
+  column_level_ = runtime::column_level(tn_.nest, num_doall_);
+  if (column_level_ >= 0) column_step_ = tn_.t_inverse.row(column_level_);
   threads_ = opts_.num_threads != 0
                  ? opts_.num_threads
                  : std::max(1u, std::thread::hardware_concurrency());
@@ -200,23 +222,35 @@ TaskDescriptor StreamExecutor::root() const {
 }
 
 void StreamExecutor::emit(Worker& w) const {
-  ++w.stats->iterations;
-  if (identity_) {
-    w.body(w.j);
+  const Vec* it = &w.j;
+  if (!identity_) {
+    // orig = j * T^{-1}, into the preallocated buffer (vec_mat_mul would
+    // allocate per iteration). Plain arithmetic: the transformed polytope
+    // is a bijective image of the original box, whose coordinates fit i64
+    // by construction.
+    const intlin::Mat& m = tn_.t_inverse;
+    for (int c = 0; c < depth_; ++c) {
+      i64 acc = 0;
+      for (int r = 0; r < depth_; ++r)
+        acc += w.j[static_cast<std::size_t>(r)] * m.at(r, c);
+      w.orig[static_cast<std::size_t>(c)] = acc;
+    }
+    it = &w.orig;
+  }
+  if (w.column_len > 0) {
+    // One column: the column level's values from j's, each one step of
+    // row column_level_ of T^{-1} further in original coordinates.
+    w.kernel->execute_column(it->data(), column_step_.data(), w.column_len,
+                             w.scratch);
+    w.stats->iterations += w.column_len;
+    w.stats->column_iterations += w.column_len;
     return;
   }
-  // orig = j * T^{-1}, into the preallocated buffer (vec_mat_mul would
-  // allocate per iteration). Plain arithmetic: the transformed polytope is
-  // a bijective image of the original box, whose coordinates fit i64 by
-  // construction.
-  const intlin::Mat& m = tn_.t_inverse;
-  for (int c = 0; c < depth_; ++c) {
-    i64 acc = 0;
-    for (int r = 0; r < depth_; ++r)
-      acc += w.j[static_cast<std::size_t>(r)] * m.at(r, c);
-    w.orig[static_cast<std::size_t>(c)] = acc;
-  }
-  w.body(w.orig);
+  ++w.stats->iterations;
+  if (w.kernel)
+    w.kernel->execute_row(it->data(), w.scratch);
+  else
+    w.body(*it);
 }
 
 void StreamExecutor::scan_tail(int level, Worker& w) const {
@@ -256,6 +290,17 @@ void StreamExecutor::scan_prefix(int level, const TaskDescriptor& task,
     lo = std::max(lo, task.lo[level]);
     hi = std::min(hi, task.hi[level]);
   }
+  if (level == column_level_ && w.kernel) {
+    // Column run: no deeper bound reads this level, so the deeper points
+    // are scanned once and each runs every value in [lo, hi] as a column.
+    if (lo > hi) return;
+    w.j[static_cast<std::size_t>(level)] = lo;
+    w.column_len = hi - lo + 1;
+    scan_prefix(level + 1, task, labels, w);
+    w.column_len = 0;
+    w.j[static_cast<std::size_t>(level)] = 0;
+    return;
+  }
   for (i64 v = lo; v <= hi; ++v) {
     w.j[static_cast<std::size_t>(level)] = v;
     scan_prefix(level + 1, task, labels, w);
@@ -284,7 +329,8 @@ DriveSource StreamExecutor::source(
 }
 
 StreamExecutor::LeafFn StreamExecutor::make_scan_leaf(
-    int id, WorkerStats& stats, std::function<void(const Vec&)> body) const {
+    int id, WorkerStats& stats, std::function<void(const Vec&)> body,
+    std::shared_ptr<const exec::CompiledKernel> kernel) const {
   // The Worker outlives the factory call (it is captured by the leaf
   // closure), so it lives on the heap, one per worker context.
   auto w = std::make_shared<Worker>();
@@ -292,6 +338,8 @@ StreamExecutor::LeafFn StreamExecutor::make_scan_leaf(
   w->stats = &stats;
   w->j.assign(static_cast<std::size_t>(depth_), 0);
   w->orig.assign(static_cast<std::size_t>(depth_), 0);
+  if (kernel) w->scratch = kernel->make_scratch();
+  w->kernel = std::move(kernel);
   w->body = std::move(body);
   Worker* wp = w.get();
   w->emit_j = [this, wp](const Vec&) { emit(*wp); };
@@ -331,11 +379,7 @@ StreamExecutor::LeafFactory StreamExecutor::make_leaf_factory(
   }
   if (ck) {
     return [this, ck](int id, WorkerStats& stats) -> LeafFn {
-      auto scratch = std::make_shared<exec::CompiledKernel::Scratch>(
-          ck->make_scratch());
-      return make_scan_leaf(id, stats, [ck, scratch](const Vec& it) {
-        ck->execute_iteration(it, *scratch);
-      });
+      return make_scan_leaf(id, stats, nullptr, ck);
     };
   }
   return [this, &store](int id, WorkerStats& stats) -> LeafFn {

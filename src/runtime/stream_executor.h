@@ -14,10 +14,13 @@
 // iteration count.
 //
 // Loop bodies run through a shared exec::CompiledKernel with one Scratch
-// per worker; nests the kernel's one-time range proof rejects fall back to
-// the exact interpreter. Both bodies produce final stores bit-identical to
-// the sequential reference — legality is the same Lemma 1 x Theorem 2
-// argument as the materialized schedule, only the cover of the box changed.
+// per worker — a plan's column level (column_level below) as whole
+// columns, everything else one point at a time; nests the kernel's
+// one-time range proof rejects fall back to the exact interpreter. Both
+// bodies produce final stores bit-identical to the sequential reference —
+// legality is the same Lemma 1 x Theorem 2 argument as the materialized
+// schedule, only the cover of the box (and, in a column, the order of
+// independent iterations) changed.
 //
 // Splits prefer the DOALL axis with the largest address stride (keeps each
 // leaf's touched rows contiguous; task.h SplitPrefs) and fall back to the
@@ -38,6 +41,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 
 #include "codegen/rewrite.h"
 #include "exec/kernel.h"
@@ -81,6 +85,16 @@ struct StreamOptions {
 /// it holds.
 bool classes_share_lines(const loopir::LoopNest& nest,
                          const trans::TransformPlan& plan);
+
+/// The column level of a transformed nest with `num_doall` DOALL-prefix
+/// levels: the deepest DOALL level whose coordinate appears in no deeper
+/// level's lower- or upper-bound term, or -1 when none does. Every
+/// dependence distance is zero there (Lemma 1), so the iterations that
+/// differ only in it are mutually independent, and since no deeper bound
+/// reads it, the deeper points are the same for each of its values: a
+/// compiled scan runs the level innermost, as one column per deeper point
+/// (CompiledKernel::execute_column).
+int column_level(const loopir::LoopNest& transformed, int num_doall);
 
 class StreamExecutor {
  public:
@@ -148,6 +162,10 @@ class StreamExecutor {
   bool splits_classes() const { return split_classes_; }
   /// DOALL-prefix dimensions descriptors box and split (<= num_doall).
   int boxed_dims() const { return ndims_; }
+  /// The transformed level compiled scans run as columns
+  /// (column_level(transformed nest, num_doall)); -1 when every compiled
+  /// scan runs per point.
+  int column_level() const { return column_level_; }
   i64 grain() const { return grain_; }
   i64 num_classes() const { return classes_; }
   std::size_t num_threads() const { return threads_; }
@@ -161,8 +179,9 @@ class StreamExecutor {
       exec::ArrayStore& store, const exec::RangeKernel* kernel,
       const exec::CompiledKernel* scan_prototype) const;
   /// One scan-path worker context: Worker + recursive descriptor scan.
-  LeafFn make_scan_leaf(int id, WorkerStats& stats,
-                        std::function<void(const Vec&)> body) const;
+  LeafFn make_scan_leaf(
+      int id, WorkerStats& stats, std::function<void(const Vec&)> body,
+      std::shared_ptr<const exec::CompiledKernel> kernel = nullptr) const;
   void compute_hull();
   void compute_split_prefs();
   void execute_leaf(const TaskDescriptor& task, Worker& w) const;
@@ -184,6 +203,10 @@ class StreamExecutor {
   i64 grain_ = 1;
   SplitPrefs split_prefs_;
   bool split_classes_ = true;
+  int column_level_ = -1;
+  /// Row column_level_ of T^{-1}: one step along the column level in
+  /// original coordinates.
+  Vec column_step_;
   /// Rectangular hull [min, max] of each DOALL-prefix dimension over the
   /// transformed space (interval arithmetic over the bounds, outermost-in).
   std::vector<std::pair<i64, i64>> hull_;

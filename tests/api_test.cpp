@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -905,12 +906,15 @@ TEST(InspectionMemo, ReuseIsBitIdenticalToFreshInspection) {
   // The second request at one key proves the memoized partition for its
   // equal store (here a different object) and runs it without inspecting:
   // the same store and the same report shape as the fresh first request.
+  // The key holds no worker count, so only the first worker count's first
+  // request inspects: the later worker counts reuse its partition too.
   for (const test_inputs::IndirectInput& in : memo_inputs()) {
     const exec::ArrayStore init = test_inputs::initial_store(in);
     const exec::ArrayStore ref = sequential_result(in.nest, init);
     Compiler compiler;
     CompiledLoop loop = compiler.compile(in.nest).value();
     for (ExecBackend backend : kInspectedBackends) {
+      std::optional<ExecReport> fresh;
       for (std::size_t threads : {1u, 2u, 8u}) {
         const std::string where = memo_case(in.name, backend, threads);
         const ExecPolicy policy =
@@ -919,8 +923,13 @@ TEST(InspectionMemo, ReuseIsBitIdenticalToFreshInspection) {
         Expected<ExecReport> r1 = loop.execute(policy, first);
         Expected<ExecReport> r2 = loop.execute(policy, second);
         ASSERT_TRUE(r1 && r2) << where;
-        EXPECT_EQ(r1->inspection, Inspection::kFresh) << where;
+        EXPECT_EQ(r1->inspection,
+                  fresh ? Inspection::kReused : Inspection::kFresh)
+            << where;
         EXPECT_EQ(r2->inspection, Inspection::kReused) << where;
+        if (!fresh) fresh = *r1;
+        EXPECT_EQ(r1->inspector_classes, fresh->inspector_classes) << where;
+        EXPECT_EQ(r1->checksum, fresh->checksum) << where;
         EXPECT_TRUE(r2->inspector) << where;
         EXPECT_TRUE(first == ref) << where;
         EXPECT_TRUE(second == ref) << where;
@@ -952,10 +961,12 @@ TEST(InspectionMemo, OneChangedIndexEntryReinspects) {
         const std::string where = memo_case(in.name, backend, threads);
         const ExecPolicy policy =
             ExecPolicy{}.threads(threads).backend(backend);
-        // init (fresh), changed, init again (each a mismatch with the
-        // entry the one before published), then init once more (reused).
+        // init (fresh at the first worker count; later ones reuse the
+        // entry the previous worker count's last step left), changed, init
+        // again (each a mismatch with the entry the one before published),
+        // then init once more (reused).
         const std::pair<const exec::ArrayStore*, Inspection> steps[] = {
-            {&init, Inspection::kFresh},
+            {&init, threads == 1 ? Inspection::kFresh : Inspection::kReused},
             {&changed, Inspection::kReinspected},
             {&init, Inspection::kReinspected},
             {&init, Inspection::kReused}};
@@ -1040,7 +1051,11 @@ TEST(InspectionMemo, BatchOfTwoIndexContentsRunsBoth) {
         Expected<std::vector<ExecReport>> r = loop.execute_batch(
             std::span<exec::ArrayStore* const>(stores), policy);
         ASSERT_TRUE(r) << where << ": " << r.error().to_string();
-        EXPECT_EQ((*r)[0].inspection, Inspection::kFresh) << where;
+        // Fresh at the first worker count; later ones find the entry the
+        // previous worker count's last batch left for `init`.
+        EXPECT_EQ((*r)[0].inspection,
+                  threads == 1 ? Inspection::kFresh : Inspection::kReused)
+            << where;
         EXPECT_EQ((*r)[1].inspection, Inspection::kReinspected) << where;
         EXPECT_TRUE(a == ref) << where;
         EXPECT_TRUE(b == changed_ref) << where;
@@ -1063,7 +1078,8 @@ TEST(InspectionMemo, BatchOfTwoIndexContentsRunsBoth) {
 
 TEST(InspectionMemo, AffineNestUnderInspectorReusesFromSecondRequest) {
   // An affine nest has no index arrays: under explicit kInspector its
-  // partition proves for every store of its shape.
+  // partition proves for every store of its shape, at every worker count
+  // (the key holds none).
   for (const LoopNest& nest : {example41(12), example42(7)}) {
     Compiler compiler;
     CompiledLoop loop = compiler.compile(nest).value();
@@ -1073,8 +1089,9 @@ TEST(InspectionMemo, AffineNestUnderInspectorReusesFromSecondRequest) {
     for (std::size_t threads : {1u, 2u, 8u}) {
       const ExecPolicy policy =
           ExecPolicy{}.threads(threads).backend(ExecBackend::kInspector);
-      for (Inspection expect : {Inspection::kFresh, Inspection::kReused,
-                                Inspection::kReused}) {
+      for (Inspection expect :
+           {threads == 1 ? Inspection::kFresh : Inspection::kReused,
+            Inspection::kReused, Inspection::kReused}) {
         exec::ArrayStore store = init;
         Expected<ExecReport> r = loop.execute(policy, store);
         ASSERT_TRUE(r) << r.error().to_string();

@@ -382,6 +382,152 @@ TEST(Compiled, ExecuteRowMatchesExecuteIteration) {
   EXPECT_EQ(overflowed, 1);  // uniform_wavefront(60) leaves int64
 }
 
+// ---------------------------------------------------------- column runs
+
+/// Runs `nest`'s kernel over the column it0 + e * step (e < n) both ways
+/// from `init`: execute_column, and execute_row per element in column
+/// order. The column's iterations must be mutually independent.
+void expect_column_matches_rows(const LoopNest& nest, const ArrayStore& init,
+                                const Vec& it0, const Vec& step, i64 n,
+                                const std::string& what) {
+  ArrayStore by_column = init, by_row = init;
+  const CompiledKernel column_kernel(nest, by_column);
+  const CompiledKernel row_kernel(nest, by_row);
+  CompiledKernel::Scratch cs = column_kernel.make_scratch();
+  CompiledKernel::Scratch rs = row_kernel.make_scratch();
+  column_kernel.execute_column(it0.data(), step.data(), n, cs);
+  Vec it = it0;
+  for (i64 e = 0; e < n; ++e) {
+    row_kernel.execute_row(it.data(), rs);
+    for (std::size_t k = 0; k < it.size(); ++k) it[k] += step[k];
+  }
+  EXPECT_EQ(by_column, by_row) << what;
+  EXPECT_FALSE(by_column == init) << what;
+}
+
+TEST(Compiled, ColumnMatchesRowsPastTheChunk) {
+  // 3 chunks and a tail; S2 reads S1's write of the same iteration, so a
+  // chunk's S1 must be stored before S2 reads it; an index term, a
+  // subtraction and a stride-0 read (D[0]) ride along.
+  const i64 n = 2 * CompiledKernel::kColumnChunk + 45;
+  LoopNestBuilder b;
+  b.loop("i", 0, n - 1);
+  b.array("A", {{0, n - 1}});
+  b.array("B", {{0, n - 1}});
+  b.array("C", {{0, n - 1}});
+  b.array("D", {{0, 0}});
+  b.assign(b.ref("A", {b.idx(0)}),
+           Expr::add(b.read("B", {b.idx(0)}),
+                     Expr::mul(Expr::index(0), Expr::constant(7))));
+  b.assign(b.ref("C", {b.idx(0)}),
+           Expr::sub(Expr::mul(b.read("A", {b.idx(0)}), Expr::constant(3)),
+                     b.read("D", {b.cst(0)})));
+  LoopNest nest = b.build();
+  ArrayStore init(nest);
+  init.fill_pattern();
+  expect_column_matches_rows(nest, init, Vec{0}, Vec{1}, n, "full column");
+  // A column that starts mid-range and stops inside its first chunk.
+  expect_column_matches_rows(nest, init, Vec{37}, Vec{1}, 5, "short column");
+  expect_column_matches_rows(nest, init, Vec{9}, Vec{1}, 1, "one element");
+}
+
+TEST(Compiled, ColumnFollowsAnySignedStep) {
+  // A transformed level steps the original iteration by a row of T^{-1}:
+  // here the anti-diagonal (1, -1) of a 2-deep nest, and a reversed row.
+  LoopNestBuilder b;
+  b.loop("i1", 0, 199).loop("i2", 0, 199);
+  b.array("A", {{0, 199}, {0, 199}});
+  b.array("B", {{0, 199}, {0, 199}});
+  b.assign(b.ref("A", {b.idx(0), b.idx(1)}),
+           Expr::add(b.read("B", {b.idx(1), b.idx(0)}),
+                     Expr::mul(Expr::index(0), Expr::index(1))));
+  LoopNest nest = b.build();
+  ArrayStore init(nest);
+  init.fill_pattern();
+  expect_column_matches_rows(nest, init, Vec{0, 199}, Vec{1, -1}, 200,
+                             "anti-diagonal");
+  expect_column_matches_rows(nest, init, Vec{5, 199}, Vec{0, -1}, 200,
+                             "reversed row");
+}
+
+TEST(Compiled, ColumnReadsAndWritesThroughIndexArrays) {
+  // Indirect slots in a column: a gather C[P[i]] and a scatter A[P[i]]
+  // through a permutation (so the column's iterations stay independent).
+  const i64 n = CompiledKernel::kColumnChunk + 31;
+  LoopNestBuilder b;
+  b.loop("i", 0, n - 1);
+  b.array("A", {{0, n - 1}});
+  b.array("C", {{0, n - 1}});
+  b.array("P", {{0, n - 1}});
+  loopir::ArrayRef scatter;
+  scatter.array = "A";
+  scatter.subscripts = {b.cst(0)};
+  scatter.indirect = {loopir::IndirectSubscript{"P", b.idx(0)}};
+  loopir::ArrayRef gather;
+  gather.array = "C";
+  gather.subscripts = {b.cst(0)};
+  gather.indirect = {loopir::IndirectSubscript{"P", b.idx(0)}};
+  b.assign(scatter, Expr::add(Expr::read(gather), Expr::index(0)));
+  LoopNest nest = b.build();
+  ArrayStore init(nest);
+  init.fill_pattern();
+  for (i64 i = 0; i < n; ++i) init.write("P", Vec{i}, (i * 7 + 3) % n);
+  expect_column_matches_rows(nest, init, Vec{0}, Vec{1}, n, "indirect");
+}
+
+TEST(Compiled, ColumnOverflowNamesTheFirstOverflowingElement) {
+  // A[i] = B[i] * B[i] leaves int64 at i = 200 and again at 250. The
+  // column names element 200's operands, in the per-point message, and
+  // stores nothing of the statement's chunk holding it (128..255); the
+  // chunk before it is stored.
+  const i64 n = 300;
+  LoopNestBuilder b;
+  b.loop("i", 0, n - 1);
+  b.array("A", {{0, n - 1}});
+  b.array("B", {{0, n - 1}});
+  b.assign(b.ref("A", {b.idx(0)}),
+           Expr::mul(b.read("B", {b.idx(0)}), b.read("B", {b.idx(0)})));
+  LoopNest nest = b.build();
+  ArrayStore init(nest);
+  for (i64 i = 0; i < n; ++i) {
+    init.write("A", Vec{i}, -1);
+    init.write("B", Vec{i}, i);
+  }
+  init.write("B", Vec{200}, i64{1} << 40);
+  init.write("B", Vec{250}, i64{1} << 41);
+
+  std::string row_message;
+  {
+    ArrayStore s = init;
+    const CompiledKernel k(nest, s);
+    CompiledKernel::Scratch scratch = k.make_scratch();
+    try {
+      for (i64 i = 0; i < n; ++i) k.execute_row(Vec{i}.data(), scratch);
+    } catch (const OverflowError& e) {
+      row_message = e.what();
+    }
+  }
+  EXPECT_NE(row_message.find("int64 overflow in mul(1099511627776, "
+                             "1099511627776)"),
+            std::string::npos)
+      << row_message;
+
+  ArrayStore s = init;
+  const CompiledKernel k(nest, s);
+  CompiledKernel::Scratch scratch = k.make_scratch();
+  const Vec it0{0}, step{1};
+  std::string column_message;
+  try {
+    k.execute_column(it0.data(), step.data(), n, scratch);
+  } catch (const OverflowError& e) {
+    column_message = e.what();
+  }
+  EXPECT_EQ(column_message, row_message);
+  EXPECT_EQ(s.read("A", Vec{127}), 127 * 127);
+  EXPECT_EQ(s.read("A", Vec{128}), -1);
+  EXPECT_EQ(s.read("A", Vec{199}), -1);
+}
+
 TEST(Compiled, IndirectInputsMatchInterpreter) {
   // The indirect inputs the inspector is checked on: duplicate-heavy
   // scatter, negative lower bounds, two written arrays, a 2-D target with an

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <map>
+#include <string>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -436,6 +438,185 @@ TEST(Streaming, BoxedDimsIntersectDynamicBoundsOnTriangularSpaces) {
   RuntimeStats rs = ex.run(got);
   EXPECT_EQ(ref, got);
   EXPECT_EQ(rs.total_iterations(), nest.iteration_count());
+}
+
+// ------------------------------------------------------------ column runs
+
+/// Two DOALL levels and two statements, S2 reading S1's write of the same
+/// iteration: a column must store S1's chunk before S2 reads it.
+loopir::LoopNest two_statement_doall(i64 n) {
+  loopir::LoopNestBuilder b;
+  b.loop("i1", 0, 2).loop("i2", 0, n);
+  b.array("A", {{0, 2}, {0, n}});
+  b.array("B", {{0, 2}, {0, n}});
+  b.array("C", {{0, 2}, {0, n}});
+  b.assign(b.ref("A", {b.idx(0), b.idx(1)}),
+           loopir::Expr::add(b.read("B", {b.idx(0), b.idx(1)}),
+                             loopir::Expr::index(1)));
+  b.assign(b.ref("C", {b.idx(0), b.idx(1)}),
+           loopir::Expr::mul(b.read("A", {b.idx(0), b.idx(1)}),
+                             loopir::Expr::constant(3)));
+  return b.build();
+}
+
+/// The paper suite at n = 6, plus column stresses: DOALL extents past
+/// CompiledKernel::kColumnChunk and the two-statement body.
+std::vector<core::NamedNest> column_cases() {
+  std::vector<core::NamedNest> cases = core::paper_suite(6);
+  cases.push_back({"skewed_extent_300", "", core::skewed_extent(300)});
+  cases.push_back({"two_statement_doall", "", two_statement_doall(300)});
+  return cases;
+}
+
+TEST(ColumnRuns, LevelIsTheDeepestDoallNoDeeperBoundReads) {
+  // Eligible: the deepest DOALL level whose coordinate no deeper bound
+  // reads (zero_column's plan moves its DOALL level outermost).
+  // example_4_1's and triangular_uniform's deeper bounds read their only
+  // DOALL level; example_4_2, uniform_* and sequential_chain have none.
+  const std::map<std::string, int> expected = {
+      {"example_4_1", -1},      {"example_4_2", -1},
+      {"uniform_wavefront", -1}, {"uniform_blocked", -1},
+      {"zero_column", 0},       {"parity_independent", 1},
+      {"sequential_chain", -1}, {"variable_3deep", 0},
+      {"triangular_uniform", -1}, {"matmul_reduction", 1},
+      {"skewed_extent", 1}};
+  for (const core::NamedNest& c : core::paper_suite(6)) {
+    StreamExecutor ex(c.nest, plan_for(c.nest));
+    ASSERT_TRUE(expected.count(c.name)) << c.name;
+    EXPECT_EQ(ex.column_level(), expected.at(c.name)) << c.name;
+  }
+  StreamExecutor two(two_statement_doall(8), plan_for(two_statement_doall(8)));
+  EXPECT_EQ(two.column_level(), 1);
+}
+
+TEST(ColumnRuns, CompiledMatchesInterpreterBitForBit) {
+  // Every case at 1, 2 and 8 workers, at the default grain and at grain 1
+  // (boxed column levels split to columns of length 1): the compiled scan
+  // leaves the interpreter's store, and counts every iteration as a column
+  // iteration exactly when the plan has a column level.
+  for (const core::NamedNest& c : column_cases()) {
+    const trans::TransformPlan plan = plan_for(c.nest);
+    exec::ArrayStore init(c.nest);
+    init.fill_pattern();
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      for (i64 grain : {i64{0}, i64{1}}) {
+        StreamOptions so;
+        so.num_threads = threads;
+        so.grain = grain;
+        StreamOptions interp = so;
+        interp.force_interpreter = true;
+        StreamExecutor compiled(c.nest, plan, so);
+        exec::ArrayStore got = init, want = init;
+        const RuntimeStats rc = compiled.run(got);
+        const RuntimeStats ri = StreamExecutor(c.nest, plan, interp).run(want);
+        const std::string what = c.name + " threads=" +
+                                 std::to_string(threads) +
+                                 " grain=" + std::to_string(grain);
+        EXPECT_EQ(got, want) << what;
+        EXPECT_EQ(rc.total_iterations(), c.nest.iteration_count()) << what;
+        EXPECT_EQ(rc.total_column_iterations(),
+                  compiled.column_level() >= 0 ? rc.total_iterations() : 0)
+            << what;
+        EXPECT_EQ(ri.total_column_iterations(), 0) << what;
+      }
+    }
+  }
+  // The sequential reference agrees too, where the columns are longest.
+  for (const core::NamedNest& c : column_cases()) {
+    exec::ArrayStore ref(c.nest);
+    ref.fill_pattern();
+    exec::ArrayStore got = ref;
+    exec::run_sequential(c.nest, ref);
+    StreamOptions so;
+    so.num_threads = 1;
+    StreamExecutor(c.nest, plan_for(c.nest), so).run(got);
+    EXPECT_EQ(ref, got) << c.name;
+  }
+}
+
+TEST(ColumnRuns, ReportCountsColumnIterations) {
+  // ExecReport::column_iterations: every iteration of matmul_reduction
+  // under kCompiled, none of triangular_uniform's (it stays per point),
+  // none under kInterpreter, none on native kJit leaves — single execute()
+  // and per request in a batch.
+  vdep::Compiler compiler;
+  vdep::CompiledLoop mm =
+      compiler.compile(core::matmul_reduction(12)).value();
+  vdep::CompiledLoop tri =
+      compiler.compile(core::triangular_uniform(30)).value();
+  EXPECT_NE(mm.summary().find("column runs: compiled scans run DOALL level"),
+            std::string::npos);
+  EXPECT_NE(tri.summary().find("column runs: none"), std::string::npos);
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    vdep::ExecPolicy compiled;
+    compiled.threads(threads).backend(vdep::ExecBackend::kCompiled);
+    vdep::ExecReport r = mm.check(compiled).value();
+    EXPECT_GT(r.iterations, 0) << what;
+    EXPECT_EQ(r.column_iterations, r.iterations) << what;
+    EXPECT_EQ(tri.check(compiled).value().column_iterations, 0) << what;
+
+    vdep::ExecPolicy interp = compiled;
+    interp.backend(vdep::ExecBackend::kInterpreter);
+    EXPECT_EQ(mm.check(interp).value().column_iterations, 0) << what;
+
+    vdep::ExecPolicy jit = compiled;
+    jit.backend(vdep::ExecBackend::kJit);
+    vdep::ExecReport rj = mm.check(jit).value();
+    EXPECT_EQ(rj.column_iterations, rj.jit ? 0 : rj.iterations) << what;
+
+    std::vector<vdep::BatchRequest> reqs = {{mm, nullptr}, {tri, nullptr}};
+    std::vector<vdep::ExecReport> reps =
+        vdep::execute_batch(reqs, compiled).value();
+    EXPECT_EQ(reps[0].column_iterations, reps[0].iterations) << what;
+    EXPECT_EQ(reps[1].column_iterations, 0) << what;
+  }
+}
+
+TEST(ColumnRuns, OverflowMidColumnIsTyped) {
+  // A[i1][i2] = B[i1][i2] * B[i1][i2] over a 300-long DOALL column; only
+  // B[1][200] squares past int64. kCompiled fails kOverflow at 1 and 4
+  // workers with the interpreter's message, which names that element's
+  // operands. With B[1][200] benign the same nest runs every iteration as
+  // a column, so the failing run went through the column path.
+  loopir::LoopNestBuilder b;
+  b.loop("i1", 0, 1).loop("i2", 0, 299);
+  b.array("A", {{0, 1}, {0, 299}});
+  b.array("B", {{0, 1}, {0, 299}});
+  b.assign(b.ref("A", {b.idx(0), b.idx(1)}),
+           loopir::Expr::mul(b.read("B", {b.idx(0), b.idx(1)}),
+                             b.read("B", {b.idx(0), b.idx(1)})));
+  vdep::Compiler compiler;
+  vdep::CompiledLoop loop = compiler.compile(b.build()).value();
+  exec::ArrayStore benign(loop.nest());
+  benign.fill_pattern();
+  exec::ArrayStore hostile = benign;
+  hostile.write("B", Vec{1, 200}, i64{1} << 40);
+  const std::string message =
+      "int64 overflow in mul(1099511627776, 1099511627776)";
+  for (std::size_t threads : {1u, 4u}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    vdep::ExecPolicy policy;
+    policy.threads(threads).backend(vdep::ExecBackend::kCompiled);
+    exec::ArrayStore ok = benign;
+    vdep::ExecReport r = loop.execute(policy, ok).value();
+    EXPECT_EQ(r.column_iterations, r.iterations) << what;
+
+    exec::ArrayStore bad = hostile;
+    vdep::Expected<vdep::ExecReport> e = loop.execute(policy, bad);
+    ASSERT_FALSE(e.has_value()) << what;
+    EXPECT_EQ(e.error().kind, vdep::ErrorKind::kOverflow) << what;
+    EXPECT_NE(e.error().message.find(message), std::string::npos)
+        << what << ": " << e.error().message;
+
+    exec::ArrayStore bad_interp = hostile;
+    vdep::Expected<vdep::ExecReport> ei = loop.execute(
+        vdep::ExecPolicy{policy}.backend(vdep::ExecBackend::kInterpreter),
+        bad_interp);
+    ASSERT_FALSE(ei.has_value()) << what;
+    EXPECT_NE(ei.error().message.find(message), std::string::npos)
+        << what << ": " << ei.error().message;
+  }
 }
 
 TEST(StagedApi, InnerSplitReporting) {
