@@ -25,7 +25,8 @@
 //
 // "sequential" is the exact interpreter; "sequential_compiled" runs the
 // same nest through exec::CompiledKernel::run_sequential (kernel built and
-// proved off the clock), the baseline a caller who knows the nest is safe
+// proved off the clock; the run binds the store, index scan included), the
+// baseline a caller who knows the nest is safe
 // to run in order would use. amortized_speedup_8w divides the interpreted
 // run by one single-worker inspection plus one 8-worker execution;
 // amortized_speedup_vs_compiled_8w divides the compiled run by what an
@@ -133,11 +134,11 @@ int run_scenario(const Scenario& sc, i64 n, int reps, bool gate) {
   // The compiled sequential baseline (informational; must still agree).
   int failures = 0;
   exec::ArrayStore compiled = init;
+  const exec::CompiledKernel kernel(nest);
   double t_seq_compiled = best_of(reps, [&] {
     compiled = init;
-    exec::CompiledKernel kernel(nest, compiled);
     auto t0 = std::chrono::steady_clock::now();
-    kernel.run_sequential();
+    kernel.run_sequential(compiled);
     return seconds_since(t0);
   });
   const bool compiled_identical = compiled == ref;

@@ -33,8 +33,8 @@ Expected<std::vector<ExecReport>> detail::run_requests(
 
     // Bind every request, in order, before any leaf runs: resolve its store
     // (caller's or an internal pattern fill), then CompiledLoop::bind —
-    // affine requests at one key share the memoized executor, scan
-    // prototype and .so; inspected requests reuse the memoized partition
+    // affine requests at one key share the memoized executor (with its
+    // compiled body) and .so; inspected requests reuse the memoized partition
     // when their index arrays equal its own and inspect their store
     // otherwise, so a hostile index array fails here.
     std::vector<std::unique_ptr<exec::ArrayStore>> owned_stores;
@@ -149,9 +149,9 @@ Expected<std::vector<ExecReport>> execute_batch(
 
 namespace {
 
-/// Rebinds `loop` at every bounds (at() checks the structure); errors
-/// carry the failing entry's index.
-Expected<std::vector<BatchRequest>> rebind_requests(
+/// `loop` at every bounds (at() checks the structure); errors carry the
+/// failing entry's index.
+Expected<std::vector<BatchRequest>> requests_at(
     const CompiledLoop& loop, std::span<const loopir::LoopNest> bounds) {
   std::vector<BatchRequest> reqs;
   reqs.reserve(bounds.size());
@@ -182,7 +182,7 @@ std::vector<BatchRequest> store_requests(
 
 Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
     std::span<const loopir::LoopNest> bounds, const ExecPolicy& policy) const {
-  return rebind_requests(*this, bounds).and_then([&](const auto& reqs) {
+  return requests_at(*this, bounds).and_then([&](const auto& reqs) {
     return execute_batch_impl(reqs, policy, nullptr);
   });
 }
@@ -190,7 +190,7 @@ Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
 Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
     std::span<const loopir::LoopNest> bounds, const ExecPolicy& policy,
     vdep::ThreadPool& pool) const {
-  return rebind_requests(*this, bounds).and_then([&](const auto& reqs) {
+  return requests_at(*this, bounds).and_then([&](const auto& reqs) {
     return execute_batch_impl(reqs, policy, &pool);
   });
 }

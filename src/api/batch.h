@@ -43,9 +43,9 @@ struct BatchRequest {
 /// Executes every request over one shared worker set (policy.threads()
 /// contexts, 0 = hardware); backends follow the policy, and indirect
 /// requests run through the inspector as in execute(). Requests at one
-/// (structure, bounds, options) key share the memoized executor,
-/// scan-kernel prototype (rebound per store) and, with ExecBackend::kJit,
-/// one loaded .so. On a request failure — a hostile index array fails at
+/// (structure, bounds, options) key share the memoized executor, its
+/// compiled body (bound once per request's store) and, with
+/// ExecBackend::kJit, one loaded .so. On a request failure — a hostile index array fails at
 /// bind time, before any request runs — the batch aborts and the error
 /// carries the request's index (ApiError::index); so does kPrecondition
 /// when two requests name one store.

@@ -137,7 +137,7 @@ Expected<std::shared_ptr<const jit::NativeKernel>> PlanArtifact::jit_kernel(
 std::string PlanArtifact::executable_key(const loopir::LoopNest& nest,
                                          const ExecPolicy& policy,
                                          std::size_t threads) {
-  // Everything that shapes the executor, its scan prototype or its native
+  // Everything that shapes the executor, its compiled body or its native
   // kernel; the per-run switches stay out (each run passes its own).
   std::string key = "t=";
   key += std::to_string(threads);
@@ -265,10 +265,10 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
       }
     }
     if (fresh) {
-      // The executor build (and, below, its CompiledKernel body's proof of
-      // this store's index arrays) is executor construction, like an
-      // affine memo miss. The new entry replaces the old one whole, so a
-      // request still running the old partition keeps it.
+      // The executor build (its CompiledKernel body's range proof
+      // included) is executor construction, like an affine memo miss. The
+      // new entry replaces the old one whole, so a request still running
+      // the old partition keeps it.
       obs::PhaseTimer build_timer(obs::Phase::kAnalyze);
       inspect::InspectorExecOptions io;
       io.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
@@ -287,6 +287,7 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
     // CompiledKernel body.
     if (policy.backend() == ExecBackend::kJit)
       b.native = b.executable->native(*art_, policy.jit_options());
+    // The source's binding (its index scan) is analysis time too.
     obs::PhaseTimer build_timer(obs::Phase::kAnalyze);
     b.source = b.executable->inspector().source(*proven, b.native.get(),
                                                 threads, policy.grain());
@@ -294,14 +295,11 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
   }
   b.executable = art_->executable(*nest_, policy, threads);
   // kJit leaves run the native kernel; a JIT failure (no toolchain, range
-  // proof, cc error) degrades to the scan path, which rebinds the entry's
-  // prototype onto this store.
+  // proof, cc error) degrades to the scan path through the executor's
+  // compiled body. Either way the source binds this store once.
   if (policy.backend() == ExecBackend::kJit)
     b.native = b.executable->native(*art_, policy.jit_options());
-  const exec::CompiledKernel* prototype = nullptr;
-  if (!b.native && policy.backend() != ExecBackend::kInterpreter)
-    prototype = b.executable->scan_prototype(store);
-  b.source = b.executable->executor().source(store, b.native.get(), prototype);
+  b.source = b.executable->executor().source(store, b.native.get());
   return b;
 }
 
@@ -315,7 +313,7 @@ Expected<CompiledLoop> CompiledLoop::at(const loopir::LoopNest& bounds) const {
     if (fp != art_->fingerprint())
       throw PreconditionError(
           "CompiledLoop::at: nest structure differs from the compiled "
-          "structure (recompile instead of rebinding)");
+          "structure (recompile instead)");
     return CompiledLoop(art_, bounds);
   });
 }

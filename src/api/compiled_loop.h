@@ -12,13 +12,14 @@
 // A handle = {shared PlanArtifact, concrete bounded nest}. The artifact is
 // keyed by the structural fingerprint (api/fingerprint.h) and shared by
 // every handle whose nest has the same structure — compile once at n=10,
-// rebind with at() (or re-compile: it is a cache hit) and execute at
-// n=1000 without re-running Hermite/Smith/Fourier–Motzkin. The bounds-level
-// state of a run (executor, scan-kernel prototype, native kernel — or an
-// indirect nest's last dynamic partition) is memoized on the artifact too,
-// per (bounds, execution options): a warm execute() at bounds already run
-// only binds it to the request's store, after comparing the store's index
-// arrays with the memoized partition's when the nest is inspected.
+// move to new bounds with at() (or re-compile: it is a cache hit) and
+// execute at n=1000 without re-running Hermite/Smith/Fourier–Motzkin. The
+// bounds-level state of a run (executor with its compiled body, native
+// kernel — or an indirect nest's last dynamic partition) is memoized on
+// the artifact too, per (bounds, execution options): a warm execute() at
+// bounds already run only binds it to the request's store, after comparing
+// the store's index arrays with the memoized partition's when the nest is
+// inspected.
 #pragma once
 
 #include <cstdint>
@@ -289,8 +290,9 @@ class PlanArtifact {
       const loopir::LoopNest& nest, const jit::JitOptions& opts) const;
 
   /// The executable memo (api/executable.h), affine entries: the
-  /// StreamExecutor for `nest` at `threads` workers under `policy`, plus
-  /// its lazily built scan prototype and (kJit) native kernel. Built on
+  /// StreamExecutor for `nest` at `threads` workers under `policy` (its
+  /// compiled body built with it), plus the lazily loaded (kJit) native
+  /// kernel. Built on
   /// first request (an executor-build span), shared by single execute()
   /// and execute_batch().
   std::shared_ptr<const detail::Executable> executable(
@@ -395,8 +397,8 @@ class CompiledLoop {
                                exec::ArrayStore& store,
                                vdep::ThreadPool& pool) const;
 
-  /// Batch execution, same structure at many bounds: rebinds the shared
-  /// artifact at every entry of `bounds` (CompiledLoop::at semantics —
+  /// Batch execution, same structure at many bounds: takes the shared
+  /// artifact to every entry of `bounds` (CompiledLoop::at semantics —
   /// errors kPrecondition with the entry's index when a nest has a
   /// different structure), allocates a pattern-filled store per request
   /// and runs all of them over ONE shared worker set: every request's

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "obs/phase.h"
-#include "support/error.h"
 
 namespace vdep::detail {
 
@@ -21,22 +19,6 @@ std::shared_ptr<const jit::NativeKernel> Executable::native(
   std::lock_guard<std::mutex> lock(mu_);
   if (!native_) native_ = std::move(*k);
   return native_;
-}
-
-const exec::CompiledKernel* Executable::scan_prototype(
-    exec::ArrayStore& store) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!proved_) {
-    proved_ = true;
-    obs::PhaseTimer timer(obs::Phase::kAnalyze);
-    try {
-      prototype_ =
-          std::make_unique<const exec::CompiledKernel>(stream_->nest(), store);
-    } catch (const Error&) {
-      // Range proof refused: every request at this key scans interpreted.
-    }
-  }
-  return prototype_.get();
 }
 
 std::size_t worker_count(const ExecPolicy& policy, const ThreadPool* pool) {

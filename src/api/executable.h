@@ -6,21 +6,22 @@
 // The structure-level stages (PDM, plan) are per artifact; everything that
 // depends on bounds lives here. An affine entry is built once and holds
 // what does not depend on data: the StreamExecutor (the rewritten nest,
-// the Fourier–Motzkin hull, the grain for the worker count), the scan-path
-// CompiledKernel prototype (its range proof depends only on bounds and
-// array shapes for affine nests) and, for kJit, the loaded native kernel.
-// A warm request therefore renders its key once and binds: it builds no
-// executor and proves no kernel.
+// the Fourier–Motzkin hull, the grain for the worker count, and its
+// compiled body, whose range proof depends only on the bounded nest) and,
+// for kJit, the loaded native kernel. A warm request therefore renders its
+// key once and makes one binding of its store: it builds no executor and
+// proves no kernel.
 //
 // An inspected entry (indirect nest, or kInspector) holds the last
 // inspection at its key instead: the DynamicPartition (with its byte copy
-// of every index array it read), its InspectorExecutor and, for kJit, the
-// row kernel. Its key leaves out the worker count and grain, which a
-// partition does not depend on (PlanArtifact::inspected_key). A request
-// whose store the partition proves for (DynamicPartition::prove: index
-// arrays equal byte for byte, every array at its inspected size) reuses it
-// without inspecting; any other request inspects its store and publishes a
-// new entry in place of the old one.
+// of every index array it read), its InspectorExecutor (with its compiled
+// body) and, for kJit, the row kernel. Its key leaves out the worker count
+// and grain, which a partition does not depend on
+// (PlanArtifact::inspected_key). A request whose store the partition
+// proves for (DynamicPartition::prove: index arrays equal byte for byte,
+// every array at its inspected size) reuses it without inspecting; any
+// other request inspects its store and publishes a new entry in place of
+// the old one.
 //
 // Internal to the API layer (api/compiled_loop.cpp, api/batch.cpp).
 #pragma once
@@ -30,7 +31,6 @@
 #include <optional>
 
 #include "api/compiled_loop.h"
-#include "exec/compiled.h"
 #include "inspect/executor.h"
 #include "runtime/stream_executor.h"
 
@@ -39,8 +39,7 @@ namespace vdep::detail {
 class Executable {
  public:
   /// An affine entry: builds the executor for `nest` (the executor keeps
-  /// its own copy, which the prototype and native kernel below are
-  /// compiled from).
+  /// its own copy, which the native kernel below is compiled from).
   Executable(const loopir::LoopNest& nest, const trans::TransformPlan& plan,
              const runtime::StreamOptions& opts) {
     stream_.emplace(nest, plan, opts);
@@ -72,14 +71,6 @@ class Executable {
   std::shared_ptr<const jit::NativeKernel> native(
       const PlanArtifact& art, const jit::JitOptions& opts) const;
 
-  /// The scan-path prototype of an affine entry, compiled against `store`
-  /// the first time it is asked for (the one range proof of this entry);
-  /// later callers get the same kernel and rebind it onto their own store.
-  /// Null when the proof refused the nest; StreamExecutor::source then
-  /// tries the proof against the request's own store and interprets when
-  /// it refuses too.
-  const exec::CompiledKernel* scan_prototype(exec::ArrayStore& store) const;
-
  private:
   const loopir::LoopNest& nest() const {
     return stream_ ? stream_->nest() : inspector_->nest();
@@ -88,10 +79,8 @@ class Executable {
   std::optional<runtime::StreamExecutor> stream_;
   std::optional<inspect::DynamicPartition> partition_;
   std::optional<inspect::InspectorExecutor> inspector_;
-  mutable std::mutex mu_;  ///< guards the three lazily set fields below
+  mutable std::mutex mu_;  ///< guards native_, set lazily
   mutable std::shared_ptr<const jit::NativeKernel> native_;
-  mutable std::unique_ptr<const exec::CompiledKernel> prototype_;
-  mutable bool proved_ = false;  ///< the prototype's proof has run
 };
 
 /// One request bound for a run (CompiledLoop::bind): the driver source

@@ -31,10 +31,6 @@ using intlin::Vec;
 /// thread that later zeroes a page is its true first toucher.
 template <class T>
 struct UninitAlloc : std::allocator<T> {
-  template <class U>
-  struct rebind {
-    using other = UninitAlloc<U>;
-  };
   UninitAlloc() = default;
   template <class U>
   UninitAlloc(const UninitAlloc<U>&) noexcept {}

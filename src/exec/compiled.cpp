@@ -4,8 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "poly/constraints.h"
-#include "poly/fourier_motzkin.h"
+#include "support/checked.h"
 #include "support/error.h"
 
 namespace vdep::exec {
@@ -63,22 +62,17 @@ i64 dot(const Vec& coeffs, const i64* x) {
 
 }  // namespace
 
-CompiledKernel::CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store)
-    : nest_(nest) {
-  for (const loopir::ArrayDecl& decl : nest.arrays())
-    sizes_.push_back(store.raw(decl.name).size());
-  // Iteration box for the one-time subscript range proof.
-  poly::ConstraintSystem cs = poly::ConstraintSystem::from_nest(nest);
-  box_.clear();
-  for (int k = 0; k < nest.depth(); ++k) {
-    auto r = cs.variable_range(k);
-    VDEP_REQUIRE(r.has_value(), "unbounded loop cannot be compiled");
-    box_.push_back(*r);
+CompiledKernel::CompiledKernel(const loopir::LoopNest& nest) : nest_(nest) {
+  IterationBox box;
+  try {
+    box = prove_subscript_ranges(nest_);
+  } catch (const UnsupportedError& e) {
+    throw PreconditionError(e.what());  // a kernel's refusal is a precondition
   }
-  for (const loopir::Assign& a : nest.body()) {
+  for (const loopir::Assign& a : nest_.body()) {
     Stmt s;
-    s.lhs = compile_access(a.lhs, store);
-    compile_expr(*a.rhs, s, 0, store);
+    s.lhs = compile_access(a.lhs, box);
+    compile_expr(*a.rhs, s, 0, box);
     stmts_.push_back(std::move(s));
   }
   for (const Stmt& s : stmts_) {
@@ -86,69 +80,51 @@ CompiledKernel::CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store)
     column_slots_ =
         std::max(column_slots_, static_cast<std::size_t>(s.max_stack) + 1);
   }
-  scratch_ = make_scratch();
 }
 
-std::pair<i64, i64> CompiledKernel::hull(const loopir::AffineExpr& e) const {
-  i64 lo = e.constant_term(), hi = e.constant_term();
-  for (int k = 0; k < nest_.depth(); ++k) {
-    i64 c = e.coeff(k);
-    auto [bl, bh] = box_[static_cast<std::size_t>(k)];
-    lo = checked::add(lo, checked::mul(c, c >= 0 ? bl : bh));
-    hi = checked::add(hi, checked::mul(c, c >= 0 ? bh : bl));
+std::shared_ptr<const CompiledKernel> CompiledKernel::try_compile(
+    const loopir::LoopNest& nest) {
+  try {
+    return std::make_shared<const CompiledKernel>(nest);
+  } catch (const Error&) {
+    return nullptr;  // range proof or box extraction refused
   }
-  return {lo, hi};
 }
 
 CompiledKernel::Access CompiledKernel::compile_access(
-    const loopir::ArrayRef& ref, ArrayStore& store) {
+    const loopir::ArrayRef& ref, const IterationBox& box) {
+  // An array's declaration ordinal: its slot in every BufferTable.
+  auto ordinal = [&](const std::string& name) {
+    return static_cast<int>(&nest_.array(name) - nest_.arrays().data());
+  };
   const loopir::ArrayDecl& decl = nest_.array(ref.array);
   Access acc;
-  acc.base = store.raw_mutable(ref.array).data();
-  for (std::size_t a = 0; a < nest_.arrays().size(); ++a)
-    if (nest_.arrays()[a].name == ref.array)
-      acc.array_ord = static_cast<int>(a);
+  acc.array = ordinal(ref.array);
   acc.coeffs.assign(static_cast<std::size_t>(nest_.depth()), 0);
   acc.c0 = 0;
   i64 stride = 1;
-  // Row-major: process dimensions right-to-left accumulating strides. Each
-  // slot's one-time range proof runs over the (rectangular hull of the)
-  // space.
+  // Row-major: process dimensions right-to-left accumulating strides. The
+  // constructor's range proof already covered every slot.
   for (int d = decl.arity() - 1; d >= 0; --d) {
     const auto ud = static_cast<std::size_t>(d);
     auto [lo, hi] = decl.dims[ud];
     if (ud < ref.indirect.size() && ref.indirect[ud].has_value()) {
       const loopir::IndirectSubscript& ind = *ref.indirect[ud];
-      const ArrayStore::Buffer& buf = store.raw(ind.array);
       const i64 idx_lo = nest_.array(ind.array).dims.front().first;
-      auto [pmin, pmax] = hull(ind.pos);
-      VDEP_REQUIRE(pmin >= idx_lo &&
-                       checked::sub(pmax, idx_lo) < static_cast<i64>(buf.size()),
-                   "position into index array " + ind.array +
-                       " can leave its declared range; cannot compile");
-      // One branch-free scan of every value the hull can reach proves the
-      // slot.
-      bool in_range = true;
-      for (i64 p = pmin; p <= pmax; ++p) {
-        const i64 v = buf[static_cast<std::size_t>(p - idx_lo)];
-        in_range &= (v >= lo) & (v <= hi);
-      }
-      VDEP_REQUIRE(in_range, "index array " + ind.array +
-                                 " holds a value outside " + ref.array +
-                                 "'s declared range; cannot compile");
       Indirect x;
-      x.idx = buf.data();
+      x.array = ordinal(ind.array);
       x.coeffs = ind.pos.coeffs();
       x.c0 = checked::sub(ind.pos.constant_term(), idx_lo);
       x.stride = stride;
+      auto [pmin, pmax] = affine_range(ind.pos, box);
+      x.first = pmin - idx_lo;
+      x.last = pmax - idx_lo;
+      x.lo = lo;
+      x.hi = hi;
       acc.indirect.push_back(std::move(x));
       acc.c0 = checked::sub(acc.c0, checked::mul(stride, lo));
     } else {
       const loopir::AffineExpr& s = ref.subscripts[ud];
-      auto [smin, smax] = hull(s);
-      VDEP_REQUIRE(smin >= lo && smax <= hi,
-                   "subscript of " + ref.array +
-                       " can leave the declared range; cannot compile");
       for (int k = 0; k < nest_.depth(); ++k)
         acc.coeffs[static_cast<std::size_t>(k)] =
             checked::add(acc.coeffs[static_cast<std::size_t>(k)],
@@ -161,8 +137,29 @@ CompiledKernel::Access CompiledKernel::compile_access(
   return acc;
 }
 
+BufferTable CompiledKernel::bind(ArrayStore& store) const {
+  BufferTable bufs(nest_, store);
+  // One branch-free scan of every value a slot's position hull can reach
+  // proves the slot for this store.
+  auto name = [&](int array) { return nest_.arrays()[array].name; };
+  auto scan = [&](const Access& a) {
+    for (const Indirect& x : a.indirect) {
+      const i64* idx = bufs.data()[x.array];
+      bool in_range = true;
+      for (i64 p = x.first; p <= x.last; ++p)
+        in_range &= (idx[p] >= x.lo) & (idx[p] <= x.hi);
+      VDEP_REQUIRE(in_range, "index array " + name(x.array) +
+                                 " holds a value outside " + name(a.array) +
+                                 "'s declared range; cannot bind");
+    }
+  };
+  for (const Stmt& s : stmts_) scan(s.lhs);
+  for (const Access& a : reads_) scan(a);
+  return bufs;
+}
+
 void CompiledKernel::compile_expr(const loopir::Expr& e, Stmt& stmt, int depth,
-                                  ArrayStore& store) {
+                                  const IterationBox& box) {
   using K = loopir::Expr::Kind;
   switch (e.kind()) {
     case K::kConst:
@@ -175,7 +172,7 @@ void CompiledKernel::compile_expr(const loopir::Expr& e, Stmt& stmt, int depth,
       return;
     case K::kRead: {
       int slot = static_cast<int>(reads_.size());
-      reads_.push_back(compile_access(e.ref(), store));
+      reads_.push_back(compile_access(e.ref(), box));
       stmt.program.push_back(
           {reads_.back().indirect.empty() ? Op::kRead : Op::kReadIndirect, 0,
            slot});
@@ -185,8 +182,8 @@ void CompiledKernel::compile_expr(const loopir::Expr& e, Stmt& stmt, int depth,
     case K::kAdd:
     case K::kSub:
     case K::kMul:
-      compile_expr(*e.lhs(), stmt, depth, store);
-      compile_expr(*e.rhs(), stmt, depth + 1, store);
+      compile_expr(*e.lhs(), stmt, depth, box);
+      compile_expr(*e.rhs(), stmt, depth + 1, box);
       stmt.program.push_back(
           {e.kind() == K::kAdd   ? Op::kAdd
            : e.kind() == K::kSub ? Op::kSub
@@ -197,35 +194,34 @@ void CompiledKernel::compile_expr(const loopir::Expr& e, Stmt& stmt, int depth,
   VDEP_UNREACHABLE("expr kind");
 }
 
-void CompiledKernel::execute_iteration(const Vec& iter) {
-  execute_iteration(iter, scratch_);
-}
-
 i64 CompiledKernel::affine_offset(const Access& a, const i64* it) {
   return a.c0 + dot(a.coeffs, it);
 }
 
-i64 CompiledKernel::indirect_offset(const Access& a, const i64* it) {
+i64 CompiledKernel::indirect_offset(const Access& a, i64* const* bufs,
+                                    const i64* it) {
   i64 off = 0;
   for (const Indirect& x : a.indirect)
-    off += x.stride * x.idx[x.c0 + dot(x.coeffs, it)];
+    off += x.stride * bufs[x.array][x.c0 + dot(x.coeffs, it)];
   return off;
 }
 
-void CompiledKernel::column_offsets(const Access& a, const i64* it0,
-                                    const i64* step, i64 e0, i64 m,
-                                    i64* out) {
+void CompiledKernel::column_offsets(const Access& a, i64* const* bufs,
+                                    const i64* it0, const i64* step, i64 e0,
+                                    i64 m, i64* out) {
   const i64 d = dot(a.coeffs, step);
   const i64 off0 = affine_offset(a, it0) + e0 * d;
   for (i64 e = 0; e < m; ++e) out[e] = off0 + e * d;
   for (const Indirect& x : a.indirect) {
     const i64 dp = dot(x.coeffs, step);
-    const i64* idx = x.idx + (x.c0 + dot(x.coeffs, it0) + e0 * dp);
+    const i64* idx = bufs[x.array] + (x.c0 + dot(x.coeffs, it0) + e0 * dp);
     for (i64 e = 0; e < m; ++e) out[e] += x.stride * idx[e * dp];
   }
 }
 
-void CompiledKernel::execute_row(const i64* it, Scratch& scratch) const {
+void CompiledKernel::execute_row(const BufferTable& bufs, const i64* it,
+                                 Scratch& scratch) const {
+  i64* const* buf = bufs.data();
   for (const Stmt& s : stmts_) {
     i64* sp = scratch.stack.data();
     for (const Instr& ins : s.program) {
@@ -239,12 +235,13 @@ void CompiledKernel::execute_row(const i64* it, Scratch& scratch) const {
           break;
         case Op::kRead: {
           const Access& a = reads_[static_cast<std::size_t>(ins.index)];
-          *sp++ = a.base[affine_offset(a, it)];
+          *sp++ = buf[a.array][affine_offset(a, it)];
           break;
         }
         case Op::kReadIndirect: {
           const Access& a = reads_[static_cast<std::size_t>(ins.index)];
-          *sp++ = a.base[affine_offset(a, it) + indirect_offset(a, it)];
+          *sp++ = buf[a.array][affine_offset(a, it) +
+                               indirect_offset(a, buf, it)];
           break;
         }
         case Op::kAdd:
@@ -268,12 +265,13 @@ void CompiledKernel::execute_row(const i64* it, Scratch& scratch) const {
       }
     }
     i64 off = affine_offset(s.lhs, it);
-    if (!s.lhs.indirect.empty()) off += indirect_offset(s.lhs, it);
-    s.lhs.base[off] = sp[-1];
+    if (!s.lhs.indirect.empty()) off += indirect_offset(s.lhs, buf, it);
+    buf[s.lhs.array][off] = sp[-1];
   }
 }
 
-void CompiledKernel::execute_column(const i64* it0, const i64* step, i64 n,
+void CompiledKernel::execute_column(const BufferTable& bufs, const i64* it0,
+                                    const i64* step, i64 n,
                                     Scratch& scratch) const {
   // Independence lets each op run over the whole chunk: no element reads
   // what another element of the column writes, so only body order (a
@@ -292,6 +290,7 @@ void CompiledKernel::execute_column(const i64* it0, const i64* step, i64 n,
     slot[k] =
         scratch.columns.data() + k * static_cast<std::size_t>(kColumnChunk);
   i64* spare = slot[column_slots_ - 1];
+  i64* const* buf = bufs.data();
   for (i64 e0 = 0; e0 < n; e0 += kColumnChunk) {
     const i64 m = std::min(kColumnChunk, n - e0);
     for (const Stmt& s : stmts_) {
@@ -311,7 +310,7 @@ void CompiledKernel::execute_column(const i64* it0, const i64* step, i64 n,
           case Op::kRead: {
             const Access& a = reads_[static_cast<std::size_t>(ins.index)];
             const i64 d = dot(a.coeffs, step);
-            const i64* in = a.base + (affine_offset(a, it0) + e0 * d);
+            const i64* in = buf[a.array] + (affine_offset(a, it0) + e0 * d);
             i64* out = *sp++;
             for (i64 e = 0; e < m; ++e) out[e] = in[e * d];
             break;
@@ -319,8 +318,9 @@ void CompiledKernel::execute_column(const i64* it0, const i64* step, i64 n,
           case Op::kReadIndirect: {
             const Access& a = reads_[static_cast<std::size_t>(ins.index)];
             i64* out = *sp++;
-            column_offsets(a, it0, step, e0, m, out);
-            for (i64 e = 0; e < m; ++e) out[e] = a.base[out[e]];
+            column_offsets(a, buf, it0, step, e0, m, out);
+            const i64* in = buf[a.array];
+            for (i64 e = 0; e < m; ++e) out[e] = in[out[e]];
             break;
           }
           case Op::kAdd:
@@ -344,53 +344,36 @@ void CompiledKernel::execute_column(const i64* it0, const i64* step, i64 n,
       const Access& lhs = s.lhs;
       if (lhs.indirect.empty()) {
         const i64 d = dot(lhs.coeffs, step);
-        i64* out = lhs.base + (affine_offset(lhs, it0) + e0 * d);
+        i64* out = buf[lhs.array] + (affine_offset(lhs, it0) + e0 * d);
         for (i64 e = 0; e < m; ++e) out[e * d] = value[e];
       } else {
-        column_offsets(lhs, it0, step, e0, m, spare);
-        for (i64 e = 0; e < m; ++e) lhs.base[spare[e]] = value[e];
+        column_offsets(lhs, buf, it0, step, e0, m, spare);
+        i64* out = buf[lhs.array];
+        for (i64 e = 0; e < m; ++e) out[spare[e]] = value[e];
       }
     }
   }
 }
 
-void CompiledKernel::run_sequential() {
-  nest_.for_each_iteration([&](const Vec& iter) { execute_iteration(iter); });
-}
-
-CompiledKernel CompiledKernel::rebind(ArrayStore& other) const {
-  if (nest_.has_indirection())
-    throw UnsupportedError(
-        "CompiledKernel::rebind: the range proof of an indirect kernel read "
-        "its store's index contents; build a kernel per store instead");
-  CompiledKernel copy(*this);
-  auto rebase = [&](Access& a) {
-    const loopir::ArrayDecl& decl =
-        nest_.arrays()[static_cast<std::size_t>(a.array_ord)];
-    ArrayStore::Buffer& buf = other.raw_mutable(decl.name);
-    // The range proof ran against the recorded sizes; it transfers only to
-    // identically sized buffers.
-    VDEP_REQUIRE(buf.size() == sizes_[static_cast<std::size_t>(a.array_ord)],
-                 "CompiledKernel::rebind: store shape differs for array " +
-                     decl.name);
-    a.base = buf.data();
-  };
-  for (Stmt& s : copy.stmts_) rebase(s.lhs);
-  for (Access& a : copy.reads_) rebase(a);
-  return copy;
+void CompiledKernel::run_sequential(ArrayStore& store) const {
+  const BufferTable bufs = bind(store);
+  Scratch scratch = make_scratch();
+  nest_.for_each_iteration(
+      [&](const Vec& iter) { execute_row(bufs, iter.data(), scratch); });
 }
 
 void execute_schedule_compiled(const loopir::LoopNest& nest,
                                const Schedule& sched, ArrayStore& store,
                                ThreadPool& pool) {
-  // Compile once; the kernel is const and shared, each work item carries
-  // only a private value stack. Array memory is shared and disjoint across
-  // items by legality.
-  const CompiledKernel kernel(nest, store);
+  // Compile and bind once; the kernel and its binding are const and
+  // shared, each work item carries only a private value stack. Array
+  // memory is shared and disjoint across items by legality.
+  const CompiledKernel kernel(nest);
+  const BufferTable bufs = kernel.bind(store);
   pool.parallel_for(static_cast<i64>(sched.items.size()), [&](i64 k) {
     CompiledKernel::Scratch scratch = kernel.make_scratch();
     for (const Vec& i : sched.items[static_cast<std::size_t>(k)])
-      kernel.execute_iteration(i, scratch);
+      kernel.execute_iteration(bufs, i, scratch);
   });
 }
 

@@ -19,15 +19,15 @@
 // not per point), kPushIndex an affine sequence, and the value stack a set
 // of chunk-long columns in the worker's Scratch.
 //
-// Subscript-in-bounds is established once per (kernel, nest) pair by
-// checking the affine offset's extremes over the iteration box. An indirect
-// slot is proven twice: the hull of its position over the box must lie
-// inside the index array, and one scan of the index array over that hull
-// must stay inside the target dimension's declared range. Index arrays are
-// read-only in the nest (LoopNest::validate), so the proof holds for the
-// whole run and the hot path needs no per-access checks — provided nothing
-// outside the nest rewrites an index array while a kernel built over it is
-// live.
+// A kernel is built from the bounded nest alone, each array named by its
+// declaration ordinal, and proven once against the declared dims
+// (exec::prove_subscript_ranges, the JIT's proof too). A store reaches it
+// through bind()'s BufferTable: sizes checked, and each indirect slot's
+// index array scanned over the slot's position hull for values outside
+// the target dimension. Index arrays are read-only in the nest
+// (LoopNest::validate), so a binding holds for the whole run and the hot
+// path needs no per-access checks — provided nothing outside the nest
+// rewrites an index array while a binding over it is live.
 //
 // Body arithmetic has the interpreter's contract: add/sub/mul that leave
 // int64 throw OverflowError (checked, with the throw kept out of line), so
@@ -35,6 +35,9 @@
 // same message in either shape.
 #pragma once
 
+#include <memory>
+
+#include "exec/kernel.h"
 #include "exec/runner.h"
 #include "support/thread_pool.h"
 
@@ -42,13 +45,22 @@ namespace vdep::exec {
 
 class CompiledKernel {
  public:
-  /// Compiles the body of `nest` against `store` (which must own every
-  /// array). The store must stay alive and must not be resized while the
-  /// kernel is used; data-array values may change freely, index-array
-  /// values must not (the range proof read them). Throws PreconditionError
-  /// when the proof fails, e.g. an index value in the scanned hull lies
-  /// outside its target's declared range.
-  CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store);
+  /// Compiles the body of `nest` (the kernel keeps its own copy) and runs
+  /// the range proof against its declared dims. Throws PreconditionError
+  /// when the proof fails, e.g. a subscript whose extremes over the
+  /// iteration box leave the declared range.
+  explicit CompiledKernel(const loopir::LoopNest& nest);
+  /// The kernel of `nest`, or null when construction throws (its caller
+  /// interprets instead).
+  static std::shared_ptr<const CompiledKernel> try_compile(
+      const loopir::LoopNest& nest);
+
+  /// `store`'s buffer table for this kernel, after one scan of every
+  /// indirect slot's index array over its position hull. Throws
+  /// PreconditionError, before anything runs, on a mis-sized buffer or an
+  /// index value outside its target's declared range. Index-array values
+  /// must not change while the binding is used; data values may.
+  BufferTable bind(ArrayStore& store) const;
 
   /// Iterations per chunk of execute_column.
   static constexpr i64 kColumnChunk = 128;
@@ -56,8 +68,8 @@ class CompiledKernel {
   /// Private mutable state of one executing task — the value stack, and
   /// execute_column's value columns (one kColumnChunk-long buffer per
   /// stack slot plus a spare, allocated by the first column run) with the
-  /// slot table over them; the kernel itself stays const and shareable
-  /// across threads.
+  /// slot table over them; the kernel and its bindings stay const and
+  /// shareable across threads.
   struct Scratch {
     std::vector<i64> stack;
     std::vector<i64> columns;
@@ -67,11 +79,13 @@ class CompiledKernel {
     return Scratch{std::vector<i64>(stack_size_, 0), {}, {}};
   }
 
-  /// Executes all statements at the iteration whose coordinates are
-  /// `row[0..depth)` (no bounds checks on the hot path; ranges were proven
-  /// at compile time). Throws OverflowError when body arithmetic leaves
-  /// int64; the statement being evaluated is not stored.
-  void execute_row(const i64* row, Scratch& scratch) const;
+  /// Executes all statements over `bufs` (bind()'s) at the iteration whose
+  /// coordinates are `row[0..depth)` (no bounds checks on the hot path;
+  /// construction and bind() proved the ranges). Throws OverflowError when
+  /// body arithmetic leaves int64; the statement being evaluated is not
+  /// stored.
+  void execute_row(const BufferTable& bufs, const i64* row,
+                   Scratch& scratch) const;
 
   /// Executes the `n` iterations it0 + e * step, e in [0, n) — `it0` and
   /// `step` are depth-long original-coordinate vectors — which must be
@@ -82,48 +96,35 @@ class CompiledKernel {
   /// writes of the same iteration. Throws OverflowError naming the operands
   /// of the first overflowing element; that statement's chunk is not
   /// stored.
-  void execute_column(const i64* it0, const i64* step, i64 n,
-                      Scratch& scratch) const;
+  void execute_column(const BufferTable& bufs, const i64* it0,
+                      const i64* step, i64 n, Scratch& scratch) const;
 
   /// execute_row over an iteration vector.
-  void execute_iteration(const Vec& iter, Scratch& scratch) const {
-    execute_row(iter.data(), scratch);
+  void execute_iteration(const BufferTable& bufs, const Vec& iter,
+                         Scratch& scratch) const {
+    execute_row(bufs, iter.data(), scratch);
   }
 
-  /// Convenience single-threaded form with an internal scratch.
-  void execute_iteration(const Vec& iter);
-
-  /// Sequential lexicographic execution of the whole nest.
-  void run_sequential();
-
-  /// A copy of this kernel with every access re-based onto `other`'s
-  /// buffers — the serving path: requests at one (structure, bounds)
-  /// compile one kernel and rebind it per request's store, skipping the
-  /// per-construction range proof. `other` must own the same arrays at the
-  /// sizes the proof ran against (checked against the sizes recorded at
-  /// construction, throwing PreconditionError on mismatch); it must outlive
-  /// the copy. Rebinding never touches the construction store, so a
-  /// prototype may outlive it — it just must not execute after it is gone.
-  /// Indirect kernels throw UnsupportedError: their proof read the
-  /// construction store's index contents, which a shape check cannot vouch
-  /// for.
-  CompiledKernel rebind(ArrayStore& other) const;
+  /// Sequential lexicographic execution of the whole nest over `store`.
+  void run_sequential(ArrayStore& store) const;
 
  private:
   /// One indirect slot: adds stride * idx[dot(coeffs, iter) + c0] to the
   /// flat offset (c0 already subtracts the index array's lower bound).
+  /// bind() checks idx[first..last] (the position hull) against [lo, hi],
+  /// the target dimension's declared range.
   struct Indirect {
-    const i64* idx = nullptr;  // index array buffer
+    int array = 0;  // index array's declaration ordinal
     Vec coeffs;
     i64 c0 = 0;
-    i64 stride = 0;            // row-major stride of the target dimension
+    i64 stride = 0;  // row-major stride of the target dimension
+    i64 first = 0, last = 0, lo = 0, hi = 0;
   };
   struct Access {
-    i64* base = nullptr;   // array buffer
-    Vec coeffs;            // flat offset = dot(coeffs, iter) + c0 + indirect
+    int array = 0;  // declaration ordinal: the BufferTable slot
+    Vec coeffs;     // flat offset = dot(coeffs, iter) + c0 + indirect
     i64 c0 = 0;
     std::vector<Indirect> indirect;
-    int array_ord = 0;     // index into nest_.arrays(), for rebind()
   };
   /// kRead is an affine-only read and kReadIndirect adds the indirect
   /// slots, so the affine scan and batch paths never test for them.
@@ -141,36 +142,32 @@ class CompiledKernel {
     int max_stack = 0;
   };
 
-  Access compile_access(const loopir::ArrayRef& ref, ArrayStore& store);
+  Access compile_access(const loopir::ArrayRef& ref,
+                        const IterationBox& box);
   void compile_expr(const loopir::Expr& e, Stmt& stmt, int depth,
-                    ArrayStore& store);
+                    const IterationBox& box);
   /// Flat buffer offset of `a` at iteration row `it` (unchecked: proven):
-  /// the affine part, and the indirect slots' part.
+  /// the affine part, and the indirect slots' part over `bufs`.
   static i64 affine_offset(const Access& a, const i64* it);
-  static i64 indirect_offset(const Access& a, const i64* it);
+  static i64 indirect_offset(const Access& a, i64* const* bufs,
+                             const i64* it);
   /// execute_column: the flat offsets of `a` at it0 + e * step for e in
   /// [e0, e0 + m), into `out`.
-  static void column_offsets(const Access& a, const i64* it0, const i64* step,
-                             i64 e0, i64 m, i64* out);
-  /// [min, max] of affine `e` over the iteration box (checked).
-  std::pair<i64, i64> hull(const loopir::AffineExpr& e) const;
+  static void column_offsets(const Access& a, i64* const* bufs,
+                             const i64* it0, const i64* step, i64 e0, i64 m,
+                             i64* out);
 
-  const loopir::LoopNest& nest_;
-  /// Buffer size of every array (by nest_.arrays() ordinal) the range
-  /// proof ran against; rebind() accepts only stores of these sizes.
-  std::vector<std::size_t> sizes_;
-  std::vector<std::pair<i64, i64>> box_;
+  loopir::LoopNest nest_;
   std::vector<Stmt> stmts_;
   std::vector<Access> reads_;
   std::size_t stack_size_ = 16;
   std::size_t column_slots_ = 1;  ///< deepest program stack, plus a spare
-  Scratch scratch_;  // for the single-threaded convenience path
 };
 
-/// Parallel execution of a prebuilt schedule through compiled kernels (one
-/// kernel per worker is unnecessary: execution only mutates array memory,
-/// which legality keeps disjoint across items; the value stack is the only
-/// mutable kernel state, so each task gets its own kernel copy).
+/// Parallel execution of a prebuilt schedule through one compiled kernel
+/// and one binding, shared by every task: execution only mutates array
+/// memory, which legality keeps disjoint across items, and the value stack
+/// — the only mutable execution state — lives in each task's own Scratch.
 void execute_schedule_compiled(const loopir::LoopNest& nest,
                                const Schedule& sched, ArrayStore& store,
                                ThreadPool& pool);

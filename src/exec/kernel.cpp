@@ -6,13 +6,31 @@
 
 namespace vdep::exec {
 
-void prove_subscript_ranges(const loopir::LoopNest& nest) {
-  if (nest.has_indirection())
-    throw UnsupportedError(
-        "subscript ranges of indirect references (A[B[i]]) cannot be proven "
-        "statically; the inspector validates them at runtime");
+BufferTable::BufferTable(const loopir::LoopNest& nest, ArrayStore& store) {
+  for (const loopir::ArrayDecl& decl : nest.arrays()) {
+    ArrayStore::Buffer& buf = store.raw_mutable(decl.name);
+    VDEP_REQUIRE(static_cast<i64>(buf.size()) == decl.element_count(),
+                 "store shape differs from the declaration of array " +
+                     decl.name);
+    bufs_.push_back(buf.data());
+  }
+}
+
+std::pair<i64, i64> affine_range(const loopir::AffineExpr& e,
+                                 const IterationBox& box) {
+  i64 lo = e.constant_term(), hi = e.constant_term();
+  for (std::size_t k = 0; k < box.size(); ++k) {
+    const i64 c = e.coeff(static_cast<int>(k));
+    auto [bl, bh] = box[k];
+    lo = checked::add(lo, checked::mul(c, c >= 0 ? bl : bh));
+    hi = checked::add(hi, checked::mul(c, c >= 0 ? bh : bl));
+  }
+  return {lo, hi};
+}
+
+IterationBox prove_subscript_ranges(const loopir::LoopNest& nest) {
   poly::ConstraintSystem cs = poly::ConstraintSystem::from_nest(nest);
-  std::vector<std::pair<i64, i64>> box;
+  IterationBox box;
   for (int k = 0; k < nest.depth(); ++k) {
     auto r = cs.variable_range(k);
     if (!r.has_value())
@@ -21,21 +39,24 @@ void prove_subscript_ranges(const loopir::LoopNest& nest) {
   }
   nest.for_each_access([&](const loopir::ArrayRef& ref, int, bool) {
     const loopir::ArrayDecl& decl = nest.array(ref.array);
-    for (int d = 0; d < decl.arity(); ++d) {
-      const loopir::AffineExpr& s = ref.subscripts[static_cast<std::size_t>(d)];
-      auto [lo, hi] = decl.dims[static_cast<std::size_t>(d)];
-      i64 smin = s.constant_term(), smax = s.constant_term();
-      for (int k = 0; k < nest.depth(); ++k) {
-        i64 c = s.coeff(k);
-        auto [bl, bh] = box[static_cast<std::size_t>(k)];
-        smin = checked::add(smin, checked::mul(c, c >= 0 ? bl : bh));
-        smax = checked::add(smax, checked::mul(c, c >= 0 ? bh : bl));
+    for (std::size_t d = 0; d < decl.dims.size(); ++d) {
+      if (d < ref.indirect.size() && ref.indirect[d].has_value()) {
+        const loopir::IndirectSubscript& ind = *ref.indirect[d];
+        auto [lo, hi] = nest.array(ind.array).dims.front();
+        auto [pmin, pmax] = affine_range(ind.pos, box);
+        if (pmin < lo || pmax > hi)
+          throw UnsupportedError("position into index array " + ind.array +
+                                 " can leave its declared range");
+        continue;
       }
+      auto [lo, hi] = decl.dims[d];
+      auto [smin, smax] = affine_range(ref.subscripts[d], box);
       if (smin < lo || smax > hi)
         throw UnsupportedError("subscript of " + ref.array +
                                " can leave the declared range");
     }
   });
+  return box;
 }
 
 }  // namespace vdep::exec

@@ -21,6 +21,8 @@ InspectorExecutor::InspectorExecutor(const loopir::LoopNest& nest,
                  ? opts_.num_threads
                  : std::max(1u, std::thread::hardware_concurrency());
   grain_ = leaf_grain(threads_, opts_.grain);
+  if (!opts_.force_interpreter)
+    body_ = exec::CompiledKernel::try_compile(nest_);
 }
 
 i64 InspectorExecutor::leaf_grain(std::size_t threads, i64 grain) const {
@@ -45,18 +47,19 @@ runtime::DriveSource InspectorExecutor::source(
   VDEP_REQUIRE(&proven.partition() == part_,
                "the store was proven for another partition");
   exec::ArrayStore& store = proven.store();
-  // Without a native kernel, one body shared by every worker: a
-  // CompiledKernel (per-worker Scratch keeps it const) for affine and
-  // indirect nests alike. The exact interpreter runs only when forced or
-  // when the kernel's range proof refuses — e.g. an index value in the box
-  // hull that no iteration reaches but the proof cannot rule out. Every
-  // body throws OverflowError on the same inputs.
-  std::shared_ptr<const exec::CompiledKernel> ck;
-  if (!native && !opts_.force_interpreter) {
+  // One buffer table per source, shared by every worker. The native body
+  // needs no index scan (inspection checked its rows); the compiled body's
+  // scan may refuse a value no iteration reaches — that store interprets.
+  std::shared_ptr<const exec::BufferTable> bufs;
+  const exec::CompiledKernel* body = nullptr;
+  if (native) {
+    bufs = std::make_shared<const exec::BufferTable>(nest_, store);
+  } else if (body_) {
     try {
-      ck = std::make_shared<exec::CompiledKernel>(nest_, store);
-    } catch (const Error&) {
-      // Range proof or box extraction failed: interpret instead.
+      bufs = std::make_shared<const exec::BufferTable>(body_->bind(store));
+      body = body_.get();
+    } catch (const PreconditionError&) {
+      // The index scan refused: interpret instead.
     }
   }
 
@@ -65,37 +68,37 @@ runtime::DriveSource InspectorExecutor::source(
   // compiled body walks their coordinate rows as they are, the
   // interpreter copies each into its Vec.
   const DynamicPartition* part = part_;
-  exec::ArrayStore* st = &store;
   runtime::LeafFactory factory;
   if (native) {
-    factory = [native, st, part](int, runtime::WorkerStats& stats)
+    factory = [native, bufs, part](int, runtime::WorkerStats& stats)
         -> runtime::LeafFn {
-      return [native, st, part, ws = &stats](
+      return [native, bufs, part, ws = &stats](
                  const runtime::TaskDescriptor& task) {
         const i64 m_lo = part->offset(task.class_lo);
         const i64 m_hi = part->offset(task.class_hi);
         ws->iterations += m_hi - m_lo;
-        if (native->execute_rows(*st, part->rows(), part->members(),
+        if (native->execute_rows(*bufs, part->rows(), part->members(),
                                  part->depth(), m_lo, m_hi) < 0)
           throw OverflowError("int64 overflow in the native row kernel");
       };
     };
-  } else if (ck) {
-    factory = [ck, part](int, runtime::WorkerStats& stats) -> runtime::LeafFn {
+  } else if (body) {
+    factory = [body, bufs, part](int, runtime::WorkerStats& stats)
+        -> runtime::LeafFn {
       auto scratch = std::make_shared<exec::CompiledKernel::Scratch>(
-          ck->make_scratch());
-      return [ck, scratch, part, ws = &stats](
+          body->make_scratch());
+      return [body, bufs, scratch, part, ws = &stats](
                  const runtime::TaskDescriptor& task) {
         ws->iterations +=
             part->offset(task.class_hi) - part->offset(task.class_lo);
         part->for_each_row(task.class_lo, task.class_hi, [&](const i64* row) {
-          ck->execute_row(row, *scratch);
+          body->execute_row(*bufs, row, *scratch);
         });
       };
     };
   } else {
     const loopir::LoopNest* nest = &nest_;
-    factory = [nest, st, part](int, runtime::WorkerStats& stats)
+    factory = [nest, st = &store, part](int, runtime::WorkerStats& stats)
         -> runtime::LeafFn {
       auto iter =
           std::make_shared<Vec>(static_cast<std::size_t>(part->depth()));

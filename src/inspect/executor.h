@@ -17,11 +17,11 @@
 //     buffers unchecked, which is sound only because inspect() range-checked
 //     every access of every row against index arrays equal, byte for byte,
 //     to this store's (DynamicPartition::prove; index arrays are read-only).
-//   * compiled (the default): one shared exec::CompiledKernel, whose
-//     indirect slots read the index buffers directly (proven in range at
-//     construction); each member's row goes straight to execute_row.
+//   * compiled (the default): the exec::CompiledKernel built with the
+//     executor; each source binds it to the store (scanning the index
+//     arrays) and each member's row goes straight to execute_row.
 //   * the exact interpreter, the reference: only under force_interpreter
-//     (ExecBackend::kInterpreter) or when the kernel's proof refuses.
+//     (ExecBackend::kInterpreter) or when the proof or the binding refuses.
 // All three throw OverflowError on int64 overflow of body arithmetic.
 // source() packages them as one DriveSource, like StreamExecutor::source,
 // so a batch drives inspected requests beside affine ones. It takes the
@@ -29,8 +29,14 @@
 // for the index contents it was inspected against, and for no other.
 #pragma once
 
+#include <memory>
+
 #include "inspect/inspector.h"
 #include "runtime/driver.h"
+
+namespace vdep::exec {
+class CompiledKernel;
+}
 
 namespace vdep::jit {
 class NativeKernel;
@@ -94,6 +100,8 @@ class InspectorExecutor {
   InspectorExecOptions opts_;
   std::size_t threads_ = 1;
   i64 grain_ = 1;
+  /// The compiled body (owns its nest); null when interpreting.
+  std::shared_ptr<const exec::CompiledKernel> body_;
 };
 
 }  // namespace vdep::inspect

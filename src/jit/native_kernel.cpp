@@ -15,27 +15,25 @@ NativeKernel::~NativeKernel() {
 #endif
 }
 
-std::vector<std::int64_t*> NativeKernel::buffers(
-    exec::ArrayStore& store) const {
-  std::vector<std::int64_t*> bufs;
-  bufs.reserve(arrays_.size());
-  for (const std::string& name : arrays_)
-    bufs.push_back(store.raw_mutable(name).data());
-  return bufs;
+std::int64_t** NativeKernel::entry_buffers(
+    const exec::BufferTable& bufs) const {
+  VDEP_REQUIRE(bufs.size() == arrays_.size(), "buffer table of another nest");
+  // The C entry takes int64_t**; it reads the table, never writes it.
+  return const_cast<std::int64_t**>(bufs.data());
 }
 
-i64 NativeKernel::execute_range(exec::ArrayStore& store,
+i64 NativeKernel::execute_range(const exec::BufferTable& bufs,
                                 const exec::IterBox& box) const {
   VDEP_REQUIRE(!row_kernel_, "execute_range on a row kernel");
-  return fn_(buffers(store).data(), box.lo, box.hi, box.ndims, box.class_lo,
+  return fn_(entry_buffers(bufs), box.lo, box.hi, box.ndims, box.class_lo,
              box.class_hi);
 }
 
-i64 NativeKernel::execute_rows(exec::ArrayStore& store, const i64* rows,
+i64 NativeKernel::execute_rows(const exec::BufferTable& bufs, const i64* rows,
                                const i64* members, i64 depth, i64 m_lo,
                                i64 m_hi) const {
   VDEP_REQUIRE(row_kernel_, "execute_rows on a range kernel");
-  return fn_(buffers(store).data(), rows, members, depth, m_lo, m_hi);
+  return fn_(entry_buffers(bufs), rows, members, depth, m_lo, m_hi);
 }
 
 }  // namespace vdep::jit

@@ -14,11 +14,12 @@
 // right after dlopen (POSIX keeps the mapping alive) unless
 // JitOptions::keep_artifacts.
 //
-// Safety: both kernels index raw buffers without bounds checks. A range
-// kernel is only ever built after exec::prove_subscript_ranges certified
-// every subscript's extremes over the iteration box — the same one-time
-// proof exec::CompiledKernel performs; nests that fail the proof never
-// reach the toolchain and fall back to the scan path. A row kernel has no
+// Safety: both kernels index the raw buffers of an exec::BufferTable (the
+// one exec::CompiledKernel runs on) without bounds checks. A range kernel
+// is only ever built after exec::prove_subscript_ranges — the one proof
+// exec::CompiledKernel runs too — certified every subscript's extremes
+// over the iteration box; nests that fail the proof never reach the
+// toolchain and fall back to the scan path. A row kernel has no
 // build-time proof (its subscripts depend on index-array contents): it may
 // only run rows that inspect::inspect() range-checked against the same
 // store, which the inspector's executor enforces.
@@ -39,10 +40,9 @@ class NativeKernel final : public exec::RangeKernel {
   NativeKernel& operator=(const NativeKernel&) = delete;
   ~NativeKernel() override;
 
-  /// Runs the descriptor box through the native entry point. Binds the
-  /// store's buffers by declaration-order name on every call (cheap at
-  /// descriptor granularity); safe concurrently for disjoint boxes.
-  i64 execute_range(exec::ArrayStore& store,
+  /// Runs the descriptor box through the native entry point over `bufs`
+  /// (its nest's table); safe concurrently for disjoint boxes.
+  i64 execute_range(const exec::BufferTable& bufs,
                     const exec::IterBox& box) const override;
 
   /// Runs member slots [m_lo, m_hi) of an inspector partition through a
@@ -50,9 +50,10 @@ class NativeKernel final : public exec::RangeKernel {
   /// per iteration rank, `members` maps slots to ranks (null: slot m is
   /// rank m). Returns m_hi - m_lo, or -1 when body arithmetic overflowed
   /// int64 (that statement is not stored). Every access of those rows must
-  /// have been range-checked against `store` (inspect::inspect()). Safe
-  /// concurrently for slot ranges whose iterations write disjoint cells.
-  i64 execute_rows(exec::ArrayStore& store, const i64* rows,
+  /// have been range-checked against the store of `bufs` (inspect::
+  /// inspect()). Safe concurrently for slot ranges whose iterations write
+  /// disjoint cells.
+  i64 execute_rows(const exec::BufferTable& bufs, const i64* rows,
                    const i64* members, i64 depth, i64 m_lo, i64 m_hi) const;
 
   /// True for an indirect nest's row kernel (execute_rows), false for a
@@ -88,8 +89,9 @@ class NativeKernel final : public exec::RangeKernel {
         partitioned_(partitioned),
         verdict_(std::move(verdict)) {}
 
-  /// The store's buffers in declaration order (the entry's first argument).
-  std::vector<std::int64_t*> buffers(exec::ArrayStore& store) const;
+  /// The entry's first argument: `bufs`, checked to bind this kernel's
+  /// array count.
+  std::int64_t** entry_buffers(const exec::BufferTable& bufs) const;
 
   void* handle_ = nullptr;
   EntryFn fn_ = nullptr;

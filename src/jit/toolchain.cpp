@@ -133,8 +133,6 @@ std::string JitOptions::memo_key() const {
   key += keep_artifacts ? '1' : '0';
   key += ";part=";
   key += partition ? '1' : '0';
-  key += ";native=";
-  key += native_arch ? '1' : '0';
   key += ";fault=";
   key += inject_partition_fault ? '1' : '0';
   return key;
@@ -272,7 +270,6 @@ std::string cache_options_render(const JitOptions& o) {
   std::string r;
   keyenc::append_field(&r, o.extra_flags);
   r += o.partition ? '1' : '0';
-  r += o.native_arch ? '1' : '0';
   r += o.inject_partition_fault ? '1' : '0';
   return r;
 }
@@ -332,7 +329,6 @@ Expected<std::string> emit_range_kernel(const loopir::LoopNest& original,
           meta.partitioned = true;
           meta.partition_verdict = rep.summary();
           meta.opt_flags = "-O3";
-          if (opts.native_arch) meta.opt_flags += " -march=native";
         } else {
           meta.partition_verdict = rep.summary();
         }

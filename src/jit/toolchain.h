@@ -41,9 +41,6 @@ struct JitOptions {
   /// + KernelVerifier); verified kernels compile at -O3, everything else
   /// keeps the clamped -O2 kernel. Off forces the clamped kernel.
   bool partition = true;
-  /// Add -march=native to verified partitioned kernels (opt-in: the .so is
-  /// then tied to the build host).
-  bool native_arch = false;
   /// Test-only: plant a clamp artifact in the emitted steady region so the
   /// verifier must reject it and the clamped fallback must load.
   bool inject_partition_fault = false;
@@ -85,8 +82,9 @@ std::size_t sweep_stale_work_dirs(const std::string& base);
 
 /// How ToolchainCompiler::compile_source builds and labels one TU.
 struct CompileMeta {
-  /// Optimization/arch flags ("-O2" clamped, "-O3 [-march=native]" for
-  /// verified partitioned kernels); -fwrapv -fPIC -shared are always on.
+  /// Optimization flags ("-O2" clamped, "-O3" for verified partitioned
+  /// kernels); -fwrapv -fPIC -shared are always on, and
+  /// JitOptions::extra_flags follow.
   std::string opt_flags = "-O2";
   /// Stamped onto the NativeKernel (partitioned() / partition_verdict()).
   bool partitioned = false;

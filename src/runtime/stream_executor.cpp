@@ -19,14 +19,17 @@ struct StreamExecutor::Worker {
   WorkerStats* stats = nullptr;
   Vec j;     ///< transformed iteration being scanned
   Vec orig;  ///< original iteration (map-back target when T != I)
-  /// The compiled body and its private scratch; null for `body`.
-  std::shared_ptr<const exec::CompiledKernel> kernel;
+  /// The compiled body, the run's binding and a private scratch; or null.
+  const exec::CompiledKernel* kernel = nullptr;
+  std::shared_ptr<const exec::BufferTable> bufs;
   exec::CompiledKernel::Scratch scratch;
   std::function<void(const Vec&)> body;    ///< runs one original iteration
   std::function<void(const Vec&)> emit_j;  ///< scan callback over j
   /// Column runs (kernel set, column level chosen): the column level's
   /// value count at the point being scanned, its first value held in j.
   i64 column_len = 0;
+  /// The current leaf's class labels (capacity reused across leaves).
+  std::vector<Vec> labels;
 };
 
 int column_level(const loopir::LoopNest& transformed, int num_doall) {
@@ -75,6 +78,8 @@ StreamExecutor::StreamExecutor(const loopir::LoopNest& original,
   } else {
     grain_ = pick_grain(std::max<i64>(root().cells(), 1), threads_);
   }
+  if (!opts_.force_interpreter)
+    body_ = exec::CompiledKernel::try_compile(original_);
 }
 
 void StreamExecutor::compute_hull() {
@@ -240,15 +245,15 @@ void StreamExecutor::emit(Worker& w) const {
   if (w.column_len > 0) {
     // One column: the column level's values from j's, each one step of
     // row column_level_ of T^{-1} further in original coordinates.
-    w.kernel->execute_column(it->data(), column_step_.data(), w.column_len,
-                             w.scratch);
+    w.kernel->execute_column(*w.bufs, it->data(), column_step_.data(),
+                             w.column_len, w.scratch);
     w.stats->iterations += w.column_len;
     w.stats->column_iterations += w.column_len;
     return;
   }
   ++w.stats->iterations;
   if (w.kernel)
-    w.kernel->execute_row(it->data(), w.scratch);
+    w.kernel->execute_row(*w.bufs, it->data(), w.scratch);
   else
     w.body(*it);
 }
@@ -269,11 +274,10 @@ void StreamExecutor::scan_tail(int level, Worker& w) const {
 }
 
 void StreamExecutor::scan_prefix(int level, const TaskDescriptor& task,
-                                 const std::vector<Vec>& labels,
                                  Worker& w) const {
   if (level == num_doall_) {
     if (part_) {
-      for (const Vec& label : labels)
+      for (const Vec& label : w.labels)
         part_->for_each_class_iteration_from(tn_.nest, num_doall_, label, w.j,
                                              w.emit_j);
     } else {
@@ -296,14 +300,14 @@ void StreamExecutor::scan_prefix(int level, const TaskDescriptor& task,
     if (lo > hi) return;
     w.j[static_cast<std::size_t>(level)] = lo;
     w.column_len = hi - lo + 1;
-    scan_prefix(level + 1, task, labels, w);
+    scan_prefix(level + 1, task, w);
     w.column_len = 0;
     w.j[static_cast<std::size_t>(level)] = 0;
     return;
   }
   for (i64 v = lo; v <= hi; ++v) {
     w.j[static_cast<std::size_t>(level)] = v;
-    scan_prefix(level + 1, task, labels, w);
+    scan_prefix(level + 1, task, w);
   }
   w.j[static_cast<std::size_t>(level)] = 0;
 }
@@ -312,25 +316,22 @@ void StreamExecutor::execute_leaf(const TaskDescriptor& task, Worker& w) const {
   // Class labels depend only on the class id, which the descriptor fixes:
   // derive them once per leaf, not once per DOALL-prefix point (the prefix
   // scan below visits O(extent^num_doall) points).
-  std::vector<Vec> labels;
-  if (part_) {
-    labels.reserve(static_cast<std::size_t>(task.class_hi - task.class_lo));
+  w.labels.clear();
+  if (part_)
     for (i64 c = task.class_lo; c < task.class_hi; ++c)
-      labels.push_back(part_->class_label(c));
-  }
-  scan_prefix(0, task, labels, w);
+      w.labels.push_back(part_->class_label(c));
+  scan_prefix(0, task, w);
 }
 
-DriveSource StreamExecutor::source(
-    exec::ArrayStore& store, const exec::RangeKernel* kernel,
-    const exec::CompiledKernel* scan_prototype) const {
-  return {root(), grain_, split_prefs_,
-          make_leaf_factory(store, kernel, scan_prototype), split_classes_};
+DriveSource StreamExecutor::source(exec::ArrayStore& store,
+                                   const exec::RangeKernel* kernel) const {
+  return {root(), grain_, split_prefs_, make_leaf_factory(store, kernel),
+          split_classes_};
 }
 
 StreamExecutor::LeafFn StreamExecutor::make_scan_leaf(
     int id, WorkerStats& stats, std::function<void(const Vec&)> body,
-    std::shared_ptr<const exec::CompiledKernel> kernel) const {
+    std::shared_ptr<const exec::BufferTable> bufs) const {
   // The Worker outlives the factory call (it is captured by the leaf
   // closure), so it lives on the heap, one per worker context.
   auto w = std::make_shared<Worker>();
@@ -338,8 +339,11 @@ StreamExecutor::LeafFn StreamExecutor::make_scan_leaf(
   w->stats = &stats;
   w->j.assign(static_cast<std::size_t>(depth_), 0);
   w->orig.assign(static_cast<std::size_t>(depth_), 0);
-  if (kernel) w->scratch = kernel->make_scratch();
-  w->kernel = std::move(kernel);
+  if (bufs) {
+    w->kernel = body_.get();
+    w->bufs = std::move(bufs);
+    w->scratch = body_->make_scratch();
+  }
   w->body = std::move(body);
   Worker* wp = w.get();
   w->emit_j = [this, wp](const Vec&) { emit(*wp); };
@@ -347,39 +351,28 @@ StreamExecutor::LeafFn StreamExecutor::make_scan_leaf(
 }
 
 StreamExecutor::LeafFactory StreamExecutor::make_leaf_factory(
-    exec::ArrayStore& store, const exec::RangeKernel* kernel,
-    const exec::CompiledKernel* scan_prototype) const {
+    exec::ArrayStore& store, const exec::RangeKernel* kernel) const {
   if (kernel) {
-    return [kernel, &store](int, WorkerStats& stats) -> LeafFn {
-      return [kernel, &store, &stats](const TaskDescriptor& t) {
+    auto bufs = std::make_shared<const exec::BufferTable>(original_, store);
+    return [kernel, bufs](int, WorkerStats& stats) -> LeafFn {
+      return [kernel, bufs, &stats](const TaskDescriptor& t) {
         exec::IterBox box;
         box.lo = t.lo;
         box.hi = t.hi;
         box.ndims = t.ndims;
         box.class_lo = t.class_lo;
         box.class_hi = t.class_hi;
-        stats.iterations += kernel->execute_range(store, box);
+        stats.iterations += kernel->execute_range(*bufs, box);
       };
     };
   }
-  // Scan path: one shared CompiledKernel against `store` (per-worker
-  // Scratch keeps it const), interpreter when the range proof rejects.
-  // A prototype skips construction entirely: same program, re-based
-  // buffers.
-  std::shared_ptr<const exec::CompiledKernel> ck;
-  if (!opts_.force_interpreter) {
-    try {
-      ck = scan_prototype
-               ? std::make_shared<exec::CompiledKernel>(
-                     scan_prototype->rebind(store))
-               : std::make_shared<exec::CompiledKernel>(original_, store);
-    } catch (const Error&) {
-      // Range proof or box extraction failed: interpret instead.
-    }
-  }
-  if (ck) {
-    return [this, ck](int id, WorkerStats& stats) -> LeafFn {
-      return make_scan_leaf(id, stats, nullptr, ck);
+  // Scan path: the executor's one compiled body over this run's one
+  // binding (per-worker Scratch keeps both const), or the interpreter
+  // when construction found no body.
+  if (body_) {
+    auto bufs = std::make_shared<const exec::BufferTable>(body_->bind(store));
+    return [this, bufs](int id, WorkerStats& stats) -> LeafFn {
+      return make_scan_leaf(id, stats, nullptr, bufs);
     };
   }
   return [this, &store](int id, WorkerStats& stats) -> LeafFn {

@@ -13,10 +13,11 @@
 // O(active descriptors): a few dozen small boxes, independent of the
 // iteration count.
 //
-// Loop bodies run through a shared exec::CompiledKernel with one Scratch
-// per worker — a plan's column level (column_level below) as whole
-// columns, everything else one point at a time; nests the kernel's
-// one-time range proof rejects fall back to the exact interpreter. Both
+// Loop bodies run through one exec::CompiledKernel built with the executor
+// and bound once per run; workers share both beside their own Scratch — a
+// plan's column level (column_level below) as whole columns, everything
+// else one point at a time. Nests the kernel's one-time range proof
+// rejects fall back to the exact interpreter. Both
 // bodies produce final stores bit-identical to the sequential reference —
 // legality is the same Lemma 1 x Theorem 2 argument as the materialized
 // schedule, only the cover of the box (and, in a column, the order of
@@ -68,7 +69,7 @@ struct StreamOptions {
   /// (capped at TaskDescriptor::kMaxDims). 1 is the outer-only splitter,
   /// bench_runtime_throughput's single-axis baseline.
   int split_dims = 0;
-  /// Skip the compiled kernel and always interpret (tests / debugging).
+  /// Build no compiled kernel and always interpret (tests / debugging).
   bool force_interpreter = false;
   // Tracing, metrics and worker pinning are not construction options: they
   // are per-run RunSwitches (runtime/driver.h), so one executor serves
@@ -138,20 +139,13 @@ class StreamExecutor {
   /// This plan over `store` as one source of a descriptor-driver run
   /// (runtime/driver.h): root(), grain(), the locality prefs and the leaf
   /// runner run()/run(kernel) use — so a batch can drive many plans'
-  /// descriptors over one worker set. With `kernel` null this is the scan
-  /// path — a CompiledKernel is built against `store` once (shared by
-  /// every worker context), falling back to the exact interpreter when the
-  /// range proof rejects the nest; non-null, leaves are handed whole to
-  /// `kernel`. `scan_prototype`, when set, skips the scan kernel's
-  /// construction (and its range proof): the prototype — compiled once per
-  /// (structure, bounds, options) by the API's executable memo and kept
-  /// there across requests — is rebound onto `store` instead. The
-  /// prototype's own construction store may be gone by then (rebind checks
-  /// shapes against the sizes the proof recorded). `store`, `kernel` and
-  /// `scan_prototype` must outlive the run; so must this executor.
-  DriveSource source(
-      exec::ArrayStore& store, const exec::RangeKernel* kernel = nullptr,
-      const exec::CompiledKernel* scan_prototype = nullptr) const;
+  /// descriptors over one worker set. Binds `store` once (PreconditionError
+  /// on a mis-sized buffer) for every worker: with `kernel` null leaves scan
+  /// through body() (the interpreter when null), else they go whole to
+  /// `kernel`. `store` and `kernel` must outlive the run; so must this
+  /// executor.
+  DriveSource source(exec::ArrayStore& store,
+                     const exec::RangeKernel* kernel = nullptr) const;
 
   /// The root descriptor: the rectangular hull of every boxed DOALL-prefix
   /// dimension times the full class range.
@@ -172,21 +166,22 @@ class StreamExecutor {
   const StreamOptions& options() const { return opts_; }
   /// The executor's own copy of the original bounded nest.
   const loopir::LoopNest& nest() const { return original_; }
+  /// The compiled body; null when forced to or proven unable to compile.
+  const exec::CompiledKernel* body() const { return body_.get(); }
 
  private:
   struct Worker;
-  LeafFactory make_leaf_factory(
-      exec::ArrayStore& store, const exec::RangeKernel* kernel,
-      const exec::CompiledKernel* scan_prototype) const;
-  /// One scan-path worker context: Worker + recursive descriptor scan.
+  LeafFactory make_leaf_factory(exec::ArrayStore& store,
+                                const exec::RangeKernel* kernel) const;
+  /// One scan-path worker context: Worker + recursive descriptor scan,
+  /// through body_ over `bufs` when set, else `body`.
   LeafFn make_scan_leaf(
       int id, WorkerStats& stats, std::function<void(const Vec&)> body,
-      std::shared_ptr<const exec::CompiledKernel> kernel = nullptr) const;
+      std::shared_ptr<const exec::BufferTable> bufs = nullptr) const;
   void compute_hull();
   void compute_split_prefs();
   void execute_leaf(const TaskDescriptor& task, Worker& w) const;
-  void scan_prefix(int level, const TaskDescriptor& task,
-                   const std::vector<Vec>& labels, Worker& w) const;
+  void scan_prefix(int level, const TaskDescriptor& task, Worker& w) const;
   void scan_tail(int level, Worker& w) const;
   void emit(Worker& w) const;
 
@@ -210,6 +205,8 @@ class StreamExecutor {
   /// Rectangular hull [min, max] of each DOALL-prefix dimension over the
   /// transformed space (interval arithmetic over the bounds, outermost-in).
   std::vector<std::pair<i64, i64>> hull_;
+  /// Owns its nest, so it survives a move of the executor.
+  std::shared_ptr<const exec::CompiledKernel> body_;
 };
 
 }  // namespace vdep::runtime

@@ -5,6 +5,7 @@
 // bit-identically at n=100 and n=1000 without re-analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <span>
@@ -416,10 +417,10 @@ TEST(ExecuteBatch, MatchesIndividualExecution) {
 }
 
 TEST(ExecuteBatch, AllBackendsAgreeThroughTheBatchPath) {
-  // The batch path has its own kernel plumbing (shared scan prototype
-  // rebound per store, one native kernel per group): cross-check it
-  // against the sequential reference per backend, like the differential
-  // harness does for single execute().
+  // The batch path has its own kernel plumbing (one compiled body per
+  // executor bound to each request's store, one native kernel per group):
+  // cross-check it against the sequential reference per backend, like the
+  // differential harness does for single execute().
   Compiler compiler;
   CompiledLoop loop = compiler.compile(example42(7)).value();
   exec::ArrayStore ref(loop.nest());
@@ -686,43 +687,83 @@ TEST(ExecuteBatchHammer, ConcurrentBatchesOnSharedSessionPool) {
 
 /// `nest`'s pattern-filled store with every element shifted by `salt`, so
 /// stores at one bounds differ in content.
-exec::ArrayStore salted_store(const LoopNest& nest, i64 salt) {
-  exec::ArrayStore s(nest);
-  s.fill_pattern();
+/// `init` with `salt` added to every cell of every array outside `keep`.
+exec::ArrayStore salted_store(const exec::ArrayStore& init,
+                              const LoopNest& nest, i64 salt,
+                              const std::vector<std::string>& keep) {
+  exec::ArrayStore s = init;
   for (const loopir::ArrayDecl& a : nest.arrays())
-    for (i64& v : s.raw_mutable(a.name)) v += salt;
+    if (std::find(keep.begin(), keep.end(), a.name) == keep.end())
+      for (i64& v : s.raw_mutable(a.name)) v += salt;
   return s;
 }
 
-// Warm requests at one key share one executor and one scan prototype,
-// rebound onto each request's own store: every result must stay
-// bit-identical to the sequential reference whatever the store holds,
-// through execute() and execute_batch() alike.
+// Warm requests at one key share one executor and its one compiled body
+// (or, under kJit, one native kernel), each bound to the request's own
+// store; an inspected key shares its partition and body too while the
+// index arrays stay unchanged. Every result must stay bit-identical to
+// the sequential reference whatever the data arrays hold, through
+// execute() and execute_batch() alike.
 TEST(ExecutableMemo, HitsAreBitIdenticalAcrossStoresAndPaths) {
-  Compiler compiler;
-  CompiledLoop loop = compiler.compile(example42(9)).value();
-  auto reference = [&](i64 salt) {
-    exec::ArrayStore ref = salted_store(loop.nest(), salt);
-    exec::run_sequential(loop.nest(), ref);
-    return ref;
+  struct Input {
+    std::string name;
+    LoopNest nest;
+    ExecBackend backend;
+    exec::ArrayStore init;
+    std::vector<std::string> index;  ///< arrays the salt leaves alone
   };
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    const ExecPolicy policy = ExecPolicy{}.threads(threads);
-    for (i64 salt : {0, 7, -3}) {
-      exec::ArrayStore store = salted_store(loop.nest(), salt);
-      ASSERT_TRUE(loop.execute(policy, store));
-      EXPECT_TRUE(store == reference(salt))
-          << "execute threads=" << threads << " salt=" << salt;
+  std::vector<Input> inputs;
+  auto pattern = [](const LoopNest& nest) {
+    exec::ArrayStore s(nest);
+    s.fill_pattern();
+    return s;
+  };
+  inputs.push_back({"example_4_2 compiled", example42(9),
+                    ExecBackend::kCompiled, pattern(example42(9)), {}});
+  const test_inputs::IndirectInput scatter =
+      test_inputs::indirect_inputs().front();
+  inputs.push_back({"scatter inspector", scatter.nest, ExecBackend::kInspector,
+                    test_inputs::initial_store(scatter), {"B"}});
+  const bool native = jit::discover_toolchain().has_value();
+  if (native)
+    inputs.push_back({"example_4_2 jit", example42(9), ExecBackend::kJit,
+                      pattern(example42(9)), {}});
+  for (const Input& in : inputs) {
+    Compiler compiler;
+    CompiledLoop loop = compiler.compile(in.nest).value();
+    auto store_at = [&](i64 salt) {
+      return salted_store(in.init, in.nest, salt, in.index);
+    };
+    auto reference = [&](i64 salt) {
+      exec::ArrayStore ref = store_at(salt);
+      exec::run_sequential(in.nest, ref);
+      return ref;
+    };
+    const bool jit = in.backend == ExecBackend::kJit;
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      const ExecPolicy policy =
+          ExecPolicy{}.threads(threads).backend(in.backend);
+      for (i64 salt : {0, 7, -3}) {
+        exec::ArrayStore store = store_at(salt);
+        Expected<ExecReport> rep = loop.execute(policy, store);
+        ASSERT_TRUE(rep) << in.name << ": " << rep.error().to_string();
+        EXPECT_EQ(rep->jit, jit) << in.name;
+        EXPECT_TRUE(store == reference(salt))
+            << in.name << " execute threads=" << threads << " salt=" << salt;
+      }
+      std::vector<exec::ArrayStore> stores;
+      for (i64 salt : {1, 2, 3, 4}) stores.push_back(store_at(salt));
+      std::vector<exec::ArrayStore*> ptrs;
+      for (exec::ArrayStore& st : stores) ptrs.push_back(&st);
+      Expected<std::vector<ExecReport>> reps = loop.execute_batch(ptrs, policy);
+      ASSERT_TRUE(reps) << in.name << ": " << reps.error().to_string();
+      for (std::size_t k = 0; k < stores.size(); ++k) {
+        EXPECT_EQ((*reps)[k].jit, jit) << in.name;
+        EXPECT_TRUE(stores[k] == reference(static_cast<i64>(k) + 1))
+            << in.name << " execute_batch threads=" << threads << " request "
+            << k;
+      }
     }
-    std::vector<exec::ArrayStore> stores;
-    for (i64 salt : {1, 2, 3, 4})
-      stores.push_back(salted_store(loop.nest(), salt));
-    std::vector<exec::ArrayStore*> ptrs;
-    for (exec::ArrayStore& st : stores) ptrs.push_back(&st);
-    ASSERT_TRUE(loop.execute_batch(ptrs, policy));
-    for (std::size_t k = 0; k < stores.size(); ++k)
-      EXPECT_TRUE(stores[k] == reference(static_cast<i64>(k) + 1))
-          << "execute_batch threads=" << threads << " request " << k;
   }
 }
 
@@ -817,8 +858,9 @@ TEST(ExecutableMemo, IndirectHandleRechecksEveryRun) {
 }
 
 // Single execute() and execute_batch() requests racing on one artifact:
-// concurrent first builds of one key, the lazily proved prototype and its
-// per-store rebinds. Runs under TSan in CI.
+// concurrent first builds of one key, and many runs sharing one executor's
+// compiled body, each through its own store's binding. Runs under TSan in
+// CI.
 TEST(ExecutableMemoHammer, ConcurrentExecuteAndBatchOnOneArtifact) {
   constexpr int kThreads = 4;
 #ifdef VDEP_TSAN

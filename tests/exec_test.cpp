@@ -286,8 +286,8 @@ TEST(Compiled, MatchesInterpreterOnExample41) {
   a.fill_pattern();
   b.fill_pattern();
   run_sequential(nest, a);
-  CompiledKernel kernel(nest, b);
-  kernel.run_sequential();
+  CompiledKernel kernel(nest);
+  kernel.run_sequential(b);
   EXPECT_EQ(a, b);
 }
 
@@ -297,7 +297,7 @@ TEST(Compiled, MatchesInterpreterOnExample42) {
   a.fill_pattern();
   b.fill_pattern();
   run_sequential(nest, a);
-  CompiledKernel(nest, b).run_sequential();
+  CompiledKernel(nest).run_sequential(b);
   EXPECT_EQ(a, b);
 }
 
@@ -309,7 +309,7 @@ TEST(Compiled, EvaluatesIndexVariablesAndProducts) {
            Expr::mul(Expr::index(0), Expr::add(Expr::index(0), Expr::constant(2))));
   LoopNest nest = b.build();
   ArrayStore s(nest);
-  CompiledKernel(nest, s).run_sequential();
+  CompiledKernel(nest).run_sequential(s);
   EXPECT_EQ(s.read("A", Vec{4}), 24);
 }
 
@@ -319,8 +319,9 @@ TEST(Compiled, RejectsOutOfRangeSubscript) {
   b.array("A", {{0, 5}});  // too small for A[i]
   b.assign(b.ref("A", {b.idx(0)}), Expr::constant(1));
   LoopNest nest = b.build();
-  ArrayStore s(nest);
-  EXPECT_THROW(CompiledKernel(nest, s), PreconditionError);
+  // One proof: the JIT's refusal kind, reported by the kernel as its own.
+  EXPECT_THROW((void)prove_subscript_ranges(nest), UnsupportedError);
+  EXPECT_THROW(CompiledKernel{nest}, PreconditionError);
 }
 
 TEST(Compiled, OverflowThrowsLikeTheInterpreter) {
@@ -328,7 +329,7 @@ TEST(Compiled, OverflowThrowsLikeTheInterpreter) {
   LoopNest nest = core::uniform_wavefront(60);
   ArrayStore s(nest);
   s.fill_pattern();
-  EXPECT_THROW(CompiledKernel(nest, s).run_sequential(), OverflowError);
+  EXPECT_THROW(CompiledKernel(nest).run_sequential(s), OverflowError);
 }
 
 TEST(Compiled, ExecuteRowMatchesExecuteIteration) {
@@ -353,22 +354,23 @@ TEST(Compiled, ExecuteRowMatchesExecuteIteration) {
   int overflowed = 0;
   for (Case& c : cases) {
     ArrayStore by_vec = c.init, by_row = c.init;
-    const CompiledKernel vec_kernel(c.nest, by_vec);
-    const CompiledKernel row_kernel(c.nest, by_row);
-    CompiledKernel::Scratch vec_scratch = vec_kernel.make_scratch();
-    CompiledKernel::Scratch row_scratch = row_kernel.make_scratch();
+    const CompiledKernel kernel(c.nest);
+    const BufferTable vec_bufs = kernel.bind(by_vec);
+    const BufferTable row_bufs = kernel.bind(by_row);
+    CompiledKernel::Scratch vec_scratch = kernel.make_scratch();
+    CompiledKernel::Scratch row_scratch = kernel.make_scratch();
     i64 rank = 0, vec_fail = -1, row_fail = -1;
     c.nest.for_each_iteration([&](const Vec& it) {
       if (vec_fail < 0) {
         try {
-          vec_kernel.execute_iteration(it, vec_scratch);
+          kernel.execute_iteration(vec_bufs, it, vec_scratch);
         } catch (const OverflowError&) {
           vec_fail = rank;
         }
       }
       if (row_fail < 0) {
         try {
-          row_kernel.execute_row(it.data(), row_scratch);
+          kernel.execute_row(row_bufs, it.data(), row_scratch);
         } catch (const OverflowError&) {
           row_fail = rank;
         }
@@ -391,14 +393,15 @@ void expect_column_matches_rows(const LoopNest& nest, const ArrayStore& init,
                                 const Vec& it0, const Vec& step, i64 n,
                                 const std::string& what) {
   ArrayStore by_column = init, by_row = init;
-  const CompiledKernel column_kernel(nest, by_column);
-  const CompiledKernel row_kernel(nest, by_row);
-  CompiledKernel::Scratch cs = column_kernel.make_scratch();
-  CompiledKernel::Scratch rs = row_kernel.make_scratch();
-  column_kernel.execute_column(it0.data(), step.data(), n, cs);
+  const CompiledKernel kernel(nest);
+  const BufferTable column_bufs = kernel.bind(by_column);
+  const BufferTable row_bufs = kernel.bind(by_row);
+  CompiledKernel::Scratch cs = kernel.make_scratch();
+  CompiledKernel::Scratch rs = kernel.make_scratch();
+  kernel.execute_column(column_bufs, it0.data(), step.data(), n, cs);
   Vec it = it0;
   for (i64 e = 0; e < n; ++e) {
-    row_kernel.execute_row(it.data(), rs);
+    kernel.execute_row(row_bufs, it.data(), rs);
     for (std::size_t k = 0; k < it.size(); ++k) it[k] += step[k];
   }
   EXPECT_EQ(by_column, by_row) << what;
@@ -499,10 +502,11 @@ TEST(Compiled, ColumnOverflowNamesTheFirstOverflowingElement) {
   std::string row_message;
   {
     ArrayStore s = init;
-    const CompiledKernel k(nest, s);
+    const CompiledKernel k(nest);
+    const BufferTable bufs = k.bind(s);
     CompiledKernel::Scratch scratch = k.make_scratch();
     try {
-      for (i64 i = 0; i < n; ++i) k.execute_row(Vec{i}.data(), scratch);
+      for (i64 i = 0; i < n; ++i) k.execute_row(bufs, Vec{i}.data(), scratch);
     } catch (const OverflowError& e) {
       row_message = e.what();
     }
@@ -513,12 +517,13 @@ TEST(Compiled, ColumnOverflowNamesTheFirstOverflowingElement) {
       << row_message;
 
   ArrayStore s = init;
-  const CompiledKernel k(nest, s);
+  const CompiledKernel k(nest);
+  const BufferTable bufs = k.bind(s);
   CompiledKernel::Scratch scratch = k.make_scratch();
   const Vec it0{0}, step{1};
   std::string column_message;
   try {
-    k.execute_column(it0.data(), step.data(), n, scratch);
+    k.execute_column(bufs, it0.data(), step.data(), n, scratch);
   } catch (const OverflowError& e) {
     column_message = e.what();
   }
@@ -537,13 +542,14 @@ TEST(Compiled, IndirectInputsMatchInterpreter) {
     ArrayStore ref = test_inputs::initial_store(in);
     ArrayStore out = ref;
     run_sequential(in.nest, ref);
-    CompiledKernel(in.nest, out).run_sequential();
+    CompiledKernel(in.nest).run_sequential(out);
     EXPECT_EQ(ref, out) << in.name;
   }
 }
 
 TEST(Compiled, RejectsIndexPositionOutsideIndexArray) {
-  // A[B[i + 1]] with i up to n-1 reads one past B's declared range.
+  // A[B[i + 1]] with i up to n-1 reads one past B's declared range: the
+  // range proof refuses it at construction, before any store is seen.
   constexpr i64 n = 8;
   LoopNestBuilder b;
   b.loop("i", 0, n - 1);
@@ -555,40 +561,55 @@ TEST(Compiled, RejectsIndexPositionOutsideIndexArray) {
   a.indirect = {loopir::IndirectSubscript{"B", b.idx(0) + b.cst(1)}};
   b.assign(a, Expr::constant(1));
   LoopNest nest = b.build();
-  ArrayStore s(nest);
-  EXPECT_THROW(CompiledKernel(nest, s), PreconditionError);
+  EXPECT_THROW(CompiledKernel{nest}, PreconditionError);
 }
 
-TEST(Compiled, RebindRefusesIndirectKernels) {
-  // rebind() skips the range proof, and an indirect kernel's proof read the
-  // construction store's index contents.
+TEST(Compiled, BindingScansIndexContentsPerStore) {
+  // An indirect body is proven once, for every store; each binding scans
+  // its own store's index arrays. A store whose index array holds a value
+  // outside the target's declared range is refused at bind(), before any
+  // write; a store with in-range contents binds and runs.
   const test_inputs::IndirectInput in = test_inputs::indirect_inputs().front();
-  ArrayStore s = test_inputs::initial_store(in);
-  ArrayStore other = s;
-  const CompiledKernel kernel(in.nest, s);
-  EXPECT_THROW(kernel.rebind(other), UnsupportedError);
+  const CompiledKernel kernel(in.nest);
+  const i64 a_hi = in.nest.array("A").dims.front().second;
+
+  ArrayStore hostile = test_inputs::initial_store(in);
+  hostile.write("B", Vec{3}, a_hi + 1);
+  const ArrayStore untouched = hostile;
+  EXPECT_THROW((void)kernel.bind(hostile), PreconditionError);
+  EXPECT_THROW(kernel.run_sequential(hostile), PreconditionError);
+  EXPECT_EQ(hostile, untouched);
+
+  ArrayStore ref = test_inputs::initial_store(in);
+  ArrayStore out = ref;
+  run_sequential(in.nest, ref);
+  kernel.run_sequential(out);
+  EXPECT_EQ(ref, out);
 }
 
-TEST(Compiled, RebindOutlivesConstructionStore) {
-  // A memoized scan prototype outlives the store it was proven against:
-  // rebind() checks shapes against the sizes the proof recorded, never
-  // against the construction store (reading it here would be a
-  // use-after-free, which the sanitizer build catches).
+TEST(Compiled, BodyOutlivesEveryBoundStore) {
+  // A body is built from the nest alone and outlives every store it was
+  // bound to: binding reads only the store it is given (reading a freed
+  // one here would be a use-after-free, which the sanitizer build
+  // catches).
   LoopNest nest = example42(5);
-  auto first = std::make_unique<ArrayStore>(nest);
-  const CompiledKernel prototype(nest, *first);
-  first.reset();
+  const CompiledKernel kernel(nest);
+  {
+    auto first = std::make_unique<ArrayStore>(nest);
+    first->fill_pattern();
+    kernel.run_sequential(*first);
+  }
 
   ArrayStore ref(nest), s(nest);
   ref.fill_pattern();
   s.fill_pattern();
   run_sequential(nest, ref);
-  prototype.rebind(s).run_sequential();
+  kernel.run_sequential(s);
   EXPECT_EQ(ref, s);
 
-  // A store of another shape is still refused.
+  // A store of another shape is refused.
   ArrayStore other(example42(6));
-  EXPECT_THROW(prototype.rebind(other), PreconditionError);
+  EXPECT_THROW((void)kernel.bind(other), PreconditionError);
 }
 
 TEST(Compiled, ScheduleExecutionMatchesSequential) {
@@ -625,7 +646,7 @@ TEST(CompiledProperty, RandomBodiesAgreeWithInterpreter) {
     x.fill_pattern();
     y.fill_pattern();
     run_sequential(nest, x);
-    CompiledKernel(nest, y).run_sequential();
+    CompiledKernel(nest).run_sequential(y);
     EXPECT_EQ(x, y);
   }
 }

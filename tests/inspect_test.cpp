@@ -183,7 +183,8 @@ TEST(Inspector, CompiledBodyMatchesInterpreterBody) {
   for (const IndirectInput& in : indirect_inputs()) {
     const exec::ArrayStore init = initial_store(in);
     exec::ArrayStore probe = init;
-    EXPECT_NO_THROW(exec::CompiledKernel(in.nest, probe)) << in.name;
+    EXPECT_NO_THROW((void)exec::CompiledKernel(in.nest).bind(probe))
+        << in.name;
     inspect::DynamicPartition part = inspect::inspect(in.nest, init);
     exec::ArrayStore ref = init;
     exec::run_sequential(in.nest, ref);
@@ -291,9 +292,9 @@ TEST(Inspector, KernelProofRefusalFallsBackToInterpreter) {
   // i in [0, 1], j in [0, n-2-i] reaches index positions i + j in
   // [0, n-2] only, but the kernel's box relaxation (i <= 1, j <= n-2)
   // reaches n-1. B[n-1] holds a value far outside A, so the kernel's index
-  // scan refuses the nest while inspection, which resolves the actual
-  // iterations, accepts it. The executor falls back to the interpreter and
-  // must stay bit-identical to sequential execution.
+  // scan refuses to bind the store while inspection, which resolves the
+  // actual iterations, accepts it. The executor falls back to the
+  // interpreter and must stay bit-identical to sequential execution.
   constexpr i64 n = 12;
   LoopNestBuilder b;
   b.loop("i", 0, 1);
@@ -314,7 +315,8 @@ TEST(Inspector, KernelProofRefusalFallsBackToInterpreter) {
   for (i64 p = 0; p < n - 1; ++p) init.write("B", Vec{p}, p % 8);
   init.write("B", Vec{n - 1}, i64{1} << 20);
   exec::ArrayStore probe = init;
-  EXPECT_THROW(exec::CompiledKernel(nest, probe), PreconditionError);
+  const exec::CompiledKernel kernel(nest);
+  EXPECT_THROW((void)kernel.bind(probe), PreconditionError);
 
   inspect::DynamicPartition part = inspect::inspect(nest, init);
   EXPECT_GT(part.stats().chains, 0);

@@ -107,7 +107,8 @@ TEST(NativeKernel, RootRectangleMatchesSequentialReference) {
 
   runtime::StreamExecutor ex(nest, plan, {});
   runtime::TaskDescriptor root = ex.root();
-  i64 iters = (*kernel)->execute_range(got, box_of(root));
+  const exec::BufferTable bufs(nest, got);
+  i64 iters = (*kernel)->execute_range(bufs, box_of(root));
   EXPECT_EQ(iters, nest.iteration_count());
   EXPECT_TRUE(ref == got);
 }
@@ -130,6 +131,7 @@ TEST(NativeKernel, DisjointBoxesCoverTheSpaceExactlyOnce) {
   // Split the outer range in two and the class range per cell: four
   // disjoint boxes; executing all of them must equal one root call.
   i64 mid = (root.lo[0] + root.hi[0]) / 2;
+  const exec::BufferTable bufs(nest, got);
   i64 iters = 0;
   for (i64 c = root.class_lo; c < root.class_hi; ++c) {
     runtime::TaskDescriptor low = root, high = root;
@@ -137,8 +139,8 @@ TEST(NativeKernel, DisjointBoxesCoverTheSpaceExactlyOnce) {
     high.lo[0] = mid + 1;
     low.class_lo = high.class_lo = c;
     low.class_hi = high.class_hi = c + 1;
-    iters += (*kernel)->execute_range(got, box_of(low));
-    iters += (*kernel)->execute_range(got, box_of(high));
+    iters += (*kernel)->execute_range(bufs, box_of(low));
+    iters += (*kernel)->execute_range(bufs, box_of(high));
   }
   EXPECT_EQ(iters, nest.iteration_count());
   EXPECT_TRUE(ref == got);
@@ -167,8 +169,9 @@ TEST(NativeKernel, InnerAxisBoxesRestrictTheScan) {
   i64 mid = (root.lo[1] + root.hi[1]) / 2;
   low.hi[1] = mid;
   high.lo[1] = mid + 1;
-  i64 iters = (*kernel)->execute_range(got, box_of(low)) +
-              (*kernel)->execute_range(got, box_of(high));
+  const exec::BufferTable bufs(nest, got);
+  i64 iters = (*kernel)->execute_range(bufs, box_of(low)) +
+              (*kernel)->execute_range(bufs, box_of(high));
   EXPECT_EQ(iters, nest.iteration_count());
   EXPECT_TRUE(ref == got);
 }

@@ -117,7 +117,7 @@ TEST_P(PipelineProperty, CompiledAgreesWithInterpreter) {
   a.fill_pattern();
   b.fill_pattern();
   exec::run_sequential(nest, a);
-  exec::CompiledKernel(nest, b).run_sequential();
+  exec::CompiledKernel(nest).run_sequential(b);
   EXPECT_EQ(a, b) << nest.to_string();
 }
 

@@ -7,6 +7,7 @@
 #include <array>
 #include <atomic>
 #include <map>
+#include <memory>
 #include <string>
 #include <mutex>
 #include <optional>
@@ -352,6 +353,71 @@ TEST(Streaming, InterpreterFallbackAlsoBitIdentical) {
     StreamExecutor ex(c.nest, plan_for(c.nest), so);
     ex.run(got);
     EXPECT_EQ(ref, got) << c.name;
+  }
+}
+
+TEST(Streaming, OneBodyServesEveryStoreAndOutlivesAMove) {
+  // The executor compiles its body once, at construction, and every run
+  // binds its own store to it — also after the executor moved and the
+  // moved-from object was destroyed (the body owns its nest; a reference
+  // into the old executor would be a use-after-free under the sanitizer
+  // build). A store of another shape is refused before any write.
+  const loopir::LoopNest nest = core::example41(12);
+  StreamOptions so;
+  so.num_threads = 4;
+  auto first = std::make_unique<StreamExecutor>(nest, plan_for(nest), so);
+  const exec::CompiledKernel* body = first->body();
+  ASSERT_NE(body, nullptr);
+  StreamExecutor ex = std::move(*first);
+  first.reset();
+  EXPECT_EQ(ex.body(), body);
+  for (i64 salt : {0, 5, -9}) {
+    exec::ArrayStore ref(nest);
+    ref.fill_pattern();
+    for (const loopir::ArrayDecl& a : nest.arrays())
+      for (i64& v : ref.raw_mutable(a.name)) v += salt;
+    exec::ArrayStore got = ref;
+    exec::run_sequential(nest, ref);
+    ex.run(got);
+    EXPECT_EQ(ref, got) << "salt " << salt;
+  }
+  EXPECT_EQ(ex.body(), body);
+
+  exec::ArrayStore other(core::example41(13));
+  other.fill_pattern();
+  const exec::ArrayStore untouched = other;
+  EXPECT_THROW(ex.run(other), PreconditionError);
+  EXPECT_EQ(other, untouched);
+
+  so.force_interpreter = true;
+  EXPECT_EQ(StreamExecutor(nest, plan_for(nest), so).body(), nullptr);
+}
+
+TEST(Streaming, ProofRefusalIsDecidedOnceAndInterprets) {
+  // Triangular space, A sized for the real access set [0, n]: the
+  // rectangular-hull proof sees i - j in [-n, n] and refuses, so the
+  // executor builds no body and every run interprets, bit-identically.
+  const i64 n = 12;
+  loopir::LoopNestBuilder b;
+  b.loop("i", 0, n);
+  b.loop("j", loopir::Bound(loopir::AffineExpr::constant(2, 0)),
+         loopir::Bound(loopir::AffineExpr(Vec{1, 0}, 0)));
+  b.array("A", {{0, n}});
+  b.assign(b.ref("A", {b.affine({1, -1}, 0)}),
+           loopir::Expr::add(b.read("A", {b.affine({1, -1}, 0)}),
+                             loopir::Expr::constant(1)));
+  const loopir::LoopNest tri = b.build();
+  StreamOptions so;
+  so.num_threads = 2;
+  const StreamExecutor ex(tri, plan_for(tri), so);
+  EXPECT_EQ(ex.body(), nullptr);
+  for (int run = 0; run < 2; ++run) {
+    exec::ArrayStore ref(tri);
+    ref.fill_pattern();
+    exec::ArrayStore got = ref;
+    exec::run_sequential(tri, ref);
+    ex.run(got);
+    EXPECT_EQ(ref, got) << "run " << run;
   }
 }
 
