@@ -21,15 +21,16 @@
 // final store is bit-identical to its loop-at-a-time twin.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/vdep.h"
 #include "core/suite.h"
+#include "support/thread_pool.h"
 
 using namespace vdep;
 using intlin::i64;
@@ -43,8 +44,7 @@ double seconds_since(Clock::time_point t0) {
 }
 
 std::size_t hw_threads() {
-  static const std::size_t hw =
-      std::max(1u, std::thread::hardware_concurrency());
+  static const std::size_t hw = default_worker_count();
   return hw;
 }
 
@@ -350,8 +350,10 @@ int main(int argc, char** argv) {
   // (40; 20 for uniform_wavefront, whose values leave int64 past ~28, and
   // 12 for variable_3deep, whose array grows as (10n)^2 * n), one worker,
   // digest off. Repetitions interleave the kernels round-robin; each row is
-  // the median of exec_ns / iterations over them, with the iterations the
-  // body ran as columns (ExecReport::column_iterations). Informational.
+  // the median of exec_ns / iterations over them and its median absolute
+  // deviation (the run-to-run swing on a shared host), with the iterations
+  // the body ran as columns (ExecReport::column_iterations).
+  // Informational.
   {
     constexpr int kReps = 15;
     struct Row {
@@ -393,17 +395,23 @@ int main(int argc, char** argv) {
                        static_cast<double>(rep_or->iterations));
       }
     }
+    auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v.empty() ? 0.0 : v[v.size() / 2];
+    };
     for (Row& r : rows) {
-      std::sort(r.ns.begin(), r.ns.end());
-      const double med = r.ns.empty() ? 0.0 : r.ns[r.ns.size() / 2];
+      const double med = median(r.ns);
+      std::vector<double> dev;
+      for (double x : r.ns) dev.push_back(std::abs(x - med));
       std::printf(
           "{\"bench\":\"batch_serving\",\"scenario\":\"compiled_ns_per_iter\","
           "\"kernel\":\"%s\",\"threads\":1,\"hw_threads\":%zu,"
           "\"n\":%lld,\"reps\":%d,\"iterations\":%lld,"
-          "\"column_iterations\":%lld,\"ns_per_iter_p50\":%.2f,\"ok\":%s}\n",
+          "\"column_iterations\":%lld,\"ns_per_iter_p50\":%.2f,"
+          "\"ns_per_iter_mad\":%.2f,\"ok\":%s}\n",
           r.name.c_str(), hw_threads(), static_cast<long long>(r.n), kReps,
           static_cast<long long>(r.last.iterations),
-          static_cast<long long>(r.last.column_iterations), med,
+          static_cast<long long>(r.last.column_iterations), med, median(dev),
           r.ok ? "true" : "false");
     }
   }

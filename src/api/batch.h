@@ -41,8 +41,8 @@ struct BatchRequest {
 };
 
 /// Executes every request over one shared worker set (policy.threads()
-/// contexts, 0 = hardware); backends follow the policy, and indirect
-/// requests run through the inspector as in execute(). Requests at one
+/// contexts, 0 = default_worker_count()); backends follow the policy, and
+/// indirect requests run through the inspector as in execute(). Requests at one
 /// (structure, bounds, options) key share the memoized executor, its
 /// compiled body (bound once per request's store) and, with
 /// ExecBackend::kJit, one loaded .so. On a request failure — a hostile index array fails at

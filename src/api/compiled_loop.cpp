@@ -299,6 +299,9 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
   // compiled body. Either way the source binds this store once.
   if (policy.backend() == ExecBackend::kJit)
     b.native = b.executable->native(*art_, policy.jit_options());
+  // Analysis time like the build: the binding, and on an executor's first
+  // scan-path source its body and column order.
+  obs::PhaseTimer build_timer(obs::Phase::kAnalyze);
   b.source = b.executable->executor().source(store, b.native.get());
   return b;
 }
@@ -438,14 +441,14 @@ std::string CompiledLoop::summary() const {
   }
   const codegen::TransformedNest tn =
       codegen::rewrite_nest(*nest_, p.transform);
-  const int column = runtime::column_level(tn.nest, p.doall_loops);
-  if (column >= 0)
+  if (p.doall_loops > 0)
     os << "column runs: compiled scans run DOALL level "
-       << tn.nest.level(column).name
-       << " as one independent column per deeper point "
-          "(ExecReport::column_iterations)\n";
+       << tn.nest.level(p.doall_loops - 1).name
+       << ", permuted innermost, as one independent column per point of "
+          "the other levels (ExecReport::column_iterations)\n";
   else
-    os << "column runs: none (every compiled scan runs per point)\n";
+    os << "column runs: none (no DOALL level; every compiled scan runs per "
+          "point)\n";
   os << "-- transformed nest --\n" << tn.nest.to_string();
   return os.str();
 }

@@ -124,7 +124,8 @@ class ExecPolicy {
     return *this;
   }
 
-  std::size_t threads() const { return threads_; }  ///< 0 = hardware
+  /// 0 = default_worker_count().
+  std::size_t threads() const { return threads_; }
   i64 grain() const { return grain_; }              ///< 0 = automatic
   ExecBackend backend() const { return backend_; }
   const jit::JitOptions& jit_options() const { return jit_; }
@@ -185,9 +186,9 @@ const char* inspection_name(Inspection i);
 struct ExecReport {
   i64 iterations = 0;
   /// Of `iterations`, those the compiled postfix body ran column-wise: a
-  /// kCompiled scan (or kJit's scan fallback) over a plan with a column
-  /// level (runtime::column_level). 0 under kInterpreter, on native
-  /// leaves and on inspected requests.
+  /// kCompiled scan (or kJit's scan fallback) over a plan with a DOALL
+  /// level (runtime::StreamExecutor::column_level). 0 under kInterpreter,
+  /// on native leaves and on inspected requests.
   i64 column_iterations = 0;
   i64 tasks = 0;         ///< leaf descriptors
   i64 steals = 0;

@@ -1,7 +1,6 @@
 #include "api/compiler.h"
 
 #include <map>
-#include <thread>
 
 #include "cache/disk_cache.h"
 #include "dsl/parser.h"
@@ -9,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/error.h"
+#include "support/thread_pool.h"
 #include "trans/legality.h"
 
 namespace vdep {
@@ -182,7 +182,7 @@ ThreadPool& Compiler::pool() const {
   std::call_once(pool_once_, [&] {
     std::size_t n = opts_.pool_threads()
                         ? opts_.pool_threads()
-                        : std::max(1u, std::thread::hardware_concurrency());
+                        : default_worker_count();
     pool_ = std::make_unique<ThreadPool>(n);
   });
   return *pool_;

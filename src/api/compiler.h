@@ -50,7 +50,8 @@ class CompileOptions {
   std::size_t cache_capacity() const { return cache_capacity_; }
   std::size_t cache_shards() const { return cache_shards_; }
   bool validate() const { return validate_; }
-  std::size_t pool_threads() const { return pool_threads_; }  ///< 0 = hardware
+  /// 0 = default_worker_count().
+  std::size_t pool_threads() const { return pool_threads_; }
   bool trace() const { return trace_; }
   bool metrics() const { return metrics_; }
   const std::string& disk_cache() const { return disk_cache_dir_; }
@@ -60,7 +61,7 @@ class CompileOptions {
   std::size_t cache_capacity_ = 256;
   std::size_t cache_shards_ = 8;
   bool validate_ = true;  ///< run LoopNest::validate() before analysis
-  std::size_t pool_threads_ = 0;  ///< session pool size; 0 = hardware
+  std::size_t pool_threads_ = 0;  ///< session pool size; 0 = default
   bool trace_ = true;
   bool metrics_ = true;
   std::string disk_cache_dir_;

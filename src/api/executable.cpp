@@ -1,8 +1,6 @@
 #include "api/executable.h"
 
-#include <algorithm>
-#include <thread>
-
+#include "support/thread_pool.h"
 
 namespace vdep::detail {
 
@@ -24,7 +22,7 @@ std::shared_ptr<const jit::NativeKernel> Executable::native(
 std::size_t worker_count(const ExecPolicy& policy, const ThreadPool* pool) {
   if (policy.threads()) return policy.threads();
   if (pool) return pool->size();
-  return std::max(1u, std::thread::hardware_concurrency());
+  return default_worker_count();
 }
 
 }  // namespace vdep::detail

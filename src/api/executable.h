@@ -99,7 +99,7 @@ struct BoundSource {
 };
 
 /// Worker contexts of a run under `policy`: policy.threads(), else the
-/// pool's size, else the hardware concurrency.
+/// pool's size, else default_worker_count().
 std::size_t worker_count(const ExecPolicy& policy, const ThreadPool* pool);
 
 /// The policy's per-run switches (tracing, metrics, pinning), which never

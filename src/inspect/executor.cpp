@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <thread>
 
 #include "exec/compiled.h"
 #include "exec/interpreter.h"
 #include "jit/native_kernel.h"
 #include "support/error.h"
+#include "support/thread_pool.h"
 
 namespace vdep::inspect {
 
@@ -19,7 +19,7 @@ InspectorExecutor::InspectorExecutor(const loopir::LoopNest& nest,
                "partition depth / nest depth mismatch");
   threads_ = opts_.num_threads != 0
                  ? opts_.num_threads
-                 : std::max(1u, std::thread::hardware_concurrency());
+                 : default_worker_count();
   grain_ = leaf_grain(threads_, opts_.grain);
   if (!opts_.force_interpreter)
     body_ = exec::CompiledKernel::try_compile(nest_);
@@ -114,7 +114,7 @@ runtime::DriveSource InspectorExecutor::source(
     };
   }
   return {root(), threads != 0 ? leaf_grain(threads, grain) : grain_, {},
-          std::move(factory)};
+          std::move(factory), {}};
 }
 
 namespace {

@@ -45,7 +45,7 @@ class NativeKernel;
 namespace vdep::inspect {
 
 struct InspectorExecOptions {
-  /// Worker count; 0 means hardware concurrency.
+  /// Worker count; 0 means default_worker_count().
   std::size_t num_threads = 0;
   /// Classes per leaf descriptor; 0 picks it from the worker count
   /// (runtime/task.h pick_grain).

@@ -241,7 +241,7 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
     ranks.class_hi = n;
     const runtime::DriveSource src{
         ranks, runtime::pick_grain(std::max<i64>(n, 1), threads), {},
-        std::move(factory)};
+        std::move(factory), {}};
     runtime::drive(src, {threads, {false, false, false}}, pool);
   }
 

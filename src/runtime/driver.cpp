@@ -60,7 +60,7 @@ std::vector<TaskDescriptor> seed_pieces(std::span<const DriveSource> sources,
       const DriveSource& src =
           sources[static_cast<std::size_t>(pieces[k].source)];
       if (pieces[k].cells() > most &&
-          can_split(pieces[k], src.grain, src.split_classes)) {
+          can_split(pieces[k], src.grain, src.limits)) {
         fattest = k;
         most = pieces[k].cells();
       }
@@ -74,7 +74,7 @@ std::vector<TaskDescriptor> seed_pieces(std::span<const DriveSource> sources,
     int axis = 0;
     WorkerStats& st = seeder[pieces[fattest].source];
     pieces.push_back(split(pieces[fattest], src.grain, &axis, &src.prefs,
-                           src.split_classes));
+                           src.limits));
     ++st.splits;
     ++st.axis_splits[axis];
   }
@@ -241,10 +241,10 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
       try {
         // Split depth-first: push the large high halves (stolen first),
         // keep refining the low half until it is a leaf, run it.
-        while (can_split(task, src.grain, src.split_classes)) {
+        while (can_split(task, src.grain, src.limits)) {
           int axis = 0;
           TaskDescriptor high =
-              split(task, src.grain, &axis, &src.prefs, src.split_classes);
+              split(task, src.grain, &axis, &src.prefs, src.limits);
           pending[s].count.fetch_add(1, std::memory_order_relaxed);
           deques[static_cast<std::size_t>(id)]->push(high);
           ++stats.splits;

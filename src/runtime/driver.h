@@ -50,10 +50,10 @@ struct DriveSource {
   /// Called lazily, the first time a worker context runs one of this
   /// source's leaves. Must outlive the drive_descriptors call.
   LeafFactory leaf_factory;
-  /// Whether the class range is a split axis (task.h pick_split_axis).
-  /// False keeps every descriptor's classes together — a plan whose
-  /// classes write neighbouring cells (StreamExecutor::splits_classes).
-  bool split_classes = true;
+  /// Which axes may split (task.h SplitLimits): the class range unless the
+  /// plan's classes write neighbouring cells (StreamExecutor::
+  /// splits_classes), a scan's column level only into long columns.
+  SplitLimits limits;
 };
 
 /// A run's switches that change neither its schedule nor its results: the

@@ -1,7 +1,7 @@
 #include "runtime/stream_executor.h"
 
+#include <limits>
 #include <optional>
-#include <thread>
 
 #include "analysis/interval.h"
 #include "exec/compiled.h"
@@ -17,34 +17,28 @@ namespace vdep::runtime {
 struct StreamExecutor::Worker {
   int id = 0;
   WorkerStats* stats = nullptr;
-  Vec j;     ///< transformed iteration being scanned
-  Vec orig;  ///< original iteration (map-back target when T != I)
+  /// The nest being scanned (tn_, or tn_ in column order) and the point
+  /// being scanned in its coordinates.
+  const codegen::TransformedNest* order = nullptr;
+  bool identity = true;  ///< order's coordinates are the original ones
+  Vec j;
+  Vec orig;  ///< original iteration (map-back target when not identity)
   /// The compiled body, the run's binding and a private scratch; or null.
   const exec::CompiledKernel* kernel = nullptr;
   std::shared_ptr<const exec::BufferTable> bufs;
   exec::CompiledKernel::Scratch scratch;
+  const ScanState* scan = nullptr;
   std::function<void(const Vec&)> body;    ///< runs one original iteration
   std::function<void(const Vec&)> emit_j;  ///< scan callback over j
-  /// Column runs (kernel set, column level chosen): the column level's
-  /// value count at the point being scanned, its first value held in j.
-  i64 column_len = 0;
-  /// The current leaf's class labels (capacity reused across leaves).
-  std::vector<Vec> labels;
+  /// The current leaf's slice of the column level (its box on that level,
+  /// or everything when descriptors do not box it), and the column range
+  /// at the point being scanned, clipped to it.
+  i64 slice_lo = 0, slice_hi = 0;
+  i64 column_lo = 0, column_hi = 0;
+  /// The class being scanned's label and the partition recurrence's
+  /// lattice coordinates (capacity reused across leaves).
+  Vec label, lattice;
 };
-
-int column_level(const loopir::LoopNest& transformed, int num_doall) {
-  for (int l = num_doall - 1; l >= 0; --l) {
-    bool free = true;
-    for (int k = l + 1; k < transformed.depth(); ++k) {
-      const loopir::Level& level = transformed.level(k);
-      for (const loopir::Bound* b : {&level.lower, &level.upper})
-        for (const loopir::BoundTerm& t : b->terms())
-          free = free && t.num.coeff(l) == 0;
-    }
-    if (free) return l;
-  }
-  return -1;
-}
 
 StreamExecutor::StreamExecutor(const loopir::LoopNest& original,
                                const trans::TransformPlan& plan,
@@ -66,20 +60,41 @@ StreamExecutor::StreamExecutor(const loopir::LoopNest& original,
   compute_hull();
   int limit = opts_.split_dims > 0 ? opts_.split_dims : TaskDescriptor::kMaxDims;
   ndims_ = std::min(num_doall_, std::min(limit, TaskDescriptor::kMaxDims));
-  compute_split_prefs();
+  compute_locality();
   split_classes_ = !classes_share_lines(original_, plan);
-  column_level_ = runtime::column_level(tn_.nest, num_doall_);
-  if (column_level_ >= 0) column_step_ = tn_.t_inverse.row(column_level_);
-  threads_ = opts_.num_threads != 0
-                 ? opts_.num_threads
-                 : std::max(1u, std::thread::hardware_concurrency());
+  threads_ = opts_.num_threads != 0 ? opts_.num_threads
+                                    : default_worker_count();
   if (opts_.grain > 0) {
     grain_ = opts_.grain;
   } else {
     grain_ = pick_grain(std::max<i64>(root().cells(), 1), threads_);
   }
-  if (!opts_.force_interpreter)
-    body_ = exec::CompiledKernel::try_compile(original_);
+}
+
+const StreamExecutor::ScanState& StreamExecutor::scan() const {
+  std::call_once(scan_->built, [this] {
+    ScanState& s = *scan_;
+    if (!opts_.force_interpreter)
+      s.body = exec::CompiledKernel::try_compile(original_);
+    if (column_ < 0) return;
+    s.column_step = tn_.t_inverse.row(column_);
+    if (column_ + 1 < depth_) {
+      // Column order: rotate column column_ of T to the end. Every
+      // dependence distance is zero on a DOALL level (Lemma 1), so the
+      // rotation keeps each distance's leading nonzero entry and its sign;
+      // Fourier-Motzkin projects the column level out of every other
+      // level's bounds and leaves its own range a max/min over them.
+      intlin::Mat tp = tn_.t;
+      for (int c = column_; c + 1 < depth_; ++c) tp.swap_cols(c, c + 1);
+      s.permuted = codegen::rewrite_nest(original_, tp, num_doall_ - 1);
+    }
+    const loopir::Level& col =
+        (s.permuted ? s.permuted->nest : tn_.nest).level(depth_ - 1);
+    s.column_per_point = std::max(col.lower.last_index_used(),
+                                  col.upper.last_index_used()) >=
+                         num_doall_ - 1;
+  });
+  return *scan_;
 }
 
 void StreamExecutor::compute_hull() {
@@ -135,26 +150,37 @@ Vec flat_steps(const loopir::LoopNest& nest, const intlin::Mat& t_inverse,
 
 }  // namespace
 
-void StreamExecutor::compute_split_prefs() {
-  // Locality weight of boxed axis d: total absolute address movement (in
+void StreamExecutor::compute_locality() {
+  // Locality weight of DOALL axis d: total absolute address movement (in
   // elements, summed over the affine accesses) per unit step along
-  // transformed coordinate j_d. Splitting the axis that moves addresses
-  // the most keeps each half's footprint contiguous; an axis no access
-  // depends on scores zero and ranks last among the DOALL axes.
+  // transformed coordinate j_d. Descriptors split the boxed axis that moves
+  // addresses the most, which keeps each half's footprint contiguous (an
+  // axis no access depends on scores zero and ranks last among the DOALL
+  // axes); scans run the axis that moves them the least as columns, so a
+  // column's accesses are the shortest strided runs. Ties go to the
+  // deepest axis.
+  column_ = num_doall_ - 1;
+  Vec weight(static_cast<std::size_t>(num_doall_), 0);
   try {
     for (const loopir::LoopNest::Access& acc : original_.accesses()) {
       if (acc.ref.has_indirection()) continue;
-      const Vec steps = flat_steps(original_, tn_.t_inverse, acc.ref, 0, ndims_);
-      for (int d = 0; d < ndims_; ++d)
-        split_prefs_.stride[d] = checked::add(
-            split_prefs_.stride[d],
-            checked::abs(steps[static_cast<std::size_t>(d)]));
+      const Vec steps =
+          flat_steps(original_, tn_.t_inverse, acc.ref, 0, num_doall_);
+      for (std::size_t d = 0; d < weight.size(); ++d)
+        weight[d] = checked::add(weight[d], checked::abs(steps[d]));
     }
   } catch (const Error&) {
     // Pathological shapes can overflow the stride products; locality is a
-    // heuristic, so fall back to the longest-axis policy rather than fail.
-    split_prefs_ = SplitPrefs{};
+    // heuristic, so fall back to the longest-axis split policy and the
+    // deepest column rather than fail.
+    return;
   }
+  for (int d = 0; d < ndims_; ++d)
+    split_prefs_.stride[d] = weight[static_cast<std::size_t>(d)];
+  for (int d = num_doall_ - 2; d >= 0; --d)
+    if (weight[static_cast<std::size_t>(d)] <
+        weight[static_cast<std::size_t>(column_)])
+      column_ = d;
 }
 
 bool classes_share_lines(const loopir::LoopNest& nest,
@@ -226,44 +252,66 @@ TaskDescriptor StreamExecutor::root() const {
   return rt;
 }
 
-void StreamExecutor::emit(Worker& w) const {
-  const Vec* it = &w.j;
-  if (!identity_) {
-    // orig = j * T^{-1}, into the preallocated buffer (vec_mat_mul would
-    // allocate per iteration). Plain arithmetic: the transformed polytope
-    // is a bijective image of the original box, whose coordinates fit i64
-    // by construction.
-    const intlin::Mat& m = tn_.t_inverse;
-    for (int c = 0; c < depth_; ++c) {
-      i64 acc = 0;
-      for (int r = 0; r < depth_; ++r)
-        acc += w.j[static_cast<std::size_t>(r)] * m.at(r, c);
-      w.orig[static_cast<std::size_t>(c)] = acc;
-    }
-    it = &w.orig;
+const Vec& StreamExecutor::original_point(Worker& w) const {
+  if (w.identity) return w.j;
+  // orig = j * M^{-1}, into the preallocated buffer (vec_mat_mul would
+  // allocate per iteration). Plain arithmetic: the scanned polytope is a
+  // bijective image of the original box, whose coordinates fit i64 by
+  // construction.
+  const intlin::Mat& m = w.order->t_inverse;
+  for (int c = 0; c < depth_; ++c) {
+    i64 acc = 0;
+    for (int r = 0; r < depth_; ++r)
+      acc += w.j[static_cast<std::size_t>(r)] * m.at(r, c);
+    w.orig[static_cast<std::size_t>(c)] = acc;
   }
-  if (w.column_len > 0) {
-    // One column: the column level's values from j's, each one step of
-    // row column_level_ of T^{-1} further in original coordinates.
-    w.kernel->execute_column(*w.bufs, it->data(), column_step_.data(),
-                             w.column_len, w.scratch);
-    w.stats->iterations += w.column_len;
-    w.stats->column_iterations += w.column_len;
+  return w.orig;
+}
+
+void StreamExecutor::emit(Worker& w) const {
+  if (column_ < 0) {
+    ++w.stats->iterations;
+    const Vec& it = original_point(w);
+    if (w.kernel)
+      w.kernel->execute_row(*w.bufs, it.data(), w.scratch);
+    else
+      w.body(it);
     return;
   }
-  ++w.stats->iterations;
-  if (w.kernel)
-    w.kernel->execute_row(*w.bufs, it->data(), w.scratch);
-  else
-    w.body(*it);
+  // Column order: the innermost level is the column level.
+  if (w.scan->column_per_point && !column_range(w)) return;
+  const auto inner = static_cast<std::size_t>(depth_ - 1);
+  const i64 len = w.column_hi - w.column_lo + 1;
+  w.stats->iterations += len;
+  if (w.kernel) {
+    // One column: each value one step of row column_ of T^{-1} further in
+    // original coordinates.
+    w.j[inner] = w.column_lo;
+    w.kernel->execute_column(*w.bufs, original_point(w).data(),
+                             w.scan->column_step.data(), len, w.scratch);
+    w.stats->column_iterations += len;
+  } else {
+    for (i64 v = w.column_lo; v <= w.column_hi; ++v) {
+      w.j[inner] = v;
+      w.body(original_point(w));
+    }
+  }
+  w.j[inner] = 0;
+}
+
+bool StreamExecutor::column_range(Worker& w) const {
+  const loopir::Level& l = w.order->nest.level(depth_ - 1);
+  w.column_lo = std::max(l.lower.eval_lower(w.j), w.slice_lo);
+  w.column_hi = std::min(l.upper.eval_upper(w.j), w.slice_hi);
+  return w.column_lo <= w.column_hi;
 }
 
 void StreamExecutor::scan_tail(int level, Worker& w) const {
-  if (level == depth_) {
+  if (level == depth_ - (column_ >= 0 ? 1 : 0)) {
     emit(w);
     return;
   }
-  const loopir::Level& l = tn_.nest.level(level);
+  const loopir::Level& l = w.order->nest.level(level);
   i64 lo = l.lower.eval_lower(w.j);
   i64 hi = l.upper.eval_upper(w.j);
   for (i64 v = lo; v <= hi; ++v) {
@@ -275,35 +323,35 @@ void StreamExecutor::scan_tail(int level, Worker& w) const {
 
 void StreamExecutor::scan_prefix(int level, const TaskDescriptor& task,
                                  Worker& w) const {
-  if (level == num_doall_) {
+  // The DOALL levels but the column level keep their order, then come the
+  // partition block or sequential tail, and emit() runs the column level
+  // innermost.
+  const int prefix = std::max(num_doall_ - 1, 0);
+  if (level == prefix) {
+    // A column range that reads no deeper level holds for the whole block.
+    if (column_ >= 0 && !w.scan->column_per_point && !column_range(w))
+      return;
     if (part_) {
-      for (const Vec& label : w.labels)
-        part_->for_each_class_iteration_from(tn_.nest, num_doall_, label, w.j,
-                                             w.emit_j);
+      for (i64 c = task.class_lo; c < task.class_hi; ++c) {
+        part_->class_label(c, w.label);
+        part_->for_each_class_iteration_from(w.order->nest, prefix, w.label,
+                                             w.j, w.lattice, w.emit_j);
+      }
     } else {
       for (i64 c = task.class_lo; c < task.class_hi; ++c)
-        scan_tail(num_doall_, w);
+        scan_tail(prefix, w);
     }
     return;
   }
-  const loopir::Level& l = tn_.nest.level(level);
+  const loopir::Level& l = w.order->nest.level(level);
   i64 lo = l.lower.eval_lower(w.j);
   i64 hi = l.upper.eval_upper(w.j);
-  if (level < task.ndims) {
-    // Boxed dimension: the leaf owns only its slice of the hull.
-    lo = std::max(lo, task.lo[level]);
-    hi = std::min(hi, task.hi[level]);
-  }
-  if (level == column_level_ && w.kernel) {
-    // Column run: no deeper bound reads this level, so the deeper points
-    // are scanned once and each runs every value in [lo, hi] as a column.
-    if (lo > hi) return;
-    w.j[static_cast<std::size_t>(level)] = lo;
-    w.column_len = hi - lo + 1;
-    scan_prefix(level + 1, task, w);
-    w.column_len = 0;
-    w.j[static_cast<std::size_t>(level)] = 0;
-    return;
+  // Boxed dimension: the leaf owns only its slice of the hull. Levels past
+  // the column level sit one position up in column order.
+  const int d = column_ >= 0 && level >= column_ ? level + 1 : level;
+  if (d < task.ndims) {
+    lo = std::max(lo, task.lo[d]);
+    hi = std::min(hi, task.hi[d]);
   }
   for (i64 v = lo; v <= hi; ++v) {
     w.j[static_cast<std::size_t>(level)] = v;
@@ -313,20 +361,25 @@ void StreamExecutor::scan_prefix(int level, const TaskDescriptor& task,
 }
 
 void StreamExecutor::execute_leaf(const TaskDescriptor& task, Worker& w) const {
-  // Class labels depend only on the class id, which the descriptor fixes:
-  // derive them once per leaf, not once per DOALL-prefix point (the prefix
-  // scan below visits O(extent^num_doall) points).
-  w.labels.clear();
-  if (part_)
-    for (i64 c = task.class_lo; c < task.class_hi; ++c)
-      w.labels.push_back(part_->class_label(c));
+  const bool boxed = column_ >= 0 && column_ < task.ndims;
+  w.slice_lo = boxed ? task.lo[column_] : std::numeric_limits<i64>::min();
+  w.slice_hi = boxed ? task.hi[column_] : std::numeric_limits<i64>::max();
   scan_prefix(0, task, w);
 }
 
 DriveSource StreamExecutor::source(exec::ArrayStore& store,
                                    const exec::RangeKernel* kernel) const {
   return {root(), grain_, split_prefs_, make_leaf_factory(store, kernel),
-          split_classes_};
+          split_limits(kernel == nullptr)};
+}
+
+SplitLimits StreamExecutor::split_limits(bool scan) const {
+  // A native range kernel runs its leaf's box whole; a scan runs the
+  // column level as columns, which stay SplitLimits::kColumnFloor long.
+  SplitLimits limits;
+  limits.classes = split_classes_;
+  if (scan) limits.column_axis = column_;
+  return limits;
 }
 
 StreamExecutor::LeafFn StreamExecutor::make_scan_leaf(
@@ -334,15 +387,19 @@ StreamExecutor::LeafFn StreamExecutor::make_scan_leaf(
     std::shared_ptr<const exec::BufferTable> bufs) const {
   // The Worker outlives the factory call (it is captured by the leaf
   // closure), so it lives on the heap, one per worker context.
+  const ScanState& s = scan();
   auto w = std::make_shared<Worker>();
   w->id = id;
   w->stats = &stats;
+  w->order = s.permuted ? &*s.permuted : &tn_;
+  w->identity = !s.permuted && identity_;
   w->j.assign(static_cast<std::size_t>(depth_), 0);
   w->orig.assign(static_cast<std::size_t>(depth_), 0);
+  w->scan = &s;
   if (bufs) {
-    w->kernel = body_.get();
+    w->kernel = s.body.get();
     w->bufs = std::move(bufs);
-    w->scratch = body_->make_scratch();
+    w->scratch = s.body->make_scratch();
   }
   w->body = std::move(body);
   Worker* wp = w.get();
@@ -368,9 +425,9 @@ StreamExecutor::LeafFactory StreamExecutor::make_leaf_factory(
   }
   // Scan path: the executor's one compiled body over this run's one
   // binding (per-worker Scratch keeps both const), or the interpreter
-  // when construction found no body.
-  if (body_) {
-    auto bufs = std::make_shared<const exec::BufferTable>(body_->bind(store));
+  // when the first scan found no body.
+  if (const exec::CompiledKernel* body = scan().body.get()) {
+    auto bufs = std::make_shared<const exec::BufferTable>(body->bind(store));
     return [this, bufs](int id, WorkerStats& stats) -> LeafFn {
       return make_scan_leaf(id, stats, nullptr, bufs);
     };
@@ -411,7 +468,7 @@ RuntimeStats StreamExecutor::run_trace(
                           [&sink, id](const Vec& it) { sink(id, it); });
   };
   return drive(
-      {root(), grain_, split_prefs_, std::move(factory), split_classes_},
+      {root(), grain_, split_prefs_, std::move(factory), split_limits(true)},
       {threads_, {}});
 }
 

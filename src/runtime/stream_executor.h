@@ -13,19 +13,25 @@
 // O(active descriptors): a few dozen small boxes, independent of the
 // iteration count.
 //
-// Loop bodies run through one exec::CompiledKernel built with the executor
-// and bound once per run; workers share both beside their own Scratch — a
-// plan's column level (column_level below) as whole columns, everything
-// else one point at a time. Nests the kernel's one-time range proof
-// rejects fall back to the exact interpreter. Both
-// bodies produce final stores bit-identical to the sequential reference —
-// legality is the same Lemma 1 x Theorem 2 argument as the materialized
-// schedule, only the cover of the box (and, in a column, the order of
-// independent iterations) changed.
+// Loop bodies run through one exec::CompiledKernel, built on the first
+// scan (a native-kernel executor never builds it) and bound once per run;
+// workers share both beside their own Scratch. Nests the kernel's one-time
+// range proof rejects fall back to the exact interpreter. A plan with a
+// DOALL level scans in column order: one DOALL level (column_level())
+// moves innermost (one more Fourier-Motzkin rewrite, under T * P), and
+// each point of the other levels runs that level's range as one column
+// (CompiledKernel::execute_column). Lemma 1 puts every dependence distance
+// at zero there, so the move keeps every distance's sign and a column's
+// iterations are mutually independent. Plans with no DOALL level run one
+// point at a time. Both bodies produce final stores bit-identical to the
+// sequential reference — legality is the same Lemma 1 x Theorem 2 argument
+// as the materialized schedule, only the cover of the box and the order of
+// independent iterations changed.
 //
 // Splits prefer the DOALL axis with the largest address stride (keeps each
 // leaf's touched rows contiguous; task.h SplitPrefs) and fall back to the
-// longest axis when the plan gives no signal.
+// longest axis when the plan gives no signal. A scan's column level splits
+// only into halves of SplitLimits::kColumnFloor values or more (task.h).
 //
 // Classes are cosets of a lattice, so neighbouring iterations of different
 // classes can write neighbouring cells. When the plan's written references
@@ -37,12 +43,15 @@
 // An executor depends on bounds and on the schedule-shaping StreamOptions
 // only, never on data or on the per-run RunSwitches (tracing, metrics,
 // pinning), so the API memoizes one per (artifact, bounds, options) and
-// reuses it across requests (api/executable.h); it is immutable after
+// reuses it across requests (api/executable.h); apart from the scan state
+// its first scan builds once (std::call_once), it is immutable after
 // construction and safe to run from several threads at once.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 
 #include "codegen/rewrite.h"
 #include "exec/kernel.h"
@@ -60,7 +69,7 @@ namespace vdep::runtime {
 using intlin::Vec;
 
 struct StreamOptions {
-  /// Worker count; 0 means hardware concurrency.
+  /// Worker count; 0 means default_worker_count().
   std::size_t num_threads = 0;
   /// Descriptor grain in cells; 0 picks it from the worker count (task.h
   /// pick_grain).
@@ -86,16 +95,6 @@ struct StreamOptions {
 /// it holds.
 bool classes_share_lines(const loopir::LoopNest& nest,
                          const trans::TransformPlan& plan);
-
-/// The column level of a transformed nest with `num_doall` DOALL-prefix
-/// levels: the deepest DOALL level whose coordinate appears in no deeper
-/// level's lower- or upper-bound term, or -1 when none does. Every
-/// dependence distance is zero there (Lemma 1), so the iterations that
-/// differ only in it are mutually independent, and since no deeper bound
-/// reads it, the deeper points are the same for each of its values: a
-/// compiled scan runs the level innermost, as one column per deeper point
-/// (CompiledKernel::execute_column).
-int column_level(const loopir::LoopNest& transformed, int num_doall);
 
 class StreamExecutor {
  public:
@@ -142,8 +141,9 @@ class StreamExecutor {
   /// descriptors over one worker set. Binds `store` once (PreconditionError
   /// on a mis-sized buffer) for every worker: with `kernel` null leaves scan
   /// through body() (the interpreter when null), else they go whole to
-  /// `kernel`. `store` and `kernel` must outlive the run; so must this
-  /// executor.
+  /// `kernel`. The first scan-path source builds the body and the column
+  /// order, once per executor. `store` and `kernel` must outlive the run;
+  /// so must this executor.
   DriveSource source(exec::ArrayStore& store,
                      const exec::RangeKernel* kernel = nullptr) const;
 
@@ -156,33 +156,59 @@ class StreamExecutor {
   bool splits_classes() const { return split_classes_; }
   /// DOALL-prefix dimensions descriptors box and split (<= num_doall).
   int boxed_dims() const { return ndims_; }
-  /// The transformed level compiled scans run as columns
-  /// (column_level(transformed nest, num_doall)); -1 when every compiled
-  /// scan runs per point.
-  int column_level() const { return column_level_; }
+  /// The transformed level compiled scans run as columns, permuted
+  /// innermost: the DOALL level whose step moves the affine accesses'
+  /// addresses the least (ties to the deepest), or -1 when the plan has no
+  /// DOALL level and every compiled scan runs per point.
+  int column_level() const { return column_; }
   i64 grain() const { return grain_; }
   i64 num_classes() const { return classes_; }
   std::size_t num_threads() const { return threads_; }
   const StreamOptions& options() const { return opts_; }
   /// The executor's own copy of the original bounded nest.
   const loopir::LoopNest& nest() const { return original_; }
-  /// The compiled body; null when forced to or proven unable to compile.
-  const exec::CompiledKernel* body() const { return body_.get(); }
+  /// The compiled body, built on first use; null when forced to or proven
+  /// unable to compile.
+  const exec::CompiledKernel* body() const { return scan().body.get(); }
 
  private:
   struct Worker;
+  /// What only a scan needs, built by its first use (scan()).
+  struct ScanState {
+    std::once_flag built;
+    /// The compiled body; null when forced to or proven unable to compile.
+    std::shared_ptr<const exec::CompiledKernel> body;
+    /// tn_ under T * P, P moving column_level() innermost; unset when tn_
+    /// already scans in that order (no DOALL level, or it is innermost).
+    std::optional<codegen::TransformedNest> permuted;
+    /// Row column_level() of T^{-1}: one step along the column level in
+    /// original coordinates.
+    Vec column_step;
+    /// Whether the column level's range reads a level past the DOALL ones
+    /// (the partition block or sequential tail): then it is evaluated at
+    /// every point of that level, else once per point of the DOALL ones.
+    bool column_per_point = false;
+  };
+  const ScanState& scan() const;
   LeafFactory make_leaf_factory(exec::ArrayStore& store,
                                 const exec::RangeKernel* kernel) const;
+  /// The split limits of a scan-path (`scan`) or native-kernel source.
+  SplitLimits split_limits(bool scan) const;
   /// One scan-path worker context: Worker + recursive descriptor scan,
-  /// through body_ over `bufs` when set, else `body`.
+  /// through the compiled body over `bufs` when set, else `body`.
   LeafFn make_scan_leaf(
       int id, WorkerStats& stats, std::function<void(const Vec&)> body,
       std::shared_ptr<const exec::BufferTable> bufs = nullptr) const;
   void compute_hull();
-  void compute_split_prefs();
+  void compute_locality();
   void execute_leaf(const TaskDescriptor& task, Worker& w) const;
   void scan_prefix(int level, const TaskDescriptor& task, Worker& w) const;
   void scan_tail(int level, Worker& w) const;
+  /// The original iteration of w.j (w.j itself under identity).
+  const Vec& original_point(Worker& w) const;
+  /// Sets w's column range at w.j, clipped to the leaf's slice; false when
+  /// it is empty.
+  bool column_range(Worker& w) const;
   void emit(Worker& w) const;
 
   loopir::LoopNest original_;
@@ -198,15 +224,13 @@ class StreamExecutor {
   i64 grain_ = 1;
   SplitPrefs split_prefs_;
   bool split_classes_ = true;
-  int column_level_ = -1;
-  /// Row column_level_ of T^{-1}: one step along the column level in
-  /// original coordinates.
-  Vec column_step_;
+  int column_ = -1;  ///< column_level()
   /// Rectangular hull [min, max] of each DOALL-prefix dimension over the
   /// transformed space (interval arithmetic over the bounds, outermost-in).
   std::vector<std::pair<i64, i64>> hull_;
-  /// Owns its nest, so it survives a move of the executor.
-  std::shared_ptr<const exec::CompiledKernel> body_;
+  /// Shared, so it survives a move of the executor and is built once for
+  /// every thread that scans through it.
+  std::shared_ptr<ScanState> scan_ = std::make_shared<ScanState>();
 };
 
 }  // namespace vdep::runtime

@@ -85,26 +85,33 @@ std::optional<TaskDescriptor> TaskDescriptor::from_string(
 }
 
 int pick_split_axis(const TaskDescriptor& t, i64 grain,
-                    const SplitPrefs* prefs, bool split_classes) {
+                    const SplitPrefs* prefs, const SplitLimits& limits) {
   if (t.cells() <= std::max<i64>(grain, 1)) return -1;
-  const i64 class_extent = split_classes ? t.class_extent() : 1;
+  const i64 class_extent = limits.classes ? t.class_extent() : 1;
+  // Extent of axis d as the choice sees it: 1 (never chosen) when halving
+  // would leave a half below the floor.
+  auto extent = [&](int d) {
+    return d == limits.column_axis && t.extent(d) < 2 * limits.kColumnFloor
+               ? 1
+               : t.extent(d);
+  };
   if (prefs != nullptr && prefs->any()) {
-    // Locality policy: among non-degenerate DOALL axes, the largest
-    // address stride wins (cutting there separates the halves' memory
-    // footprints instead of fragmenting contiguous runs); extent breaks
-    // stride ties, outermost breaks extent ties. The class range — whose
-    // memory footprint the stride model does not cover — only splits when
-    // no DOALL axis can.
+    // Locality policy: among splittable DOALL axes, the largest address
+    // stride wins (cutting there separates the halves' memory footprints
+    // instead of fragmenting contiguous runs); extent breaks stride ties,
+    // outermost breaks extent ties. The class range — whose memory
+    // footprint the stride model does not cover — only splits when no
+    // DOALL axis can.
     int best = -1;
     i64 best_stride = -1;
     i64 best_extent = 1;
     for (int d = 0; d < t.ndims; ++d) {
-      if (t.extent(d) <= 1) continue;
+      if (extent(d) <= 1) continue;
       if (prefs->stride[d] > best_stride ||
-          (prefs->stride[d] == best_stride && t.extent(d) > best_extent)) {
+          (prefs->stride[d] == best_stride && extent(d) > best_extent)) {
         best = d;
         best_stride = prefs->stride[d];
-        best_extent = t.extent(d);
+        best_extent = extent(d);
       }
     }
     if (best >= 0) return best;
@@ -115,22 +122,22 @@ int pick_split_axis(const TaskDescriptor& t, i64 grain,
   int best = -1;
   i64 best_extent = 1;
   for (int d = 0; d < t.ndims; ++d) {
-    if (t.extent(d) > best_extent) {
+    if (extent(d) > best_extent) {
       best = d;
-      best_extent = t.extent(d);
+      best_extent = extent(d);
     }
   }
   if (class_extent > best_extent) best = TaskDescriptor::kClassAxis;
   return best;
 }
 
-bool can_split(const TaskDescriptor& t, i64 grain, bool split_classes) {
-  return pick_split_axis(t, grain, nullptr, split_classes) >= 0;
+bool can_split(const TaskDescriptor& t, i64 grain, const SplitLimits& limits) {
+  return pick_split_axis(t, grain, nullptr, limits) >= 0;
 }
 
 TaskDescriptor split(TaskDescriptor& t, i64 grain, int* axis_out,
-                     const SplitPrefs* prefs, bool split_classes) {
-  int axis = pick_split_axis(t, grain, prefs, split_classes);
+                     const SplitPrefs* prefs, const SplitLimits& limits) {
+  int axis = pick_split_axis(t, grain, prefs, limits);
   VDEP_CHECK(axis >= 0, "descriptor is not splittable");
   if (axis_out) *axis_out = axis;
   TaskDescriptor high = t;

@@ -85,36 +85,49 @@ struct SplitPrefs {
   }
 };
 
+/// What a source's descriptors may split beside the grain (driver.h
+/// DriveSource). `classes` false takes the class range out of the
+/// splittable set: a source whose classes write cells that share cache
+/// lines keeps them in one descriptor. DOALL axis `column_axis` splits only
+/// into halves of at least kColumnFloor values: a scan runs that level as
+/// columns (stream_executor.h), which halving to single values would
+/// shorten to one iteration each, and a column that short costs what a
+/// point costs. Like `grain` they belong to the source, not to the
+/// locality weights.
+struct SplitLimits {
+  static constexpr i64 kColumnFloor = 32;
+  bool classes = true;
+  int column_axis = -1;
+};
+
 /// The axis split() would divide. Default policy (null/empty `prefs`): the
-/// longest axis with extent > 1, ties going to the outermost dimension and
-/// the class range (id kClassAxis) treated as the innermost axis. With
+/// longest splittable axis, ties going to the outermost dimension and the
+/// class range (id kClassAxis) treated as the innermost axis. With
 /// locality prefs, the splittable DOALL axis with the largest address
 /// stride wins instead (ties by extent, then outermost) — splitting the
 /// max-stride axis keeps each leaf's touched rows contiguous — and the
 /// class range becomes the last resort. -1 when the descriptor is a leaf:
-/// at most max(grain, 1) cells, or every axis degenerate. The *splittable*
+/// at most max(grain, 1) cells, or no axis splittable. An axis is
+/// splittable when it has at least two values (the column axis: two
+/// floors), the class range only under `limits.classes`. The *splittable*
 /// set never depends on prefs, only the choice among splittable axes does.
-/// `split_classes` false takes the class range out of the splittable set:
-/// a source whose classes write cells that share cache lines keeps them in
-/// one descriptor (stream_executor.h). Like `grain` it belongs to the
-/// source, not to the locality weights.
 int pick_split_axis(const TaskDescriptor& t, i64 grain,
                     const SplitPrefs* prefs = nullptr,
-                    bool split_classes = true);
+                    const SplitLimits& limits = {});
 
 /// Whether split() may divide `t`: more than max(grain, 1) cells and some
-/// axis longer than 1 (the class range only when `split_classes`).
-/// Degenerate axes are never split. Independent of any SplitPrefs by
+/// splittable axis (pick_split_axis). Independent of any SplitPrefs by
 /// construction.
-bool can_split(const TaskDescriptor& t, i64 grain, bool split_classes = true);
+bool can_split(const TaskDescriptor& t, i64 grain,
+               const SplitLimits& limits = {});
 
 /// Divides `t` in two along pick_split_axis. `t` keeps the low half; the
-/// returned descriptor is the high half. Requires
-/// can_split(t, grain, split_classes). `axis_out`, when non-null, receives
-/// the chosen axis id (per-axis split counters in stats.h).
+/// returned descriptor is the high half. Requires can_split(t, grain,
+/// limits). `axis_out`, when non-null, receives the chosen axis id
+/// (per-axis split counters in stats.h).
 TaskDescriptor split(TaskDescriptor& t, i64 grain, int* axis_out = nullptr,
                      const SplitPrefs* prefs = nullptr,
-                     bool split_classes = true);
+                     const SplitLimits& limits = {});
 
 /// Grain heuristic: aim for ~8 leaf descriptors per worker by total cells,
 /// never below 1.

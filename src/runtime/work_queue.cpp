@@ -1,18 +1,42 @@
 #include "runtime/work_queue.h"
 
+#include <cstring>
+#include <type_traits>
+
 #include "support/error.h"
 
 namespace vdep::runtime {
 
+static_assert(std::is_trivially_copyable_v<TaskDescriptor>,
+              "deque slots copy descriptors word by word");
+
 WorkStealingDeque::Buffer::Buffer(i64 cap)
     : capacity(cap),
       mask(cap - 1),
-      slots(new std::atomic<TaskDescriptor*>[static_cast<std::size_t>(cap)]) {
+      words(new std::atomic<std::uint64_t>[static_cast<std::size_t>(cap) *
+                                           kWords]) {
   VDEP_REQUIRE(cap > 0 && (cap & (cap - 1)) == 0,
                "deque capacity must be a power of two");
-  for (i64 i = 0; i < cap; ++i)
-    slots[static_cast<std::size_t>(i)].store(nullptr,
-                                             std::memory_order_relaxed);
+}
+
+TaskDescriptor WorkStealingDeque::Buffer::get(i64 i) const {
+  const std::atomic<std::uint64_t>* slot =
+      &words[static_cast<std::size_t>(i & mask) * kWords];
+  std::uint64_t raw[kWords];
+  for (std::size_t k = 0; k < kWords; ++k)
+    raw[k] = slot[k].load(std::memory_order_relaxed);
+  TaskDescriptor task;
+  std::memcpy(&task, raw, sizeof(task));
+  return task;
+}
+
+void WorkStealingDeque::Buffer::put(i64 i, const TaskDescriptor& task) {
+  std::atomic<std::uint64_t>* slot =
+      &words[static_cast<std::size_t>(i & mask) * kWords];
+  std::uint64_t raw[kWords] = {};
+  std::memcpy(raw, &task, sizeof(task));
+  for (std::size_t k = 0; k < kWords; ++k)
+    slot[k].store(raw[k], std::memory_order_relaxed);
 }
 
 WorkStealingDeque::WorkStealingDeque(i64 initial_capacity) {
@@ -20,24 +44,14 @@ WorkStealingDeque::WorkStealingDeque(i64 initial_capacity) {
   buffer_.store(buffers_.back().get(), std::memory_order_relaxed);
 }
 
-WorkStealingDeque::~WorkStealingDeque() {
-  // Free any descriptors never consumed (the executor normally drains the
-  // deque; this covers exception unwinding).
-  i64 t = top_.load(std::memory_order_relaxed);
-  i64 b = bottom_.load(std::memory_order_relaxed);
-  Buffer* buf = buffer_.load(std::memory_order_relaxed);
-  for (i64 i = t; i < b; ++i) delete buf->get(i);
-}
-
 void WorkStealingDeque::push(const TaskDescriptor& task) {
-  TaskDescriptor* node = new TaskDescriptor(task);
   i64 b = bottom_.load(std::memory_order_relaxed);
   i64 t = top_.load(std::memory_order_acquire);
   Buffer* buf = buffer_.load(std::memory_order_relaxed);
   if (b - t > buf->capacity - 1) buf = grow(buf, b, t);
-  buf->put(b, node);
+  buf->put(b, task);
   // Release store (not a fence + relaxed store): this is the edge that
-  // publishes the node's contents to thieves, and ThreadSanitizer does not
+  // publishes the slot's contents to thieves, and ThreadSanitizer does not
   // model fences — the operation itself must carry the ordering.
   bottom_.store(b + 1, std::memory_order_release);
 }
@@ -52,7 +66,7 @@ bool WorkStealingDeque::pop(TaskDescriptor& out) {
     bottom_.store(b + 1, std::memory_order_relaxed);
     return false;
   }
-  TaskDescriptor* node = buf->get(b);
+  const TaskDescriptor task = buf->get(b);
   if (t == b) {
     // Last element: race thieves for it through `top`.
     if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
@@ -62,8 +76,7 @@ bool WorkStealingDeque::pop(TaskDescriptor& out) {
     }
     bottom_.store(b + 1, std::memory_order_relaxed);
   }
-  out = *node;
-  delete node;
+  out = task;
   return true;
 }
 
@@ -73,17 +86,16 @@ bool WorkStealingDeque::steal(TaskDescriptor& out) {
   i64 b = bottom_.load(std::memory_order_acquire);
   if (t >= b) return false;  // empty
   Buffer* buf = buffer_.load(std::memory_order_acquire);
-  TaskDescriptor* node = buf->get(t);
-  // Claim index t before touching *node: the winner of the CAS is the
-  // unique consumer of the slot, so only then is the dereference safe (a
-  // pre-CAS read could hit a node the owner already popped and freed).
-  // Visibility of the contents comes from the acquire load of `bottom`
-  // above pairing with the release store in push().
+  // Copy, then claim index t: the winner of the CAS is the unique consumer
+  // of the slot, and the slot held index t's descriptor until `top` moved
+  // past t, which would fail the CAS. Visibility of the contents comes
+  // from the acquire load of `bottom` above pairing with the release
+  // store in push().
+  const TaskDescriptor task = buf->get(t);
   if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
                                     std::memory_order_relaxed))
     return false;  // lost the race; retry is the caller's policy
-  out = *node;
-  delete node;
+  out = task;
   return true;
 }
 

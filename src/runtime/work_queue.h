@@ -8,14 +8,19 @@
 // first. The only contended operation is a single compare-exchange on `top`
 // when owner and thief race for the last element.
 //
-// Slots hold pointers (one lock-free atomic word each); descriptor contents
-// are published by the release fence in push() and consumed after the
-// acquire reads in steal(), so the structure is clean under
-// -fsanitize=thread. Ring buffers grow geometrically and are retired, not
-// freed, until the deque dies: a thief may still be reading an old buffer.
+// Slots hold the descriptors themselves, as words of relaxed atomics, so a
+// push allocates nothing. Contents are published by the release store of
+// `bottom` in push() and consumed after the acquire reads in steal(). A
+// thief copies its slot before the compare-exchange that claims it: once
+// `top` moves past the slot the owner may reuse it, and a copy torn by
+// that reuse is discarded by the failed compare-exchange — a race on
+// atomics, so the structure is clean under -fsanitize=thread. Ring buffers
+// grow geometrically and are retired, not freed, until the deque dies: a
+// thief may still be reading an old buffer.
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -26,7 +31,6 @@ namespace vdep::runtime {
 class WorkStealingDeque {
  public:
   explicit WorkStealingDeque(i64 initial_capacity = 64);
-  ~WorkStealingDeque();
 
   WorkStealingDeque(const WorkStealingDeque&) = delete;
   WorkStealingDeque& operator=(const WorkStealingDeque&) = delete;
@@ -42,18 +46,19 @@ class WorkStealingDeque {
   i64 size_estimate() const;
 
  private:
+  static constexpr std::size_t kWords =
+      (sizeof(TaskDescriptor) + sizeof(std::uint64_t) - 1) /
+      sizeof(std::uint64_t);
+
   struct Buffer {
     explicit Buffer(i64 cap);
     i64 capacity;
     i64 mask;
-    std::unique_ptr<std::atomic<TaskDescriptor*>[]> slots;
+    /// kWords words per slot.
+    std::unique_ptr<std::atomic<std::uint64_t>[]> words;
 
-    TaskDescriptor* get(i64 i) const {
-      return slots[i & mask].load(std::memory_order_relaxed);
-    }
-    void put(i64 i, TaskDescriptor* p) {
-      slots[i & mask].store(p, std::memory_order_relaxed);
-    }
+    TaskDescriptor get(i64 i) const;
+    void put(i64 i, const TaskDescriptor& task);
   };
 
   /// Owner only: doubles the ring, copying live entries [top, bottom).

@@ -1,12 +1,29 @@
 #include "support/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
 
 #include "support/error.h"
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace vdep {
+
+std::size_t default_worker_count() {
+#ifdef __linux__
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int n = CPU_COUNT(&mask);
+    if (n > 0) return static_cast<std::size_t>(n);
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   VDEP_REQUIRE(num_threads >= 1, "ThreadPool needs at least one thread");
@@ -108,7 +125,7 @@ void ThreadPool::parallel_for(std::int64_t num_chunks,
 }
 
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
+  static ThreadPool pool(default_worker_count());
   return pool;
 }
 

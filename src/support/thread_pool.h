@@ -18,6 +18,11 @@
 
 namespace vdep {
 
+/// The worker count of a run that names none: the cpus in the calling
+/// thread's affinity mask (taskset masks, cgroup cpusets), or the hardware
+/// concurrency when the mask cannot be read; at least 1.
+std::size_t default_worker_count();
+
 class ThreadPool {
  public:
   /// Creates `num_threads` workers (>= 1).
@@ -35,7 +40,7 @@ class ThreadPool {
   void parallel_for(std::int64_t num_chunks,
                     const std::function<void(std::int64_t)>& body);
 
-  /// Process-wide pool sized to the hardware concurrency; created on first
+  /// Process-wide pool of default_worker_count() threads; created on first
   /// use and reused for every DOALL afterwards (CP.41).
   static ThreadPool& global();
 

@@ -4,8 +4,8 @@
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <thread>
 
+#include "support/thread_pool.h"
 #include "topo/affinity.h"
 
 namespace vdep::topo {
@@ -122,8 +122,7 @@ const Topology& Topology::system() {
       // No sysfs: a flat topology over the allowed cpus (or hardware
       // concurrency when even the affinity mask is unreadable).
       if (allowed.empty())
-        return flat(static_cast<int>(
-            std::max(1u, std::thread::hardware_concurrency())));
+        return flat(static_cast<int>(default_worker_count()));
       std::vector<CpuInfo> cpus;
       for (int c : allowed) cpus.push_back({c, c, 0, 0});
       Topology t(std::move(cpus));

@@ -42,14 +42,19 @@ i64 Partitioning::class_id(const Vec& iter) const {
 }
 
 Vec Partitioning::class_label(i64 id) const {
+  Vec r;
+  class_label(id, r);
+  return r;
+}
+
+void Partitioning::class_label(i64 id, Vec& out) const {
   VDEP_REQUIRE(id >= 0 && id < num_classes_, "class id out of range");
-  Vec r(static_cast<std::size_t>(dim()));
+  out.resize(static_cast<std::size_t>(dim()));
   for (int k = dim() - 1; k >= 0; --k) {
     i64 hkk = h_.at(k, k);
-    r[static_cast<std::size_t>(k)] = id % hkk;
+    out[static_cast<std::size_t>(k)] = id % hkk;
     id /= hkk;
   }
-  return r;
 }
 
 void Partitioning::scan(const loopir::LoopNest& nest, int start,
@@ -90,13 +95,20 @@ void Partitioning::for_each_class_iteration(
 void Partitioning::for_each_class_iteration_from(
     const loopir::LoopNest& nest, int start, const Vec& label, Vec& iter,
     const std::function<void(const Vec&)>& fn) const {
-  VDEP_REQUIRE(nest.depth() == start + dim(),
-               "nest depth must equal start + partition dim");
+  Vec t;
+  for_each_class_iteration_from(nest, start, label, iter, t, fn);
+}
+
+void Partitioning::for_each_class_iteration_from(
+    const loopir::LoopNest& nest, int start, const Vec& label, Vec& iter,
+    Vec& t_scratch, const std::function<void(const Vec&)>& fn) const {
+  VDEP_REQUIRE(start >= 0 && nest.depth() >= start + dim(),
+               "nest depth must cover start + partition dim");
   VDEP_REQUIRE(static_cast<int>(label.size()) == dim(), "label dim mismatch");
   VDEP_REQUIRE(static_cast<int>(iter.size()) == nest.depth(),
                "iteration vector depth mismatch");
-  Vec t(static_cast<std::size_t>(dim()), 0);
-  scan(nest, start, label, 0, iter, t, fn);
+  t_scratch.assign(static_cast<std::size_t>(dim()), 0);
+  scan(nest, start, label, 0, iter, t_scratch, fn);
 }
 
 }  // namespace vdep::trans

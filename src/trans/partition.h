@@ -40,6 +40,8 @@ class Partitioning {
 
   /// Inverse of the mixed-radix encoding: the residue labelled `id`.
   Vec class_label(i64 id) const;
+  /// Same, into `out` (resized to dim(); no allocation once it has room).
+  void class_label(i64 id, Vec& out) const;
 
   /// Enumerates, in lexicographic order, the iterations of class `label`
   /// that lie inside `nest`'s bounds (strided scan with skewed offsets —
@@ -47,11 +49,18 @@ class Partitioning {
   void for_each_class_iteration(const loopir::LoopNest& nest, const Vec& label,
                                 const std::function<void(const Vec&)>& fn) const;
 
-  /// General form: partitions the trailing dims [start, start+dim()) of a
-  /// (start+dim())-deep nest. `iter`'s prefix [0, start) must already hold
-  /// the outer index values; fn receives the full iteration vector.
+  /// General form: partitions dims [start, start+dim()) of a nest at least
+  /// start+dim() deep. `iter`'s prefix [0, start) must already hold the
+  /// outer index values; fn receives the full iteration vector once per
+  /// block point, and any levels past the block are fn's to scan.
   void for_each_class_iteration_from(const loopir::LoopNest& nest, int start,
                                      const Vec& label, Vec& iter,
+                                     const std::function<void(const Vec&)>& fn) const;
+  /// Same, with the recurrence's lattice coordinates in `t_scratch`
+  /// (resized to dim()): a caller scanning many blocks allocates nothing
+  /// per call.
+  void for_each_class_iteration_from(const loopir::LoopNest& nest, int start,
+                                     const Vec& label, Vec& iter, Vec& t_scratch,
                                      const std::function<void(const Vec&)>& fn) const;
 
  private:

@@ -1,0 +1,112 @@
+// Heap allocations per request: a warm CompiledLoop::execute makes a fixed
+// number of them, whatever the number of leaves, columns or block points
+// it runs. This binary replaces the global operator new with a counting
+// one and compares one warm threads(1) request at two bounds whose leaf
+// counts differ, so a per-leaf, per-column or per-point allocation shows
+// as a difference — no timer involved.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "api/vdep.h"
+#include "core/suite.h"
+#include "loopir/builder.h"
+
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
+  return ::operator new(size, t);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace vdep {
+namespace {
+
+using intlin::i64;
+
+struct Warm {
+  CompiledLoop loop;
+  exec::ArrayStore init;
+};
+
+/// Heap allocations and the report of one warm execute() of `w` under
+/// `policy`: two untimed runs first build the executor, its scan state and
+/// any native kernel, and touch every memo.
+std::pair<long, ExecReport> count_one(const Warm& w, const ExecPolicy& policy) {
+  for (int k = 0; k < 2; ++k) {
+    exec::ArrayStore s = w.init;
+    (void)w.loop.execute(policy, s).value();
+  }
+  exec::ArrayStore s = w.init;
+  const long before = g_allocations.load();
+  ExecReport r = w.loop.execute(policy, s).value();
+  return {g_allocations.load() - before, r};
+}
+
+/// `small` and `large` must differ in leaves, unless the plan keeps one
+/// piece at any bound (`one_piece`: then they differ in iterations).
+void expect_flat(const loopir::LoopNest& small, const loopir::LoopNest& large,
+                 ExecBackend backend, const std::string& name,
+                 bool expect_columns, bool one_piece = false) {
+  Compiler compiler;
+  ExecPolicy policy;
+  policy.threads(1).backend(backend).digest(false);
+  const Warm a{compiler.compile(small).value(), exec::ArrayStore(small)};
+  const Warm b{compiler.compile(large).value(), exec::ArrayStore(large)};
+  const auto [na, ra] = count_one(a, policy);
+  const auto [nb, rb] = count_one(b, policy);
+  EXPECT_NE(ra.iterations, rb.iterations) << name;
+  if (one_piece)
+    EXPECT_EQ(ra.tasks, 1) << name;
+  else
+    EXPECT_NE(ra.tasks, rb.tasks) << name << ": the bounds must differ in "
+                                  << "leaves, both ran " << ra.tasks;
+  EXPECT_EQ(na, nb) << name << ": " << ra.tasks << " vs " << rb.tasks
+                    << " leaves";
+  if (backend == ExecBackend::kCompiled) {
+    EXPECT_EQ(ra.column_iterations, expect_columns ? ra.iterations : 0)
+        << name;
+    EXPECT_EQ(rb.column_iterations, expect_columns ? rb.iterations : 0)
+        << name;
+  }
+}
+
+TEST(Allocations, CompiledRequestIsFlatInLeavesColumnsAndPoints) {
+  // Two DOALL levels (columns, unpermuted), one permuted DOALL level over
+  // a two-class partition, and per-point partition classes, which share
+  // cache lines and so run as one piece at any bound.
+  expect_flat(core::matmul_reduction(12), core::matmul_reduction(40),
+              ExecBackend::kCompiled, "matmul_reduction", true);
+  expect_flat(core::example41(12), core::example41(40),
+              ExecBackend::kCompiled, "example_4_1", true);
+  expect_flat(core::example42(12), core::example42(40),
+              ExecBackend::kCompiled, "example_4_2", false, true);
+}
+
+TEST(Allocations, JitRequestIsFlatInLeaves) {
+  // Native leaves when a toolchain is present; the scan fallback (columns)
+  // otherwise. Either way the count must not follow the leaf count.
+  expect_flat(core::matmul_reduction(12), core::matmul_reduction(40),
+              ExecBackend::kJit, "matmul_reduction", true);
+}
+
+}  // namespace
+}  // namespace vdep

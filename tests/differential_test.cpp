@@ -12,7 +12,10 @@
 //   streaming compiled    (ExecBackend::kCompiled, postfix kernels)
 //   streaming jit         (ExecBackend::kJit, dlopen-ed native kernels)
 //
-// each parallel backend at 1, 2 and 8 worker contexts. The analysis is
+// each parallel backend at 1, 2 and 8 worker contexts. Under kCompiled a
+// nest the postfix kernel compiles runs every iteration as a column
+// exactly when its plan has a DOALL level (ExecReport::column_iterations).
+// The analysis is
 // exact (dependence equations -> PDM -> Algorithm 1 -> Theorem 2 classes),
 // so ANY divergence — off-by-one class strides, a misproved DOALL, a bad
 // native kernel — is a bug, not noise; correctness across execution
@@ -39,6 +42,7 @@
 
 #include "api/vdep.h"
 #include "core/suite.h"
+#include "exec/compiled.h"
 #include "exec/interpreter.h"
 #include "jit/toolchain.h"
 #include "loopir/builder.h"
@@ -322,6 +326,10 @@ void cross_check(const Compiler& compiler, const LoopNest& nest,
                                   ExecBackend::kInspector};
   const char* names[] = {"interpreter", "compiled", "jit", "inspector"};
   const std::size_t thread_counts[] = {1, 2, 8};
+  // Column runs: with a compiled body, a plan with a DOALL level runs it as
+  // columns, every iteration; without one, none.
+  const bool columns = loop->plan().doall_loops > 0 &&
+                       exec::CompiledKernel::try_compile(nest) != nullptr;
   for (int bk = 0; bk < 4; ++bk) {
     for (std::size_t threads : thread_counts) {
       exec::ArrayStore got = init;
@@ -338,6 +346,15 @@ void cross_check(const Compiler& compiler, const LoopNest& nest,
       if (backends[bk] == ExecBackend::kJit && threads == 1 && rep->jit)
         ++stats.jit_native;
       if (runs) runs->push_back({backends[bk], threads, rep->workers_used});
+      if (backends[bk] == ExecBackend::kCompiled &&
+          rep->column_iterations != (columns ? rep->iterations : 0)) {
+        stats.failures.push_back(
+            "compiled at " + std::to_string(threads) + " thread(s) ran " +
+            std::to_string(rep->column_iterations) + " of " +
+            std::to_string(rep->iterations) + " iterations as columns (" +
+            std::to_string(loop->plan().doall_loops) + " DOALL level(s))\n" +
+            trace + nest.to_string());
+      }
       if (!(got == ref)) {
         stats.failures.push_back("backend " + std::string(names[bk]) +
                                  " at " + std::to_string(threads) +

@@ -261,15 +261,16 @@ TEST(TaskSplit, SingleCellIsNotSplittable) {
 TEST(TaskSplit, SourceCanKeepTheClassRangeWhole) {
   // No DOALL axis: the class range is the only axis, so forbidding it
   // leaves nothing to split.
-  EXPECT_EQ(pick_split_axis(box({}, 0, 4), 1, nullptr, false), -1);
-  EXPECT_FALSE(can_split(box({}, 0, 4), 1, false));
+  const SplitLimits whole{.classes = false};
+  EXPECT_EQ(pick_split_axis(box({}, 0, 4), 1, nullptr, whole), -1);
+  EXPECT_FALSE(can_split(box({}, 0, 4), 1, whole));
   EXPECT_TRUE(can_split(box({}, 0, 4), 1));
   // A DOALL axis still splits, even where the class range is longer.
   TaskDescriptor t = box({{0, 1}}, 0, 16);
   EXPECT_EQ(pick_split_axis(t, 1), TaskDescriptor::kClassAxis);
-  while (can_split(t, 1, false)) {
+  while (can_split(t, 1, whole)) {
     int axis = -1;
-    split(t, 1, &axis, nullptr, false);
+    split(t, 1, &axis, nullptr, whole);
     EXPECT_EQ(axis, 0);
   }
   EXPECT_EQ(t.class_extent(), 16);
@@ -534,32 +535,75 @@ std::vector<core::NamedNest> column_cases() {
   return cases;
 }
 
-TEST(ColumnRuns, LevelIsTheDeepestDoallNoDeeperBoundReads) {
-  // Eligible: the deepest DOALL level whose coordinate no deeper bound
-  // reads (zero_column's plan moves its DOALL level outermost).
-  // example_4_1's and triangular_uniform's deeper bounds read their only
-  // DOALL level; example_4_2, uniform_* and sequential_chain have none.
+TEST(ColumnRuns, LevelIsADoallLevelExactlyWhenThePlanHasOne) {
+  // Every plan with a DOALL level runs one as columns, permuted innermost:
+  // the one whose step moves the accesses' addresses the least (ties to
+  // the deepest). variable_3deep's j1 walks A's contiguous last dimension,
+  // its j2 whole rows; example_4_1's and triangular_uniform's deeper bounds
+  // read their only DOALL level, which the column order projects out.
+  // example_4_2, uniform_* and sequential_chain have no DOALL level.
   const std::map<std::string, int> expected = {
-      {"example_4_1", -1},      {"example_4_2", -1},
+      {"example_4_1", 0},       {"example_4_2", -1},
       {"uniform_wavefront", -1}, {"uniform_blocked", -1},
       {"zero_column", 0},       {"parity_independent", 1},
       {"sequential_chain", -1}, {"variable_3deep", 0},
-      {"triangular_uniform", -1}, {"matmul_reduction", 1},
+      {"triangular_uniform", 0}, {"matmul_reduction", 1},
       {"skewed_extent", 1}};
   for (const core::NamedNest& c : core::paper_suite(6)) {
-    StreamExecutor ex(c.nest, plan_for(c.nest));
+    const trans::TransformPlan plan = plan_for(c.nest);
+    StreamExecutor ex(c.nest, plan);
     ASSERT_TRUE(expected.count(c.name)) << c.name;
     EXPECT_EQ(ex.column_level(), expected.at(c.name)) << c.name;
+    EXPECT_EQ(ex.column_level() >= 0, plan.num_doall > 0) << c.name;
+    EXPECT_LT(ex.column_level(), plan.num_doall) << c.name;
   }
   StreamExecutor two(two_statement_doall(8), plan_for(two_statement_doall(8)));
   EXPECT_EQ(two.column_level(), 1);
 }
 
+TEST(ColumnRuns, ScanSplitsKeepColumnsLong) {
+  // The scan path's descriptors split the column level only into halves of
+  // at least SplitLimits::kColumnFloor values; a native kernel's split to
+  // the grain.
+  // triangular_uniform(70)'s column level is its only DOALL axis (71
+  // values): two leaves at grain 1, instead of 71 one-value leaves.
+  const loopir::LoopNest nest = core::triangular_uniform(70);
+  StreamOptions so;
+  so.num_threads = 1;
+  so.grain = 1;
+  const StreamExecutor ex(nest, plan_for(nest), so);
+  exec::ArrayStore store(nest);
+  store.fill_pattern();
+  const DriveSource scan = ex.source(store);
+  EXPECT_EQ(scan.limits.column_axis, ex.column_level());
+  struct NoKernel : exec::RangeKernel {
+    i64 execute_range(const exec::BufferTable&,
+                      const exec::IterBox&) const override {
+      return 0;
+    }
+  } native;
+  EXPECT_EQ(ex.source(store, &native).limits.column_axis, -1);
+  TaskDescriptor t = scan.root;
+  EXPECT_EQ(t.extent(0), 71);
+  EXPECT_TRUE(can_split(t, 1, scan.limits));
+  TaskDescriptor high = split(t, 1, nullptr, &scan.prefs, scan.limits);
+  EXPECT_FALSE(can_split(t, 1, scan.limits));
+  EXPECT_FALSE(can_split(high, 1, scan.limits));
+  EXPECT_EQ(t.extent(0) + high.extent(0), 71);
+  const RuntimeStats rs = ex.run(store);
+  EXPECT_EQ(rs.total_tasks(), 2);
+  EXPECT_EQ(rs.total_column_iterations(), nest.iteration_count());
+  // Without the floor the same root halves down to single values.
+  EXPECT_TRUE(can_split(t, 1));
+}
+
 TEST(ColumnRuns, CompiledMatchesInterpreterBitForBit) {
   // Every case at 1, 2 and 8 workers, at the default grain and at grain 1
-  // (boxed column levels split to columns of length 1): the compiled scan
-  // leaves the interpreter's store, and counts every iteration as a column
-  // iteration exactly when the plan has a column level.
+  // (boxed column levels split down to SplitLimits::kColumnFloor-long
+  // columns): the
+  // compiled scan leaves the interpreter's store, and counts every
+  // iteration as a column iteration exactly when the plan has a column
+  // level.
   for (const core::NamedNest& c : column_cases()) {
     const trans::TransformPlan plan = plan_for(c.nest);
     exec::ArrayStore init(c.nest);
@@ -601,26 +645,33 @@ TEST(ColumnRuns, CompiledMatchesInterpreterBitForBit) {
 }
 
 TEST(ColumnRuns, ReportCountsColumnIterations) {
-  // ExecReport::column_iterations: every iteration of matmul_reduction
-  // under kCompiled, none of triangular_uniform's (it stays per point),
-  // none under kInterpreter, none on native kJit leaves — single execute()
-  // and per request in a batch.
+  // ExecReport::column_iterations: every iteration of matmul_reduction and
+  // of triangular_uniform (its DOALL level permuted innermost) under
+  // kCompiled, none of example_4_2's (no DOALL level: per point), none
+  // under kInterpreter, none on native kJit leaves — single execute() and
+  // per request in a batch.
   vdep::Compiler compiler;
   vdep::CompiledLoop mm =
       compiler.compile(core::matmul_reduction(12)).value();
   vdep::CompiledLoop tri =
       compiler.compile(core::triangular_uniform(30)).value();
-  EXPECT_NE(mm.summary().find("column runs: compiled scans run DOALL level"),
-            std::string::npos);
-  EXPECT_NE(tri.summary().find("column runs: none"), std::string::npos);
+  vdep::CompiledLoop ex42 = compiler.compile(core::example42(12)).value();
+  for (const vdep::CompiledLoop* loop : {&mm, &tri})
+    EXPECT_NE(loop->summary().find("column runs: compiled scans run DOALL "
+                                   "level j"),
+              std::string::npos);
+  EXPECT_NE(tri.summary().find("permuted innermost"), std::string::npos);
+  EXPECT_NE(ex42.summary().find("column runs: none"), std::string::npos);
   for (std::size_t threads : {1u, 2u, 8u}) {
     const std::string what = "threads=" + std::to_string(threads);
     vdep::ExecPolicy compiled;
     compiled.threads(threads).backend(vdep::ExecBackend::kCompiled);
-    vdep::ExecReport r = mm.check(compiled).value();
-    EXPECT_GT(r.iterations, 0) << what;
-    EXPECT_EQ(r.column_iterations, r.iterations) << what;
-    EXPECT_EQ(tri.check(compiled).value().column_iterations, 0) << what;
+    for (const vdep::CompiledLoop* loop : {&mm, &tri}) {
+      vdep::ExecReport r = loop->check(compiled).value();
+      EXPECT_GT(r.iterations, 0) << what;
+      EXPECT_EQ(r.column_iterations, r.iterations) << what;
+    }
+    EXPECT_EQ(ex42.check(compiled).value().column_iterations, 0) << what;
 
     vdep::ExecPolicy interp = compiled;
     interp.backend(vdep::ExecBackend::kInterpreter);
@@ -631,11 +682,59 @@ TEST(ColumnRuns, ReportCountsColumnIterations) {
     vdep::ExecReport rj = mm.check(jit).value();
     EXPECT_EQ(rj.column_iterations, rj.jit ? 0 : rj.iterations) << what;
 
-    std::vector<vdep::BatchRequest> reqs = {{mm, nullptr}, {tri, nullptr}};
+    std::vector<vdep::BatchRequest> reqs = {
+        {mm, nullptr}, {tri, nullptr}, {ex42, nullptr}};
     std::vector<vdep::ExecReport> reps =
         vdep::execute_batch(reqs, compiled).value();
     EXPECT_EQ(reps[0].column_iterations, reps[0].iterations) << what;
-    EXPECT_EQ(reps[1].column_iterations, 0) << what;
+    EXPECT_EQ(reps[1].column_iterations, reps[1].iterations) << what;
+    EXPECT_EQ(reps[2].column_iterations, 0) << what;
+  }
+}
+
+TEST(ColumnRuns, PermutedPlansMatchTheInterpreterSingleAndBatched) {
+  // The plans whose column level the permutation moves innermost, through
+  // the API at 1, 2 and 8 workers, default grain and grain 1: kCompiled
+  // leaves the kInterpreter store bit for bit and runs every iteration as
+  // a column, in a single execute() and as requests of one batch.
+  vdep::Compiler compiler;
+  const std::vector<loopir::LoopNest> nests = {core::example41(40),
+                                               core::triangular_uniform(40),
+                                               core::variable_3deep(8)};
+  std::vector<vdep::CompiledLoop> loops;
+  std::vector<exec::ArrayStore> inits;
+  for (const loopir::LoopNest& n : nests) {
+    loops.push_back(compiler.compile(n).value());
+    inits.emplace_back(n);
+    inits.back().fill_pattern();
+  }
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    for (i64 grain : {i64{0}, i64{1}}) {
+      const std::string what = "threads=" + std::to_string(threads) +
+                               " grain=" + std::to_string(grain);
+      vdep::ExecPolicy compiled;
+      compiled.threads(threads).grain(grain).backend(
+          vdep::ExecBackend::kCompiled);
+      vdep::ExecPolicy interp = compiled;
+      interp.backend(vdep::ExecBackend::kInterpreter);
+      std::vector<exec::ArrayStore> single = inits, batched = inits,
+                                    want = inits;
+      std::vector<vdep::BatchRequest> reqs;
+      for (std::size_t k = 0; k < loops.size(); ++k) {
+        vdep::ExecReport r = loops[k].execute(compiled, single[k]).value();
+        EXPECT_EQ(r.column_iterations, r.iterations) << k << " " << what;
+        (void)loops[k].execute(interp, want[k]).value();
+        EXPECT_EQ(single[k], want[k]) << k << " " << what;
+        reqs.push_back({loops[k], &batched[k]});
+      }
+      std::vector<vdep::ExecReport> reps =
+          vdep::execute_batch(reqs, compiled).value();
+      for (std::size_t k = 0; k < loops.size(); ++k) {
+        EXPECT_EQ(reps[k].column_iterations, reps[k].iterations)
+            << k << " " << what;
+        EXPECT_EQ(batched[k], want[k]) << k << " " << what;
+      }
+    }
   }
 }
 
@@ -818,7 +917,7 @@ TEST(ClassRule, FlagsClassesThatShareCacheLines) {
               !r.splits_classes)
         << r.name;
     exec::ArrayStore store(r.nest);
-    EXPECT_EQ(ex.source(store).split_classes, r.splits_classes) << r.name;
+    EXPECT_EQ(ex.source(store).limits.classes, r.splits_classes) << r.name;
   }
 }
 

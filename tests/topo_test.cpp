@@ -21,6 +21,7 @@
 #include "exec/interpreter.h"
 #include "runtime/driver.h"
 #include "runtime/stream_executor.h"
+#include "support/thread_pool.h"
 #include "topo/affinity.h"
 #include "topo/topology.h"
 #include "trans/planner.h"
@@ -262,6 +263,22 @@ exec::ArrayStore reference(const loopir::LoopNest& nest) {
   ref.fill_pattern();
   exec::run_sequential(nest, ref);
   return ref;
+}
+
+TEST(Affinity, DefaultWorkerCountIsTheAllowedCpuCount) {
+  // A run that names no worker count takes one per cpu in the affinity
+  // mask, not hardware_concurrency(): narrowed to one cpu (this thread's
+  // mask only), the default and an executor built under it follow.
+  if (!pin_supported()) GTEST_SKIP() << "no sched_setaffinity on this host";
+  const std::vector<int> cpus = allowed_cpus();
+  ASSERT_FALSE(cpus.empty());
+  EXPECT_EQ(default_worker_count(), cpus.size());
+  AffinityGuard guard(cpus.front());
+  ASSERT_TRUE(guard.pinned());
+  EXPECT_EQ(allowed_cpus().size(), 1u);
+  EXPECT_EQ(default_worker_count(), 1u);
+  const loopir::LoopNest nest = core::matmul_reduction(6);
+  EXPECT_EQ(runtime::StreamExecutor(nest, plan_for(nest)).num_threads(), 1u);
 }
 
 TEST(TopologyScheduling, PinnedAndUnpinnedRunsAreBitIdentical) {
