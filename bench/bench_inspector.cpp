@@ -12,16 +12,19 @@
 // Output is one JSON object per line (scraped into BENCH_runtime.json):
 //   {"bench":"inspector","name":"sparse_scatter","mode":"sequential",...}
 //   {"bench":"inspector","name":...,"mode":"sequential_compiled",...}
+//   {"bench":"inspector","name":...,"mode":"sequential_native",...}
 //   {"bench":"inspector","name":...,"mode":"inspect","threads":1,"n":...,
 //    "seconds":...,"classes":...,"chains":...,"max_component":...}
 //   {"bench":"inspector","name":...,"mode":"inspect","threads":8,...}
 //   {"bench":"inspector","name":...,"mode":"executor","threads":8,...}
 //   {"bench":"inspector","name":...,"mode":"api_jit","threads":8,...,
-//    "jit":...,"bit_identical":...,"amortized_speedup_vs_compiled_8w":...}
+//    "jit":...,"bit_identical":...,"amortized_speedup_vs_compiled_8w":...,
+//    "amortized_speedup_vs_native_8w":...}
 //   {"bench":"inspector","name":...,"mode":"api_jit_reused",...}
 //   {"bench":"inspector","name":...,"mode":"summary","threads":8,
 //    "speedup_8w_vs_seq":...,"inspect_overhead_pct":...,
-//    "amortized_speedup_8w":...,"amortized_speedup_vs_compiled_8w":...}
+//    "amortized_speedup_8w":...,"amortized_speedup_vs_compiled_8w":...,
+//    "amortized_speedup_vs_native_8w":...}
 //
 // "sequential" is the exact interpreter; "sequential_compiled" runs the
 // same nest through exec::CompiledKernel::run_sequential (kernel built and
@@ -41,7 +44,13 @@
 // reusing the memoized partition. "api_jit_reused" repeats one index
 // array, so each request proves the memoized partition for its store and
 // skips inspection; its own ratio keeps a cache hit from hiding a cold
-// regression in the row above.
+// regression in the row above. "sequential_native" runs the nest's kJit
+// row kernel over every rank in rank order on one worker (rows and the
+// resolved-offset table built off the clock; printed only where a C
+// toolchain exists), the native sequential loop; every
+// amortized_speedup_vs_native_8w divides it the way the compiled ratios
+// divide sequential_compiled (0 without a row kernel). Informational, like
+// the other ratios; its bit-identity counts toward --gate.
 //
 // `--gate` (CI bench-smoke and jit-smoke legs) re-runs both scenarios and
 // fails unless every parallel store is bit-identical to the sequential
@@ -59,12 +68,14 @@
 #include <string>
 #include <utility>
 #include <thread>
+#include <vector>
 
 #include "api/vdep.h"
 #include "exec/compiled.h"
 #include "exec/interpreter.h"
 #include "inspect/executor.h"
 #include "inspect/inspector.h"
+#include "jit/native_kernel.h"
 #include "loopir/builder.h"
 
 using namespace vdep;
@@ -222,6 +233,7 @@ int run_scenario(const Scenario& sc, i64 n, int reps, bool gate) {
   // alternates two index arrays, so every timed request inspects afresh;
   // api_jit_reused repeats one, so every timed request reuses the
   // memoized partition.
+  double t_seq_native = 0;  // 0: no row kernel (no C toolchain)
   {
     exec::ArrayStore init2 = init;
     for (i64 i = 0; i < n; ++i)
@@ -253,6 +265,55 @@ int run_scenario(const Scenario& sc, i64 n, int reps, bool gate) {
       return t;
     };
     request(init, ref, false);  // builds the row kernel
+
+    // sequential_native: the same row kernel over every rank in rank
+    // order on one worker, the native sequential loop a caller who knows
+    // the nest is safe would run. Its rows and resolved-offset table (each
+    // rank's A[B[i]] offset) are built off the clock.
+    Expected<std::shared_ptr<const jit::NativeKernel>> row_kernel =
+        loop.jit();
+    if (row_kernel) {
+      const std::vector<loopir::ArrayRef> refs = nest.indirect_refs();
+      std::vector<i64> rows, resolved;
+      nest.for_each_iteration([&](const intlin::Vec& it) {
+        rows.insert(rows.end(), it.begin(), it.end());
+        for (const loopir::ArrayRef& r : refs) {
+          const loopir::ArrayDecl& decl = nest.array(r.array);
+          const intlin::Vec cell = exec::element_coords(r, it, init);
+          i64 flat = 0;
+          for (std::size_t d = 0; d < cell.size(); ++d)
+            flat = flat * (decl.dims[d].second - decl.dims[d].first + 1) +
+                   (cell[d] - decl.dims[d].first);
+          resolved.push_back(flat);
+        }
+      });
+      exec::ArrayStore native_store = init;
+      t_seq_native = best_of(reps, [&] {
+        native_store = init;
+        const exec::BufferTable bufs(nest, native_store);
+        auto t0 = std::chrono::steady_clock::now();
+        (*row_kernel)->execute_rows(bufs, rows.data(), resolved.data(),
+                                    nest.depth(), 0, n);
+        return seconds_since(t0);
+      });
+      const bool native_identical = native_store == ref;
+      if (!native_identical) {
+        std::fprintf(stderr,
+                     "FAIL: %s native sequential run diverged from the "
+                     "interpreter\n",
+                     sc.name);
+        ++failures;
+      }
+      std::printf(
+          "{\"bench\":\"inspector\",\"name\":\"%s\","
+          "\"mode\":\"sequential_native\",\"threads\":1,\"hw_threads\":%zu,"
+          "\"n\":%lld,\"seconds\":%.6f,\"iters_per_sec\":%.0f,"
+          "\"bit_identical\":%s}\n",
+          sc.name, hw_threads(), static_cast<long long>(n), t_seq_native,
+          t_seq_native > 0 ? static_cast<double>(n) / t_seq_native : 0.0,
+          native_identical ? "true" : "false");
+    }
+
     bool second = false;  // the index array of the last request
     const double t_api = best_of(reps, [&] {
       second = !second;
@@ -288,10 +349,12 @@ int run_scenario(const Scenario& sc, i64 n, int reps, bool gate) {
           "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"%s\","
           "\"threads\":8,\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
           "\"iters_per_sec\":%.0f,\"jit\":%s,\"bit_identical\":%s,"
-          "\"amortized_speedup_vs_compiled_8w\":%.3f}\n",
+          "\"amortized_speedup_vs_compiled_8w\":%.3f,"
+          "\"amortized_speedup_vs_native_8w\":%.3f}\n",
           sc.name, mode, hw_threads(), static_cast<long long>(n), t,
           t > 0 ? static_cast<double>(n) / t : 0.0, native ? "true" : "false",
-          identical ? "true" : "false", t > 0 ? t_seq_compiled / t : 0.0);
+          identical ? "true" : "false", t > 0 ? t_seq_compiled / t : 0.0,
+          t > 0 ? t_seq_native / t : 0.0);
   }
 
   const double overhead_pct = t_seq > 0 ? t_inspect / t_seq * 100.0 : 0.0;
@@ -300,11 +363,13 @@ int run_scenario(const Scenario& sc, i64 n, int reps, bool gate) {
       "\"threads\":8,\"hw_threads\":%zu,\"n\":%lld,"
       "\"speedup_8w_vs_seq\":%.3f,\"inspect_overhead_pct\":%.2f,"
       "\"amortized_speedup_8w\":%.3f,"
-      "\"amortized_speedup_vs_compiled_8w\":%.3f}\n",
+      "\"amortized_speedup_vs_compiled_8w\":%.3f,"
+      "\"amortized_speedup_vs_native_8w\":%.3f}\n",
       sc.name, hw_threads(), static_cast<long long>(n),
       t_8w > 0 ? t_seq / t_8w : 0.0, overhead_pct,
       t_inspect + t_8w > 0 ? t_seq / (t_inspect + t_8w) : 0.0,
-      t_inspect_8w + t_8w > 0 ? t_seq_compiled / (t_inspect_8w + t_8w) : 0.0);
+      t_inspect_8w + t_8w > 0 ? t_seq_compiled / (t_inspect_8w + t_8w) : 0.0,
+      t_inspect_8w + t_8w > 0 ? t_seq_native / (t_inspect_8w + t_8w) : 0.0);
 
   if (gate && overhead_pct >= 100.0) {
     std::fprintf(stderr,

@@ -212,9 +212,11 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
       policy.backend() == ExecBackend::kInspector) {
     // The memoized partition holds for this store when prove() finds its
     // index arrays equal, byte for byte, to the ones that inspection read:
-    // then this request runs no inspect() and builds no executor. Any
-    // other store is inspected here, and a hostile index array fails
-    // typed before any write, leaving the memo as it was.
+    // then this request runs no inspect() and builds no executor. The
+    // compare is split across the request's pool at its worker count and
+    // finishes before any leaf is driven. Any other store is inspected
+    // here, and a hostile index array fails typed before any write,
+    // leaving the memo as it was.
     const std::string key = PlanArtifact::inspected_key(*nest_, policy);
     std::shared_ptr<const detail::Executable> memo =
         art_->find_executable(key);
@@ -224,7 +226,7 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
       obs::ScopedSpan span(obs::EventKind::kInspect, policy.trace(),
                            obs::Phase::kInspect);
       const i64 t0 = obs::now_ns();
-      if (memo) proven = memo->partition().prove(store);
+      if (memo) proven = memo->partition().prove(store, pool, threads);
       if (proven) {
         b.executable = std::move(memo);
         b.inspection = Inspection::kReused;
@@ -274,7 +276,7 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
       io.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
       b.executable = std::make_shared<const detail::Executable>(
           *nest_, std::move(*fresh), io);
-      proven = b.executable->partition().prove(store);
+      proven = b.executable->partition().prove(store, pool, threads);
       VDEP_CHECK(proven, "a store differs from its own inspection");
       art_->publish_executable(key, b.executable);
     }

@@ -1,5 +1,6 @@
 #include "codegen/emit_c.h"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -45,9 +46,10 @@ std::string c_bound(const Bound& b, bool lower,
   return acc;
 }
 
-// An indirect slot (row kernels only) renders as a read of its index
-// array at the slot's position; the index array's macro subtracts its
-// lower bound.
+// An indirect slot renders as a read of its index array at the slot's
+// position; the index array's macro subtracts its lower bound. (The row
+// kernel renders whole indirect references from its table instead; see
+// c_row_ref.)
 std::string c_ref(const ArrayRef& r, const std::vector<std::string>& names) {
   std::ostringstream os;
   os << r.array << "(";
@@ -371,25 +373,59 @@ std::string c_i64(i64 v) {
   return "(" + std::to_string(v) + "LL)";
 }
 
+// The row kernel's view of its nest's indirect references: column j of
+// a slot's resolved-table row is refs[j], a reference into buffer buf[j].
+struct RowTable {
+  std::vector<ArrayRef> refs;
+  std::vector<std::size_t> buf;
+
+  explicit RowTable(const LoopNest& nest) : refs(nest.indirect_refs()) {
+    const auto& arrays = nest.arrays();
+    for (const ArrayRef& r : refs)
+      buf.push_back(static_cast<std::size_t>(
+          std::find_if(arrays.begin(), arrays.end(),
+                       [&](const loopir::ArrayDecl& d) {
+                         return d.name == r.array;
+                       }) -
+          arrays.begin()));
+  }
+};
+
+// A reference inside the row kernel: an indirect one is a load at its
+// resolved offset, `vdep_buf_a[vdep_res[vdep_m * K + j]]`, which reads no
+// index array; an affine one goes through its array's macro.
+std::string c_row_ref(const ArrayRef& r, const std::vector<std::string>& names,
+                      const RowTable& table) {
+  if (!r.has_indirection()) return c_ref(r, names);
+  const std::size_t j = static_cast<std::size_t>(
+      std::find(table.refs.begin(), table.refs.end(), r) - table.refs.begin());
+  VDEP_CHECK(j < table.refs.size(), "indirect reference missing from table");
+  return "vdep_buf_" + std::to_string(table.buf[j]) + "[vdep_res[vdep_m * " +
+         std::to_string(table.refs.size()) + " + " + std::to_string(j) + "]]";
+}
+
 // Emits `e` as checked straight-line code: every add/sub/mul gets its own
 // temporary and an overflow test returning -1, so nothing after the failed
 // operation — in particular the statement's store — runs. Returns the C
 // expression holding e's value.
 std::string emit_checked_expr(std::ostringstream& os, const Expr& e,
                               const std::vector<std::string>& names,
-                              const std::string& indent, int& temps) {
+                              const RowTable& table, const std::string& indent,
+                              int& temps) {
   switch (e.kind()) {
     case Expr::Kind::kConst:
       return c_i64(e.value());
     case Expr::Kind::kIndex:
       return names[static_cast<std::size_t>(e.index())];
     case Expr::Kind::kRead:
-      return c_ref(e.ref(), names);
+      return c_row_ref(e.ref(), names, table);
     case Expr::Kind::kAdd:
     case Expr::Kind::kSub:
     case Expr::Kind::kMul: {
-      const std::string a = emit_checked_expr(os, *e.lhs(), names, indent, temps);
-      const std::string b = emit_checked_expr(os, *e.rhs(), names, indent, temps);
+      const std::string a =
+          emit_checked_expr(os, *e.lhs(), names, table, indent, temps);
+      const std::string b =
+          emit_checked_expr(os, *e.rhs(), names, table, indent, temps);
       const char* op = e.kind() == Expr::Kind::kAdd   ? "add"
                        : e.kind() == Expr::Kind::kSub ? "sub"
                                                       : "mul";
@@ -401,25 +437,6 @@ std::string emit_checked_expr(std::ostringstream& os, const Expr& e,
     }
   }
   VDEP_UNREACHABLE("expr kind");
-}
-
-// One pass over member slots [m_lo, m_hi); `row_of` is the C expression of
-// slot vdep_m's row index.
-void emit_row_loop(std::ostringstream& os, const LoopNest& nest,
-                   const std::vector<std::string>& names,
-                   const std::string& row_of) {
-  os << "    for (int64_t vdep_m = vdep_m_lo; vdep_m < vdep_m_hi; ++vdep_m) {\n"
-     << "      const int64_t* vdep_row = vdep_rows + (" << row_of
-     << ") * vdep_depth;\n";
-  for (int k = 0; k < nest.depth(); ++k)
-    os << "      const int64_t " << names[static_cast<std::size_t>(k)]
-       << " = vdep_row[" << k << "];\n";
-  int temps = 0;
-  for (const loopir::Assign& a : nest.body()) {
-    const std::string v = emit_checked_expr(os, *a.rhs, names, "      ", temps);
-    os << "      " << c_ref(a.lhs, names) << " = " << v << ";\n";
-  }
-  os << "    }\n";
 }
 
 }  // namespace
@@ -712,24 +729,32 @@ std::string emit_c_partitioned_range_kernel(const LoopNest& original,
 std::string emit_c_row_kernel(const LoopNest& nest,
                               const std::string& entry_name) {
   const std::vector<std::string> names = nest.index_names();
+  const RowTable table(nest);
   std::ostringstream os;
   os << "/* Generated by vdep: JIT row kernel (" << nest.depth()
      << "-deep indirect nest, " << nest.body().size()
-     << " statement(s); checked arithmetic). */\n"
+     << " statement(s), " << table.refs.size()
+     << " resolved reference(s); checked arithmetic). */\n"
      << "#include <stdint.h>\n\n";
   emit_jit_array_macros(os, nest);
   os << "\nint64_t " << entry_name
      << "(int64_t** vdep_arrays, const int64_t* vdep_rows,\n"
-     << "    const int64_t* vdep_members, int64_t vdep_depth, int64_t "
-        "vdep_m_lo,\n"
+     << "    const int64_t* vdep_res, int64_t vdep_depth, int64_t vdep_m_lo,\n"
      << "    int64_t vdep_m_hi) {\n";
   for (std::size_t a = 0; a < nest.arrays().size(); ++a)
     os << "  int64_t* restrict vdep_buf_" << a << " = vdep_arrays[" << a
        << "];\n";
-  os << "  if (vdep_members) {\n";
-  emit_row_loop(os, nest, names, "vdep_members[vdep_m]");
-  os << "  } else {\n";
-  emit_row_loop(os, nest, names, "vdep_m");
+  os << "  for (int64_t vdep_m = vdep_m_lo; vdep_m < vdep_m_hi; ++vdep_m) {\n"
+     << "    const int64_t* vdep_row = vdep_rows + vdep_m * vdep_depth;\n";
+  for (int k = 0; k < nest.depth(); ++k)
+    os << "    const int64_t " << names[static_cast<std::size_t>(k)]
+       << " = vdep_row[" << k << "];\n";
+  int temps = 0;
+  for (const loopir::Assign& a : nest.body()) {
+    const std::string v =
+        emit_checked_expr(os, *a.rhs, names, table, "    ", temps);
+    os << "    " << c_row_ref(a.lhs, names, table) << " = " << v << ";\n";
+  }
   os << "  }\n"
      << "  return vdep_m_hi - vdep_m_lo;\n}\n";
   return os.str();

@@ -75,19 +75,23 @@ std::string emit_c_partitioned_range_kernel(const loopir::LoopNest& original,
 /// row kernel): one entry point with the range kernel's argument types,
 ///
 ///   int64_t <entry>(int64_t** arrays, const int64_t* rows,
-///                   const int64_t* members, int64_t depth,
+///                   const int64_t* res, int64_t depth,
 ///                   int64_t m_lo, int64_t m_hi);
 ///
 /// executing the original body at every iteration of member slots
 /// [m_lo, m_hi) in slot order: slot m's coordinates are the `depth` values
-/// at rows + members[m] * depth, or rows + m * depth when members is NULL
-/// (an identity partition). Indirect subscripts read the index arrays'
-/// buffers. Body arithmetic is checked (__builtin_{add,sub,mul}_overflow):
-/// on overflow the kernel returns -1 before storing that statement;
-/// otherwise it returns m_hi - m_lo. Subscripts are not checked — every
-/// access must already be in range, which inspect::inspect() establishes
-/// for every iteration of the rows it builds. Arrays arrive as raw
-/// row-major int64 buffers in nest.arrays() declaration order.
+/// at rows + m * depth, and its K = nest.indirect_refs().size() resolved
+/// offsets sit at res + m * K (inspect::DynamicPartition::rows() and
+/// resolved()). Indirect reference j renders as
+/// `vdep_buf_a[vdep_res[vdep_m * K + j]]`: no index array is read. Affine
+/// references index their buffers through the declared-bounds macros.
+/// Body arithmetic is checked (__builtin_{add,sub,mul}_overflow): on
+/// overflow the kernel returns -1 before storing that statement; otherwise
+/// it returns m_hi - m_lo. Subscripts are not checked — every access must
+/// already be in range and every offset resolved against the same index
+/// contents, which inspect::inspect() and DynamicPartition::prove()
+/// establish. Arrays arrive as raw row-major int64 buffers in
+/// nest.arrays() declaration order.
 std::string emit_c_row_kernel(const loopir::LoopNest& nest,
                               const std::string& entry_name);
 

@@ -64,9 +64,9 @@ runtime::DriveSource InspectorExecutor::source(
   }
 
   // A class range [lo, hi) is the contiguous member slots
-  // [offset(lo), offset(hi)): the native body takes them in one call, the
-  // compiled body walks their coordinate rows as they are, the
-  // interpreter copies each into its Vec.
+  // [offset(lo), offset(hi)), whose rows and resolved offsets lie in slot
+  // order: the native body takes them in one call, the compiled body
+  // walks the rows as they lie, the interpreter copies each into its Vec.
   const DynamicPartition* part = part_;
   runtime::LeafFactory factory;
   if (native) {
@@ -77,7 +77,7 @@ runtime::DriveSource InspectorExecutor::source(
         const i64 m_lo = part->offset(task.class_lo);
         const i64 m_hi = part->offset(task.class_hi);
         ws->iterations += m_hi - m_lo;
-        if (native->execute_rows(*bufs, part->rows(), part->members(),
+        if (native->execute_rows(*bufs, part->rows(), part->resolved(),
                                  part->depth(), m_lo, m_hi) < 0)
           throw OverflowError("int64 overflow in the native row kernel");
       };
@@ -120,8 +120,9 @@ runtime::DriveSource InspectorExecutor::source(
 namespace {
 
 ProvenStore prove_or_throw(const DynamicPartition& part,
-                           exec::ArrayStore& store) {
-  std::optional<ProvenStore> proven = part.prove(store);
+                           exec::ArrayStore& store, ThreadPool* pool,
+                           std::size_t threads) {
+  std::optional<ProvenStore> proven = part.prove(store, pool, threads);
   VDEP_REQUIRE(proven, "the store's index arrays differ from the ones the "
                        "partition was inspected against");
   return *proven;
@@ -130,13 +131,13 @@ ProvenStore prove_or_throw(const DynamicPartition& part,
 }  // namespace
 
 runtime::RuntimeStats InspectorExecutor::run(exec::ArrayStore& store) const {
-  return runtime::drive(source(prove_or_throw(*part_, store)),
+  return runtime::drive(source(prove_or_throw(*part_, store, nullptr, 1)),
                         {threads_, opts_.switches});
 }
 
 runtime::RuntimeStats InspectorExecutor::run(exec::ArrayStore& store,
                                              ThreadPool& pool) const {
-  return runtime::drive(source(prove_or_throw(*part_, store)),
+  return runtime::drive(source(prove_or_throw(*part_, store, &pool, threads_)),
                         {threads_, opts_.switches}, &pool);
 }
 

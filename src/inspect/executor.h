@@ -13,13 +13,17 @@
 // A leaf's class range is a contiguous run of member slots, and each leaf
 // runs them through one of three bodies:
 //   * native (ExecBackend::kJit): the nest's jit row kernel takes the whole
-//     slot range in one call (NativeKernel::execute_rows). It indexes
-//     buffers unchecked, which is sound only because inspect() range-checked
-//     every access of every row against index arrays equal, byte for byte,
-//     to this store's (DynamicPartition::prove; index arrays are read-only).
+//     slot range in one call (NativeKernel::execute_rows), reading the
+//     partition's slot-order rows and its resolved-subscript table front to
+//     back: an indirect reference is one table load, not an index-array
+//     load. It indexes buffers unchecked, which is sound only because
+//     inspect() range-checked every access of every row, and computed every
+//     table entry, against index arrays equal, byte for byte, to this
+//     store's (DynamicPartition::prove; index arrays are read-only).
 //   * compiled (the default): the exec::CompiledKernel built with the
 //     executor; each source binds it to the store (scanning the index
-//     arrays) and each member's row goes straight to execute_row.
+//     arrays) and each slot's row, walked as it lies, goes straight to
+//     execute_row.
 //   * the exact interpreter, the reference: only under force_interpreter
 //     (ExecBackend::kInterpreter) or when the proof or the binding refuses.
 // All three throw OverflowError on int64 overflow of body arithmetic.
@@ -67,7 +71,9 @@ class InspectorExecutor {
 
   /// runtime::drive(source(*partition.prove(store))): throws
   /// PreconditionError when the partition does not hold for `store`; leaf
-  /// errors rethrow.
+  /// errors rethrow. With `pool`, the proof's compare is split across it
+  /// at this executor's worker count (DynamicPartition::prove) and every
+  /// slice passes before any leaf starts.
   runtime::RuntimeStats run(exec::ArrayStore& store) const;
   runtime::RuntimeStats run(exec::ArrayStore& store, ThreadPool& pool) const;
 

@@ -9,6 +9,7 @@
 
 #include "runtime/driver.h"
 #include "support/error.h"
+#include "support/thread_pool.h"
 
 namespace vdep::inspect {
 
@@ -40,6 +41,10 @@ struct FlatAccess {
   bool mark = false;
   const loopir::ArrayDecl* decl = nullptr;
   i64 base = 0;
+  /// Column of this access's element offset in a pass-1 record: its
+  /// LoopNest::indirect_refs() index for an indirect access, after those
+  /// for a tracked affine one; -1 when nothing needs it.
+  i64 col = -1;
 
   struct Sub {
     const i64* coeffs = nullptr;  ///< the slot, or an indirect slot's position
@@ -60,9 +65,10 @@ FlatAccess::Sub affine_sub(const loopir::AffineExpr& e, int depth) {
   return s;
 }
 
-/// Table offset of the cell `a` touches at iteration row `iter`. Every
-/// slot is range-checked (indirect ones at the index position and at the
-/// value read), so a bad subscript throws before it can index anything.
+/// Table offset of the cell `a` touches at iteration row `iter` (base plus
+/// the row-major element offset). Every slot is range-checked (indirect
+/// ones at the index position and at the value read), so a bad subscript
+/// throws before it can index anything.
 i64 cell_offset(const FlatAccess& a, const i64* iter, int depth) {
   i64 off = 0;
   for (const FlatAccess::Sub& s : a.subs) {
@@ -92,15 +98,39 @@ i64 uf_find(std::vector<i64>& parent, i64 x) {
 
 }  // namespace
 
-std::optional<ProvenStore> DynamicPartition::prove(
-    exec::ArrayStore& store) const {
+std::optional<ProvenStore> DynamicPartition::prove(exec::ArrayStore& store,
+                                                   ThreadPool* pool,
+                                                   std::size_t threads) const {
+  std::size_t index_elements = 0;
   for (const ArrayImage& img : arrays_) {
-    const exec::ArrayStore::Buffer& buf = store.raw(img.name);
-    if (buf.size() != img.size) return std::nullopt;
-    if (!img.index.empty() &&
-        std::memcmp(buf.data(), img.index.data(), img.size * sizeof(i64)) != 0)
-      return std::nullopt;
+    if (store.raw(img.name).size() != img.size) return std::nullopt;
+    index_elements += img.index.size();
   }
+  // Slice s of every image is [size * s / slices, size * (s + 1) / slices):
+  // the slices tile each image, so every byte is compared exactly once.
+  const std::size_t slices =
+      pool && threads > 1 && index_elements >= kParallelProofElements
+          ? threads
+          : 1;
+  std::atomic<bool> differs{false};
+  auto compare = [&](std::int64_t s) {
+    const std::size_t k = static_cast<std::size_t>(s);
+    for (const ArrayImage& img : arrays_) {
+      if (img.index.empty()) continue;
+      const std::size_t lo = img.size * k / slices;
+      const std::size_t hi = img.size * (k + 1) / slices;
+      if (std::memcmp(store.raw(img.name).data() + lo, img.index.data() + lo,
+                      (hi - lo) * sizeof(i64)) != 0)
+        differs.store(true, std::memory_order_relaxed);
+    }
+  };
+  // parallel_for returns once every slice has run, so no leaf can start
+  // before the whole compare passed.
+  if (slices > 1)
+    pool->parallel_for(static_cast<std::int64_t>(slices), compare);
+  else
+    compare(0);
+  if (differs.load(std::memory_order_relaxed)) return std::nullopt;
   return ProvenStore(store, *this);
 }
 
@@ -150,13 +180,22 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
       fa.subs.push_back(s);
     }
   }
+  // Pass-1 record columns: the indirect accesses' offsets first, in
+  // indirect_refs() order (the resolved table keeps these), then the
+  // tracked affine accesses' cells, which only pass 2 reads.
+  const std::vector<loopir::ArrayRef> resolved_refs = nest.indirect_refs();
+  const std::size_t width = resolved_refs.size();
+  for (FlatAccess& fa : flat)
+    if (fa.ref->has_indirection())
+      fa.col = std::find(resolved_refs.begin(), resolved_refs.end(), *fa.ref) -
+               resolved_refs.begin();
   // The first-toucher table: one slot per cell of the written arrays. When
   // every access to an array writes, every cell of it pass 1 records is
   // written, so its slots start "no toucher yet" and need no marks. Only
   // an array also read through a non-writing subscript starts "never
   // written" and has its written cells marked by pass 1.
   std::vector<i64> table;
-  std::size_t tracked = 0;
+  std::vector<const FlatAccess*> tracked_cols;
   for (FlatAccess& w : flat) {
     if (!w.write || w.tracked) continue;
     const bool marked =
@@ -168,12 +207,15 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
       fa.tracked = true;
       fa.mark = marked && fa.write;
       fa.base = static_cast<i64>(table.size());
-      ++tracked;
+      tracked_cols.push_back(&fa);
     }
     table.resize(static_cast<std::size_t>(checked::add(
                      static_cast<i64>(table.size()), w.decl->element_count())),
                  marked ? kNeverWritten : kNoToucher);
   }
+  std::size_t record_width = width;
+  for (FlatAccess& fa : flat)
+    if (fa.tracked && fa.col < 0) fa.col = static_cast<i64>(record_width++);
 
   // The iteration coordinates, materialized once: pass 1 reads them and
   // the executor replays them. One odometer pass over the outer levels
@@ -181,6 +223,7 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   // straight into the buffer.
   DynamicPartition part;
   part.depth_ = depth;
+  part.width_ = static_cast<int>(width);
   // What prove() compares later stores against: every array's size and
   // the index arrays' contents, as this inspection reads them.
   for (const loopir::ArrayDecl& decl : nest.arrays()) {
@@ -207,27 +250,28 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   }
 
   // Pass 1, one driver source over the rank range [0, n): range-check every
-  // access, record the cell of every tracked access (`tracked` per
-  // iteration, in rank order) and mark the cells of every marking write
-  // (see the table above). Leaves own
-  // disjoint rank slices of `cells`; marks race only with equal values.
+  // access, write the element offset of every access with a column into
+  // its iteration's record (`record_width` values per iteration, in rank
+  // order) and mark the cells of every marking write (see the table
+  // above). Leaves own disjoint rank slices of `records`; marks race only
+  // with equal values.
   // Pass 1 belongs to the inspect span, so its leaves are not traced,
   // metered or pinned.
-  std::vector<i64> cells(static_cast<std::size_t>(n) * tracked);
+  std::vector<i64> records(static_cast<std::size_t>(checked::mul(
+      n, static_cast<i64>(record_width))));
   {
     const i64* rows = part.coords_.data();
-    i64* cell_rows = cells.data();
+    i64* out_records = records.data();
     i64* marks = table.data();
     runtime::LeafFactory factory = [&](int, runtime::WorkerStats& stats)
         -> runtime::LeafFn {
       return [&, ws = &stats](const runtime::TaskDescriptor& task) {
         for (i64 it = task.class_lo; it < task.class_hi; ++it) {
           const i64* row = rows + it * depth;
-          i64* out = cell_rows + it * static_cast<i64>(tracked);
+          i64* out = out_records + it * static_cast<i64>(record_width);
           for (const FlatAccess& fa : flat) {
             const i64 cell = cell_offset(fa, row, depth);
-            if (!fa.tracked) continue;
-            *out++ = cell;
+            if (fa.col >= 0) out[fa.col] = cell - fa.base;
             if (!fa.mark) continue;
             std::atomic_ref<i64> mark(marks[cell]);
             if (mark.load(std::memory_order_relaxed) == kNeverWritten)
@@ -253,10 +297,10 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   // builds it.
   std::vector<i64> parent;
   i64 written_cells = 0;
-  const i64* cell = cells.data();
   for (i64 it = 0; it < n; ++it) {
-    for (std::size_t t = 0; t < tracked; ++t) {
-      i64& slot = table[static_cast<std::size_t>(*cell++)];
+    const i64* rec = records.data() + it * static_cast<i64>(record_width);
+    for (const FlatAccess* fa : tracked_cols) {
+      i64& slot = table[static_cast<std::size_t>(fa->base + rec[fa->col])];
       if (slot == kNeverWritten) continue;
       if (slot == kNoToucher) {
         slot = it;
@@ -277,19 +321,26 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   InspectStats& st = part.stats_;
   st.iterations = n;
   st.written_cells = written_cells;
+  std::vector<i64>().swap(table);
   if (parent.empty()) {
     // Conflict-free: every component is a singleton, so the partition is
-    // the identity and DynamicPartition answers from the rank alone.
+    // the identity and DynamicPartition answers from the rank alone. Slot
+    // order is rank order: the rows stay, and the records' first `width`
+    // columns are the resolved table (the rest are dropped in place).
+    if (record_width > width) {
+      for (i64 it = 1; it < n; ++it)
+        std::memmove(records.data() + it * static_cast<i64>(width),
+                     records.data() + it * static_cast<i64>(record_width),
+                     width * sizeof(i64));
+      records.resize(static_cast<std::size_t>(n) * width);
+      records.shrink_to_fit();
+    }
+    part.resolved_ = std::move(records);
     st.classes = n;
     st.max_component = n > 0 ? 1 : 0;
     st.inspect_ns = now_ns() - t0;
     return part;
   }
-
-  // The members list reuses the dead cell vector's pages (n x tracked >= n)
-  // instead of faulting in fresh ones.
-  part.members_ = std::move(cells);
-  part.members_.resize(static_cast<std::size_t>(n));
 
   // Classes: one per component (singletons included), numbered by the
   // lexicographic rank of the first member so class order is deterministic.
@@ -302,23 +353,45 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
     i64& p = parent[static_cast<std::size_t>(it)];
     p = p == it ? num_classes++ : parent[static_cast<std::size_t>(p)];
   }
-  part.class_of_ = std::move(parent);
 
-  // CSR (counting sort by class; members stay in ascending rank order).
+  // Slot order, a counting sort by class that keeps members in ascending
+  // rank order: one more sweep turns each class id into its rank's slot.
   // offsets_[c] serves as class c's fill cursor, which leaves it at the
   // start of class c + 1; one shift restores the starts.
+  std::vector<i64>& slot = parent;
   part.offsets_.assign(static_cast<std::size_t>(num_classes) + 1, 0);
-  for (i64 c : part.class_of_) ++part.offsets_[static_cast<std::size_t>(c) + 1];
+  for (i64 c : slot) ++part.offsets_[static_cast<std::size_t>(c) + 1];
   for (std::size_t k = 1; k < part.offsets_.size(); ++k)
     part.offsets_[k] += part.offsets_[k - 1];
-  for (i64 it = 0; it < n; ++it) {
-    i64& cursor = part.offsets_[static_cast<std::size_t>(
-        part.class_of_[static_cast<std::size_t>(it)])];
-    part.members_[static_cast<std::size_t>(cursor++)] = it;
-  }
+  for (i64& c : slot) c = part.offsets_[static_cast<std::size_t>(c)]++;
   std::copy_backward(part.offsets_.begin(), part.offsets_.end() - 1,
                      part.offsets_.end());
   part.offsets_.front() = 0;
+
+  // Scatter into slot order, freeing each source before the next buffer is
+  // allocated, so at most three n-sized buffers are live: the rank-order
+  // rows go first (the odometer that made them rebuilds each rank's
+  // coordinates below), then the records once their resolved offsets have
+  // moved, then the slots.
+  std::vector<i64>().swap(part.coords_);
+  part.resolved_.resize(static_cast<std::size_t>(n) * width);
+  const i64 w = static_cast<i64>(width);
+  for (i64 it = 0; it < n; ++it)
+    std::copy_n(records.data() + it * static_cast<i64>(record_width), w,
+                part.resolved_.data() + slot[static_cast<std::size_t>(it)] * w);
+  std::vector<i64>().swap(records);
+  part.coords_.resize(static_cast<std::size_t>(n) * depth);
+  {
+    const std::size_t outer = static_cast<std::size_t>(depth) - 1;
+    const i64* m = slot.data();
+    nest.for_each_inner_range([&](const Vec& iter, i64 lo, i64 hi) {
+      for (i64 v = lo; v <= hi; ++v) {
+        i64* row = part.coords_.data() + *m++ * depth;
+        std::copy_n(iter.data(), outer, row);
+        row[outer] = v;
+      }
+    });
+  }
 
   st.classes = num_classes;
   for (std::size_t c = 0; c + 1 < part.offsets_.size(); ++c) {

@@ -25,28 +25,49 @@
 // form, no per-point callback). Then pass 1 runs on the shared
 // work-stealing driver (runtime/driver.h) as one source whose class range
 // is the rank range [0, n): each leaf range-checks every access of its
-// ranks, stores the cell of each tracked (written-array) access into its
-// ranks' slice of one n x distinct-tracked-accesses buffer, and marks the
-// written cells (relaxed atomic stores of one shared value, so racing
-// marks agree). Marks are made only for an array that is also read through
-// a subscript that never writes; the slots of an array every access writes
-// start "written, no toucher yet". One worker runs the same leaves on the
-// caller. A bad subscript throws before pass 2, and the inspector never
-// writes the store. Pass 2 is serial: it reads only that buffer and unions
-// every toucher of a written cell with the cell's first toucher. When it
+// ranks, stores the element offset of each indirect access and of each
+// tracked (written-array) affine access into its ranks' slice of one
+// n-record buffer, and marks the written cells (relaxed atomic stores of
+// one shared value, so racing marks agree). Marks are made only for an
+// array that is also read through a subscript that never writes; the
+// slots of an array every access writes start "written, no toucher yet".
+// One worker runs the same leaves on the caller. A bad subscript throws
+// before pass 2, and the inspector never writes the store. Pass 2 is
+// serial: it reads only those records and unions every toucher of a
+// written cell with the cell's first toucher. When it
 // makes no union the space is conflict-free and the partition is the
-// identity (class c = iteration rank c): no class numbering, no CSR
-// arrays.
+// identity (class c = iteration rank c): no class numbering, no class
+// offsets.
 //
-// Memory beyond the store is the table, that cell buffer (whose pages the
-// class members reuse), the coordinate rows, the class arrays and a byte
-// copy of every index array. That copy is what lets a partition outlive
-// its store: DynamicPartition::prove accepts any store whose index arrays
-// equal it, so one inspection serves every later run over the same index
-// contents (the API's executable memo keeps it per bounds). Cost is
-// O(accesses x alpha) with one table load per access — not the O(n^2)
-// all-pairs walk of the brute-force exec::build_isdg, which remains the
-// ground truth the inspector is tested against.
+// The partition is laid out for its executor to read front to back. Slot
+// m's coordinates sit at rows() + m * depth(): class by class, each class
+// in rank order. Beside them lies the resolved-subscript table: for every
+// slot, the row-major element offset (from the declared lower bounds) of
+// each of the nest's indirect references (LoopNest::indirect_refs(), in
+// that order), taken from pass 1's range-checked cells. The native row
+// kernel reads that table instead of the index arrays. Each pass-1 record
+// holds the resolved offsets first, then the tracked affine cells; after
+// pass 2 an identity partition keeps the records' first columns as the
+// table, and any other partition scatters offsets and then rows into slot
+// order, rebuilding each rank's coordinates with the odometer that made
+// them, so the rank-order rows are freed first and never coexist with
+// their copy. No slot-to-rank or rank-to-class array is kept.
+//
+// Memory beyond the store is the table, that record buffer, the slot rows,
+// the resolved table, the class offsets and a byte copy of every index
+// array. That copy is what lets a partition outlive its store:
+// DynamicPartition::prove accepts any store whose index arrays equal it,
+// so one inspection serves every later run over the same index contents
+// (the API's executable memo keeps it per bounds). Cost is O(accesses x
+// alpha) with one table load per access — not the O(n^2) all-pairs walk of
+// the brute-force exec::build_isdg, which remains the ground truth the
+// inspector is tested against.
+//
+// Soundness of the resolved table: inspection computes every offset with
+// range checks (cell_offset), against index arrays that prove() shows are
+// byte-equal to the store's, and LoopNest::validate makes index arrays
+// read-only. So buffer[resolved offset] is the cell A[B[i]] names, on
+// every store prove() accepts, for the whole run.
 #pragma once
 
 #include <optional>
@@ -103,7 +124,8 @@ class ProvenStore {
 /// stored in lexicographic order, so executing a class front-to-back
 /// replays the sequential order restricted to that class. The members of
 /// a class range [lo, hi) occupy the contiguous member slots
-/// [offset(lo), offset(hi)).
+/// [offset(lo), offset(hi)), and rows() and resolved() hold them in slot
+/// order.
 class DynamicPartition {
  public:
   int depth() const { return depth_; }
@@ -111,50 +133,55 @@ class DynamicPartition {
   i64 num_classes() const { return stats_.classes; }
   const InspectStats& stats() const { return stats_; }
   /// No two iterations share a written cell (stats().chains == 0): every
-  /// class is one iteration, class c is iteration rank c, and no class
-  /// arrays are stored.
+  /// class is one iteration, class c is iteration rank c in slot c, and no
+  /// class offsets are stored.
   bool identity() const { return stats_.chains == 0; }
 
   i64 class_size(i64 c) const { return offset(c + 1) - offset(c); }
-  /// Class id of iteration rank `it` (lexicographic enumeration order).
-  i64 class_of(i64 it) const {
-    return identity() ? it : class_of_[static_cast<std::size_t>(it)];
-  }
   /// First member slot of class `c`; offset(num_classes()) == size().
   i64 offset(i64 c) const {
     return identity() ? c : offsets_[static_cast<std::size_t>(c)];
   }
 
-  /// The coordinate rows, depth() values per iteration in rank order.
+  /// The coordinate rows in slot order: slot m's depth() values sit at
+  /// rows() + m * depth(). Slot order is rank order for an identity
+  /// partition.
   const i64* rows() const { return coords_.data(); }
-  /// Iteration ranks grouped by class (member slot -> rank); null for an
-  /// identity partition, where member slot m is rank m.
-  const i64* members() const {
-    return identity() ? nullptr : members_.data();
-  }
+  /// The resolved-subscript table in slot order: slot m's offsets sit at
+  /// resolved() + m * resolved_width(), entry j the row-major element
+  /// offset of LoopNest::indirect_refs()[j] at that iteration.
+  const i64* resolved() const { return resolved_.data(); }
+  /// Offsets per slot: the nest's distinct indirect references.
+  int resolved_width() const { return width_; }
   /// The equality proof: `store` as a ProvenStore when every index array
   /// in it equals, byte for byte, the one inspect() read, and every array
   /// has the size inspect() saw; nullopt otherwise. Then this partition,
-  /// and pass 1's range check of every access, hold for `store` as they
-  /// did for the inspected one — whichever object it is. No hash stands
-  /// in for the compare: the native row kernel indexes without checks, so
-  /// only exact equality carries the range check over. Throws
-  /// PreconditionError when `store` lacks one of the nest's arrays.
-  std::optional<ProvenStore> prove(exec::ArrayStore& store) const;
+  /// its resolved table and pass 1's range check of every access hold for
+  /// `store` as they did for the inspected one — whichever object it is.
+  /// No hash stands in for the compare: the native row kernel indexes
+  /// without checks, so only exact equality carries the range check over.
+  /// With a `pool` and `threads` > 1 the compare runs as `threads`
+  /// contiguous slices of every index image on the pool (images smaller
+  /// than kParallelProofElements in total compare serially); any differing
+  /// slice refuses, and the call returns only after every slice finished.
+  /// Throws PreconditionError when `store` lacks one of the nest's arrays.
+  std::optional<ProvenStore> prove(exec::ArrayStore& store,
+                                   ThreadPool* pool = nullptr,
+                                   std::size_t threads = 1) const;
+
+  /// Index-array elements (over all images) below which prove() compares
+  /// serially: a pool hand-off costs more than the memcmp it splits.
+  static constexpr std::size_t kParallelProofElements = std::size_t{1} << 16;
 
   /// Calls fn(row) for every iteration of classes [lo, hi), class by class
-  /// and each class in lexicographic order; `row` points at the iteration's
-  /// depth() coordinates.
+  /// and each class in lexicographic order, walking rows() as they lie;
+  /// `row` points at the iteration's depth() coordinates.
   template <typename Fn>
   void for_each_row(i64 lo, i64 hi, Fn&& fn) const {
-    const i64* rows = coords_.data();
-    const i64 m_lo = offset(lo), m_hi = offset(hi);
-    if (identity()) {
-      for (i64 m = m_lo; m < m_hi; ++m) fn(rows + m * depth_);
-      return;
-    }
-    const i64* members = members_.data();
-    for (i64 m = m_lo; m < m_hi; ++m) fn(rows + members[m] * depth_);
+    const i64* end = rows() + offset(hi) * depth_;
+    for (const i64* row = rows() + offset(lo) * depth_; row != end;
+         row += depth_)
+      fn(row);
   }
 
  private:
@@ -172,11 +199,12 @@ class DynamicPartition {
 
   int depth_ = 0;
   std::vector<ArrayImage> arrays_;  ///< what prove() compares against
-  std::vector<i64> coords_;    ///< flattened iteration coords, size N*depth
-  // The class arrays; empty for an identity partition.
-  std::vector<i64> class_of_;  ///< iteration rank -> class id
-  std::vector<i64> members_;   ///< iteration ranks grouped by class
-  std::vector<i64> offsets_;   ///< CSR offsets into members_, size K+1
+  int width_ = 0;              ///< resolved offsets per slot
+  std::vector<i64> coords_;    ///< slot-order iteration coords, N*depth
+  std::vector<i64> resolved_;  ///< slot-order resolved offsets, N*width_
+  /// First slot of each class, size num_classes() + 1; empty for an
+  /// identity partition.
+  std::vector<i64> offsets_;
   InspectStats stats_;
 };
 

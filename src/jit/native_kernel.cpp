@@ -30,10 +30,10 @@ i64 NativeKernel::execute_range(const exec::BufferTable& bufs,
 }
 
 i64 NativeKernel::execute_rows(const exec::BufferTable& bufs, const i64* rows,
-                               const i64* members, i64 depth, i64 m_lo,
+                               const i64* resolved, i64 depth, i64 m_lo,
                                i64 m_hi) const {
   VDEP_REQUIRE(row_kernel_, "execute_rows on a range kernel");
-  return fn_(entry_buffers(bufs), rows, members, depth, m_lo, m_hi);
+  return fn_(entry_buffers(bufs), rows, resolved, depth, m_lo, m_hi);
 }
 
 }  // namespace vdep::jit

@@ -6,10 +6,13 @@
 // (N-dimensional DOALL-prefix ranges x class range) with zero
 // per-iteration dispatch, which is what the streaming workers call through
 // exec::RangeKernel. For an indirect nest it is the emit_c_row_kernel TU:
-// the entry point runs a range of an inspector partition's member slots
-// (execute_rows), which is what the inspector's executor leaves call under
-// ExecBackend::kJit. Both entry points share one C type, so the dlsym, the
-// disk cache's metadata and the .so memo treat them alike. The object
+// the entry point (vdep_resolved_row_kernel) runs a range of an inspector
+// partition's member slots (execute_rows), reading the slot-order rows and
+// the resolved-subscript table, which is what the inspector's executor
+// leaves call under ExecBackend::kJit. Both entry points share one C type,
+// so the dlsym, the disk cache's metadata and the .so memo treat them
+// alike; the entry symbol tells them apart, and a cached library is loaded
+// only when its entry is the one its nest kind expects. The object
 // stays mapped for the kernel's lifetime; the backing file is unlinked
 // right after dlopen (POSIX keeps the mapping alive) unless
 // JitOptions::keep_artifacts.
@@ -21,8 +24,10 @@
 // over the iteration box; nests that fail the proof never reach the
 // toolchain and fall back to the scan path. A row kernel has no
 // build-time proof (its subscripts depend on index-array contents): it may
-// only run rows that inspect::inspect() range-checked against the same
-// store, which the inspector's executor enforces.
+// only run rows that inspect::inspect() range-checked, with the table
+// inspect() resolved from them, against a store whose index arrays equal
+// the inspected ones (inspect::DynamicPartition::prove), which the
+// inspector's executor enforces.
 #pragma once
 
 #include <string>
@@ -47,14 +52,16 @@ class NativeKernel final : public exec::RangeKernel {
 
   /// Runs member slots [m_lo, m_hi) of an inspector partition through a
   /// row kernel (row_kernel() must hold): `rows` holds `depth` coordinates
-  /// per iteration rank, `members` maps slots to ranks (null: slot m is
-  /// rank m). Returns m_hi - m_lo, or -1 when body arithmetic overflowed
-  /// int64 (that statement is not stored). Every access of those rows must
-  /// have been range-checked against the store of `bufs` (inspect::
-  /// inspect()). Safe concurrently for slot ranges whose iterations write
-  /// disjoint cells.
+  /// per slot, `resolved` the slot's element offset of every indirect
+  /// reference (inspect::DynamicPartition::rows() / resolved()). Returns
+  /// m_hi - m_lo, or -1 when body arithmetic overflowed int64 (that
+  /// statement is not stored). Every access of those rows must have been
+  /// range-checked, and the offsets resolved, against index arrays equal
+  /// to the ones in the store of `bufs` (inspect::inspect(), prove()).
+  /// Safe concurrently for slot ranges whose iterations write disjoint
+  /// cells.
   i64 execute_rows(const exec::BufferTable& bufs, const i64* rows,
-                   const i64* members, i64 depth, i64 m_lo, i64 m_hi) const;
+                   const i64* resolved, i64 depth, i64 m_lo, i64 m_hi) const;
 
   /// True for an indirect nest's row kernel (execute_rows), false for a
   /// range kernel (execute_range).

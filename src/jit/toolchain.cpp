@@ -38,8 +38,12 @@ namespace {
 
 constexpr const char* kEntryName = "vdep_range_kernel";
 /// The row kernel's entry symbol; a library whose entry has this name
-/// loads as a row kernel (NativeKernel::row_kernel()).
-constexpr const char* kRowEntryName = "vdep_row_kernel";
+/// loads as a row kernel (NativeKernel::row_kernel()). Its third argument
+/// is the resolved-subscript table (codegen::emit_c_row_kernel); the name
+/// changes whenever that argument's meaning does, so a library built for
+/// another meaning (the earlier "vdep_row_kernel" took slot-to-rank
+/// members there) is never called with this one.
+constexpr const char* kRowEntryName = "vdep_resolved_row_kernel";
 
 /// True when `path` names an existing regular file this process may exec.
 bool is_executable(const fs::path& path) {
@@ -361,6 +365,8 @@ Expected<std::string> emit_range_kernel(const loopir::LoopNest& original,
 
 Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile(
     const loopir::LoopNest& original, const trans::TransformPlan& plan) const {
+  const bool row_kernel = original.has_indirection();
+  const char* entry = row_kernel ? kRowEntryName : kEntryName;
   std::string cache_key;
   std::shared_ptr<cache::DiskCache> disk =
       cache::DiskCache::resolve(opts_.cache_dir, opts_.disk_cache);
@@ -376,6 +382,11 @@ Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile(
       hit = disk->load_kernel(cache_key);
       if (span.tracing()) span.set_arg(0, hit ? 1 : 0);
     }
+    // A library whose entry is not the one this nest kind runs was built
+    // for another kernel ABI (an older row kernel under a build id that
+    // did not change, such as an out-of-git "dev" build): a miss, rebuilt
+    // below, and the store overwrites it.
+    if (hit && hit->meta.ok && hit->meta.entry != entry) hit.reset();
     if (hit) {
       if (!hit->meta.ok)
         // A cached deterministic failure: same TU + flags + toolchain will
@@ -391,9 +402,8 @@ Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile(
                              dlsym(handle, hit->meta.entry.c_str()))
                        : nullptr;
       if (fn) {
-        const bool rows = hit->meta.entry == kRowEntryName;
         return std::shared_ptr<const NativeKernel>(new NativeKernel(
-            handle, fn, rows, std::move(hit->meta.arrays),
+            handle, fn, row_kernel, std::move(hit->meta.arrays),
             std::move(hit->meta.source),
             // Cache hits honour the keep_artifacts contract: default
             // lifecycle reports no on-disk path (the cache file is an
@@ -410,15 +420,13 @@ Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile(
   std::string source;
   CompileMeta meta;
   meta.cache_key = std::move(cache_key);
-  const char* entry = kEntryName;
   {
     obs::ScopedSpan emit_span(obs::EventKind::kCodegen, /*layer_enabled=*/true,
                               obs::Phase::kCodegen);
-    if (original.has_indirection()) {
+    if (row_kernel) {
       // An indirect nest's row kernel has no build-time range proof: its
       // subscripts depend on index-array contents, and inspect::inspect()
       // checks every access of every row before a row kernel may run them.
-      entry = kRowEntryName;
       try {
         source = codegen::emit_c_row_kernel(original, kRowEntryName);
       } catch (const Error& e) {

@@ -1,5 +1,6 @@
 #include "loopir/nest.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/error.h"
@@ -86,6 +87,16 @@ bool LoopNest::has_indirection() const {
     if (ref.has_indirection()) found = true;
   });
   return found;
+}
+
+std::vector<ArrayRef> LoopNest::indirect_refs() const {
+  std::vector<ArrayRef> out;
+  for_each_access([&](const ArrayRef& ref, int, bool) {
+    if (ref.has_indirection() &&
+        std::find(out.begin(), out.end(), ref) == out.end())
+      out.push_back(ref);
+  });
+  return out;
 }
 
 void LoopNest::validate() const {

@@ -72,6 +72,13 @@ class LoopNest {
   /// Such nests bypass the static PDM pipeline and run via the inspector.
   bool has_indirection() const;
 
+  /// The distinct references with an indirect subscript, in the order of
+  /// their first occurrence in accesses(); textually equal references (the
+  /// read and the write of A[B[i]]) appear once. Column j of the
+  /// inspector's resolved-subscript table and the row kernel's j-th table
+  /// read both name indirect_refs()[j].
+  std::vector<ArrayRef> indirect_refs() const;
+
   /// Visits every access in the same order as accesses() — per statement
   /// the write, then its reads in pre-order — without materializing
   /// ArrayRef copies. fn(ref, statement, is_write).

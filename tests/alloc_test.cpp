@@ -13,7 +13,11 @@
 
 #include "api/vdep.h"
 #include "core/suite.h"
+#include "inspect/inspector.h"
 #include "loopir/builder.h"
+#include "support/thread_pool.h"
+
+#include "indirect_inputs.h"
 
 namespace {
 std::atomic<long> g_allocations{0};
@@ -106,6 +110,64 @@ TEST(Allocations, JitRequestIsFlatInLeaves) {
   // otherwise. Either way the count must not follow the leaf count.
   expect_flat(core::matmul_reduction(12), core::matmul_reduction(40),
               ExecBackend::kJit, "matmul_reduction", true);
+}
+
+/// Heap allocations of one reused inspected threads(1) request over
+/// permutation_input(n) (an index image of n elements) under `backend`,
+/// after two untimed requests have inspected, built the executor and any
+/// row kernel, and proved the memoized partition.
+long reused_request_allocations(i64 n, ExecBackend backend) {
+  const test_inputs::IndirectInput in = test_inputs::permutation_input(n);
+  const exec::ArrayStore init = test_inputs::initial_store(in);
+  Compiler compiler;
+  const CompiledLoop loop = compiler.compile(in.nest).value();
+  ExecPolicy policy;
+  policy.threads(1).backend(backend).digest(false);
+  for (int k = 0; k < 2; ++k) {
+    exec::ArrayStore s = init;
+    (void)loop.execute(policy, s).value();
+  }
+  exec::ArrayStore s = init;
+  const long before = g_allocations.load();
+  const ExecReport r = loop.execute(policy, s).value();
+  const long count = g_allocations.load() - before;
+  EXPECT_EQ(r.inspection, Inspection::kReused);
+  EXPECT_EQ(r.iterations, n);
+  return count;
+}
+
+TEST(Allocations, ReusedInspectedRequestIsFlatInIndexLength) {
+  // A reused request at index images of 2^16 and 2^17 elements makes the
+  // same allocations. kJit runs the native row kernel where a toolchain
+  // exists, compiled leaves otherwise. One worker keeps the count exact:
+  // at several workers on a pool it moves by a few allocations run to run
+  // (a worker context builds its leaf at its first leaf, so how many do
+  // depends on steals, and the pool's task deque allocates a block every
+  // sixteen pushes); the sliced proof's hand-off is held below instead.
+  for (ExecBackend backend : {ExecBackend::kCompiled, ExecBackend::kJit})
+    EXPECT_EQ(reused_request_allocations(i64{1} << 16, backend),
+              reused_request_allocations(i64{1} << 17, backend))
+        << (backend == ExecBackend::kJit ? "kJit" : "kCompiled");
+}
+
+TEST(Allocations, SlicedProofIsFlatInIndexLength) {
+  // The proof of a reused 4-worker request, every thread counted: one
+  // hand-off of four slices to a fresh pool (so its task deque starts from
+  // the same state), whatever the image length.
+  auto count = [](i64 n) {
+    const test_inputs::IndirectInput in = test_inputs::permutation_input(n);
+    const exec::ArrayStore init = test_inputs::initial_store(in);
+    const inspect::DynamicPartition part = inspect::inspect(in.nest, init);
+    exec::ArrayStore store = init;
+    ThreadPool pool(3);
+    EXPECT_TRUE(part.prove(store, &pool, 4));  // warm the pool's threads
+    const long before = g_allocations.load();
+    EXPECT_TRUE(part.prove(store, &pool, 4));
+    return g_allocations.load() - before;
+  };
+  const long short_image = count(i64{1} << 16);
+  EXPECT_GT(short_image, 0) << "the proof ran serially, with no hand-off";
+  EXPECT_EQ(short_image, count(i64{1} << 17));
 }
 
 }  // namespace

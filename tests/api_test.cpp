@@ -17,6 +17,7 @@
 #include "api/vdep.h"
 #include "core/suite.h"
 #include "exec/interpreter.h"
+#include "inspect/inspector.h"
 #include "jit/toolchain.h"
 #include "loopir/builder.h"
 #include "obs/metrics.h"
@@ -1204,6 +1205,89 @@ TEST(InspectionMemo, ReusedReportCarriesItsOwnCompareTime) {
   EXPECT_EQ(reused.value(), reused_before + 2);
   EXPECT_TRUE(a == fresh_store);
   EXPECT_TRUE(b == fresh_store);
+}
+
+TEST(InspectionMemo, ReusedSlotLayoutMatchesInterpreterSingleAndBatched) {
+  // A reused partition runs its slot-order rows (and, under kJit, its
+  // resolved-subscript table) on every inspected backend at 1, 2 and 8
+  // workers on the session pool: single requests (fresh, then reused) and
+  // a batch of two equal stores must all equal the kInterpreter result.
+  // The inputs include 2d-indirect-first (two resolved references) and
+  // read-only-array (an untracked gather through B).
+  for (const test_inputs::IndirectInput& in : memo_inputs()) {
+    const exec::ArrayStore init = test_inputs::initial_store(in);
+    Compiler compiler(CompileOptions{}.pool_threads(4));
+    CompiledLoop loop = compiler.compile(in.nest).value();
+    exec::ArrayStore ref = init;
+    ASSERT_TRUE(loop.execute(ExecPolicy{}.backend(ExecBackend::kInterpreter),
+                             ref));
+    for (ExecBackend backend : kInspectedBackends) {
+      for (std::size_t threads : {1u, 2u, 8u}) {
+        const std::string where = memo_case(in.name, backend, threads);
+        const ExecPolicy policy =
+            ExecPolicy{}.threads(threads).backend(backend);
+        for (int k = 0; k < 2; ++k) {
+          exec::ArrayStore store = init;
+          Expected<ExecReport> r =
+              loop.execute(policy, store, compiler.pool());
+          ASSERT_TRUE(r) << where << ": " << r.error().to_string();
+          if (k == 1) EXPECT_EQ(r->inspection, Inspection::kReused) << where;
+          EXPECT_TRUE(store == ref) << where << " single #" << k;
+        }
+        exec::ArrayStore a = init, b = init;
+        exec::ArrayStore* stores[] = {&a, &b};
+        Expected<std::vector<ExecReport>> r = loop.execute_batch(
+            std::span<exec::ArrayStore* const>(stores), policy,
+            compiler.pool());
+        ASSERT_TRUE(r) << where << ": " << r.error().to_string();
+        for (const ExecReport& rep : *r)
+          EXPECT_EQ(rep.inspection, Inspection::kReused) << where;
+        EXPECT_TRUE(a == ref && b == ref) << where << " batched";
+      }
+    }
+  }
+}
+
+TEST(InspectionMemo, ParallelProofOnTheSessionPoolAtEightWorkers) {
+  // Index arrays long enough for the sliced proof, at 8 workers on the
+  // session pool (this binary runs under TSan in CI): an equal store
+  // reuses the partition, a store differing in the last index entry
+  // re-inspects, and each matches its kInterpreter result.
+  constexpr i64 n = 1 << 16;
+  static_assert(static_cast<std::size_t>(n) >=
+                inspect::DynamicPartition::kParallelProofElements);
+  const test_inputs::IndirectInput in = test_inputs::permutation_input(n);
+  const exec::ArrayStore init = test_inputs::initial_store(in);
+  exec::ArrayStore changed = init;
+  const i64 last = changed.read("B", intlin::Vec{n - 1});
+  changed.write("B", intlin::Vec{n - 1}, changed.read("B", intlin::Vec{n - 2}));
+  changed.write("B", intlin::Vec{n - 2}, last);
+  Compiler compiler(CompileOptions{}.pool_threads(4));
+  CompiledLoop loop = compiler.compile(in.nest).value();
+  const ExecPolicy interpret = ExecPolicy{}.backend(ExecBackend::kInterpreter);
+  exec::ArrayStore ref = init, changed_ref = changed;
+  ASSERT_TRUE(loop.execute(interpret, ref));
+  ASSERT_TRUE(loop.execute(interpret, changed_ref));
+  for (ExecBackend backend : {ExecBackend::kCompiled, ExecBackend::kJit}) {
+    const ExecPolicy policy = ExecPolicy{}.threads(8).backend(backend);
+    const std::pair<const exec::ArrayStore*, Inspection> steps[] = {
+        {&init, Inspection::kFresh},
+        {&init, Inspection::kReused},
+        {&changed, Inspection::kReinspected},
+        {&init, Inspection::kReinspected}};
+    bool first = true;
+    for (const auto& [from, expect] : steps) {
+      exec::ArrayStore store = *from;
+      Expected<ExecReport> r = loop.execute(policy, store, compiler.pool());
+      ASSERT_TRUE(r) << r.error().to_string();
+      // The kJit key is its own: its first request inspects afresh.
+      EXPECT_EQ(r->inspection, first ? Inspection::kFresh : expect)
+          << static_cast<int>(backend);
+      first = false;
+      EXPECT_TRUE(store == (from == &init ? ref : changed_ref))
+          << static_cast<int>(backend);
+    }
+  }
 }
 
 // Several threads run one CompiledLoop at one key while alternating

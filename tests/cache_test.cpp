@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -346,6 +348,82 @@ TEST(KernelDiskCache, FreshSessionServesRowKernelWithZeroCcInvocations) {
   run_session();
   EXPECT_EQ(counter_value("vdep_jit_builds_total"), warm_before)
       << "warm-disk start still invoked cc";
+}
+
+// A cached library for an indirect nest whose metadata names another
+// entry than the row kernel's (here the earlier "vdep_row_kernel", whose
+// third argument meant something else) must miss: the cache key can stay
+// the same across such a change (a build outside git keeps the build id
+// "dev"), so the entry name is what tells the two ABIs apart. The planted
+// library exports that entry and returns -1 at once, so a run that called
+// it would fail; the request must rebuild, run native and bit-identical,
+// and the store must overwrite the planted entry.
+TEST(KernelDiskCache, RowKernelHitNamingAnotherEntryIsRebuilt) {
+  const std::optional<std::string> cc = jit::discover_toolchain();
+  if (!cc) GTEST_SKIP() << "no C toolchain";
+  TempDir dir("rowentry");
+  ScopedMetrics metrics;
+  loopir::LoopNest nest = indirect_nest(256);
+  jit::JitOptions jo;
+  jo.cache_dir = dir.path();
+  const exec::ArrayStore init =
+      indirect_store(nest, [](i64 i) { return i * 5 % 64; });
+  exec::ArrayStore ref = init;
+  exec::run_sequential(nest, ref);
+  auto run_session = [&] {
+    Compiler c(CompileOptions{}.disk_cache(dir.path()));
+    CompiledLoop loop = c.compile(nest).value();
+    exec::ArrayStore got = init;
+    auto rep = loop.execute(
+        ExecPolicy{}.threads(4).backend(ExecBackend::kJit).jit_options(jo),
+        got);
+    ASSERT_TRUE(rep.has_value()) << rep.error().to_string();
+    EXPECT_TRUE(rep->jit);
+    EXPECT_TRUE(ref == got);
+  };
+  run_session();
+
+  // The one cached kernel's key, from its metadata.
+  std::optional<cache::KernelMeta> meta;
+  for (const auto& de : fs::directory_iterator(dir.path() + "/kernels")) {
+    if (de.path().extension() != ".meta") continue;
+    std::ifstream f(de.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(f)),
+                            std::istreambuf_iterator<char>());
+    meta = cache::deserialize_kernel_meta(bytes);
+  }
+  ASSERT_TRUE(meta && meta->ok);
+  ASSERT_EQ(meta->entry, "vdep_resolved_row_kernel");
+
+  const std::string c_file = dir.path() + "/old.c";
+  const std::string so_file = dir.path() + "/old.so";
+  std::ofstream(c_file)
+      << "#include <stdint.h>\n"
+         "int64_t vdep_row_kernel(int64_t** a, const int64_t* r,\n"
+         "    const int64_t* m, int64_t d, int64_t lo, int64_t hi) {\n"
+         "  (void)a; (void)r; (void)m; (void)d; (void)lo; (void)hi;\n"
+         "  return -1;\n}\n";
+  ASSERT_EQ(std::system((*cc + " -O2 -fPIC -shared -x c " + c_file + " -o " +
+                         so_file)
+                            .c_str()),
+            0);
+  cache::KernelMeta old = *meta;
+  old.entry = "vdep_row_kernel";
+  std::shared_ptr<cache::DiskCache> disk = cache::DiskCache::open(dir.path());
+  ASSERT_TRUE(disk);
+  ASSERT_TRUE(disk->store_kernel(meta->key, old, so_file));
+  ASSERT_EQ(disk->load_kernel(meta->key)->meta.entry, "vdep_row_kernel");
+
+  const i64 builds = counter_value("vdep_jit_builds_total");
+  run_session();
+  EXPECT_EQ(counter_value("vdep_jit_builds_total"), builds + 1)
+      << "the planted entry was not rebuilt";
+  EXPECT_EQ(disk->load_kernel(meta->key)->meta.entry,
+            "vdep_resolved_row_kernel");
+  const i64 warm = counter_value("vdep_jit_builds_total");
+  run_session();
+  EXPECT_EQ(counter_value("vdep_jit_builds_total"), warm)
+      << "the rebuilt entry was not served from disk";
 }
 
 // The row kernel indexes buffers unchecked, so inspection must stop a

@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/vdep.h"
@@ -23,6 +24,7 @@
 #include "jit/toolchain.h"
 #include "loopir/builder.h"
 #include "obs/trace.h"
+#include "support/thread_pool.h"
 #include "trans/planner.h"
 
 #include "indirect_inputs.h"
@@ -96,20 +98,26 @@ std::set<std::vector<Vec>> inspector_components(
   return out;
 }
 
+/// The resolved-subscript table, slot by slot.
+std::vector<i64> resolved_table(const inspect::DynamicPartition& part) {
+  const i64* table = part.resolved();
+  return std::vector<i64>(table, table + part.size() * part.resolved_width());
+}
+
 /// Asserts that two inspections of one space agree on everything but
-/// their timing: class of every iteration, class sizes, member order and
-/// statistics.
+/// their timing: class sizes, member order (the slot-order rows), the
+/// resolved table and statistics.
 void expect_same_partition(const inspect::DynamicPartition& want,
                            const inspect::DynamicPartition& got,
                            const std::string& label) {
   ASSERT_EQ(got.size(), want.size()) << label;
   ASSERT_EQ(got.num_classes(), want.num_classes()) << label;
   EXPECT_EQ(got.identity(), want.identity()) << label;
-  for (i64 it = 0; it < want.size(); ++it)
-    EXPECT_EQ(got.class_of(it), want.class_of(it)) << label << " rank " << it;
   EXPECT_EQ(member_rows(got, 0, got.num_classes()),
             member_rows(want, 0, want.num_classes()))
       << label << " member order";
+  ASSERT_EQ(got.resolved_width(), want.resolved_width()) << label;
+  EXPECT_EQ(resolved_table(got), resolved_table(want)) << label;
   for (i64 c = 0; c < want.num_classes(); ++c)
     EXPECT_EQ(got.class_size(c), want.class_size(c)) << label << " class " << c;
   const inspect::InspectStats& w = want.stats();
@@ -286,6 +294,108 @@ TEST(Inspector, ProofComparesIndexContentsAndArraySizes) {
   for (std::size_t k = 0; k < b.size(); ++k)
     longer_store.write("B", Vec{static_cast<i64>(k)}, b[k]);
   EXPECT_FALSE(part.prove(longer_store));
+}
+
+TEST(Inspector, SlotOrderRowsAndResolvedTable) {
+  // Slot m's row is the m-th member's coordinates, class by class (classes
+  // numbered by their first member) and each class in rank order; the
+  // ground truth is the brute-force ISDG's components. Each resolved-table
+  // entry is the row-major element offset, from the declared lower bounds,
+  // of that slot's indirect_refs()[j] as the interpreter evaluates it.
+  // The layout must not depend on pass 1's worker count.
+  std::vector<IndirectInput> inputs = indirect_inputs();
+  inputs.push_back(test_inputs::permutation_input(64));
+  ThreadPool pool(4);
+  for (const IndirectInput& in : inputs) {
+    const exec::ArrayStore store = initial_store(in);
+    const inspect::DynamicPartition part = inspect::inspect(in.nest, store);
+    std::vector<Vec> want_rows;
+    std::vector<i64> want_sizes;
+    for (const std::vector<Vec>& comp :
+         isdg_components(exec::build_isdg(in.nest, store))) {
+      want_rows.insert(want_rows.end(), comp.begin(), comp.end());
+      want_sizes.push_back(static_cast<i64>(comp.size()));
+    }
+    EXPECT_EQ(member_rows(part, 0, part.num_classes()), want_rows) << in.name;
+    ASSERT_EQ(part.num_classes(), static_cast<i64>(want_sizes.size()))
+        << in.name;
+    for (i64 c = 0; c < part.num_classes(); ++c)
+      EXPECT_EQ(part.class_size(c), want_sizes[static_cast<std::size_t>(c)])
+          << in.name << " class " << c;
+
+    const std::vector<ArrayRef> refs = in.nest.indirect_refs();
+    ASSERT_EQ(part.resolved_width(), static_cast<int>(refs.size())) << in.name;
+    ASSERT_FALSE(refs.empty()) << in.name;
+    for (i64 m = 0; m < part.size(); ++m) {
+      const Vec iter(part.rows() + m * part.depth(),
+                     part.rows() + (m + 1) * part.depth());
+      for (std::size_t j = 0; j < refs.size(); ++j) {
+        const loopir::ArrayDecl& decl = in.nest.array(refs[j].array);
+        const Vec cell = exec::element_coords(refs[j], iter, store);
+        i64 flat = 0;
+        for (std::size_t d = 0; d < cell.size(); ++d)
+          flat = flat * (decl.dims[d].second - decl.dims[d].first + 1) +
+                 (cell[d] - decl.dims[d].first);
+        EXPECT_EQ(part.resolved()[m * part.resolved_width() +
+                                  static_cast<i64>(j)],
+                  flat)
+            << in.name << " slot " << m << " ref " << j;
+      }
+    }
+    for (std::size_t threads : {2u, 8u})
+      expect_same_partition(part,
+                            inspect::inspect(in.nest, store, threads, &pool),
+                            in.name + " @" + std::to_string(threads));
+  }
+}
+
+TEST(Inspector, ParallelProofRefusesAnyDifferingSlice) {
+  // An index image large enough for the sliced compare: a store differing
+  // in one index entry of the first slice or of the last, or in an array's
+  // size, is refused at 1, 2 and 8 threads, with and without a pool, and
+  // the executor writes nothing to it; an equal copy is accepted.
+  constexpr i64 n = 1 << 16;
+  static_assert(static_cast<std::size_t>(n) >=
+                inspect::DynamicPartition::kParallelProofElements);
+  const IndirectInput in = test_inputs::permutation_input(n);
+  const exec::ArrayStore init = initial_store(in);
+  const inspect::DynamicPartition part = inspect::inspect(in.nest, init);
+  exec::ArrayStore first = init, last = init;
+  // Swap two entries inside each end, so every value stays in range and
+  // only the contents differ.
+  for (auto [store, a, b] : {std::tuple{&first, i64{0}, i64{1}},
+                             std::tuple{&last, n - 2, n - 1}}) {
+    const i64 va = store->read("B", Vec{a});
+    store->write("B", Vec{a}, store->read("B", Vec{b}));
+    store->write("B", Vec{b}, va);
+  }
+  const LoopNest longer = test_inputs::indirect_nest(n + 1, n - 1);
+  exec::ArrayStore resized(longer);
+  resized.fill_pattern();
+  for (i64 k = 0; k < n; ++k)
+    resized.write("B", Vec{k}, init.read("B", Vec{k}));
+
+  ThreadPool pool(4);
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    inspect::InspectorExecOptions io;
+    io.num_threads = threads;
+    const inspect::InspectorExecutor ex(in.nest, part, io);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::string label = "@" + std::to_string(threads) +
+                                (p ? " on the pool" : "");
+      for (exec::ArrayStore* differ : {&first, &last, &resized}) {
+        const exec::ArrayStore before = *differ;
+        EXPECT_FALSE(part.prove(*differ, p, threads)) << label;
+        if (p)
+          EXPECT_THROW(ex.run(*differ, *p), PreconditionError) << label;
+        else
+          EXPECT_THROW(ex.run(*differ), PreconditionError) << label;
+        EXPECT_TRUE(*differ == before) << label << ": the store was written";
+      }
+      exec::ArrayStore copy = init;
+      EXPECT_TRUE(part.prove(copy, p, threads)) << label;
+    }
+  }
 }
 
 TEST(Inspector, KernelProofRefusalFallsBackToInterpreter) {
@@ -467,7 +577,7 @@ TEST(Inspector, HostileIndexArraysFailTypedBeforeAnyWrite) {
 
 TEST(Inspector, ConflictFreeInspectionIsIdentity) {
   // A space in which no two iterations share a written cell inspects to the
-  // identity partition (class c = iteration rank c, no class arrays): a
+  // identity partition (class c = iteration rank c, no class offsets): a
   // permutation scatter, an affine DOALL nest forced to kInspector and an
   // empty space. Each must agree with the brute-force ISDG and execute
   // bit-identically to sequential order.
@@ -478,10 +588,7 @@ TEST(Inspector, ConflictFreeInspectionIsIdentity) {
     EXPECT_TRUE(part.identity()) << label;
     EXPECT_EQ(part.size(), n) << label;
     EXPECT_EQ(part.num_classes(), n) << label;
-    for (i64 it = 0; it < n; ++it) {
-      EXPECT_EQ(part.class_of(it), it) << label;
-      EXPECT_EQ(part.class_size(it), 1) << label;
-    }
+    for (i64 c = 0; c < n; ++c) EXPECT_EQ(part.class_size(c), 1) << label;
     // Member slot m holds iteration rank m: the rows come out in
     // enumeration order.
     std::vector<Vec> ranks;
@@ -563,7 +670,8 @@ TEST(Inspector, ConflictFreeInspectionIsIdentity) {
   EXPECT_EQ(part.stats().max_component, 2);
   EXPECT_EQ(part.stats().dependent_iterations, 2);
   EXPECT_EQ(part.num_classes(), 31);
-  EXPECT_EQ(part.class_of(0), part.class_of(1));
+  EXPECT_EQ(part.class_size(0), 2);
+  EXPECT_EQ(member_rows(part, 0, 1), (std::vector<Vec>{Vec{0}, Vec{1}}));
   EXPECT_EQ(inspector_components(part),
             isdg_components(exec::build_isdg(perm.nest, shared)));
   exec::ArrayStore ref = shared;
