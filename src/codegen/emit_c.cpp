@@ -46,10 +46,11 @@ std::string c_bound(const Bound& b, bool lower,
   return acc;
 }
 
-// An indirect slot renders as a read of its index array at the slot's
-// position; the index array's macro subtracts its lower bound. (The row
-// kernel renders whole indirect references from its table instead; see
-// c_row_ref.)
+// A reference through its array's macro. An indirect slot renders as a
+// read of its index array at the slot's position (the index array's macro
+// subtracts its lower bound): emit_c_transformed, CompiledLoop::codegen's
+// default target, emits indirect nests this way. The row kernel renders
+// indirect references from its resolved table instead (c_row_ref).
 std::string c_ref(const ArrayRef& r, const std::vector<std::string>& names) {
   std::ostringstream os;
   os << r.array << "(";

@@ -101,27 +101,27 @@ i64 uf_find(std::vector<i64>& parent, i64 x) {
 std::optional<ProvenStore> DynamicPartition::prove(exec::ArrayStore& store,
                                                    ThreadPool* pool,
                                                    std::size_t threads) const {
-  std::size_t index_elements = 0;
-  for (const ArrayImage& img : arrays_) {
+  for (const ArrayImage& img : arrays_)
     if (store.raw(img.name).size() != img.size) return std::nullopt;
-    index_elements += img.index.size();
-  }
   // Slice s of every image is [size * s / slices, size * (s + 1) / slices):
   // the slices tile each image, so every byte is compared exactly once.
-  const std::size_t slices =
-      pool && threads > 1 && index_elements >= kParallelProofElements
-          ? threads
-          : 1;
+  // A slice stops at its first differing image and skips the images left
+  // once any slice has refused; memcmp itself stops at the first differing
+  // byte, so the serial compare ends there.
+  const std::size_t slices = pool && threads > 1 ? threads : 1;
   std::atomic<bool> differs{false};
   auto compare = [&](std::int64_t s) {
     const std::size_t k = static_cast<std::size_t>(s);
     for (const ArrayImage& img : arrays_) {
+      if (differs.load(std::memory_order_relaxed)) return;
       if (img.index.empty()) continue;
       const std::size_t lo = img.size * k / slices;
       const std::size_t hi = img.size * (k + 1) / slices;
       if (std::memcmp(store.raw(img.name).data() + lo, img.index.data() + lo,
-                      (hi - lo) * sizeof(i64)) != 0)
+                      (hi - lo) * sizeof(i64)) != 0) {
         differs.store(true, std::memory_order_relaxed);
+        return;
+      }
     }
   };
   // parallel_for returns once every slice has run, so no leaf can start

@@ -161,17 +161,13 @@ class DynamicPartition {
   /// No hash stands in for the compare: the native row kernel indexes
   /// without checks, so only exact equality carries the range check over.
   /// With a `pool` and `threads` > 1 the compare runs as `threads`
-  /// contiguous slices of every index image on the pool (images smaller
-  /// than kParallelProofElements in total compare serially); any differing
-  /// slice refuses, and the call returns only after every slice finished.
+  /// contiguous slices of every index image on the pool, else serially on
+  /// the caller; any differing slice refuses, and the call returns only
+  /// after every slice finished.
   /// Throws PreconditionError when `store` lacks one of the nest's arrays.
   std::optional<ProvenStore> prove(exec::ArrayStore& store,
                                    ThreadPool* pool = nullptr,
                                    std::size_t threads = 1) const;
-
-  /// Index-array elements (over all images) below which prove() compares
-  /// serially: a pool hand-off costs more than the memcmp it splits.
-  static constexpr std::size_t kParallelProofElements = std::size_t{1} << 16;
 
   /// Calls fn(row) for every iteration of classes [lo, hi), class by class
   /// and each class in lexicographic order, walking rows() as they lie;

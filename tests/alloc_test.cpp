@@ -165,7 +165,7 @@ TEST(Allocations, SlicedProofIsFlatInIndexLength) {
     EXPECT_TRUE(part.prove(store, &pool, 4));
     return g_allocations.load() - before;
   };
-  const long short_image = count(i64{1} << 16);
+  const long short_image = count(i64{1} << 10);
   EXPECT_GT(short_image, 0) << "the proof ran serially, with no hand-off";
   EXPECT_EQ(short_image, count(i64{1} << 17));
 }

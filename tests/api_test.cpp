@@ -184,6 +184,19 @@ TEST(Compiler, CacheHitSharesArtifactAndCodegenMemo) {
   EXPECT_EQ(s.misses, 1);
 }
 
+TEST(Compiler, IndirectNestEmitsGathersThroughItsIndexArray) {
+  // The default (transformed) target renders an indirect subscript as a
+  // read of its index array; the original target refuses indirect nests.
+  Compiler compiler;
+  const test_inputs::IndirectInput in = test_inputs::permutation_input(16);
+  CompiledLoop loop = compiler.compile(in.nest).value();
+  EXPECT_NE(loop.codegen().find("A(B(j1)) = (A(B(j1)) + C(j1));"),
+            std::string::npos)
+      << loop.codegen();
+  EXPECT_THROW(loop.codegen(CodegenOptions{}.target(CodegenTarget::kOriginal)),
+               PreconditionError);
+}
+
 TEST(Compiler, RebindRejectsDifferentStructure) {
   Compiler compiler;
   CompiledLoop loop = compiler.compile(example41(6)).value();
@@ -1249,13 +1262,11 @@ TEST(InspectionMemo, ReusedSlotLayoutMatchesInterpreterSingleAndBatched) {
 }
 
 TEST(InspectionMemo, ParallelProofOnTheSessionPoolAtEightWorkers) {
-  // Index arrays long enough for the sliced proof, at 8 workers on the
-  // session pool (this binary runs under TSan in CI): an equal store
-  // reuses the partition, a store differing in the last index entry
-  // re-inspects, and each matches its kInterpreter result.
+  // The sliced proof at 8 workers on the session pool (this binary runs
+  // under TSan in CI): an equal store reuses the partition, a store
+  // differing in the last index entry re-inspects, and each matches its
+  // kInterpreter result.
   constexpr i64 n = 1 << 16;
-  static_assert(static_cast<std::size_t>(n) >=
-                inspect::DynamicPartition::kParallelProofElements);
   const test_inputs::IndirectInput in = test_inputs::permutation_input(n);
   const exec::ArrayStore init = test_inputs::initial_store(in);
   exec::ArrayStore changed = init;

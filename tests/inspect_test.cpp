@@ -350,13 +350,11 @@ TEST(Inspector, SlotOrderRowsAndResolvedTable) {
 }
 
 TEST(Inspector, ParallelProofRefusesAnyDifferingSlice) {
-  // An index image large enough for the sliced compare: a store differing
-  // in one index entry of the first slice or of the last, or in an array's
-  // size, is refused at 1, 2 and 8 threads, with and without a pool, and
-  // the executor writes nothing to it; an equal copy is accepted.
+  // A store differing in one index entry of the first slice or of the
+  // last, or in an array's size, is refused at 1, 2 and 8 threads, with and
+  // without a pool, and the executor writes nothing to it; an equal copy is
+  // accepted.
   constexpr i64 n = 1 << 16;
-  static_assert(static_cast<std::size_t>(n) >=
-                inspect::DynamicPartition::kParallelProofElements);
   const IndirectInput in = test_inputs::permutation_input(n);
   const exec::ArrayStore init = initial_store(in);
   const inspect::DynamicPartition part = inspect::inspect(in.nest, init);
