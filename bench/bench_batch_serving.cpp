@@ -29,10 +29,12 @@
 #include <vector>
 
 #include "api/vdep.h"
+#include "bench_common.h"
 #include "core/suite.h"
 #include "support/thread_pool.h"
 
 using namespace vdep;
+using bench::hw_threads;
 using intlin::i64;
 
 namespace {
@@ -41,11 +43,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::size_t hw_threads() {
-  static const std::size_t hw = default_worker_count();
-  return hw;
 }
 
 struct Measure {

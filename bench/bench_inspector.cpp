@@ -67,10 +67,10 @@
 #include <functional>
 #include <string>
 #include <utility>
-#include <thread>
 #include <vector>
 
 #include "api/vdep.h"
+#include "bench_common.h"
 #include "exec/compiled.h"
 #include "exec/interpreter.h"
 #include "inspect/executor.h"
@@ -79,6 +79,7 @@
 #include "loopir/builder.h"
 
 using namespace vdep;
+using bench::hw_threads;
 using intlin::i64;
 
 namespace {
@@ -86,12 +87,6 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-std::size_t hw_threads() {
-  static const std::size_t hw =
-      std::max(1u, std::thread::hardware_concurrency());
-  return hw;
 }
 
 double best_of(int reps, const std::function<double()>& fn) {

@@ -42,16 +42,17 @@
 #include <filesystem>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/vdep.h"
+#include "bench_common.h"
 #include "core/suite.h"
 #include "jit/toolchain.h"
 #include "loopir/builder.h"
 #include "obs/metrics.h"
 
 using namespace vdep;
+using bench::hw_threads;
 using intlin::i64;
 
 namespace {
@@ -103,12 +104,6 @@ Sample run_backend(const CompiledLoop& loop, ExecBackend backend,
   }
   s.ok = true;
   return s;
-}
-
-std::size_t hw_threads() {
-  static const std::size_t hw =
-      std::max(1u, std::thread::hardware_concurrency());
-  return hw;
 }
 
 void emit(const std::string& name, const char* backend, std::size_t threads,
@@ -194,7 +189,7 @@ Sample run_jit(const CompiledLoop& loop, const jit::JitOptions& jo,
 }
 
 int partition_gate_main(bool gate) {
-  const std::size_t threads = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t threads = hw_threads();
   if (!vector_isa_available()) {
     std::printf(
         "{\"bench\":\"jit_speedup\",\"mode\":\"partition_gate\","
@@ -356,7 +351,7 @@ int cold_start_gate_main(bool gate) {
         hw_threads());
     return 0;
   }
-  const std::size_t threads = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t threads = hw_threads();
   obs::MetricsRegistry::instance().enable();
 
   std::string templ =
@@ -443,7 +438,7 @@ int main(int argc, char** argv) {
   if (partition_gate) return partition_gate_main(/*gate=*/true);
   if (cold_start_gate) return cold_start_gate_main(/*gate=*/true);
 
-  const std::size_t threads = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t threads = hw_threads();
   // Per-kernel sizes: big enough for a measurable single run, small enough
   // that the tree-walking interpreter finishes the whole suite quickly.
   const std::map<std::string, i64> sizes = {

@@ -12,22 +12,17 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/vdep.h"
+#include "bench_common.h"
 #include "core/suite.h"
 
 using namespace vdep;
+using bench::hw_threads;
 using Clock = std::chrono::steady_clock;
 
 namespace {
-
-std::size_t hw_threads() {
-  static const std::size_t hw =
-      std::max(1u, std::thread::hardware_concurrency());
-  return hw;
-}
 
 i64 ns_since(Clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -

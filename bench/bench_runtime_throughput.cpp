@@ -20,9 +20,9 @@
 // The suite_scaling rows (informational, no gate) run every paper-suite
 // kernel at the large bounds of perfbench's large_kernels workload through
 // the public API (kJit when a C toolchain exists, else kCompiled) at 1 and
-// at hardware-count workers, median of 5 interleaved runs each, and report
-// speedup_hw_vs_1w: the kernels where parallelism still loses to one
-// worker show up below 1.
+// at default_worker_count() workers, median of 5 interleaved runs each,
+// and report speedup_hw_vs_1w: the kernels where parallelism still loses
+// to one worker show up below 1.
 //
 // Output is one JSON object per line (scrapeable into BENCH_*.json):
 //   {"bench":"runtime_throughput","name":...,"mode":"streaming","threads":2,
@@ -35,9 +35,9 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <thread>
 
 #include "api/vdep.h"
+#include "bench_common.h"
 #include "core/suite.h"
 #include "dep/pdm.h"
 #include "exec/compiled.h"
@@ -50,6 +50,7 @@
 #include "trans/planner.h"
 
 using namespace vdep;
+using bench::hw_threads;
 using intlin::i64;
 
 namespace {
@@ -57,13 +58,6 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// Physical thread count of the host, stamped into every JSON row so
-/// speedup figures are interpretable across machines.
-std::size_t hw_threads() {
-  static const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  return hw;
 }
 
 // Estimated heap footprint of a materialized Schedule: one std::vector<i64>
@@ -505,7 +499,7 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--trace-overhead-gate") == 0)
     return run_trace_overhead(/*gate=*/true) == 0 ? 0 : 1;
   i64 scale = argc > 1 ? std::max(1L, std::atol(argv[1])) : 1;
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t hw = hw_threads();
 
   const Case cases[] = {
       {"example_4_2", &core::example42, 250, 2000 * scale},

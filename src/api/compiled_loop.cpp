@@ -443,14 +443,17 @@ std::string CompiledLoop::summary() const {
   }
   const codegen::TransformedNest tn =
       codegen::rewrite_nest(*nest_, p.transform);
-  if (p.doall_loops > 0)
+  if (p.doall_loops > 0) {
+    const int column =
+        runtime::doall_locality(*nest_, tn.t_inverse, p.doall_loops).column;
     os << "column runs: compiled scans run DOALL level "
-       << tn.nest.level(p.doall_loops - 1).name
+       << tn.nest.level(column).name
        << ", permuted innermost, as one independent column per point of "
           "the other levels (ExecReport::column_iterations)\n";
-  else
+  } else {
     os << "column runs: none (no DOALL level; every compiled scan runs per "
           "point)\n";
+  }
   os << "-- transformed nest --\n" << tn.nest.to_string();
   return os.str();
 }

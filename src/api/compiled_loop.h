@@ -359,7 +359,9 @@ class CompiledLoop {
   const LoopAnalysis& analysis() const { return art_->analysis(); }
   const LoopPlan& plan() const { return art_->plan(); }
 
-  /// Lazily emitted C for this handle's bounds, memoized per option set.
+  /// Lazily emitted C for this handle's bounds, memoized per option set:
+  /// the JIT's clamped range kernel plus a driver and main
+  /// (codegen/emit_c.h). Throws PreconditionError for an indirect nest.
   const std::string& codegen(const CodegenOptions& opts = {}) const {
     return art_->codegen(*nest_, opts);
   }

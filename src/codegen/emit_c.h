@@ -1,16 +1,18 @@
 // C source emission.
 //
-// Produces self-contained, compilable C99 translation units for
-//   * the original nest,
-//   * the unimodular-transformed nest (outer DOALLs as `#pragma omp
-//     parallel for`), and
-//   * the Theorem-2 partitioned nest (the paper's loop (3.2): a parallel
-//     loop over residue classes, strided inner loops with skewed offsets).
+// Every affine C target is one range-kernel frame (prelude, array macros,
+// the entry below, the clamped path): the JIT's clamped kernel, the
+// partitioned kernel (the same frame with a steady-state fast path in
+// front of the clamped path, its generic path), and the standalone
+// programs CompiledLoop::codegen() prints (the clamped kernel over static
+// buffers, a driver and an optional main). The loop structure is Theorem
+// 2's: outer DOALL loops, then a loop over residue classes scanned by the
+// paper's strided loop (3.2). Indirect nests get only the row kernel.
 //
-// Emitted files optionally include a main() that fills every array with a
-// deterministic pattern, runs the kernel and prints a checksum — the
-// integration tests compile original and transformed versions with the
-// host compiler and require identical checksums.
+// The standalone programs' main() fills every array with a deterministic
+// pattern, runs the kernel and prints a checksum — the integration tests
+// compile original and transformed versions with the C toolchain and
+// require identical checksums.
 #pragma once
 
 #include <string>
@@ -21,17 +23,24 @@
 namespace vdep::codegen {
 
 struct EmitOptions {
-  bool openmp = true;        ///< annotate DOALL loops with omp pragmas
+  bool openmp = true;        ///< annotate the driver's parallel loop
   bool with_main = true;     ///< emit a checksum-printing main()
   std::string kernel_name = "kernel";
 };
 
-/// The original sequential nest.
+/// Standalone C99 program for the original nest: the clamped range kernel
+/// (entry `<kernel_name>_range`) over the nest as written, one
+/// `static int64_t <A>_data[]` per array, `void <kernel_name>(void)`
+/// calling the kernel over the whole space, and (with_main) main().
+/// Throws PreconditionError for an indirect nest.
 std::string emit_c_original(const loopir::LoopNest& nest,
                             const EmitOptions& opts = {});
 
-/// The fully transformed program for `plan`: unimodular rewrite + (when the
-/// plan partitions) the Theorem-2 class loops.
+/// The same program over `original` rewritten under `plan`. The driver
+/// calls the kernel once per point of the outermost DOALL level, else once
+/// per residue class when there are several; `openmp` annotates that loop
+/// with `#pragma omp parallel for` (Lemma 1 / Theorem 2). Throws
+/// PreconditionError for an indirect nest.
 std::string emit_c_transformed(const loopir::LoopNest& original,
                                const trans::TransformPlan& plan,
                                const EmitOptions& opts = {});
@@ -55,16 +64,18 @@ std::string emit_c_range_kernel(const loopir::LoopNest& original,
                                 const trans::TransformPlan& plan,
                                 const std::string& entry_name);
 
-/// Steady-state partitioned variant of emit_c_range_kernel: same entry
-/// signature, same observable behavior for any box. When the caller boxes
-/// exactly the plan's DOALL prefix (`ndims == num_doall`), a fast path
-/// clamps the box to the static interval hull once, splits the partition
-/// axis into prologue / steady / epilogue per `part`'s clip constraints,
-/// and scans the steady region with clamp-free, box-slice loop headers
+/// Steady-state partitioned variant of emit_c_range_kernel: the same TU
+/// with a fast path ahead of the clamped path, so the same entry signature
+/// and observable behavior for any box. When the caller boxes exactly the
+/// plan's DOALL prefix (`ndims == num_doall`), the fast path clamps the box
+/// to the static interval hull once, splits the partition axis into
+/// prologue / steady / epilogue per `part`'s clip constraints, and scans
+/// the steady region with clamp-free, box-slice loop headers
 /// (`/* vdep:region ... */` and `/* vdep:scan ... */` markers delimit the
 /// regions for analysis::KernelVerifier). Any other ndims falls through to
-/// the generic clamped path. `inject_fault` plants a vdep_min use inside
-/// the steady region so tests can exercise verifier rejection end-to-end.
+/// the clamped path, the kernel's generic path. `inject_fault` plants a
+/// vdep_min use inside the steady region so tests can exercise verifier
+/// rejection end-to-end.
 std::string emit_c_partitioned_range_kernel(const loopir::LoopNest& original,
                                             const trans::TransformPlan& plan,
                                             const analysis::LoopPartition& part,

@@ -60,7 +60,12 @@ StreamExecutor::StreamExecutor(const loopir::LoopNest& original,
   compute_hull();
   int limit = opts_.split_dims > 0 ? opts_.split_dims : TaskDescriptor::kMaxDims;
   ndims_ = std::min(num_doall_, std::min(limit, TaskDescriptor::kMaxDims));
-  compute_locality();
+  const DoallLocality loc =
+      doall_locality(original_, tn_.t_inverse, num_doall_);
+  column_ = loc.column;
+  if (!loc.weight.empty())
+    for (int d = 0; d < ndims_; ++d)
+      split_prefs_.stride[d] = loc.weight[static_cast<std::size_t>(d)];
   split_classes_ = !classes_share_lines(original_, plan);
   threads_ = opts_.num_threads != 0 ? opts_.num_threads
                                     : default_worker_count();
@@ -150,22 +155,20 @@ Vec flat_steps(const loopir::LoopNest& nest, const intlin::Mat& t_inverse,
 
 }  // namespace
 
-void StreamExecutor::compute_locality() {
-  // Locality weight of DOALL axis d: total absolute address movement (in
-  // elements, summed over the affine accesses) per unit step along
-  // transformed coordinate j_d. Descriptors split the boxed axis that moves
-  // addresses the most, which keeps each half's footprint contiguous (an
-  // axis no access depends on scores zero and ranks last among the DOALL
-  // axes); scans run the axis that moves them the least as columns, so a
-  // column's accesses are the shortest strided runs. Ties go to the
-  // deepest axis.
-  column_ = num_doall_ - 1;
-  Vec weight(static_cast<std::size_t>(num_doall_), 0);
+DoallLocality doall_locality(const loopir::LoopNest& nest,
+                             const intlin::Mat& t_inverse, int num_doall) {
+  // Descriptors split the boxed axis that moves addresses the most, which
+  // keeps each half's footprint contiguous (an axis no access depends on
+  // scores zero and ranks last among the DOALL axes); scans run the axis
+  // that moves them the least as columns, so a column's accesses are the
+  // shortest strided runs.
+  DoallLocality out;
+  out.column = num_doall - 1;
+  Vec weight(static_cast<std::size_t>(num_doall), 0);
   try {
-    for (const loopir::LoopNest::Access& acc : original_.accesses()) {
+    for (const loopir::LoopNest::Access& acc : nest.accesses()) {
       if (acc.ref.has_indirection()) continue;
-      const Vec steps =
-          flat_steps(original_, tn_.t_inverse, acc.ref, 0, num_doall_);
+      const Vec steps = flat_steps(nest, t_inverse, acc.ref, 0, num_doall);
       for (std::size_t d = 0; d < weight.size(); ++d)
         weight[d] = checked::add(weight[d], checked::abs(steps[d]));
     }
@@ -173,14 +176,14 @@ void StreamExecutor::compute_locality() {
     // Pathological shapes can overflow the stride products; locality is a
     // heuristic, so fall back to the longest-axis split policy and the
     // deepest column rather than fail.
-    return;
+    return out;
   }
-  for (int d = 0; d < ndims_; ++d)
-    split_prefs_.stride[d] = weight[static_cast<std::size_t>(d)];
-  for (int d = num_doall_ - 2; d >= 0; --d)
+  for (int d = num_doall - 2; d >= 0; --d)
     if (weight[static_cast<std::size_t>(d)] <
-        weight[static_cast<std::size_t>(column_)])
-      column_ = d;
+        weight[static_cast<std::size_t>(out.column)])
+      out.column = d;
+  out.weight = std::move(weight);
+  return out;
 }
 
 bool classes_share_lines(const loopir::LoopNest& nest,

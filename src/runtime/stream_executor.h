@@ -96,6 +96,21 @@ struct StreamOptions {
 bool classes_share_lines(const loopir::LoopNest& nest,
                          const trans::TransformPlan& plan);
 
+/// Address locality of a plan's DOALL levels over `nest` (i = j T^{-1}).
+/// `weight[d]` is the total absolute movement, in elements, of the affine
+/// accesses' flat addresses per unit step along transformed level d;
+/// empty when a stride product overflows. `column` is the level compiled
+/// scans run as columns: the lightest (ties to the deepest), the deepest
+/// DOALL level without weights, -1 with no DOALL level. StreamExecutor
+/// splits by the weights and scans by the column; CompiledLoop::summary()
+/// names the column.
+struct DoallLocality {
+  Vec weight;
+  int column = -1;
+};
+DoallLocality doall_locality(const loopir::LoopNest& nest,
+                             const intlin::Mat& t_inverse, int num_doall);
+
 class StreamExecutor {
  public:
   /// Leaf runner / factory types shared with the descriptor driver
@@ -157,9 +172,8 @@ class StreamExecutor {
   /// DOALL-prefix dimensions descriptors box and split (<= num_doall).
   int boxed_dims() const { return ndims_; }
   /// The transformed level compiled scans run as columns, permuted
-  /// innermost: the DOALL level whose step moves the affine accesses'
-  /// addresses the least (ties to the deepest), or -1 when the plan has no
-  /// DOALL level and every compiled scan runs per point.
+  /// innermost (DoallLocality::column); -1 when the plan has no DOALL level
+  /// and every compiled scan runs per point.
   int column_level() const { return column_; }
   i64 grain() const { return grain_; }
   i64 num_classes() const { return classes_; }
@@ -200,7 +214,6 @@ class StreamExecutor {
       int id, WorkerStats& stats, std::function<void(const Vec&)> body,
       std::shared_ptr<const exec::BufferTable> bufs = nullptr) const;
   void compute_hull();
-  void compute_locality();
   void execute_leaf(const TaskDescriptor& task, Worker& w) const;
   void scan_prefix(int level, const TaskDescriptor& task, Worker& w) const;
   void scan_tail(int level, Worker& w) const;

@@ -1,17 +1,21 @@
 // Tests for nest rewriting (unimodular + Fourier-Motzkin bounds) and the C
-// emitter — including compiling the emitted C with the host compiler and
-// comparing checksums of original vs transformed programs.
+// emitter — including compiling the emitted C with the discovered C
+// toolchain ($VDEP_CC, then cc/gcc/clang) and comparing checksums of
+// original vs transformed programs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <set>
 
 #include "codegen/emit_c.h"
 #include "codegen/rewrite.h"
+#include "core/suite.h"
 #include "dep/pdm.h"
 #include "exec/interpreter.h"
+#include "jit/toolchain.h"
 #include "loopir/builder.h"
 #include "trans/planner.h"
 
@@ -147,10 +151,31 @@ TEST(EmitC, PartitionedOnlyPlanEmitsStridedLoops) {
   EXPECT_NE(src.find("+= 2"), std::string::npos);  // stride h_kk = 2
 }
 
+TEST(EmitC, ProgramEmbedsTheJitClampedKernel) {
+  // One loop emitter: past their header comments, a program without main
+  // (so without <stdio.h>) starts with the JIT's clamped range-kernel TU,
+  // byte for byte; the driver follows.
+  for (const LoopNest& nest : {example41(10), example42(10)}) {
+    const trans::TransformPlan plan = plan_for(nest);
+    EmitOptions eo;
+    eo.with_main = false;
+    const std::string prog = emit_c_transformed(nest, plan, eo);
+    const std::string jit = emit_c_range_kernel(nest, plan, "kernel_range");
+    const std::string body = jit.substr(jit.find('\n') + 1);
+    EXPECT_EQ(prog.substr(prog.find('\n') + 1, body.size()), body);
+    EXPECT_NE(prog.find("void kernel(void) {"), std::string::npos);
+    EXPECT_EQ(prog.find("int main"), std::string::npos);
+  }
+}
+
 namespace {
 
-// Compiles `src` and returns the stdout of the produced binary.
-std::string compile_and_run(const std::string& src, const std::string& tag) {
+// Compiles `src` with `cc` (as the JIT does: -fwrapv) plus `flags` and
+// returns the stdout of the produced binary run under `env`.
+std::string compile_and_run(const std::string& cc, const std::string& src,
+                            const std::string& tag,
+                            const std::string& flags = "",
+                            const std::string& env = "") {
   std::string dir = ::testing::TempDir();
   std::string cpath = dir + "/vdep_" + tag + ".c";
   std::string bin = dir + "/vdep_" + tag + ".bin";
@@ -158,11 +183,12 @@ std::string compile_and_run(const std::string& src, const std::string& tag) {
     std::ofstream f(cpath);
     f << src;
   }
-  std::string cmd = "cc -O1 -std=c99 -o " + bin + " " + cpath + " 2>&1";
+  std::string cmd = cc + " -O1 -std=c99 -fwrapv " + flags + " -o " + bin +
+                    " " + cpath + " 2>&1";
   int rc = std::system(cmd.c_str());
   EXPECT_EQ(rc, 0) << "compilation failed for " << tag;
   if (rc != 0) return "";
-  FILE* p = popen((bin + " 2>&1").c_str(), "r");
+  FILE* p = popen((env + " " + bin + " 2>&1").c_str(), "r");
   EXPECT_NE(p, nullptr);
   std::string out;
   char buf[256];
@@ -171,24 +197,41 @@ std::string compile_and_run(const std::string& src, const std::string& tag) {
   return out;
 }
 
-}  // namespace
-
-TEST(EmitCIntegration, Example41ChecksumsMatch) {
-  LoopNest nest = example41(8);
-  std::string a = compile_and_run(emit_c_original(nest), "orig41");
-  std::string b = compile_and_run(emit_c_transformed(nest, plan_for(nest)),
-                                  "trans41");
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
+// Whether `cc` compiles and links an OpenMP program.
+bool accepts_openmp(const std::string& cc) {
+  const std::string dir = ::testing::TempDir();
+  {
+    std::ofstream f(dir + "/vdep_omp_probe.c");
+    f << "int main(void) {\n  int s = 0;\n"
+         "#pragma omp parallel for reduction(+ : s)\n"
+         "  for (int i = 0; i < 4; ++i) s += i;\n  return s != 6;\n}\n";
+  }
+  const std::string cmd = cc + " -fopenmp -o " + dir + "/vdep_omp_probe " +
+                          dir + "/vdep_omp_probe.c > /dev/null 2>&1";
+  return std::system(cmd.c_str()) == 0;
 }
 
-TEST(EmitCIntegration, Example42ChecksumsMatch) {
-  LoopNest nest = example42(8);
-  std::string a = compile_and_run(emit_c_original(nest), "orig42");
-  std::string b = compile_and_run(emit_c_transformed(nest, plan_for(nest)),
-                                  "trans42");
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
+}  // namespace
+
+TEST(EmitCIntegration, SuiteChecksumsMatch) {
+  // Every paper-suite kernel: the original and transformed programs leave
+  // equal arrays, and so does the transformed one on four OpenMP threads
+  // (its driver loop is the outermost DOALL level or the class range).
+  const std::optional<std::string> cc = jit::discover_toolchain();
+  if (!cc) GTEST_SKIP() << "no C toolchain";
+  const bool openmp = accepts_openmp(*cc);
+  for (const core::NamedNest& c : core::paper_suite(8)) {
+    const std::string want =
+        compile_and_run(*cc, emit_c_original(c.nest), "orig_" + c.name);
+    ASSERT_FALSE(want.empty()) << c.name;
+    const std::string trans = emit_c_transformed(c.nest, plan_for(c.nest));
+    EXPECT_EQ(compile_and_run(*cc, trans, "trans_" + c.name), want) << c.name;
+    if (openmp)
+      EXPECT_EQ(compile_and_run(*cc, trans, "omp_" + c.name, "-fopenmp",
+                                "OMP_NUM_THREADS=4"),
+                want)
+          << c.name;
+  }
 }
 
 TEST(EmitCIntegration, UniformLoopChecksumsMatch) {
@@ -199,9 +242,11 @@ TEST(EmitCIntegration, UniformLoopChecksumsMatch) {
            Expr::add(b.read("A", {b.idx(0), b.affine({0, 1}, -2)}),
                      b.read("A", {b.affine({1, 0}, 2), b.affine({0, 1}, 2)})));
   LoopNest nest = b.build();
-  std::string x = compile_and_run(emit_c_original(nest), "origu");
-  std::string y = compile_and_run(emit_c_transformed(nest, plan_for(nest)),
-                                  "transu");
+  const std::optional<std::string> cc = jit::discover_toolchain();
+  if (!cc) GTEST_SKIP() << "no C toolchain";
+  std::string x = compile_and_run(*cc, emit_c_original(nest), "origu");
+  std::string y = compile_and_run(
+      *cc, emit_c_transformed(nest, plan_for(nest)), "transu");
   ASSERT_FALSE(x.empty());
   EXPECT_EQ(x, y);
 }

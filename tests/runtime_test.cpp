@@ -561,6 +561,27 @@ TEST(ColumnRuns, LevelIsADoallLevelExactlyWhenThePlanHasOne) {
   EXPECT_EQ(two.column_level(), 1);
 }
 
+TEST(ColumnRuns, SummaryNamesTheLevelTheExecutorRuns) {
+  // summary()'s "column runs" line and the executor read one decision
+  // (doall_locality): variable_3deep runs j1, its shallower DOALL level.
+  vdep::Compiler compiler;
+  for (const core::NamedNest& c : core::paper_suite(10)) {
+    const vdep::CompiledLoop loop = compiler.compile(c.nest).value();
+    const trans::TransformPlan& plan = loop.plan().transform;
+    const StreamExecutor ex(c.nest, plan);
+    const std::string want =
+        ex.column_level() < 0
+            ? std::string("column runs: none")
+            : "run DOALL level " +
+                  codegen::rewrite_nest(c.nest, plan)
+                      .nest.level(ex.column_level())
+                      .name +
+                  ",";
+    EXPECT_NE(loop.summary().find(want), std::string::npos)
+        << c.name << "\n" << loop.summary();
+  }
+}
+
 TEST(ColumnRuns, ScanSplitsKeepColumnsLong) {
   // The scan path's descriptors split the column level only into halves of
   // at least SplitLimits::kColumnFloor values; a native kernel's split to
