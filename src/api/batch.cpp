@@ -48,8 +48,8 @@ Expected<std::vector<ExecReport>> detail::run_requests(
       const BatchRequest& req = requests[k];
       exec::ArrayStore* store = req.store;
       if (!store) {
-        owned_stores.push_back(std::make_unique<exec::ArrayStore>(
-            req.loop.nest(), policy.placement(), threads));
+        owned_stores.push_back(
+            std::make_unique<exec::ArrayStore>(req.loop.nest()));
         owned_stores.back()->fill_pattern();
         store = owned_stores.back().get();
       }

@@ -221,7 +221,9 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
     std::shared_ptr<const detail::Executable> memo =
         art_->find_executable(key);
     std::optional<inspect::ProvenStore> proven;
-    std::optional<inspect::DynamicPartition> fresh;
+    // A fresh inspection lands where the new memo entry keeps it, so the
+    // evidence inspect() hands back names the entry's own partition.
+    std::unique_ptr<inspect::DynamicPartition> fresh;
     {
       obs::ScopedSpan span(obs::EventKind::kInspect, policy.trace(),
                            obs::Phase::kInspect);
@@ -232,7 +234,8 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
         b.inspection = Inspection::kReused;
       } else {
         b.inspection = memo ? Inspection::kReinspected : Inspection::kFresh;
-        fresh = inspect::inspect(*nest_, store, threads, pool);
+        fresh = std::make_unique<inspect::DynamicPartition>();
+        proven = inspect::inspect(*nest_, store, *fresh, threads, pool);
       }
       b.inspect_ns = obs::now_ns() - t0;
       if (span.tracing()) {
@@ -275,9 +278,7 @@ detail::BoundSource CompiledLoop::bind(const ExecPolicy& policy,
       inspect::InspectorExecOptions io;
       io.force_interpreter = policy.backend() == ExecBackend::kInterpreter;
       b.executable = std::make_shared<const detail::Executable>(
-          *nest_, std::move(*fresh), io);
-      proven = b.executable->partition().prove(store, pool, threads);
-      VDEP_CHECK(proven, "a store differs from its own inspection");
+          *nest_, std::move(fresh), io);
       art_->publish_executable(key, b.executable);
     }
     // kJit runs the leaves through the nest's native row kernel, fetched
@@ -372,10 +373,9 @@ Expected<ExecReport> CompiledLoop::check_impl(const ExecPolicy& policy,
   return try_invoke([&]() -> ExecReport {
     exec::ArrayStore ref(*nest_);
     ref.fill_pattern();
-    // The parallel store is built fresh under the policy's placement (not
-    // copied from ref — a copy would inherit the copying thread's pages)
-    // and refilled with the same deterministic pattern.
-    exec::ArrayStore par(*nest_, policy.placement(), policy.threads());
+    // The parallel store is built fresh and refilled with the same
+    // deterministic pattern.
+    exec::ArrayStore par(*nest_);
     par.fill_pattern();
     exec::run_sequential(*nest_, ref);
     // value() re-raises the typed error so the outer try_invoke recaptures

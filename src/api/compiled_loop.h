@@ -116,13 +116,6 @@ class ExecPolicy {
   /// affinity restored afterwards). VDEP_PIN=0 overrides from outside.
   /// Results are bit-identical either way; only placement changes.
   ExecPolicy& pin_workers(bool v) { pin_workers_ = v; return *this; }
-  /// Page placement of stores this policy's run allocates itself (check()'s
-  /// parallel store, owned batch stores). Caller-provided stores keep
-  /// whatever placement they were built with.
-  ExecPolicy& placement(exec::ArrayStore::Placement p) {
-    placement_ = p;
-    return *this;
-  }
 
   /// 0 = default_worker_count().
   std::size_t threads() const { return threads_; }
@@ -133,7 +126,6 @@ class ExecPolicy {
   bool trace() const { return trace_; }
   bool metrics() const { return metrics_; }
   bool pin_workers() const { return pin_workers_; }
-  exec::ArrayStore::Placement placement() const { return placement_; }
 
  private:
   std::size_t threads_ = 0;
@@ -144,7 +136,6 @@ class ExecPolicy {
   bool trace_ = true;
   bool metrics_ = true;
   bool pin_workers_ = true;
-  exec::ArrayStore::Placement placement_ = exec::ArrayStore::Placement::kSerial;
 };
 
 // -------------------------------------------------------------- artifacts

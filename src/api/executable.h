@@ -46,10 +46,12 @@ class Executable {
   }
 
   /// An inspected entry: `partition`, inspected on `nest` at this key's
-  /// bounds, and its executor.
-  Executable(const loopir::LoopNest& nest, inspect::DynamicPartition partition,
-             const inspect::InspectorExecOptions& opts) {
-    partition_.emplace(std::move(partition));
+  /// bounds, and its executor. The partition stays at its address, so a
+  /// ProvenStore inspect() made for it still names it.
+  Executable(const loopir::LoopNest& nest,
+             std::unique_ptr<const inspect::DynamicPartition> partition,
+             const inspect::InspectorExecOptions& opts)
+      : partition_(std::move(partition)) {
     inspector_.emplace(nest, *partition_, opts);
   }
 
@@ -77,7 +79,7 @@ class Executable {
   }
 
   std::optional<runtime::StreamExecutor> stream_;
-  std::optional<inspect::DynamicPartition> partition_;
+  std::unique_ptr<const inspect::DynamicPartition> partition_;
   std::optional<inspect::InspectorExecutor> inspector_;
   mutable std::mutex mu_;  ///< guards native_, set lazily
   mutable std::shared_ptr<const jit::NativeKernel> native_;

@@ -219,8 +219,18 @@ void CompiledKernel::column_offsets(const Access& a, i64* const* bufs,
   }
 }
 
+void CompiledKernel::Scratch::fit(std::size_t stack_slots,
+                                  std::size_t column_slots) {
+  if (stack.size() < stack_slots) stack.resize(stack_slots);
+  if (slots.size() < column_slots) {
+    columns.resize(column_slots * static_cast<std::size_t>(kColumnChunk));
+    slots.resize(column_slots);
+  }
+}
+
 void CompiledKernel::execute_row(const BufferTable& bufs, const i64* it,
                                  Scratch& scratch) const {
+  scratch.fit(stack_size_, 0);
   i64* const* buf = bufs.data();
   for (const Stmt& s : stmts_) {
     i64* sp = scratch.stack.data();
@@ -278,13 +288,8 @@ void CompiledKernel::execute_column(const BufferTable& bufs, const i64* it0,
   // statement's store before the next statement's reads) must be kept.
   // Stack slots point at chunk-long columns; a binary op writes the spare
   // column and swaps it in, so no operand is overwritten. The last slot's
-  // column starts as the spare; programs never push that deep. A scratch
-  // gets its columns on its first column run.
-  if (scratch.slots.size() != column_slots_) {
-    scratch.columns.assign(
-        column_slots_ * static_cast<std::size_t>(kColumnChunk), 0);
-    scratch.slots.assign(column_slots_, nullptr);
-  }
+  // column starts as the spare; programs never push that deep.
+  scratch.fit(0, column_slots_);
   i64** slot = scratch.slots.data();
   for (std::size_t k = 0; k < column_slots_; ++k)
     slot[k] =
@@ -357,7 +362,7 @@ void CompiledKernel::execute_column(const BufferTable& bufs, const i64* it0,
 
 void CompiledKernel::run_sequential(ArrayStore& store) const {
   const BufferTable bufs = bind(store);
-  Scratch scratch = make_scratch();
+  Scratch scratch;
   nest_.for_each_iteration(
       [&](const Vec& iter) { execute_row(bufs, iter.data(), scratch); });
 }
@@ -371,7 +376,7 @@ void execute_schedule_compiled(const loopir::LoopNest& nest,
   const CompiledKernel kernel(nest);
   const BufferTable bufs = kernel.bind(store);
   pool.parallel_for(static_cast<i64>(sched.items.size()), [&](i64 k) {
-    CompiledKernel::Scratch scratch = kernel.make_scratch();
+    CompiledKernel::Scratch scratch;
     for (const Vec& i : sched.items[static_cast<std::size_t>(k)])
       kernel.execute_iteration(bufs, i, scratch);
   });

@@ -67,17 +67,23 @@ class CompiledKernel {
 
   /// Private mutable state of one executing task — the value stack, and
   /// execute_column's value columns (one kColumnChunk-long buffer per
-  /// stack slot plus a spare, allocated by the first column run) with the
-  /// slot table over them; the kernel and its bindings stay const and
-  /// shareable across threads.
+  /// stack slot plus a spare) with the slot table over them; the kernel
+  /// and its bindings stay const and shareable across threads. A scratch
+  /// serves any kernel: execute_row grows the stack and execute_column the
+  /// columns to what this kernel needs, and neither shrinks, so once a
+  /// scratch has served the largest kernel it runs it allocates nothing.
   struct Scratch {
     std::vector<i64> stack;
     std::vector<i64> columns;
     std::vector<i64*> slots;
+    /// Grows to at least `stack_slots` stack values and `column_slots`
+    /// value columns.
+    void fit(std::size_t stack_slots, std::size_t column_slots);
   };
-  Scratch make_scratch() const {
-    return Scratch{std::vector<i64>(stack_size_, 0), {}, {}};
-  }
+  /// What this kernel uses of a Scratch: stack values, and value columns
+  /// when it runs execute_column.
+  std::size_t stack_slots() const { return stack_size_; }
+  std::size_t column_slots() const { return column_slots_; }
 
   /// Executes all statements over `bufs` (bind()'s) at the iteration whose
   /// coordinates are `row[0..depth)` (no bounds checks on the hot path;

@@ -66,55 +66,51 @@ runtime::DriveSource InspectorExecutor::source(
   // A class range [lo, hi) is the contiguous member slots
   // [offset(lo), offset(hi)), whose rows and resolved offsets lie in slot
   // order: the native body takes them in one call, the compiled body
-  // walks the rows as they lie, the interpreter copies each into its Vec.
+  // walks the rows as they lie, the interpreter copies each into the
+  // context's scratch point.
   const DynamicPartition* part = part_;
-  runtime::LeafFactory factory;
+  runtime::DriveSource src{
+      root(), threads != 0 ? leaf_grain(threads, grain) : grain_, {}, {}, {},
+      {}};
   if (native) {
-    factory = [native, bufs, part](int, runtime::WorkerStats& stats)
-        -> runtime::LeafFn {
-      return [native, bufs, part, ws = &stats](
-                 const runtime::TaskDescriptor& task) {
-        const i64 m_lo = part->offset(task.class_lo);
-        const i64 m_hi = part->offset(task.class_hi);
-        ws->iterations += m_hi - m_lo;
-        if (native->execute_rows(*bufs, part->rows(), part->resolved(),
-                                 part->depth(), m_lo, m_hi) < 0)
-          throw OverflowError("int64 overflow in the native row kernel");
-      };
+    src.leaf = [native, bufs, part](const runtime::TaskDescriptor& task,
+                                    runtime::WorkerStats& stats,
+                                    runtime::LeafScratch&) {
+      const i64 m_lo = part->offset(task.class_lo);
+      const i64 m_hi = part->offset(task.class_hi);
+      stats.iterations += m_hi - m_lo;
+      if (native->execute_rows(*bufs, part->rows(), part->resolved(),
+                               part->depth(), m_lo, m_hi) < 0)
+        throw OverflowError("int64 overflow in the native row kernel");
     };
   } else if (body) {
-    factory = [body, bufs, part](int, runtime::WorkerStats& stats)
-        -> runtime::LeafFn {
-      auto scratch = std::make_shared<exec::CompiledKernel::Scratch>(
-          body->make_scratch());
-      return [body, bufs, scratch, part, ws = &stats](
-                 const runtime::TaskDescriptor& task) {
-        ws->iterations +=
-            part->offset(task.class_hi) - part->offset(task.class_lo);
-        part->for_each_row(task.class_lo, task.class_hi, [&](const i64* row) {
-          body->execute_row(*bufs, row, *scratch);
-        });
-      };
+    src.scratch.stack = body->stack_slots();
+    src.leaf = [body, bufs, part](const runtime::TaskDescriptor& task,
+                                  runtime::WorkerStats& stats,
+                                  runtime::LeafScratch& scratch) {
+      stats.iterations +=
+          part->offset(task.class_hi) - part->offset(task.class_lo);
+      part->for_each_row(task.class_lo, task.class_hi, [&](const i64* row) {
+        body->execute_row(*bufs, row, scratch.kernel);
+      });
     };
   } else {
-    const loopir::LoopNest* nest = &nest_;
-    factory = [nest, st = &store, part](int, runtime::WorkerStats& stats)
-        -> runtime::LeafFn {
-      auto iter =
-          std::make_shared<Vec>(static_cast<std::size_t>(part->depth()));
-      return [nest, st, part, iter, ws = &stats](
-                 const runtime::TaskDescriptor& task) {
-        ws->iterations +=
-            part->offset(task.class_hi) - part->offset(task.class_lo);
-        part->for_each_row(task.class_lo, task.class_hi, [&](const i64* row) {
-          std::copy(row, row + iter->size(), iter->begin());
-          exec::execute_iteration(*nest, *iter, *st);
-        });
-      };
+    src.scratch.depth = part->depth();
+    src.leaf = [nest = &nest_, st = &store, part](
+                   const runtime::TaskDescriptor& task,
+                   runtime::WorkerStats& stats,
+                   runtime::LeafScratch& scratch) {
+      stats.iterations +=
+          part->offset(task.class_hi) - part->offset(task.class_lo);
+      Vec& iter = scratch.point;
+      iter.resize(static_cast<std::size_t>(part->depth()));
+      part->for_each_row(task.class_lo, task.class_hi, [&](const i64* row) {
+        std::copy(row, row + iter.size(), iter.begin());
+        exec::execute_iteration(*nest, iter, *st);
+      });
     };
   }
-  return {root(), threads != 0 ? leaf_grain(threads, grain) : grain_, {},
-          std::move(factory), {}};
+  return src;
 }
 
 namespace {

@@ -23,12 +23,15 @@
 //   * compiled (the default): the exec::CompiledKernel built with the
 //     executor; each source binds it to the store (scanning the index
 //     arrays) and each slot's row, walked as it lies, goes straight to
-//     execute_row.
+//     execute_row over the worker context's value stack.
 //   * the exact interpreter, the reference: only under force_interpreter
-//     (ExecBackend::kInterpreter) or when the proof or the binding refuses.
+//     (ExecBackend::kInterpreter) or when the proof or the binding refuses;
+//     each row is copied into the worker context's scratch point.
 // All three throw OverflowError on int64 overflow of body arithmetic.
-// source() packages them as one DriveSource, like StreamExecutor::source,
-// so a batch drives inspected requests beside affine ones. It takes the
+// source() packages the body as one DriveSource with one leaf function,
+// like StreamExecutor::source, so a batch drives inspected requests beside
+// affine ones; a leaf borrows what it needs from its worker context's
+// runtime::LeafScratch and builds nothing per worker. It takes the
 // store as a ProvenStore, whatever the body: a partition is a schedule
 // for the index contents it was inspected against, and for no other.
 #pragma once

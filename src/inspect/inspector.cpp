@@ -263,29 +263,27 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
     const i64* rows = part.coords_.data();
     i64* out_records = records.data();
     i64* marks = table.data();
-    runtime::LeafFactory factory = [&](int, runtime::WorkerStats& stats)
-        -> runtime::LeafFn {
-      return [&, ws = &stats](const runtime::TaskDescriptor& task) {
-        for (i64 it = task.class_lo; it < task.class_hi; ++it) {
-          const i64* row = rows + it * depth;
-          i64* out = out_records + it * static_cast<i64>(record_width);
-          for (const FlatAccess& fa : flat) {
-            const i64 cell = cell_offset(fa, row, depth);
-            if (fa.col >= 0) out[fa.col] = cell - fa.base;
-            if (!fa.mark) continue;
-            std::atomic_ref<i64> mark(marks[cell]);
-            if (mark.load(std::memory_order_relaxed) == kNeverWritten)
-              mark.store(kNoToucher, std::memory_order_relaxed);
-          }
+    auto leaf = [&](const runtime::TaskDescriptor& task,
+                    runtime::WorkerStats& stats, runtime::LeafScratch&) {
+      for (i64 it = task.class_lo; it < task.class_hi; ++it) {
+        const i64* row = rows + it * depth;
+        i64* out = out_records + it * static_cast<i64>(record_width);
+        for (const FlatAccess& fa : flat) {
+          const i64 cell = cell_offset(fa, row, depth);
+          if (fa.col >= 0) out[fa.col] = cell - fa.base;
+          if (!fa.mark) continue;
+          std::atomic_ref<i64> mark(marks[cell]);
+          if (mark.load(std::memory_order_relaxed) == kNeverWritten)
+            mark.store(kNoToucher, std::memory_order_relaxed);
         }
-        ws->iterations += task.class_extent();
-      };
+      }
+      stats.iterations += task.class_extent();
     };
     runtime::TaskDescriptor ranks;
     ranks.class_hi = n;
     const runtime::DriveSource src{
-        ranks, runtime::pick_grain(std::max<i64>(n, 1), threads), {},
-        std::move(factory), {}};
+        ranks, runtime::pick_grain(std::max<i64>(n, 1), threads), {}, leaf,
+        {}, {}};
     runtime::drive(src, {threads, {false, false, false}}, pool);
   }
 
@@ -404,6 +402,13 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   }
   st.inspect_ns = now_ns() - t0;
   return part;
+}
+
+ProvenStore inspect(const loopir::LoopNest& nest, exec::ArrayStore& store,
+                    DynamicPartition& out, std::size_t threads,
+                    ThreadPool* pool) {
+  out = inspect(nest, store, threads, pool);
+  return ProvenStore(store, out);
 }
 
 }  // namespace vdep::inspect

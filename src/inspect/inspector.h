@@ -101,9 +101,10 @@ class DynamicPartition;
 
 /// A store that a DynamicPartition holds for: made only by
 /// DynamicPartition::prove, so whoever takes one (the executor's source)
-/// knows the compare ran and passed. It is evidence about the store's
-/// contents at that moment: use it at once, before anything can rewrite
-/// an index array.
+/// knows the compare ran and passed, and by the in-place inspect(), whose
+/// partition was just built from the store's own index arrays. It is
+/// evidence about the store's contents at that moment: use it at once,
+/// before anything can rewrite an index array.
 class ProvenStore {
  public:
   exec::ArrayStore& store() const { return *store_; }
@@ -111,6 +112,9 @@ class ProvenStore {
 
  private:
   friend class DynamicPartition;
+  friend ProvenStore inspect(const loopir::LoopNest& nest,
+                             exec::ArrayStore& store, DynamicPartition& out,
+                             std::size_t threads, ThreadPool* pool);
   ProvenStore(exec::ArrayStore& store, const DynamicPartition& part)
       : store_(&store), part_(&part) {}
 
@@ -217,5 +221,13 @@ class DynamicPartition {
 DynamicPartition inspect(const loopir::LoopNest& nest,
                          const exec::ArrayStore& store,
                          std::size_t threads = 1, ThreadPool* pool = nullptr);
+
+/// The same inspection, into `out` where it lies: `store` comes back as
+/// proven for `out`, with no compare, since `out` copied its index arrays
+/// from `store` a moment ago. `out` must stay where it is while the
+/// evidence is used.
+ProvenStore inspect(const loopir::LoopNest& nest, exec::ArrayStore& store,
+                    DynamicPartition& out, std::size_t threads = 1,
+                    ThreadPool* pool = nullptr);
 
 }  // namespace vdep::inspect

@@ -104,6 +104,12 @@ void accumulate(WorkerStats& into, const WorkerStats& b) {
 
 }  // namespace
 
+void LeafScratch::fit(const Size& size) {
+  const auto depth = static_cast<std::size_t>(size.depth);
+  for (intlin::Vec* v : {&point, &orig, &label, &lattice}) v->reserve(depth);
+  kernel.fit(size.stack, size.columns);
+}
+
 namespace detail {
 
 bool effective_pin(bool opt_in, std::size_t threads) {
@@ -199,6 +205,14 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
                             "owner deque size sampled at split");
   }
 
+  // One scratch size for every context: the largest any source uses.
+  LeafScratch::Size scratch_size;
+  for (const DriveSource& src : sources) {
+    scratch_size.depth = std::max(scratch_size.depth, src.scratch.depth);
+    scratch_size.stack = std::max(scratch_size.stack, src.scratch.stack);
+    scratch_size.columns = std::max(scratch_size.columns, src.scratch.columns);
+  }
+
   const i64 t0 = now_ns();
   const int n = static_cast<int>(contexts);
   auto worker_main = [&](int id) {
@@ -223,9 +237,10 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
       return rng;
     };
 
-    // This context's leaf runners, one per source, built on the first
-    // descriptor of that source it runs.
-    std::vector<LeafFn> leaves(ns);
+    // This context's buffers, lent to each leaf it runs, of any source.
+    LeafScratch scratch;
+    scratch.worker = id;
+    scratch.fit(scratch_size);
     WorkerStats& idle_stats = out.workers[static_cast<std::size_t>(id)];
 
     auto process = [&](TaskDescriptor task) {
@@ -266,9 +281,7 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
             }
           }
         }
-        LeafFn& leaf = leaves[s];
-        if (!leaf) leaf = src.leaf_factory(id, stats);
-        leaf(task);
+        src.leaf(task, stats, scratch);
         ++stats.tasks;
         if (metrics) leaf_cells->observe(task.cells());
       } catch (...) {

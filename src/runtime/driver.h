@@ -19,25 +19,49 @@
 // The driver owns *scheduling* only. What a leaf descriptor means (a boxed
 // DOALL prefix x class range to scan, a native-kernel range call, a run of
 // inspector classes, a rank range of inspector pass 1) is the caller's
-// business, encoded in the LeafFactory.
+// business, encoded in the source's leaf function. A leaf keeps no state
+// of its own: it gets the (worker, source) counter block and its worker
+// context's LeafScratch, one set of buffers that serves every source the
+// context runs, so a run builds nothing per (worker, source).
 #pragma once
 
 #include <functional>
 #include <span>
 
+#include "exec/compiled.h"
 #include "runtime/stats.h"
 #include "runtime/task.h"
 #include "support/thread_pool.h"
 
 namespace vdep::runtime {
 
-/// Runs one leaf descriptor. Created per (worker context, source) by a
-/// factory so scan state (or kernel bindings) stay thread-private.
-using LeafFn = std::function<void(const TaskDescriptor&)>;
-/// Builds the LeafFn of one worker context; `stats` is that context's
-/// private counter block for the source (iterations are counted by the
-/// leaf itself).
-using LeafFactory = std::function<LeafFn(int, WorkerStats&)>;
+/// One worker context's reusable leaf buffers, lent in turn to every leaf
+/// the context runs, whatever its source: a scan's cursor (the point being
+/// scanned, its original-coordinate image, the class label and the
+/// partition recurrence's lattice coordinates) and a compiled body's
+/// value stack and columns. Leaves size what they use; nothing shrinks.
+struct LeafScratch {
+  /// What one source's leaves use of a scratch: the cursor's length and
+  /// the compiled body's stack values and value columns.
+  struct Size {
+    int depth = 0;
+    std::size_t stack = 0;
+    std::size_t columns = 0;
+  };
+  /// Grows every buffer to at least `size`.
+  void fit(const Size& size);
+
+  /// The worker context (0 is the caller's).
+  int worker = 0;
+  intlin::Vec point, orig, label, lattice;
+  exec::CompiledKernel::Scratch kernel;
+};
+
+/// Runs one leaf descriptor. `stats` is the running context's counter
+/// block for the leaf's source (iterations are counted by the leaf
+/// itself); `scratch` is that context's.
+using LeafFn =
+    std::function<void(const TaskDescriptor&, WorkerStats&, LeafScratch&)>;
 
 /// One root of a run: the box to cover, how to split it, how to run leaves.
 struct DriveSource {
@@ -47,13 +71,18 @@ struct DriveSource {
   /// Locality weights for the split-axis choice (task.h). All-zero (the
   /// default) keeps the longest-axis policy.
   SplitPrefs prefs;
-  /// Called lazily, the first time a worker context runs one of this
-  /// source's leaves. Must outlive the drive_descriptors call.
-  LeafFactory leaf_factory;
+  /// Runs every leaf of this source, on any worker. Must outlive the
+  /// drive_descriptors call and be safe to call concurrently.
+  LeafFn leaf;
   /// Which axes may split (task.h SplitLimits): the class range unless the
   /// plan's classes write neighbouring cells (StreamExecutor::
   /// splits_classes), a scan's column level only into long columns.
   SplitLimits limits;
+  /// The LeafScratch this source's leaves use. Every context's scratch is
+  /// fitted to the largest over the run's sources before the context
+  /// starts, so a run allocates the same per context whichever leaves
+  /// each one runs.
+  LeafScratch::Size scratch;
 };
 
 /// A run's switches that change neither its schedule nor its results: the
@@ -82,8 +111,8 @@ struct DriveOptions {
 };
 
 /// Splits every source's root recursively down to its grain across
-/// `opts.threads` work-stealing workers and runs every leaf through the
-/// source's LeafFns.
+/// `opts.threads` work-stealing workers and runs every leaf through its
+/// source's leaf function.
 ///
 /// Seeding: the nonempty roots, in source order, are split fattest-first
 /// until there are at least `threads` pieces (or nothing is splittable),

@@ -12,32 +12,23 @@
 
 namespace vdep::runtime {
 
-/// Per-thread execution context: the scan cursor, the map-back buffer and
-/// the iteration body, bundled so the recursive scans touch one object.
-struct StreamExecutor::Worker {
-  int id = 0;
-  WorkerStats* stats = nullptr;
-  /// The nest being scanned (tn_, or tn_ in column order) and the point
-  /// being scanned in its coordinates.
-  const codegen::TransformedNest* order = nullptr;
-  bool identity = true;  ///< order's coordinates are the original ones
-  Vec j;
-  Vec orig;  ///< original iteration (map-back target when not identity)
-  /// The compiled body, the run's binding and a private scratch; or null.
-  const exec::CompiledKernel* kernel = nullptr;
-  std::shared_ptr<const exec::BufferTable> bufs;
-  exec::CompiledKernel::Scratch scratch;
-  const ScanState* scan = nullptr;
-  std::function<void(const Vec&)> body;    ///< runs one original iteration
-  std::function<void(const Vec&)> emit_j;  ///< scan callback over j
-  /// The current leaf's slice of the column level (its box on that level,
-  /// or everything when descriptors do not box it), and the column range
-  /// at the point being scanned, clipped to it.
+/// One leaf's scan, on the leaf's stack over its worker context's
+/// LeafScratch: the nest being scanned (tn_, or tn_ in column order), the
+/// point being scanned in its coordinates and its original image, and the
+/// body each original iteration runs through.
+struct StreamExecutor::Cursor {
+  const ScanBody& body;
+  WorkerStats& stats;
+  LeafScratch& scratch;
+  const codegen::TransformedNest& order;
+  bool identity;  ///< order's coordinates are the original ones
+  Vec& j;
+  Vec& orig;  ///< original iteration (map-back target when not identity)
+  /// The leaf's slice of the column level (its box on that level, or
+  /// everything when descriptors do not box it), and the column range at
+  /// the point being scanned, clipped to it.
   i64 slice_lo = 0, slice_hi = 0;
   i64 column_lo = 0, column_hi = 0;
-  /// The class being scanned's label and the partition recurrence's
-  /// lattice coordinates (capacity reused across leaves).
-  Vec label, lattice;
 };
 
 StreamExecutor::StreamExecutor(const loopir::LoopNest& original,
@@ -255,13 +246,13 @@ TaskDescriptor StreamExecutor::root() const {
   return rt;
 }
 
-const Vec& StreamExecutor::original_point(Worker& w) const {
+const Vec& StreamExecutor::original_point(Cursor& w) const {
   if (w.identity) return w.j;
   // orig = j * M^{-1}, into the preallocated buffer (vec_mat_mul would
   // allocate per iteration). Plain arithmetic: the scanned polytope is a
   // bijective image of the original box, whose coordinates fit i64 by
   // construction.
-  const intlin::Mat& m = w.order->t_inverse;
+  const intlin::Mat& m = w.order.t_inverse;
   for (int c = 0; c < depth_; ++c) {
     i64 acc = 0;
     for (int r = 0; r < depth_; ++r)
@@ -271,50 +262,56 @@ const Vec& StreamExecutor::original_point(Worker& w) const {
   return w.orig;
 }
 
-void StreamExecutor::emit(Worker& w) const {
+void StreamExecutor::run_point(Cursor& w, const Vec& it) const {
+  if (w.body.kernel)
+    w.body.kernel->execute_row(*w.body.bufs, it.data(), w.scratch.kernel);
+  else if (w.body.store)
+    exec::execute_iteration(original_, it, *w.body.store);
+  else
+    (*w.body.sink)(w.scratch.worker, it);
+}
+
+void StreamExecutor::emit(Cursor& w) const {
   if (column_ < 0) {
-    ++w.stats->iterations;
-    const Vec& it = original_point(w);
-    if (w.kernel)
-      w.kernel->execute_row(*w.bufs, it.data(), w.scratch);
-    else
-      w.body(it);
+    ++w.stats.iterations;
+    run_point(w, original_point(w));
     return;
   }
   // Column order: the innermost level is the column level.
-  if (w.scan->column_per_point && !column_range(w)) return;
+  if (scan_->column_per_point && !column_range(w)) return;
   const auto inner = static_cast<std::size_t>(depth_ - 1);
   const i64 len = w.column_hi - w.column_lo + 1;
-  w.stats->iterations += len;
-  if (w.kernel) {
+  w.stats.iterations += len;
+  if (w.body.kernel) {
     // One column: each value one step of row column_ of T^{-1} further in
     // original coordinates.
     w.j[inner] = w.column_lo;
-    w.kernel->execute_column(*w.bufs, original_point(w).data(),
-                             w.scan->column_step.data(), len, w.scratch);
-    w.stats->column_iterations += len;
+    w.body.kernel->execute_column(*w.body.bufs, original_point(w).data(),
+                                  scan_->column_step.data(), len,
+                                  w.scratch.kernel);
+    w.stats.column_iterations += len;
   } else {
     for (i64 v = w.column_lo; v <= w.column_hi; ++v) {
       w.j[inner] = v;
-      w.body(original_point(w));
+      run_point(w, original_point(w));
     }
   }
   w.j[inner] = 0;
 }
 
-bool StreamExecutor::column_range(Worker& w) const {
-  const loopir::Level& l = w.order->nest.level(depth_ - 1);
+bool StreamExecutor::column_range(Cursor& w) const {
+  const loopir::Level& l = w.order.nest.level(depth_ - 1);
   w.column_lo = std::max(l.lower.eval_lower(w.j), w.slice_lo);
   w.column_hi = std::min(l.upper.eval_upper(w.j), w.slice_hi);
   return w.column_lo <= w.column_hi;
 }
 
-void StreamExecutor::scan_tail(int level, Worker& w) const {
+void StreamExecutor::scan_tail(int level, Cursor& w) const {
   if (level == depth_ - (column_ >= 0 ? 1 : 0)) {
     emit(w);
     return;
   }
-  const loopir::Level& l = w.order->nest.level(level);
+  const loopir::Level& l = w.order.nest.level(level);
   i64 lo = l.lower.eval_lower(w.j);
   i64 hi = l.upper.eval_upper(w.j);
   for (i64 v = lo; v <= hi; ++v) {
@@ -325,20 +322,24 @@ void StreamExecutor::scan_tail(int level, Worker& w) const {
 }
 
 void StreamExecutor::scan_prefix(int level, const TaskDescriptor& task,
-                                 Worker& w) const {
+                                 Cursor& w) const {
   // The DOALL levels but the column level keep their order, then come the
   // partition block or sequential tail, and emit() runs the column level
   // innermost.
   const int prefix = std::max(num_doall_ - 1, 0);
   if (level == prefix) {
     // A column range that reads no deeper level holds for the whole block.
-    if (column_ >= 0 && !w.scan->column_per_point && !column_range(w))
+    if (column_ >= 0 && !scan_->column_per_point && !column_range(w))
       return;
     if (part_) {
+      // Two pointers: the callback is stored inline, never on the heap.
+      const std::function<void(const Vec&)> emit_j =
+          [this, &w](const Vec&) { emit(w); };
       for (i64 c = task.class_lo; c < task.class_hi; ++c) {
-        part_->class_label(c, w.label);
-        part_->for_each_class_iteration_from(w.order->nest, prefix, w.label,
-                                             w.j, w.lattice, w.emit_j);
+        part_->class_label(c, w.scratch.label);
+        part_->for_each_class_iteration_from(w.order.nest, prefix,
+                                             w.scratch.label, w.j,
+                                             w.scratch.lattice, emit_j);
       }
     } else {
       for (i64 c = task.class_lo; c < task.class_hi; ++c)
@@ -346,7 +347,7 @@ void StreamExecutor::scan_prefix(int level, const TaskDescriptor& task,
     }
     return;
   }
-  const loopir::Level& l = w.order->nest.level(level);
+  const loopir::Level& l = w.order.nest.level(level);
   i64 lo = l.lower.eval_lower(w.j);
   i64 hi = l.upper.eval_upper(w.j);
   // Boxed dimension: the leaf owns only its slice of the hull. Levels past
@@ -363,17 +364,63 @@ void StreamExecutor::scan_prefix(int level, const TaskDescriptor& task,
   w.j[static_cast<std::size_t>(level)] = 0;
 }
 
-void StreamExecutor::execute_leaf(const TaskDescriptor& task, Worker& w) const {
+void StreamExecutor::execute_leaf(const TaskDescriptor& task,
+                                  WorkerStats& stats, LeafScratch& scratch,
+                                  const ScanBody& body) const {
+  // The scratch may last have served another source's leaf: size the
+  // cursor for this nest (no allocation once the context's scratch fits).
+  scratch.point.assign(static_cast<std::size_t>(depth_), 0);
+  scratch.orig.resize(static_cast<std::size_t>(depth_));
   const bool boxed = column_ >= 0 && column_ < task.ndims;
-  w.slice_lo = boxed ? task.lo[column_] : std::numeric_limits<i64>::min();
-  w.slice_hi = boxed ? task.hi[column_] : std::numeric_limits<i64>::max();
+  Cursor w{body,
+           stats,
+           scratch,
+           scan_->permuted ? *scan_->permuted : tn_,
+           !scan_->permuted && identity_,
+           scratch.point,
+           scratch.orig,
+           boxed ? task.lo[column_] : std::numeric_limits<i64>::min(),
+           boxed ? task.hi[column_] : std::numeric_limits<i64>::max()};
   scan_prefix(0, task, w);
 }
 
 DriveSource StreamExecutor::source(exec::ArrayStore& store,
                                    const exec::RangeKernel* kernel) const {
-  return {root(), grain_, split_prefs_, make_leaf_factory(store, kernel),
-          split_limits(kernel == nullptr)};
+  DriveSource src{root(), grain_, split_prefs_, {},
+                  split_limits(kernel == nullptr), {}};
+  if (kernel) {
+    auto bufs = std::make_shared<const exec::BufferTable>(original_, store);
+    src.leaf = [kernel, bufs](const TaskDescriptor& t, WorkerStats& stats,
+                              LeafScratch&) {
+      exec::IterBox box;
+      box.lo = t.lo;
+      box.hi = t.hi;
+      box.ndims = t.ndims;
+      box.class_lo = t.class_lo;
+      box.class_hi = t.class_hi;
+      stats.iterations += kernel->execute_range(*bufs, box);
+    };
+    return src;
+  }
+  // Scan path: the executor's one compiled body over this run's one
+  // binding (each context's scratch keeps both const), or the interpreter
+  // when the first scan found no body.
+  src.scratch.depth = depth_;
+  if (const exec::CompiledKernel* body = scan().body.get()) {
+    auto bufs = std::make_shared<const exec::BufferTable>(body->bind(store));
+    src.scratch.stack = body->stack_slots();
+    if (column_ >= 0) src.scratch.columns = body->column_slots();
+    src.leaf = [this, body, bufs](const TaskDescriptor& t,
+                                  WorkerStats& stats, LeafScratch& scratch) {
+      execute_leaf(t, stats, scratch, {body, bufs.get(), nullptr, nullptr});
+    };
+  } else {
+    src.leaf = [this, &store](const TaskDescriptor& t, WorkerStats& stats,
+                              LeafScratch& scratch) {
+      execute_leaf(t, stats, scratch, {nullptr, nullptr, &store, nullptr});
+    };
+  }
+  return src;
 }
 
 SplitLimits StreamExecutor::split_limits(bool scan) const {
@@ -383,63 +430,6 @@ SplitLimits StreamExecutor::split_limits(bool scan) const {
   limits.classes = split_classes_;
   if (scan) limits.column_axis = column_;
   return limits;
-}
-
-StreamExecutor::LeafFn StreamExecutor::make_scan_leaf(
-    int id, WorkerStats& stats, std::function<void(const Vec&)> body,
-    std::shared_ptr<const exec::BufferTable> bufs) const {
-  // The Worker outlives the factory call (it is captured by the leaf
-  // closure), so it lives on the heap, one per worker context.
-  const ScanState& s = scan();
-  auto w = std::make_shared<Worker>();
-  w->id = id;
-  w->stats = &stats;
-  w->order = s.permuted ? &*s.permuted : &tn_;
-  w->identity = !s.permuted && identity_;
-  w->j.assign(static_cast<std::size_t>(depth_), 0);
-  w->orig.assign(static_cast<std::size_t>(depth_), 0);
-  w->scan = &s;
-  if (bufs) {
-    w->kernel = s.body.get();
-    w->bufs = std::move(bufs);
-    w->scratch = s.body->make_scratch();
-  }
-  w->body = std::move(body);
-  Worker* wp = w.get();
-  w->emit_j = [this, wp](const Vec&) { emit(*wp); };
-  return [this, w](const TaskDescriptor& task) { execute_leaf(task, *w); };
-}
-
-StreamExecutor::LeafFactory StreamExecutor::make_leaf_factory(
-    exec::ArrayStore& store, const exec::RangeKernel* kernel) const {
-  if (kernel) {
-    auto bufs = std::make_shared<const exec::BufferTable>(original_, store);
-    return [kernel, bufs](int, WorkerStats& stats) -> LeafFn {
-      return [kernel, bufs, &stats](const TaskDescriptor& t) {
-        exec::IterBox box;
-        box.lo = t.lo;
-        box.hi = t.hi;
-        box.ndims = t.ndims;
-        box.class_lo = t.class_lo;
-        box.class_hi = t.class_hi;
-        stats.iterations += kernel->execute_range(*bufs, box);
-      };
-    };
-  }
-  // Scan path: the executor's one compiled body over this run's one
-  // binding (per-worker Scratch keeps both const), or the interpreter
-  // when the first scan found no body.
-  if (const exec::CompiledKernel* body = scan().body.get()) {
-    auto bufs = std::make_shared<const exec::BufferTable>(body->bind(store));
-    return [this, bufs](int id, WorkerStats& stats) -> LeafFn {
-      return make_scan_leaf(id, stats, nullptr, bufs);
-    };
-  }
-  return [this, &store](int id, WorkerStats& stats) -> LeafFn {
-    return make_scan_leaf(id, stats, [this, &store](const Vec& it) {
-      exec::execute_iteration(original_, it, store);
-    });
-  };
 }
 
 RuntimeStats StreamExecutor::run(exec::ArrayStore& store,
@@ -466,13 +456,15 @@ RuntimeStats StreamExecutor::run(exec::ArrayStore& store,
 
 RuntimeStats StreamExecutor::run_trace(
     const std::function<void(int, const Vec&)>& sink) const {
-  LeafFactory factory = [this, &sink](int id, WorkerStats& stats) -> LeafFn {
-    return make_scan_leaf(id, stats,
-                          [&sink, id](const Vec& it) { sink(id, it); });
-  };
-  return drive(
-      {root(), grain_, split_prefs_, std::move(factory), split_limits(true)},
-      {threads_, {}});
+  (void)scan();  // the column order
+  const DriveSource src{
+      root(), grain_, split_prefs_,
+      [this, &sink](const TaskDescriptor& t, WorkerStats& stats,
+                    LeafScratch& scratch) {
+        execute_leaf(t, stats, scratch, {nullptr, nullptr, nullptr, &sink});
+      },
+      split_limits(true), {depth_}};
+  return drive(src, {threads_, {}});
 }
 
 }  // namespace vdep::runtime

@@ -15,7 +15,9 @@
 //
 // Loop bodies run through one exec::CompiledKernel, built on the first
 // scan (a native-kernel executor never builds it) and bound once per run;
-// workers share both beside their own Scratch. Nests the kernel's one-time
+// workers share both. A leaf's scan state is a cursor on its own stack
+// over its worker context's LeafScratch (runtime/driver.h), so a run
+// builds nothing per worker or per leaf. Nests the kernel's one-time
 // range proof rejects fall back to the exact interpreter. A plan with a
 // DOALL level scans in column order: one DOALL level (column_level())
 // moves innermost (one more Fourier-Motzkin rewrite, under T * P), and
@@ -113,11 +115,6 @@ DoallLocality doall_locality(const loopir::LoopNest& nest,
 
 class StreamExecutor {
  public:
-  /// Leaf runner / factory types shared with the descriptor driver
-  /// (runtime/driver.h), which owns the scheduling loop.
-  using LeafFn = runtime::LeafFn;
-  using LeafFactory = runtime::LeafFactory;
-
   /// `plan` must come from trans::plan_transform on `original`'s PDM (or
   /// be otherwise legal for it); legality is not re-checked here.
   StreamExecutor(const loopir::LoopNest& original,
@@ -152,7 +149,7 @@ class StreamExecutor {
 
   /// This plan over `store` as one source of a descriptor-driver run
   /// (runtime/driver.h): root(), grain(), the locality prefs and the leaf
-  /// runner run()/run(kernel) use — so a batch can drive many plans'
+  /// function run()/run(kernel) use — so a batch can drive many plans'
   /// descriptors over one worker set. Binds `store` once (PreconditionError
   /// on a mis-sized buffer) for every worker: with `kernel` null leaves scan
   /// through body() (the interpreter when null), else they go whole to
@@ -186,7 +183,16 @@ class StreamExecutor {
   const exec::CompiledKernel* body() const { return scan().body.get(); }
 
  private:
-  struct Worker;
+  struct Cursor;
+  /// What a scan leaf runs each original iteration through: the compiled
+  /// `kernel` over `bufs` when set, else the interpreter over `store` when
+  /// set, else `sink` (run_trace).
+  struct ScanBody {
+    const exec::CompiledKernel* kernel = nullptr;
+    const exec::BufferTable* bufs = nullptr;
+    exec::ArrayStore* store = nullptr;
+    const std::function<void(int, const Vec&)>* sink = nullptr;
+  };
   /// What only a scan needs, built by its first use (scan()).
   struct ScanState {
     std::once_flag built;
@@ -204,25 +210,23 @@ class StreamExecutor {
     bool column_per_point = false;
   };
   const ScanState& scan() const;
-  LeafFactory make_leaf_factory(exec::ArrayStore& store,
-                                const exec::RangeKernel* kernel) const;
   /// The split limits of a scan-path (`scan`) or native-kernel source.
   SplitLimits split_limits(bool scan) const;
-  /// One scan-path worker context: Worker + recursive descriptor scan,
-  /// through the compiled body over `bufs` when set, else `body`.
-  LeafFn make_scan_leaf(
-      int id, WorkerStats& stats, std::function<void(const Vec&)> body,
-      std::shared_ptr<const exec::BufferTable> bufs = nullptr) const;
   void compute_hull();
-  void execute_leaf(const TaskDescriptor& task, Worker& w) const;
-  void scan_prefix(int level, const TaskDescriptor& task, Worker& w) const;
-  void scan_tail(int level, Worker& w) const;
+  /// One scan-path leaf: a Cursor over `scratch`, scanning through `body`.
+  /// The scan state must be built (scan()).
+  void execute_leaf(const TaskDescriptor& task, WorkerStats& stats,
+                    LeafScratch& scratch, const ScanBody& body) const;
+  void scan_prefix(int level, const TaskDescriptor& task, Cursor& w) const;
+  void scan_tail(int level, Cursor& w) const;
   /// The original iteration of w.j (w.j itself under identity).
-  const Vec& original_point(Worker& w) const;
+  const Vec& original_point(Cursor& w) const;
   /// Sets w's column range at w.j, clipped to the leaf's slice; false when
   /// it is empty.
-  bool column_range(Worker& w) const;
-  void emit(Worker& w) const;
+  bool column_range(Cursor& w) const;
+  void emit(Cursor& w) const;
+  /// Runs original iteration `it` through w's body.
+  void run_point(Cursor& w, const Vec& it) const;
 
   loopir::LoopNest original_;
   codegen::TransformedNest tn_;

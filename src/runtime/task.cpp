@@ -37,53 +37,6 @@ std::string TaskDescriptor::to_string() const {
   return os.str();
 }
 
-std::optional<TaskDescriptor> TaskDescriptor::from_string(
-    const std::string& s) {
-  // Mirror of to_string: "task{box [l, h] x [l, h], classes [l, h)}" with
-  // "box -" for dimension-free descriptors and an optional ", source n".
-  TaskDescriptor t;
-  std::istringstream is(s);
-  auto expect = [&](const std::string& word) {
-    std::string got;
-    is >> got;
-    return got == word;
-  };
-  auto read_i64 = [&](i64& out, char terminator) {
-    if (!(is >> out)) return false;
-    char c = 0;
-    return is.get(c) && c == terminator;
-  };
-  if (!expect("task{box")) return std::nullopt;
-  for (;;) {
-    is >> std::ws;
-    if (is.peek() == '-') {
-      is.get();
-      break;
-    }
-    if (is.peek() != '[') break;
-    if (t.ndims == kMaxDims) return std::nullopt;
-    is.get();
-    if (!read_i64(t.lo[t.ndims], ',')) return std::nullopt;
-    if (!read_i64(t.hi[t.ndims], ']')) return std::nullopt;
-    ++t.ndims;
-    is >> std::ws;
-    if (is.peek() == 'x') is.get();
-  }
-  is >> std::ws;
-  if (is.get() != ',' || !expect("classes")) return std::nullopt;
-  is >> std::ws;
-  if (is.get() != '[') return std::nullopt;
-  if (!read_i64(t.class_lo, ',')) return std::nullopt;
-  if (!read_i64(t.class_hi, ')')) return std::nullopt;
-  is >> std::ws;
-  if (is.peek() == ',') {
-    is.get();
-    if (!expect("source") || !(is >> t.source)) return std::nullopt;
-    is >> std::ws;
-  }
-  return is.get() == '}' ? std::optional<TaskDescriptor>(t) : std::nullopt;
-}
-
 int pick_split_axis(const TaskDescriptor& t, i64 grain,
                     const SplitPrefs* prefs, const SplitLimits& limits) {
   if (t.cells() <= std::max<i64>(grain, 1)) return -1;

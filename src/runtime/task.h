@@ -21,7 +21,6 @@
 // whose inner DOALL extents are large.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "support/checked.h"
@@ -63,8 +62,6 @@ struct TaskDescriptor {
   bool operator==(const TaskDescriptor& o) const = default;
 
   std::string to_string() const;
-  /// Parses the to_string rendering back; nullopt on malformed input.
-  static std::optional<TaskDescriptor> from_string(const std::string& s);
 };
 
 /// Locality weights steering which axis splits first. stride[d] is the

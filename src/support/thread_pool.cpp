@@ -124,9 +124,4 @@ void ThreadPool::parallel_for(std::int64_t num_chunks,
   if (error) std::rethrow_exception(error);
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool(default_worker_count());
-  return pool;
-}
-
 }  // namespace vdep

@@ -40,10 +40,6 @@ class ThreadPool {
   void parallel_for(std::int64_t num_chunks,
                     const std::function<void(std::int64_t)>& body);
 
-  /// Process-wide pool of default_worker_count() threads; created on first
-  /// use and reused for every DOALL afterwards (CP.41).
-  static ThreadPool& global();
-
  private:
   void worker_loop();
 

@@ -3,13 +3,15 @@
 // it runs. This binary replaces the global operator new with a counting
 // one and compares one warm threads(1) request at two bounds whose leaf
 // counts differ, so a per-leaf, per-column or per-point allocation shows
-// as a difference — no timer involved.
+// as a difference — no timer involved. A warm batch on spawned workers
+// makes a fixed number too, whichever worker ran which request.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "api/vdep.h"
 #include "core/suite.h"
@@ -141,9 +143,8 @@ TEST(Allocations, ReusedInspectedRequestIsFlatInIndexLength) {
   // same allocations. kJit runs the native row kernel where a toolchain
   // exists, compiled leaves otherwise. One worker keeps the count exact:
   // at several workers on a pool it moves by a few allocations run to run
-  // (a worker context builds its leaf at its first leaf, so how many do
-  // depends on steals, and the pool's task deque allocates a block every
-  // sixteen pushes); the sliced proof's hand-off is held below instead.
+  // (the pool's task deque allocates a block every sixteen pushes); the
+  // sliced proof's hand-off is held below instead.
   for (ExecBackend backend : {ExecBackend::kCompiled, ExecBackend::kJit})
     EXPECT_EQ(reused_request_allocations(i64{1} << 16, backend),
               reused_request_allocations(i64{1} << 17, backend))
@@ -168,6 +169,67 @@ TEST(Allocations, SlicedProofIsFlatInIndexLength) {
   const long short_image = count(i64{1} << 10);
   EXPECT_GT(short_image, 0) << "the proof ran serially, with no hand-off";
   EXPECT_EQ(short_image, count(i64{1} << 17));
+}
+
+/// `count` kCompiled requests over the paper suite, kernel r % 11 at bound
+/// 10 + r / 11, each with a pattern-filled store of its own.
+struct SuiteBatch {
+  std::vector<CompiledLoop> loops;
+  std::vector<exec::ArrayStore> init;
+};
+
+SuiteBatch suite_batch(const Compiler& compiler, int count) {
+  SuiteBatch b;
+  for (int r = 0; r < count; ++r) {
+    const std::vector<core::NamedNest> suite = core::paper_suite(10 + r / 11);
+    const loopir::LoopNest& nest =
+        suite[static_cast<std::size_t>(r) % suite.size()].nest;
+    b.loops.push_back(compiler.compile(nest).value());
+    b.init.emplace_back(nest).fill_pattern();
+  }
+  return b;
+}
+
+/// Heap allocations of `runs` consecutive warm execute_batch calls of `b`
+/// on `threads` spawned workers (no pool), digest off, every thread
+/// counted, after two untimed batches built every executor and its scan
+/// state.
+std::vector<long> batch_allocations(const SuiteBatch& b, std::size_t threads,
+                                    int runs) {
+  ExecPolicy policy;
+  policy.threads(threads).digest(false);
+  std::vector<long> counts;
+  for (int k = 0; k < runs + 2; ++k) {
+    std::vector<exec::ArrayStore> stores = b.init;
+    std::vector<BatchRequest> reqs;
+    for (std::size_t r = 0; r < stores.size(); ++r)
+      reqs.push_back({b.loops[r], &stores[r]});
+    const long before = g_allocations.load();
+    const std::vector<ExecReport> reports = execute_batch(reqs, policy).value();
+    const long count = g_allocations.load() - before;
+    EXPECT_EQ(reports.front().workers_used, static_cast<i64>(threads));
+    if (k >= 2) counts.push_back(count);
+  }
+  return counts;
+}
+
+TEST(Allocations, BatchWorkersCostTheSameWhateverSourcesTheyRun) {
+  // Steals decide which worker context runs which request, and they
+  // differ run to run; the allocation count must not follow them. And a
+  // worker's cost must not depend on how many sources it ran: adding
+  // three workers costs a batch of 16 what it costs a batch of 8.
+  Compiler compiler;
+  const SuiteBatch eight = suite_batch(compiler, 8);
+  const SuiteBatch sixteen = suite_batch(compiler, 16);
+  const std::vector<long> at4 = batch_allocations(sixteen, 4, 10);
+  for (std::size_t k = 1; k < at4.size(); ++k)
+    EXPECT_EQ(at4[k], at4[0]) << "run " << k;
+  const long per_workers_8 = batch_allocations(eight, 4, 1)[0] -
+                             batch_allocations(eight, 1, 1)[0];
+  const long per_workers_16 =
+      at4[0] - batch_allocations(sixteen, 1, 1)[0];
+  EXPECT_GT(per_workers_8, 0);
+  EXPECT_EQ(per_workers_8, per_workers_16);
 }
 
 }  // namespace

@@ -357,8 +357,8 @@ TEST(Compiled, ExecuteRowMatchesExecuteIteration) {
     const CompiledKernel kernel(c.nest);
     const BufferTable vec_bufs = kernel.bind(by_vec);
     const BufferTable row_bufs = kernel.bind(by_row);
-    CompiledKernel::Scratch vec_scratch = kernel.make_scratch();
-    CompiledKernel::Scratch row_scratch = kernel.make_scratch();
+    CompiledKernel::Scratch vec_scratch;
+    CompiledKernel::Scratch row_scratch;
     i64 rank = 0, vec_fail = -1, row_fail = -1;
     c.nest.for_each_iteration([&](const Vec& it) {
       if (vec_fail < 0) {
@@ -384,6 +384,57 @@ TEST(Compiled, ExecuteRowMatchesExecuteIteration) {
   EXPECT_EQ(overflowed, 1);  // uniform_wavefront(60) leaves int64
 }
 
+TEST(Compiled, OneScratchServesEveryKernel) {
+  // One scratch runs every suite kernel in turn, then a kernel whose
+  // right-nested sum needs a deeper value stack than the default, by rows
+  // and as one column. Each store matches the sequential reference, and
+  // once the scratch has grown to the largest, a second pass moves none
+  // of its buffers.
+  LoopNestBuilder b;
+  b.loop("i", 0, 99);
+  b.array("A", {{0, 99}});
+  b.array("B", {{0, 99}});
+  loopir::ExprPtr deep = b.read("B", {b.idx(0)});
+  for (int k = 0; k < 24; ++k) deep = Expr::add(Expr::constant(k), deep);
+  b.assign(b.ref("A", {b.idx(0)}), deep);
+  const LoopNest deep_nest = b.build();
+  std::vector<core::NamedNest> nests = core::paper_suite(6);
+  nests.push_back({"deep_sum", "", deep_nest});
+
+  CompiledKernel::Scratch shared;
+  const i64* stack = nullptr;
+  const i64* columns = nullptr;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const core::NamedNest& nn : nests) {
+      ArrayStore ref(nn.nest), got(nn.nest);
+      ref.fill_pattern();
+      got.fill_pattern();
+      run_sequential(nn.nest, ref);
+      const CompiledKernel kernel(nn.nest);
+      const BufferTable bufs = kernel.bind(got);
+      nn.nest.for_each_iteration(
+          [&](const Vec& it) { kernel.execute_row(bufs, it.data(), shared); });
+      EXPECT_EQ(got, ref) << nn.name;
+    }
+    ArrayStore ref(deep_nest), got(deep_nest);
+    ref.fill_pattern();
+    got.fill_pattern();
+    run_sequential(deep_nest, ref);
+    const CompiledKernel kernel(deep_nest);
+    EXPECT_GT(kernel.stack_slots(),
+              CompiledKernel(core::example41(6)).stack_slots());
+    kernel.execute_column(kernel.bind(got), Vec{0}.data(), Vec{1}.data(), 100,
+                          shared);
+    EXPECT_EQ(got, ref);
+    if (pass == 0) {
+      stack = shared.stack.data();
+      columns = shared.columns.data();
+    }
+  }
+  EXPECT_EQ(shared.stack.data(), stack);
+  EXPECT_EQ(shared.columns.data(), columns);
+}
+
 // ---------------------------------------------------------- column runs
 
 /// Runs `nest`'s kernel over the column it0 + e * step (e < n) both ways
@@ -396,8 +447,8 @@ void expect_column_matches_rows(const LoopNest& nest, const ArrayStore& init,
   const CompiledKernel kernel(nest);
   const BufferTable column_bufs = kernel.bind(by_column);
   const BufferTable row_bufs = kernel.bind(by_row);
-  CompiledKernel::Scratch cs = kernel.make_scratch();
-  CompiledKernel::Scratch rs = kernel.make_scratch();
+  CompiledKernel::Scratch cs;
+  CompiledKernel::Scratch rs;
   kernel.execute_column(column_bufs, it0.data(), step.data(), n, cs);
   Vec it = it0;
   for (i64 e = 0; e < n; ++e) {
@@ -504,7 +555,7 @@ TEST(Compiled, ColumnOverflowNamesTheFirstOverflowingElement) {
     ArrayStore s = init;
     const CompiledKernel k(nest);
     const BufferTable bufs = k.bind(s);
-    CompiledKernel::Scratch scratch = k.make_scratch();
+    CompiledKernel::Scratch scratch;
     try {
       for (i64 i = 0; i < n; ++i) k.execute_row(bufs, Vec{i}.data(), scratch);
     } catch (const OverflowError& e) {
@@ -519,7 +570,7 @@ TEST(Compiled, ColumnOverflowNamesTheFirstOverflowingElement) {
   ArrayStore s = init;
   const CompiledKernel k(nest);
   const BufferTable bufs = k.bind(s);
-  CompiledKernel::Scratch scratch = k.make_scratch();
+  CompiledKernel::Scratch scratch;
   const Vec it0{0}, step{1};
   std::string column_message;
   try {

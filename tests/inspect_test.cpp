@@ -266,6 +266,26 @@ TEST(Inspector, NativeLeavesRunOnlyOnTheInspectedStore) {
   }
 }
 
+TEST(Inspector, InPlaceInspectionProvesItsOwnStore) {
+  // The in-place inspect() builds the partition the by-value one does and
+  // hands back the inspected store as proven for that partition where it
+  // lies, so an executor takes it with no compare.
+  for (const IndirectInput& in : indirect_inputs()) {
+    exec::ArrayStore ref = initial_store(in);
+    const inspect::DynamicPartition want = inspect::inspect(in.nest, ref);
+    exec::run_sequential(in.nest, ref);
+    exec::ArrayStore got = initial_store(in);
+    inspect::DynamicPartition part;
+    const inspect::ProvenStore proven = inspect::inspect(in.nest, got, part, 2);
+    EXPECT_EQ(&proven.partition(), &part) << in.name;
+    EXPECT_EQ(&proven.store(), &got) << in.name;
+    expect_same_partition(want, part, in.name);
+    const inspect::InspectorExecutor ex(in.nest, part);
+    (void)runtime::drive(ex.source(proven), {2, {}});
+    EXPECT_TRUE(got == ref) << in.name;
+  }
+}
+
 TEST(Inspector, ProofComparesIndexContentsAndArraySizes) {
   // prove() accepts exactly the stores whose index arrays equal the
   // inspected ones byte for byte and whose arrays all have the inspected

@@ -277,26 +277,20 @@ TEST(TaskSplit, SourceCanKeepTheClassRangeWhole) {
   EXPECT_EQ(t.extent(0), 1);
 }
 
-TEST(TaskDescriptorIo, ToStringRoundTripsAThreeAxisBox) {
+TEST(TaskDescriptorIo, ToStringRendersBoxClassesAndSource) {
   TaskDescriptor t = box({{-4, 17}, {0, 511}, {2, 2}}, 1, 5);
-  std::optional<TaskDescriptor> back = TaskDescriptor::from_string(t.to_string());
-  ASSERT_TRUE(back.has_value()) << t.to_string();
-  EXPECT_EQ(*back, t);
+  EXPECT_EQ(t.to_string(),
+            "task{box [-4, 17] x [0, 511] x [2, 2], classes [1, 5)}");
 
-  // Source tags survive, and dimension-free descriptors round-trip too.
+  // A source tag shows; a dimension-free descriptor renders its box as -.
   t.source = 42;
-  back = TaskDescriptor::from_string(t.to_string());
-  ASSERT_TRUE(back.has_value()) << t.to_string();
-  EXPECT_EQ(*back, t);
+  EXPECT_EQ(t.to_string(),
+            "task{box [-4, 17] x [0, 511] x [2, 2], classes [1, 5), "
+            "source 42}");
 
   TaskDescriptor classes_only;
   classes_only.class_hi = 6;
-  back = TaskDescriptor::from_string(classes_only.to_string());
-  ASSERT_TRUE(back.has_value()) << classes_only.to_string();
-  EXPECT_EQ(*back, classes_only);
-
-  EXPECT_FALSE(TaskDescriptor::from_string("task{box [1, 2}").has_value());
-  EXPECT_FALSE(TaskDescriptor::from_string("nonsense").has_value());
+  EXPECT_EQ(classes_only.to_string(), "task{box -, classes [0, 6)}");
 }
 
 // ------------------------------------------------- streaming == reference
@@ -830,14 +824,13 @@ struct Probe {
 DriveSource probe_source(Probe& probe, bool throws = false) {
   DriveSource src;
   src.root = box({}, 0, 1);
-  src.leaf_factory = [&probe, throws](int, WorkerStats& stats) -> LeafFn {
-    return [&probe, &stats, throws](const TaskDescriptor&) {
-      probe.thread = std::this_thread::get_id();
-      probe.mask = topo::CpuSet::current().cpus();
-      ++probe.leaves;
-      ++stats.iterations;
-      if (throws) throw Error("leaf failed");
-    };
+  src.leaf = [&probe, throws](const TaskDescriptor&, WorkerStats& stats,
+                              LeafScratch&) {
+    probe.thread = std::this_thread::get_id();
+    probe.mask = topo::CpuSet::current().cpus();
+    ++probe.leaves;
+    ++stats.iterations;
+    if (throws) throw Error("leaf failed");
   };
   return src;
 }
