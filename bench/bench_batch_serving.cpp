@@ -12,7 +12,10 @@
 // Output is one JSON object per line (scraped into BENCH_runtime.json):
 //   {"bench":"batch_serving","scenario":...,"mode":"baseline|batch",
 //    "requests":...,"threads":...,"n":...,"seconds":...,"requests_per_sec":...}
-// plus a comparison line per scenario and a final ALL line.
+// plus a comparison line per scenario, an `outside_run` line per scenario
+// and worker count (1 and hw_threads()): the median of execute_batch's
+// wall time minus the run's own, the time a batch spends outside its run,
+// and a final ALL line.
 //
 // `--gate` exits non-zero unless the 64-request same-structure serving
 // scenario (small requests, kJit backend, report digest off — the
@@ -35,6 +38,7 @@
 
 using namespace vdep;
 using bench::hw_threads;
+using bench::median;
 using intlin::i64;
 
 namespace {
@@ -86,6 +90,44 @@ Measure repeat(i64 per_rep, double min_seconds, int max_reps, Body&& body) {
     m.requests += per_rep;
   }
   return m;
+}
+
+/// The batch time outside the run: execute_batch's wall time minus the
+/// run's own makespan (the batch's latest ExecReport::wall_ns, run start
+/// to last retirement), so binding, seeding, the hand-off to the workers,
+/// their release and the reports. `batch(policy)` runs one batch and
+/// returns its reports; `reset()` runs off the clock before each. Prints
+/// the median over 31 batches at 1 and at `threads` workers, interleaved.
+template <typename Reset, typename Batch>
+void emit_outside_run(const char* scenario, const ExecPolicy& policy,
+                      std::size_t threads, Reset&& reset, Batch&& batch) {
+  constexpr int kReps = 31;
+  std::vector<std::size_t> counts = {1};
+  if (threads > 1) counts.push_back(threads);
+  std::vector<std::vector<double>> outside(counts.size());
+  std::vector<std::vector<double>> wall(counts.size());
+  for (int rep = 0; rep <= kReps; ++rep) {
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+      ExecPolicy p = policy;
+      p.threads(counts[c]);
+      reset();
+      const auto t0 = Clock::now();
+      Expected<std::vector<ExecReport>> r = batch(p);
+      const double ms = seconds_since(t0) * 1e3;
+      if (!r || rep == 0) continue;  // rep 0 warms each worker count
+      i64 run_ns = 0;
+      for (const ExecReport& req : *r) run_ns = std::max(run_ns, req.wall_ns);
+      outside[c].push_back(ms - static_cast<double>(run_ns) * 1e-6);
+      wall[c].push_back(ms);
+    }
+  }
+  for (std::size_t c = 0; c < counts.size(); ++c)
+    std::printf(
+        "{\"bench\":\"batch_serving\",\"scenario\":\"%s\","
+        "\"mode\":\"outside_run\",\"threads\":%zu,\"hw_threads\":%zu,"
+        "\"reps\":%zu,\"batch_ms_p50\":%.4f,\"outside_run_ms_p50\":%.4f}\n",
+        scenario, counts[c], hw_threads(), outside[c].size(),
+        median(wall[c]), median(outside[c]));
 }
 
 }  // namespace
@@ -148,6 +190,12 @@ int main(int argc, char** argv) {
 
     emit("same_structure_64", "baseline", threads, n, baseline);
     emit("same_structure_64", "batch", threads, n, batch);
+    std::vector<exec::ArrayStore*> ptrs;
+    for (auto& s : stores) ptrs.push_back(&s);
+    emit_outside_run("same_structure_64", policy, threads, reset,
+                     [&](const ExecPolicy& p) {
+                       return loop.execute_batch(ptrs, p, pool);
+                     });
     bool identical = baseline.ok && batch.ok &&
                      baseline.checksums == batch.checksums;
     double speedup =
@@ -217,6 +265,10 @@ int main(int argc, char** argv) {
 
     emit("same_structure_64_jit", "baseline", threads, gn, baseline);
     emit("same_structure_64_jit", "batch", threads, gn, batch);
+    emit_outside_run("same_structure_64_jit", gp, threads, reset,
+                     [&](const ExecPolicy& p) {
+                       return loop.execute_batch(ptrs, p, pool);
+                     });
     double speedup =
         baseline.rps() > 0 ? batch.rps() / baseline.rps() : 0.0;
     std::printf(
@@ -262,6 +314,10 @@ int main(int argc, char** argv) {
 
     emit("mixed_bounds_64", "baseline", threads, 16, baseline);
     emit("mixed_bounds_64", "batch", threads, 16, batch);
+    emit_outside_run("mixed_bounds_64", policy, threads, [] {},
+                     [&](const ExecPolicy& p) {
+                       return loop.execute_batch(bounds, p, pool);
+                     });
     std::printf(
         "{\"bench\":\"batch_serving\",\"scenario\":\"mixed_bounds_64\","
         "\"mode\":\"comparison\",\"requests\":%d,\"threads\":%zu,"
@@ -330,6 +386,13 @@ int main(int argc, char** argv) {
 
     emit("mixed_structures", "baseline", threads, 24, baseline);
     emit("mixed_structures", "batch", threads, 24, batch);
+    std::vector<BatchRequest> all;
+    for (const CompiledLoop& h : *loops)
+      all.push_back(BatchRequest{h, nullptr});
+    emit_outside_run("mixed_structures", policy, threads, [] {},
+                     [&](const ExecPolicy& p) {
+                       return vdep::execute_batch(all, p, pool);
+                     });
     std::printf(
         "{\"bench\":\"batch_serving\",\"scenario\":\"mixed_structures\","
         "\"mode\":\"comparison\",\"requests\":%lld,\"threads\":%zu,"
@@ -392,10 +455,6 @@ int main(int argc, char** argv) {
                        static_cast<double>(rep_or->iterations));
       }
     }
-    auto median = [](std::vector<double> v) {
-      std::sort(v.begin(), v.end());
-      return v.empty() ? 0.0 : v[v.size() / 2];
-    };
     for (Row& r : rows) {
       const double med = median(r.ns);
       std::vector<double> dev;

@@ -119,6 +119,307 @@ bool effective_pin(bool opt_in, std::size_t threads) {
 
 }  // namespace detail
 
+namespace {
+
+/// Sweeps an idle context yields between before it waits for a push.
+constexpr int kYieldSweeps = 16;
+
+/// One worker context's own state: its deque, whom it robs first, where it
+/// pins, its leaf buffers and its idle bookkeeping. Padded so adjacent
+/// contexts never share a line. The idle counters are atomics because the
+/// caller closes a context's open idle episode at the run's end while the
+/// context may still be on its way out.
+struct alignas(64) Context {
+  WorkStealingDeque deque;
+  /// Victim probe order, nearest ring first (topo::Topology::steal_rings).
+  std::vector<std::vector<int>> rings;
+  int cpu = -1;
+  LeafScratch scratch;
+  std::atomic<i64> idle_since{0};  ///< open idle episode's start, 0 if none
+  std::atomic<i64> idle_ns{0};
+  std::atomic<i64> failed_steals{0};
+};
+
+/// Everything a run's contexts touch, owned together by the caller and
+/// every helper it queued (ThreadPool::Job), so a helper may start or
+/// leave after drive_descriptors returned. The caller's sources are
+/// touched only while a context holds a live descriptor of theirs, and a
+/// run ends when no source is live, so nothing of the caller's is touched
+/// after the end. Every write the caller aggregates happens before the
+/// retirement of the descriptor it belongs to.
+struct Run final : ThreadPool::Job {
+  Run(std::span<const DriveSource> srcs, std::vector<WorkerStats> seeded,
+      int n)
+      : sources(srcs),
+        ns(srcs.size()),
+        contexts(n),
+        ctx(new Context[static_cast<std::size_t>(n)]),
+        blocks(std::move(seeded)),
+        pending(srcs.size()),
+        done_ns(srcs.size(), 0),
+        first_start(srcs.size()) {}
+
+  WorkerStats& block(int id, i64 s) {
+    return blocks[static_cast<std::size_t>(id) * ns +
+                  static_cast<std::size_t>(s)];
+  }
+
+  /// One helper, a pool call or a spawned thread: claims the next
+  /// unclaimed context and works it, or returns at once when the run
+  /// already ended or every context is taken.
+  void help() noexcept override {
+    if (live_sources.load(std::memory_order_acquire) == 0) return;
+    const int id = next_id.fetch_add(1, std::memory_order_relaxed);
+    if (id < contexts) work(id);
+  }
+
+  void work(int id);
+  void process(int id, const TaskDescriptor& task);
+  void execute(int id, TaskDescriptor task);
+  void retire(std::size_t s);
+  void wait_for_work(int id);
+  void wake_waiters();
+
+  std::span<const DriveSource> sources;
+  const std::size_t ns;
+  const int contexts;
+  std::unique_ptr<Context[]> ctx;
+  /// Per (worker, source) counters: single writer each, aggregated by the
+  /// caller after the run ended. Idle time and failed sweeps belong to no
+  /// source and live in the contexts.
+  std::vector<WorkerStats> blocks;
+  /// Live descriptors (queued or executing) per source, plus the count of
+  /// unfinished sources; a context retires only descriptors it holds, so a
+  /// source's count hitting zero is exactly "every descriptor of it
+  /// retired", and no source live is the run's end.
+  std::vector<Pending> pending;
+  std::atomic<i64> live_sources{0};
+  /// Completion (last descriptor retired) and queue latency (first
+  /// descriptor started) per source, relative to the run start.
+  std::vector<i64> done_ns;
+  std::vector<std::atomic<i64>> first_start;
+  std::atomic<int> next_id{1};  ///< the next context a helper claims
+
+  /// Idle contexts wait on `signal` after raising `asleep`; the first push
+  /// (or the run's end) that sees `asleep` raised lowers it and bumps
+  /// `signal`, waking every waiter with one notify.
+  std::atomic<int> signal{0};
+  std::atomic<bool> asleep{false};
+
+  /// Set by the first leaf error: queued descriptors then retire without
+  /// running, so the run still ends exactly when no source is live.
+  std::atomic<bool> abort{false};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  i64 first_error_source = -1;
+
+  i64 t0 = 0;
+  bool pin = false;
+  bool tracing = false;
+  bool metrics = false;
+  obs::Histogram* steal_lat = nullptr;
+  obs::Histogram* leaf_cells = nullptr;
+  obs::Histogram* qdepth = nullptr;
+};
+
+void Run::work(int id) {
+  Context& me = ctx[static_cast<std::size_t>(id)];
+  // Pin for the context's duration; the guard restores the thread's
+  // previous mask (worker 0 is the caller, pool threads are long-lived).
+  std::optional<topo::AffinityGuard> pin_guard;
+  if (pin) pin_guard.emplace(me.cpu);
+  // The sweep randomizes its start within each ring (cheap xorshift,
+  // seeded per context) so same-distance victims share the load.
+  std::uint64_t rng =
+      0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(id) + 1);
+  auto next_rand = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+
+  // One idle episode spans from the first failed pop to the steal that
+  // ends it, or to the run's end, where the caller closes it; a context's
+  // own deque cannot refill while it is idle (only its own process()
+  // pushes), so episodes close exactly there.
+  int idle_sweeps = 0;
+  for (;;) {
+    TaskDescriptor task;
+    if (me.deque.pop(task)) {
+      process(id, task);
+      idle_sweeps = 0;
+      continue;
+    }
+    if (me.idle_since.load(std::memory_order_relaxed) == 0)
+      me.idle_since.store(now_ns(), std::memory_order_relaxed);
+    if (live_sources.load(std::memory_order_acquire) == 0) return;
+    // Distance-ordered sweep: co-resident workers first (their deque is
+    // in this cpu's cache), then SMT siblings, same-node cores, and only
+    // then remote nodes; within a ring the start rotates randomly.
+    bool stolen = false;
+    int victim_id = -1;
+    int victim_distance = 0;
+    for (int d = 0; d < topo::Topology::kNumDistances && !stolen; ++d) {
+      const std::vector<int>& ring = me.rings[static_cast<std::size_t>(d)];
+      if (ring.empty()) continue;
+      const std::size_t start = next_rand() % ring.size();
+      for (std::size_t k = 0; k < ring.size() && !stolen; ++k) {
+        const int victim = ring[(start + k) % ring.size()];
+        if (ctx[static_cast<std::size_t>(victim)].deque.steal(task)) {
+          // Counted on the stolen descriptor's source block, so the
+          // per-request traffic mix stays visible.
+          WorkerStats& st = block(id, task.source);
+          ++st.steals;
+          ++st.steals_by_distance[d];
+          victim_id = victim;
+          victim_distance = d;
+          stolen = true;
+        }
+      }
+    }
+    if (!stolen) {
+      if (contexts > 1)
+        me.failed_steals.store(
+            me.failed_steals.load(std::memory_order_relaxed) + 1,
+            std::memory_order_relaxed);
+      if (++idle_sweeps < kYieldSweeps)
+        std::this_thread::yield();
+      else
+        wait_for_work(id);  // nothing stealable for a while
+      continue;
+    }
+    // The episode ends in a steal, before the stolen descriptor retires.
+    const i64 since = me.idle_since.load(std::memory_order_relaxed);
+    const i64 t1 = now_ns();
+    me.idle_ns.store(me.idle_ns.load(std::memory_order_relaxed) + t1 - since,
+                     std::memory_order_relaxed);
+    me.idle_since.store(0, std::memory_order_relaxed);
+    if (metrics) steal_lat->observe(t1 - since);
+    if (tracing) {
+      obs::TraceEvent ev;
+      ev.start_ns = since;
+      ev.dur_ns = t1 - since;
+      ev.kind = obs::EventKind::kSteal;
+      ev.worker = id;
+      ev.args[0] = victim_id;
+      ev.args[1] = task.source;
+      ev.args[2] = victim_distance;
+      obs::TraceRecorder::record(ev);
+    }
+    process(id, task);
+    idle_sweeps = 0;
+  }
+}
+
+void Run::process(int id, const TaskDescriptor& task) {
+  // An aborted run drains: the descriptor retires without running.
+  if (!abort.load(std::memory_order_acquire)) execute(id, task);
+  retire(static_cast<std::size_t>(task.source));
+}
+
+void Run::execute(int id, TaskDescriptor task) {
+  const std::size_t s = static_cast<std::size_t>(task.source);
+  const DriveSource& src = sources[s];
+  WorkerStats& stats = block(id, task.source);
+  Context& me = ctx[static_cast<std::size_t>(id)];
+  const i64 t_start = now_ns();
+  if (first_start[s].load(std::memory_order_relaxed) == 0) {
+    i64 expect = 0;
+    first_start[s].compare_exchange_strong(
+        expect, std::max<i64>(1, t_start - t0), std::memory_order_relaxed);
+  }
+  try {
+    // Split depth-first: push the large high halves (stolen first), keep
+    // refining the low half until it is a leaf, run it.
+    while (can_split(task, src.grain, src.limits)) {
+      int axis = 0;
+      TaskDescriptor high =
+          split(task, src.grain, &axis, &src.prefs, src.limits);
+      pending[s].count.fetch_add(1, std::memory_order_relaxed);
+      me.deque.push(high);
+      wake_waiters();
+      ++stats.splits;
+      ++stats.axis_splits[axis];
+      if (tracing || metrics) {
+        const i64 depth = me.deque.size_estimate();
+        if (metrics) qdepth->observe(depth);
+        if (tracing) {
+          obs::TraceEvent ev;
+          ev.start_ns = obs::now_ns();
+          ev.kind = obs::EventKind::kSplit;
+          ev.worker = id;
+          ev.args[0] = axis;
+          ev.args[1] = task.cells();
+          ev.args[2] = depth;
+          ev.args[3] = task.source;
+          obs::TraceRecorder::record(ev);
+        }
+      }
+    }
+    src.leaf(task, stats, me.scratch);
+    ++stats.tasks;
+    if (metrics) leaf_cells->observe(task.cells());
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(error_mutex);
+    if (!first_error) {
+      first_error = std::current_exception();
+      first_error_source = task.source;
+    }
+    abort.store(true, std::memory_order_release);
+  }
+  const i64 t1 = now_ns();
+  if (tracing) {
+    obs::TraceEvent ev;
+    ev.start_ns = t_start;
+    ev.dur_ns = t1 - t_start;
+    ev.kind = obs::EventKind::kLeafExec;
+    ev.worker = id;
+    ev.args[0] = task.cells();
+    ev.args[1] = task.source;
+    ev.args[2] = task.ndims > 0 ? task.lo[0] : 0;
+    ev.args[3] = task.ndims > 0 ? task.hi[0] : 0;
+    ev.args[4] = task.class_lo;
+    ev.args[5] = task.class_hi;
+    obs::TraceRecorder::record(ev);
+  }
+  stats.busy_ns += t1 - t_start;
+}
+
+void Run::retire(std::size_t s) {
+  if (pending[s].count.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  // Unique last retirer of the source: stamp its completion.
+  done_ns[s] = now_ns() - t0;
+  if (live_sources.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    wake_waiters();  // the run's end
+}
+
+// An idle context and a pusher (or the last retirer) each write one
+// variable and then read the other's, across seq_cst fences: either the
+// waiter's re-check sees the push or the end, or the pusher sees `asleep`
+// and bumps `signal` past the value the waiter read before raising it.
+void Run::wait_for_work(int id) {
+  const int seen = signal.load(std::memory_order_acquire);
+  asleep.store(true, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  bool ready = live_sources.load(std::memory_order_relaxed) == 0;
+  for (int k = 0; k < contexts && !ready; ++k)
+    ready = k != id &&
+            ctx[static_cast<std::size_t>(k)].deque.size_estimate() > 0;
+  if (!ready) signal.wait(seen, std::memory_order_acquire);
+}
+
+void Run::wake_waiters() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!asleep.load(std::memory_order_relaxed) ||
+      !asleep.exchange(false, std::memory_order_relaxed))
+    return;
+  signal.fetch_add(1, std::memory_order_release);
+  signal.notify_all();
+}
+
+}  // namespace
+
 RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
                                const DriveOptions& opts, ThreadPool* pool) {
   const std::size_t threads = std::max<std::size_t>(opts.threads, 1);
@@ -127,17 +428,10 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
   out.workers.resize(threads);
   out.sources.resize(ns);
 
-  // Per (worker, source) counters: single writer each, aggregated after
-  // the join. Idle time and failed sweeps belong to no source and go
-  // straight into out.workers.
+  // Per (worker, source) counters; seeding charges worker 0's. Seeded
+  // before any context starts (thread creation / the pool's queue mutex
+  // publishes the pushes to every context).
   std::vector<WorkerStats> blocks(threads * ns);
-  auto block = [&](int id, i64 s) -> WorkerStats& {
-    return blocks[static_cast<std::size_t>(id) * ns +
-                  static_cast<std::size_t>(s)];
-  };
-
-  // Seeded before any worker starts (thread creation / the pool's queue
-  // mutex publishes the pushes to every worker).
   bool exhausted = false;
   const std::vector<TaskDescriptor> pieces =
       seed_pieces(sources, threads, blocks.data(), &exhausted);
@@ -147,63 +441,19 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
   // contexts past pieces.size() could only idle: start just enough. One
   // context runs on the caller alone — no pool hand-off, no pin.
   const std::size_t contexts = exhausted ? pieces.size() : threads;
+  const int n = static_cast<int>(contexts);
   out.workers_used = static_cast<i64>(contexts);
 
-  std::vector<std::unique_ptr<WorkStealingDeque>> deques;
-  deques.reserve(contexts);
-  for (std::size_t k = 0; k < contexts; ++k)
-    deques.push_back(std::make_unique<WorkStealingDeque>());
+  const std::unique_ptr<Run, ThreadPool::Release> run(
+      new Run(sources, std::move(blocks), n));
 
-  // Live descriptors (queued or executing) per source, plus the count of
-  // unfinished sources; a worker retires only descriptors it holds, so a
-  // source's count hitting zero is exactly "every descriptor of it ran".
-  std::vector<Pending> pending(ns);
-  for (std::size_t k = 0; k < pieces.size(); ++k) {
-    pending[static_cast<std::size_t>(pieces[k].source)].count.fetch_add(
-        1, std::memory_order_relaxed);
-    deques[k % contexts]->push(pieces[k]);
-  }
-  i64 nonempty = 0;
-  for (const Pending& p : pending)
-    if (p.count.load(std::memory_order_relaxed) != 0) ++nonempty;
-  std::atomic<i64> live_sources{nonempty};
-  // Completion (last descriptor retired) and queue latency (first
-  // descriptor started) per source, relative to the run start.
-  std::vector<i64> done_ns(ns, 0);
-  std::vector<std::atomic<i64>> first_start(ns);
-
-  // Topology: where each worker pins and whom it robs first. Computed even
-  // when pinning is off — the distance-ordered sweep is deterministic
+  // Topology: where each context pins and whom it robs first. Computed
+  // even when pinning is off — the distance-ordered sweep is deterministic
   // either way, and the per-distance counters stay meaningful relative to
-  // the assignment the workers *would* have.
+  // the assignment the contexts *would* have.
   const topo::Topology& topology = topo::Topology::system();
   const std::vector<int> assignment = topology.assign_workers(contexts);
-  const bool pin = detail::effective_pin(opts.switches.pin_workers, contexts);
-
-  std::atomic<bool> abort{false};
-  std::exception_ptr first_error;
-  i64 first_error_source = -1;
-  std::mutex error_mutex;
-
-  // Observability gates, sampled once per run: with the recorder/registry
-  // globally off (or the run opting out) the workers pay one hoisted bool
-  // test per site, no clock reads beyond the two busy_ns already makes.
-  const bool tracing = opts.switches.trace && obs::TraceRecorder::enabled();
-  const bool metrics = opts.switches.metrics && obs::MetricsRegistry::enabled();
-  obs::Histogram* steal_lat = nullptr;
-  obs::Histogram* leaf_cells = nullptr;
-  obs::Histogram* qdepth = nullptr;
-  if (metrics) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
-    steal_lat = &reg.histogram(
-        "vdep_steal_latency_ns", obs::exp_buckets(1000, 4.0, 12),
-        "idle-episode length ending in a successful steal");
-    leaf_cells = &reg.histogram("vdep_leaf_cells",
-                                obs::exp_buckets(1, 4.0, 16),
-                                "cells per executed leaf descriptor");
-    qdepth = &reg.histogram("vdep_queue_depth", obs::exp_buckets(1, 2.0, 10),
-                            "owner deque size sampled at split");
-  }
+  run->pin = detail::effective_pin(opts.switches.pin_workers, contexts);
 
   // One scratch size for every context: the largest any source uses.
   LeafScratch::Size scratch_size;
@@ -212,211 +462,84 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
     scratch_size.stack = std::max(scratch_size.stack, src.scratch.stack);
     scratch_size.columns = std::max(scratch_size.columns, src.scratch.columns);
   }
-
-  const i64 t0 = now_ns();
-  const int n = static_cast<int>(contexts);
-  auto worker_main = [&](int id) {
-    // Pin for the run's duration; the guard restores the thread's previous
-    // mask (worker 0 is the caller, pool threads are long-lived).
-    std::optional<topo::AffinityGuard> pin_guard;
-    if (pin)
-      pin_guard.emplace(
-          topology.cpus()[static_cast<std::size_t>(
-                              assignment[static_cast<std::size_t>(id)])]
-              .cpu);
-    // Victim probe order, nearest ring first; the sweep randomizes its
-    // start within each ring (cheap xorshift, seeded per worker) so
-    // same-distance victims share the load.
-    const std::vector<std::vector<int>> rings =
-        topology.steal_rings(assignment, id);
-    std::uint64_t rng = 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(id) + 1);
-    auto next_rand = [&rng] {
-      rng ^= rng << 13;
-      rng ^= rng >> 7;
-      rng ^= rng << 17;
-      return rng;
-    };
-
-    // This context's buffers, lent to each leaf it runs, of any source.
-    LeafScratch scratch;
-    scratch.worker = id;
-    scratch.fit(scratch_size);
-    WorkerStats& idle_stats = out.workers[static_cast<std::size_t>(id)];
-
-    auto process = [&](TaskDescriptor task) {
-      const std::size_t s = static_cast<std::size_t>(task.source);
-      const DriveSource& src = sources[s];
-      WorkerStats& stats = block(id, task.source);
-      const i64 t_start = now_ns();
-      if (first_start[s].load(std::memory_order_relaxed) == 0) {
-        i64 expect = 0;
-        first_start[s].compare_exchange_strong(
-            expect, std::max<i64>(1, t_start - t0), std::memory_order_relaxed);
-      }
-      try {
-        // Split depth-first: push the large high halves (stolen first),
-        // keep refining the low half until it is a leaf, run it.
-        while (can_split(task, src.grain, src.limits)) {
-          int axis = 0;
-          TaskDescriptor high =
-              split(task, src.grain, &axis, &src.prefs, src.limits);
-          pending[s].count.fetch_add(1, std::memory_order_relaxed);
-          deques[static_cast<std::size_t>(id)]->push(high);
-          ++stats.splits;
-          ++stats.axis_splits[axis];
-          if (tracing || metrics) {
-            const i64 depth =
-                deques[static_cast<std::size_t>(id)]->size_estimate();
-            if (metrics) qdepth->observe(depth);
-            if (tracing) {
-              obs::TraceEvent ev;
-              ev.start_ns = obs::now_ns();
-              ev.kind = obs::EventKind::kSplit;
-              ev.worker = id;
-              ev.args[0] = axis;
-              ev.args[1] = task.cells();
-              ev.args[2] = depth;
-              ev.args[3] = task.source;
-              obs::TraceRecorder::record(ev);
-            }
-          }
-        }
-        src.leaf(task, stats, scratch);
-        ++stats.tasks;
-        if (metrics) leaf_cells->observe(task.cells());
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-          first_error_source = task.source;
-        }
-        abort.store(true, std::memory_order_release);
-      }
-      if (pending[s].count.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Unique last retirer of the source: stamp its completion.
-        done_ns[s] = now_ns() - t0;
-        live_sources.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      const i64 t1 = now_ns();
-      if (tracing) {
-        obs::TraceEvent ev;
-        ev.start_ns = t_start;
-        ev.dur_ns = t1 - t_start;
-        ev.kind = obs::EventKind::kLeafExec;
-        ev.worker = id;
-        ev.args[0] = task.cells();
-        ev.args[1] = task.source;
-        ev.args[2] = task.ndims > 0 ? task.lo[0] : 0;
-        ev.args[3] = task.ndims > 0 ? task.hi[0] : 0;
-        ev.args[4] = task.class_lo;
-        ev.args[5] = task.class_hi;
-        obs::TraceRecorder::record(ev);
-      }
-      stats.busy_ns += t1 - t_start;
-    };
-
-    // One idle episode spans from the first failed pop to the steal (or
-    // exit) that ends it; a worker's own deque cannot refill while it is
-    // idle (only its own process() pushes), so episodes close exactly there.
-    int idle_sweeps = 0;
-    i64 idle_t0 = 0;
-    auto close_idle = [&](obs::EventKind kind, i64 a0, i64 a1, i64 a2 = 0) {
-      if (idle_t0 == 0) return;
-      const i64 t1 = now_ns();
-      idle_stats.idle_ns += t1 - idle_t0;
-      if (kind == obs::EventKind::kSteal && metrics)
-        steal_lat->observe(t1 - idle_t0);
-      if (tracing) {
-        obs::TraceEvent ev;
-        ev.start_ns = idle_t0;
-        ev.dur_ns = t1 - idle_t0;
-        ev.kind = kind;
-        ev.worker = id;
-        ev.args[0] = a0;
-        ev.args[1] = a1;
-        ev.args[2] = a2;
-        obs::TraceRecorder::record(ev);
-      }
-      idle_t0 = 0;
-    };
-    for (;;) {
-      if (abort.load(std::memory_order_acquire)) return;
-      TaskDescriptor task;
-      if (deques[static_cast<std::size_t>(id)]->pop(task)) {
-        process(task);
-        idle_sweeps = 0;
-        continue;
-      }
-      if (idle_t0 == 0) idle_t0 = now_ns();
-      if (live_sources.load(std::memory_order_acquire) == 0) {
-        close_idle(obs::EventKind::kIdle, 0, 0);
-        return;
-      }
-      // Distance-ordered sweep: co-resident workers first (their deque is
-      // in this cpu's cache), then SMT siblings, same-node cores, and only
-      // then remote nodes; within a ring the start rotates randomly.
-      bool stolen = false;
-      int victim_id = -1;
-      int victim_distance = 0;
-      for (int d = 0; d < topo::Topology::kNumDistances && !stolen; ++d) {
-        const std::vector<int>& ring = rings[static_cast<std::size_t>(d)];
-        if (ring.empty()) continue;
-        const std::size_t start = next_rand() % ring.size();
-        for (std::size_t k = 0; k < ring.size() && !stolen; ++k) {
-          const int victim = ring[(start + k) % ring.size()];
-          if (deques[static_cast<std::size_t>(victim)]->steal(task)) {
-            // Counted on the stolen descriptor's source block, so the
-            // per-request traffic mix stays visible.
-            WorkerStats& st = block(id, task.source);
-            ++st.steals;
-            ++st.steals_by_distance[d];
-            victim_id = victim;
-            victim_distance = d;
-            stolen = true;
-          }
-        }
-      }
-      if (stolen) {
-        close_idle(obs::EventKind::kSteal, victim_id, task.source,
-                   victim_distance);
-        process(task);
-        idle_sweeps = 0;
-      } else {
-        if (n > 1) ++idle_stats.failed_steals;
-        if (++idle_sweeps < 16) {
-          std::this_thread::yield();
-        } else {
-          // Nothing stealable for a while (e.g. one unsplittable descriptor
-          // left): back off instead of burning a core per idle worker —
-          // but re-check termination first, or a worker backing off just as
-          // the last descriptor retires eats a full backoff before exiting
-          // (visible as tail idle_ns on small runs).
-          if (live_sources.load(std::memory_order_acquire) == 0) continue;
-          std::this_thread::sleep_for(std::chrono::microseconds(
-              std::min(50 * (idle_sweeps - 15), 1000)));
-        }
-      }
-    }
-  };
-
-  if (pool && contexts > 1) {
-    // One chunk per worker context; pool threads plus the caller claim
-    // them. A pool smaller than the context count just runs some contexts
-    // after others finished (they see no live source and return at once).
-    pool->parallel_for(static_cast<i64>(contexts),
-                       [&](i64 id) { worker_main(static_cast<int>(id)); });
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(contexts - 1);
-    for (int k = 1; k < n; ++k) workers.emplace_back(worker_main, k);
-    worker_main(0);  // the calling thread is worker 0
-    for (std::thread& t : workers) t.join();
+  // Everything a context uses is built here, so a helper allocates nothing.
+  for (int id = 0; id < n; ++id) {
+    Context& c = run->ctx[static_cast<std::size_t>(id)];
+    c.rings = topology.steal_rings(assignment, id);
+    c.cpu = topology.cpus()[static_cast<std::size_t>(
+                                assignment[static_cast<std::size_t>(id)])]
+                .cpu;
+    c.scratch.worker = id;
+    c.scratch.fit(scratch_size);
   }
-  out.wall_ns = now_ns() - t0;
+  for (std::size_t k = 0; k < pieces.size(); ++k) {
+    run->pending[static_cast<std::size_t>(pieces[k].source)].count.fetch_add(
+        1, std::memory_order_relaxed);
+    run->ctx[k % contexts].deque.push(pieces[k]);
+  }
+  i64 nonempty = 0;
+  for (const Pending& p : run->pending)
+    if (p.count.load(std::memory_order_relaxed) != 0) ++nonempty;
+  run->live_sources.store(nonempty, std::memory_order_relaxed);
+
+  // Observability gates, sampled once per run: with the recorder/registry
+  // globally off (or the run opting out) the contexts pay one hoisted bool
+  // test per site, no clock reads beyond the two busy_ns already makes.
+  run->tracing = opts.switches.trace && obs::TraceRecorder::enabled();
+  run->metrics = opts.switches.metrics && obs::MetricsRegistry::enabled();
+  if (run->metrics) {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+    run->steal_lat = &reg.histogram(
+        "vdep_steal_latency_ns", obs::exp_buckets(1000, 4.0, 12),
+        "idle-episode length ending in a successful steal");
+    run->leaf_cells = &reg.histogram("vdep_leaf_cells",
+                                     obs::exp_buckets(1, 4.0, 16),
+                                     "cells per executed leaf descriptor");
+    run->qdepth = &reg.histogram("vdep_queue_depth",
+                                 obs::exp_buckets(1, 2.0, 10),
+                                 "owner deque size sampled at split");
+  }
+
+  // The caller is context 0 and returns when no source is live, whether
+  // or not every helper has started or left: pool helpers are queued
+  // without a join (a pool smaller than the context count leaves the
+  // surplus contexts unstarted, and their seeded descriptors are stolen).
+  // Without a pool the helpers are threads of this call, joined below.
+  run->t0 = now_ns();
+  std::vector<std::thread> spawned;
+  if (pool) {
+    pool->post(*run, std::min(pool->size(), contexts - 1));
+  } else {
+    spawned.reserve(contexts - 1);
+    for (int k = 1; k < n; ++k)
+      spawned.emplace_back([r = run.get()] { r->help(); });
+  }
+  run->work(0);
+  const i64 t_end = now_ns();
+  out.wall_ns = t_end - run->t0;
+
+  // Close every context's open idle episode at the end.
+  for (int id = 0; id < n; ++id) {
+    Context& c = run->ctx[static_cast<std::size_t>(id)];
+    WorkerStats& w = out.workers[static_cast<std::size_t>(id)];
+    w.failed_steals = c.failed_steals.load(std::memory_order_relaxed);
+    w.idle_ns = c.idle_ns.load(std::memory_order_relaxed);
+    const i64 since = c.idle_since.load(std::memory_order_relaxed);
+    if (since == 0 || since > t_end) continue;  // busy, or opened after
+    w.idle_ns += t_end - since;
+    if (run->tracing) {
+      obs::TraceEvent ev;
+      ev.start_ns = since;
+      ev.dur_ns = t_end - since;
+      ev.kind = obs::EventKind::kIdle;
+      ev.worker = id;
+      obs::TraceRecorder::record(ev);
+    }
+  }
 
   for (std::size_t id = 0; id < threads; ++id) {
     for (std::size_t s = 0; s < ns; ++s) {
-      const WorkerStats& b = blocks[id * ns + s];
+      const WorkerStats& b = run->blocks[id * ns + s];
       accumulate(out.workers[id], b);
       SourceStats& agg = out.sources[s];
       agg.iterations += b.iterations;
@@ -429,12 +552,14 @@ RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
     }
   }
   for (std::size_t s = 0; s < ns; ++s) {
-    out.sources[s].done_ns = done_ns[s];
-    out.sources[s].queue_ns = first_start[s].load(std::memory_order_relaxed);
+    out.sources[s].done_ns = run->done_ns[s];
+    out.sources[s].queue_ns =
+        run->first_start[s].load(std::memory_order_relaxed);
   }
-  out.error = first_error;
-  out.error_source = first_error_source;
-  if (metrics) publish_run_metrics(out.workers);
+  out.error = std::move(run->first_error);
+  out.error_source = run->first_error_source;
+  if (run->metrics) publish_run_metrics(out.workers);
+  for (std::thread& t : spawned) t.join();
   return out;
 }
 

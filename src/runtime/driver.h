@@ -3,8 +3,9 @@
 // the inspector's pass 1 and executor, and batch serving (many requests,
 // one worker set). Chase-Lev deques, workers pinned to topology-assigned cpus,
 // depth-first splitting along the longest (or locality-preferred) axis,
-// distance-ordered steal sweeps with idle backoff, first-error abort, and
-// the tracing/metrics gates.
+// distance-ordered steal sweeps, idle waits woken by pushes, first-error
+// abort, and the tracing/metrics gates. A run ends when its last
+// descriptor retires, and the caller returns then.
 //
 // A run drives one or more *sources*. Each source is a root descriptor plus
 // how to split it and how to run its leaves; its descriptors carry the
@@ -72,7 +73,8 @@ struct DriveSource {
   /// default) keeps the longest-axis policy.
   SplitPrefs prefs;
   /// Runs every leaf of this source, on any worker. Must outlive the
-  /// drive_descriptors call and be safe to call concurrently.
+  /// drive_descriptors call and be safe to call concurrently; never
+  /// called after that call returned.
   LeafFn leaf;
   /// Which axes may split (task.h SplitLimits): the class range unless the
   /// plan's classes write neighbouring cells (StreamExecutor::
@@ -105,7 +107,7 @@ struct RunSwitches {
 };
 
 struct DriveOptions {
-  /// Worker contexts (the caller is context 0 when no pool is given).
+  /// Worker contexts (the caller is context 0).
   std::size_t threads = 1;
   RunSwitches switches;
 };
@@ -129,11 +131,18 @@ struct DriveOptions {
 /// hand-off and no pinning. RuntimeStats::workers_used records the count
 /// (RuntimeStats::workers keeps `threads` entries either way).
 ///
-/// With `pool` null, spawns the helpers and uses the calling thread as
-/// worker 0; otherwise the pool's threads (plus the caller) claim the
-/// worker contexts. The first leaf exception aborts the run: every worker
-/// stops, remaining descriptors are dropped, and the error plus its source
-/// index come back in RuntimeStats::error / error_source (not rethrown).
+/// The calling thread is worker 0. With `pool` null, the other contexts
+/// run on threads spawned here and joined before the return; otherwise
+/// min(pool->size(), contexts - 1) helper calls are queued on the pool
+/// and claim contexts 1, 2, ... without a join. Either way the call
+/// returns when the last descriptor retired, with every counter, idle
+/// time and trace event of the run recorded: a helper still leaving, or
+/// starting only now, touches nothing of the caller's (see
+/// docs/RUNTIME.md). Contexts a pool never started get no idle time;
+/// their seeded pieces are stolen. The first leaf exception aborts the
+/// run: the descriptors still queued retire without running their leaf,
+/// no leaf starts after the return, and the error plus its source index
+/// come back in RuntimeStats::error / error_source (not rethrown).
 RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
                                const DriveOptions& opts,
                                ThreadPool* pool = nullptr);

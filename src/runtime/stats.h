@@ -1,8 +1,9 @@
 // Execution counters of the streaming runtime.
 //
-// Every worker owns one WorkerStats and mutates it without synchronization;
-// the executor aggregates after joining, so readers only ever see quiescent
-// values. The aggregate view (RuntimeStats) is what benches and ExecReport
+// Every worker owns one WorkerStats per source and mutates it without
+// synchronization before retiring the descriptor it counts; the driver
+// aggregates at the run's end (no source live), so readers only ever see
+// final values. The aggregate view (RuntimeStats) is what benches and ExecReport
 // report.
 #pragma once
 
@@ -22,9 +23,9 @@ using i64 = checked::i64;
 /// block stays free of topology headers.
 inline constexpr int kStealDistances = 4;
 
-/// Private counters of one worker thread (no atomics: single writer, read
-/// only after the worker joined). Padded to a cache line so adjacent
-/// workers' counters never share one.
+/// Private counters of one worker context (no atomics: single writer, read
+/// only after the run ended). Padded to a cache line so adjacent workers'
+/// counters never share one.
 struct alignas(64) WorkerStats {
   i64 tasks = 0;       ///< leaf descriptors executed to completion
   i64 splits = 0;      ///< descriptors divided and re-enqueued
@@ -34,7 +35,9 @@ struct alignas(64) WorkerStats {
   /// (CompiledKernel::execute_column).
   i64 column_iterations = 0;
   i64 busy_ns = 0;     ///< wall time spent inside descriptor execution
-  i64 idle_ns = 0;     ///< wall time spent with no runnable descriptor
+  /// Wall time with no runnable descriptor: from each failed pop to the
+  /// steal that ended the episode, or to the run's end.
+  i64 idle_ns = 0;
   /// Full steal sweeps (every other deque probed) that came back empty.
   i64 failed_steals = 0;
   /// Splits by chosen axis: slots 0..kMaxDims-1 are the boxed DOALL-prefix
@@ -68,13 +71,16 @@ struct RuntimeStats {
   std::vector<WorkerStats> workers;
   /// Per source, summed over worker contexts.
   std::vector<SourceStats> sources;
-  i64 wall_ns = 0;  ///< makespan of the whole run (seed to last join)
-  /// Worker contexts the run started: `threads`, fewer when seeding found
-  /// fewer unsplittable pieces (1: the caller ran the lone piece), 0 for
-  /// an empty run.
+  /// Makespan of the whole run: from the first context's start (seeding
+  /// done) to the last descriptor's retirement, as the caller saw it.
+  i64 wall_ns = 0;
+  /// Worker contexts the run offered work to: `threads`, fewer when
+  /// seeding found fewer unsplittable pieces (1: the caller ran the lone
+  /// piece), 0 for an empty run. On a pool busy elsewhere some of them may
+  /// never start; the others steal their seeded pieces.
   i64 workers_used = 0;
-  /// First failure (a leaf threw): every worker stopped and the remaining
-  /// descriptors were dropped. Single-request callers rethrow it; a batch
+  /// First failure (a leaf threw): the descriptors still queued retired
+  /// without running. Single-request callers rethrow it; a batch
   /// attaches the request index from error_source.
   std::exception_ptr error;
   i64 error_source = -1;

@@ -1,7 +1,6 @@
 #include "support/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <memory>
 
@@ -25,8 +24,15 @@ std::size_t default_worker_count() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+void ThreadPool::Job::release() noexcept {
+  if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
+}
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   VDEP_REQUIRE(num_threads >= 1, "ThreadPool needs at least one thread");
+  // Room for a few posts per thread up front; the ring doubles when a
+  // backlog outgrows it and never shrinks.
+  ring_.resize(std::max<std::size_t>(16, 4 * num_threads));
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -43,36 +49,60 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    Job* job = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (stopping_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      wake_.wait(lock, [this] { return stopping_ || queued_ != 0; });
+      if (queued_ == 0) return;  // stopping, and every queued call ran
+      Entry& front = ring_[head_];
+      job = front.job;
+      if (--front.calls == 0) {
+        head_ = (head_ + 1) % ring_.size();
+        --queued_;
+      }
     }
-    task();
+    job->help();
+    job->release();
   }
+}
+
+void ThreadPool::post(Job& job, std::size_t helpers) {
+  if (helpers == 0) return;
+  job.refs_.fetch_add(helpers, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (queued_ == ring_.size()) {
+      std::vector<Entry> bigger(2 * ring_.size());
+      for (std::size_t k = 0; k < queued_; ++k)
+        bigger[k] = ring_[(head_ + k) % ring_.size()];
+      ring_.swap(bigger);
+      head_ = 0;
+    }
+    ring_[(head_ + queued_) % ring_.size()] = {&job, helpers};
+    ++queued_;
+  }
+  // One wake-up call either way: waking several threads one by one costs
+  // the poster a system call each, which measured slower than waking
+  // every idle thread at once and letting those that find no call left
+  // wait again.
+  if (helpers == 1)
+    wake_.notify_one();
+  else
+    wake_.notify_all();
 }
 
 namespace {
 
-// Shared between the caller and the helper tasks it enqueues. Helpers may
-// start after the caller already returned (all chunks drained), so the state
-// is shared_ptr-owned, never stack-referenced.
-struct Batch {
-  std::int64_t num_chunks = 0;
-  std::function<void(std::int64_t)> body;
-  std::atomic<std::int64_t> next{0};
-  std::atomic<std::int64_t> remaining{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
+// The chunks of one parallel_for call. A helper that starts after every
+// chunk was claimed touches only the counter it claims from, so the body
+// stays the caller's: a claimed chunk keeps the caller waiting.
+struct Chunks final : ThreadPool::Job {
+  Chunks(std::int64_t n, const std::function<void(std::int64_t)>& b)
+      : num_chunks(n), body(b), remaining(n) {}
 
-  void run_chunks() {
+  void help() noexcept override {
     for (;;) {
-      std::int64_t c = next.fetch_add(1, std::memory_order_relaxed);
+      const std::int64_t c = next.fetch_add(1, std::memory_order_relaxed);
       if (c >= num_chunks) return;
       try {
         body(c);
@@ -81,11 +111,19 @@ struct Batch {
         if (!first_error) first_error = std::current_exception();
       }
       if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_all();
+        finished.store(1, std::memory_order_release);
+        finished.notify_all();
       }
     }
   }
+
+  const std::int64_t num_chunks;
+  const std::function<void(std::int64_t)>& body;
+  std::atomic<std::int64_t> next{0};
+  std::atomic<std::int64_t> remaining;
+  std::atomic<int> finished{0};
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
 };
 
 }  // namespace
@@ -98,29 +136,16 @@ void ThreadPool::parallel_for(std::int64_t num_chunks,
     return;
   }
 
-  auto batch = std::make_shared<Batch>();
-  batch->num_chunks = num_chunks;
-  batch->body = body;  // copy: outlives the caller if helpers start late
-  batch->remaining.store(num_chunks, std::memory_order_relaxed);
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < workers_.size(); ++i)
-      tasks_.emplace([batch] { batch->run_chunks(); });
-  }
-  wake_.notify_all();
-
-  // The caller participates too, then waits for stragglers.
-  batch->run_chunks();
-  {
-    std::unique_lock<std::mutex> lock(batch->done_mutex);
-    batch->done_cv.wait(lock, [&] {
-      return batch->remaining.load(std::memory_order_acquire) == 0;
-    });
-  }
-  // Take the error out of the batch: a helper that still holds the batch
-  // must not drop the last reference to the exception the caller handles.
-  std::exception_ptr error = std::move(batch->first_error);
+  const std::unique_ptr<Chunks, Release> chunks(new Chunks(num_chunks, body));
+  const auto helpers = static_cast<std::size_t>(num_chunks - 1);
+  post(*chunks, std::min(workers_.size(), helpers));
+  // The caller runs chunks too, then waits for the ones still running.
+  chunks->help();
+  while (chunks->finished.load(std::memory_order_acquire) == 0)
+    chunks->finished.wait(0, std::memory_order_acquire);
+  // Take the error out of the job: a helper that still holds the job must
+  // not drop the last reference to the exception the caller handles.
+  std::exception_ptr error = std::move(chunks->first_error);
   if (error) std::rethrow_exception(error);
 }
 

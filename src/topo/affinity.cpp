@@ -22,30 +22,36 @@ CpuSet CpuSet::current() {
   return out;
 }
 
-bool CpuSet::apply() const {
-  if (cpus_.empty()) return false;
+bool pin_supported() { return true; }
+
+static_assert(sizeof(cpu_set_t) == sizeof(std::array<unsigned long, 16>),
+              "AffinityGuard keeps a cpu_set_t's bytes");
+
+AffinityGuard::AffinityGuard(int cpu) {
+  if (cpu < 0 || cpu >= CPU_SETSIZE) return;
   cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return;
+  std::memcpy(saved_.data(), &mask, sizeof(mask));
   CPU_ZERO(&mask);
-  for (int c : cpus_)
-    if (c >= 0 && c < CPU_SETSIZE) CPU_SET(c, &mask);
-  return sched_setaffinity(0, sizeof(mask), &mask) == 0;
+  CPU_SET(cpu, &mask);
+  pinned_ = sched_setaffinity(0, sizeof(mask), &mask) == 0;
 }
 
-bool pin_supported() { return true; }
+AffinityGuard::~AffinityGuard() {
+  if (!pinned_) return;
+  cpu_set_t mask;
+  std::memcpy(&mask, saved_.data(), sizeof(mask));
+  sched_setaffinity(0, sizeof(mask), &mask);
+}
 
 #else  // !__linux__
 
 CpuSet CpuSet::current() { return {}; }
-bool CpuSet::apply() const { return false; }
 bool pin_supported() { return false; }
+AffinityGuard::AffinityGuard(int) {}
+AffinityGuard::~AffinityGuard() = default;
 
 #endif
-
-void CpuSet::set(int cpu) {
-  if (std::find(cpus_.begin(), cpus_.end(), cpu) == cpus_.end())
-    cpus_.push_back(cpu);
-  std::sort(cpus_.begin(), cpus_.end());
-}
 
 bool CpuSet::test(int cpu) const {
   return std::find(cpus_.begin(), cpus_.end(), cpu) != cpus_.end();
@@ -57,18 +63,5 @@ bool pin_env_enabled() {
 }
 
 std::vector<int> allowed_cpus() { return CpuSet::current().cpus(); }
-
-AffinityGuard::AffinityGuard(int cpu) {
-  if (!pin_supported()) return;
-  saved_ = CpuSet::current();
-  if (saved_.empty()) return;
-  CpuSet target;
-  target.set(cpu);
-  pinned_ = target.apply();
-}
-
-AffinityGuard::~AffinityGuard() {
-  if (pinned_) saved_.apply();
-}
 
 }  // namespace vdep::topo

@@ -10,6 +10,7 @@
 // promise the workers stay where it assumed.
 #pragma once
 
+#include <array>
 #include <vector>
 
 namespace vdep::topo {
@@ -20,16 +21,11 @@ class CpuSet {
   /// The calling thread's current affinity mask; empty set on failure.
   static CpuSet current();
 
-  void set(int cpu);
   bool test(int cpu) const;
   int count() const { return static_cast<int>(cpus_.size()); }
   bool empty() const { return cpus_.empty(); }
   /// Member cpu ids, ascending.
   const std::vector<int>& cpus() const { return cpus_; }
-
-  /// sched_setaffinity(0, *this). False when unsupported or rejected
-  /// (empty set, cpu outside the cgroup mask).
-  bool apply() const;
 
  private:
   std::vector<int> cpus_;
@@ -47,7 +43,9 @@ std::vector<int> allowed_cpus();
 
 /// RAII pin of the calling thread to one cpu; restores the thread's
 /// previous mask on destruction. Construction with an unsupported host or
-/// a rejected cpu leaves the thread untouched (pinned() == false).
+/// a rejected cpu leaves the thread untouched (pinned() == false). A guard
+/// allocates nothing: it keeps the previous mask as raw bytes, so a pool
+/// thread pins for a run without touching the heap.
 class AffinityGuard {
  public:
   explicit AffinityGuard(int cpu);
@@ -58,7 +56,8 @@ class AffinityGuard {
   bool pinned() const { return pinned_; }
 
  private:
-  CpuSet saved_;
+  /// The previous mask: a cpu_set_t's bytes (1024 cpus).
+  std::array<unsigned long, 16> saved_{};
   bool pinned_ = false;
 };
 

@@ -4,7 +4,8 @@
 // one and compares one warm threads(1) request at two bounds whose leaf
 // counts differ, so a per-leaf, per-column or per-point allocation shows
 // as a difference — no timer involved. A warm batch on spawned workers
-// makes a fixed number too, whichever worker ran which request.
+// or on a pool makes a fixed number too, whichever worker ran which
+// request.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -141,10 +142,8 @@ long reused_request_allocations(i64 n, ExecBackend backend) {
 TEST(Allocations, ReusedInspectedRequestIsFlatInIndexLength) {
   // A reused request at index images of 2^16 and 2^17 elements makes the
   // same allocations. kJit runs the native row kernel where a toolchain
-  // exists, compiled leaves otherwise. One worker keeps the count exact:
-  // at several workers on a pool it moves by a few allocations run to run
-  // (the pool's task deque allocates a block every sixteen pushes); the
-  // sliced proof's hand-off is held below instead.
+  // exists, compiled leaves otherwise. The sliced proof's hand-off to a
+  // pool is held below.
   for (ExecBackend backend : {ExecBackend::kCompiled, ExecBackend::kJit})
     EXPECT_EQ(reused_request_allocations(i64{1} << 16, backend),
               reused_request_allocations(i64{1} << 17, backend))
@@ -153,8 +152,7 @@ TEST(Allocations, ReusedInspectedRequestIsFlatInIndexLength) {
 
 TEST(Allocations, SlicedProofIsFlatInIndexLength) {
   // The proof of a reused 4-worker request, every thread counted: one
-  // hand-off of four slices to a fresh pool (so its task deque starts from
-  // the same state), whatever the image length.
+  // hand-off of four slices to a pool, whatever the image length.
   auto count = [](i64 n) {
     const test_inputs::IndirectInput in = test_inputs::permutation_input(n);
     const exec::ArrayStore init = test_inputs::initial_store(in);
@@ -191,11 +189,11 @@ SuiteBatch suite_batch(const Compiler& compiler, int count) {
 }
 
 /// Heap allocations of `runs` consecutive warm execute_batch calls of `b`
-/// on `threads` spawned workers (no pool), digest off, every thread
+/// on `threads` workers, spawned or on `pool`, digest off, every thread
 /// counted, after two untimed batches built every executor and its scan
 /// state.
 std::vector<long> batch_allocations(const SuiteBatch& b, std::size_t threads,
-                                    int runs) {
+                                    int runs, ThreadPool* pool = nullptr) {
   ExecPolicy policy;
   policy.threads(threads).digest(false);
   std::vector<long> counts;
@@ -205,7 +203,10 @@ std::vector<long> batch_allocations(const SuiteBatch& b, std::size_t threads,
     for (std::size_t r = 0; r < stores.size(); ++r)
       reqs.push_back({b.loops[r], &stores[r]});
     const long before = g_allocations.load();
-    const std::vector<ExecReport> reports = execute_batch(reqs, policy).value();
+    const std::vector<ExecReport> reports =
+        (pool ? execute_batch(reqs, policy, *pool)
+              : execute_batch(reqs, policy))
+            .value();
     const long count = g_allocations.load() - before;
     EXPECT_EQ(reports.front().workers_used, static_cast<i64>(threads));
     if (k >= 2) counts.push_back(count);
@@ -230,6 +231,18 @@ TEST(Allocations, BatchWorkersCostTheSameWhateverSourcesTheyRun) {
       at4[0] - batch_allocations(sixteen, 1, 1)[0];
   EXPECT_GT(per_workers_8, 0);
   EXPECT_EQ(per_workers_8, per_workers_16);
+}
+
+TEST(Allocations, PooledBatchesCostTheSameEveryRun) {
+  // The pool's helpers are queued without a join and may still be on
+  // their way out when the next batch starts counting: neither the
+  // hand-off nor a helper may allocate, or the count moves run to run.
+  Compiler compiler;
+  const SuiteBatch sixteen = suite_batch(compiler, 16);
+  ThreadPool pool(4);
+  const std::vector<long> counts = batch_allocations(sixteen, 4, 10, &pool);
+  for (std::size_t k = 1; k < counts.size(); ++k)
+    EXPECT_EQ(counts[k], counts[0]) << "run " << k;
 }
 
 }  // namespace

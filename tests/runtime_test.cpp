@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include "dep/pdm.h"
 #include "exec/interpreter.h"
 #include "loopir/builder.h"
+#include "obs/trace.h"
 #include "runtime/stream_executor.h"
 #include "runtime/work_queue.h"
 #include "topo/affinity.h"
@@ -897,6 +899,192 @@ TEST(Driver, SplittableRootUsesEveryWorker) {
   exec::ArrayStore store(nest);
   store.fill_pattern();
   EXPECT_EQ(ex.run(store).workers_used, 4);
+}
+
+/// Holds every thread of `pool` inside a task of its own until release(),
+/// so helpers queued meanwhile start only after that.
+class PoolLatch {
+ public:
+  explicit PoolLatch(ThreadPool& pool)
+      : holder_([this, &pool] {
+          pool.parallel_for(static_cast<std::int64_t>(pool.size()) + 1,
+                            [this](std::int64_t) {
+                              entered_.fetch_add(1);
+                              while (!open_.load()) open_.wait(false);
+                            });
+        }) {
+    while (entered_.load() < pool.size() + 1) std::this_thread::yield();
+  }
+  ~PoolLatch() { release(); }
+
+  void release() {
+    if (!holder_.joinable()) return;
+    open_.store(true);
+    open_.notify_all();
+    holder_.join();
+  }
+
+ private:
+  std::atomic<std::size_t> entered_{0};
+  std::atomic<bool> open_{false};
+  std::thread holder_;
+};
+
+/// A splittable 1-axis source over the cells of `cells` at grain `grain`
+/// whose leaves count each cell they cover (a box's bounds are inclusive).
+DriveSource counting_source(std::vector<std::atomic<int>>& cells,
+                            i64 grain = 1) {
+  DriveSource src;
+  src.root = task(0, static_cast<i64>(cells.size()) - 1, 0, 1);
+  src.grain = grain;
+  src.leaf = [&cells](const TaskDescriptor& t, WorkerStats& stats,
+                      LeafScratch&) {
+    for (i64 i = t.lo[0]; i <= t.hi[0]; ++i) {
+      ++cells[static_cast<std::size_t>(i)];
+      ++stats.iterations;
+    }
+  };
+  return src;
+}
+
+TEST(Driver, HelpersThatStartAfterTheRunTouchNothingOfIt) {
+  // The pool's threads are held for the whole run, so its helpers start
+  // only after drive_descriptors returned and the sources, their leaves
+  // and the cells they wrote were destroyed (ASan reports any touch).
+  // The caller runs every leaf, stealing the pieces seeded for the three
+  // contexts that never started.
+  ThreadPool pool(3);
+  {
+    PoolLatch latch(pool);
+    auto cells = std::make_unique<std::vector<std::atomic<int>>>(256);
+    auto src = std::make_unique<DriveSource>(counting_source(*cells, 8));
+    const LeafFn count = src->leaf;
+    src->leaf = [count](const TaskDescriptor& t, WorkerStats& stats,
+                        LeafScratch& scratch) {
+      EXPECT_EQ(scratch.worker, 0);
+      count(t, stats, scratch);
+    };
+    const RuntimeStats rs =
+        drive_descriptors({src.get(), 1}, {4, {}}, &pool);
+    EXPECT_FALSE(rs.error);
+    EXPECT_EQ(rs.workers_used, 4);
+    EXPECT_EQ(rs.total_iterations(), 256);
+    EXPECT_EQ(rs.total_tasks(), 32);
+    EXPECT_EQ(rs.total_steals(), 3);
+    for (std::size_t k = 1; k < 4; ++k) {
+      EXPECT_EQ(rs.workers[k].tasks, 0) << k;
+      EXPECT_EQ(rs.workers[k].idle_ns, 0) << k;
+    }
+    for (const std::atomic<int>& c : *cells) EXPECT_EQ(c.load(), 1);
+    src.reset();
+    cells.reset();
+    latch.release();
+  }
+  // The pool's destructor runs the queued helpers before it joins.
+}
+
+TEST(Driver, BackToBackRunsWhileHelpersStillLeave) {
+  // Each run's sources and cells die as the run returns, while its
+  // helpers may still be leaving; the next run starts at once on the
+  // same pool. Then pools that die right after their run.
+  auto one_run = [](ThreadPool& pool, int r) {
+    std::vector<std::atomic<int>> a(64 + r % 7), b(33);
+    const DriveSource sources[] = {counting_source(a),
+                                   counting_source(b, 4)};
+    const RuntimeStats rs = drive_descriptors(sources, {4, {}}, &pool);
+    EXPECT_FALSE(rs.error);
+    EXPECT_EQ(rs.sources[0].iterations, static_cast<i64>(a.size()));
+    EXPECT_EQ(rs.sources[1].iterations, 33);
+    EXPECT_EQ(rs.total_tasks(), rs.total_splits() + 2);
+    for (const std::atomic<int>& c : a) EXPECT_EQ(c.load(), 1);
+    for (const std::atomic<int>& c : b) EXPECT_EQ(c.load(), 1);
+  };
+  ThreadPool pool(3);
+  for (int r = 0; r < 200; ++r) one_run(pool, r);
+  for (int r = 0; r < 20; ++r) {
+    auto short_lived = std::make_unique<ThreadPool>(3);
+    one_run(*short_lived, r);
+    short_lived.reset();
+  }
+}
+
+TEST(Driver, LeafErrorDrainsTheRunAndNoLeafStartsAfterReturn) {
+  // Source 1 throws at its one leaf while source 0 still has descriptors
+  // queued. The error comes back with its source index, every leaf that
+  // ran is counted, and none starts after the return.
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    auto started = std::make_shared<std::atomic<int>>(0);
+    DriveSource many;
+    many.root = task(0, 4095, 0, 1);
+    many.leaf = [started](const TaskDescriptor&, WorkerStats& stats,
+                          LeafScratch&) {
+      ++*started;
+      ++stats.iterations;
+    };
+    DriveSource bad = many;
+    bad.root = task(0, 0, 0, 1);
+    bad.leaf = [](const TaskDescriptor&, WorkerStats&, LeafScratch&) {
+      throw Error("bad leaf");
+    };
+    const DriveSource sources[] = {many, bad};
+    const RuntimeStats rs = drive_descriptors(sources, {4, {}}, p);
+    ASSERT_TRUE(rs.error) << "pool=" << !!p;
+    EXPECT_EQ(rs.error_source, 1);
+    EXPECT_THROW(std::rethrow_exception(rs.error), Error);
+    const int at_return = started->load();
+    EXPECT_EQ(rs.sources[0].tasks, at_return);
+    EXPECT_EQ(rs.sources[1].tasks, 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(started->load(), at_return) << "pool=" << !!p;
+  }
+  // One context pops the failing source's piece first (it was pushed
+  // last), so every descriptor of the other retires without running.
+  auto started = std::make_shared<std::atomic<int>>(0);
+  DriveSource many;
+  many.root = task(0, 63, 0, 1);
+  many.leaf = [started](const TaskDescriptor&, WorkerStats&, LeafScratch&) {
+    ++*started;
+  };
+  DriveSource bad = many;
+  bad.root = task(0, 0, 0, 1);
+  bad.leaf = [](const TaskDescriptor&, WorkerStats&, LeafScratch&) {
+    throw Error("bad leaf");
+  };
+  const DriveSource sources[] = {many, bad};
+  const RuntimeStats rs = drive_descriptors(sources, {1, {}});
+  EXPECT_EQ(rs.error_source, 1);
+  EXPECT_EQ(started->load(), 0);
+  EXPECT_EQ(rs.total_tasks(), 0);
+}
+
+TEST(Driver, IdleTimeAndTraceAreCompleteAtReturn) {
+  // The caller closes every context's open idle episode at the run's end:
+  // the kIdle events of a run all end at one instant, no context idles
+  // longer than the run, and no helper records after the return.
+  obs::TraceRecorder& rec = obs::TraceRecorder::instance();
+  rec.enable();
+  rec.clear();
+  auto pool = std::make_unique<ThreadPool>(3);
+  std::vector<std::atomic<int>> cells(512);
+  const DriveSource src = counting_source(cells);
+  const RuntimeStats rs = drive_descriptors({&src, 1}, {4, {}}, pool.get());
+  EXPECT_FALSE(rs.error);
+  for (const WorkerStats& w : rs.workers) EXPECT_LE(w.idle_ns, rs.wall_ns);
+  std::vector<i64> idle_ends;
+  bool caller_idle = false;
+  rec.for_each_event([&](std::size_t, const obs::TraceEvent& ev) {
+    if (ev.kind != obs::EventKind::kIdle) return;
+    idle_ends.push_back(ev.start_ns + ev.dur_ns);
+    caller_idle = caller_idle || ev.worker == 0;
+  });
+  const std::size_t events = rec.event_count();
+  EXPECT_TRUE(caller_idle);
+  for (i64 end : idle_ends) EXPECT_EQ(end, idle_ends.front());
+  pool.reset();  // every helper has left
+  EXPECT_EQ(rec.event_count(), events);
+  rec.disable();
+  rec.clear();
 }
 
 // ------------------------------------------------------------ class rule
